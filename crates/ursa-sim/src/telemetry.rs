@@ -9,6 +9,7 @@
 
 use crate::time::{SimDur, SimTime};
 use crate::topology::{ClassId, ServiceId, Topology};
+use std::sync::OnceLock;
 use ursa_stats::quantile::{percentile_of_sorted, QuantileWindow};
 
 /// Capacity of per-(service, class) latency windows.
@@ -22,24 +23,37 @@ const E2E_WINDOW_CAP: usize = 65_536;
 ///
 /// The underlying telemetry windows are bounded rings: when more samples
 /// arrive in one harvest interval than the retention capacity, the oldest
-/// are evicted. Consequently [`total_count`](Self::total_count) counts
-/// *every* sample observed during the window, while all distribution
-/// statistics ([`percentile`](Self::percentile), [`mean`](Self::mean),
+/// are evicted. All distribution statistics
+/// ([`percentile`](Self::percentile), [`mean`](Self::mean),
 /// [`fraction_above`](Self::fraction_above), [`samples`](Self::samples),
-/// [`len`](Self::len)) describe only the most recent
-/// `len() <= total_count()` retained samples. At evaluation scale the
-/// capacities are sized so eviction is rare; compare `len() as u64` with
-/// `total_count()` to detect when it happened.
+/// [`len`](Self::len)) describe only the most recent retained samples.
+/// [`total_count`](Self::total_count) is *not* per window: it counts every
+/// sample the stream has observed since the simulation started, so the
+/// number observed during this window is the difference from the previous
+/// snapshot's value, and eviction happened when that difference exceeds
+/// `len()`. At evaluation scale the capacities are sized so eviction is
+/// rare.
+///
+/// # Cost
+///
+/// A harvest only copies the retained samples out, in arrival order; the
+/// first order-statistic query (`percentile`, `mean`, `fraction_above`,
+/// `samples`) sorts them, once. `len`, `is_empty`, `total_count` never sort.
 #[derive(Debug, Clone, Default)]
 pub struct LatencySeries {
-    sorted: Vec<f64>,
+    /// Retained samples in arrival order.
+    raw: Vec<f64>,
+    /// `raw` in ascending order, filled by the first query that needs it.
+    sorted: OnceLock<Vec<f64>>,
     count: u64,
 }
 
 impl LatencySeries {
-    fn from_window(w: &QuantileWindow) -> Self {
+    /// Moves the window's retained samples into a series, emptying it.
+    fn drain_from(w: &mut QuantileWindow) -> Self {
         LatencySeries {
-            sorted: w.sorted(),
+            raw: w.drain(),
+            sorted: OnceLock::new(),
             count: w.total_count(),
         }
     }
@@ -47,17 +61,17 @@ impl LatencySeries {
     /// Number of samples *retained* in the window (at most the retention
     /// capacity; see the type-level window-semantics note).
     pub fn len(&self) -> usize {
-        self.sorted.len()
+        self.raw.len()
     }
 
     /// True if the window captured no samples.
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        self.raw.is_empty()
     }
 
-    /// Total samples *observed* during the window, including any evicted
-    /// beyond the retention capacity. May exceed [`len`](Self::len); see
-    /// the type-level window-semantics note.
+    /// Total samples this stream has *observed* since the simulation
+    /// started — cumulative across harvests and including evicted samples;
+    /// see the type-level window-semantics note.
     pub fn total_count(&self) -> u64 {
         self.count
     }
@@ -65,38 +79,43 @@ impl LatencySeries {
     /// The `p`-th percentile (0–100) in seconds over the *retained*
     /// samples, or `None` if empty.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
-            None
-        } else {
-            Some(percentile_of_sorted(&self.sorted, p))
-        }
+        (!self.is_empty()).then(|| percentile_of_sorted(self.samples(), p))
     }
 
     /// Mean latency in seconds over the *retained* samples (evicted
     /// samples are excluded — this is not `sum / total_count`), or `None`
-    /// if empty.
+    /// if empty. Summed in ascending order: float summation order is part
+    /// of the committed goldens.
     pub fn mean(&self) -> Option<f64> {
-        if self.sorted.is_empty() {
-            None
-        } else {
-            Some(self.sorted.iter().sum::<f64>() / self.sorted.len() as f64)
-        }
+        (!self.is_empty()).then(|| self.samples().iter().sum::<f64>() / self.len() as f64)
     }
 
     /// Fraction of *retained* samples strictly above `threshold` seconds
     /// (denominator is [`len`](Self::len), not
-    /// [`total_count`](Self::total_count)), or `None` if empty.
+    /// [`total_count`](Self::total_count)), or `None` if empty. A binary
+    /// search of the sorted view: anomaly detectors call this every tick.
     pub fn fraction_above(&self, threshold: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
+        if self.is_empty() {
             return None;
         }
-        let idx = self.sorted.partition_point(|&x| x <= threshold);
-        Some((self.sorted.len() - idx) as f64 / self.sorted.len() as f64)
+        let idx = self.samples().partition_point(|&x| x <= threshold);
+        Some((self.len() - idx) as f64 / self.len() as f64)
     }
 
-    /// The retained samples in ascending order.
+    /// The retained samples in ascending order (sorted by the first call).
     pub fn samples(&self) -> &[f64] {
-        &self.sorted
+        self.sorted.get_or_init(|| {
+            // On NaN-free, sign-positive samples `total_cmp` orders exactly
+            // as `partial_cmp` does and equal samples are bit-equal, so an
+            // unstable sort yields the same bits as a stable one.
+            debug_assert!(
+                self.raw.iter().all(|x| !x.is_nan() && x.is_sign_positive()),
+                "latency samples must be non-negative and not NaN"
+            );
+            let mut sorted = self.raw.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            sorted
+        })
     }
 }
 
@@ -345,8 +364,8 @@ impl Telemetry {
 
     /// Produces a snapshot of the window since the last harvest and resets
     /// all accumulators. Replica counts, core settings, and MQ depths are
-    /// supplied by the engine.
-    #[allow(clippy::too_many_arguments)]
+    /// supplied by the engine. Each latency window is copied out once, in
+    /// arrival order; nothing is sorted here (see [`LatencySeries`]).
     pub fn harvest(
         &mut self,
         now: SimTime,
@@ -365,24 +384,20 @@ impl Telemetry {
             self.mq_last_change[s] = now;
         }
         let nc = self.num_classes;
+        let drain = |windows: &mut [Option<QuantileWindow>]| {
+            windows
+                .iter_mut()
+                .map(|w| {
+                    w.as_mut()
+                        .map(LatencySeries::drain_from)
+                        .unwrap_or_default()
+                })
+                .collect()
+        };
         let services = (0..self.busy_core_secs.len())
             .map(|s| {
-                let tier_latency = (0..nc)
-                    .map(|c| {
-                        self.tier_windows[s * nc + c]
-                            .as_ref()
-                            .map(LatencySeries::from_window)
-                            .unwrap_or_default()
-                    })
-                    .collect();
-                let response_latency = (0..nc)
-                    .map(|c| {
-                        self.response_windows[s * nc + c]
-                            .as_ref()
-                            .map(LatencySeries::from_window)
-                            .unwrap_or_default()
-                    })
-                    .collect();
+                let tier_latency = drain(&mut self.tier_windows[s * nc..(s + 1) * nc]);
+                let response_latency = drain(&mut self.response_windows[s * nc..(s + 1) * nc]);
                 let cap = self.capacity_core_secs[s];
                 ServiceMetrics {
                     name: names[s].clone(),
@@ -408,8 +423,8 @@ impl Telemetry {
             .collect();
         let e2e_latency = self
             .e2e_windows
-            .iter()
-            .map(LatencySeries::from_window)
+            .iter_mut()
+            .map(LatencySeries::drain_from)
             .collect();
         let snapshot = MetricsSnapshot {
             at: now,
@@ -421,13 +436,7 @@ impl Telemetry {
             faults: Vec::new(),
             mem: None,
         };
-        // Reset for the next window.
-        for w in self.tier_windows.iter_mut().flatten() {
-            w.clear();
-        }
-        for w in self.response_windows.iter_mut().flatten() {
-            w.clear();
-        }
+        // Reset for the next window (the latency windows were drained above).
         self.arrivals.fill(0);
         for s in 0..self.busy_core_secs.len() {
             self.busy_core_secs[s] = 0.0;
@@ -437,11 +446,8 @@ impl Telemetry {
             // "observed" its standing depth.
             self.mq_max[s] = self.mq_last_depth[s];
         }
-        for c in 0..self.num_classes {
-            self.e2e_windows[c].clear();
-            self.completions[c] = 0;
-            self.injections[c] = 0;
-        }
+        self.completions.fill(0);
+        self.injections.fill(0);
         self.last_harvest = now;
         snapshot
     }
@@ -451,6 +457,7 @@ impl Telemetry {
 mod tests {
     use super::*;
     use crate::topology::{CallNode, ClassCfg, Priority, ServiceCfg, WorkDist};
+    use proptest::prelude::*;
 
     fn topo() -> Topology {
         let services = vec![ServiceCfg::new("a", 1.0), ServiceCfg::new("b", 1.0)];
@@ -576,7 +583,7 @@ mod tests {
         for v in [1.0, 2.0, 3.0, 4.0] {
             w.record(v);
         }
-        let s = LatencySeries::from_window(&w);
+        let s = LatencySeries::drain_from(&mut w);
         assert_eq!(s.len(), 4);
         assert_eq!(s.mean(), Some(2.5));
         assert_eq!(s.fraction_above(2.0), Some(0.5));
@@ -596,7 +603,7 @@ mod tests {
         for v in 1..=8 {
             w.record(v as f64);
         }
-        let s = LatencySeries::from_window(&w);
+        let s = LatencySeries::drain_from(&mut w);
         assert_eq!(s.len(), 4, "retained samples");
         assert_eq!(s.total_count(), 8, "observed samples");
         assert!(s.len() as u64 != s.total_count(), "overflow happened");
@@ -608,6 +615,237 @@ mod tests {
         // Percentiles span the retained range only.
         assert_eq!(s.percentile(0.0), Some(5.0));
         assert_eq!(s.percentile(100.0), Some(8.0));
+    }
+
+    #[test]
+    fn total_count_is_cumulative_across_harvests() {
+        // `QuantileWindow::clear` keeps the lifetime count, so a series'
+        // `total_count` keeps growing from harvest to harvest while `len`
+        // restarts; the per-window count is the difference.
+        let topo = topo();
+        let mut t = Telemetry::new(&topo);
+        let names = vec!["a".to_string(), "b".to_string()];
+        let harvest = |t: &mut Telemetry, secs: f64| {
+            t.harvest(
+                SimTime::from_secs_f64(secs),
+                &names,
+                &[1, 1],
+                &[1.0, 1.0],
+                &[0, 0],
+            )
+        };
+        let record = |t: &mut Telemetry, n: usize| {
+            for _ in 0..n {
+                t.record_response(ServiceId(0), ClassId(0), 0.010, 0.012);
+                t.record_e2e(ClassId(0), 0.012);
+            }
+        };
+        // (retained, observed) of the class's e2e, tier and response series.
+        let counts = |snap: &MetricsSnapshot| {
+            [
+                &snap.e2e_latency[0],
+                &snap.services[0].tier_latency[0],
+                &snap.services[0].response_latency[0],
+            ]
+            .map(|series| (series.len(), series.total_count()))
+        };
+        record(&mut t, 3);
+        assert_eq!(counts(&harvest(&mut t, 60.0)), [(3, 3); 3]);
+        record(&mut t, 2);
+        assert_eq!(
+            counts(&harvest(&mut t, 120.0)),
+            [(2, 5); 3],
+            "retained restarts, observed accumulates"
+        );
+        assert_eq!(
+            counts(&harvest(&mut t, 180.0)),
+            [(0, 5); 3],
+            "an idle window keeps the lifetime count"
+        );
+    }
+
+    #[test]
+    fn series_sorts_on_first_order_query_only() {
+        let mut w = QuantileWindow::new(4);
+        for v in [3.0, 1.0, 2.0] {
+            w.record(v);
+        }
+        let s = LatencySeries::drain_from(&mut w);
+        assert!(w.is_empty(), "harvest drains the window");
+        assert_eq!((s.len(), s.is_empty(), s.total_count()), (3, false, 3));
+        assert!(s.sorted.get().is_none(), "counting queries never sort");
+        let unsorted_clone = s.clone();
+        assert_eq!(s.percentile(100.0), Some(3.0));
+        assert!(s.sorted.get().is_some());
+        assert!(
+            unsorted_clone.sorted.get().is_none(),
+            "clones are independent"
+        );
+        assert!(
+            s.clone().sorted.get().is_some(),
+            "a later clone starts sorted"
+        );
+        assert_eq!(unsorted_clone.samples(), &[1.0, 2.0, 3.0]);
+        // An empty series answers without initialising anything.
+        let empty = LatencySeries::default();
+        assert_eq!(
+            (
+                empty.percentile(50.0),
+                empty.mean(),
+                empty.fraction_above(0.0)
+            ),
+            (None, None, None)
+        );
+        assert!(empty.samples().is_empty());
+    }
+
+    /// The unstable `total_cmp` sort is bit-identical to the stable
+    /// `partial_cmp` one only on NaN-free, sign-positive samples (`-0.0`
+    /// would sort before `0.0`); debug builds check the domain.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-negative")]
+    fn negative_zero_latency_is_rejected_in_debug() {
+        let mut w = QuantileWindow::new(4);
+        w.record(0.0);
+        w.record(-0.0);
+        let _ = LatencySeries::drain_from(&mut w).samples();
+    }
+
+    /// `MetricsSnapshot` is cloned per grid cell, sent across the
+    /// cell-parallel runner and merged across shard threads; the lazy
+    /// sort's cell must therefore be a `OnceLock`, not a `OnceCell`/`RefCell`.
+    #[test]
+    fn snapshot_is_clone_send_sync() {
+        fn assert<T: Clone + Send + Sync>() {}
+        assert::<MetricsSnapshot>();
+        assert::<LatencySeries>();
+    }
+
+    /// The eager harvest of the parent commit, kept as the reference the
+    /// lazy series is compared against: an independent ring, a copy-out
+    /// with `%` per element, and a stable `partial_cmp` sort.
+    struct EagerSeries {
+        sorted: Vec<f64>,
+        count: u64,
+    }
+
+    impl EagerSeries {
+        fn harvest(capacity: usize, samples: &[f64]) -> Self {
+            let (mut buf, mut head, mut len) = (vec![0.0; capacity], 0usize, 0usize);
+            for &x in samples {
+                buf[(head + len) % capacity] = x;
+                if len < capacity {
+                    len += 1;
+                } else {
+                    head = (head + 1) % capacity;
+                }
+            }
+            let mut sorted: Vec<f64> = (0..len).map(|i| buf[(head + i) % capacity]).collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
+            EagerSeries {
+                sorted,
+                count: samples.len() as u64,
+            }
+        }
+
+        fn answer(&self, query: Query) -> Vec<u64> {
+            let s = &self.sorted;
+            let n = s.len() as f64;
+            match query {
+                Query::Percentile(p) => bits((!s.is_empty()).then(|| percentile_of_sorted(s, p))),
+                Query::Mean => bits((!s.is_empty()).then(|| s.iter().sum::<f64>() / n)),
+                Query::FractionAbove(t) => bits(
+                    (!s.is_empty()).then(|| (s.len() - s.partition_point(|&x| x <= t)) as f64 / n),
+                ),
+                Query::Samples => s.iter().map(|x| x.to_bits()).collect(),
+                Query::Len => vec![s.len() as u64, s.is_empty() as u64],
+                Query::TotalCount => vec![self.count],
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Query {
+        Percentile(f64),
+        Mean,
+        FractionAbove(f64),
+        Samples,
+        Len,
+        TotalCount,
+    }
+
+    fn bits(x: Option<f64>) -> Vec<u64> {
+        x.map(f64::to_bits).into_iter().collect()
+    }
+
+    fn lazy_answer(s: &LatencySeries, query: Query) -> Vec<u64> {
+        match query {
+            Query::Percentile(p) => bits(s.percentile(p)),
+            Query::Mean => bits(s.mean()),
+            Query::FractionAbove(t) => bits(s.fraction_above(t)),
+            Query::Samples => s.samples().iter().map(|x| x.to_bits()).collect(),
+            Query::Len => vec![s.len() as u64, s.is_empty() as u64],
+            Query::TotalCount => vec![s.total_count()],
+        }
+    }
+
+    /// Latencies on a coarse grid (many exact ties, zeros included) mixed
+    /// with continuous ones.
+    fn latency() -> impl Strategy<Value = f64> {
+        (0u32..3, 0u32..12, 0.0f64..2.0).prop_map(|(kind, step, fine)| match kind {
+            0 => fine,
+            _ => step as f64 * 0.125,
+        })
+    }
+
+    fn query() -> impl Strategy<Value = Query> {
+        (0u32..6, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+            0 => Query::Percentile(x * 100.0),
+            1 => Query::Mean,
+            2 => Query::FractionAbove(x * 2.0),
+            3 => Query::Samples,
+            4 => Query::Len,
+            _ => Query::TotalCount,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Lazy vs eager: whatever the ring's fill (below, exactly at, or
+        /// up to 3x past capacity), the query order, and whether a clone
+        /// was taken before or after the first sort, every answer is
+        /// bit-equal to the parent commit's eager copy-and-stable-sort.
+        #[test]
+        fn lazy_series_matches_eager_reference(
+            capacity in 1usize..40,
+            fill in 0u32..3,
+            frac in 0.0f64..1.0,
+            pool in proptest::collection::vec(latency(), 120),
+            queries in proptest::collection::vec(query(), 1..12),
+        ) {
+            let n = match fill {
+                0 => (frac * capacity as f64) as usize,
+                1 => capacity,
+                _ => capacity + 1 + (frac * 2.0 * capacity as f64) as usize,
+            };
+            let samples = &pool[..n.min(3 * capacity)];
+            let reference = EagerSeries::harvest(capacity, samples);
+
+            let mut window = QuantileWindow::new(capacity);
+            samples.iter().for_each(|&x| window.record(x));
+            let series = LatencySeries::drain_from(&mut window);
+            let before = series.clone();
+            for &q in &queries {
+                prop_assert_eq!(lazy_answer(&series, q), reference.answer(q), "{:?}", q);
+            }
+            let after = series.clone();
+            for &q in queries.iter().rev() {
+                prop_assert_eq!(lazy_answer(&before, q), reference.answer(q), "clone before: {:?}", q);
+                prop_assert_eq!(lazy_answer(&after, q), reference.answer(q), "clone after: {:?}", q);
+            }
+        }
     }
 
     #[test]

@@ -1,22 +1,21 @@
-//! Microbenchmark for the windowed quantile query path.
+//! Microbenchmark for the two costs a telemetry window can charge.
 //!
-//! The metrics scraper reads several percentiles from every latency window
-//! once per harvest interval. Before the sorted-view cache, each query
-//! cloned and re-sorted the whole ring (`O(n log n)` per query); with the
-//! cache, the first query after a mutation sorts once and the rest are
-//! `O(1)` lookups. `percentile_cached` vs `percentile_resort` shows the
-//! win on a full window.
+//! A harvest copies every window out in arrival order (`copy_out`: two
+//! slice copies of a wrapped ring); only a series somebody then queries is
+//! also sorted (`copy_out_and_sort`, what `QuantileWindow::sorted` and a
+//! snapshot's first order-statistic query pay). The gap between the two
+//! arms is what a harvest saves per unread window. Sizes are the
+//! simulator's per-(service, class) and end-to-end ring capacities.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ursa_stats::quantile::{percentile_of_sorted, QuantileWindow};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ursa_stats::quantile::QuantileWindow;
 use ursa_stats::rng::Rng;
 
-const WINDOW: usize = 65_536;
-
-fn full_window() -> QuantileWindow {
+/// A full window whose ring has wrapped, so the copy takes both runs.
+fn wrapped_window(capacity: usize) -> QuantileWindow {
     let mut rng = Rng::seed_from(7);
-    let mut w = QuantileWindow::new(WINDOW);
-    for _ in 0..WINDOW {
+    let mut w = QuantileWindow::new(capacity);
+    for _ in 0..capacity + capacity / 3 {
         w.record(rng.next_f64() * 100.0);
     }
     w
@@ -24,41 +23,17 @@ fn full_window() -> QuantileWindow {
 
 fn bench_quantile(c: &mut Criterion) {
     let mut group = c.benchmark_group("quantile_window");
-    let w = full_window();
-
-    // The old cost model: clone + sort the ring on every query.
-    group.bench_function("percentile_resort", |b| {
-        b.iter(|| {
-            let mut v = w.to_vec();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            black_box(percentile_of_sorted(&v, 99.0))
-        })
-    });
-
-    // The new cost model: cached sorted view between mutations.
-    let _ = w.percentile(99.0); // warm the cache once
-    group.bench_function("percentile_cached", |b| {
-        b.iter(|| black_box(w.percentile(99.0)))
-    });
-
-    // A full scrape reads several percentiles per window; all of them share
-    // one cached sort.
-    group.bench_function("scrape_p50_p90_p99", |b| {
-        b.iter(|| black_box(w.percentiles(&[50.0, 90.0, 99.0])))
-    });
-
-    // Worst case for the cache: a mutation between every query (one sort
-    // per query, same as the old model plus bookkeeping).
-    let mut wm = full_window();
-    let mut i = 0u64;
-    group.bench_function("percentile_after_record", |b| {
-        b.iter(|| {
-            i += 1;
-            wm.record((i % 100) as f64);
-            black_box(wm.percentile(99.0))
-        })
-    });
-
+    for capacity in [16_384usize, 65_536] {
+        let w = wrapped_window(capacity);
+        group.bench_with_input(BenchmarkId::new("copy_out", capacity), &w, |b, w| {
+            b.iter(|| black_box(w.to_vec()))
+        });
+        group.bench_with_input(
+            BenchmarkId::new("copy_out_and_sort", capacity),
+            &w,
+            |b, w| b.iter(|| black_box(w.sorted())),
+        );
+    }
     group.finish();
 }
 

@@ -47,21 +47,16 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 /// queries always reflect the most recent `capacity` observations — matching
 /// how Prometheus-style telemetry windows behave in the paper's setup.
 ///
-/// Quantile queries sort lazily: the first query after a mutation sorts the
-/// window once into an internal cache; further queries (and snapshot reads
-/// like [`sorted`](Self::sorted)) reuse it until the next `record`/`clear`.
-/// A metrics scrape that reads several percentiles per window therefore
-/// pays one sort per harvest interval, not one per query. The cache uses
-/// interior mutability, so queries keep their `&self` signatures; the type
-/// remains `Send` (simulations are owned per thread) but is not `Sync`.
+/// Every order-statistic query ([`sorted`](Self::sorted),
+/// [`percentile`](Self::percentile), [`percentiles`](Self::percentiles))
+/// sorts a fresh copy: the simulator reads a window once per harvest, through
+/// [`drain`](Self::drain); a caller that queries repeatedly keeps the copy.
 #[derive(Debug, Clone)]
 pub struct QuantileWindow {
     buf: Vec<f64>,
     head: usize,
     len: usize,
     total_count: u64,
-    sorted_cache: std::cell::RefCell<Vec<f64>>,
-    cache_dirty: std::cell::Cell<bool>,
 }
 
 impl QuantileWindow {
@@ -77,8 +72,6 @@ impl QuantileWindow {
             head: 0,
             len: 0,
             total_count: 0,
-            sorted_cache: std::cell::RefCell::new(Vec::new()),
-            cache_dirty: std::cell::Cell::new(true),
         }
     }
 
@@ -103,20 +96,16 @@ impl QuantileWindow {
             }
         }
         self.total_count += 1;
-        self.cache_dirty.set(true);
     }
 
-    /// Rebuilds the sorted cache if a mutation invalidated it.
-    fn ensure_sorted(&self) {
-        if !self.cache_dirty.get() {
-            return;
-        }
-        let mut cache = self.sorted_cache.borrow_mut();
-        cache.clear();
-        let cap = self.buf.len();
-        cache.extend((0..self.len).map(|i| self.buf[(self.head + i) % cap]));
-        cache.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-        self.cache_dirty.set(false);
+    /// The retained samples in arrival order, as the ring's two contiguous
+    /// runs (the second is empty unless the ring has wrapped).
+    fn as_slices(&self) -> (&[f64], &[f64]) {
+        let first = self.len.min(self.buf.len() - self.head);
+        (
+            &self.buf[self.head..self.head + first],
+            &self.buf[..self.len - first],
+        )
     }
 
     /// Number of samples currently in the window.
@@ -138,43 +127,45 @@ impl QuantileWindow {
     pub fn clear(&mut self) {
         self.head = 0;
         self.len = 0;
-        self.cache_dirty.set(true);
     }
 
-    /// Copies the current window contents (unordered).
+    /// Copies the current window contents in arrival order (oldest first):
+    /// two slice copies, no per-element index arithmetic.
     pub fn to_vec(&self) -> Vec<f64> {
-        let cap = self.buf.len();
-        (0..self.len)
-            .map(|i| self.buf[(self.head + i) % cap])
-            .collect()
+        let (older, newer) = self.as_slices();
+        let mut out = Vec::with_capacity(self.len);
+        out.extend_from_slice(older);
+        out.extend_from_slice(newer);
+        out
     }
 
-    /// Returns the current window contents in ascending order (a copy of
-    /// the sorted cache; at most one sort since the last mutation).
+    /// Copies the window out in arrival order and [`clear`](Self::clear)s
+    /// it — what a telemetry harvest does to every window.
+    pub fn drain(&mut self) -> Vec<f64> {
+        let out = self.to_vec();
+        self.clear();
+        out
+    }
+
+    /// Returns the current window contents in ascending order
+    /// ([`f64::total_cmp`], so a NaN sorts last instead of panicking).
     pub fn sorted(&self) -> Vec<f64> {
-        self.ensure_sorted();
-        self.sorted_cache.borrow().clone()
+        let mut out = self.to_vec();
+        out.sort_unstable_by(f64::total_cmp);
+        out
     }
 
     /// Returns the `p`-th percentile of the window, or `None` if empty.
-    /// Amortized O(1) between mutations (the sort is cached).
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        if self.is_empty() {
-            None
-        } else {
-            self.ensure_sorted();
-            Some(percentile_of_sorted(&self.sorted_cache.borrow(), p))
-        }
+        (!self.is_empty()).then(|| percentile_of_sorted(&self.sorted(), p))
     }
 
-    /// Returns several percentiles at once, or `None` if empty. Shares the
-    /// same cached sort as [`percentile`](Self::percentile).
+    /// Returns several percentiles at once (one sort), or `None` if empty.
     pub fn percentiles(&self, ps: &[f64]) -> Option<Vec<f64>> {
         if self.is_empty() {
             return None;
         }
-        self.ensure_sorted();
-        let sorted = self.sorted_cache.borrow();
+        let sorted = self.sorted();
         Some(
             ps.iter()
                 .map(|&p| percentile_of_sorted(&sorted, p))
@@ -182,14 +173,14 @@ impl QuantileWindow {
         )
     }
 
-    /// Mean of the window, or `None` if empty. Streams the ring directly —
-    /// no allocation, no sort.
+    /// Mean of the window (summed in arrival order), or `None` if empty.
+    /// Streams the ring directly — no allocation, no sort.
     pub fn mean(&self) -> Option<f64> {
         if self.is_empty() {
             return None;
         }
-        let cap = self.buf.len();
-        let sum: f64 = (0..self.len).map(|i| self.buf[(self.head + i) % cap]).sum();
+        let (older, newer) = self.as_slices();
+        let sum: f64 = older.iter().chain(newer).sum();
         Some(sum / self.len as f64)
     }
 
@@ -200,9 +191,11 @@ impl QuantileWindow {
         if self.is_empty() {
             return None;
         }
-        let cap = self.buf.len();
-        let above = (0..self.len)
-            .filter(|&i| self.buf[(self.head + i) % cap] > threshold)
+        let (older, newer) = self.as_slices();
+        let above = older
+            .iter()
+            .chain(newer)
+            .filter(|&&x| x > threshold)
             .count();
         Some(above as f64 / self.len as f64)
     }
@@ -243,6 +236,37 @@ mod tests {
         assert_eq!(got, vec![3.0, 4.0, 5.0]);
         assert_eq!(w.total_count(), 5);
         assert_eq!(w.len(), 3);
+    }
+
+    #[test]
+    fn copies_keep_arrival_order_across_the_wrap() {
+        let mut w = QuantileWindow::new(4);
+        for v in [9.0, 1.0, 8.0] {
+            w.record(v);
+        }
+        assert_eq!(w.to_vec(), vec![9.0, 1.0, 8.0], "not yet wrapped");
+        for v in [2.0, 7.0, 3.0] {
+            w.record(v);
+        }
+        assert_eq!(
+            w.to_vec(),
+            vec![8.0, 2.0, 7.0, 3.0],
+            "wrapped, head mid-ring"
+        );
+        assert_eq!(w.mean(), Some(5.0));
+        assert_eq!(w.fraction_above(2.5), Some(0.75));
+        assert_eq!(w.drain(), vec![8.0, 2.0, 7.0, 3.0]);
+        assert!(w.is_empty());
+        assert_eq!(w.total_count(), 6, "drain keeps the lifetime count");
+        assert_eq!(w.drain(), Vec::<f64>::new());
+        w.record(5.0);
+        assert_eq!(w.to_vec(), vec![5.0]);
+    }
+
+    #[test]
+    fn window_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<QuantileWindow>();
     }
 
     #[test]
@@ -303,11 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_invalidated_by_record_and_clear() {
+    fn queries_see_record_and_clear() {
         let mut w = QuantileWindow::new(8);
         w.record(1.0);
         w.record(3.0);
-        assert_eq!(w.percentile(100.0), Some(3.0)); // warms the cache
+        assert_eq!(w.percentile(100.0), Some(3.0));
         w.record(9.0);
         assert_eq!(w.percentile(100.0), Some(9.0)); // must see the new max
         assert_eq!(w.sorted(), vec![1.0, 3.0, 9.0]);
@@ -318,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_invalidated_across_eviction() {
+    fn queries_see_eviction() {
         let mut w = QuantileWindow::new(3);
         for v in [10.0, 20.0, 30.0] {
             w.record(v);
@@ -335,7 +359,6 @@ mod tests {
         for v in [4.0, 1.0, 3.0] {
             w.record(v);
         }
-        let _ = w.percentile(50.0); // warm cache in the original
         let mut c = w.clone();
         assert_eq!(c.sorted(), vec![1.0, 3.0, 4.0]);
         c.record(2.0);
@@ -354,8 +377,8 @@ mod tests {
         let mut fresh = w.to_vec();
         fresh.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for &p in &[0.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
-            let cached = w.percentile(p).unwrap();
-            assert_eq!(cached, percentile_of_sorted(&fresh, p), "p{p}");
+            let got = w.percentile(p).unwrap();
+            assert_eq!(got, percentile_of_sorted(&fresh, p), "p{p}");
         }
     }
 }
