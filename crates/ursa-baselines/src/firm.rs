@@ -210,12 +210,10 @@ impl ResourceManager for Firm {
 pub fn train_firm(
     sim: &mut Simulation,
     firm: &mut Firm,
-    slas: &[Sla],
     windows: usize,
     window: SimDur,
     seed: u64,
 ) {
-    let _ = slas;
     let mut rng = Rng::seed_from(seed);
     let base_rates: Vec<f64> = {
         // Probe one window to observe the configured rates.
@@ -298,7 +296,7 @@ mod tests {
         );
         let mut sim = app.build_sim(6);
         app.apply_load(&mut sim, RateFn::Constant(200.0));
-        train_firm(&mut sim, &mut firm, &app.slas, 20, SimDur::from_secs(15), 7);
+        train_firm(&mut sim, &mut firm, 20, SimDur::from_secs(15), 7);
         assert_eq!(firm.samples_consumed(), 20 * app.topology.num_services());
         assert_eq!(firm.training_time(), SimDur::from_secs(15 * 20));
         // Deployment mode uses greedy actions.

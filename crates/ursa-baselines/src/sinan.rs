@@ -18,7 +18,7 @@ use ursa_sim::control::{ControlPlane, ResourceManager, Sla};
 use ursa_sim::engine::Simulation;
 use ursa_sim::telemetry::MetricsSnapshot;
 use ursa_sim::time::SimDur;
-use ursa_sim::topology::{ServiceId, Topology};
+use ursa_sim::topology::ServiceId;
 use ursa_stats::rng::Rng;
 
 /// One training sample: allocation + load → latency outcome.
@@ -212,8 +212,8 @@ impl Sinan {
             let mut idx: Vec<usize> = (0..xs.len()).collect();
             rng.shuffle(&mut idx);
             for chunk in idx.chunks(batch) {
-                let bx: Vec<Vec<f64>> = chunk.iter().map(|&i| xs[i].clone()).collect();
-                let by: Vec<Vec<f64>> = chunk.iter().map(|&i| ys[i].clone()).collect();
+                let bx: Vec<&[f64]> = chunk.iter().map(|&i| xs[i].as_slice()).collect();
+                let by: Vec<&[f64]> = chunk.iter().map(|&i| ys[i].as_slice()).collect();
                 latency_model.train_batch(&bx, &by, 1e-3);
             }
         }
@@ -362,12 +362,11 @@ impl ResourceManager for Sinan {
     }
 }
 
-/// Convenience: collect and train in one call on a fresh sim of `topology`.
+/// Convenience: collect and train in one call on a fresh sim.
 ///
 /// The caller configures arrival rates on the sim before passing it in.
 pub fn collect_and_train(
     sim: &mut Simulation,
-    _topology: &Topology,
     slas: &[Sla],
     cfg: &CollectConfig,
     epochs: usize,
@@ -394,7 +393,7 @@ mod tests {
             window: SimDur::from_secs(15),
             max_replicas: 12,
         };
-        collect_and_train(&mut sim, &app.topology, &app.slas, &cfg, 6, 9)
+        collect_and_train(&mut sim, &app.slas, &cfg, 6, 9)
     }
 
     #[test]

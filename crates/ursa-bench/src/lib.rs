@@ -239,6 +239,11 @@ pub fn default_rates(app: &App) -> Vec<f64> {
 }
 
 /// Runs Ursa's full offline phase for an app.
+///
+/// # Panics
+///
+/// Panics, naming the app's size, the scale and the mixed seed, if the
+/// offline phase finds no feasible allocation.
 pub fn prepare_ursa(app: &App, scale: Scale, seed: u64) -> Ursa {
     let seed = mix_seed(seed);
     let rates = default_rates(app);
@@ -246,8 +251,15 @@ pub fn prepare_ursa(app: &App, scale: Scale, seed: u64) -> Ursa {
         exploration: scale.exploration(),
         profiling: scale.profiling(),
     };
-    Ursa::explore_and_prepare(&app.topology, &app.slas, &rates, cfg, seed)
-        .expect("ursa offline phase must find a feasible allocation")
+    Ursa::explore_and_prepare(&app.topology, &app.slas, &rates, cfg, seed).unwrap_or_else(|e| {
+        panic!(
+            "ursa offline phase failed on {} ({} services, {} classes) at {scale:?} scale, \
+             mixed seed {seed:#x}: {e}",
+            app.name,
+            app.topology.num_services(),
+            app.topology.num_classes(),
+        )
+    })
 }
 
 /// Runs Sinan's data collection + training for an app.
@@ -260,7 +272,7 @@ pub fn prepare_sinan(app: &App, scale: Scale, seed: u64) -> (Sinan, ursa_baselin
         Scale::Quick => 8,
         Scale::Full => 20,
     };
-    collect_and_train(&mut sim, &app.topology, &app.slas, &cfg, epochs, seed)
+    collect_and_train(&mut sim, &app.slas, &cfg, epochs, seed)
 }
 
 /// Trains Firm's per-service agents for an app.
@@ -287,7 +299,6 @@ pub fn prepare_firm(app: &App, scale: Scale, seed: u64) -> Firm {
     train_firm(
         &mut sim,
         &mut firm,
-        &app.slas,
         scale.firm_windows(),
         SimDur::from_secs(15),
         seed ^ 7,
@@ -351,10 +362,23 @@ pub struct PreparedManagers {
 
 impl PreparedManagers {
     /// Prepares every system for an app (the expensive, once-per-app step).
+    ///
+    /// The three pipelines share nothing — each owns its seed and its
+    /// simulation — so they run concurrently, longest first, Ursa on the
+    /// calling thread, and the managers are bit-identical to three
+    /// sequential `prepare_*` calls. `--jobs` does not apply: there is no
+    /// output for it to select between (DESIGN.md §6).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a pipeline's panic with its original payload.
     pub fn prepare(app: &App, scale: Scale, seed: u64) -> Self {
-        let ursa = prepare_ursa(app, scale, seed);
-        let (sinan, _) = prepare_sinan(app, scale, seed ^ 0xAA);
-        let firm = prepare_firm(app, scale, seed ^ 0xBB);
+        let (ursa, sinan, firm) = std::thread::scope(|scope| {
+            let firm = scope.spawn(|| prepare_firm(app, scale, seed ^ 0xBB));
+            let sinan = scope.spawn(|| prepare_sinan(app, scale, seed ^ 0xAA).0);
+            let ursa = prepare_ursa(app, scale, seed);
+            (ursa, joined(sinan), joined(firm))
+        });
         PreparedManagers {
             ursa,
             sinan,
@@ -572,6 +596,14 @@ impl PreparedManagers {
     }
 }
 
+/// Joins a preparation thread, re-raising its panic with the original
+/// payload so the message that names the failed input is the one reported.
+fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
 /// Span-tracer ring capacity armed for post-mortem deployments.
 const POSTMORTEM_TRACE_CAPACITY: usize = 512;
 /// Head-sampling rate of the post-mortem span tracer — low enough that the
@@ -724,6 +756,57 @@ mod tests {
                 "{:?}",
                 load.label()
             );
+        }
+    }
+
+    /// Every number of a deployment report, as bits.
+    fn report_bits(report: &DeploymentReport) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for rec in &report.records {
+            bits.push(rec.at.as_nanos());
+            bits.extend(
+                rec.class_latency
+                    .iter()
+                    .map(|l| l.map_or(u64::MAX, f64::to_bits)),
+            );
+            bits.extend(
+                rec.class_violation
+                    .iter()
+                    .map(|v| v.map_or(2, |v| v as u64)),
+            );
+            bits.extend(rec.class_rps.iter().map(|x| x.to_bits()));
+            bits.extend(rec.service_replicas.iter().map(|&r| r as u64));
+            bits.extend(rec.service_rps.iter().map(|x| x.to_bits()));
+            bits.extend(rec.service_cpu_util.iter().map(|x| x.to_bits()));
+            bits.push(rec.total_cores.to_bits());
+        }
+        bits
+    }
+
+    /// Preparing the three managers concurrently yields the managers that
+    /// three sequential `prepare_*` calls yield: one deployment per trained
+    /// system reports the same bits in every control window.
+    #[test]
+    fn concurrent_prepare_equals_sequential_prepare() {
+        // A quarter of the vanilla social network's load: the same
+        // pipelines over a quarter of the events.
+        let mut app = ursa_apps::social_network(true);
+        app.default_rps /= 4.0;
+        let (scale, seed) = (Scale::Quick, 0x5EED);
+        let concurrent = PreparedManagers::prepare(&app, scale, seed);
+        let sequential = PreparedManagers {
+            ursa: prepare_ursa(&app, scale, seed),
+            sinan: prepare_sinan(&app, scale, seed ^ 0xAA).0,
+            firm: prepare_firm(&app, scale, seed ^ 0xBB),
+            num_services: app.topology.num_services(),
+        };
+        for system in [System::Ursa, System::Sinan, System::Firm] {
+            let deploy = |managers: &PreparedManagers| {
+                managers.deploy_cell(&app, system, &LoadSpec::Diurnal, scale, 0xCE11, None)
+            };
+            let (a, b) = (deploy(&concurrent), deploy(&sequential));
+            assert!(!a.records.is_empty());
+            assert_eq!(report_bits(&a), report_bits(&b), "{}", system.label());
         }
     }
 

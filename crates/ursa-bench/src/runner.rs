@@ -7,14 +7,22 @@
 //! and metrics artifact is byte-identical to a sequential run.
 //!
 //! [`run_cells`] is that contract: it maps a closure over a list of cell
-//! inputs on a scoped thread pool and returns the outputs in input order.
-//! The pool size comes from the global jobs setting (`--jobs N` on the
-//! CLI; defaults to the number of available cores). With one job the
-//! items are mapped inline with no thread machinery at all, so `--jobs 1`
-//! is exactly the historical sequential harness.
+//! inputs on [`ursa_metrics::pool`] (the workspace's one worker pool) and
+//! returns the outputs in input order. The pool width comes from the
+//! global jobs setting (`--jobs N` on the CLI; defaults to the number of
+//! available cores). With one job the cells are mapped inline with no
+//! thread machinery at all, so for *cells* `--jobs 1` is exactly the
+//! historical sequential harness.
+//!
+//! `--jobs` governs cells only. Manager preparation
+//! ([`PreparedManagers::prepare`](crate::PreparedManagers::prepare) and,
+//! inside it, Ursa's per-service exploration) always uses the available
+//! cores: its output is bit-identical at any width, so there is nothing
+//! for the setting to select (DESIGN.md §6, "Preparation cost model").
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+use ursa_metrics::pool;
 
 /// Global worker count. 0 = unset (use available parallelism).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -28,9 +36,7 @@ pub fn set_jobs(n: usize) {
 /// available cores when unset.
 pub fn jobs() -> usize {
     match JOBS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        0 => pool::default_workers(),
         n => n,
     }
 }
@@ -59,62 +65,12 @@ where
     T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
-    if jobs <= 1 || items.len() <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let n = items.len();
-    let work: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = jobs.min(n);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = work[i].lock().unwrap().take().expect("item claimed once");
-                let out = f(i, item);
-                *slots[i].lock().unwrap() = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("cell completed"))
-        .collect()
+    pool::map_ordered(jobs, items, f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_input_order() {
-        let items: Vec<usize> = (0..37).collect();
-        let seq = run_cells_with(1, items.clone(), |i, x| (i, x * x));
-        let par = run_cells_with(8, items, |i, x| (i, x * x));
-        assert_eq!(seq, par);
-        assert_eq!(par[10], (10, 100));
-    }
-
-    #[test]
-    fn handles_empty_and_single() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(run_cells_with(4, empty, |_, x| x).is_empty());
-        assert_eq!(run_cells_with(4, vec![7u32], |_, x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn more_jobs_than_items() {
-        let out = run_cells_with(64, vec![1u64, 2, 3], |_, x| x * 10);
-        assert_eq!(out, vec![10, 20, 30]);
-    }
 
     #[test]
     fn jobs_default_is_positive() {

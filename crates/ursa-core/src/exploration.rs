@@ -14,6 +14,7 @@
 //! services — exactly how Table V accounts for Ursa's overhead.
 
 use crate::harness::{IsolatedHarness, ServiceProfile, TESTED};
+use ursa_metrics::pool;
 use ursa_sim::control::Sla;
 use ursa_sim::time::SimDur;
 use ursa_sim::topology::{ServiceId, Topology};
@@ -42,7 +43,7 @@ fn conservative_percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// One recorded LPR option (a row of the paper's `D_i` matrix).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LprOption {
     /// Replica count used while recording this option.
     pub replicas: usize,
@@ -56,7 +57,7 @@ pub struct LprOption {
 }
 
 /// Everything learned about one service.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceExploration {
     /// Service index in the application topology.
     pub service: usize,
@@ -262,7 +263,7 @@ pub fn explore_service(
 }
 
 /// Full-application exploration report (drives Table V).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationReport {
     /// Per-service exploration data.
     pub services: Vec<ServiceExploration>,
@@ -278,12 +279,36 @@ pub struct ExplorationReport {
 /// backpressure-free threshold (from [`crate::profiling`]); MQ-only
 /// services fall back to `cfg.mq_utilization_cap`.
 ///
-/// Services are explored on parallel OS threads — faithful to the paper
-/// (per-service exploration is independent, which is why Table V's time is
-/// the longest single service) and a real wall-clock win for the harness.
-/// Results are bit-identical to sequential exploration: every service's
-/// seed derives from `seed` and its index, never from scheduling.
+/// Services are explored in parallel — faithful to the paper (per-service
+/// exploration is independent, which is why Table V's time is the longest
+/// single service) and a real wall-clock win for the harness — on a pool
+/// no wider than the host's cores, so at most that many harness
+/// simulations exist at once. Results are bit-identical at any width:
+/// every service's seed derives from `seed` and its index, never from
+/// scheduling.
 pub fn explore_all(
+    topology: &Topology,
+    slas: &[Sla],
+    class_rates: &[f64],
+    bp_thresholds: &[Option<f64>],
+    cfg: &ExplorationConfig,
+    seed: u64,
+) -> ExplorationReport {
+    explore_all_on(
+        pool::default_workers(),
+        topology,
+        slas,
+        class_rates,
+        bp_thresholds,
+        cfg,
+        seed,
+    )
+}
+
+/// [`explore_all`] on an explicit pool width (the tests' handle on the
+/// width-independence contract).
+fn explore_all_on(
+    workers: usize,
     topology: &Topology,
     slas: &[Sla],
     class_rates: &[f64],
@@ -309,27 +334,15 @@ pub fn explore_all(
             Some((s, profile, threshold))
         })
         .collect();
-    let services: Vec<ServiceExploration> = std::thread::scope(|scope| {
-        let sla_of_class = &sla_of_class;
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(s, profile, threshold)| {
-                scope.spawn(move || {
-                    explore_service(
-                        &profile,
-                        s,
-                        sla_of_class,
-                        threshold,
-                        cfg,
-                        seed ^ ((s as u64) << 32),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("exploration thread panicked"))
-            .collect()
+    let services = pool::map_ordered(workers, jobs, |_, (s, profile, threshold)| {
+        explore_service(
+            &profile,
+            s,
+            &sla_of_class,
+            threshold,
+            cfg,
+            seed ^ ((s as u64) << 32),
+        )
     });
     let total_samples = services.iter().map(|e| e.samples).sum();
     let wall_time = services
@@ -425,5 +438,17 @@ mod tests {
         // Total samples is the sum.
         let sum: usize = report.services.iter().map(|s| s.samples).sum();
         assert_eq!(report.total_samples, sum);
+    }
+
+    #[test]
+    fn explore_all_is_independent_of_pool_width() {
+        let app = social_network(true);
+        let r = rates(&app, 200.0);
+        let bp = vec![Some(0.6); app.topology.num_services()];
+        let on =
+            |workers| explore_all_on(workers, &app.topology, &app.slas, &r, &bp, &quick_cfg(), 7);
+        let sequential = on(1);
+        assert_eq!(sequential, on(3));
+        assert_eq!(sequential, on(64));
     }
 }

@@ -13,6 +13,7 @@ use crate::exploration::{explore_all, explore_service, ExplorationConfig, Explor
 use crate::harness::ServiceProfile;
 use crate::optimizer::{optimize, OptimizeOutcome, OverestimationTracker};
 use crate::profiling::{profile_service, BackpressureProfile, ProfilingConfig};
+use ursa_metrics::pool;
 use ursa_mip::ModelError;
 use ursa_sim::control::{ControlPlane, ResourceManager, Sla};
 use ursa_sim::telemetry::MetricsSnapshot;
@@ -107,34 +108,20 @@ impl Ursa {
         seed: u64,
     ) -> Result<Ursa, ModelError> {
         // 1. Backpressure-free thresholds for RPC-connected services
-        //    (profiled on parallel threads; per-service seeds keep results
-        //    independent of scheduling).
-        let profiles: Vec<Option<BackpressureProfile>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..topology.num_services())
-                .map(|s| {
-                    let cfg = &cfg;
-                    scope.spawn(move || {
-                        let sid = ServiceId(s);
-                        let profile = ServiceProfile::extract(topology, sid, class_rates);
-                        let rpc_connected = topology.is_rpc_connected(sid)
-                            || profile.per_class.iter().any(|c| !c.via_mq);
-                        if rpc_connected && profile.total_rate() > 0.0 {
-                            Some(profile_service(
-                                &profile,
-                                &cfg.profiling,
-                                seed ^ ((s as u64) << 24),
-                            ))
-                        } else {
-                            None
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("profiling thread panicked"))
-                .collect()
-        });
+        //    (profiled in parallel on the shared pool; per-service seeds
+        //    keep results independent of scheduling).
+        let profiles: Vec<Option<BackpressureProfile>> = pool::map_ordered(
+            pool::default_workers(),
+            (0..topology.num_services()).collect(),
+            |_, s| {
+                let sid = ServiceId(s);
+                let profile = ServiceProfile::extract(topology, sid, class_rates);
+                let rpc_connected =
+                    topology.is_rpc_connected(sid) || profile.per_class.iter().any(|c| !c.via_mq);
+                (rpc_connected && profile.total_rate() > 0.0)
+                    .then(|| profile_service(&profile, &cfg.profiling, seed ^ ((s as u64) << 24)))
+            },
+        );
         let bp: Vec<Option<f64>> = profiles
             .iter()
             .map(|p| p.as_ref().map(|p| p.threshold))

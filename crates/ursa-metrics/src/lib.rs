@@ -17,6 +17,9 @@
 //!   `ursa-bench diff`.
 //! * [`logging`] — the leveled progress-logging layer shared by the
 //!   workspace (`--quiet`/`--verbose` in `ursa-bench`).
+//! * [`pool`] — the ordered scoped worker pool shared by the workspace
+//!   (`--jobs` cells in `ursa-bench`, per-service exploration and
+//!   profiling in `ursa-core`).
 //!
 //! Everything here is *pull*-based: the simulator and control plane are
 //! never instrumented inline — callers scrape already-produced
@@ -31,6 +34,7 @@
 pub mod digest;
 pub mod export;
 pub mod logging;
+pub mod pool;
 pub mod registry;
 pub mod slo;
 pub mod store;

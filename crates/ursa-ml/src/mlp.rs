@@ -84,6 +84,7 @@ impl Layer {
 
     fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
         out.clear();
+        out.reserve(self.out);
         for o in 0..self.out {
             let mut acc = self.b[o];
             let row = &self.w[o * self.inp..(o + 1) * self.inp];
@@ -155,77 +156,98 @@ impl Mlp {
     ///
     /// Panics if `x.len()` differs from the input dimension.
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        self.predict_into(x, &mut out, &mut scratch);
+        out
+    }
+
+    /// [`predict`](Self::predict) into caller-owned buffers, for callers
+    /// on a decision path that predict in a loop: the output is left in
+    /// `out`, `scratch` holds the hidden activations, and neither
+    /// allocates once it has grown to the widest layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the input dimension.
+    pub fn predict_into(&self, x: &[f64], out: &mut Vec<f64>, scratch: &mut Vec<f64>) {
         assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        let mut cur = x.to_vec();
-        let mut next = Vec::new();
-        let last = self.layers.len() - 1;
-        for (li, layer) in self.layers.iter().enumerate() {
-            layer.forward(&cur, &mut next);
-            if li < last {
-                for v in &mut next {
-                    *v = self.act.apply(*v);
-                }
-            } else if self.output == Output::Sigmoid {
-                for v in &mut next {
-                    *v = 1.0 / (1.0 + (-*v).exp());
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
+        // Layers alternate between the two buffers; start on the one that
+        // makes the last layer land in `out`.
+        let (mut dst, mut src) = if self.layers.len() % 2 == 1 {
+            (out, scratch)
+        } else {
+            (scratch, out)
+        };
+        for li in 0..self.layers.len() {
+            self.layers[li].forward(if li == 0 { x } else { src }, dst);
+            self.activate(li, dst);
+            std::mem::swap(&mut dst, &mut src);
         }
-        cur
+    }
+
+    /// Applies layer `li`'s activation in place: the hidden activation,
+    /// or the output head on the last layer.
+    fn activate(&self, li: usize, values: &mut [f64]) {
+        if li < self.layers.len() - 1 {
+            for v in values {
+                *v = self.act.apply(*v);
+            }
+        } else if self.output == Output::Sigmoid {
+            for v in values {
+                *v = 1.0 / (1.0 + (-*v).exp());
+            }
+        }
     }
 
     /// One Adam step on a mini-batch with squared-error loss; returns the
-    /// mean loss over the batch.
+    /// mean loss over the batch. Rows may be owned (`Vec<f64>`) or
+    /// borrowed (`&[f64]`), so a caller sampling from a dataset or replay
+    /// buffer need not copy them.
     ///
     /// # Panics
     ///
     /// Panics if the batch is empty or shapes mismatch.
-    pub fn train_batch(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>], lr: f64) -> f64 {
+    pub fn train_batch<X, Y>(&mut self, xs: &[X], ys: &[Y], lr: f64) -> f64
+    where
+        X: AsRef<[f64]>,
+        Y: AsRef<[f64]>,
+    {
         assert!(!xs.is_empty() && xs.len() == ys.len(), "bad batch");
         let n_layers = self.layers.len();
         let mut grad_w: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
         let mut grad_b: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
         let mut loss = 0.0;
+        // Per-sample buffers, allocated once per batch: `acts[l]` is layer
+        // `l`'s output, `delta`/`prev` the back-propagated gradients.
+        let mut acts: Vec<Vec<f64>> = vec![Vec::new(); n_layers];
+        let (mut delta, mut prev) = (Vec::new(), Vec::new());
 
         for (x, y) in xs.iter().zip(ys) {
+            let (x, y) = (x.as_ref(), y.as_ref());
             // Forward with cached activations.
-            let mut acts: Vec<Vec<f64>> = Vec::with_capacity(n_layers + 1);
-            acts.push(x.clone());
-            let mut buf = Vec::new();
-            for (li, layer) in self.layers.iter().enumerate() {
-                layer.forward(acts.last().expect("non-empty"), &mut buf);
-                if li < n_layers - 1 {
-                    for v in &mut buf {
-                        *v = self.act.apply(*v);
-                    }
-                } else if self.output == Output::Sigmoid {
-                    for v in &mut buf {
-                        *v = 1.0 / (1.0 + (-*v).exp());
-                    }
-                }
-                acts.push(buf.clone());
+            for li in 0..n_layers {
+                let (done, rest) = acts.split_at_mut(li);
+                let input = if li == 0 { x } else { &done[li - 1] };
+                self.layers[li].forward(input, &mut rest[0]);
+                self.activate(li, &mut rest[0]);
             }
-            let out = acts.last().expect("non-empty");
+            let out = &acts[n_layers - 1];
             assert_eq!(out.len(), y.len(), "target dimension mismatch");
             // d(loss)/d(pre-activation) of the output layer. For sigmoid
             // output with squared error we fold in the sigmoid gradient.
-            let mut delta: Vec<f64> = out
-                .iter()
-                .zip(y)
-                .map(|(o, t)| {
-                    loss += (o - t) * (o - t);
-                    let mut d = 2.0 * (o - t);
-                    if self.output == Output::Sigmoid {
-                        d *= o * (1.0 - o);
-                    }
-                    d
-                })
-                .collect();
+            delta.clear();
+            delta.extend(out.iter().zip(y).map(|(o, t)| {
+                loss += (o - t) * (o - t);
+                let mut d = 2.0 * (o - t);
+                if self.output == Output::Sigmoid {
+                    d *= o * (1.0 - o);
+                }
+                d
+            }));
             // Backward.
             for li in (0..n_layers).rev() {
                 let layer = &self.layers[li];
-                let input = &acts[li];
+                let input = if li == 0 { x } else { &acts[li - 1] };
                 for o in 0..layer.out {
                     grad_b[li][o] += delta[o];
                     let row = &mut grad_w[li][o * layer.inp..(o + 1) * layer.inp];
@@ -234,7 +256,8 @@ impl Mlp {
                     }
                 }
                 if li > 0 {
-                    let mut prev = vec![0.0; layer.inp];
+                    prev.clear();
+                    prev.resize(layer.inp, 0.0);
                     for (o, &d) in delta.iter().enumerate() {
                         let row = &layer.w[o * layer.inp..(o + 1) * layer.inp];
                         for (p, wi) in prev.iter_mut().zip(row) {
@@ -242,10 +265,10 @@ impl Mlp {
                         }
                     }
                     // Apply hidden activation gradient (in terms of output).
-                    for (p, a) in prev.iter_mut().zip(&acts[li]) {
+                    for (p, a) in prev.iter_mut().zip(input) {
                         *p *= self.act.grad(*a);
                     }
-                    delta = prev;
+                    std::mem::swap(&mut delta, &mut prev);
                 }
             }
         }

@@ -187,20 +187,21 @@ impl DqnAgent {
         if self.replay.len() < self.params.batch {
             return None;
         }
-        let batch = {
-            let sampled = self.replay.sample(self.params.batch, &mut self.rng);
-            sampled.into_iter().cloned().collect::<Vec<_>>()
-        };
-        let mut xs = Vec::with_capacity(batch.len());
-        let mut ys = Vec::with_capacity(batch.len());
+        // The batch borrows its states from the replay buffer; only the
+        // TD targets (one row per transition) are built here.
+        let batch = self.replay.sample(self.params.batch, &mut self.rng);
+        let mut ys: Vec<Vec<f64>> = Vec::with_capacity(batch.len());
+        let (mut next_q, mut scratch) = (Vec::new(), Vec::new());
         for tr in &batch {
-            let mut target_q = self.q.predict(&tr.state);
-            let next_q = self.target.predict(&tr.next_state);
+            let mut target_q = Vec::with_capacity(self.actions);
+            self.q.predict_into(&tr.state, &mut target_q, &mut scratch);
+            self.target
+                .predict_into(&tr.next_state, &mut next_q, &mut scratch);
             let max_next = next_q.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             target_q[tr.action] = tr.reward + self.params.gamma * max_next;
-            xs.push(tr.state.clone());
             ys.push(target_q);
         }
+        let xs: Vec<&[f64]> = batch.iter().map(|tr| tr.state.as_slice()).collect();
         let loss = self.q.train_batch(&xs, &ys, self.params.lr);
         self.steps += 1;
         self.eps = (self.eps * self.params.eps_decay).max(self.params.eps_end);

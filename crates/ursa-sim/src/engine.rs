@@ -45,7 +45,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ursa_stats::dist::Distribution;
+use ursa_stats::dist::{Distribution, LogNormal};
 use ursa_stats::rng::{BlockRng, Rng};
 
 use crate::arena::{Phase, ReqArena, NO_DAEMON};
@@ -391,6 +391,9 @@ pub struct Simulation {
     sources: Vec<Source>,
     work_scale: Vec<f64>,
     cfg: SimConfig,
+    /// The per-hop network-delay distribution when `cfg.net_delay_cv > 0`
+    /// (`None`: every hop takes exactly `cfg.net_delay`).
+    net_jitter: Option<LogNormal>,
     prio_levels: usize,
     in_flight: usize,
     tracer: Option<Tracer>,
@@ -475,6 +478,8 @@ impl Simulation {
             .collect();
         let work_scale = vec![1.0; topology.num_services()];
         let hot = topology.hot_table();
+        let net_jitter = (cfg.net_delay_cv > 0.0 && cfg.net_delay != SimDur::ZERO)
+            .then(|| LogNormal::from_mean_cv(cfg.net_delay.as_secs_f64(), cfg.net_delay_cv));
         Simulation {
             topology,
             templates,
@@ -496,6 +501,7 @@ impl Simulation {
             sources,
             work_scale,
             cfg,
+            net_jitter,
             prio_levels,
             in_flight: 0,
             tracer: None,
@@ -2010,13 +2016,11 @@ impl Simulation {
     /// One network-hop delay (deterministic, or log-normal when
     /// `net_delay_cv > 0`).
     fn sample_net_delay(&mut self) -> SimDur {
-        if self.cfg.net_delay_cv <= 0.0 || self.cfg.net_delay == SimDur::ZERO {
+        let Some(jitter) = self.net_jitter else {
             return self.cfg.net_delay;
-        }
-        let mean = self.cfg.net_delay.as_secs_f64();
-        let d = ursa_stats::dist::LogNormal::from_mean_cv(mean, self.cfg.net_delay_cv);
+        };
         let t0 = self.prof_span();
-        let delay = d.sample(&mut self.rng);
+        let delay = jitter.sample(&mut self.rng);
         self.prof_span_end(SimPhase::Rng, t0);
         SimDur::from_secs_f64(delay)
     }
@@ -3489,6 +3493,23 @@ mod net_jitter_tests {
             p99_jit > p99_det,
             "jitter must widen the tail: {p99_det} vs {p99_jit}"
         );
+    }
+
+    /// The jittered hop delays themselves, not just their moments: a digest
+    /// of every end-to-end latency of a short jittered run, recorded when
+    /// the log-normal was still rebuilt on every hop. Building it once in
+    /// `Simulation::new` must reproduce it bit for bit.
+    #[test]
+    fn jittered_latencies_are_pinned() {
+        let mut sim = two_tier(1.0);
+        sim.set_rate(ClassId(0), RateFn::Constant(50.0));
+        sim.run_for(SimDur::from_secs(10));
+        let snap = sim.harvest();
+        let samples = snap.e2e_latency[0].samples();
+        let digest = samples.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((samples.len(), digest), (479, 10_320_124_433_706_562_321));
     }
 }
 

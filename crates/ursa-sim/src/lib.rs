@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::time::{SimDur, SimTime};
     pub use crate::topology::{
         CallMode, CallNode, ClassCfg, ClassId, EdgeKind, Priority, QosClass, ResourceSpec,
-        ServiceCfg, ServiceId, Topology, WorkDist,
+        ServiceCfg, ServiceId, Topology, WorkDist, WorkSampler,
     };
     pub use crate::trace::{Trace, TraceSpan, Tracer};
     pub use crate::workload::RateFn;

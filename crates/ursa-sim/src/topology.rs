@@ -73,15 +73,33 @@ pub enum WorkDist {
 
 impl WorkDist {
     /// Draws one compute cost in CPU-seconds (always non-negative).
+    ///
+    /// Compiles on every call; code that draws repeatedly should
+    /// [`compile`](Self::compile) once and keep the [`WorkSampler`] (the
+    /// engine's flattened call trees do).
     pub fn sample(&self, rng: &mut Rng) -> f64 {
-        let v = match self {
-            WorkDist::Constant(c) => Constant(*c).sample(rng),
-            WorkDist::Uniform { low, high } => Uniform::new(*low, *high).sample(rng),
-            WorkDist::Exponential { mean } => Exponential::with_mean(*mean).sample(rng),
-            WorkDist::LogNormal { mean, cv } => LogNormal::from_mean_cv(*mean, *cv).sample(rng),
-            WorkDist::Pareto { x_min, alpha } => Pareto::new(*x_min, *alpha).sample(rng),
-        };
-        v.max(0.0)
+        self.compile().sample(rng)
+    }
+
+    /// Constructs the `ursa-stats` distribution this spec describes,
+    /// deriving its parameters (rate, underlying-normal μ/σ) once.
+    ///
+    /// # Panics
+    ///
+    /// Panics on parameters outside the distribution's domain;
+    /// [`Topology::new`] rejects every such spec first.
+    pub fn compile(&self) -> WorkSampler {
+        match *self {
+            WorkDist::Constant(c) => WorkSampler::Constant(Constant(c)),
+            WorkDist::Uniform { low, high } => WorkSampler::Uniform(Uniform::new(low, high)),
+            WorkDist::Exponential { mean } => {
+                WorkSampler::Exponential(Exponential::with_mean(mean))
+            }
+            WorkDist::LogNormal { mean, cv } => {
+                WorkSampler::LogNormal(LogNormal::from_mean_cv(mean, cv))
+            }
+            WorkDist::Pareto { x_min, alpha } => WorkSampler::Pareto(Pareto::new(x_min, alpha)),
+        }
     }
 
     /// The distribution mean in CPU-seconds.
@@ -100,8 +118,14 @@ impl WorkDist {
         let ok = match self {
             WorkDist::Constant(c) => *c >= 0.0 && c.is_finite(),
             WorkDist::Uniform { low, high } => *low >= 0.0 && high >= low && high.is_finite(),
-            WorkDist::Exponential { mean } => *mean > 0.0 && mean.is_finite(),
-            WorkDist::LogNormal { mean, cv } => *mean > 0.0 && *cv >= 0.0 && cv.is_finite(),
+            // The derived parameters must be finite too, or `compile`
+            // would panic where this should have returned an error.
+            WorkDist::Exponential { mean } => {
+                *mean > 0.0 && mean.is_finite() && (1.0 / mean).is_finite()
+            }
+            WorkDist::LogNormal { mean, cv } => {
+                *mean > 0.0 && mean.is_finite() && *cv >= 0.0 && (cv * cv).is_finite()
+            }
             WorkDist::Pareto { x_min, alpha } => *x_min > 0.0 && *alpha > 0.0,
         };
         if ok {
@@ -109,6 +133,39 @@ impl WorkDist {
         } else {
             Err(format!("invalid work distribution {self:?}"))
         }
+    }
+}
+
+/// A [`WorkDist`] compiled for repeated draws: the already-constructed
+/// `ursa-stats` distribution, so a draw re-derives nothing. Same RNG
+/// draws and arithmetic as constructing the distribution per draw, hence
+/// the same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WorkSampler {
+    /// Fixed compute cost.
+    Constant(Constant),
+    /// Uniform on `[low, high)`.
+    Uniform(Uniform),
+    /// Exponential.
+    Exponential(Exponential),
+    /// Log-normal.
+    LogNormal(LogNormal),
+    /// Pareto.
+    Pareto(Pareto),
+}
+
+impl WorkSampler {
+    /// Draws one compute cost in CPU-seconds (always non-negative).
+    #[inline]
+    pub fn sample(&self, rng: &mut Rng) -> f64 {
+        let v = match self {
+            WorkSampler::Constant(d) => d.sample(rng),
+            WorkSampler::Uniform(d) => d.sample(rng),
+            WorkSampler::Exponential(d) => d.sample(rng),
+            WorkSampler::LogNormal(d) => d.sample(rng),
+            WorkSampler::Pareto(d) => d.sample(rng),
+        };
+        v.max(0.0)
     }
 }
 
@@ -419,9 +476,9 @@ pub struct FlatNode {
     /// Sequential or parallel child issuance.
     pub mode: CallMode,
     /// Compute before issuing children.
-    pub pre: WorkDist,
+    pub pre: WorkSampler,
     /// Compute after all nested children respond.
-    pub post: WorkDist,
+    pub post: WorkSampler,
 }
 
 /// A request class flattened for the engine: hops in preorder plus the
@@ -441,8 +498,8 @@ fn flatten(root: &CallNode, out: &mut Vec<FlatNode>, parent: Option<(u16, EdgeKi
         parent,
         children: Vec::new(),
         mode: root.mode,
-        pre: root.pre_work.clone(),
-        post: root.post_work.clone(),
+        pre: root.pre_work.compile(),
+        post: root.post_work.compile(),
     });
     for (edge, child) in &root.children {
         let cidx = flatten(child, out, Some((idx, *edge)));
@@ -455,8 +512,8 @@ fn flatten(root: &CallNode, out: &mut Vec<FlatNode>, parent: Option<(u16, EdgeKi
 pub const NO_NESTED_PARENT: u16 = u16::MAX;
 
 /// Struct-of-arrays view of the per-hop fields the engine reads on *every*
-/// arrival and response. A [`FlatNode`] is large (two `WorkDist` enums plus
-/// a child vector), so walking `flat[class].nodes[node].service` on the hot
+/// arrival and response. A [`FlatNode`] is large (two compiled [`WorkSampler`]s
+/// plus a child vector), so walking `flat[class].nodes[node].service` on the hot
 /// path drags a whole cache line of cold payload along. The hot table packs
 /// the per-event fields into dense primitive arrays indexed by
 /// `class_base[class] + node`, one global namespace across classes.
@@ -988,13 +1045,101 @@ mod tests {
 
     #[test]
     fn rejects_bad_work_dist() {
-        let services = vec![ServiceCfg::new("a", 1.0)];
-        let classes = vec![ClassCfg {
-            name: "c".into(),
-            priority: Priority::HIGH,
-            root: CallNode::leaf(ServiceId(0), WorkDist::Exponential { mean: -1.0 }),
-        }];
-        assert!(Topology::new(services, classes).is_err());
+        // Out-of-domain parameters, and in-domain ones whose derived
+        // parameters overflow: all must be errors, never a `compile` panic.
+        for work in [
+            WorkDist::Exponential { mean: -1.0 },
+            WorkDist::Exponential { mean: 1e-320 },
+            WorkDist::Exponential {
+                mean: f64::INFINITY,
+            },
+            WorkDist::LogNormal {
+                mean: f64::INFINITY,
+                cv: 1.0,
+            },
+            WorkDist::LogNormal {
+                mean: 0.01,
+                cv: 1e200,
+            },
+            WorkDist::Uniform {
+                low: 0.02,
+                high: 0.01,
+            },
+            WorkDist::Pareto {
+                x_min: 0.0,
+                alpha: 2.0,
+            },
+        ] {
+            let services = vec![ServiceCfg::new("a", 1.0)];
+            let classes = vec![ClassCfg {
+                name: "c".into(),
+                priority: Priority::HIGH,
+                root: CallNode::leaf(ServiceId(0), work.clone()),
+            }];
+            assert!(Topology::new(services, classes).is_err(), "{work:?}");
+        }
+    }
+
+    /// `WorkDist::sample` as it was before samplers were compiled: the
+    /// distribution constructed afresh on every draw. Kept as the
+    /// reference the compiled sampler is compared against.
+    fn sample_uncompiled(work: &WorkDist, rng: &mut Rng) -> f64 {
+        let v = match work {
+            WorkDist::Constant(c) => Constant(*c).sample(rng),
+            WorkDist::Uniform { low, high } => Uniform::new(*low, *high).sample(rng),
+            WorkDist::Exponential { mean } => Exponential::with_mean(*mean).sample(rng),
+            WorkDist::LogNormal { mean, cv } => LogNormal::from_mean_cv(*mean, *cv).sample(rng),
+            WorkDist::Pareto { x_min, alpha } => Pareto::new(*x_min, *alpha).sample(rng),
+        };
+        v.max(0.0)
+    }
+
+    fn valid_work_dist() -> impl proptest::strategy::Strategy<Value = WorkDist> {
+        use proptest::prelude::*;
+        (0usize..5, 1e-6f64..10.0, 0.0f64..4.0).prop_map(|(kind, a, b)| match kind {
+            0 => WorkDist::Constant(a),
+            1 => WorkDist::Uniform {
+                low: a,
+                high: a * (1.0 + b),
+            },
+            2 => WorkDist::Exponential { mean: a },
+            3 => WorkDist::LogNormal { mean: a, cv: b },
+            _ => WorkDist::Pareto {
+                x_min: a,
+                alpha: 0.05 + b,
+            },
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// A compiled sampler returns the bits the per-draw construction
+        /// returned, from the same RNG draws.
+        #[test]
+        fn compiled_sampler_matches_per_draw_construction(
+            work in valid_work_dist(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let services = vec![ServiceCfg::new("a", 1.0)];
+            let classes = vec![ClassCfg {
+                name: "c".into(),
+                priority: Priority::HIGH,
+                root: CallNode::leaf(ServiceId(0), work.clone()),
+            }];
+            let topo = Topology::new(services, classes).expect("valid by construction");
+            let compiled = topo.flat_classes()[0].nodes[0].pre;
+            let mut reference_rng = Rng::seed_from(seed);
+            let mut compiled_rng = reference_rng.clone();
+            let mut delegating_rng = reference_rng.clone();
+            for _ in 0..32 {
+                let want = sample_uncompiled(&work, &mut reference_rng).to_bits();
+                proptest::prop_assert_eq!(compiled.sample(&mut compiled_rng).to_bits(), want);
+                proptest::prop_assert_eq!(work.sample(&mut delegating_rng).to_bits(), want);
+            }
+            proptest::prop_assert_eq!(&compiled_rng, &reference_rng);
+            proptest::prop_assert_eq!(&delegating_rng, &reference_rng);
+        }
     }
 
     #[test]
