@@ -26,6 +26,8 @@
 //! assert!(snap.completions[post.0] > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chains;
 mod media;
 mod social;
@@ -134,8 +136,8 @@ fn offset_tree(node: &ursa_sim::topology::CallNode, offset: usize) -> ursa_sim::
 /// names — group 0 keeps the original names, group `g > 0` gets `name#g` —
 /// producing a `k`×-larger topology of independent cells. Request classes,
 /// SLAs, and the mix are replicated alongside; `default_rps` scales by
-/// `k`. This is how the scaled perf/experiment topologies are generated
-/// instead of hand-written (`--scale K` in ursa-bench).
+/// `k`. This is how the scaled perf topologies are generated instead of
+/// hand-written.
 ///
 /// # Panics
 ///

@@ -12,6 +12,8 @@
 //! All three implement [`ursa_sim::control::ResourceManager`], so they run
 //! under the exact same deployment driver as Ursa itself.
 
+#![forbid(unsafe_code)]
+
 pub mod autoscaler;
 pub mod firm;
 pub mod sinan;

@@ -9,6 +9,5 @@ pub mod fig2;
 pub mod fig4;
 pub mod fig9_10;
 pub mod qos;
-pub mod scale;
 pub mod table5;
 pub mod table6;

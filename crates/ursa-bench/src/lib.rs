@@ -12,6 +12,8 @@
 //! reduced durations/sample counts — shapes hold, error bars are wider) and
 //! [`Scale::Full`] (paper-protocol durations).
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod experiments;
 pub mod logging;
@@ -64,42 +66,6 @@ pub fn global_seed() -> u64 {
 /// Mixes an experiment-local seed with the global `--seed` value.
 pub fn mix_seed(seed: u64) -> u64 {
     seed ^ global_seed()
-}
-
-/// The `--shards` override (0 = use each experiment's default grid).
-static GLOBAL_SHARDS: AtomicU64 = AtomicU64::new(0);
-
-/// The `--scale` topology-replication override (0 = experiment default).
-static GLOBAL_SCALE: AtomicU64 = AtomicU64::new(0);
-
-/// Sets the global worker-shard count (the `--shards` flag).
-pub fn set_shards(shards: usize) {
-    GLOBAL_SHARDS.store(shards as u64, Ordering::Relaxed);
-}
-
-/// The `--shards` override, if one was given. Experiments that shard
-/// (currently `--exp scale`) collapse their shard-count grid to this
-/// value; the committed goldens use the default grid.
-pub fn shards_override() -> Option<usize> {
-    match GLOBAL_SHARDS.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n as usize),
-    }
-}
-
-/// Sets the global topology scale factor (the `--scale` flag).
-pub fn set_scale_factor(k: usize) {
-    GLOBAL_SCALE.store(k as u64, Ordering::Relaxed);
-}
-
-/// The `--scale` override, if one was given: experiments that support it
-/// replicate their application's service groups K× via
-/// [`ursa_apps::scale_app`] before building simulations.
-pub fn scale_override() -> Option<usize> {
-    match GLOBAL_SCALE.load(Ordering::Relaxed) {
-        0 => None,
-        k => Some(k as usize),
-    }
 }
 
 /// Experiment scale.

@@ -5,12 +5,11 @@
 //! cargo run --release -p ursa-bench -- --exp fig2|fig4|table5|fig9|fig11|fig13|table6|fig14
 //! cargo run --release -p ursa-bench -- --exp chaos [--seed N]
 //! cargo run --release -p ursa-bench -- --exp qos [--seed N]
-//! cargo run --release -p ursa-bench -- --exp scale [--shards N|max] [--scale K]
 //! cargo run --release -p ursa-bench -- --exp fig2 --trace-dir traces/
 //! cargo run --release -p ursa-bench -- --exp fig9 --metrics-dir metrics/
 //! cargo run --release -p ursa-bench -- --exp chaos --postmortem-dir results/postmortem
 //! cargo run --release -p ursa-bench -- perf [--out BENCH_sim.json] [--check baseline.json] \
-//!     [--tolerance 0.35] [--shards 8|max]
+//!     [--tolerance 0.35]
 //! cargo run --release -p ursa-bench -- diff results/bench/run_baseline.json \
 //!     results/bench/run.json [--out results/diff] [--history results/bench/history.jsonl]
 //! ```
@@ -18,6 +17,8 @@
 //! Every experiment writes a `run.json` manifest under its results
 //! directory (and `perf` under the `--out` directory); `diff` aligns two
 //! such manifests into `diff.tsv` + a script-free `diff.html`.
+
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 
@@ -60,23 +61,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
                 ursa_bench::set_seed(n);
-            }
-            "--shards" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .and_then(|s| parse_shards(s))
-                    .unwrap_or_else(|| usage());
-                ursa_bench::set_shards(n);
-            }
-            "--scale" => {
-                i += 1;
-                let k: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&k| k >= 1)
-                    .unwrap_or_else(|| usage());
-                ursa_bench::set_scale_factor(k);
             }
             "--trace-dir" => {
                 i += 1;
@@ -151,9 +135,6 @@ fn main() {
         "qos" => {
             experiments::qos::run(scale);
         }
-        "scale" => {
-            experiments::scale::run(scale);
-        }
         other => {
             warn!("unknown experiment: {other}");
             usage();
@@ -185,32 +166,37 @@ fn main() {
     );
 }
 
-/// Resolves the perf/diff tolerance: `--tolerance` flag, then the
+/// Resolves the perf/diff tolerance: the `--tolerance` operand, then the
 /// `URSA_PERF_TOLERANCE` environment variable, then the built-in default.
-fn resolve_tolerance(flag: Option<f64>) -> f64 {
-    flag.or_else(|| {
-        std::env::var("URSA_PERF_TOLERANCE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-    })
-    .unwrap_or(perf::REGRESSION_TOLERANCE)
-}
-
-/// Parses a `--shards` operand: a positive count, or `max` for every
-/// core the host exposes.
-fn parse_shards(s: &str) -> Option<usize> {
-    if s == "max" {
-        return Some(std::thread::available_parallelism().map_or(1, |n| n.get()));
+/// Whichever source supplies it must be a number in `[0, 1)`: from 1 up,
+/// `floor = base·(1−t)` is at most zero and every check passes.
+fn parse_tolerance(flag: Option<&str>, env: Option<&str>) -> Result<f64, String> {
+    let (source, raw) = match (flag, env) {
+        (Some(raw), _) => ("--tolerance", raw),
+        (None, Some(raw)) => ("URSA_PERF_TOLERANCE", raw),
+        (None, None) => return Ok(perf::REGRESSION_TOLERANCE),
+    };
+    match raw.parse::<f64>() {
+        Ok(t) if (0.0..1.0).contains(&t) => Ok(t),
+        _ => Err(format!("{source} must be a number in [0, 1), got `{raw}`")),
     }
-    s.parse().ok().filter(|&n| n >= 1)
 }
 
-/// `ursa-bench perf [--out PATH] [--check BASELINE] [--tolerance T] [--jobs N] [--shards N|max]`
+/// [`parse_tolerance`] over the process environment; a bad value from
+/// either source is a usage error.
+fn resolve_tolerance(flag: Option<&str>) -> f64 {
+    let env = std::env::var("URSA_PERF_TOLERANCE").ok();
+    parse_tolerance(flag, env.as_deref()).unwrap_or_else(|e| {
+        warn!("{e}");
+        usage()
+    })
+}
+
+/// `ursa-bench perf [--out PATH] [--check BASELINE] [--tolerance T] [--jobs N]`
 fn perf_main(args: &[String]) -> i32 {
     let mut out = PathBuf::from("BENCH_sim.json");
     let mut check: Option<PathBuf> = None;
-    let mut tolerance: Option<f64> = None;
-    let mut shards = perf::DEFAULT_BIG_SHARDS;
+    let mut tolerance: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -224,15 +210,7 @@ fn perf_main(args: &[String]) -> i32 {
             }
             "--tolerance" => {
                 i += 1;
-                let t: f64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                if !(0.0..1.0).contains(&t) {
-                    warn!("--tolerance must be in [0, 1)");
-                    usage();
-                }
-                tolerance = Some(t);
+                tolerance = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
             "--jobs" | "-j" => {
                 i += 1;
@@ -242,13 +220,6 @@ fn perf_main(args: &[String]) -> i32 {
                     .unwrap_or_else(|| usage());
                 runner::set_jobs(n.max(1));
             }
-            "--shards" => {
-                i += 1;
-                shards = args
-                    .get(i)
-                    .and_then(|s| parse_shards(s))
-                    .unwrap_or_else(|| usage());
-            }
             other => {
                 warn!("unknown perf argument: {other}");
                 usage();
@@ -256,14 +227,18 @@ fn perf_main(args: &[String]) -> i32 {
         }
         i += 1;
     }
-    perf::run(&out, check.as_deref(), resolve_tolerance(tolerance), shards)
+    perf::run(
+        &out,
+        check.as_deref(),
+        resolve_tolerance(tolerance.as_deref()),
+    )
 }
 
 /// `ursa-bench diff RUN_A RUN_B [--out DIR] [--tolerance T] [--history PATH]`
 fn diff_main(args: &[String]) -> i32 {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut out_dir = results_dir().join("diff");
-    let mut tolerance: Option<f64> = None;
+    let mut tolerance: Option<String> = None;
     let mut history: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
@@ -274,11 +249,7 @@ fn diff_main(args: &[String]) -> i32 {
             }
             "--tolerance" => {
                 i += 1;
-                let t: f64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                tolerance = Some(t);
+                tolerance = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
             "--history" => {
                 i += 1;
@@ -298,7 +269,7 @@ fn diff_main(args: &[String]) -> i32 {
     }
     let opts = diff::DiffOptions {
         out_dir,
-        tolerance: resolve_tolerance(tolerance),
+        tolerance: resolve_tolerance(tolerance.as_deref()),
         history,
     };
     diff::run(&paths[0], &paths[1], &opts)
@@ -306,13 +277,34 @@ fn diff_main(args: &[String]) -> i32 {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation|chaos|qos|scale] \
-         [--quick|--full] [--jobs N] [--seed N] [--shards N|max] [--scale K] [--quiet|--verbose] \
+        "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation|chaos|qos] \
+         [--quick|--full] [--jobs N] [--seed N] [--quiet|--verbose] \
          [--trace-dir DIR] [--metrics-dir DIR] [--postmortem-dir DIR] [--snapshot-at SECS]\n\
          \x20      ursa-bench perf [--out BENCH_sim.json] [--check baseline.json] \
-         [--tolerance T] [--jobs N] [--shards N|max]\n\
+         [--tolerance T] [--jobs N]\n\
          \x20      ursa-bench diff RUN_A.json RUN_B.json [--out DIR] [--tolerance T] \
          [--history history.jsonl]"
     );
     std::process::exit(2)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tolerance_is_range_checked_from_flag_and_env() {
+        assert_eq!(parse_tolerance(None, None), Ok(perf::REGRESSION_TOLERANCE));
+        assert_eq!(parse_tolerance(Some("0.2"), None), Ok(0.2));
+        assert_eq!(parse_tolerance(None, Some("0")), Ok(0.0));
+        // The flag wins over the environment, and is the one validated.
+        assert_eq!(parse_tolerance(Some("0.1"), Some("1.5")), Ok(0.1));
+        assert!(parse_tolerance(Some("1.5"), Some("0.1")).is_err());
+        for bad in ["1.5", "1", "-0.1", "NaN", "inf", "ten", ""] {
+            let flag = parse_tolerance(Some(bad), None).unwrap_err();
+            assert!(flag.contains("--tolerance"), "{flag}");
+            let env = parse_tolerance(None, Some(bad)).unwrap_err();
+            assert!(env.contains("URSA_PERF_TOLERANCE"), "{env}");
+        }
+    }
 }

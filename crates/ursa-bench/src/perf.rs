@@ -12,23 +12,17 @@
 //!   is the regime where the old per-job-countdown PS loop went
 //!   quadratic; the virtual-time queue keeps it near-linear, and this
 //!   cell exists so a regression back to O(n²) fails `--check` loudly.
-//! * **big** — new in the v6 schema: the full social network replicated
-//!   [`BIG_SCALE`]× (63 services) run twice through
-//!   [`ShardedSimulation`], once on one shard and once on `--shards N`
-//!   worker threads. The pair yields the sharded-engine speedup
-//!   (`big_speedup`), per-shard occupancy, and window/null-message
-//!   counters; `--check` gates the 1-shard throughput like the other
-//!   cells and the speedup against both the baseline's recorded ratio
-//!   and a core-aware absolute floor ([`speedup_floor`] — ≥3× applies on
-//!   hosts with at least 8 cores; a 1-core host only has to bound the
-//!   sharding overhead).
+//! * **big** — the full social network replicated [`BIG_SCALE`]× (63
+//!   services) on one engine: the many-services regime, where the event
+//!   queue and telemetry tables are an order of magnitude wider than in
+//!   the canonical cell.
 //!
-//! Each cell also reports the stale-event split (live events drive
+//! The first two cells also report the stale-event split (live events drive
 //! state; stale pops are lazily-invalidated PS checks) plus event-queue
 //! depth/compaction counters and — new in the v5 schema — the calendar
 //! queue's band occupancy (band width, adaptive resizes, promotions into
 //! the current band, deepest single-band drain, overflow high-water) and
-//! the request arena's slot/node high-water marks. Each cell is timed as
+//! the request arena's slot/node high-water marks, and are timed as
 //! plain/profiled back-to-back pairs: the schema reports a per-phase
 //! breakdown (`phases` / `ps_heavy_phases`, one
 //! `{phase, count, pct, ns_per_event}` row per [`SimPhase`]) so the next
@@ -37,12 +31,14 @@
 //! way that the profiled run's counters are identical to the plain run's
 //! (the profiler must observe, not perturb). After the cells, an 8-cell
 //! batch runs under 1 worker and under the configured `--jobs` to report
-//! the harness speedup. Results go to `BENCH_sim.json`, a `run.json`
-//! manifest for `ursa-bench diff`, and an append-only `history.jsonl`
-//! trajectory point alongside; `--check <baseline.json>` compares both
-//! cells' events/sec against a committed baseline (tolerance from
-//! `--tolerance` / `URSA_PERF_TOLERANCE`, default
-//! [`REGRESSION_TOLERANCE`], with the remaining margin printed) and gates
+//! the harness speedup (`null` on a host with fewer cores than jobs, where
+//! the ratio would measure oversubscription). Results go to
+//! `BENCH_sim.json`, a `run.json` manifest for `ursa-bench diff`, and an
+//! append-only `history.jsonl` trajectory point alongside;
+//! `--check <baseline.json>` compares every cell's events/sec against a
+//! committed baseline (tolerance from `--tolerance` /
+//! `URSA_PERF_TOLERANCE`, default [`REGRESSION_TOLERANCE`], with the
+//! remaining margin printed) and gates
 //! the profiler overhead at [`PROFILER_OVERHEAD_BUDGET_PCT`], which is
 //! what CI runs.
 
@@ -66,26 +62,16 @@ const PS_HEAVY_WORKERS: usize = 512;
 const BATCH_CELLS: u64 = 8;
 /// Wall-clock repetitions per cell; the minimum is reported.
 const MEASURE_REPS: usize = 5;
-/// Simulated seconds for the big sharded cell.
+/// Simulated seconds for the big cell.
 const BIG_SECS: u64 = 20;
 /// Service-group replication of the big cell: the full social network
-/// (9 services) × 7 = 63 services of independent cells — the partition
-/// co-locates each replica group, so the cell measures pure engine
-/// scaling rather than cross-shard chatter (the differential tests own
-/// that axis).
+/// (9 services) × 7 = 63 services.
 const BIG_SCALE: usize = 7;
 /// Load multiplier over the scaled app's default request rate, to keep
 /// the cell event-dense enough to time.
 const BIG_RPS_FACTOR: f64 = 2.0;
-/// Wall-clock repetitions per big-cell leg; the minimum wall is kept.
+/// Wall-clock repetitions of the big cell; the minimum wall is kept.
 const BIG_REPS: usize = 3;
-/// Default worker-shard count for the big cell (`--shards`).
-pub const DEFAULT_BIG_SHARDS: usize = 8;
-/// Allowed relative regression of `big_speedup` against the baseline's
-/// recorded ratio. A ratio of two walls measured back-to-back on the
-/// same machine is far more stable than either wall alone, so this band
-/// is tighter than [`REGRESSION_TOLERANCE`].
-pub const SPEEDUP_TOLERANCE: f64 = 0.25;
 /// Default allowed events/sec regression vs the baseline before
 /// `--check` fails (override with `--tolerance` or
 /// `URSA_PERF_TOLERANCE`). Generous because the reference numbers come
@@ -191,66 +177,28 @@ fn ps_heavy_cell_run(seed: u64, profiled: bool) -> (CellStats, Option<ProfilerRe
     (stats_of(&sim), profile)
 }
 
-/// Counters from one big-cell run. Live-event counts and the per-shard
-/// split are deterministic per (seed, shard count) and asserted so
-/// across repetitions; the synchronization *round* counters
-/// (null-message ratio) are wall-clock dependent and are reported but
-/// never gated or digested.
-#[derive(Debug, Clone)]
-struct BigStats {
-    /// Live events summed over shards.
-    live: u64,
-    /// Live events per shard — the occupancy profile.
-    per_shard: Vec<u64>,
-    /// Conservative-time windows executed.
-    windows: u64,
-    /// Null-message rounds / all rounds (wall-clock dependent).
-    null_ratio: f64,
-    /// Cross-shard envelopes sent.
-    msgs_sent: u64,
-}
-
-/// Runs the big cell on `shards` worker threads.
-fn big_cell_run(seed: u64, shards: usize) -> BigStats {
+/// Runs the big cell and returns its live-event count.
+fn big_cell(seed: u64) -> u64 {
     let app = scale_app(&social_network(false), BIG_SCALE);
-    let mut sim = ShardedSimulation::new(app.topology.clone(), SimConfig::default(), seed, shards);
-    let total: f64 = app.mix.iter().sum();
-    let rps = app.default_rps * BIG_RPS_FACTOR;
-    for (i, w) in app.mix.iter().enumerate() {
-        sim.set_rate(ClassId(i), RateFn::Constant(rps * w / total));
-    }
+    let mut sim = app.build_sim(seed);
+    app.apply_load(&mut sim, RateFn::Constant(app.default_rps * BIG_RPS_FACTOR));
     sim.run_for(SimDur::from_secs(BIG_SECS));
-    let report = sim.shard_report();
-    BigStats {
-        live: sim.events_processed(),
-        per_shard: sim.per_shard_events(),
-        windows: report.windows,
-        null_ratio: report.null_message_ratio(),
-        msgs_sent: report.msgs_sent,
-    }
+    sim.events_processed()
 }
 
-/// Times the big cell best-of-N at a fixed shard count, asserting that
-/// the simulation-event counters repeat exactly (the per-N determinism
-/// contract at the bench layer).
-fn time_big(seed: u64, shards: usize) -> (BigStats, f64) {
+/// Times the big cell best-of-N, asserting that its event count repeats
+/// exactly; returns `(live events, best wall seconds)`.
+fn time_big(seed: u64) -> (u64, f64) {
     let mut best = f64::MAX;
-    let mut kept: Option<BigStats> = None;
+    let mut kept: Option<u64> = None;
     for _ in 0..BIG_REPS {
         let t = Instant::now();
-        let s = big_cell_run(seed, shards);
+        let live = big_cell(seed);
         let wall = t.elapsed().as_secs_f64();
-        if let Some(prev) = &kept {
-            assert_eq!(
-                prev.live, s.live,
-                "big cell must be deterministic at {shards} shard(s)"
-            );
-            assert_eq!(
-                prev.per_shard, s.per_shard,
-                "per-shard event split must be deterministic"
-            );
+        if let Some(prev) = kept {
+            assert_eq!(prev, live, "big cell must be deterministic");
         }
-        kept = Some(s);
+        kept = Some(live);
         best = best.min(wall);
     }
     (kept.expect("BIG_REPS > 0"), best)
@@ -340,12 +288,6 @@ fn phase_rows(profile: &ProfilerReport) -> Vec<PhaseRow> {
         .collect()
 }
 
-/// Renders the per-shard occupancy shares as a JSON array.
-fn occupancy_json(shares: &[f64]) -> String {
-    let cells: Vec<String> = shares.iter().map(|s| format!("{s:.4}")).collect();
-    format!("[{}]", cells.join(", "))
-}
-
 fn phases_json(rows: &[PhaseRow]) -> String {
     let cells: Vec<String> = rows
         .iter()
@@ -423,48 +365,31 @@ pub struct PerfReport {
     pub ps_heavy_profiler_overhead_pct: f64,
     /// Per-phase breakdown of the ps_heavy cell (profiled run).
     pub ps_heavy_phases: Vec<PhaseRow>,
-    /// Worker shards of the big cell's sharded leg (`--shards`).
-    pub big_shards: usize,
-    /// CPU cores visible to the process; the speedup is core-bound.
+    /// CPU cores visible to the process; the harness speedup is core-bound.
     pub cores_available: usize,
-    /// Live engine events in the big cell's 1-shard leg.
+    /// Live engine events in the big cell.
     pub big_events: u64,
-    /// Big-cell throughput on one shard (live events / best wall).
+    /// Big-cell throughput (live events / best wall).
     pub big_events_per_sec: f64,
-    /// Best-of-N wall of the big cell's 1-shard leg, milliseconds.
+    /// Best-of-N wall of the big cell, milliseconds.
     pub big_wall_ms: f64,
-    /// Live engine events in the big cell's sharded leg.
-    pub big_shard_events: u64,
-    /// Big-cell throughput on `big_shards` shards.
-    pub big_shard_events_per_sec: f64,
-    /// Best-of-N wall of the big cell's sharded leg, milliseconds.
-    pub big_shard_wall_ms: f64,
-    /// Sharded-engine speedup: sharded ev/s over 1-shard ev/s.
-    pub big_speedup: f64,
-    /// Conservative-time windows in the sharded leg.
-    pub big_windows: u64,
-    /// Null-message rounds over all rounds in the sharded leg
-    /// (wall-clock dependent: reported, never gated).
-    pub big_null_message_ratio: f64,
-    /// Cross-shard envelopes sent in the sharded leg.
-    pub big_msgs_sent: u64,
-    /// Share of live events per shard in the sharded leg.
-    pub big_shard_occupancy: Vec<f64>,
     /// Workers used for the parallel batch.
     pub jobs: usize,
     /// Wall-clock of the batch with 1 worker, milliseconds.
     pub batch_wall_jobs1_ms: f64,
     /// Wall-clock of the batch with `jobs` workers, milliseconds.
     pub batch_wall_jobsn_ms: f64,
-    /// Harness speedup: batch wall-clock ratio (1 worker / N workers).
-    pub speedup: f64,
+    /// Harness speedup: batch wall-clock ratio (1 worker / N workers);
+    /// `None` when `cores_available < jobs`, where the ratio would record
+    /// oversubscription rather than scaling.
+    pub speedup: Option<f64>,
 }
 
 impl PerfReport {
     /// Renders the report as JSON (stable key order, no dependencies).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"schema\": \"ursa-bench-perf/v6\",\n  \"canonical_cell\": \"social_vanilla constant {SIM_SECS}s\",\n  \"events\": {},\n  \"events_stale\": {},\n  \"stale_ratio\": {:.4},\n  \"heap_max_depth\": {},\n  \"heap_compactions\": {},\n  \"queue_band_ns\": {},\n  \"queue_resizes\": {},\n  \"queue_promotions\": {},\n  \"queue_max_band_drain\": {},\n  \"queue_overflow_max\": {},\n  \"arena_slots_high_water\": {},\n  \"arena_nodes_high_water\": {},\n  \"events_per_sec\": {:.1},\n  \"cell_wall_ms\": {:.2},\n  \"profiler_overhead_pct\": {:.2},\n  \"phases\": {},\n  \"ps_heavy_cell\": \"1x8c {PS_HEAVY_WORKERS}w overload {PS_HEAVY_SECS}s\",\n  \"ps_heavy_events\": {},\n  \"ps_heavy_events_stale\": {},\n  \"ps_heavy_heap_max_depth\": {},\n  \"ps_heavy_queue_band_ns\": {},\n  \"ps_heavy_queue_resizes\": {},\n  \"ps_heavy_queue_promotions\": {},\n  \"ps_heavy_queue_max_band_drain\": {},\n  \"ps_heavy_queue_overflow_max\": {},\n  \"ps_heavy_arena_slots_high_water\": {},\n  \"ps_heavy_arena_nodes_high_water\": {},\n  \"ps_heavy_events_per_sec\": {:.1},\n  \"ps_heavy_wall_ms\": {:.2},\n  \"ps_heavy_profiler_overhead_pct\": {:.2},\n  \"ps_heavy_phases\": {},\n  \"big_cell\": \"social x{BIG_SCALE} sharded constant {BIG_SECS}s\",\n  \"big_shards\": {},\n  \"cores_available\": {},\n  \"big_events\": {},\n  \"big_events_per_sec\": {:.1},\n  \"big_wall_ms\": {:.2},\n  \"big_shard_events\": {},\n  \"big_shard_events_per_sec\": {:.1},\n  \"big_shard_wall_ms\": {:.2},\n  \"big_speedup\": {:.3},\n  \"big_windows\": {},\n  \"big_null_message_ratio\": {:.4},\n  \"big_msgs_sent\": {},\n  \"big_shard_occupancy\": {},\n  \"batch_cells\": {BATCH_CELLS},\n  \"jobs\": {},\n  \"batch_wall_jobs1_ms\": {:.2},\n  \"batch_wall_jobsn_ms\": {:.2},\n  \"speedup\": {:.3}\n}}\n",
+            "{{\n  \"schema\": \"ursa-bench-perf/v7\",\n  \"canonical_cell\": \"social_vanilla constant {SIM_SECS}s\",\n  \"events\": {},\n  \"events_stale\": {},\n  \"stale_ratio\": {:.4},\n  \"heap_max_depth\": {},\n  \"heap_compactions\": {},\n  \"queue_band_ns\": {},\n  \"queue_resizes\": {},\n  \"queue_promotions\": {},\n  \"queue_max_band_drain\": {},\n  \"queue_overflow_max\": {},\n  \"arena_slots_high_water\": {},\n  \"arena_nodes_high_water\": {},\n  \"events_per_sec\": {:.1},\n  \"cell_wall_ms\": {:.2},\n  \"profiler_overhead_pct\": {:.2},\n  \"phases\": {},\n  \"ps_heavy_cell\": \"1x8c {PS_HEAVY_WORKERS}w overload {PS_HEAVY_SECS}s\",\n  \"ps_heavy_events\": {},\n  \"ps_heavy_events_stale\": {},\n  \"ps_heavy_heap_max_depth\": {},\n  \"ps_heavy_queue_band_ns\": {},\n  \"ps_heavy_queue_resizes\": {},\n  \"ps_heavy_queue_promotions\": {},\n  \"ps_heavy_queue_max_band_drain\": {},\n  \"ps_heavy_queue_overflow_max\": {},\n  \"ps_heavy_arena_slots_high_water\": {},\n  \"ps_heavy_arena_nodes_high_water\": {},\n  \"ps_heavy_events_per_sec\": {:.1},\n  \"ps_heavy_wall_ms\": {:.2},\n  \"ps_heavy_profiler_overhead_pct\": {:.2},\n  \"ps_heavy_phases\": {},\n  \"big_cell\": \"social x{BIG_SCALE} constant {BIG_SECS}s\",\n  \"cores_available\": {},\n  \"big_events\": {},\n  \"big_events_per_sec\": {:.1},\n  \"big_wall_ms\": {:.2},\n  \"batch_cells\": {BATCH_CELLS},\n  \"jobs\": {},\n  \"batch_wall_jobs1_ms\": {:.2},\n  \"batch_wall_jobsn_ms\": {:.2},\n  \"speedup\": {}\n}}\n",
             self.events,
             self.events_stale,
             self.stale_ratio,
@@ -495,30 +420,21 @@ impl PerfReport {
             self.ps_heavy_wall_ms,
             self.ps_heavy_profiler_overhead_pct,
             phases_json(&self.ps_heavy_phases),
-            self.big_shards,
             self.cores_available,
             self.big_events,
             self.big_events_per_sec,
             self.big_wall_ms,
-            self.big_shard_events,
-            self.big_shard_events_per_sec,
-            self.big_shard_wall_ms,
-            self.big_speedup,
-            self.big_windows,
-            self.big_null_message_ratio,
-            self.big_msgs_sent,
-            occupancy_json(&self.big_shard_occupancy),
             self.jobs,
             self.batch_wall_jobs1_ms,
             self.batch_wall_jobsn_ms,
-            self.speedup,
+            self.speedup
+                .map_or_else(|| "null".to_string(), |s| format!("{s:.3}")),
         )
     }
 }
 
-/// Measures engine throughput, sharded-engine speedup, and harness
-/// speedup. `shards` is the big cell's sharded-leg worker count.
-pub fn measure(shards: usize) -> PerfReport {
+/// Measures engine throughput and harness speedup.
+pub fn measure() -> PerfReport {
     // Warm-up (page in code and allocator state).
     canonical_cell(1);
 
@@ -531,19 +447,7 @@ pub fn measure(shards: usize) -> PerfReport {
     let heavy = time_cell_pair(|profiled| ps_heavy_cell_run(0x9527, profiled));
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (big1, big1_wall) = time_big(0x816C, 1);
-    let (bign, bign_wall) = if shards > 1 {
-        time_big(0x816C, shards)
-    } else {
-        (big1.clone(), big1_wall)
-    };
-    let big_eps1 = big1.live as f64 / big1_wall.max(1e-9);
-    let big_epsn = bign.live as f64 / bign_wall.max(1e-9);
-    let occupancy: Vec<f64> = bign
-        .per_shard
-        .iter()
-        .map(|&e| e as f64 / bign.live.max(1) as f64)
-        .collect();
+    let (big_events, big_wall) = time_big(0x816C);
 
     let seeds: Vec<u64> = (0..BATCH_CELLS).map(|i| 0xBE7C ^ (i << 16)).collect();
     let t = Instant::now();
@@ -587,23 +491,14 @@ pub fn measure(shards: usize) -> PerfReport {
         phases: phase_rows(&canon.profile),
         ps_heavy_profiler_overhead_pct: heavy.overhead_pct,
         ps_heavy_phases: phase_rows(&heavy.profile),
-        big_shards: shards,
         cores_available: cores,
-        big_events: big1.live,
-        big_events_per_sec: big_eps1,
-        big_wall_ms: big1_wall * 1e3,
-        big_shard_events: bign.live,
-        big_shard_events_per_sec: big_epsn,
-        big_shard_wall_ms: bign_wall * 1e3,
-        big_speedup: big_epsn / big_eps1.max(1e-9),
-        big_windows: bign.windows,
-        big_null_message_ratio: bign.null_ratio,
-        big_msgs_sent: bign.msgs_sent,
-        big_shard_occupancy: occupancy,
+        big_events,
+        big_events_per_sec: big_events as f64 / big_wall.max(1e-9),
+        big_wall_ms: big_wall * 1e3,
         jobs,
         batch_wall_jobs1_ms: wall1.as_secs_f64() * 1e3,
         batch_wall_jobsn_ms: walln.as_secs_f64() * 1e3,
-        speedup: wall1.as_secs_f64() / walln.as_secs_f64().max(1e-9),
+        speedup: (cores >= jobs).then(|| wall1.as_secs_f64() / walln.as_secs_f64().max(1e-9)),
     }
 }
 
@@ -650,58 +545,6 @@ fn check_field(report: &str, baseline: &str, cell: &str, key: &str, tolerance: f
     println!(
         "perf check ok: [{cell}] {key} {cur:.0} vs baseline {base:.0} \
          (floor {floor:.0}, margin +{margin_pct:.0}%)"
-    );
-    0
-}
-
-/// The absolute floor the big-cell speedup must clear. Sharding cannot
-/// beat the cores actually present, so the floor scales with
-/// `min(shards, cores)` at 45 % parallel efficiency, capped at the 3×
-/// acceptance bar: 8 shards on a ≥8-core host must deliver at least 3×,
-/// while on a 1-core host the same 8 shards only have to keep 0.45× of
-/// single-thread throughput (i.e. oversubscription overhead may not eat
-/// more than ~55 %).
-pub fn speedup_floor(shards: usize, cores: usize) -> f64 {
-    (0.45 * shards.min(cores) as f64).min(3.0)
-}
-
-/// Gates `big_speedup` with its own tolerance: against the baseline's
-/// recorded ratio shrunk by [`SPEEDUP_TOLERANCE`] (regressions only) and
-/// against the core-aware absolute floor, whichever is higher. Skipped
-/// at one shard, where the ratio is 1.0 by construction; a baseline
-/// predating the v6 schema gates on the absolute floor alone.
-fn check_speedup(report: &str, baseline: &str) -> i32 {
-    let Some(cur) = json_field(report, "big_speedup") else {
-        eprintln!("error: report has no `big_speedup` (cell `big`)");
-        return 2;
-    };
-    let shards = json_field(report, "big_shards").unwrap_or(1.0) as usize;
-    if shards <= 1 {
-        println!("perf check ok: [big] big_speedup not gated at 1 shard");
-        return 0;
-    }
-    let cores = json_field(report, "cores_available").unwrap_or(1.0) as usize;
-    let abs = speedup_floor(shards, cores);
-    // The baseline-relative band only means something where the ratio
-    // measures real parallel scaling; on a host with fewer cores than
-    // shards it measures oversubscription overhead, which wanders too
-    // much between runs to gate tighter than the absolute floor.
-    let rel = if cores >= shards {
-        json_field(baseline, "big_speedup").map_or(0.0, |b| b * (1.0 - SPEEDUP_TOLERANCE))
-    } else {
-        0.0
-    };
-    let floor = abs.max(rel);
-    if cur < floor {
-        eprintln!(
-            "PERF REGRESSION: cell `big`, metric `big_speedup`: {cur:.2}x on {shards} shards / \
-             {cores} cores is below floor {floor:.2}x"
-        );
-        return 1;
-    }
-    println!(
-        "perf check ok: [big] big_speedup {cur:.2}x on {shards} shards / {cores} cores \
-         (floor {floor:.2}x)"
     );
     0
 }
@@ -755,18 +598,15 @@ fn perf_manifest(report: &PerfReport) -> manifest::RunManifest {
         "ps_heavy_profiler_overhead_pct",
         report.ps_heavy_profiler_overhead_pct,
     );
-    m.note_scalar("big_shards", report.big_shards as f64);
     m.note_scalar("cores_available", report.cores_available as f64);
     m.note_scalar("big_events", report.big_events as f64);
     m.note_scalar("big_events_per_sec", report.big_events_per_sec);
-    m.note_scalar("big_shard_events_per_sec", report.big_shard_events_per_sec);
-    m.note_scalar("big_speedup", report.big_speedup);
-    m.note_scalar("big_windows", report.big_windows as f64);
-    m.note_scalar("big_msgs_sent", report.big_msgs_sent as f64);
     m.note_scalar("jobs", report.jobs as f64);
     m.note_scalar("batch_wall_jobs1_ms", report.batch_wall_jobs1_ms);
     m.note_scalar("batch_wall_jobsn_ms", report.batch_wall_jobsn_ms);
-    m.note_scalar("speedup", report.speedup);
+    if let Some(speedup) = report.speedup {
+        m.note_scalar("speedup", speedup);
+    }
     m.set_phase_profile(manifest::PhaseProfile {
         sample_every: u64::from(PhaseProfiler::DEFAULT_SAMPLE_EVERY),
         events_seen: report.events,
@@ -791,18 +631,18 @@ fn history_line(report: &PerfReport) -> String {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
+    let speedup = report
+        .speedup
+        .map_or_else(String::new, |s| format!("\"speedup\": {s:.3}, "));
     format!(
         "{{\"schema\": \"ursa-bench-history/v1\", \"unix_s\": {unix_s}, \
          \"events_per_sec\": {:.1}, \"ps_heavy_events_per_sec\": {:.1}, \
-         \"big_events_per_sec\": {:.1}, \"big_speedup\": {:.3}, \"big_shards\": {}, \
-         \"profiler_overhead_pct\": {:.2}, \"speedup\": {:.3}, \"jobs\": {}}}\n",
+         \"big_events_per_sec\": {:.1}, \"profiler_overhead_pct\": {:.2}, \
+         {speedup}\"jobs\": {}}}\n",
         report.events_per_sec,
         report.ps_heavy_events_per_sec,
         report.big_events_per_sec,
-        report.big_speedup,
-        report.big_shards,
         report.profiler_overhead_pct,
-        report.speedup,
         report.jobs,
     )
 }
@@ -832,8 +672,8 @@ fn append_history(path: &Path, report: &PerfReport) {
 /// manifest, appends the `history.jsonl` trajectory point, and optionally
 /// checks against a baseline at `tolerance`. Returns the process exit
 /// code (0 = ok, 1 = regression, 2 = bad baseline).
-pub fn run(out: &Path, check: Option<&Path>, tolerance: f64, shards: usize) -> i32 {
-    let report = measure(shards);
+pub fn run(out: &Path, check: Option<&Path>, tolerance: f64) -> i32 {
+    let report = measure();
     let json = report.to_json();
     if let Some(dir) = out.parent() {
         let _ = std::fs::create_dir_all(dir);
@@ -858,12 +698,8 @@ pub fn run(out: &Path, check: Option<&Path>, tolerance: f64, shards: usize) -> i
         report.ps_heavy_arena_nodes_high_water
     );
     println!(
-        "big cell: {:.0} ev/s on 1 shard, {:.0} ev/s on {} shards ({} cores) = {:.2}x",
-        report.big_events_per_sec,
-        report.big_shard_events_per_sec,
-        report.big_shards,
-        report.cores_available,
-        report.big_speedup
+        "big cell: {:.0} ev/s ({} cores available)",
+        report.big_events_per_sec, report.cores_available
     );
     let side = out.parent().unwrap_or(Path::new("."));
     match perf_manifest(&report).write(&side.join("run.json")) {
@@ -892,15 +728,9 @@ pub fn run(out: &Path, check: Option<&Path>, tolerance: f64, shards: usize) -> i
         tolerance,
     );
     let big = check_field(&json, &baseline, "big", "big_events_per_sec", tolerance);
-    let ratio = check_speedup(&json, &baseline);
     let canon_oh = check_overhead(&json, "profiler_overhead_pct");
     let heavy_oh = check_overhead(&json, "ps_heavy_profiler_overhead_pct");
-    canon
-        .max(heavy)
-        .max(big)
-        .max(ratio)
-        .max(canon_oh)
-        .max(heavy_oh)
+    canon.max(heavy).max(big).max(canon_oh).max(heavy_oh)
 }
 
 #[cfg(test)]
@@ -928,6 +758,14 @@ mod tests {
             "ps_heavy event heap blew up: {}",
             a.heap_max_depth
         );
+    }
+
+    /// [`sample_report`] as measured with more jobs than cores.
+    fn oversubscribed_report() -> PerfReport {
+        PerfReport {
+            speedup: None,
+            ..sample_report()
+        }
     }
 
     fn sample_report() -> PerfReport {
@@ -980,23 +818,14 @@ mod tests {
                 pct: 80.0,
                 ns_per_event: 300.0,
             }],
-            big_shards: 8,
             cores_available: 8,
             big_events: 2_000_000,
             big_events_per_sec: 5_000_000.0,
             big_wall_ms: 400.0,
-            big_shard_events: 2_000_100,
-            big_shard_events_per_sec: 16_000_000.0,
-            big_shard_wall_ms: 125.0,
-            big_speedup: 3.2,
-            big_windows: 1,
-            big_null_message_ratio: 0.0712,
-            big_msgs_sent: 0,
-            big_shard_occupancy: vec![0.125; 8],
             jobs: 4,
             batch_wall_jobs1_ms: 180.0,
             batch_wall_jobsn_ms: 60.0,
-            speedup: 3.0,
+            speedup: Some(3.0),
         }
     }
 
@@ -1026,23 +855,18 @@ mod tests {
         assert_eq!(json_field(&j, "ps_heavy_profiler_overhead_pct"), Some(1.15));
         assert_eq!(json_field(&j, "big_events"), Some(2_000_000.0));
         assert_eq!(json_field(&j, "big_events_per_sec"), Some(5_000_000.0));
-        assert_eq!(
-            json_field(&j, "big_shard_events_per_sec"),
-            Some(16_000_000.0)
-        );
-        assert_eq!(json_field(&j, "big_speedup"), Some(3.2));
-        assert_eq!(json_field(&j, "big_shards"), Some(8.0));
         assert_eq!(json_field(&j, "cores_available"), Some(8.0));
-        assert_eq!(json_field(&j, "big_null_message_ratio"), Some(0.0712));
         assert_eq!(json_field(&j, "missing"), None);
     }
 
     #[test]
-    fn v6_schema_and_phase_arrays() {
+    fn v7_schema_and_phase_arrays() {
         let j = sample_report().to_json();
-        assert!(j.contains("\"schema\": \"ursa-bench-perf/v6\""));
-        assert!(j.contains("\"big_cell\": \"social x7 sharded constant 20s\""));
-        assert!(j.contains("\"big_shard_occupancy\": [0.1250, 0.1250"));
+        assert!(j.contains("\"schema\": \"ursa-bench-perf/v7\""));
+        assert!(j.contains("\"big_cell\": \"social x7 constant 20s\""));
+        let oversubscribed = oversubscribed_report().to_json();
+        assert!(oversubscribed.ends_with("\"speedup\": null\n}\n"));
+        assert_eq!(json_field(&oversubscribed, "speedup"), None);
         assert!(j.contains(
             "\"phases\": [{\"phase\": \"ps_advance\", \"count\": 90, \"pct\": 61.25, \
              \"ns_per_event\": 120.5}, {\"phase\": \"queue_pop\", \"count\": 10, \
@@ -1069,6 +893,9 @@ mod tests {
         let rows = profile.get("phases").and_then(|x| x.as_arr()).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get("count").and_then(|x| x.as_f64()), Some(90.0));
+        let json = perf_manifest(&oversubscribed_report()).to_json();
+        let v = crate::manifest::parse_json(&json).expect("manifest parses");
+        assert!(v.get("scalars").unwrap().get("speedup").is_none());
     }
 
     #[test]
@@ -1147,53 +974,6 @@ mod tests {
     }
 
     #[test]
-    fn speedup_floor_is_core_aware() {
-        // 8 shards on >= 8 cores: the 3x acceptance bar.
-        assert_eq!(speedup_floor(8, 8), 3.0);
-        assert_eq!(speedup_floor(8, 16), 3.0);
-        assert_eq!(speedup_floor(16, 32), 3.0);
-        // Core-bound below the cap.
-        assert!((speedup_floor(4, 4) - 1.8).abs() < 1e-12);
-        assert!((speedup_floor(2, 8) - 0.9).abs() < 1e-12);
-        // Oversubscribed 1-core host: only overhead is bounded.
-        assert!((speedup_floor(8, 1) - 0.45).abs() < 1e-12);
-    }
-
-    #[test]
-    fn check_speedup_gates_on_baseline_and_core_floor() {
-        // Fixture: 3.2x on 8 shards / 8 cores (floor 3.0).
-        let j = sample_report().to_json();
-        assert_eq!(check_speedup(&j, &j), 0);
-        // Below the core-aware absolute floor: fails even against a
-        // baseline that recorded the same poor ratio.
-        let slow = j.replace("\"big_speedup\": 3.200", "\"big_speedup\": 1.100");
-        assert_eq!(check_speedup(&slow, &slow), 1);
-        // Regression vs a faster baseline trips the relative band even
-        // above the absolute floor: 16 shards on 16 cores cap the
-        // absolute floor at 3x, but dropping from a recorded 8x to 5x is
-        // more than the 25% band allows.
-        let wide = j
-            .replace("\"big_shards\": 8", "\"big_shards\": 16")
-            .replace("\"cores_available\": 8", "\"cores_available\": 16");
-        let fast_base = wide.replace("\"big_speedup\": 3.200", "\"big_speedup\": 8.000");
-        let dropped = wide.replace("\"big_speedup\": 3.200", "\"big_speedup\": 5.000");
-        assert_eq!(check_speedup(&dropped, &fast_base), 1);
-        assert_eq!(check_speedup(&fast_base, &fast_base), 0);
-        // Below shard-count cores the relative band is suspended (the
-        // ratio measures oversubscription noise): 2.3x clears the 4-core
-        // absolute floor of 1.8x even against a 3.2x baseline.
-        let few_cores = j
-            .replace("\"big_speedup\": 3.200", "\"big_speedup\": 2.300")
-            .replace("\"cores_available\": 8", "\"cores_available\": 4");
-        assert_eq!(check_speedup(&few_cores, &j), 0);
-        // At one shard the ratio is 1.0 by construction and not gated.
-        let one = j.replace("\"big_shards\": 8", "\"big_shards\": 1");
-        assert_eq!(check_speedup(&one, &one), 0);
-        // A v5 baseline without the field gates on the absolute floor.
-        assert_eq!(check_speedup(&j, "{}"), 0);
-    }
-
-    #[test]
     fn history_line_is_one_json_object() {
         let line = history_line(&sample_report());
         assert!(line.ends_with('\n'));
@@ -1206,5 +986,10 @@ mod tests {
             v.get("schema").and_then(|x| x.as_str()),
             Some("ursa-bench-history/v1")
         );
+        assert_eq!(v.get("speedup").and_then(|x| x.as_f64()), Some(3.0));
+        let line = history_line(&oversubscribed_report());
+        let v = crate::manifest::parse_json(line.trim()).expect("history line parses");
+        assert!(v.get("speedup").is_none());
+        assert_eq!(v.get("jobs").and_then(|x| x.as_f64()), Some(4.0));
     }
 }

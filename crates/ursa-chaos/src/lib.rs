@@ -42,6 +42,8 @@
 //! assert_eq!(plan, scenario.compile(0xC0FFEE, SimDur::from_mins(30)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ursa_sim::chaos::{Fault, FaultKind, FaultPlan, DEFAULT_NODES};
 use ursa_sim::time::{SimDur, SimTime};
 use ursa_stats::dist::{Distribution, Exponential};

@@ -47,6 +47,8 @@
 //! # Ok::<(), ursa_mip::ModelError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod anomaly;
 pub mod controller;
 pub mod decision_log;

@@ -51,6 +51,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ursa_sim::cluster::MachineCfg;
 use ursa_sim::engine::Simulation;
 use ursa_sim::memory::{MemPlan, MemProfile, NodeMemCfg};

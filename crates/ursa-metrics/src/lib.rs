@@ -31,6 +31,8 @@
 //! [`registry::SeriesKey`] (metric name + sorted label pairs), so the
 //! export order is independent of label-insertion order (property-tested).
 
+#![forbid(unsafe_code)]
+
 pub mod digest;
 pub mod export;
 pub mod logging;

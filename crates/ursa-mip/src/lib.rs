@@ -42,6 +42,8 @@
 //! # Ok::<(), ursa_mip::ModelError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alloc2d;
 pub mod dp;
 pub mod lp;

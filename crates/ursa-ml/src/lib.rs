@@ -25,6 +25,8 @@
 //! assert!((net.predict(&[0.5])[0] - 1.0).abs() < 0.1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod gbt;
 pub mod metrics;
 pub mod mlp;

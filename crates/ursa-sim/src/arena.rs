@@ -179,25 +179,6 @@ impl ReqArena {
         m.responded == m.num_nodes
     }
 
-    /// Declares that only `expected` responses will arrive for this slot
-    /// (the sharded engine's fragment slots: a fragment executes a subset
-    /// of the class tree locally plus one counted notification per
-    /// cross-shard child edge). Implemented by pre-biasing the response
-    /// counter so [`respond_one`](Self::respond_one) still completes at
-    /// `num_nodes` — no extra per-slot field, no hot-path change.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `expected` exceeds the slot's node count or any
-    /// responses were already counted.
-    #[inline]
-    pub fn set_expected_responses(&mut self, slot: u32, expected: u16) {
-        let m = &mut self.slots[slot as usize];
-        debug_assert_eq!(m.responded, 0, "expected-count set after responses");
-        debug_assert!(expected >= 1 && expected <= m.num_nodes);
-        m.responded = m.num_nodes - expected;
-    }
-
     /// Index of hop `node` of the request in `slot` into the node arrays.
     ///
     /// The generation check is the arena's safety net: with debug
@@ -322,15 +303,6 @@ mod tests {
         let s = a.alloc(0, SimTime::ZERO, 2, false);
         assert!(!a.respond_one(s));
         assert!(a.respond_one(s));
-    }
-
-    #[test]
-    fn expected_responses_pre_bias_completes_early() {
-        let mut a = ReqArena::new();
-        let s = a.alloc(0, SimTime::ZERO, 5, false);
-        a.set_expected_responses(s, 2);
-        assert!(!a.respond_one(s));
-        assert!(a.respond_one(s), "completes after the expected 2 of 5");
     }
 
     #[test]

@@ -55,7 +55,6 @@ use crate::memory::{select_victim, MemEvent, MemEventKind, MemPlan, MemState, Vi
 use crate::profiler::{PhaseProfiler, SimPhase};
 use crate::ps::{ps_rate, VtPs};
 use crate::recorder::{FlightEntry, FlightEventKind, FlightRecorder};
-use crate::shard::{Envelope, Msg, ShardCtx, ShardStats, SlotRef};
 use crate::telemetry::{MetricsSnapshot, Telemetry};
 use crate::time::{SimDur, SimTime};
 use crate::topology::{
@@ -115,11 +114,6 @@ enum EventKind {
     MemCheck,
     /// An OOM-killed or evicted replica of `service` restarts.
     MemRestart { service: u32 },
-    /// A cross-shard message (sharded runs only): `msg` indexes the
-    /// envelope parked in the shard context's slab. Scheduled with the
-    /// *sender's* sequence number so the merged event order is a pure
-    /// function of (time, seq), independent of delivery interleaving.
-    Remote { msg: u32 },
 }
 
 /// Strict-priority FIFO queue of tokens.
@@ -372,10 +366,6 @@ pub struct Simulation {
     telemetry: Telemetry,
     events: CalQueue<EventKind>,
     seq: u64,
-    /// Sequence-number stride: 1 standalone; the shard count in sharded
-    /// runs, where shard `i` draws the residue class `i mod N` so sequence
-    /// numbers stay globally unique across shards.
-    seq_step: u64,
     /// Dispatched events that did real work (see [`events_processed`]).
     events_live: u64,
     /// Dispatched events that were stale on arrival: superseded `PsCheck`
@@ -420,11 +410,6 @@ pub struct Simulation {
     /// default) costs one predictable branch per PS rate lookup and
     /// leaves output bit-identical to a memory-free engine.
     mem: Option<Box<MemState>>,
-    /// Shard context when this engine is one worker of a
-    /// [`ShardedSimulation`](crate::shard::ShardedSimulation). `None` (the
-    /// default) costs one predictable branch on the child-launch path and
-    /// leaves standalone output bit-identical.
-    shard: Option<Box<ShardCtx>>,
 }
 
 impl Simulation {
@@ -491,7 +476,6 @@ impl Simulation {
             telemetry,
             events: CalQueue::new(),
             seq: 0,
-            seq_step: 1,
             events_live: 0,
             events_stale: 0,
             heap_stale: 0,
@@ -510,7 +494,6 @@ impl Simulation {
             prof_sampling: false,
             recorder: None,
             mem: None,
-            shard: None,
         }
     }
 
@@ -811,7 +794,7 @@ impl Simulation {
 
     fn schedule(&mut self, at: SimTime, kind: EventKind) {
         let t0 = self.prof_span();
-        self.seq += self.seq_step;
+        self.seq += 1;
         self.events.push(at, self.seq, kind);
         self.prof_span_end(SimPhase::QueuePush, t0);
         if self.heap_stale >= COMPACT_MIN_STALE && self.heap_stale * 2 >= self.events.len() {
@@ -863,9 +846,6 @@ impl Simulation {
         let t0p = self.prof_span();
         self.telemetry.record_injection(class);
         self.prof_span_end(SimPhase::Telemetry, t0p);
-        if self.shard.is_some() {
-            self.note_home_slot(slot, class);
-        }
         let token = Token {
             slot,
             gen: self.arena.gen(slot),
@@ -899,20 +879,8 @@ impl Simulation {
 
     /// Runs the simulation until simulated time `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        self.run_events_bounded(t, SimTime::from_nanos(u64::MAX));
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// Processes events with `at <= t` and `at < before`, returning how
-    /// many were dispatched. `before` is the conservative safe horizon in
-    /// sharded runs; standalone callers pass `SimTime::from_nanos(u64::MAX)`
-    /// and get exactly the historical `run_until` loop.
-    fn run_events_bounded(&mut self, t: SimTime, before: SimTime) -> u64 {
-        let mut dispatched = 0u64;
         while let Some(&entry) = self.events.peek() {
-            if entry.at > t || entry.at >= before {
+            if entry.at > t {
                 break;
             }
             // Profiler gate: one predictably-false branch when disabled;
@@ -947,9 +915,10 @@ impl Simulation {
                     p.event_done(total, queue_pop);
                 }
             }
-            dispatched += 1;
         }
-        dispatched
+        if t > self.now {
+            self.now = t;
+        }
     }
 
     /// Maps a popped event to its flight-recorder entry and records it.
@@ -981,9 +950,6 @@ impl Simulation {
             EventKind::MemRestart { service } => FlightEventKind::MemRestart {
                 service: service as u16,
             },
-            // Sharded runs never arm the flight recorder (the facade
-            // exposes no hook), so remote events need no representation.
-            EventKind::Remote { .. } => return,
         };
         self.record_flight(entry.at, entry.seq, kind);
     }
@@ -1094,10 +1060,6 @@ impl Simulation {
                 let t0 = self.prof_span();
                 self.mem_restart(service as usize);
                 self.prof_span_end(SimPhase::Mem, t0);
-                true
-            }
-            EventKind::Remote { msg } => {
-                self.remote_event(msg);
                 true
             }
         }
@@ -1992,20 +1954,7 @@ impl Simulation {
 
     /// Sends a child hop toward its service (network delay applies; an
     /// active RPC fault on the callee adds its timeout/retry penalty).
-    /// In sharded runs, a child whose service lives on another shard
-    /// leaves through the mesh instead — this is the single funnel every
-    /// child launch (nested, event-driven, MQ, daemon-promoted) flows
-    /// through, so no cross-shard call can bypass the routing.
     fn launch_child(&mut self, child_token: Token) {
-        if let Some(ctx) = self.shard.as_deref() {
-            let class = self.arena.class(child_token.slot);
-            let h = self.hot.node(class, child_token.node);
-            let dest = ctx.plan.owner[self.hot.service[h] as usize];
-            if dest != ctx.me {
-                self.send_arrive(dest, child_token);
-                return;
-            }
-        }
         let mut at = self.now + self.sample_net_delay();
         if self.chaos.is_some() {
             at += self.chaos_rpc_penalty(child_token);
@@ -2170,26 +2119,12 @@ impl Simulation {
             );
         }
 
-        // A fragment root's parent lives on another shard: the response
-        // notification travels through the mesh instead of the local
-        // parent bookkeeping below (whose slot state belongs to an
-        // unrelated hop of this fragment's template).
-        let remote_root = match self.shard.as_deref() {
-            Some(ctx) => {
-                ctx.reply[token.slot as usize].is_some()
-                    && token.node == ctx.frag_root[token.slot as usize]
-            }
-            None => false,
-        };
-
         // Notify a nested-waiting parent. The parent resumes only if it is
         // actually parked in `Waiting`; if it is blocked on daemon
         // submission (parallel mode mixing edge kinds), the daemon-unblock
         // path resumes it instead and re-checks `awaiting` at loop end.
         let pidx = self.hot.nested_parent[h];
-        if remote_root {
-            self.send_child_done(token);
-        } else if pidx != NO_NESTED_PARENT {
+        if pidx != NO_NESTED_PARENT {
             let parent_token = Token {
                 node: pidx,
                 ..token
@@ -2208,12 +2143,8 @@ impl Simulation {
             }
         }
 
-        // Request-level completion (fragment-level in sharded runs).
+        // Request-level completion.
         if self.arena.respond_one(token.slot) {
-            if self.shard.is_some() {
-                self.sharded_slot_complete(token.slot);
-                return;
-            }
             let latency = (self.now - self.arena.arrival(token.slot)).as_secs_f64();
             let req_class = self.arena.class(token.slot);
             let traced = self.arena.traced(token.slot);
@@ -2229,419 +2160,6 @@ impl Simulation {
                 }
             }
         }
-    }
-
-    // ---- Sharded execution ------------------------------------------------
-    //
-    // One `Simulation` per shard, driven by `ShardedSimulation`
-    // (see `crate::shard` for the protocol overview). Everything below is
-    // reached only when a shard context is installed; standalone engines
-    // pay one predictable branch in `launch_child`, `inject`, and
-    // `respond` and are otherwise untouched.
-
-    /// Turns this engine into one worker shard. Observability planes that
-    /// assume a whole-request view (tracer, chaos, flight recorder,
-    /// memory) are not supported per shard; the facade never installs
-    /// them.
-    pub(crate) fn install_shard_ctx(&mut self, ctx: ShardCtx, rng_seed: u64) {
-        assert!(self.shard.is_none(), "shard context installed twice");
-        assert!(
-            self.tracer.is_none()
-                && self.chaos.is_none()
-                && self.recorder.is_none()
-                && self.mem.is_none(),
-            "observability planes must be installed after sharding, not before"
-        );
-        // Stripe sequence numbers: shard i draws i+N, i+2N, … so numbers
-        // are globally unique and the merged (at, seq) order is total.
-        self.seq = ctx.me as u64;
-        self.seq_step = ctx.plan.n as u64;
-        // The per-class source streams were split off the master RNG in
-        // `new()` (identically on every shard, keeping injection schedules
-        // shard-layout-invariant). After construction the master RNG only
-        // feeds work sampling, so re-seed it per shard to decorrelate
-        // service-time draws between shards.
-        self.rng = Rng::seed_from(rng_seed);
-        self.shard = Some(Box::new(ctx));
-    }
-
-    /// Per-shard synchronization counters (sharded engines only).
-    pub(crate) fn shard_stats(&self) -> Option<&ShardStats> {
-        self.shard.as_deref().map(|c| &c.stats)
-    }
-
-    /// Runs one conservative-time window: process all events up to `t`,
-    /// exchanging cross-shard messages, and return once every shard has
-    /// drained the window. Called from the facade's scoped worker threads.
-    pub(crate) fn run_window(&mut self, t: SimTime) {
-        debug_assert!(self.shard.is_some(), "run_window requires a shard context");
-        let profiled = self.prof.is_some();
-        let mut done = false;
-        loop {
-            // Read peer bounds BEFORE draining: a sender pushes to the
-            // ring before republishing its bound, so any envelope still
-            // invisible after this read is timestamped at or above `safe`.
-            let t0 = profiled.then(Instant::now);
-            let safe = self.mesh_safe_in();
-            let t1 = profiled.then(Instant::now);
-            let drained = self.drain_inbound();
-            let t2 = profiled.then(Instant::now);
-            let dispatched = self.run_events_bounded(t, safe);
-            let t3 = profiled.then(Instant::now);
-            self.publish_bound(safe);
-            if let (Some(a), Some(b), Some(c), Some(d)) = (t0, t1, t2, t3) {
-                let sync = (b - a).as_nanos() as u64 + d.elapsed().as_nanos() as u64;
-                let channel = (c - b).as_nanos() as u64;
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.accrue_exact(SimPhase::Sync, sync);
-                    p.accrue_exact(SimPhase::Channel, channel);
-                }
-            }
-            {
-                let st = &mut self.shard.as_deref_mut().expect("sharded").stats;
-                st.rounds += 1;
-                if dispatched == 0 && drained == 0 {
-                    st.null_rounds += 1;
-                }
-            }
-            let idle = safe > t && self.events.peek().is_none_or(|e| e.at > t);
-            if idle {
-                // Window locally drained. Re-drain once to catch envelopes
-                // that raced the drain above; anything arriving from here
-                // on is timestamped above `t` (senders are also past `t`),
-                // so the done mark never needs retraction.
-                if self.drain_inbound() == 0 {
-                    let ctx = self.shard.as_deref().expect("sharded");
-                    if !done {
-                        done = true;
-                        ctx.mesh.mark_done(ctx.me);
-                    }
-                    if ctx.plan.preds[ctx.me as usize].is_empty() {
-                        // Nothing can ever reach this shard, so from here
-                        // to the horizon it stays silent: promise that and
-                        // exit instead of spin-yielding until stragglers
-                        // finish (the facade re-floors bounds between
-                        // windows).
-                        ctx.mesh.publish(ctx.me, u64::MAX);
-                        break;
-                    }
-                    if ctx.mesh.all_done() {
-                        break;
-                    }
-                }
-                std::thread::yield_now();
-            } else if dispatched == 0 && drained == 0 {
-                // Blocked on a peer's bound: stay polite on oversubscribed
-                // hosts instead of hot-spinning.
-                std::thread::yield_now();
-            }
-        }
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// The conservative horizon: minimum published bound over shards that
-    /// can send to us (`u64::MAX` when nothing can — fully independent
-    /// shards never synchronize).
-    fn mesh_safe_in(&self) -> SimTime {
-        let ctx = self.shard.as_deref().expect("sharded");
-        let mut safe = u64::MAX;
-        for &p in &ctx.plan.preds[ctx.me as usize] {
-            safe = safe.min(ctx.mesh.bound(p));
-        }
-        SimTime::from_nanos(safe)
-    }
-
-    /// Publishes this shard's lower-bound promise: no future send below
-    /// `min(next local event, safe) + lookahead`. Republishing with no
-    /// payload is the null message that lets blocked peers advance.
-    fn publish_bound(&mut self, safe: SimTime) {
-        let next = self.events.peek().map_or(u64::MAX, |e| e.at.as_nanos());
-        let ctx = self.shard.as_deref().expect("sharded");
-        let bound = next
-            .min(safe.as_nanos())
-            .saturating_add(ctx.mesh.lookahead());
-        ctx.mesh.publish(ctx.me, bound);
-    }
-
-    /// Drains every inbound ring, scheduling each envelope as a `Remote`
-    /// event under the sender's sequence number. Returns the number of
-    /// envelopes drained.
-    fn drain_inbound(&mut self) -> u64 {
-        let mut drained = 0u64;
-        let npreds = {
-            let ctx = self.shard.as_deref().expect("sharded");
-            ctx.plan.preds[ctx.me as usize].len()
-        };
-        for k in 0..npreds {
-            loop {
-                let env = {
-                    let ctx = self.shard.as_deref().expect("sharded");
-                    let p = ctx.plan.preds[ctx.me as usize][k];
-                    ctx.mesh.ring(p as u16, ctx.me).pop()
-                };
-                let Some(env) = env else { break };
-                drained += 1;
-                let idx = {
-                    let ctx = self.shard.as_deref_mut().expect("sharded");
-                    ctx.stats.msgs_recv += 1;
-                    ctx.park(env)
-                };
-                // Direct push (not `schedule`): the envelope carries the
-                // sender's sequence number, so the merged pop order is the
-                // deterministic (at, seq) order regardless of when the
-                // envelope was drained.
-                self.events
-                    .push(env.at, env.seq, EventKind::Remote { msg: idx });
-            }
-        }
-        drained
-    }
-
-    /// Pushes an envelope to `dest`, draining our own inbound while the
-    /// destination ring is full (the peer may itself be blocked pushing to
-    /// us, so draining is what guarantees progress).
-    fn shard_send(&mut self, dest: u16, env: Envelope) {
-        loop {
-            let pushed = {
-                let ctx = self.shard.as_deref().expect("sharded");
-                ctx.mesh.ring(ctx.me, dest).push(env)
-            };
-            if pushed {
-                self.shard.as_deref_mut().expect("sharded").stats.msgs_sent += 1;
-                return;
-            }
-            self.drain_inbound();
-            std::thread::yield_now();
-        }
-    }
-
-    /// Routes a child hop whose service lives on shard `dest`: the remote
-    /// shard allocates a fragment slot and runs the subtree. Timestamped
-    /// `now + net_delay` — the same hop delay a local child pays, and the
-    /// lookahead that makes the conservative bound sound.
-    fn send_arrive(&mut self, dest: u16, child_token: Token) {
-        let class = self.arena.class(child_token.slot) as u32;
-        let at = self.now + self.cfg.net_delay;
-        self.seq += self.seq_step;
-        let seq = self.seq;
-        let ctx = self.shard.as_deref().expect("sharded");
-        let reply = SlotRef {
-            shard: ctx.me,
-            slot: child_token.slot,
-            gen: child_token.gen,
-        };
-        let home = ctx.home[child_token.slot as usize];
-        let env = Envelope {
-            at,
-            seq,
-            msg: Msg::Arrive {
-                class,
-                node: child_token.node,
-                reply,
-                home,
-            },
-        };
-        self.shard_send(dest, env);
-    }
-
-    /// Marks a freshly injected slot as this request's home: it waits for
-    /// its local fragment plus one response per cross-shard child edge,
-    /// and completes once every fragment reports done.
-    fn note_home_slot(&mut self, slot: u32, class: ClassId) {
-        let (expected, frags, me) = {
-            let ctx = self.shard.as_deref().expect("sharded");
-            debug_assert_eq!(
-                ctx.plan.home[class.0], ctx.me,
-                "injection off the home shard"
-            );
-            (
-                ctx.plan.expected[class.0][0],
-                ctx.plan.frags_total[class.0],
-                ctx.me,
-            )
-        };
-        self.arena.set_expected_responses(slot, expected);
-        let gen = self.arena.gen(slot);
-        let ctx = self.shard.as_deref_mut().expect("sharded");
-        ctx.ensure_slot(slot);
-        ctx.frag_root[slot as usize] = 0;
-        ctx.reply[slot as usize] = None;
-        ctx.home[slot as usize] = SlotRef {
-            shard: me,
-            slot,
-            gen,
-        };
-        ctx.remaining_frags[slot as usize] = frags;
-    }
-
-    /// Unparks and executes one received envelope (dispatch arm of
-    /// [`EventKind::Remote`]).
-    fn remote_event(&mut self, idx: u32) {
-        let env = self.shard.as_deref_mut().expect("sharded").unpark(idx);
-        debug_assert_eq!(env.at, self.now);
-        match env.msg {
-            Msg::Arrive {
-                class,
-                node,
-                reply,
-                home,
-            } => self.remote_arrive(class as usize, node, reply, home),
-            Msg::ChildDone { slot, gen, node } => self.remote_child_done(Token { slot, gen, node }),
-            Msg::FragDone { slot, gen } => self.remote_frag_done(slot, gen),
-        }
-    }
-
-    /// A call subtree crosses onto this shard: allocate a fragment slot
-    /// pre-biased to wait for exactly this fragment's responses and run
-    /// its root hop. The envelope timestamp already includes the hop
-    /// delay, so the hop arrives now.
-    fn remote_arrive(&mut self, class: usize, node: u16, reply: SlotRef, home: SlotRef) {
-        let num_nodes = self.templates[class].nodes.len() as u16;
-        let slot = self.arena.alloc(class as u32, self.now, num_nodes, false);
-        let expected = {
-            let ctx = self.shard.as_deref().expect("sharded");
-            ctx.plan.expected[class][node as usize]
-        };
-        debug_assert!(expected >= 1, "arrive at a non-fragment-root hop");
-        self.arena.set_expected_responses(slot, expected);
-        let gen = self.arena.gen(slot);
-        {
-            let ctx = self.shard.as_deref_mut().expect("sharded");
-            ctx.ensure_slot(slot);
-            ctx.frag_root[slot as usize] = node;
-            ctx.reply[slot as usize] = Some(reply);
-            ctx.home[slot as usize] = home;
-            ctx.remaining_frags[slot as usize] = 0;
-        }
-        // Fragments count toward their executing shard's in-flight gauge
-        // (not injections: only the home shard records those).
-        self.in_flight += 1;
-        self.node_arrive(Token { slot, gen, node });
-    }
-
-    /// A remotely executed child responded — the mirror of the local
-    /// `respond()` parent bookkeeping: free the daemon that was awaiting
-    /// it, resume a nested-waiting parent, count the response.
-    fn remote_child_done(&mut self, token: Token) {
-        debug_assert!(self.token_alive(token), "ChildDone for a dead parent slot");
-        let class = self.arena.class(token.slot);
-        let h = self.hot.node(class, token.node);
-        let now = self.now;
-        let ni = self.nidx(token);
-        self.arena.phase[ni] = Phase::Responded;
-        let daemon_of = self.arena.daemon_of[ni];
-        if daemon_of != NO_DAEMON {
-            self.daemon_freed(
-                (daemon_of >> 32) as usize,
-                (daemon_of & u32::MAX as u64) as usize,
-            );
-        }
-        let pidx = self.hot.nested_parent[h];
-        if pidx != NO_NESTED_PARENT {
-            let parent_token = Token {
-                node: pidx,
-                ..token
-            };
-            let pi = self.nidx(parent_token);
-            self.arena.awaiting[pi] -= 1;
-            if self.arena.awaiting[pi] == 0 && self.arena.phase[pi] == Phase::Waiting {
-                self.arena.nested_wait[pi] += now - self.arena.wait_start[pi];
-                self.arena.phase[pi] = Phase::Issuing;
-                self.issue_children(parent_token);
-            }
-        }
-        if self.arena.respond_one(token.slot) {
-            self.sharded_slot_complete(token.slot);
-        }
-    }
-
-    /// A fragment of home slot `slot` fully completed on another shard.
-    fn remote_frag_done(&mut self, slot: u32, gen: u32) {
-        debug_assert!(self.arena.alive(slot, gen), "FragDone for a dead home slot");
-        self.home_frag_done(slot);
-    }
-
-    /// A slot collected all its expected responses (sharded runs). Home
-    /// slots complete when their *fragment* is done; the request itself
-    /// completes once every remote fragment has also reported in.
-    fn sharded_slot_complete(&mut self, slot: u32) {
-        let is_home = {
-            let ctx = self.shard.as_deref().expect("sharded");
-            ctx.reply[slot as usize].is_none()
-        };
-        if is_home {
-            self.home_frag_done(slot);
-            return;
-        }
-        // Fragment slot: notify the parent fragment happened at the root's
-        // respond(); here the whole subtree is done — tell the home shard
-        // and release.
-        let (home, me) = {
-            let ctx = self.shard.as_deref().expect("sharded");
-            (ctx.home[slot as usize], ctx.me)
-        };
-        self.arena.release(slot);
-        self.in_flight -= 1;
-        if home.shard == me {
-            // Re-entrant topology (a→b→a): the home slot is local.
-            self.home_frag_done(home.slot);
-        } else {
-            let at = self.now + self.cfg.net_delay;
-            self.seq += self.seq_step;
-            let env = Envelope {
-                at,
-                seq: self.seq,
-                msg: Msg::FragDone {
-                    slot: home.slot,
-                    gen: home.gen,
-                },
-            };
-            self.shard_send(home.shard, env);
-        }
-    }
-
-    /// One fragment of home slot `slot` is done; on the last one the
-    /// request completes end-to-end.
-    fn home_frag_done(&mut self, slot: u32) {
-        let remaining = {
-            let ctx = self.shard.as_deref_mut().expect("sharded");
-            debug_assert!(ctx.remaining_frags[slot as usize] > 0);
-            ctx.remaining_frags[slot as usize] -= 1;
-            ctx.remaining_frags[slot as usize]
-        };
-        if remaining == 0 {
-            let latency = (self.now - self.arena.arrival(slot)).as_secs_f64();
-            let class = self.arena.class(slot);
-            self.arena.release(slot);
-            self.in_flight -= 1;
-            let t0p = self.prof_span();
-            self.telemetry.record_e2e(ClassId(class), latency);
-            self.prof_span_end(SimPhase::Telemetry, t0p);
-        }
-    }
-
-    /// A fragment root responded: notify the parent fragment on its shard
-    /// (which mirrors the local parent bookkeeping).
-    fn send_child_done(&mut self, token: Token) {
-        let at = self.now + self.cfg.net_delay;
-        self.seq += self.seq_step;
-        let seq = self.seq;
-        let reply = {
-            let ctx = self.shard.as_deref().expect("sharded");
-            ctx.reply[token.slot as usize].expect("remote root has a reply")
-        };
-        let env = Envelope {
-            at,
-            seq,
-            msg: Msg::ChildDone {
-                slot: reply.slot,
-                gen: reply.gen,
-                node: token.node,
-            },
-        };
-        self.shard_send(reply.shard, env);
     }
 
     /// Feeds the telemetry MQ-depth accumulators after a shared-queue push

@@ -37,6 +37,8 @@
 //! # Ok::<(), ursa_sim::topology::TopologyError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod calq;
 pub mod chaos;
@@ -48,7 +50,6 @@ pub mod metrics;
 pub mod profiler;
 pub mod ps;
 pub mod recorder;
-pub mod shard;
 pub mod telemetry;
 pub mod time;
 pub mod topology;
@@ -69,7 +70,6 @@ pub mod prelude {
     pub use crate::metrics::SimMetrics;
     pub use crate::profiler::{PhaseProfiler, PhaseStat, ProfilerReport, SimPhase};
     pub use crate::recorder::{FlightEntry, FlightEventKind, FlightRecorder};
-    pub use crate::shard::{ShardPlan, ShardReport, ShardedSimulation};
     pub use crate::telemetry::{LatencySeries, MetricsSnapshot, ServiceMetrics};
     pub use crate::time::{SimDur, SimTime};
     pub use crate::topology::{

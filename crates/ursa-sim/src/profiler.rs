@@ -56,13 +56,6 @@ pub enum SimPhase {
     Chaos,
     /// Memory-plane scans: usage accounting, OOM-kill, eviction.
     Mem,
-    /// Sharded engine: conservative-time synchronization — reading peer
-    /// bounds, publishing this shard's bound, and idle spins waiting for
-    /// the safe horizon to advance (exact, not sampled).
-    Sync,
-    /// Sharded engine: cross-shard channel traffic — draining inbound
-    /// SPSC rings and pushing outbound messages (exact, not sampled).
-    Channel,
     /// Resource-manager decision callbacks (exact, not sampled).
     Control,
     /// Sampled event time covered by no instrumented span.
@@ -70,7 +63,7 @@ pub enum SimPhase {
 }
 
 /// Number of [`SimPhase`] variants.
-pub const PHASE_COUNT: usize = 14;
+pub const PHASE_COUNT: usize = 12;
 
 impl SimPhase {
     /// All phases, in reporting order.
@@ -85,21 +78,11 @@ impl SimPhase {
         SimPhase::Telemetry,
         SimPhase::Chaos,
         SimPhase::Mem,
-        SimPhase::Sync,
-        SimPhase::Channel,
         SimPhase::Control,
         SimPhase::Other,
     ];
 
-    /// True for phases whose time is fed in exactly (wall-clock timed at
-    /// the call site) rather than sampled: control callbacks and the
-    /// sharded engine's sync/channel accounting, all of which live outside
-    /// the per-event dispatch loop the sampler covers.
-    pub fn is_exact(&self) -> bool {
-        matches!(self, SimPhase::Control | SimPhase::Sync | SimPhase::Channel)
-    }
-
-    /// Stable snake_case identifier (used in `BENCH_sim.json` v6).
+    /// Stable snake_case identifier (used in `BENCH_sim.json`).
     pub fn label(&self) -> &'static str {
         match self {
             SimPhase::QueuePop => "queue_pop",
@@ -112,8 +95,6 @@ impl SimPhase {
             SimPhase::Telemetry => "telemetry",
             SimPhase::Chaos => "chaos",
             SimPhase::Mem => "mem",
-            SimPhase::Sync => "sync",
-            SimPhase::Channel => "channel",
             SimPhase::Control => "control",
             SimPhase::Other => "other",
         }
@@ -206,11 +187,6 @@ impl PhaseProfiler {
         }
     }
 
-    /// The sampling period this profiler was built with.
-    pub fn sample_every(&self) -> u32 {
-        self.sample_every
-    }
-
     /// Advances the event counter; returns `true` when this event should
     /// be timed in detail.
     #[inline]
@@ -253,34 +229,8 @@ impl PhaseProfiler {
     /// Accrues exact (unsampled) control-callback time.
     #[inline]
     pub(crate) fn accrue_control(&mut self, nanos: u64) {
-        self.accrue_exact(SimPhase::Control, nanos);
-    }
-
-    /// Accrues exact (unsampled) time to an [`is_exact`](SimPhase::is_exact)
-    /// phase — the sharded worker loop times its sync and channel work
-    /// directly instead of going through the event sampler.
-    #[inline]
-    pub(crate) fn accrue_exact(&mut self, phase: SimPhase, nanos: u64) {
-        debug_assert!(phase.is_exact(), "accrue_exact on sampled phase");
-        self.nanos[phase as usize] += nanos;
-        self.counts[phase as usize] += 1;
-    }
-
-    /// Folds another profiler's accumulators into this one — the merge the
-    /// sharded facade performs over per-shard profilers at report time.
-    /// Periods must match (the facade installs the same `sample_every` on
-    /// every shard).
-    pub fn absorb(&mut self, other: &PhaseProfiler) {
-        assert_eq!(
-            self.sample_every, other.sample_every,
-            "cannot merge profilers with different sampling periods"
-        );
-        self.events_seen += other.events_seen;
-        self.events_sampled += other.events_sampled;
-        for i in 0..PHASE_COUNT {
-            self.nanos[i] += other.nanos[i];
-            self.counts[i] += other.counts[i];
-        }
+        self.nanos[SimPhase::Control as usize] += nanos;
+        self.counts[SimPhase::Control as usize] += 1;
     }
 
     /// Events popped while the profiler was installed.
@@ -299,7 +249,7 @@ impl PhaseProfiler {
         let scale = self.sample_every as f64;
         let est = |phase: SimPhase| -> f64 {
             let raw = self.nanos[phase as usize] as f64;
-            if phase.is_exact() {
+            if phase == SimPhase::Control {
                 raw
             } else {
                 raw * scale
@@ -377,37 +327,6 @@ mod tests {
     #[should_panic(expected = "sampling period")]
     fn rejects_zero_period() {
         PhaseProfiler::new(0);
-    }
-
-    #[test]
-    fn sync_and_channel_are_exact_and_absorb_merges() {
-        let mut a = PhaseProfiler::new(8);
-        a.accrue_exact(SimPhase::Sync, 500);
-        a.accrue_exact(SimPhase::Channel, 200);
-        let mut b = PhaseProfiler::new(8);
-        b.accrue_exact(SimPhase::Sync, 300);
-        for _ in 0..8 {
-            b.event_tick();
-        }
-        b.accrue(SimPhase::Rng, 10);
-        b.event_done(40, 5);
-        a.absorb(&b);
-        let r = a.report();
-        let by = |ph: SimPhase| r.phases.iter().find(|s| s.phase == ph).unwrap();
-        // Exact phases are reported unscaled; sampled phases scale by the
-        // period.
-        assert_eq!(by(SimPhase::Sync).est_nanos, 800.0);
-        assert_eq!(by(SimPhase::Channel).est_nanos, 200.0);
-        assert_eq!(by(SimPhase::Rng).est_nanos, 80.0);
-        assert_eq!(r.events_seen, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "different sampling periods")]
-    fn absorb_rejects_mismatched_periods() {
-        let mut a = PhaseProfiler::new(8);
-        let b = PhaseProfiler::new(16);
-        a.absorb(&b);
     }
 
     #[test]

@@ -207,50 +207,6 @@ impl MetricsSnapshot {
     pub fn class_rps(&self, class: ClassId) -> f64 {
         self.injections[class.0] as f64 / self.window.as_secs_f64().max(1e-9)
     }
-
-    /// Merges per-shard snapshots of one sharded run deterministically:
-    /// each service row comes from the shard that owns the service (other
-    /// shards hold idle phantom replicas of it), each per-class series
-    /// from the class's home shard (the only one that injects it and
-    /// records its completions). Fault and memory planes are not available
-    /// per shard, so those fields stay empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or an owner/home index is out of range.
-    pub fn merge_sharded(
-        parts: &[MetricsSnapshot],
-        owner: &[u16],
-        home: &[u16],
-    ) -> MetricsSnapshot {
-        assert!(!parts.is_empty(), "no shard snapshots to merge");
-        MetricsSnapshot {
-            at: parts[0].at,
-            window: parts[0].window,
-            services: owner
-                .iter()
-                .enumerate()
-                .map(|(s, &o)| parts[o as usize].services[s].clone())
-                .collect(),
-            e2e_latency: home
-                .iter()
-                .enumerate()
-                .map(|(c, &h)| parts[h as usize].e2e_latency[c].clone())
-                .collect(),
-            completions: home
-                .iter()
-                .enumerate()
-                .map(|(c, &h)| parts[h as usize].completions[c])
-                .collect(),
-            injections: home
-                .iter()
-                .enumerate()
-                .map(|(c, &h)| parts[h as usize].injections[c])
-                .collect(),
-            faults: Vec::new(),
-            mem: None,
-        }
-    }
 }
 
 /// Accumulates metrics between harvests.
@@ -712,9 +668,9 @@ mod tests {
         let _ = LatencySeries::drain_from(&mut w).samples();
     }
 
-    /// `MetricsSnapshot` is cloned per grid cell, sent across the
-    /// cell-parallel runner and merged across shard threads; the lazy
-    /// sort's cell must therefore be a `OnceLock`, not a `OnceCell`/`RefCell`.
+    /// `MetricsSnapshot` is cloned per grid cell and sent across the
+    /// cell-parallel runner's threads; the lazy sort's cell must therefore
+    /// be a `OnceLock`, not a `OnceCell`/`RefCell`.
     #[test]
     fn snapshot_is_clone_send_sync() {
         fn assert<T: Clone + Send + Sync>() {}

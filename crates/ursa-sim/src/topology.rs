@@ -781,60 +781,6 @@ impl Topology {
             .collect()
     }
 
-    /// Every parent→child edge of every class call tree, flattened — the
-    /// raw material for the shard partitioner (service affinity graph) and
-    /// the cross-shard lookahead computation.
-    pub fn call_edges(&self) -> Vec<CallEdge> {
-        let mut out = Vec::new();
-        for (ci, class) in self.flat.iter().enumerate() {
-            for (pi, node) in class.nodes.iter().enumerate() {
-                for &(child, kind) in &node.children {
-                    out.push(CallEdge {
-                        class: ci,
-                        parent: pi as u16,
-                        child,
-                        from: node.service,
-                        to: class.nodes[child as usize].service,
-                        kind,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Undirected service adjacency derived from the call trees: `adj[s]`
-    /// lists the services sharing a call edge with `s`, sorted and
-    /// deduplicated. Services never referenced by any class have empty
-    /// rows. Deterministic — drives the deterministic shard partition.
-    pub fn service_adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.services.len()];
-        for e in self.call_edges() {
-            if e.from != e.to {
-                adj[e.from].push(e.to);
-                adj[e.to].push(e.from);
-            }
-        }
-        for row in &mut adj {
-            row.sort_unstable();
-            row.dedup();
-        }
-        adj
-    }
-
-    /// Call-tree hops per service, summed across classes — the partition
-    /// weight (a service hosting many hops sees proportionally more
-    /// events).
-    pub fn service_node_weights(&self) -> Vec<u64> {
-        let mut w = vec![0u64; self.services.len()];
-        for class in self.flat.iter() {
-            for node in &class.nodes {
-                w[node.service] += 1;
-            }
-        }
-        w
-    }
-
     /// Structural digest of the topology (FNV-1a over services and call
     /// trees). Two topologies digest equal iff they have the same service
     /// configurations and the same class trees (names, priorities, edges,
@@ -911,24 +857,6 @@ impl Topology {
         }
         h.finish()
     }
-}
-
-/// One parent→child call edge of a class tree, flattened with its service
-/// endpoints — see [`Topology::call_edges`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CallEdge {
-    /// Owning request class (dense index).
-    pub class: usize,
-    /// Parent hop index within the class's flat node array.
-    pub parent: u16,
-    /// Child hop index within the class's flat node array.
-    pub child: u16,
-    /// Service executing the parent hop.
-    pub from: usize,
-    /// Service executing the child hop.
-    pub to: usize,
-    /// Communication style of the edge.
-    pub kind: EdgeKind,
 }
 
 /// Minimal FNV-1a hasher for structural digests (no dependencies, stable
@@ -1219,26 +1147,6 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a.digest(), d.digest(), "edge kind changes the digest");
-    }
-
-    #[test]
-    fn call_edges_and_adjacency_reflect_the_tree() {
-        let t = two_tier();
-        let edges = t.call_edges();
-        assert_eq!(edges.len(), 1);
-        assert_eq!(
-            edges[0],
-            CallEdge {
-                class: 0,
-                parent: 0,
-                child: 1,
-                from: 0,
-                to: 1,
-                kind: EdgeKind::NestedRpc,
-            }
-        );
-        assert_eq!(t.service_adjacency(), vec![vec![1], vec![0]]);
-        assert_eq!(t.service_node_weights(), vec![1, 1]);
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //! assert!(x >= 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod describe;
 pub mod dist;
 pub mod histogram;

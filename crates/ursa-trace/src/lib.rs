@@ -1,6 +1,8 @@
 //! Critical-path analysis and exporters for per-request traces produced by
 //! the `ursa-sim` tracing layer (see `ursa_sim::trace`).
 
+#![forbid(unsafe_code)]
+
 pub mod blame;
 pub mod critical_path;
 pub mod export;

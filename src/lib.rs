@@ -49,6 +49,8 @@
 //! See `examples/` for runnable scenarios and `DESIGN.md` for the full
 //! system inventory and paper-to-code substitution map.
 
+#![forbid(unsafe_code)]
+
 pub use ursa_apps as apps;
 pub use ursa_baselines as baselines;
 pub use ursa_core as core;

@@ -6,6 +6,7 @@
 //! deterministic.
 
 use proptest::prelude::*;
+use ursa::apps::{scale_app, social_network};
 use ursa::sim::prelude::*;
 
 /// Strategy for a random 1–4-tier chain topology with random edge kinds
@@ -66,34 +67,126 @@ fn build(rt: &RandomTopo) -> Topology {
     Topology::new(services, classes).expect("generated topology is valid")
 }
 
+/// Strategy for 1–2 classes whose call trees are chains over services
+/// drawn *with repetition*, so a request may re-enter a service it is
+/// still blocked in (a→b→a). Lightly loaded on purpose: re-entrant nested
+/// RPCs on a saturated worker pool deadlock for real.
+#[derive(Debug, Clone)]
+struct ReentrantTopo {
+    services: usize,
+    /// Per class: hop service ids (preorder), edge kind id, sequential?
+    classes: Vec<(Vec<usize>, u8, bool)>,
+    work_ms: f64,
+    rps: f64,
+}
+
+fn reentrant_topo() -> impl Strategy<Value = ReentrantTopo> {
+    (2usize..6, 0.3f64..2.0, 10.0f64..60.0).prop_flat_map(|(services, work_ms, rps)| {
+        let class = (
+            proptest::collection::vec(0..services, 1..6),
+            0u8..3,
+            any::<bool>(),
+        );
+        proptest::collection::vec(class, 1..3).prop_map(move |classes| ReentrantTopo {
+            services,
+            classes,
+            work_ms,
+            rps,
+        })
+    })
+}
+
+fn build_reentrant(rt: &ReentrantTopo) -> Topology {
+    let services: Vec<ServiceCfg> = (0..rt.services)
+        .map(|i| ServiceCfg::new(format!("s{i}"), 2.0))
+        .collect();
+    let work = WorkDist::Exponential {
+        mean: rt.work_ms / 1000.0,
+    };
+    let classes = rt
+        .classes
+        .iter()
+        .enumerate()
+        .map(|(i, (hops, edge, sequential))| {
+            let edge = match edge {
+                0 => EdgeKind::NestedRpc,
+                1 => EdgeKind::EventDrivenRpc,
+                _ => EdgeKind::Mq,
+            };
+            let mode = if *sequential {
+                CallMode::Sequential
+            } else {
+                CallMode::Parallel
+            };
+            let mut node = CallNode::leaf(ServiceId(hops[hops.len() - 1]), work.clone());
+            for &svc in hops[..hops.len() - 1].iter().rev() {
+                node = CallNode::leaf(ServiceId(svc), work.clone())
+                    .with_mode(mode)
+                    .with_child(edge, node);
+            }
+            ClassCfg {
+                name: format!("c{i}"),
+                priority: Priority::HIGH,
+                root: node,
+            }
+        })
+        .collect();
+    Topology::new(services, classes).expect("generated topology is valid")
+}
+
+/// How many hops of the call tree under `node` execute on `service`.
+fn multiplicity(node: &CallNode, service: ServiceId) -> u64 {
+    u64::from(node.service == service)
+        + node
+            .children
+            .iter()
+            .map(|(_, child)| multiplicity(child, service))
+            .sum::<u64>()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Conservation: after load stops and the system drains, every injected
-    /// request has completed; metrics stay in range throughout.
+    /// request has completed and has arrived exactly once at every hop of
+    /// its class tree; metrics stay in range throughout. Checked on a
+    /// straight chain and on a re-entrant one.
     #[test]
-    fn requests_conserved_and_metrics_sane(rt in random_topo(), rps in 5.0f64..80.0, seed in any::<u64>()) {
-        let mut sim = Simulation::new(build(&rt), SimConfig::default(), seed);
-        for c in 0..rt.classes {
-            sim.set_rate(ClassId(c), RateFn::Constant(rps));
-        }
-        sim.run_for(SimDur::from_secs(30));
-        // Stop arrivals; drain generously.
-        for c in 0..rt.classes {
-            sim.set_rate(ClassId(c), RateFn::Constant(0.0));
-        }
-        sim.run_for(SimDur::from_secs(600));
-        let snap = sim.harvest();
-        prop_assert_eq!(sim.in_flight(), 0, "requests stuck in flight");
-        let injected: u64 = snap.injections.iter().sum();
-        let completed: u64 = snap.completions.iter().sum();
-        prop_assert_eq!(injected, completed, "injected {} != completed {}", injected, completed);
-        for svc in &snap.services {
-            prop_assert!((0.0..=1.0).contains(&svc.cpu_utilization), "util {}", svc.cpu_utilization);
-        }
-        for series in &snap.e2e_latency {
-            for &s in series.samples() {
-                prop_assert!(s >= 0.0 && s.is_finite());
+    fn requests_conserved_and_metrics_sane(
+        rt in random_topo(),
+        re in reentrant_topo(),
+        rps in 5.0f64..80.0,
+        seed in any::<u64>(),
+    ) {
+        for (topo, rps) in [(build(&rt), rps), (build_reentrant(&re), re.rps)] {
+            let classes = topo.num_classes();
+            let mut sim = Simulation::new(topo.clone(), SimConfig::default(), seed);
+            for c in 0..classes {
+                sim.set_rate(ClassId(c), RateFn::Constant(rps));
+            }
+            sim.run_for(SimDur::from_secs(30));
+            // Stop arrivals; drain generously.
+            for c in 0..classes {
+                sim.set_rate(ClassId(c), RateFn::Constant(0.0));
+            }
+            sim.run_for(SimDur::from_secs(600));
+            let snap = sim.harvest();
+            prop_assert_eq!(sim.in_flight(), 0, "requests stuck in flight");
+            prop_assert_eq!(&snap.injections, &snap.completions);
+            for (s, svc) in snap.services.iter().enumerate() {
+                prop_assert!((0.0..=1.0).contains(&svc.cpu_utilization), "util {}", svc.cpu_utilization);
+                for (c, class) in topo.classes().iter().enumerate() {
+                    prop_assert_eq!(
+                        svc.arrivals[c],
+                        snap.injections[c] * multiplicity(&class.root, ServiceId(s)),
+                        "service {} class {}", s, c
+                    );
+                }
+            }
+            for series in &snap.e2e_latency {
+                for &s in series.samples() {
+                    prop_assert!(s >= 0.0 && s.is_finite());
+                }
             }
         }
     }
@@ -177,4 +270,22 @@ fn priority_ordering_under_contention() {
     let high = snap.e2e_latency[0].percentile(90.0).unwrap();
     let low = snap.e2e_latency[1].percentile(90.0).unwrap();
     assert!(high < low, "high p90 {high} should beat low p90 {low}");
+}
+
+/// Rerun determinism on a wide topology: the social network replicated
+/// 3× (27 services) for 20 simulated seconds, twice, must give equal
+/// per-class injections and completions and an equal event count.
+#[test]
+fn scaled_app_rerun_is_deterministic() {
+    let app = scale_app(&social_network(false), 3);
+    let run = || {
+        let mut sim = app.build_sim(0x5CA1E);
+        app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
+        sim.run_for(SimDur::from_secs(20));
+        let snap = sim.harvest();
+        (snap.injections, snap.completions, sim.events_processed())
+    };
+    let first = run();
+    assert!(first.2 > 0);
+    assert_eq!(first, run());
 }
