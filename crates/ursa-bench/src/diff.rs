@@ -7,16 +7,12 @@
 //!   both values, the absolute delta, the relative delta, and a
 //!   significance flag;
 //! * a script-free, self-contained HTML report (`diff.html`): the same
-//!   rows as static tables with significant entries highlighted, plus —
-//!   when `--history` points at a `history.jsonl` perf trajectory — an
-//!   inline-SVG sparkline of engine throughput over time.
+//!   rows as static tables with significant entries highlighted.
 //!
 //! The significance rule is the one `perf --check` gates CI with: entry
 //! `b` differs significantly from baseline `a` when it falls outside
 //! `a × (1 ± tolerance)` (default tolerance [`crate::perf::REGRESSION_TOLERANCE`],
-//! overridable via `--tolerance` or `URSA_PERF_TOLERANCE`). Best-of-N
-//! minimum walls feed the perf scalars, so the same tolerance is
-//! meaningful on both sides of the pipeline.
+//! overridable via `--tolerance` or `URSA_PERF_TOLERANCE`).
 //!
 //! Diffing a manifest against itself yields all-zero deltas and — because
 //! manifests and this report are rendered from BTreeMap-backed state with
@@ -24,14 +20,14 @@
 //! inputs (enforced by `tests/diff_determinism.rs`).
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::manifest::{parse_json, JsonValue};
+use ursa_metrics::json::{parse_json, JsonValue};
 
 /// One aligned row of the diff.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffRow {
-    /// Section the row belongs to (`series`, `phases`, `scalars`, ...).
+    /// Section the row belongs to (`series`, `scalars`, `tables`).
     pub section: String,
     /// The aligned key.
     pub key: String,
@@ -109,20 +105,6 @@ fn keyed_f64s(v: &JsonValue, section: &str) -> Vec<(String, f64)> {
                 for stat in ["mean", "last", "min", "max", "count"] {
                     if let Some(x) = item.get(stat).and_then(JsonValue::as_f64) {
                         out.push((format!("{key}#{stat}"), x));
-                    }
-                }
-            }
-        }
-        "phases" => {
-            if let Some(p) = v.get("phase_profile") {
-                for row in p.get("phases").and_then(JsonValue::as_arr).unwrap_or(&[]) {
-                    let Some(phase) = row.get("phase").and_then(JsonValue::as_str) else {
-                        continue;
-                    };
-                    for stat in ["pct", "ns_per_event", "count"] {
-                        if let Some(x) = row.get(stat).and_then(JsonValue::as_f64) {
-                            out.push((format!("{phase}#{stat}"), x));
-                        }
                     }
                 }
             }
@@ -318,7 +300,7 @@ pub fn diff_manifests(a: &JsonValue, b: &JsonValue, tolerance: f64) -> DiffRepor
     }
     identity.extend(digest_rows(a, b));
     let mut rows = Vec::new();
-    for section in ["scalars", "series", "phases", "tables"] {
+    for section in ["scalars", "series", "tables"] {
         let ka = keyed_f64s(a, section);
         let kb = keyed_f64s(b, section);
         rows.extend(align(section, &ka, &kb, tolerance));
@@ -364,38 +346,8 @@ fn html_esc(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
-/// Renders an inline-SVG sparkline of `values` (no scripts, no deps).
-fn sparkline_svg(values: &[f64], label: &str) -> String {
-    if values.len() < 2 {
-        return String::new();
-    }
-    let (w, h, pad) = (600.0f64, 120.0f64, 8.0f64);
-    let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let span = (max - min).max(1e-9);
-    let pts: Vec<String> = values
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            let x = pad + (w - 2.0 * pad) * i as f64 / (values.len() - 1) as f64;
-            let y = h - pad - (h - 2.0 * pad) * (v - min) / span;
-            format!("{x:.1},{y:.1}")
-        })
-        .collect();
-    format!(
-        "<h2>{}</h2>\n<svg width=\"{w:.0}\" height=\"{h:.0}\" \
-         viewBox=\"0 0 {w:.0} {h:.0}\" role=\"img\">\n\
-         <rect width=\"{w:.0}\" height=\"{h:.0}\" fill=\"#f6f8fa\"/>\n\
-         <polyline fill=\"none\" stroke=\"#0969da\" stroke-width=\"2\" points=\"{}\"/>\n\
-         </svg>\n<p>{} points, min {min:.0}, max {max:.0}</p>\n",
-        html_esc(label),
-        pts.join(" "),
-        values.len(),
-    )
-}
-
 /// Renders the self-contained HTML artifact.
-pub fn render_html(report: &DiffReport, history: &[f64]) -> String {
+pub fn render_html(report: &DiffReport) -> String {
     let mut out = String::new();
     out.push_str(
         "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
@@ -435,7 +387,7 @@ pub fn render_html(report: &DiffReport, history: &[f64]) -> String {
         }
         out.push_str("</ul>\n");
     }
-    for section in ["scalars", "series", "phases", "tables"] {
+    for section in ["scalars", "series", "tables"] {
         let rows: Vec<&DiffRow> = report
             .rows
             .iter()
@@ -463,47 +415,16 @@ pub fn render_html(report: &DiffReport, history: &[f64]) -> String {
         }
         out.push_str("</table>\n");
     }
-    out.push_str(&sparkline_svg(
-        history,
-        "events_per_sec trajectory (history.jsonl)",
-    ));
     out.push_str("</body>\n</html>\n");
     out
 }
 
-/// Loads `events_per_sec` points from a `history.jsonl` trajectory (lines
-/// that fail to parse are skipped — the file is append-only across
-/// schema revisions).
-pub fn load_history(path: &Path) -> Vec<f64> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    text.lines()
-        .filter_map(|line| {
-            parse_json(line.trim())
-                .ok()?
-                .get("events_per_sec")?
-                .as_f64()
-        })
-        .collect()
-}
-
-/// Options for [`run`].
-#[derive(Debug, Clone)]
-pub struct DiffOptions {
-    /// Output directory for `diff.tsv` / `diff.html`.
-    pub out_dir: PathBuf,
-    /// Significance tolerance (the perf band).
-    pub tolerance: f64,
-    /// Optional `history.jsonl` to plot.
-    pub history: Option<PathBuf>,
-}
-
-/// Runs the diff end-to-end: load, align, write artifacts, print the
-/// summary. Returns the process exit code: 0 = no significant deltas,
+/// Runs the diff end-to-end: load, align at `tolerance` (the perf band),
+/// write `diff.tsv` / `diff.html` under `out_dir`, print the summary.
+/// Returns the process exit code: 0 = no significant deltas,
 /// 1 = significant deltas or a decision-log divergence (the report was
 /// still written), 2 = bad input/IO.
-pub fn run(a_path: &Path, b_path: &Path, opts: &DiffOptions) -> i32 {
+pub fn run(a_path: &Path, b_path: &Path, out_dir: &Path, tolerance: f64) -> i32 {
     let load = |p: &Path| -> Result<JsonValue, String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read: {e}"))?;
         let v = parse_json(&text)?;
@@ -526,23 +447,18 @@ pub fn run(a_path: &Path, b_path: &Path, opts: &DiffOptions) -> i32 {
             return 2;
         }
     };
-    let report = diff_manifests(&a, &b, opts.tolerance);
-    let history = opts
-        .history
-        .as_deref()
-        .map(load_history)
-        .unwrap_or_default();
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
-        eprintln!("error: cannot create {}: {e}", opts.out_dir.display());
+    let report = diff_manifests(&a, &b, tolerance);
+    if let Err(e) = std::fs::create_dir_all(out_dir) {
+        eprintln!("error: cannot create {}: {e}", out_dir.display());
         return 2;
     }
-    let tsv_path = opts.out_dir.join("diff.tsv");
-    let html_path = opts.out_dir.join("diff.html");
+    let tsv_path = out_dir.join("diff.tsv");
+    let html_path = out_dir.join("diff.html");
     if let Err(e) = std::fs::write(&tsv_path, render_tsv(&report)) {
         eprintln!("error: cannot write {}: {e}", tsv_path.display());
         return 2;
     }
-    if let Err(e) = std::fs::write(&html_path, render_html(&report, &history)) {
+    if let Err(e) = std::fs::write(&html_path, render_html(&report)) {
         eprintln!("error: cannot write {}: {e}", html_path.display());
         return 2;
     }
@@ -592,8 +508,8 @@ mod tests {
         // Deterministic rendering.
         assert_eq!(tsv, render_tsv(&diff_manifests(&v, &v, 0.35)));
         assert_eq!(
-            render_html(&report, &[]),
-            render_html(&diff_manifests(&v, &v, 0.35), &[])
+            render_html(&report),
+            render_html(&diff_manifests(&v, &v, 0.35))
         );
     }
 
@@ -648,27 +564,10 @@ mod tests {
     }
 
     #[test]
-    fn html_is_script_free_and_sparkline_renders() {
+    fn html_is_script_free() {
         let v = parse_json(&manifest(1000.0)).unwrap();
-        let report = diff_manifests(&v, &v, 0.35);
-        let html = render_html(&report, &[100.0, 120.0, 110.0]);
+        let html = render_html(&diff_manifests(&v, &v, 0.35));
         assert!(!html.contains("<script"));
-        assert!(html.contains("<svg"));
-        assert!(html.contains("polyline"));
         assert!(html.contains("events_per_sec"));
-    }
-
-    #[test]
-    fn history_loader_skips_bad_lines() {
-        let dir = std::env::temp_dir().join("ursa-diff-history-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("history.jsonl");
-        std::fs::write(
-            &path,
-            "{\"events_per_sec\": 100.5}\nnot json\n{\"other\": 1}\n{\"events_per_sec\": 200.0}\n",
-        )
-        .unwrap();
-        assert_eq!(load_history(&path), vec![100.5, 200.0]);
-        assert!(load_history(Path::new("/nonexistent")).is_empty());
     }
 }

@@ -13,7 +13,7 @@
 //! 3. **Control-interval sensitivity** — how fast the threshold controller
 //!    must observe load to ride out a +100 % burst.
 
-use crate::{default_rates, prepare_ursa, results_dir, LoadSpec, Scale, TsvTable};
+use crate::{default_rates, prepare_ursa, LoadSpec, RunCtx, Scale, TsvTable};
 use ursa_apps::social_network;
 use ursa_core::exploration::explore_all;
 use ursa_core::manager::{Ursa, UrsaConfig};
@@ -225,7 +225,7 @@ enum AblationOut {
 }
 
 /// Runs all ablations and prints/writes the results.
-pub fn run(scale: Scale) {
+pub fn run(scale: Scale, ctx: &RunCtx) {
     println!("== Ablations ==");
     let mut outs = crate::runner::run_cells(vec![0u8, 1, 2], |_, which| match which {
         0 => AblationOut::Split(split_ablation(scale, 0x0AB1)),
@@ -264,7 +264,7 @@ pub fn run(scale: Scale) {
             100.0 * v
         );
     }
-    let _ = table.write_tsv(&results_dir().join("ablation"));
+    let _ = table.write_tsv(ctx, "ablation");
 }
 
 #[cfg(test)]

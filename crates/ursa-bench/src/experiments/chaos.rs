@@ -17,14 +17,12 @@
 
 use crate::postmortem::PostmortemObserver;
 use crate::runner::run_cells;
-use crate::{
-    f3, logging, manifest, pct, results_dir, LoadSpec, PreparedManagers, Scale, System, TsvTable,
-};
+use crate::{f3, pct, DeploySpec, LoadSpec, PreparedManagers, RunCtx, Scale, System, TsvTable};
 use ursa_apps::{social_network, App};
 use ursa_chaos::Scenario;
 use ursa_core::decision_log::DecisionKind;
 use ursa_sim::chaos::{FaultKind, FaultPlan};
-use ursa_sim::control::DeploymentReport;
+use ursa_sim::control::{DeployObserver, DeploymentReport};
 use ursa_sim::metrics::SimMetrics;
 use ursa_sim::time::{SimDur, SimTime};
 
@@ -209,45 +207,27 @@ pub fn run_cell(
     fi: usize,
     si: usize,
     scale: Scale,
+    ctx: &RunCtx,
 ) -> Vec<String> {
     let (label, plan) = &plans[fi];
     let system = System::ALL[si];
     let seed = CHAOS_SEED ^ ((fi as u64) << 8) ^ si as u64;
+    let cell = format!("chaos-{label}-{}", system.label());
     let mut mgrs = managers.clone();
     // `--postmortem-dir` arms the flight-recorder / bundle pipeline on the
-    // Ursa cells (the cells with a decision log to correlate). Observation
-    // is non-perturbing, so the TSV rows stay byte-identical either way.
-    let postmortem_dir = (system == System::Ursa)
-        .then(logging::postmortem_dir)
-        .flatten();
-    let report = if let Some(dir) = postmortem_dir {
-        let mut metrics = SimMetrics::for_topology(system.label(), &app.topology, &app.slas);
-        let mut obs = PostmortemObserver::new(
-            &dir,
-            &format!("chaos-{label}-{}", system.label()),
-            logging::snapshot_at(),
-        );
-        mgrs.deploy_observed_with_faults(
-            app,
-            system,
-            &LoadSpec::Constant,
-            scale,
-            seed,
-            Some(plan),
-            Some(&mut metrics),
-            Some(&mut obs),
-        )
-    } else {
-        mgrs.deploy_metered_with_faults(
-            app,
-            system,
-            &LoadSpec::Constant,
-            scale,
-            seed,
-            Some(plan),
-            None,
-        )
-    };
+    // Ursa cells (the cells with a decision log to correlate), which also
+    // scrape metrics for the bundle's SLO triggers. Observation is
+    // non-perturbing, so the TSV rows stay byte-identical either way.
+    let mut obs = PostmortemObserver::armed(ctx, &cell).filter(|_| system == System::Ursa);
+    let mut metrics = obs
+        .is_some()
+        .then(|| SimMetrics::for_topology(system.label(), &app.topology, &app.slas));
+    let report = mgrs.deploy(DeploySpec {
+        faults: Some(plan),
+        metrics: metrics.as_mut(),
+        observer: obs.as_mut().map(|o| o as &mut dyn DeployObserver),
+        ..DeploySpec::new(app, system, &LoadSpec::Constant, scale, seed)
+    });
     let span = (
         plan.first_at().expect("non-empty plan"),
         plan.last_until().expect("non-empty plan"),
@@ -258,10 +238,7 @@ pub fn run_cell(
         // (keyed by cell name in a BTreeMap, so recording order under
         // `--jobs N` cannot leak into the manifest). `diff` uses this to
         // localise where two runs' control decisions first diverged.
-        manifest::note_decisions(
-            &format!("chaos-{label}-{}", system.label()),
-            mgrs.ursa.decisions(),
-        );
+        ctx.manifest().note_decisions(&cell, mgrs.ursa.decisions());
         mgrs.ursa
             .decisions()
             .records()
@@ -284,20 +261,20 @@ pub fn run_cell(
 }
 
 /// Runs the resilience grid.
-pub fn run(scale: Scale) -> ChaosResult {
+pub fn run(scale: Scale, ctx: &RunCtx) -> ChaosResult {
     println!("== chaos: fault-injection resilience, every system x every fault kind ==");
     let app = social_network(false);
     let managers = PreparedManagers::prepare(&app, scale, CHAOS_SEED);
     let plans = fault_plans(&app, scale);
-    manifest::note_topology_digest(app.topology.digest());
+    ctx.manifest().set_topology_digest(app.topology.digest());
     for (name, plan) in &plans {
-        manifest::note_chaos_digest(name, plan.digest());
+        ctx.manifest().note_chaos_digest(name, plan.digest());
     }
     let inputs: Vec<(usize, usize)> = (0..plans.len())
         .flat_map(|fi| (0..System::ALL.len()).map(move |si| (fi, si)))
         .collect();
     let rows = run_cells(inputs, |_, (fi, si)| {
-        run_cell(&app, &managers, &plans, fi, si, scale)
+        run_cell(&app, &managers, &plans, fi, si, scale, ctx)
     });
     let mut table = TsvTable::new(
         "chaos_resilience",
@@ -320,7 +297,7 @@ pub fn run(scale: Scale) -> ChaosResult {
         table.row(row);
     }
     print!("{}", table.render());
-    let _ = table.write_tsv(&results_dir().join("chaos"));
+    let _ = table.write_tsv(ctx, "chaos");
     println!(
         "ursa latency-anomaly re-explorations across faults: {ursa_reexplorations} \
          (see anomaly-reexplore records in the decision log)"

@@ -12,7 +12,7 @@
 //! everywhere; ML systems 9–52 %; Auto-a cheap but > 40 % violations;
 //! Auto-b SLA-safe but 44–148 % more CPU than Ursa.
 
-use crate::{results_dir, LoadSpec, PreparedManagers, Scale, System, TsvTable};
+use crate::{LoadSpec, PreparedManagers, RunCtx, Scale, System, TsvTable};
 use ursa_apps::{all_apps, App};
 use ursa_sim::metrics::SimMetrics;
 
@@ -65,31 +65,13 @@ pub fn cell_inputs(app: &App) -> Vec<(usize, LoadSpec, usize)> {
     inputs
 }
 
-/// Runs the grid for one app with pre-trained managers, fanning cells
-/// across the configured workers ([`crate::runner`]) and collecting them
-/// back in paper order.
+/// Runs one grid cell on a pristine clone of the trained managers.
 ///
-/// With `--metrics-dir` set, the constant-load row additionally exports
-/// metrics artifacts per system (`fig11_12_<app>_<system>.{prom,csv,html}`),
-/// including each controller's self-profiling series — one directly
-/// comparable dashboard per competing system.
-pub fn run_app(app: &App, managers: &PreparedManagers, scale: Scale, seed: u64) -> Vec<Cell> {
-    let metrics_dir = crate::logging::metrics_dir();
-    crate::runner::run_cells(cell_inputs(app), |_, (li, load, si)| {
-        run_cell(
-            app,
-            managers,
-            &load,
-            System::ALL[si],
-            scale,
-            seed ^ ((li as u64) << 8) ^ si as u64,
-            metrics_dir.as_deref(),
-        )
-    })
-}
-
-/// Runs one grid cell on a pristine clone of the trained managers. With
-/// `metrics_dir` set, constant-load cells export their metrics artifacts.
+/// With `metrics_dir` (`--metrics-dir`) set, constant-load cells
+/// additionally export metrics artifacts per system
+/// (`fig11_12_<app>_<system>.{prom,csv,html}`), including each controller's
+/// self-profiling series — one directly comparable dashboard per competing
+/// system.
 fn run_cell(
     app: &App,
     managers: &PreparedManagers,
@@ -137,7 +119,7 @@ fn run_cell(
 /// Phase 1 trains every app's managers in parallel; phase 2 flattens the
 /// whole grid (app × load × system) into one cell list and fans it across
 /// the workers, so a wide machine saturates even within a single app.
-pub fn run(scale: Scale) -> Vec<Cell> {
+pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<Cell> {
     println!("== Figures 11 & 12: SLA violations and CPU allocation ==");
     let apps = all_apps();
     crate::info!(
@@ -149,7 +131,6 @@ pub fn run(scale: Scale) -> Vec<Cell> {
         crate::runner::run_cells((0..apps.len()).collect(), |_, ai| {
             PreparedManagers::prepare(&apps[ai], scale, 0x11_12 + ai as u64)
         });
-    let metrics_dir = crate::logging::metrics_dir();
     let mut inputs: Vec<(usize, usize, LoadSpec, usize)> = Vec::new();
     for (ai, app) in apps.iter().enumerate() {
         for (li, load, si) in cell_inputs(app) {
@@ -165,7 +146,7 @@ pub fn run(scale: Scale) -> Vec<Cell> {
             System::ALL[si],
             scale,
             (0xDE_9107 + ai as u64) ^ ((li as u64) << 8) ^ si as u64,
-            metrics_dir.as_deref(),
+            ctx.metrics_dir.as_deref(),
         )
     });
     let mut table = TsvTable::new(
@@ -182,7 +163,7 @@ pub fn run(scale: Scale) -> Vec<Cell> {
         ]);
     }
     print!("{}", table.render());
-    let _ = table.write_tsv(&results_dir().join("fig11_12"));
+    let _ = table.write_tsv(ctx, "fig11_12");
 
     // Headline aggregates, paper-style.
     for system in System::ALL {
@@ -207,6 +188,7 @@ pub fn run(scale: Scale) -> Vec<Cell> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeploySpec;
     use ursa_apps::social_network;
 
     /// A reduced version of the §VII-E comparison on the vanilla social
@@ -218,10 +200,13 @@ mod tests {
         let app = social_network(true);
         let mut managers = PreparedManagers::prepare(&app, Scale::Quick, 0xCAFE);
         let load = LoadSpec::Constant;
-        let ursa = managers.deploy(&app, System::Ursa, &load, Scale::Quick, 1);
-        let sinan = managers.deploy(&app, System::Sinan, &load, Scale::Quick, 2);
-        let firm = managers.deploy(&app, System::Firm, &load, Scale::Quick, 3);
-        let auto_b = managers.deploy(&app, System::AutoB, &load, Scale::Quick, 4);
+        let mut deploy = |system, seed| {
+            managers.deploy(DeploySpec::new(&app, system, &load, Scale::Quick, seed))
+        };
+        let ursa = deploy(System::Ursa, 1);
+        let sinan = deploy(System::Sinan, 2);
+        let firm = deploy(System::Firm, 3);
+        let auto_b = deploy(System::AutoB, 4);
 
         let vr = |r: &ursa_sim::control::DeploymentReport| r.overall_violation_rate();
         assert!(vr(&ursa) <= 0.10, "ursa violations {:.3}", vr(&ursa));

@@ -6,7 +6,7 @@
 //! cores Ursa allocates (right axis) as the load ramps up and back down.
 //! The claim: Ursa scales each service out and in promptly with its load.
 
-use crate::{default_rates, prepare_ursa, results_dir, LoadSpec, Scale, TsvTable};
+use crate::{default_rates, prepare_ursa, LoadSpec, RunCtx, Scale, TsvTable};
 use ursa_apps::social_network;
 use ursa_sim::control::{run_deployment, DeployConfig};
 use ursa_sim::time::SimDur;
@@ -33,7 +33,7 @@ pub const SERVICES: [&str; 4] = [
 /// This experiment is a single deployment cell (one app, one load, one
 /// system), so it goes through [`crate::runner`] as one cell — the
 /// sequential fast path regardless of `--jobs`.
-pub fn run(scale: Scale) -> Vec<ServiceSeries> {
+pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<ServiceSeries> {
     println!("== Figure 13: per-service RPS vs CPU allocation under diurnal load ==");
     let app = social_network(false);
     let duration = match scale {
@@ -79,7 +79,7 @@ pub fn run(scale: Scale) -> Vec<ServiceSeries> {
                 format!("{cores:.0}"),
             ]);
         }
-        let _ = table.write_tsv(&results_dir().join("fig13"));
+        let _ = table.write_tsv(ctx, "fig13");
         let peak = points.iter().map(|p| p.2).fold(0.0, f64::max);
         let trough = points.iter().map(|p| p.2).fold(f64::INFINITY, f64::min);
         println!(
@@ -106,7 +106,7 @@ mod tests {
     /// than at the start, and scale back in afterwards.
     #[test]
     fn allocation_follows_load() {
-        let series = run(Scale::Quick);
+        let series = RunCtx::scratch("fig13", |ctx| run(Scale::Quick, ctx));
         // post-store carries most classes: clearest signal.
         let ps = series.iter().find(|s| s.service == "post-store").unwrap();
         let n = ps.points.len();

@@ -7,7 +7,7 @@
 //! shows CDFs of the end-to-end object-detect p99 before and after the
 //! swap, both within SLA (paper: 0.62 % and 0.50 % violation rates).
 
-use crate::{default_rates, prepare_ursa, results_dir, Scale, TsvTable};
+use crate::{default_rates, prepare_ursa, RunCtx, Scale, TsvTable};
 use ursa_apps::social_network;
 use ursa_sim::control::{run_deployment, DeployConfig};
 use ursa_sim::time::SimDur;
@@ -35,7 +35,7 @@ pub struct AdaptationResult {
 }
 
 /// Runs the adaptation experiment.
-pub fn run(scale: Scale) -> AdaptationResult {
+pub fn run(scale: Scale, ctx: &RunCtx) -> AdaptationResult {
     println!("== Figure 14 / §VII-G: adapting to a service-logic change ==");
     let app = social_network(false);
     let detect_class = app.class("object-detect").expect("class exists");
@@ -106,7 +106,7 @@ pub fn run(scale: Scale) -> AdaptationResult {
                 format!("{:.4}", (i + 1) as f64 / data.len() as f64),
             ]);
         }
-        let _ = table.write_tsv(&results_dir().join("fig14"));
+        let _ = table.write_tsv(ctx, "fig14");
     }
 
     let result = AdaptationResult {
@@ -139,7 +139,7 @@ mod tests {
     /// holds both before and after the logic change.
     #[test]
     fn adapts_to_model_swap() {
-        let r = run(Scale::Quick);
+        let r = RunCtx::scratch("fig14", |ctx| run(Scale::Quick, ctx));
         assert!(r.violation_before <= 0.15, "before {}", r.violation_before);
         assert!(r.violation_after <= 0.15, "after {}", r.violation_after);
         assert!(

@@ -8,7 +8,7 @@
 //! tiers, strongest at the culprit's parent and fading up the chain; the MQ
 //! chain shows none.
 
-use crate::{results_dir, Scale, TsvTable};
+use crate::{RunCtx, Scale, TsvTable};
 use ursa_apps::chains::{study_chain, TIER_CORES, TIER_WORK};
 use ursa_sim::engine::{SimConfig, Simulation};
 use ursa_sim::metrics::SimMetrics;
@@ -33,31 +33,11 @@ pub const LOAD_RPS: f64 = 300.0;
 /// 3-minute anomaly (the Fig. 2 gradient is a transient — see DESIGN.md §3).
 pub const THROTTLED_CORES: f64 = 1.1;
 
-/// Runs the 10-minute experiment for one edge kind.
+/// Runs the 10-minute experiment for one edge kind, with span tracing at
+/// `sample_rate` (0 disables) and an optional metrics collector scraped
+/// once per minute (the throttle transitions become dashboard
+/// annotations); returns the collected traces alongside the heatmap.
 pub fn run_chain(
-    edge: EdgeKind,
-    minutes: usize,
-    anomaly: std::ops::Range<usize>,
-    seed: u64,
-) -> Heatmap {
-    run_chain_traced(edge, minutes, anomaly, seed, 0.0).0
-}
-
-/// [`run_chain`] with span tracing at `sample_rate` (0 disables); returns
-/// the collected traces alongside the heatmap.
-pub fn run_chain_traced(
-    edge: EdgeKind,
-    minutes: usize,
-    anomaly: std::ops::Range<usize>,
-    seed: u64,
-    sample_rate: f64,
-) -> (Heatmap, Vec<ursa_sim::trace::Trace>) {
-    run_chain_instrumented(edge, minutes, anomaly, seed, sample_rate, None)
-}
-
-/// [`run_chain_traced`] with an optional metrics collector scraped once per
-/// minute; the throttle transitions become dashboard annotations.
-pub fn run_chain_instrumented(
     edge: EdgeKind,
     minutes: usize,
     anomaly: std::ops::Range<usize>,
@@ -147,7 +127,7 @@ fn write_trace_artifacts(
 }
 
 /// Runs all three chains and writes/prints the heatmaps.
-pub fn run(scale: Scale) -> Vec<Heatmap> {
+pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<Heatmap> {
     let minutes = match scale {
         Scale::Quick => 8,
         Scale::Full => 10,
@@ -162,8 +142,7 @@ pub fn run(scale: Scale) -> Vec<Heatmap> {
         "5-tier chains, {LOAD_RPS} rps, {TIER_WORK}s/tier, leaf throttled {TIER_CORES}->{THROTTLED_CORES} cores during minutes {}..{}",
         anomaly.start, anomaly.end
     );
-    let trace_dir = crate::logging::trace_dir();
-    let metrics_dir = crate::logging::metrics_dir();
+    let (trace_dir, metrics_dir) = (&ctx.trace_dir, &ctx.metrics_dir);
     // 1% head sampling is plenty for blame over a multi-minute run and
     // keeps the Chrome trace loadable.
     let sample_rate = if trace_dir.is_some() { 0.01 } else { 0.0 };
@@ -177,7 +156,7 @@ pub fn run(scale: Scale) -> Vec<Heatmap> {
             let mut metrics = metrics_dir
                 .as_ref()
                 .map(|_| SimMetrics::for_topology("static", &study_chain(edge), &[]));
-            let (hm, traces) = run_chain_instrumented(
+            let (hm, traces) = run_chain(
                 edge,
                 minutes,
                 anomaly.clone(),
@@ -189,7 +168,7 @@ pub fn run(scale: Scale) -> Vec<Heatmap> {
         },
     );
     for (edge, hm, traces, mut metrics) in chains {
-        if let Some(dir) = &trace_dir {
+        if let Some(dir) = trace_dir {
             let names: Vec<String> = study_chain(edge)
                 .services()
                 .iter()
@@ -208,9 +187,10 @@ pub fn run(scale: Scale) -> Vec<Heatmap> {
         if let Some(m) = metrics.as_ref() {
             // Digest every collected series into the run manifest (main
             // thread, chain order — deterministic), keyed by chain stem.
-            crate::manifest::note_store(&format!("fig2_{}", hm.kind.to_lowercase()), m.store());
+            ctx.manifest()
+                .note_store(&format!("fig2_{}", hm.kind.to_lowercase()), m.store());
         }
-        if let (Some(dir), Some(m)) = (&metrics_dir, metrics.as_mut()) {
+        if let (Some(dir), Some(m)) = (metrics_dir, metrics.as_mut()) {
             let stem = format!("fig2_{}", hm.kind.to_lowercase());
             let title = format!("Fig. 2 — {} chain backpressure", hm.kind);
             match m.write_artifacts(dir, &stem, &title) {
@@ -234,7 +214,7 @@ pub fn run(scale: Scale) -> Vec<Heatmap> {
         }
         println!("\n-- {} (p99 per-tier response time, seconds) --", hm.kind);
         print!("{}", table.render());
-        let _ = table.write_tsv(&results_dir().join("fig2"));
+        let _ = table.write_tsv(ctx, "fig2");
         out.push(hm);
     }
     out
@@ -250,9 +230,10 @@ mod tests {
     #[test]
     fn backpressure_shape_matches_paper() {
         let anomaly = 2..5;
-        let nested = run_chain(EdgeKind::NestedRpc, 6, anomaly.clone(), 1);
-        let event = run_chain(EdgeKind::EventDrivenRpc, 6, anomaly.clone(), 2);
-        let mq = run_chain(EdgeKind::Mq, 6, anomaly.clone(), 3);
+        let chain = |edge, seed| run_chain(edge, 6, anomaly.clone(), seed, 0.0, None).0;
+        let nested = chain(EdgeKind::NestedRpc, 1);
+        let event = chain(EdgeKind::EventDrivenRpc, 2);
+        let mq = chain(EdgeKind::Mq, 3);
 
         let calm = |hm: &Heatmap, tier: usize| hm.grid[0][tier];
         // Mean over anomaly minutes.

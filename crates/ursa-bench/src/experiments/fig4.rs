@@ -7,7 +7,7 @@
 //! backpressure-free threshold (paper: 46.2 % for post, 60.0 % for
 //! timeline-read).
 
-use crate::{default_rates, results_dir, Scale, TsvTable};
+use crate::{default_rates, RunCtx, Scale, TsvTable};
 use ursa_apps::social_network;
 use ursa_core::harness::ServiceProfile;
 use ursa_core::profiling::{profile_service, BackpressureProfile};
@@ -24,7 +24,7 @@ pub fn profile_named(service: &str, scale: Scale, seed: u64) -> BackpressureProf
 /// Runs the experiment for the two paper services. The two profiling
 /// sweeps are independent cells and run in parallel; printing and TSV
 /// output stay in paper order.
-pub fn run(scale: Scale) -> Vec<BackpressureProfile> {
+pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<BackpressureProfile> {
     println!("== Figure 4: backpressure-free threshold profiling ==");
     let services = ["post-store", "timeline-read"];
     let profiles = crate::runner::run_cells(services.to_vec(), |i, service| {
@@ -58,7 +58,7 @@ pub fn run(scale: Scale) -> Vec<BackpressureProfile> {
             100.0 * bp.threshold,
             bp.converged_at
         );
-        let _ = table.write_tsv(&results_dir().join("fig4"));
+        let _ = table.write_tsv(ctx, "fig4");
         out.push(bp);
     }
     out

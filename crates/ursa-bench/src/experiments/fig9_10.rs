@@ -10,7 +10,7 @@
 //! by the tracked overestimation ratio. The paper's result: the average
 //! estimated/measured ratio stays within 0.96–1.05.
 
-use crate::{default_rates, prepare_ursa, results_dir, Scale, TsvTable};
+use crate::{default_rates, prepare_ursa, RunCtx, Scale, TsvTable};
 use ursa_apps::{social_network, video_pipeline, App};
 use ursa_sim::control::ResourceManager;
 use ursa_sim::metrics::SimMetrics;
@@ -45,7 +45,13 @@ impl AccuracySeries {
 
 /// Runs the accuracy experiment for one app; returns a series per SLA class
 /// in `class_filter` (or all SLA classes when empty).
-pub fn run_app(app: &App, class_filter: &[&str], scale: Scale, seed: u64) -> Vec<AccuracySeries> {
+pub fn run_app(
+    app: &App,
+    class_filter: &[&str],
+    scale: Scale,
+    seed: u64,
+    ctx: &RunCtx,
+) -> Vec<AccuracySeries> {
     let mut ursa = prepare_ursa(app, scale, seed);
     let rates = default_rates(app);
     let mut sim = app.build_sim(seed ^ 0xACC);
@@ -73,7 +79,7 @@ pub fn run_app(app: &App, class_filter: &[&str], scale: Scale, seed: u64) -> Vec
             points: Vec::new(),
         })
         .collect();
-    let metrics_dir = crate::logging::metrics_dir();
+    let metrics_dir = &ctx.metrics_dir;
     let mut metrics = metrics_dir
         .as_ref()
         .map(|_| SimMetrics::for_topology("ursa", &app.topology, &app.slas));
@@ -117,9 +123,9 @@ pub fn run_app(app: &App, class_filter: &[&str], scale: Scale, seed: u64) -> Vec
             }
         }
     }
-    if let Some(dir) = crate::logging::trace_dir() {
+    if let Some(dir) = &ctx.trace_dir {
         let path = dir.join(format!("fig9_10_{}_decisions.jsonl", app.name));
-        let write = std::fs::create_dir_all(&dir)
+        let write = std::fs::create_dir_all(dir)
             .and_then(|()| std::fs::File::create(&path))
             .and_then(|mut f| ursa.decisions().write_jsonl(&mut f));
         match write {
@@ -131,7 +137,7 @@ pub fn run_app(app: &App, class_filter: &[&str], scale: Scale, seed: u64) -> Vec
             Err(e) => crate::warn!("[fig9/10] decision log export failed: {e}"),
         }
     }
-    if let (Some(dir), Some(m)) = (&metrics_dir, metrics.as_mut()) {
+    if let (Some(dir), Some(m)) = (metrics_dir, metrics.as_mut()) {
         let stem = format!("fig9_10_{}", app.name);
         let title = format!("Fig. 9/10 — Ursa on {} (diurnal load)", app.name);
         match m.write_artifacts(dir, &stem, &title) {
@@ -155,7 +161,7 @@ pub fn run_app(app: &App, class_filter: &[&str], scale: Scale, seed: u64) -> Vec
 /// Runs both figures and writes the series. The two apps are independent
 /// cells (each writes only its own per-app artifacts), so they run in
 /// parallel; output stays in figure order.
-pub fn run(scale: Scale) -> Vec<AccuracySeries> {
+pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<AccuracySeries> {
     println!("== Figures 9 & 10: estimated vs measured latency ==");
     let mut all = Vec::new();
     let fig9_filter = [
@@ -169,7 +175,7 @@ pub fn run(scale: Scale) -> Vec<AccuracySeries> {
         (video_pipeline(0.5), Vec::new(), 0x000F_1610),
     ];
     let mut results = crate::runner::run_cells(cells, |_, (app, filter, seed)| {
-        run_app(&app, &filter, scale, seed)
+        run_app(&app, &filter, scale, seed, ctx)
     });
     let fig10 = results.pop().expect("video series");
     let fig9 = results.pop().expect("social series");
@@ -186,7 +192,7 @@ pub fn run(scale: Scale) -> Vec<AccuracySeries> {
                     format!("{e:.4}"),
                 ]);
             }
-            let _ = table.write_tsv(&results_dir().join(fig));
+            let _ = table.write_tsv(ctx, fig);
             println!(
                 "{fig} {:<22} windows {:>3}  mean estimated/measured ratio {:.3}",
                 s.class,
@@ -209,7 +215,7 @@ mod tests {
     #[test]
     fn estimates_track_measurements_on_social() {
         let app = social_network(true);
-        let series = run_app(&app, &[], Scale::Quick, 77);
+        let series = RunCtx::scratch("fig9", |ctx| run_app(&app, &[], Scale::Quick, 77, ctx));
         assert!(!series.is_empty());
         for s in &series {
             assert!(!s.points.is_empty(), "{} has no windows", s.class);

@@ -31,9 +31,7 @@
 
 use crate::postmortem::PostmortemObserver;
 use crate::runner::run_cells;
-use crate::{
-    f3, logging, manifest, pct, results_dir, LoadSpec, PreparedManagers, Scale, System, TsvTable,
-};
+use crate::{f3, pct, DeploySpec, LoadSpec, PreparedManagers, RunCtx, Scale, System, TsvTable};
 use ursa_apps::{social_network, App};
 use ursa_k8s::{EvictionPolicy, K8sPlane, PodTemplate, GIB, MIB};
 use ursa_metrics::{Labels, SeriesKey};
@@ -41,7 +39,7 @@ use ursa_mip::{
     solve_2d, LatencyMatrix, Model2d, NodeCapacity, ResourceCost, ServiceModel2d, SlaConstraint,
     Weights,
 };
-use ursa_sim::control::DeploymentReport;
+use ursa_sim::control::{DeployObserver, DeploymentReport};
 use ursa_sim::memory::MemPlan;
 use ursa_sim::metrics::SimMetrics;
 
@@ -278,54 +276,27 @@ pub fn run_cell(
     li: usize,
     si: usize,
     scale: Scale,
+    ctx: &RunCtx,
 ) -> Vec<String> {
     let (level, plan, mip) = &plans[li];
     let system = System::ALL[si];
     let seed = QOS_SEED ^ ((li as u64) << 8) ^ si as u64;
+    let cell = format!("qos-{}-{}", level.name, system.label());
     let mut mgrs = managers.clone();
     // Every cell scrapes metrics — the memory columns are read back from
     // the store. `--postmortem-dir` additionally arms the flight-recorder
     // bundle pipeline on the Ursa cells; observation is non-perturbing,
     // so rows stay byte-identical either way.
     let mut metrics = SimMetrics::for_topology(system.label(), &app.topology, &app.slas);
-    let postmortem_dir = (system == System::Ursa)
-        .then(logging::postmortem_dir)
-        .flatten();
-    let report = if let Some(dir) = postmortem_dir {
-        let mut obs = PostmortemObserver::new(
-            &dir,
-            &format!("qos-{}-{}", level.name, system.label()),
-            logging::snapshot_at(),
-        );
-        mgrs.deploy_observed_full(
-            app,
-            system,
-            &LoadSpec::Constant,
-            scale,
-            seed,
-            None,
-            Some(plan),
-            Some(&mut metrics),
-            Some(&mut obs),
-        )
-    } else {
-        mgrs.deploy_observed_full(
-            app,
-            system,
-            &LoadSpec::Constant,
-            scale,
-            seed,
-            None,
-            Some(plan),
-            Some(&mut metrics),
-            None,
-        )
-    };
+    let mut obs = PostmortemObserver::armed(ctx, &cell).filter(|_| system == System::Ursa);
+    let report = mgrs.deploy(DeploySpec {
+        mem: Some(plan),
+        metrics: Some(&mut metrics),
+        observer: obs.as_mut().map(|o| o as &mut dyn DeployObserver),
+        ..DeploySpec::new(app, system, &LoadSpec::Constant, scale, seed)
+    });
     if system == System::Ursa {
-        manifest::note_decisions(
-            &format!("qos-{}-{}", level.name, system.label()),
-            mgrs.ursa.decisions(),
-        );
+        ctx.manifest().note_decisions(&cell, mgrs.ursa.decisions());
     }
     let m = mem_stats(&metrics);
     vec![
@@ -344,7 +315,7 @@ pub fn run_cell(
 }
 
 /// Runs the memory-pressure grid.
-pub fn run(scale: Scale) -> QosResult {
+pub fn run(scale: Scale, ctx: &RunCtx) -> QosResult {
     println!("== qos: memory pressure sweep, every system x every pressure level ==");
     let mut app = social_network(false);
     // Templates are level-invariant, so one annotation covers the sweep
@@ -353,12 +324,12 @@ pub fn run(scale: Scale) -> QosResult {
         .annotate(app.topology)
         .expect("annotate");
     let managers = PreparedManagers::prepare(&app, scale, QOS_SEED);
-    manifest::note_topology_digest(app.topology.digest());
+    ctx.manifest().set_topology_digest(app.topology.digest());
     let plans: Vec<(PressureLevel, MemPlan, String)> = levels()
         .into_iter()
         .map(|level| {
             let plan = qos_plane(&level).mem_plan(&app.topology).expect("mem_plan");
-            manifest::note_mem_digest(level.name, plan.digest());
+            ctx.manifest().note_mem_digest(level.name, plan.digest());
             let verdict = mip_verdict(&level);
             (level, plan, verdict)
         })
@@ -367,7 +338,7 @@ pub fn run(scale: Scale) -> QosResult {
         .flat_map(|li| (0..System::ALL.len()).map(move |si| (li, si)))
         .collect();
     let rows = run_cells(inputs, |_, (li, si)| {
-        run_cell(&app, &managers, &plans, li, si, scale)
+        run_cell(&app, &managers, &plans, li, si, scale, ctx)
     });
     let mut table = TsvTable::new(
         "qos_grid",
@@ -391,7 +362,7 @@ pub fn run(scale: Scale) -> QosResult {
         table.row(row);
     }
     print!("{}", table.render());
-    let _ = table.write_tsv(&results_dir().join("qos"));
+    let _ = table.write_tsv(ctx, "qos");
     println!(
         "total OOM-kills across the grid: {oom_kills} \
          (the overcommit row's leaking sentiment model)"

@@ -7,7 +7,7 @@
 //! one per minute = 166.7 h — exactly as the paper charges them; Quick
 //! scale also runs a reduced-size collection to demonstrate the pipeline.
 
-use crate::{prepare_ursa, results_dir, Scale, TsvTable};
+use crate::{prepare_ursa, RunCtx, Scale, TsvTable};
 use ursa_apps::{media_service, social_network, video_pipeline, App};
 
 /// Ursa-vs-ML overhead for one application.
@@ -44,7 +44,7 @@ pub fn measure_app(app: &App, scale: Scale, seed: u64) -> OverheadRow {
 }
 
 /// Runs the full table.
-pub fn run(scale: Scale) -> Vec<OverheadRow> {
+pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<OverheadRow> {
     println!("== Table V: exploration overhead ==");
     let apps = [social_network(false), media_service(), video_pipeline(0.5)];
     let mut table = TsvTable::new(
@@ -76,7 +76,7 @@ pub fn run(scale: Scale) -> Vec<OverheadRow> {
     }
     print!("{}", table.render());
     println!("(ML protocol: 10 000 samples at 1/min per Sinan's recipe; Ursa measured on this substrate.)");
-    let _ = table.write_tsv(&results_dir().join("table5"));
+    let _ = table.write_tsv(ctx, "table5");
     rows
 }
 

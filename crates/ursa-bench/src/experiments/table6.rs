@@ -6,7 +6,8 @@
 //!   Ursa's threshold check, Sinan's model sweep over candidate
 //!   allocations, Firm's per-service network inference, and autoscaling's
 //!   bare threshold comparison. Measured by timing `on_tick` on a live
-//!   snapshot (the criterion benches in `benches/` give tighter numbers).
+//!   snapshot (the ledger rows `core.ursa_tick_us_*`, `baselines.*_tick_*`
+//!   and `mip.solve_ms_*` of `bash benchmark/run.sh` give tighter numbers).
 //! * **Update** — the cost of refreshing the model: Ursa re-solves the MIP,
 //!   Sinan retrains from scratch, Firm performs training iterations
 //!   (reported per iteration, as in the paper).
@@ -24,9 +25,7 @@
 //! work counts* per system (exactly reproducible, diffed by a test), and
 //! the measured milliseconds go to `table6_wall.tsv`, which is gitignored.
 
-use crate::{
-    default_rates, prepare_firm, prepare_sinan, prepare_ursa, results_dir, Scale, TsvTable,
-};
+use crate::{default_rates, prepare_firm, prepare_sinan, prepare_ursa, RunCtx, Scale, TsvTable};
 use ursa_apps::{social_network, App};
 use ursa_baselines::{Autoscaler, Dataset, Firm, Sinan};
 use ursa_core::manager::Ursa;
@@ -97,7 +96,7 @@ enum Prepared {
 }
 
 /// Runs the measurement on the social network.
-pub fn run(scale: Scale) -> Vec<ControlPlaneLatency> {
+pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<ControlPlaneLatency> {
     println!("== Table VI: control plane latency (ms) ==");
     let app = social_network(false);
     let rates = default_rates(&app);
@@ -186,7 +185,7 @@ pub fn run(scale: Scale) -> Vec<ControlPlaneLatency> {
 
     // Committed artifact: deterministic work counts only.
     let ops = ops_table(&app, &sinan, &dataset);
-    let _ = ops.write_tsv(&results_dir().join("table6"));
+    let _ = ops.write_tsv(ctx, "table6");
 
     // Measured wall-clock: printed, and written to the gitignored
     // `table6_wall.tsv`.
@@ -201,7 +200,7 @@ pub fn run(scale: Scale) -> Vec<ControlPlaneLatency> {
         ]);
     }
     print!("{}", wall.render());
-    let _ = wall.write_tsv(&results_dir().join("table6"));
+    let _ = wall.write_tsv(ctx, "table6");
     rows
 }
 
@@ -214,7 +213,7 @@ mod tests {
     /// Sinan's retraining.
     #[test]
     fn latency_ordering_matches_paper() {
-        let rows = run(Scale::Quick);
+        let rows = RunCtx::scratch("table6", |ctx| run(Scale::Quick, ctx));
         let get = |name: &str| rows.iter().find(|r| r.system == name).unwrap();
         let (ursa, sinan, firm, auto) =
             (get("ursa"), get("sinan"), get("firm"), get("autoscaling"));
@@ -252,7 +251,7 @@ mod tests {
         let app = social_network(false);
         let (sinan, dataset) = prepare_sinan(&app, Scale::Quick, 0x0007_AB61);
         let regenerated = ops_table(&app, &sinan, &dataset).to_tsv();
-        let path = results_dir().join("table6").join("table6.tsv");
+        let path = crate::results_dir().join("table6").join("table6.tsv");
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
         assert_eq!(

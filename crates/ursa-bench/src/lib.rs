@@ -16,21 +16,21 @@
 
 pub mod diff;
 pub mod experiments;
-pub mod logging;
 pub mod manifest;
 pub mod perf;
 pub mod postmortem;
 pub mod runner;
 
-// The progress macros live in `ursa-metrics` (shared with the library
-// crates); re-export them under the historical `ursa_bench::{info,warn,
-// debug}` names every call site uses.
+// The progress macros and the log level live in `ursa-metrics` (shared
+// with the library crates); re-export them under the historical
+// `ursa_bench::{info,warn,debug}` names every call site uses.
+pub use ursa_metrics::logging::{enabled, set_level, Level};
 pub use ursa_metrics::{log_debug as debug, log_info as info, log_warn as warn};
 
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use ursa_apps::App;
 use ursa_baselines::{
@@ -39,8 +39,12 @@ use ursa_baselines::{
 use ursa_core::exploration::ExplorationConfig;
 use ursa_core::manager::{Ursa, UrsaConfig};
 use ursa_core::profiling::ProfilingConfig;
-use ursa_sim::control::{run_deployment_observed, DeployConfig, DeployObserver, DeploymentReport};
+use ursa_sim::chaos::FaultPlan;
+use ursa_sim::control::{
+    run_deployment_observed, DeployConfig, DeployObserver, DeploymentReport, ResourceManager,
+};
 use ursa_sim::engine::Simulation;
+use ursa_sim::memory::MemPlan;
 use ursa_sim::metrics::SimMetrics;
 use ursa_sim::recorder::FlightRecorder;
 use ursa_sim::time::{SimDur, SimTime};
@@ -353,149 +357,30 @@ impl PreparedManagers {
         }
     }
 
-    /// Deploys `system` on `app` under `load`, returning the report.
-    pub fn deploy(
-        &mut self,
-        app: &App,
-        system: System,
-        load: &LoadSpec,
-        scale: Scale,
-        seed: u64,
-    ) -> DeploymentReport {
-        self.deploy_metered(app, system, load, scale, seed, None)
-    }
-
-    /// Deploys on a pristine clone of the trained managers, leaving `self`
-    /// untouched. Every cell sees identical manager state regardless of
-    /// which thread runs it or in what order — the deployment then depends
-    /// only on `(app, system, load, scale, seed)`, which is what makes
-    /// `--jobs N` byte-identical to `--jobs 1`.
-    pub fn deploy_cell(
-        &self,
-        app: &App,
-        system: System,
-        load: &LoadSpec,
-        scale: Scale,
-        seed: u64,
-        metrics: Option<&mut SimMetrics>,
-    ) -> DeploymentReport {
-        self.clone()
-            .deploy_metered(app, system, load, scale, seed, metrics)
-    }
-
-    /// [`deploy_cell`](Self::deploy_cell) with a fault plan installed on
-    /// the deployment simulation (the `--exp chaos` cell path).
-    #[allow(clippy::too_many_arguments)]
-    pub fn deploy_cell_with_faults(
-        &self,
-        app: &App,
-        system: System,
-        load: &LoadSpec,
-        scale: Scale,
-        seed: u64,
-        faults: Option<&ursa_sim::chaos::FaultPlan>,
-        metrics: Option<&mut SimMetrics>,
-    ) -> DeploymentReport {
-        self.clone()
-            .deploy_metered_with_faults(app, system, load, scale, seed, faults, metrics)
-    }
-
-    /// [`deploy_cell`](Self::deploy_cell) with both planes: an optional
-    /// fault plan and an optional memory plan (the `--exp qos` cell path).
-    #[allow(clippy::too_many_arguments)]
-    pub fn deploy_cell_with_planes(
-        &self,
-        app: &App,
-        system: System,
-        load: &LoadSpec,
-        scale: Scale,
-        seed: u64,
-        faults: Option<&ursa_sim::chaos::FaultPlan>,
-        mem: Option<&ursa_sim::memory::MemPlan>,
-        metrics: Option<&mut SimMetrics>,
-    ) -> DeploymentReport {
-        self.clone()
-            .deploy_observed_full(app, system, load, scale, seed, faults, mem, metrics, None)
-    }
-
-    /// [`deploy`](Self::deploy) with an optional metrics collector scraped
-    /// once per control window (pass one built with
-    /// [`SimMetrics::for_topology`] on `app.topology`).
-    pub fn deploy_metered(
-        &mut self,
-        app: &App,
-        system: System,
-        load: &LoadSpec,
-        scale: Scale,
-        seed: u64,
-        metrics: Option<&mut SimMetrics>,
-    ) -> DeploymentReport {
-        self.deploy_metered_with_faults(app, system, load, scale, seed, None, metrics)
-    }
-
-    /// [`deploy_metered`](Self::deploy_metered) with an optional fault
-    /// plan: the plan is installed on the fresh simulation before the
+    /// Runs the deployment `spec` describes on these managers, which keep
+    /// whatever the run taught them (Ursa's decision log, Firm's agents).
+    ///
+    /// The fault plan is installed on the fresh simulation before the
     /// deployment starts, seeded from the cell seed (mixed with the global
-    /// `--seed`) so resilience runs are exactly as deterministic as
-    /// fault-free ones. Passing `None` is bit-identical to
-    /// [`deploy_metered`](Self::deploy_metered).
-    #[allow(clippy::too_many_arguments)]
-    pub fn deploy_metered_with_faults(
-        &mut self,
-        app: &App,
-        system: System,
-        load: &LoadSpec,
-        scale: Scale,
-        seed: u64,
-        faults: Option<&ursa_sim::chaos::FaultPlan>,
-        metrics: Option<&mut SimMetrics>,
-    ) -> DeploymentReport {
-        self.deploy_observed_with_faults(app, system, load, scale, seed, faults, metrics, None)
-    }
-
-    /// [`deploy_metered_with_faults`](Self::deploy_metered_with_faults)
-    /// with an optional [`DeployObserver`] — the post-mortem attachment
-    /// point. When an observer is given the deployment also arms the
-    /// simulator's flight recorder and span tracer so the observer has an
-    /// event window and live span trees to bundle; both planes are
-    /// non-perturbing (they draw no simulation randomness), so the
-    /// [`DeploymentReport`] stays bit-identical to the unobserved call
-    /// (enforced by `ursa-sim/tests/observability_bitident.rs`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn deploy_observed_with_faults(
-        &mut self,
-        app: &App,
-        system: System,
-        load: &LoadSpec,
-        scale: Scale,
-        seed: u64,
-        faults: Option<&ursa_sim::chaos::FaultPlan>,
-        metrics: Option<&mut SimMetrics>,
-        observer: Option<&mut dyn DeployObserver>,
-    ) -> DeploymentReport {
-        self.deploy_observed_full(
-            app, system, load, scale, seed, faults, None, metrics, observer,
-        )
-    }
-
-    /// The most general deployment entry point: optional fault plan,
-    /// optional memory plan, optional metrics collector, optional
-    /// post-mortem observer. Every other `deploy_*` method delegates here.
-    /// Passing `mem: None` is bit-identical to the plane-free call
-    /// (enforced by `ursa-sim/tests/memory_bitident.rs`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn deploy_observed_full(
-        &mut self,
-        app: &App,
-        system: System,
-        load: &LoadSpec,
-        scale: Scale,
-        seed: u64,
-        faults: Option<&ursa_sim::chaos::FaultPlan>,
-        mem: Option<&ursa_sim::memory::MemPlan>,
-        metrics: Option<&mut SimMetrics>,
-        observer: Option<&mut dyn DeployObserver>,
-    ) -> DeploymentReport {
+    /// `--seed`), so resilience runs are exactly as deterministic as
+    /// fault-free ones. An observer also arms the simulator's flight
+    /// recorder, span tracer and phase profiler, so it has an event
+    /// window, live span trees and sample counts to bundle. Every plane is
+    /// non-perturbing (none draws simulation randomness): a `None` leaves
+    /// the [`DeploymentReport`] bit-identical to a run where the plane
+    /// never existed (`ursa-sim/tests/{observability,memory}_bitident.rs`).
+    pub fn deploy(&mut self, spec: DeploySpec<'_>) -> DeploymentReport {
+        let DeploySpec {
+            app,
+            system,
+            load,
+            scale,
+            seed,
+            faults,
+            mem,
+            metrics,
+            observer,
+        } = spec;
         let seed = mix_seed(seed);
         let duration = scale.deploy_duration();
         let mut sim = app.build_sim(seed);
@@ -508,10 +393,6 @@ impl PreparedManagers {
         if observer.is_some() {
             sim.arm_flight_recorder(FlightRecorder::DEFAULT_CAPACITY);
             sim.enable_tracing(POSTMORTEM_TRACE_CAPACITY, POSTMORTEM_TRACE_SAMPLE_RATE);
-            // Observed deployments also run the phase profiler so bundles
-            // carry the engine's phase-profile summary. Like the recorder
-            // and tracer, sampling is non-perturbing (no simulation RNG
-            // draws), so the report stays bit-identical either way.
             sim.enable_profiler(ursa_sim::profiler::PhaseProfiler::DEFAULT_SAMPLE_EVERY);
         }
         load.apply(app, &mut sim, duration);
@@ -521,43 +402,86 @@ impl PreparedManagers {
             warmup: SimDur::from_mins(2),
             collect_samples: false,
         };
-        match system {
+        let mut auto;
+        let manager: &mut dyn ResourceManager = match system {
             System::Ursa => {
-                let rates = default_rates(app);
-                self.ursa.apply_initial_allocation(&rates, &mut sim);
-                run_deployment_observed(
-                    &mut sim,
-                    &app.slas,
-                    &mut self.ursa,
-                    &cfg,
-                    metrics,
-                    observer,
-                )
+                self.ursa
+                    .apply_initial_allocation(&default_rates(app), &mut sim);
+                &mut self.ursa
             }
-            System::Sinan => run_deployment_observed(
-                &mut sim,
-                &app.slas,
-                &mut self.sinan,
-                &cfg,
-                metrics,
-                observer,
-            ),
-            System::Firm => run_deployment_observed(
-                &mut sim,
-                &app.slas,
-                &mut self.firm,
-                &cfg,
-                metrics,
-                observer,
-            ),
+            System::Sinan => &mut self.sinan,
+            System::Firm => &mut self.firm,
             System::AutoA => {
-                let mut auto = Autoscaler::auto_a(self.num_services);
-                run_deployment_observed(&mut sim, &app.slas, &mut auto, &cfg, metrics, observer)
+                auto = Autoscaler::auto_a(self.num_services);
+                &mut auto
             }
             System::AutoB => {
-                let mut auto = Autoscaler::auto_b(self.num_services);
-                run_deployment_observed(&mut sim, &app.slas, &mut auto, &cfg, metrics, observer)
+                auto = Autoscaler::auto_b(self.num_services);
+                &mut auto
             }
+        };
+        run_deployment_observed(&mut sim, &app.slas, manager, &cfg, metrics, observer)
+    }
+
+    /// Deploys on a pristine clone of the trained managers, leaving `self`
+    /// untouched. Every cell sees identical manager state regardless of
+    /// which thread runs it or in what order — the deployment then depends
+    /// only on `(app, system, load, scale, seed)`, which is what makes
+    /// `--jobs N` byte-identical to `--jobs 1`. `benchmark/` binds this
+    /// signature.
+    pub fn deploy_cell(
+        &self,
+        app: &App,
+        system: System,
+        load: &LoadSpec,
+        scale: Scale,
+        seed: u64,
+        metrics: Option<&mut SimMetrics>,
+    ) -> DeploymentReport {
+        self.clone().deploy(DeploySpec {
+            metrics,
+            ..DeploySpec::new(app, system, load, scale, seed)
+        })
+    }
+}
+
+/// Everything one deployment depends on: what runs (`app`, `system`,
+/// `load`, `scale`, `seed`) and the optional planes around it.
+pub struct DeploySpec<'a> {
+    /// The application under test.
+    pub app: &'a App,
+    /// The resource manager driving it.
+    pub system: System,
+    /// The load scenario.
+    pub load: &'a LoadSpec,
+    /// Experiment scale (sets the deployment length).
+    pub scale: Scale,
+    /// Cell seed, mixed with the global `--seed`.
+    pub seed: u64,
+    /// Fault plan installed before the run (`--exp chaos`).
+    pub faults: Option<&'a FaultPlan>,
+    /// Memory plan installed before the run (`--exp qos`).
+    pub mem: Option<&'a MemPlan>,
+    /// Metrics collector scraped once per control window (build it with
+    /// [`SimMetrics::for_topology`] on `app.topology`).
+    pub metrics: Option<&'a mut SimMetrics>,
+    /// Post-mortem attachment point, called after every control window.
+    pub observer: Option<&'a mut dyn DeployObserver>,
+}
+
+impl<'a> DeploySpec<'a> {
+    /// A plain deployment: no fault plan, memory plan, collector or observer.
+    pub fn new(app: &'a App, system: System, load: &'a LoadSpec, scale: Scale, seed: u64) -> Self {
+        DeploySpec {
+            app,
+            system,
+            load,
+            scale,
+            seed,
+            faults: None,
+            mem: None,
+            metrics: None,
+            observer: None,
         }
     }
 }
@@ -644,21 +568,22 @@ impl TsvTable {
         out
     }
 
-    /// Writes the table as TSV under `dir`, returning the path. The
-    /// written bytes are also digested into the armed run manifest, if
-    /// any (tables are written from the main thread after cell
-    /// collection, so manifest ordering is deterministic).
+    /// Writes the table as `<ctx.results>/<subdir>/<name>.tsv`, returning
+    /// the path, and digests the written bytes into the run's manifest
+    /// (tables are written from the main thread after cell collection, so
+    /// manifest ordering is deterministic).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn write_tsv(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
+    pub fn write_tsv(&self, ctx: &RunCtx, subdir: &str) -> std::io::Result<PathBuf> {
+        let dir = ctx.results.join(subdir);
+        std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{}.tsv", self.name));
-        let mut f = std::fs::File::create(&path)?;
         let tsv = self.to_tsv();
-        f.write_all(tsv.as_bytes())?;
-        manifest::note_table(&self.name, self.rows.len(), tsv.as_bytes());
+        std::fs::write(&path, &tsv)?;
+        ctx.manifest()
+            .note_table(&self.name, self.rows.len(), tsv.as_bytes());
         Ok(path)
     }
 }
@@ -668,6 +593,70 @@ pub fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results")
+}
+
+/// Where one experiment run writes and what it records: built by the
+/// binary from the command line (or by a test, pointing at a scratch
+/// directory) and passed down to every experiment, so two runs in one
+/// process share nothing.
+#[derive(Debug)]
+pub struct RunCtx {
+    /// Root the TSVs and `run.json` go under (the binary passes
+    /// [`results_dir`]).
+    pub results: PathBuf,
+    /// `--trace-dir`: span traces (Chrome trace-event JSON + JSONL) and
+    /// decision logs.
+    pub trace_dir: Option<PathBuf>,
+    /// `--metrics-dir`: Prometheus text, CSV and HTML dashboards.
+    pub metrics_dir: Option<PathBuf>,
+    /// `--postmortem-dir`: arms the flight-recorder / post-mortem pipeline
+    /// (see [`postmortem`]).
+    pub postmortem_dir: Option<PathBuf>,
+    /// `--snapshot-at`: an explicit bundle trigger at the first control
+    /// tick at or after this simulated time, in seconds.
+    pub snapshot_at: Option<f64>,
+    /// The run's manifest, fed by the experiments (cells record from
+    /// worker threads, hence the lock).
+    pub manifest: Mutex<manifest::RunManifest>,
+}
+
+impl RunCtx {
+    /// A context writing under `results` with every artifact directory off.
+    pub fn new(results: PathBuf, manifest: manifest::RunManifest) -> Self {
+        RunCtx {
+            results,
+            trace_dir: None,
+            metrics_dir: None,
+            postmortem_dir: None,
+            snapshot_at: None,
+            manifest: Mutex::new(manifest),
+        }
+    }
+
+    /// The run's manifest, locked for one `note_*` call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell panicked while recording into the manifest.
+    pub fn manifest(&self) -> MutexGuard<'_, manifest::RunManifest> {
+        self.manifest
+            .lock()
+            .expect("a cell panicked while holding the manifest")
+    }
+}
+
+#[cfg(test)]
+impl RunCtx {
+    /// Runs `f` under a context for unit tests: results go under a
+    /// per-process temporary directory, removed once `f` returns, so
+    /// running an experiment leaves the checkout alone.
+    pub(crate) fn scratch<T>(tag: &str, f: impl FnOnce(&RunCtx) -> T) -> T {
+        let root = std::env::temp_dir().join(format!("ursa-bench-{tag}-{}", std::process::id()));
+        let ctx = RunCtx::new(root, manifest::RunManifest::new(tag, 0, 1, "quick"));
+        let out = f(&ctx);
+        let _ = std::fs::remove_dir_all(&ctx.results);
+        out
+    }
 }
 
 /// Formats a float with 3 decimals for table cells.
@@ -690,10 +679,67 @@ mod tests {
         t.row(vec!["1".into(), "2".into()]);
         let s = t.render();
         assert!(s.contains('a') && s.contains('1'));
-        let dir = std::env::temp_dir().join("ursa-bench-test");
-        let path = t.write_tsv(&dir).unwrap();
-        let content = std::fs::read_to_string(path).unwrap();
-        assert_eq!(content, "a\tb\n1\t2\n");
+        RunCtx::scratch("tsv-table", |ctx| {
+            let path = t.write_tsv(ctx, "sub").unwrap();
+            assert_eq!(path, ctx.results.join("sub").join("unit-test-table.tsv"));
+            let content = std::fs::read_to_string(path).unwrap();
+            assert_eq!(content, "a\tb\n1\t2\n");
+            assert!(ctx.manifest().to_json().contains("\"unit-test-table\""));
+        });
+    }
+
+    /// Two experiments in one process share nothing: fig2 runs on two
+    /// threads at once, each under its own context, and each root ends up
+    /// with exactly its own artifacts — the committed TSVs, one dashboard
+    /// set — and the same manifest.
+    #[test]
+    fn run_ctx_isolates_runs() {
+        let root =
+            std::env::temp_dir().join(format!("ursa-bench-isolation-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let ctxs = ["a", "b"].map(|side| RunCtx {
+            metrics_dir: Some(root.join(side).join("metrics")),
+            ..RunCtx::new(
+                root.join(side).join("results"),
+                manifest::RunManifest::new("fig2", 0, 1, "quick"),
+            )
+        });
+        std::thread::scope(|scope| {
+            for ctx in &ctxs {
+                scope.spawn(move || experiments::fig2::run(Scale::Quick, ctx));
+            }
+        });
+        let listing = |dir: &std::path::Path| -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+                .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        let stems = ["fig2_eventdrivenrpc", "fig2_mq", "fig2_nestedrpc"];
+        for ctx in &ctxs {
+            assert_eq!(listing(&ctx.results), ["fig2"]);
+            let tsvs = stems.map(|stem| format!("{stem}.tsv"));
+            assert_eq!(listing(&ctx.results.join("fig2")), tsvs);
+            for tsv in &tsvs {
+                let read = |root: &std::path::Path| {
+                    std::fs::read_to_string(root.join("fig2").join(tsv)).unwrap()
+                };
+                assert_eq!(read(&ctx.results), read(&results_dir()), "{tsv}");
+            }
+            let dashboards: Vec<String> = stems
+                .iter()
+                .flat_map(|stem| ["csv", "html", "prom"].map(|ext| format!("{stem}.{ext}")))
+                .collect();
+            assert_eq!(listing(ctx.metrics_dir.as_deref().unwrap()), dashboards);
+        }
+        let [a, b] = ctxs.map(|ctx| ctx.manifest().to_json());
+        assert_eq!(a, b);
+        let doc = ursa_metrics::json::parse_json(&a).unwrap();
+        let tables = doc.get("tables").and_then(|t| t.as_obj()).unwrap();
+        assert_eq!(tables.len(), 3, "{a}");
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -773,7 +819,42 @@ mod tests {
             let (a, b) = (deploy(&concurrent), deploy(&sequential));
             assert!(!a.records.is_empty());
             assert_eq!(report_bits(&a), report_bits(&b), "{}", system.label());
+            // `deploy_cell` is `deploy` on a clone and nothing else.
+            if system == System::Ursa {
+                let c = concurrent.clone().deploy(DeploySpec::new(
+                    &app,
+                    system,
+                    &LoadSpec::Diurnal,
+                    scale,
+                    0xCE11,
+                ));
+                assert_eq!(report_bits(&a), report_bits(&c), "deploy vs deploy_cell");
+            }
         }
+    }
+
+    #[test]
+    fn level_gating() {
+        set_level(Level::Quiet);
+        assert!(!enabled(Level::Info));
+        assert!(!enabled(Level::Debug));
+        set_level(Level::Info);
+        assert!(enabled(Level::Info));
+        assert!(!enabled(Level::Debug));
+        set_level(Level::Debug);
+        assert!(enabled(Level::Debug));
+        set_level(Level::Info);
+    }
+
+    #[test]
+    fn macros_compile_at_all_levels() {
+        crate::info!("info {}", 1);
+        // Non-literal first argument: only works because `warn!` is the
+        // shared `ursa_metrics::log_warn!`, whose matcher takes any
+        // format expression.
+        let fmt = format!("warn {}", 2);
+        crate::warn!("{}", fmt);
+        crate::debug!("debug {}", 3);
     }
 
     #[test]

@@ -10,20 +10,21 @@
 //! cargo run --release -p ursa-bench -- --exp chaos --postmortem-dir results/postmortem
 //! cargo run --release -p ursa-bench -- perf [--out BENCH_sim.json] [--check baseline.json] \
 //!     [--tolerance 0.35]
-//! cargo run --release -p ursa-bench -- diff results/bench/run_baseline.json \
-//!     results/bench/run.json [--out results/diff] [--history results/bench/history.jsonl]
+//! cargo run --release -p ursa-bench -- diff RUN_A.json RUN_B.json [--out results/diff]
 //! ```
 //!
 //! Every experiment writes a `run.json` manifest under its results
-//! directory (and `perf` under the `--out` directory); `diff` aligns two
-//! such manifests into `diff.tsv` + a script-free `diff.html`.
+//! directory; `diff` aligns two such manifests into `diff.tsv` + a
+//! script-free `diff.html`.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 
-use ursa_bench::logging::{self, Level};
-use ursa_bench::{diff, experiments, info, manifest, perf, results_dir, runner, warn, Scale};
+use ursa_bench::manifest::RunManifest;
+use ursa_bench::{
+    diff, experiments, info, perf, results_dir, runner, set_level, warn, Level, RunCtx, Scale,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -35,6 +36,10 @@ fn main() {
     }
     let mut exp = "all".to_string();
     let mut scale = Scale::Quick;
+    let mut trace_dir: Option<PathBuf> = None;
+    let mut metrics_dir: Option<PathBuf> = None;
+    let mut postmortem_dir: Option<PathBuf> = None;
+    let mut snapshot_at: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -44,8 +49,8 @@ fn main() {
             }
             "--full" => scale = Scale::Full,
             "--quick" => scale = Scale::Quick,
-            "--quiet" | "-q" => logging::set_level(Level::Quiet),
-            "--verbose" | "-v" => logging::set_level(Level::Debug),
+            "--quiet" | "-q" => set_level(Level::Quiet),
+            "--verbose" | "-v" => set_level(Level::Debug),
             "--jobs" | "-j" => {
                 i += 1;
                 let n: usize = args
@@ -64,26 +69,19 @@ fn main() {
             }
             "--trace-dir" => {
                 i += 1;
-                let dir = args.get(i).cloned().unwrap_or_else(|| usage());
-                logging::set_trace_dir(Some(dir.into()));
+                trace_dir = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
             }
             "--metrics-dir" => {
                 i += 1;
-                let dir = args.get(i).cloned().unwrap_or_else(|| usage());
-                logging::set_metrics_dir(Some(dir.into()));
+                metrics_dir = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
             }
             "--postmortem-dir" => {
                 i += 1;
-                let dir = args.get(i).cloned().unwrap_or_else(|| usage());
-                logging::set_postmortem_dir(Some(dir.into()));
+                postmortem_dir = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
             }
             "--snapshot-at" => {
                 i += 1;
-                let t: f64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                logging::set_snapshot_at(Some(t));
+                snapshot_at = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
             "--help" | "-h" => {
                 usage();
@@ -95,59 +93,76 @@ fn main() {
         }
         i += 1;
     }
+    let snapshot_at = parse_snapshot_at(snapshot_at.as_deref(), postmortem_dir.is_some())
+        .unwrap_or_else(|e| {
+            warn!("{e}");
+            usage()
+        });
     let t0 = std::time::Instant::now();
     info!("[runner] {} worker(s)", runner::jobs());
     let scale_label = match scale {
         Scale::Quick => "quick",
         Scale::Full => "full",
     };
-    let run_one = |name: &str| match name {
+    let run_one = |name: &str, ctx: &RunCtx| match name {
         "fig2" => {
-            experiments::fig2::run(scale);
+            experiments::fig2::run(scale, ctx);
         }
         "fig4" => {
-            experiments::fig4::run(scale);
+            experiments::fig4::run(scale, ctx);
         }
         "table5" => {
-            experiments::table5::run(scale);
+            experiments::table5::run(scale, ctx);
         }
         "fig9" | "fig10" | "fig9_10" => {
-            experiments::fig9_10::run(scale);
+            experiments::fig9_10::run(scale, ctx);
         }
         "fig11" | "fig12" | "fig11_12" => {
-            experiments::fig11_12::run(scale);
+            experiments::fig11_12::run(scale, ctx);
         }
         "fig13" => {
-            experiments::fig13::run(scale);
+            experiments::fig13::run(scale, ctx);
         }
         "table6" => {
-            experiments::table6::run(scale);
+            experiments::table6::run(scale, ctx);
         }
         "fig14" => {
-            experiments::fig14::run(scale);
+            experiments::fig14::run(scale, ctx);
         }
         "ablation" => {
-            experiments::ablation::run(scale);
+            experiments::ablation::run(scale, ctx);
         }
         "chaos" => {
-            experiments::chaos::run(scale);
+            experiments::chaos::run(scale, ctx);
         }
         "qos" => {
-            experiments::qos::run(scale);
+            experiments::qos::run(scale, ctx);
         }
         other => {
             warn!("unknown experiment: {other}");
             usage();
         }
     };
-    // Every experiment run is wrapped in a manifest: `begin` arms the
-    // global collector the experiment's note_* hooks feed, `finish`
-    // writes `results/<exp>/run.json` for `ursa-bench diff`.
+    // Every experiment gets its own context: the artifact directories from
+    // the command line and a fresh manifest its `note_*` calls feed, which
+    // lands in `results/<exp>/run.json` for `ursa-bench diff`.
     let run_manifested = |name: &str| {
-        manifest::begin(name, ursa_bench::global_seed(), runner::jobs(), scale_label);
-        run_one(name);
-        if let Some(p) = manifest::finish(&results_dir().join(name).join("run.json")) {
-            info!("[manifest] wrote {}", p.display());
+        let manifest =
+            RunManifest::new(name, ursa_bench::global_seed(), runner::jobs(), scale_label);
+        let ctx = RunCtx {
+            trace_dir: trace_dir.clone(),
+            metrics_dir: metrics_dir.clone(),
+            postmortem_dir: postmortem_dir.clone(),
+            snapshot_at,
+            ..RunCtx::new(results_dir(), manifest)
+        };
+        run_one(name, &ctx);
+        let path = ctx.results.join(name).join("run.json");
+        // Never fatal: a manifest must not break the run it describes.
+        let written = ctx.manifest().write(&path);
+        match written {
+            Ok(p) => info!("[manifest] wrote {}", p.display()),
+            Err(e) => warn!("failed to write manifest {}: {e}", path.display()),
         }
     };
     if exp == "all" {
@@ -182,6 +197,23 @@ fn parse_tolerance(flag: Option<&str>, env: Option<&str>) -> Result<f64, String>
     }
 }
 
+/// Validates `--snapshot-at`: a finite, non-negative number of simulated
+/// seconds (`NaN` would never fire, since `at >= NaN` is false), and only
+/// together with `--postmortem-dir`, without which no observer exists to
+/// take the snapshot.
+fn parse_snapshot_at(raw: Option<&str>, postmortem_dir_set: bool) -> Result<Option<f64>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    if !postmortem_dir_set {
+        return Err("--snapshot-at needs --postmortem-dir to write its bundle into".into());
+    }
+    match raw.parse::<f64>() {
+        Ok(t) if t.is_finite() && t >= 0.0 => Ok(Some(t)),
+        _ => Err(format!(
+            "--snapshot-at must be a finite number of seconds >= 0, got `{raw}`"
+        )),
+    }
+}
+
 /// [`parse_tolerance`] over the process environment; a bad value from
 /// either source is a usage error.
 fn resolve_tolerance(flag: Option<&str>) -> f64 {
@@ -192,7 +224,7 @@ fn resolve_tolerance(flag: Option<&str>) -> f64 {
     })
 }
 
-/// `ursa-bench perf [--out PATH] [--check BASELINE] [--tolerance T] [--jobs N]`
+/// `ursa-bench perf [--out PATH] [--check BASELINE] [--tolerance T]`
 fn perf_main(args: &[String]) -> i32 {
     let mut out = PathBuf::from("BENCH_sim.json");
     let mut check: Option<PathBuf> = None;
@@ -212,14 +244,6 @@ fn perf_main(args: &[String]) -> i32 {
                 i += 1;
                 tolerance = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
-            "--jobs" | "-j" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                runner::set_jobs(n.max(1));
-            }
             other => {
                 warn!("unknown perf argument: {other}");
                 usage();
@@ -234,12 +258,11 @@ fn perf_main(args: &[String]) -> i32 {
     )
 }
 
-/// `ursa-bench diff RUN_A RUN_B [--out DIR] [--tolerance T] [--history PATH]`
+/// `ursa-bench diff RUN_A RUN_B [--out DIR] [--tolerance T]`
 fn diff_main(args: &[String]) -> i32 {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut out_dir = results_dir().join("diff");
     let mut tolerance: Option<String> = None;
-    let mut history: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -250,10 +273,6 @@ fn diff_main(args: &[String]) -> i32 {
             "--tolerance" => {
                 i += 1;
                 tolerance = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--history" => {
-                i += 1;
-                history = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
             }
             flag if flag.starts_with("--") => {
                 warn!("unknown diff argument: {flag}");
@@ -267,12 +286,8 @@ fn diff_main(args: &[String]) -> i32 {
         warn!("diff needs exactly two manifest paths, got {}", paths.len());
         usage();
     }
-    let opts = diff::DiffOptions {
-        out_dir,
-        tolerance: resolve_tolerance(tolerance.as_deref()),
-        history,
-    };
-    diff::run(&paths[0], &paths[1], &opts)
+    let tolerance = resolve_tolerance(tolerance.as_deref());
+    diff::run(&paths[0], &paths[1], &out_dir, tolerance)
 }
 
 fn usage() -> ! {
@@ -281,9 +296,8 @@ fn usage() -> ! {
          [--quick|--full] [--jobs N] [--seed N] [--quiet|--verbose] \
          [--trace-dir DIR] [--metrics-dir DIR] [--postmortem-dir DIR] [--snapshot-at SECS]\n\
          \x20      ursa-bench perf [--out BENCH_sim.json] [--check baseline.json] \
-         [--tolerance T] [--jobs N]\n\
-         \x20      ursa-bench diff RUN_A.json RUN_B.json [--out DIR] [--tolerance T] \
-         [--history history.jsonl]"
+         [--tolerance T]\n\
+         \x20      ursa-bench diff RUN_A.json RUN_B.json [--out DIR] [--tolerance T]"
     );
     std::process::exit(2)
 }
@@ -306,5 +320,20 @@ mod tests {
             let env = parse_tolerance(None, Some(bad)).unwrap_err();
             assert!(env.contains("URSA_PERF_TOLERANCE"), "{env}");
         }
+    }
+
+    #[test]
+    fn snapshot_at_is_range_checked_and_needs_a_postmortem_dir() {
+        assert_eq!(parse_snapshot_at(None, false), Ok(None));
+        assert_eq!(parse_snapshot_at(None, true), Ok(None));
+        assert_eq!(parse_snapshot_at(Some("300"), true), Ok(Some(300.0)));
+        assert_eq!(parse_snapshot_at(Some("0"), true), Ok(Some(0.0)));
+        for bad in ["NaN", "-5", "inf", "-inf", "soon", ""] {
+            let e = parse_snapshot_at(Some(bad), true).unwrap_err();
+            assert!(e.contains("--snapshot-at") && e.contains(bad), "{e}");
+        }
+        // Without a post-mortem directory the flag used to be ignored.
+        let e = parse_snapshot_at(Some("300"), false).unwrap_err();
+        assert!(e.contains("--postmortem-dir"), "{e}");
     }
 }

@@ -1,38 +1,33 @@
-//! Self-describing run manifests (`run.json`) and the hand-rolled JSON
-//! layer `ursa-bench diff` reads them back with.
+//! Self-describing run manifests (`run.json`).
 //!
-//! Every experiment and perf run writes a manifest describing *what ran*
-//! (kind, seed, jobs, scale, topology digest, chaos-plan digests) and
-//! *what came out* (per-series metric digests, per-phase profile rows,
-//! TSV-table digests, decision-log tails, free-form scalars). Two
-//! manifests from different commits or machines can then be aligned by
-//! `ursa-bench diff` without re-running anything.
+//! Every experiment run writes a manifest describing *what ran* (kind,
+//! seed, jobs, scale, topology digest, chaos- and memory-plan digests) and
+//! *what came out* (per-series metric digests, TSV-table digests,
+//! decision-log tails, free-form scalars). Two manifests from different
+//! commits or machines can then be aligned by `ursa-bench diff` without
+//! re-running anything.
 //!
 //! Determinism contract: every collection in a manifest is BTreeMap-backed
 //! and series digests come from [`ursa_metrics::store_digests`] (sorted by
 //! name + labels), so the rendered JSON is byte-identical for a fixed
 //! seed regardless of `--jobs`, insertion order, or platform — enforced by
-//! `tests/diff_determinism.rs`. Wall-clock-derived values (perf scalars,
-//! phase `pct`/`ns_per_event`) are *allowed* in manifests; runs that need
-//! byte-identity simply don't record them (phase `count` and the structural
-//! digests are the deterministic core).
+//! `tests/diff_determinism.rs`.
 //!
-//! The global collector mirrors the [`crate::logging`] pattern: the binary
-//! calls [`begin`] before an experiment and [`finish`] after; library code
-//! sprinkles `note_*` calls that are no-ops when no manifest is armed, so
-//! unit tests and embedders pay nothing.
+//! A run's manifest lives in its [`RunCtx`](crate::RunCtx): the binary
+//! builds one per experiment, the experiments feed it through
+//! [`RunCtx::manifest`](crate::RunCtx::manifest), and the binary writes it
+//! out when the experiment returns.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use ursa_core::decision_log::DecisionLog;
+use ursa_metrics::json::{esc, num};
 use ursa_metrics::{store_digests, SeriesSummary, TimeSeriesStore};
-use ursa_sim::profiler::ProfilerReport;
 
 /// Manifest schema identifier.
-pub const SCHEMA: &str = "ursa-run-manifest/v1";
+pub const SCHEMA: &str = "ursa-run-manifest/v2";
 /// Decision-log tail lines retained per cell (divergence localisation).
 const DECISION_TAIL: usize = 8;
 
@@ -45,53 +40,6 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// One per-phase profile row embedded in a manifest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseProfileRow {
-    /// Stable phase label (see `ursa_sim::profiler::SimPhase::label`).
-    pub phase: String,
-    /// Sampled event count in the phase (deterministic).
-    pub count: u64,
-    /// Share of estimated engine time, percent (wall-derived).
-    pub pct: f64,
-    /// Estimated nanoseconds per popped event (wall-derived).
-    pub ns_per_event: f64,
-}
-
-/// Phase-profile summary embedded in a manifest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseProfile {
-    /// Sampling stride the profiler ran with.
-    pub sample_every: u64,
-    /// Events the engine processed while armed.
-    pub events_seen: u64,
-    /// Events that actually got timed.
-    pub events_sampled: u64,
-    /// One row per phase, in `SimPhase::ALL` order.
-    pub rows: Vec<PhaseProfileRow>,
-}
-
-impl PhaseProfile {
-    /// Flattens a profiler report into manifest rows.
-    pub fn from_report(report: &ProfilerReport) -> Self {
-        PhaseProfile {
-            sample_every: u64::from(report.sample_every),
-            events_seen: report.events_seen,
-            events_sampled: report.events_sampled,
-            rows: report
-                .phases
-                .iter()
-                .map(|s| PhaseProfileRow {
-                    phase: s.phase.label().to_string(),
-                    count: s.count,
-                    pct: s.share * 100.0,
-                    ns_per_event: report.ns_per_event(s.phase),
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Digest of one written TSV table.
@@ -114,8 +62,7 @@ pub struct DecisionDigest {
     pub tail: Vec<String>,
 }
 
-/// A run manifest under construction. Build one directly in tests; binary
-/// runs go through the global [`begin`]/[`finish`] collector instead.
+/// A run manifest under construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
     kind: String,
@@ -125,7 +72,6 @@ pub struct RunManifest {
     topology_digest: Option<u64>,
     chaos_digests: BTreeMap<String, u64>,
     mem_digests: BTreeMap<String, u64>,
-    phase_profile: Option<PhaseProfile>,
     series: BTreeMap<String, SeriesSummary>,
     tables: BTreeMap<String, TableDigest>,
     decisions: BTreeMap<String, DecisionDigest>,
@@ -143,7 +89,6 @@ impl RunManifest {
             topology_digest: None,
             chaos_digests: BTreeMap::new(),
             mem_digests: BTreeMap::new(),
-            phase_profile: None,
             series: BTreeMap::new(),
             tables: BTreeMap::new(),
             decisions: BTreeMap::new(),
@@ -164,11 +109,6 @@ impl RunManifest {
     /// Records the digest of one memory-plane plan (`MemPlan::digest`).
     pub fn note_mem_digest(&mut self, name: &str, digest: u64) {
         self.mem_digests.insert(name.to_string(), digest);
-    }
-
-    /// Records the run's phase-profile summary.
-    pub fn set_phase_profile(&mut self, profile: PhaseProfile) {
-        self.phase_profile = Some(profile);
     }
 
     /// Digests every series of a store under `prefix` (sorted by
@@ -249,32 +189,6 @@ impl RunManifest {
             let _ = writeln!(out, "    \"{}\": \"{d:016x}\"{comma}", esc(name));
         }
         let _ = writeln!(out, "  }},");
-        match &self.phase_profile {
-            Some(p) => {
-                let _ = writeln!(out, "  \"phase_profile\": {{");
-                let _ = writeln!(out, "    \"sample_every\": {},", p.sample_every);
-                let _ = writeln!(out, "    \"events_seen\": {},", p.events_seen);
-                let _ = writeln!(out, "    \"events_sampled\": {},", p.events_sampled);
-                let _ = writeln!(out, "    \"phases\": [");
-                for (i, r) in p.rows.iter().enumerate() {
-                    let comma = trail(i, p.rows.len());
-                    let _ = writeln!(
-                        out,
-                        "      {{\"phase\": \"{}\", \"count\": {}, \"pct\": {:.2}, \
-                         \"ns_per_event\": {:.1}}}{comma}",
-                        esc(&r.phase),
-                        r.count,
-                        r.pct,
-                        r.ns_per_event
-                    );
-                }
-                let _ = writeln!(out, "    ]");
-                let _ = writeln!(out, "  }},");
-            }
-            None => {
-                let _ = writeln!(out, "  \"phase_profile\": null,");
-            }
-        }
         let _ = writeln!(out, "  \"series\": [");
         for (i, (key, s)) in self.series.iter().enumerate() {
             let comma = trail(i, self.series.len());
@@ -349,328 +263,10 @@ fn trail(i: usize, len: usize) -> &'static str {
     }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a scalar as JSON (non-finite values become `null`).
-fn num(x: f64) -> String {
-    if !x.is_finite() {
-        return "null".into();
-    }
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{:.1}", x)
-    } else {
-        format!("{x}")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Global collector (binary plumbing; every call is a no-op when disarmed).
-// ---------------------------------------------------------------------------
-
-static ACTIVE: Mutex<Option<RunManifest>> = Mutex::new(None);
-
-/// Arms the global manifest for one run. Any previously armed manifest is
-/// dropped.
-pub fn begin(kind: &str, seed: u64, jobs: usize, scale: &str) {
-    *ACTIVE.lock().expect("manifest lock") = Some(RunManifest::new(kind, seed, jobs, scale));
-}
-
-/// Mutates the armed manifest, if any (no-op otherwise).
-pub fn with_active(f: impl FnOnce(&mut RunManifest)) {
-    if let Some(m) = ACTIVE.lock().expect("manifest lock").as_mut() {
-        f(m);
-    }
-}
-
-/// Records the topology digest on the armed manifest.
-pub fn note_topology_digest(digest: u64) {
-    with_active(|m| m.set_topology_digest(digest));
-}
-
-/// Records a fault-plan digest on the armed manifest.
-pub fn note_chaos_digest(name: &str, digest: u64) {
-    with_active(|m| m.note_chaos_digest(name, digest));
-}
-
-/// Records a memory-plan digest on the armed manifest.
-pub fn note_mem_digest(name: &str, digest: u64) {
-    with_active(|m| m.note_mem_digest(name, digest));
-}
-
-/// Records a phase profile on the armed manifest.
-pub fn note_phase_profile(report: &ProfilerReport) {
-    with_active(|m| m.set_phase_profile(PhaseProfile::from_report(report)));
-}
-
-/// Digests a metrics store into the armed manifest.
-pub fn note_store(prefix: &str, store: &TimeSeriesStore) {
-    with_active(|m| m.note_store(prefix, store));
-}
-
-/// Records a written TSV table on the armed manifest.
-pub fn note_table(name: &str, rows: usize, tsv: &[u8]) {
-    with_active(|m| m.note_table(name, rows, tsv));
-}
-
-/// Records a cell's decision log on the armed manifest.
-pub fn note_decisions(cell: &str, log: &DecisionLog) {
-    with_active(|m| m.note_decisions(cell, log));
-}
-
-/// Records a scalar on the armed manifest.
-pub fn note_scalar(key: &str, value: f64) {
-    with_active(|m| m.note_scalar(key, value));
-}
-
-/// Disarms the global manifest and writes it under `path`. Returns the
-/// written path, or `None` when nothing was armed or the write failed
-/// (failure is logged, never fatal — manifests must not break runs).
-pub fn finish(path: &Path) -> Option<PathBuf> {
-    let m = ACTIVE.lock().expect("manifest lock").take()?;
-    match m.write(path) {
-        Ok(p) => Some(p),
-        Err(e) => {
-            eprintln!("warning: failed to write manifest {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON parser (diff reads manifests back without serde).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (always carried as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in document order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric view.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// String view.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array view.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(xs) => Some(xs),
-            _ => None,
-        }
-    }
-
-    /// Object view (field list in document order).
-    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document.
-///
-/// # Errors
-///
-/// Returns a human-readable message with a byte offset on malformed input.
-pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(b, pos)?;
-                fields.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", JsonValue::Null),
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            s.parse::<f64>()
-                .map(JsonValue::Num)
-                .map_err(|_| format!("bad number {s:?} at byte {start}"))
-        }
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ursa_metrics::json::{parse_json, JsonValue};
     use ursa_metrics::{Labels, SeriesKey};
 
     fn sample_manifest() -> RunManifest {
@@ -725,28 +321,6 @@ mod tests {
     #[test]
     fn manifest_rendering_is_deterministic() {
         assert_eq!(sample_manifest().to_json(), sample_manifest().to_json());
-    }
-
-    #[test]
-    fn parser_handles_escapes_nesting_and_errors() {
-        let v = parse_json(r#"{"a": [1, -2.5e3, "x\ty\"z"], "b": {"c": null, "d": true}}"#)
-            .expect("valid json");
-        let arr = v.get("a").and_then(JsonValue::as_arr).unwrap();
-        assert_eq!(arr[1].as_f64(), Some(-2500.0));
-        assert_eq!(arr[2].as_str(), Some("x\ty\"z"));
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&JsonValue::Null));
-        assert_eq!(v.get("b").unwrap().get("d"), Some(&JsonValue::Bool(true)));
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("[1, 2").is_err());
-        assert!(parse_json("{} trailing").is_err());
-    }
-
-    #[test]
-    fn global_collector_is_noop_when_disarmed() {
-        // No begin(): all notes drop silently and finish returns None.
-        note_scalar("x", 1.0);
-        note_topology_digest(5);
-        assert!(finish(Path::new("/nonexistent/run.json")).is_none());
     }
 
     #[test]

@@ -1,165 +1,73 @@
-//! `perf` subcommand — engine-throughput measurement with a tracked
-//! baseline.
+//! `perf` subcommand — the CI regression tripwire on engine throughput.
 //!
-//! Three cells are timed best-of-N (single-core CI runners are
-//! noisy; the minimum wall over a few repetitions is far more stable
-//! than a single shot):
+//! Perf *questions* (where time goes, whether a change paid) belong to the
+//! ledger, `bash benchmark/run.sh`. This module only answers "did the
+//! engine get dramatically slower?" on three cells, timed best-of-N:
 //!
-//! * **canonical** — the vanilla social network under constant load for
-//!   a fixed stretch of simulated time; the general-purpose figure.
+//! * **canonical** — the vanilla social network under constant load; the
+//!   general-purpose figure.
 //! * **ps_heavy** — one 8-core replica with 512 worker slots driven into
-//!   deep overload (hundreds of concurrent jobs sharing the CPU). This
-//!   is the regime where the old per-job-countdown PS loop went
-//!   quadratic; the virtual-time queue keeps it near-linear, and this
-//!   cell exists so a regression back to O(n²) fails `--check` loudly.
-//! * **big** — the full social network replicated [`BIG_SCALE`]× (63
-//!   services) on one engine: the many-services regime, where the event
-//!   queue and telemetry tables are an order of magnitude wider than in
-//!   the canonical cell.
+//!   deep overload (hundreds of concurrent jobs sharing the CPU). This is
+//!   the regime where a per-job-countdown PS loop goes quadratic; the
+//!   virtual-time queue keeps it near-linear, and this cell exists so a
+//!   regression back to O(n²) fails `--check` loudly.
+//! * **big** — the full social network replicated 7× (63 services) on one
+//!   engine: event queue and telemetry tables an order of magnitude wider.
 //!
-//! The first two cells also report the stale-event split (live events drive
-//! state; stale pops are lazily-invalidated PS checks) plus event-queue
-//! depth/compaction counters and — new in the v5 schema — the calendar
-//! queue's band occupancy (band width, adaptive resizes, promotions into
-//! the current band, deepest single-band drain, overflow high-water) and
-//! the request arena's slot/node high-water marks, and are timed as
-//! plain/profiled back-to-back pairs: the schema reports a per-phase
-//! breakdown (`phases` / `ps_heavy_phases`, one
-//! `{phase, count, pct, ns_per_event}` row per [`SimPhase`]) so the next
-//! perf PR attacks the measured hot phase, plus the paired-minimum
-//! profiler overhead, asserting along the
-//! way that the profiled run's counters are identical to the plain run's
-//! (the profiler must observe, not perturb). After the cells, an 8-cell
-//! batch runs under 1 worker and under the configured `--jobs` to report
-//! the harness speedup (`null` on a host with fewer cores than jobs, where
-//! the ratio would measure oversubscription). Results go to
-//! `BENCH_sim.json`, a `run.json` manifest for `ursa-bench diff`, and an
-//! append-only `history.jsonl` trajectory point alongside;
-//! `--check <baseline.json>` compares every cell's events/sec against a
-//! committed baseline (tolerance from `--tolerance` /
-//! `URSA_PERF_TOLERANCE`, default [`REGRESSION_TOLERANCE`], with the
-//! remaining margin printed) and gates
-//! the profiler overhead at [`PROFILER_OVERHEAD_BUDGET_PCT`], which is
-//! what CI runs.
+//! The first two are timed as plain/profiled back-to-back pairs, which
+//! yields the phase profiler's overhead and asserts that the profiled run
+//! processes exactly the plain run's events (the profiler must observe,
+//! not perturb). `--check <baseline.json>` compares every cell's
+//! events/sec against a committed baseline (tolerance from `--tolerance` /
+//! `URSA_PERF_TOLERANCE`, default [`REGRESSION_TOLERANCE`]) and gates the
+//! profiler overhead at [`PROFILER_OVERHEAD_BUDGET_PCT`].
 
 use std::path::Path;
 use std::time::Instant;
 
 use ursa_apps::{scale_app, social_network};
+use ursa_metrics::json::{parse_json, JsonValue};
 use ursa_sim::prelude::*;
-use ursa_sim::time::SimDur;
-use ursa_sim::workload::RateFn;
 
-use crate::{manifest, runner};
-
-/// Simulated seconds per canonical cell.
-const SIM_SECS: u64 = 30;
-/// Simulated seconds for the ps_heavy cell (overloaded, so event-dense).
-const PS_HEAVY_SECS: u64 = 10;
-/// Concurrent worker slots on the ps_heavy replica.
-const PS_HEAVY_WORKERS: usize = 512;
-/// Cells in the speedup batch.
-const BATCH_CELLS: u64 = 8;
-/// Wall-clock repetitions per cell; the minimum is reported.
-const MEASURE_REPS: usize = 5;
-/// Simulated seconds for the big cell.
-const BIG_SECS: u64 = 20;
-/// Service-group replication of the big cell: the full social network
-/// (9 services) × 7 = 63 services.
-const BIG_SCALE: usize = 7;
-/// Load multiplier over the scaled app's default request rate, to keep
-/// the cell event-dense enough to time.
-const BIG_RPS_FACTOR: f64 = 2.0;
-/// Wall-clock repetitions of the big cell; the minimum wall is kept.
-const BIG_REPS: usize = 3;
+/// Report schema identifier.
+pub const SCHEMA: &str = "ursa-bench-perf/v8";
 /// Default allowed events/sec regression vs the baseline before
 /// `--check` fails (override with `--tolerance` or
 /// `URSA_PERF_TOLERANCE`). Generous because the reference numbers come
-/// from shared, single-core runners where even best-of-N walls wander by
-/// tens of percent between machine windows; the check exists to catch
+/// from shared runners where even best-of-N walls wander by tens of
+/// percent between machine windows; the check exists to catch
 /// complexity-class regressions (the ps_heavy cell slows ~3x if PS goes
 /// quadratic again), not single-digit codegen drift.
 pub const REGRESSION_TOLERANCE: f64 = 0.35;
-/// Maximum tolerated profiler overhead (`--check` gate): the sampled
-/// accounting must stay within 2 % of the plain wall on both cells,
-/// measured as the paired-minimum ratio (see [`time_cell_pair`]).
-/// Overhead below measurement noise clamps to zero.
+/// Maximum tolerated profiler overhead (`--check` gate), measured as the
+/// paired-minimum ratio (see [`time_cell`]). Overhead below measurement
+/// noise clamps to zero.
 pub const PROFILER_OVERHEAD_BUDGET_PCT: f64 = 2.0;
+/// Wall-clock repetitions per cell. The minimum is reported: far more
+/// stable on a shared runner than a single shot.
+const REPS: usize = 5;
 
-/// Counters harvested from one cell run (deterministic per seed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CellStats {
-    /// Events that drove simulation state.
-    live: u64,
-    /// Stale pops: lazily-invalidated PS checks and source timers.
-    stale: u64,
-    /// High-water mark of the event queue.
-    heap_max_depth: usize,
-    /// Lazy-compaction sweeps of the event queue.
-    compactions: u64,
-    /// Calendar-queue band width, nanoseconds of simulated time.
-    band_ns: u64,
-    /// Adaptive band-width resizes (including hybrid heap/calendar flips).
-    resizes: u64,
-    /// Entries promoted from ring/overflow into the current band.
-    promotions: u64,
-    /// Deepest single-band drain observed.
-    max_band_drain: usize,
-    /// High-water mark of the far-future overflow list.
-    overflow_max: usize,
-    /// Request-arena slot high-water mark.
-    arena_slots: usize,
-    /// Request-arena node (hop) high-water mark.
-    arena_nodes: usize,
-}
+/// Builds one cell: a loaded simulation and the simulated seconds to run.
+type CellFn = fn() -> (Simulation, u64);
 
-fn stats_of(sim: &Simulation) -> CellStats {
-    CellStats {
-        live: sim.events_processed(),
-        stale: sim.events_stale(),
-        heap_max_depth: sim.event_heap_max_depth(),
-        compactions: sim.heap_compactions(),
-        band_ns: sim.event_queue_band_ns(),
-        resizes: sim.event_queue_resizes(),
-        promotions: sim.event_queue_promotions(),
-        max_band_drain: sim.event_queue_max_band_drain(),
-        overflow_max: sim.event_queue_overflow_max(),
-        arena_slots: sim.arena_slots_high_water(),
-        arena_nodes: sim.arena_nodes_high_water(),
-    }
-}
+/// The cells: name, whether the profiler overhead is measured and gated
+/// on it (every repetition then also times a profiled twin), and the build.
+const CELLS: [(&str, bool, CellFn); 3] = [
+    ("canonical", true, canonical_cell),
+    ("ps_heavy", true, ps_heavy_cell),
+    ("big", false, big_cell),
+];
 
-/// Runs the canonical cell and returns its counters.
-fn canonical_cell(seed: u64) -> CellStats {
-    canonical_cell_run(seed, false).0
-}
-
-/// [`canonical_cell`] with the phase profiler optionally enabled; returns
-/// the counters plus the profile when profiling was on.
-fn canonical_cell_run(seed: u64, profiled: bool) -> (CellStats, Option<ProfilerReport>) {
+fn canonical_cell() -> (Simulation, u64) {
     let app = social_network(true);
-    let mut sim = app.build_sim(seed);
-    if profiled {
-        sim.enable_profiler(PhaseProfiler::DEFAULT_SAMPLE_EVERY);
-    }
+    let mut sim = app.build_sim(0xBE7C);
     app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
-    sim.run_for(SimDur::from_secs(SIM_SECS));
-    let profile = sim.profiler().map(|p| p.report());
-    (stats_of(&sim), profile)
+    (sim, 30)
 }
 
-/// Runs the ps_heavy cell: a single replica pushed far past saturation
-/// so hundreds of jobs share its cores, exercising the virtual-time PS
-/// queue and the stale-check machinery at depth.
-#[cfg(test)]
-fn ps_heavy_cell(seed: u64) -> CellStats {
-    ps_heavy_cell_run(seed, false).0
-}
-
-/// [`ps_heavy_cell`] with the phase profiler optionally enabled.
-fn ps_heavy_cell_run(seed: u64, profiled: bool) -> (CellStats, Option<ProfilerReport>) {
+fn ps_heavy_cell() -> (Simulation, u64) {
     let topo = Topology::new(
-        vec![ServiceCfg::new("svc", 8.0).with_workers(PS_HEAVY_WORKERS)],
+        vec![ServiceCfg::new("svc", 8.0).with_workers(512)],
         vec![ClassCfg {
             name: "req".into(),
             priority: Priority::HIGH,
@@ -167,570 +75,194 @@ fn ps_heavy_cell_run(seed: u64, profiled: bool) -> (CellStats, Option<ProfilerRe
         }],
     )
     .expect("static ps_heavy topology");
-    let mut sim = Simulation::new(topo, SimConfig::default(), seed);
+    let mut sim = Simulation::new(topo, SimConfig::default(), 0x9527);
+    sim.set_rate(ClassId(0), RateFn::Constant(4000.0));
+    (sim, 10)
+}
+
+fn big_cell() -> (Simulation, u64) {
+    let app = scale_app(&social_network(false), 7);
+    let mut sim = app.build_sim(0x816C);
+    // Twice the default rate keeps the cell event-dense enough to time.
+    app.apply_load(&mut sim, RateFn::Constant(app.default_rps * 2.0));
+    (sim, 20)
+}
+
+/// Builds a cell and simulates it to its end, profiled or plain.
+fn run_cell(build: CellFn, profiled: bool) -> Simulation {
+    let (mut sim, secs) = build();
     if profiled {
         sim.enable_profiler(PhaseProfiler::DEFAULT_SAMPLE_EVERY);
     }
-    sim.set_rate(ClassId(0), RateFn::Constant(4000.0));
-    sim.run_for(SimDur::from_secs(PS_HEAVY_SECS));
-    let profile = sim.profiler().map(|p| p.report());
-    (stats_of(&sim), profile)
+    sim.run_for(SimDur::from_secs(secs));
+    sim
 }
 
-/// Runs the big cell and returns its live-event count.
-fn big_cell(seed: u64) -> u64 {
-    let app = scale_app(&social_network(false), BIG_SCALE);
-    let mut sim = app.build_sim(seed);
-    app.apply_load(&mut sim, RateFn::Constant(app.default_rps * BIG_RPS_FACTOR));
-    sim.run_for(SimDur::from_secs(BIG_SECS));
-    sim.events_processed()
+/// A finished cell's `(live, stale)` event counts: deterministic per seed.
+fn counts(sim: &Simulation) -> (u64, u64) {
+    (sim.events_processed(), sim.events_stale())
 }
 
-/// Times the big cell best-of-N, asserting that its event count repeats
-/// exactly; returns `(live events, best wall seconds)`.
-fn time_big(seed: u64) -> (u64, f64) {
-    let mut best = f64::MAX;
-    let mut kept: Option<u64> = None;
-    for _ in 0..BIG_REPS {
-        let t = Instant::now();
-        let live = big_cell(seed);
-        let wall = t.elapsed().as_secs_f64();
-        if let Some(prev) = kept {
-            assert_eq!(prev, live, "big cell must be deterministic");
-        }
-        kept = Some(live);
-        best = best.min(wall);
-    }
-    (kept.expect("BIG_REPS > 0"), best)
+/// One measured cell of the report.
+#[derive(Debug, Clone, PartialEq)]
+struct CellResult {
+    /// The key `--check` aligns on.
+    name: &'static str,
+    /// Live engine events.
+    events: u64,
+    /// Single-thread engine throughput (live events / best wall).
+    events_per_sec: f64,
+    wall_ms: f64,
+    /// Paired-minimum profiler overhead, percent, on the gated cells.
+    profiler_overhead_pct: Option<f64>,
 }
 
-/// One cell timed both plain and profiled.
-struct CellTiming {
-    /// Deterministic counters (identical across every repetition, plain
-    /// and profiled alike).
-    stats: CellStats,
-    /// Best-of-N plain wall-clock, seconds.
-    wall: f64,
-    /// The profile from the fastest (least-disturbed) profiled rep.
-    profile: ProfilerReport,
-    /// Paired-minimum profiler overhead, percent (see below).
-    overhead_pct: f64,
-}
-
-/// Times `run(false)` / `run(true)` as back-to-back pairs, N times.
+/// Times a cell best-of-N, asserting its event counts repeat exactly.
 ///
-/// The overhead estimate is the *minimum over pairs* of the
-/// profiled/plain wall ratio, clamped at zero. Single best-of-N walls of
-/// two separately-timed populations wander by several percent on shared
+/// On a gated cell every repetition is a back-to-back plain/profiled pair
+/// and the overhead estimate is the *minimum over pairs* of the
+/// profiled/plain wall ratio, clamped at zero. Best-of-N walls of two
+/// separately-timed populations wander by several percent on shared
 /// runners — far above the real sampled-profiler cost — so a
 /// difference-of-minima gate would flake. Pairing keeps machine state
 /// comparable within each ratio, and the minimum rejects pairs where the
 /// profiled half got unlucky; a *systematic* regression (the profiler
 /// suddenly doing real work per event) inflates every pair and still
 /// trips the gate.
-fn time_cell_pair(run: impl Fn(bool) -> (CellStats, Option<ProfilerReport>)) -> CellTiming {
-    let mut best_plain = f64::MAX;
-    let mut best_prof = f64::MAX;
-    let mut best_ratio = f64::MAX;
-    let mut stats: Option<CellStats> = None;
-    let mut profile: Option<ProfilerReport> = None;
-    for _ in 0..MEASURE_REPS {
+fn time_cell(&(name, gated, build): &(&'static str, bool, CellFn)) -> CellResult {
+    let timed = |profiled: bool| {
         let t = Instant::now();
-        let (s_plain, _) = run(false);
-        let wall_plain = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let (s_prof, p) = run(true);
-        let wall_prof = t.elapsed().as_secs_f64();
-        assert_eq!(s_plain, s_prof, "profiler perturbed the cell");
-        if let Some(prev) = stats {
-            assert_eq!(prev, s_plain, "cell counters must be deterministic");
+        let counts = counts(&run_cell(build, profiled));
+        (counts, t.elapsed().as_secs_f64())
+    };
+    let (mut best_wall, mut best_ratio) = (f64::MAX, f64::MAX);
+    let mut kept = None;
+    for _ in 0..REPS {
+        let (plain, wall) = timed(false);
+        assert_eq!(*kept.get_or_insert(plain), plain, "{name} drifted");
+        best_wall = best_wall.min(wall);
+        if gated {
+            let (profiled, profiled_wall) = timed(true);
+            assert_eq!(plain, profiled, "the profiler perturbed {name}");
+            best_ratio = best_ratio.min(profiled_wall / wall.max(1e-9));
         }
-        stats = Some(s_plain);
-        best_plain = best_plain.min(wall_plain);
-        if wall_prof < best_prof {
-            best_prof = wall_prof;
-            profile = p;
-        }
-        best_ratio = best_ratio.min(wall_prof / wall_plain.max(1e-9));
     }
-    CellTiming {
-        stats: stats.expect("MEASURE_REPS > 0"),
-        wall: best_plain,
-        profile: profile.expect("profiled rep ran"),
-        overhead_pct: (best_ratio - 1.0).max(0.0) * 100.0,
+    let (events, _) = kept.expect("REPS > 0");
+    CellResult {
+        name,
+        events,
+        events_per_sec: events as f64 / best_wall.max(1e-9),
+        wall_ms: best_wall * 1e3,
+        profiler_overhead_pct: gated.then(|| (best_ratio - 1.0).max(0.0) * 100.0),
     }
 }
 
-/// One row of the per-phase breakdown.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseRow {
-    /// Stable phase label (see [`SimPhase::label`]).
-    pub phase: &'static str,
-    /// Sampled spans accrued in the phase (deterministic per seed).
-    pub count: u64,
-    /// Share of estimated engine time, percent.
-    pub pct: f64,
-    /// Estimated nanoseconds per popped event in this phase.
-    pub ns_per_event: f64,
-}
-
-/// Flattens a [`ProfilerReport`] into the `phases` rows.
-fn phase_rows(profile: &ProfilerReport) -> Vec<PhaseRow> {
-    profile
-        .phases
+/// Renders the report (stable key order, one cell per line).
+fn to_json(cells: &[CellResult]) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rows: Vec<String> = cells
         .iter()
-        .map(|s| PhaseRow {
-            phase: s.phase.label(),
-            count: s.count,
-            pct: s.share * 100.0,
-            ns_per_event: profile.ns_per_event(s.phase),
-        })
-        .collect()
-}
-
-fn phases_json(rows: &[PhaseRow]) -> String {
-    let cells: Vec<String> = rows
-        .iter()
-        .map(|r| {
+        .map(|c| {
+            let overhead = c.profiler_overhead_pct.map_or_else(String::new, |p| {
+                format!(", \"profiler_overhead_pct\": {p:.2}")
+            });
             format!(
-                "{{\"phase\": \"{}\", \"count\": {}, \"pct\": {:.2}, \"ns_per_event\": {:.1}}}",
-                r.phase, r.count, r.pct, r.ns_per_event
+                "    {{\"name\": \"{}\", \"events\": {}, \"events_per_sec\": {:.1}, \
+                 \"wall_ms\": {:.2}{overhead}}}",
+                c.name, c.events, c.events_per_sec, c.wall_ms
             )
         })
         .collect();
-    format!("[{}]", cells.join(", "))
-}
-
-/// One perf measurement.
-#[derive(Debug, Clone)]
-pub struct PerfReport {
-    /// Live engine events in the canonical cell.
-    pub events: u64,
-    /// Stale event pops in the canonical cell.
-    pub events_stale: u64,
-    /// stale / (live + stale) for the canonical cell.
-    pub stale_ratio: f64,
-    /// Event-queue high-water mark in the canonical cell.
-    pub heap_max_depth: usize,
-    /// Event-queue lazy compactions in the canonical cell.
-    pub heap_compactions: u64,
-    /// Calendar-queue band width in the canonical cell, ns.
-    pub queue_band_ns: u64,
-    /// Calendar-queue resizes (incl. hybrid flips) in the canonical cell.
-    pub queue_resizes: u64,
-    /// Calendar-queue promotions in the canonical cell.
-    pub queue_promotions: u64,
-    /// Deepest single-band drain in the canonical cell.
-    pub queue_max_band_drain: usize,
-    /// Overflow-list high-water in the canonical cell.
-    pub queue_overflow_max: usize,
-    /// Request-arena slot high-water in the canonical cell.
-    pub arena_slots_high_water: usize,
-    /// Request-arena node high-water in the canonical cell.
-    pub arena_nodes_high_water: usize,
-    /// Single-thread engine throughput (live events / best wall).
-    pub events_per_sec: f64,
-    /// Best-of-N wall-clock of the canonical cell, milliseconds.
-    pub cell_wall_ms: f64,
-    /// Live engine events in the ps_heavy cell.
-    pub ps_heavy_events: u64,
-    /// Stale event pops in the ps_heavy cell.
-    pub ps_heavy_events_stale: u64,
-    /// Event-queue high-water mark in the ps_heavy cell.
-    pub ps_heavy_heap_max_depth: usize,
-    /// Calendar-queue band width in the ps_heavy cell, ns.
-    pub ps_heavy_queue_band_ns: u64,
-    /// Calendar-queue resizes (incl. hybrid flips) in the ps_heavy cell.
-    pub ps_heavy_queue_resizes: u64,
-    /// Calendar-queue promotions in the ps_heavy cell.
-    pub ps_heavy_queue_promotions: u64,
-    /// Deepest single-band drain in the ps_heavy cell.
-    pub ps_heavy_queue_max_band_drain: usize,
-    /// Overflow-list high-water in the ps_heavy cell.
-    pub ps_heavy_queue_overflow_max: usize,
-    /// Request-arena slot high-water in the ps_heavy cell.
-    pub ps_heavy_arena_slots_high_water: usize,
-    /// Request-arena node high-water in the ps_heavy cell.
-    pub ps_heavy_arena_nodes_high_water: usize,
-    /// ps_heavy throughput (live events / best wall).
-    pub ps_heavy_events_per_sec: f64,
-    /// Best-of-N wall-clock of the ps_heavy cell, milliseconds.
-    pub ps_heavy_wall_ms: f64,
-    /// Measured profiler overhead on the canonical cell, percent
-    /// (profiled best wall vs plain best wall, clamped at zero).
-    pub profiler_overhead_pct: f64,
-    /// Per-phase breakdown of the canonical cell (profiled run).
-    pub phases: Vec<PhaseRow>,
-    /// Measured profiler overhead on the ps_heavy cell, percent.
-    pub ps_heavy_profiler_overhead_pct: f64,
-    /// Per-phase breakdown of the ps_heavy cell (profiled run).
-    pub ps_heavy_phases: Vec<PhaseRow>,
-    /// CPU cores visible to the process; the harness speedup is core-bound.
-    pub cores_available: usize,
-    /// Live engine events in the big cell.
-    pub big_events: u64,
-    /// Big-cell throughput (live events / best wall).
-    pub big_events_per_sec: f64,
-    /// Best-of-N wall of the big cell, milliseconds.
-    pub big_wall_ms: f64,
-    /// Workers used for the parallel batch.
-    pub jobs: usize,
-    /// Wall-clock of the batch with 1 worker, milliseconds.
-    pub batch_wall_jobs1_ms: f64,
-    /// Wall-clock of the batch with `jobs` workers, milliseconds.
-    pub batch_wall_jobsn_ms: f64,
-    /// Harness speedup: batch wall-clock ratio (1 worker / N workers);
-    /// `None` when `cores_available < jobs`, where the ratio would record
-    /// oversubscription rather than scaling.
-    pub speedup: Option<f64>,
-}
-
-impl PerfReport {
-    /// Renders the report as JSON (stable key order, no dependencies).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"ursa-bench-perf/v7\",\n  \"canonical_cell\": \"social_vanilla constant {SIM_SECS}s\",\n  \"events\": {},\n  \"events_stale\": {},\n  \"stale_ratio\": {:.4},\n  \"heap_max_depth\": {},\n  \"heap_compactions\": {},\n  \"queue_band_ns\": {},\n  \"queue_resizes\": {},\n  \"queue_promotions\": {},\n  \"queue_max_band_drain\": {},\n  \"queue_overflow_max\": {},\n  \"arena_slots_high_water\": {},\n  \"arena_nodes_high_water\": {},\n  \"events_per_sec\": {:.1},\n  \"cell_wall_ms\": {:.2},\n  \"profiler_overhead_pct\": {:.2},\n  \"phases\": {},\n  \"ps_heavy_cell\": \"1x8c {PS_HEAVY_WORKERS}w overload {PS_HEAVY_SECS}s\",\n  \"ps_heavy_events\": {},\n  \"ps_heavy_events_stale\": {},\n  \"ps_heavy_heap_max_depth\": {},\n  \"ps_heavy_queue_band_ns\": {},\n  \"ps_heavy_queue_resizes\": {},\n  \"ps_heavy_queue_promotions\": {},\n  \"ps_heavy_queue_max_band_drain\": {},\n  \"ps_heavy_queue_overflow_max\": {},\n  \"ps_heavy_arena_slots_high_water\": {},\n  \"ps_heavy_arena_nodes_high_water\": {},\n  \"ps_heavy_events_per_sec\": {:.1},\n  \"ps_heavy_wall_ms\": {:.2},\n  \"ps_heavy_profiler_overhead_pct\": {:.2},\n  \"ps_heavy_phases\": {},\n  \"big_cell\": \"social x{BIG_SCALE} constant {BIG_SECS}s\",\n  \"cores_available\": {},\n  \"big_events\": {},\n  \"big_events_per_sec\": {:.1},\n  \"big_wall_ms\": {:.2},\n  \"batch_cells\": {BATCH_CELLS},\n  \"jobs\": {},\n  \"batch_wall_jobs1_ms\": {:.2},\n  \"batch_wall_jobsn_ms\": {:.2},\n  \"speedup\": {}\n}}\n",
-            self.events,
-            self.events_stale,
-            self.stale_ratio,
-            self.heap_max_depth,
-            self.heap_compactions,
-            self.queue_band_ns,
-            self.queue_resizes,
-            self.queue_promotions,
-            self.queue_max_band_drain,
-            self.queue_overflow_max,
-            self.arena_slots_high_water,
-            self.arena_nodes_high_water,
-            self.events_per_sec,
-            self.cell_wall_ms,
-            self.profiler_overhead_pct,
-            phases_json(&self.phases),
-            self.ps_heavy_events,
-            self.ps_heavy_events_stale,
-            self.ps_heavy_heap_max_depth,
-            self.ps_heavy_queue_band_ns,
-            self.ps_heavy_queue_resizes,
-            self.ps_heavy_queue_promotions,
-            self.ps_heavy_queue_max_band_drain,
-            self.ps_heavy_queue_overflow_max,
-            self.ps_heavy_arena_slots_high_water,
-            self.ps_heavy_arena_nodes_high_water,
-            self.ps_heavy_events_per_sec,
-            self.ps_heavy_wall_ms,
-            self.ps_heavy_profiler_overhead_pct,
-            phases_json(&self.ps_heavy_phases),
-            self.cores_available,
-            self.big_events,
-            self.big_events_per_sec,
-            self.big_wall_ms,
-            self.jobs,
-            self.batch_wall_jobs1_ms,
-            self.batch_wall_jobsn_ms,
-            self.speedup
-                .map_or_else(|| "null".to_string(), |s| format!("{s:.3}")),
-        )
-    }
-}
-
-/// Measures engine throughput and harness speedup.
-pub fn measure() -> PerfReport {
-    // Warm-up (page in code and allocator state).
-    canonical_cell(1);
-
-    // Each cell is timed as plain/profiled pairs: the plain best-of-N
-    // wall yields events/sec, the profiled best carries the v3 phase
-    // breakdown, and the paired-minimum ratio is the overhead gate. The
-    // counter equality inside `time_cell_pair` is the non-perturbation
-    // proof (the profiler observes; it never perturbs).
-    let canon = time_cell_pair(|profiled| canonical_cell_run(0xBE7C, profiled));
-    let heavy = time_cell_pair(|profiled| ps_heavy_cell_run(0x9527, profiled));
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (big_events, big_wall) = time_big(0x816C);
-
-    let seeds: Vec<u64> = (0..BATCH_CELLS).map(|i| 0xBE7C ^ (i << 16)).collect();
-    let t = Instant::now();
-    let seq = runner::run_cells_with(1, seeds.clone(), |_, s| canonical_cell(s).live);
-    let wall1 = t.elapsed();
-    let jobs = runner::jobs();
-    let t = Instant::now();
-    let par = runner::run_cells_with(jobs, seeds, |_, s| canonical_cell(s).live);
-    let walln = t.elapsed();
-    assert_eq!(seq, par, "parallel batch must reproduce the sequential one");
-
-    PerfReport {
-        events: canon.stats.live,
-        events_stale: canon.stats.stale,
-        stale_ratio: canon.stats.stale as f64
-            / (canon.stats.live + canon.stats.stale).max(1) as f64,
-        heap_max_depth: canon.stats.heap_max_depth,
-        heap_compactions: canon.stats.compactions,
-        queue_band_ns: canon.stats.band_ns,
-        queue_resizes: canon.stats.resizes,
-        queue_promotions: canon.stats.promotions,
-        queue_max_band_drain: canon.stats.max_band_drain,
-        queue_overflow_max: canon.stats.overflow_max,
-        arena_slots_high_water: canon.stats.arena_slots,
-        arena_nodes_high_water: canon.stats.arena_nodes,
-        events_per_sec: canon.stats.live as f64 / canon.wall.max(1e-9),
-        cell_wall_ms: canon.wall * 1e3,
-        ps_heavy_events: heavy.stats.live,
-        ps_heavy_events_stale: heavy.stats.stale,
-        ps_heavy_heap_max_depth: heavy.stats.heap_max_depth,
-        ps_heavy_queue_band_ns: heavy.stats.band_ns,
-        ps_heavy_queue_resizes: heavy.stats.resizes,
-        ps_heavy_queue_promotions: heavy.stats.promotions,
-        ps_heavy_queue_max_band_drain: heavy.stats.max_band_drain,
-        ps_heavy_queue_overflow_max: heavy.stats.overflow_max,
-        ps_heavy_arena_slots_high_water: heavy.stats.arena_slots,
-        ps_heavy_arena_nodes_high_water: heavy.stats.arena_nodes,
-        ps_heavy_events_per_sec: heavy.stats.live as f64 / heavy.wall.max(1e-9),
-        ps_heavy_wall_ms: heavy.wall * 1e3,
-        profiler_overhead_pct: canon.overhead_pct,
-        phases: phase_rows(&canon.profile),
-        ps_heavy_profiler_overhead_pct: heavy.overhead_pct,
-        ps_heavy_phases: phase_rows(&heavy.profile),
-        cores_available: cores,
-        big_events,
-        big_events_per_sec: big_events as f64 / big_wall.max(1e-9),
-        big_wall_ms: big_wall * 1e3,
-        jobs,
-        batch_wall_jobs1_ms: wall1.as_secs_f64() * 1e3,
-        batch_wall_jobsn_ms: walln.as_secs_f64() * 1e3,
-        speedup: (cores >= jobs).then(|| wall1.as_secs_f64() / walln.as_secs_f64().max(1e-9)),
-    }
-}
-
-/// Extracts a numeric field from the hand-rolled JSON format above.
-pub fn json_field(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = json[start..].trim_start();
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Checks one throughput field of `report` against `baseline` at the
-/// given tolerance; returns an exit code (0 ok, 1 regression, 2 missing
-/// field). Failure output names both the offending cell and the metric
-/// (a multi-cell check that only echoes a number is undebuggable from CI
-/// logs); the passing branch prints the measured-vs-gate margin so logs
-/// show how much headroom is left before the floor trips.
-fn check_field(report: &str, baseline: &str, cell: &str, key: &str, tolerance: f64) -> i32 {
-    let Some(base) = json_field(baseline, key) else {
-        eprintln!("error: baseline has no `{key}` (cell `{cell}`)");
-        return 2;
-    };
-    let Some(cur) = json_field(report, key) else {
-        eprintln!("error: report has no `{key}` (cell `{cell}`)");
-        return 2;
-    };
-    let floor = base * (1.0 - tolerance);
-    if cur < floor {
-        eprintln!(
-            "PERF REGRESSION: cell `{cell}`, metric `{key}`: {cur:.0} is below floor {floor:.0} \
-             ({}% under baseline {base:.0})",
-            (100.0 * (1.0 - cur / base)).round(),
-        );
-        return 1;
-    }
-    let margin_pct = if floor > 0.0 {
-        100.0 * (cur / floor - 1.0)
-    } else {
-        0.0
-    };
-    println!(
-        "perf check ok: [{cell}] {key} {cur:.0} vs baseline {base:.0} \
-         (floor {floor:.0}, margin +{margin_pct:.0}%)"
-    );
-    0
-}
-
-/// Gates a measured profiler-overhead field against the fixed budget;
-/// returns an exit code (0 ok, 1 over budget, 2 missing field).
-fn check_overhead(report: &str, key: &str) -> i32 {
-    let Some(cur) = json_field(report, key) else {
-        eprintln!("error: report has no {key}");
-        return 2;
-    };
-    if cur > PROFILER_OVERHEAD_BUDGET_PCT {
-        eprintln!(
-            "PROFILER OVERHEAD: {key} {cur:.2}% exceeds the {PROFILER_OVERHEAD_BUDGET_PCT}% budget"
-        );
-        return 1;
-    }
-    println!("perf check ok: {key} {cur:.2}% <= {PROFILER_OVERHEAD_BUDGET_PCT}% budget");
-    0
-}
-
-/// Builds the perf run manifest (`run.json` next to the `--out` report):
-/// every scalar of the report plus the canonical cell's phase profile, so
-/// `ursa-bench diff` can align two perf runs without re-parsing the
-/// schema-versioned report format.
-fn perf_manifest(report: &PerfReport) -> manifest::RunManifest {
-    let mut m = manifest::RunManifest::new("perf", crate::global_seed(), report.jobs, "perf");
-    m.note_scalar("events", report.events as f64);
-    m.note_scalar("events_stale", report.events_stale as f64);
-    m.note_scalar("stale_ratio", report.stale_ratio);
-    m.note_scalar("heap_max_depth", report.heap_max_depth as f64);
-    m.note_scalar("heap_compactions", report.heap_compactions as f64);
-    m.note_scalar("queue_band_ns", report.queue_band_ns as f64);
-    m.note_scalar("queue_resizes", report.queue_resizes as f64);
-    m.note_scalar("queue_promotions", report.queue_promotions as f64);
-    m.note_scalar(
-        "arena_slots_high_water",
-        report.arena_slots_high_water as f64,
-    );
-    m.note_scalar(
-        "arena_nodes_high_water",
-        report.arena_nodes_high_water as f64,
-    );
-    m.note_scalar("events_per_sec", report.events_per_sec);
-    m.note_scalar("cell_wall_ms", report.cell_wall_ms);
-    m.note_scalar("profiler_overhead_pct", report.profiler_overhead_pct);
-    m.note_scalar("ps_heavy_events", report.ps_heavy_events as f64);
-    m.note_scalar("ps_heavy_events_per_sec", report.ps_heavy_events_per_sec);
-    m.note_scalar("ps_heavy_wall_ms", report.ps_heavy_wall_ms);
-    m.note_scalar(
-        "ps_heavy_profiler_overhead_pct",
-        report.ps_heavy_profiler_overhead_pct,
-    );
-    m.note_scalar("cores_available", report.cores_available as f64);
-    m.note_scalar("big_events", report.big_events as f64);
-    m.note_scalar("big_events_per_sec", report.big_events_per_sec);
-    m.note_scalar("jobs", report.jobs as f64);
-    m.note_scalar("batch_wall_jobs1_ms", report.batch_wall_jobs1_ms);
-    m.note_scalar("batch_wall_jobsn_ms", report.batch_wall_jobsn_ms);
-    if let Some(speedup) = report.speedup {
-        m.note_scalar("speedup", speedup);
-    }
-    m.set_phase_profile(manifest::PhaseProfile {
-        sample_every: u64::from(PhaseProfiler::DEFAULT_SAMPLE_EVERY),
-        events_seen: report.events,
-        events_sampled: report.phases.iter().map(|r| r.count).sum(),
-        rows: report
-            .phases
-            .iter()
-            .map(|r| manifest::PhaseProfileRow {
-                phase: r.phase.to_string(),
-                count: r.count,
-                pct: r.pct,
-                ns_per_event: r.ns_per_event,
-            })
-            .collect(),
-    });
-    m
-}
-
-/// One `history.jsonl` line: the perf trajectory point this run appends.
-fn history_line(report: &PerfReport) -> String {
-    let unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let speedup = report
-        .speedup
-        .map_or_else(String::new, |s| format!("\"speedup\": {s:.3}, "));
     format!(
-        "{{\"schema\": \"ursa-bench-history/v1\", \"unix_s\": {unix_s}, \
-         \"events_per_sec\": {:.1}, \"ps_heavy_events_per_sec\": {:.1}, \
-         \"big_events_per_sec\": {:.1}, \"profiler_overhead_pct\": {:.2}, \
-         {speedup}\"jobs\": {}}}\n",
-        report.events_per_sec,
-        report.ps_heavy_events_per_sec,
-        report.big_events_per_sec,
-        report.profiler_overhead_pct,
-        report.jobs,
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"cores_available\": {cores},\n  \"cells\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
     )
 }
 
-/// Appends this run's point to the append-only perf trajectory.
-fn append_history(path: &Path, report: &PerfReport) {
-    use std::io::Write as _;
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let line = history_line(report);
-    match std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        Ok(mut f) => {
-            if f.write_all(line.as_bytes()).is_ok() {
-                println!("appended perf point to {}", path.display());
-            }
+/// Checks `cells` against a baseline report: every cell's `events_per_sec`
+/// must reach `baseline × (1 − tolerance)` and every measured profiler
+/// overhead must fit the budget. Returns the exit code (0 ok, 1 regression,
+/// 2 unusable baseline) and one line per gate, each naming the cell and the
+/// metric (a multi-cell check that only echoes a number is undebuggable
+/// from CI logs) and the margin left before it trips.
+fn check(cells: &[CellResult], baseline: &str, tolerance: f64) -> (i32, Vec<String>) {
+    let baseline = match parse_json(baseline) {
+        Ok(v) if v.get("schema").and_then(JsonValue::as_str) == Some(SCHEMA) => v,
+        Ok(_) => return (2, vec![format!("error: baseline is not a {SCHEMA} report")]),
+        Err(e) => return (2, vec![format!("error: baseline does not parse: {e}")]),
+    };
+    let base_cells = baseline.get("cells").and_then(JsonValue::as_arr);
+    let (mut code, mut lines) = (0, Vec::new());
+    for cell in cells {
+        let name = cell.name;
+        let base = base_cells
+            .unwrap_or(&[])
+            .iter()
+            .find(|b| b.get("name").and_then(JsonValue::as_str) == Some(name))
+            .and_then(|b| b.get("events_per_sec")?.as_f64());
+        let Some(base) = base else {
+            lines.push(format!(
+                "error: baseline has no `events_per_sec` for cell `{name}`"
+            ));
+            code = 2;
+            continue;
+        };
+        let mut gate = |metric: &str, ok: bool, detail: String| {
+            let verdict = ["PERF REGRESSION", "perf check ok"][usize::from(ok)];
+            lines.push(format!(
+                "{verdict}: cell `{name}`, metric `{metric}`: {detail}"
+            ));
+            code = code.max(i32::from(!ok));
+        };
+        let (cur, floor) = (cell.events_per_sec, base * (1.0 - tolerance));
+        let margin = 100.0 * (cur / floor - 1.0);
+        let detail =
+            format!("{cur:.0} vs baseline {base:.0} (floor {floor:.0}, margin {margin:+.0}%)");
+        gate("events_per_sec", cur >= floor, detail);
+        if let Some(pct) = cell.profiler_overhead_pct {
+            let ok = pct <= PROFILER_OVERHEAD_BUDGET_PCT;
+            let detail = format!("{pct:.2}% against a {PROFILER_OVERHEAD_BUDGET_PCT}% budget");
+            gate("profiler_overhead_pct", ok, detail);
         }
-        Err(e) => eprintln!("warning: cannot append history {}: {e}", path.display()),
     }
+    (code, lines)
 }
 
-/// Runs the measurement, writes `BENCH_sim.json` plus the `run.json`
-/// manifest, appends the `history.jsonl` trajectory point, and optionally
-/// checks against a baseline at `tolerance`. Returns the process exit
-/// code (0 = ok, 1 = regression, 2 = bad baseline).
-pub fn run(out: &Path, check: Option<&Path>, tolerance: f64) -> i32 {
-    let report = measure();
-    let json = report.to_json();
+/// Measures every cell (after a warm-up that pages in code and allocator
+/// state), writes the report to `out`, and optionally checks it against a
+/// baseline at `tolerance`. Returns the process exit code (0 = ok,
+/// 1 = regression, 2 = bad baseline or I/O).
+pub fn run(out: &Path, check_against: Option<&Path>, tolerance: f64) -> i32 {
+    run_cell(canonical_cell, false);
+    let cells: Vec<CellResult> = CELLS.iter().map(time_cell).collect();
+    let json = to_json(&cells);
     if let Some(dir) = out.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("error: failed to write {}: {e}", out.display());
-            return 2;
-        }
+    if let Err(e) = std::fs::write(out, &json) {
+        eprintln!("error: failed to write {}: {e}", out.display());
+        return 2;
     }
+    println!("wrote {}", out.display());
     print!("{json}");
-    println!(
-        "queue band width: canonical {} ns, ps_heavy {} ns",
-        report.queue_band_ns, report.ps_heavy_queue_band_ns
-    );
-    println!(
-        "arena high-water: canonical {} slots / {} nodes, ps_heavy {} slots / {} nodes",
-        report.arena_slots_high_water,
-        report.arena_nodes_high_water,
-        report.ps_heavy_arena_slots_high_water,
-        report.ps_heavy_arena_nodes_high_water
-    );
-    println!(
-        "big cell: {:.0} ev/s ({} cores available)",
-        report.big_events_per_sec, report.cores_available
-    );
-    let side = out.parent().unwrap_or(Path::new("."));
-    match perf_manifest(&report).write(&side.join("run.json")) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("warning: failed to write perf manifest: {e}"),
-    }
-    append_history(&side.join("history.jsonl"), &report);
-    let Some(baseline_path) = check else { return 0 };
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
+    let Some(path) = check_against else { return 0 };
+    let baseline = match std::fs::read_to_string(path) {
+        Ok(text) => text,
         Err(e) => {
-            eprintln!(
-                "error: cannot read baseline {}: {e}",
-                baseline_path.display()
-            );
+            eprintln!("error: cannot read baseline {}: {e}", path.display());
             return 2;
         }
     };
     println!("perf check tolerance: {tolerance:.2}");
-    let canon = check_field(&json, &baseline, "canonical", "events_per_sec", tolerance);
-    let heavy = check_field(
-        &json,
-        &baseline,
-        "ps_heavy",
-        "ps_heavy_events_per_sec",
-        tolerance,
-    );
-    let big = check_field(&json, &baseline, "big", "big_events_per_sec", tolerance);
-    let canon_oh = check_overhead(&json, "profiler_overhead_pct");
-    let heavy_oh = check_overhead(&json, "ps_heavy_profiler_overhead_pct");
-    canon.max(heavy).max(big).max(canon_oh).max(heavy_oh)
+    let (code, lines) = check(&cells, &baseline, tolerance);
+    for line in lines {
+        if line.starts_with("perf check ok") {
+            println!("{line}");
+        } else {
+            eprintln!("{line}");
+        }
+    }
+    code
 }
 
 #[cfg(test)]
@@ -738,258 +270,79 @@ mod tests {
     use super::*;
 
     #[test]
-    fn canonical_cell_is_deterministic() {
-        assert_eq!(canonical_cell(42), canonical_cell(42));
-        assert!(canonical_cell(42).live > 0);
-    }
-
-    #[test]
-    fn ps_heavy_cell_is_deterministic_and_deep() {
-        let a = ps_heavy_cell(7);
-        assert_eq!(a, ps_heavy_cell(7));
-        assert!(a.live > 0);
+    fn cells_are_deterministic_and_unperturbed_by_the_profiler() {
+        for build in [canonical_cell, ps_heavy_cell] {
+            let plain = counts(&run_cell(build, false));
+            assert!(plain.0 > 0);
+            assert_eq!(plain, counts(&run_cell(build, false)));
+            assert_eq!(plain, counts(&run_cell(build, true)));
+        }
         // Despite hundreds of concurrent jobs sharing the replica, the
-        // event heap must stay shallow: the scheduler keeps at most one
-        // pending completion check per replica (plus source timers),
-        // never one timer per job. Deep heaps here mean the lazy
-        // invalidation machinery broke.
-        assert!(
-            a.heap_max_depth < 64,
-            "ps_heavy event heap blew up: {}",
-            a.heap_max_depth
-        );
+        // event queue must stay shallow: the scheduler keeps at most one
+        // pending completion check per replica (plus source timers), never
+        // one timer per job. A deep queue here means the lazy invalidation
+        // machinery broke.
+        let depth = run_cell(ps_heavy_cell, false).event_heap_max_depth();
+        assert!(depth < 64, "ps_heavy event queue blew up: {depth}");
     }
 
-    /// [`sample_report`] as measured with more jobs than cores.
-    fn oversubscribed_report() -> PerfReport {
-        PerfReport {
-            speedup: None,
-            ..sample_report()
-        }
-    }
-
-    fn sample_report() -> PerfReport {
-        PerfReport {
+    fn sample() -> Vec<CellResult> {
+        let cell = |name, events_per_sec, profiler_overhead_pct| CellResult {
+            name,
             events: 1234,
-            events_stale: 56,
-            stale_ratio: 0.0434,
-            heap_max_depth: 99,
-            heap_compactions: 2,
-            queue_band_ns: 131072,
-            queue_resizes: 3,
-            queue_promotions: 17,
-            queue_max_band_drain: 11,
-            queue_overflow_max: 5,
-            arena_slots_high_water: 120,
-            arena_nodes_high_water: 480,
-            events_per_sec: 56789.5,
-            cell_wall_ms: 21.7,
-            ps_heavy_events: 4321,
-            ps_heavy_events_stale: 7,
-            ps_heavy_heap_max_depth: 600,
-            ps_heavy_queue_band_ns: 262144,
-            ps_heavy_queue_resizes: 0,
-            ps_heavy_queue_promotions: 0,
-            ps_heavy_queue_max_band_drain: 4,
-            ps_heavy_queue_overflow_max: 0,
-            ps_heavy_arena_slots_high_water: 9000,
-            ps_heavy_arena_nodes_high_water: 9000,
-            ps_heavy_events_per_sec: 98765.5,
-            ps_heavy_wall_ms: 43.7,
-            profiler_overhead_pct: 0.85,
-            phases: vec![
-                PhaseRow {
-                    phase: "ps_advance",
-                    count: 90,
-                    pct: 61.25,
-                    ns_per_event: 120.5,
-                },
-                PhaseRow {
-                    phase: "queue_pop",
-                    count: 10,
-                    pct: 12.5,
-                    ns_per_event: 24.6,
-                },
-            ],
-            ps_heavy_profiler_overhead_pct: 1.15,
-            ps_heavy_phases: vec![PhaseRow {
-                phase: "ps_advance",
-                count: 44,
-                pct: 80.0,
-                ns_per_event: 300.0,
-            }],
-            cores_available: 8,
-            big_events: 2_000_000,
-            big_events_per_sec: 5_000_000.0,
-            big_wall_ms: 400.0,
-            jobs: 4,
-            batch_wall_jobs1_ms: 180.0,
-            batch_wall_jobsn_ms: 60.0,
-            speedup: Some(3.0),
-        }
+            events_per_sec,
+            wall_ms: 21.7,
+            profiler_overhead_pct,
+        };
+        vec![
+            cell("canonical", 56789.5, Some(0.85)),
+            cell("ps_heavy", 98765.5, Some(1.15)),
+            cell("big", 5_000_000.0, None),
+        ]
     }
 
     #[test]
-    fn json_roundtrip_fields() {
-        let j = sample_report().to_json();
-        assert_eq!(json_field(&j, "events_per_sec"), Some(56789.5));
-        assert_eq!(json_field(&j, "speedup"), Some(3.0));
-        // The quoted needle keeps `events` from matching the longer
-        // `ps_heavy_events` / `events_stale` keys and vice versa.
-        assert_eq!(json_field(&j, "events"), Some(1234.0));
-        assert_eq!(json_field(&j, "events_stale"), Some(56.0));
-        assert_eq!(json_field(&j, "ps_heavy_events"), Some(4321.0));
-        assert_eq!(json_field(&j, "ps_heavy_events_stale"), Some(7.0));
-        assert_eq!(json_field(&j, "ps_heavy_events_per_sec"), Some(98765.5));
-        assert_eq!(json_field(&j, "stale_ratio"), Some(0.0434));
-        assert_eq!(json_field(&j, "heap_max_depth"), Some(99.0));
-        assert_eq!(json_field(&j, "queue_band_ns"), Some(131072.0));
-        assert_eq!(json_field(&j, "queue_promotions"), Some(17.0));
-        assert_eq!(json_field(&j, "arena_slots_high_water"), Some(120.0));
-        assert_eq!(json_field(&j, "ps_heavy_queue_band_ns"), Some(262144.0));
-        assert_eq!(
-            json_field(&j, "ps_heavy_arena_nodes_high_water"),
-            Some(9000.0)
-        );
-        assert_eq!(json_field(&j, "profiler_overhead_pct"), Some(0.85));
-        assert_eq!(json_field(&j, "ps_heavy_profiler_overhead_pct"), Some(1.15));
-        assert_eq!(json_field(&j, "big_events"), Some(2_000_000.0));
-        assert_eq!(json_field(&j, "big_events_per_sec"), Some(5_000_000.0));
-        assert_eq!(json_field(&j, "cores_available"), Some(8.0));
-        assert_eq!(json_field(&j, "missing"), None);
-    }
-
-    #[test]
-    fn v7_schema_and_phase_arrays() {
-        let j = sample_report().to_json();
-        assert!(j.contains("\"schema\": \"ursa-bench-perf/v7\""));
-        assert!(j.contains("\"big_cell\": \"social x7 constant 20s\""));
-        let oversubscribed = oversubscribed_report().to_json();
-        assert!(oversubscribed.ends_with("\"speedup\": null\n}\n"));
-        assert_eq!(json_field(&oversubscribed, "speedup"), None);
-        assert!(j.contains(
-            "\"phases\": [{\"phase\": \"ps_advance\", \"count\": 90, \"pct\": 61.25, \
-             \"ns_per_event\": 120.5}, {\"phase\": \"queue_pop\", \"count\": 10, \
-             \"pct\": 12.50, \"ns_per_event\": 24.6}]"
-        ));
-        assert!(j.contains(
-            "\"ps_heavy_phases\": [{\"phase\": \"ps_advance\", \"count\": 44, \"pct\": 80.00, \
-             \"ns_per_event\": 300.0}]"
-        ));
-    }
-
-    #[test]
-    fn perf_manifest_carries_scalars_and_profile() {
-        let m = perf_manifest(&sample_report());
-        let json = m.to_json();
-        let v = crate::manifest::parse_json(&json).expect("manifest parses");
-        let scalars = v.get("scalars").unwrap();
-        assert_eq!(
-            scalars.get("events_per_sec").and_then(|x| x.as_f64()),
-            Some(56789.5)
-        );
-        assert_eq!(scalars.get("speedup").and_then(|x| x.as_f64()), Some(3.0));
-        let profile = v.get("phase_profile").unwrap();
-        let rows = profile.get("phases").and_then(|x| x.as_arr()).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("count").and_then(|x| x.as_f64()), Some(90.0));
-        let json = perf_manifest(&oversubscribed_report()).to_json();
-        let v = crate::manifest::parse_json(&json).expect("manifest parses");
-        assert!(v.get("scalars").unwrap().get("speedup").is_none());
-    }
-
-    #[test]
-    fn overhead_gate_trips_only_over_budget() {
-        let j = sample_report().to_json();
-        assert_eq!(check_overhead(&j, "profiler_overhead_pct"), 0);
-        assert_eq!(check_overhead(&j, "ps_heavy_profiler_overhead_pct"), 0);
-        let hot = j.replace(
-            "\"profiler_overhead_pct\": 0.85",
-            "\"profiler_overhead_pct\": 7.30",
-        );
-        assert_eq!(check_overhead(&hot, "profiler_overhead_pct"), 1);
-        assert_eq!(check_overhead(&j, "no_such_field"), 2);
-    }
-
-    #[test]
-    fn profiled_cells_match_plain_counters() {
-        let (plain, prof) = (canonical_cell(3), canonical_cell_run(3, true));
-        assert_eq!(plain, prof.0);
-        let report = prof.1.expect("profiled run carries a report");
-        assert!(report.events_seen > 0);
-        let rows = phase_rows(&report);
-        assert_eq!(rows.len(), SimPhase::ALL.len());
-        let total: f64 = rows.iter().map(|r| r.pct).sum();
-        assert!(
-            (total - 100.0).abs() < 1.0,
-            "phase shares sum to ~100%: {total}"
-        );
-    }
-
-    #[test]
-    fn check_field_flags_regressions_only() {
-        let j = sample_report().to_json();
-        // Same report as its own baseline: trivially passes.
-        assert_eq!(
-            check_field(&j, &j, "canonical", "events_per_sec", REGRESSION_TOLERANCE),
-            0
-        );
-        assert_eq!(
-            check_field(
-                &j,
-                &j,
-                "ps_heavy",
-                "ps_heavy_events_per_sec",
-                REGRESSION_TOLERANCE
-            ),
-            0
-        );
-        // A baseline far above the report trips the floor.
-        let inflated = j.replace("56789.5", "999999999.0");
-        assert_eq!(
-            check_field(
-                &j,
-                &inflated,
-                "canonical",
-                "events_per_sec",
-                REGRESSION_TOLERANCE
-            ),
-            1
-        );
-        assert_eq!(
-            check_field(&j, &j, "canonical", "no_such_field", REGRESSION_TOLERANCE),
-            2
-        );
-        // A tighter tolerance turns a tolerated drift into a failure: 10%
-        // down passes the default band but not a 5% one.
-        let drifted = j.replace("56789.5", "51110.6");
-        assert_eq!(
-            check_field(&drifted, &j, "canonical", "events_per_sec", 0.35),
-            0
-        );
-        assert_eq!(
-            check_field(&drifted, &j, "canonical", "events_per_sec", 0.05),
-            1
-        );
-    }
-
-    #[test]
-    fn history_line_is_one_json_object() {
-        let line = history_line(&sample_report());
-        assert!(line.ends_with('\n'));
-        let v = crate::manifest::parse_json(line.trim()).expect("history line parses");
-        assert_eq!(
-            v.get("events_per_sec").and_then(|x| x.as_f64()),
-            Some(56789.5)
-        );
-        assert_eq!(
-            v.get("schema").and_then(|x| x.as_str()),
-            Some("ursa-bench-history/v1")
-        );
-        assert_eq!(v.get("speedup").and_then(|x| x.as_f64()), Some(3.0));
-        let line = history_line(&oversubscribed_report());
-        let v = crate::manifest::parse_json(line.trim()).expect("history line parses");
-        assert!(v.get("speedup").is_none());
-        assert_eq!(v.get("jobs").and_then(|x| x.as_f64()), Some(4.0));
+    fn check_gates_floors_and_overheads_over_the_v8_schema() {
+        let cells = sample();
+        let json = to_json(&cells);
+        let verdict = |baseline: &str, tolerance: f64| check(&cells, baseline, tolerance);
+        // A report is within any tolerance of itself: three floors and two
+        // overhead gates, all passing.
+        let (code, lines) = verdict(&json, 0.0);
+        assert_eq!((code, lines.len()), (0, 5), "{lines:?}");
+        // A doubled baseline cell trips the floor, naming cell and metric.
+        let (code, lines) = verdict(&json.replace("98765.5", "197531.0"), REGRESSION_TOLERANCE);
+        assert_eq!(code, 1);
+        let failed = "PERF REGRESSION: cell `ps_heavy`, metric `events_per_sec`: 98766 vs";
+        assert!(lines[2].starts_with(failed), "{lines:?}");
+        let passed = |l: &&String| l.starts_with("perf check ok");
+        assert_eq!(lines.iter().filter(passed).count(), 4, "{lines:?}");
+        // A 10 % drift below the baseline passes inside the band only.
+        let drifted = json.replace("56789.5", "63099.4");
+        assert_eq!(verdict(&drifted, 0.35).0, 0);
+        assert_eq!(verdict(&drifted, 0.05).0, 1);
+        // Exponent notation is read exactly: 5.0e6 is the big cell's own
+        // value (passes at zero tolerance); 6.5e6 puts the floor above it.
+        assert_eq!(verdict(&json.replace("5000000.0", "5.0e6"), 0.0).0, 0);
+        let (code, lines) = verdict(&json.replace("5000000.0", "6.5e6"), 0.2);
+        assert_eq!(code, 1);
+        let failed =
+            "PERF REGRESSION: cell `big`, metric `events_per_sec`: 5000000 vs baseline 6500000";
+        assert!(lines[4].starts_with(failed), "{lines:?}");
+        // A missing cell or number, a foreign schema and a torn file are unusable.
+        let (code, lines) = verdict(&json.replace("\"ps_heavy\"", "\"renamed\""), 0.35);
+        assert_eq!(code, 2);
+        assert!(lines[2].ends_with("for cell `ps_heavy`"), "{lines:?}");
+        let no_number = json.replace("\"events_per_sec\": 56789.5, ", "");
+        assert_eq!(verdict(&no_number, 0.35).0, 2);
+        assert_eq!(verdict(&json.replace("/v8", "/v7"), 0.35).0, 2);
+        assert_eq!(verdict("{", 0.35).0, 2);
+        // The overhead gate reads the measurement, not the baseline.
+        let mut hot = sample();
+        hot[0].profiler_overhead_pct = Some(7.3);
+        let (code, lines) = check(&hot, &json, 0.35);
+        assert_eq!(code, 1);
+        let failed = "PERF REGRESSION: cell `canonical`, metric `profiler_overhead_pct`: 7.30%";
+        assert!(lines[1].starts_with(failed), "{lines:?}");
     }
 }

@@ -34,6 +34,7 @@ use std::path::{Path, PathBuf};
 
 use ursa_core::decision_log::{DecisionKind, DecisionLog};
 use ursa_core::manager::Ursa;
+use ursa_metrics::json::{esc, num};
 use ursa_sim::control::{DeployObserver, ResourceManager};
 use ursa_sim::engine::Simulation;
 use ursa_sim::metrics::SimMetrics;
@@ -186,6 +187,13 @@ impl PostmortemObserver {
         }
     }
 
+    /// The observer `--postmortem-dir` (with `--snapshot-at`) asks for on
+    /// `cell`, or `None` when the run did not set it.
+    pub fn armed(ctx: &crate::RunCtx, cell: &str) -> Option<Self> {
+        let dir = ctx.postmortem_dir.as_deref()?;
+        Some(PostmortemObserver::new(dir, cell, ctx.snapshot_at))
+    }
+
     /// Paths of the bundles written so far (`.json` files; each has a
     /// sibling `.html`).
     pub fn written(&self) -> &[PathBuf] {
@@ -285,35 +293,6 @@ impl DeployObserver for PostmortemObserver {
             *self.kind_counts.entry(kind).or_insert(0) += 1;
         }
         self.written.push(json_path);
-    }
-}
-
-/// Escapes a string for embedding in a JSON document.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders an `f64` as a JSON value (`null` for NaN/infinities, which
-/// JSON cannot represent).
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
     }
 }
 
@@ -779,19 +758,6 @@ fn render_html(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn nan_serializes_as_null() {
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
-        assert_eq!(num(1.5), "1.5");
-    }
 
     #[test]
     fn trigger_json_and_labels() {

@@ -6,7 +6,7 @@
 use ursa_apps::social_network;
 use ursa_bench::experiments::chaos::resilience_metrics;
 use ursa_bench::runner::run_cells_with;
-use ursa_bench::{f3, pct, LoadSpec, PreparedManagers, Scale, System};
+use ursa_bench::{f3, pct, DeploySpec, LoadSpec, PreparedManagers, Scale, System};
 use ursa_chaos::Scenario;
 use ursa_sim::chaos::{FaultKind, FaultPlan};
 use ursa_sim::time::SimDur;
@@ -45,15 +45,10 @@ fn render_rows(jobs: usize, managers: &PreparedManagers) -> Vec<String> {
     run_cells_with(jobs, inputs, |_, (fi, si)| {
         let plan = &plans[fi];
         let seed = 0xC4A0_57E5u64 ^ ((fi as u64) << 8) ^ si as u64;
-        let report = managers.deploy_cell_with_faults(
-            &app,
-            systems[si],
-            &LoadSpec::Constant,
-            Scale::Quick,
-            seed,
-            Some(plan),
-            None,
-        );
+        let report = managers.clone().deploy(DeploySpec {
+            faults: Some(plan),
+            ..DeploySpec::new(&app, systems[si], &LoadSpec::Constant, Scale::Quick, seed)
+        });
         let span = (plan.first_at().unwrap(), plan.last_until().unwrap());
         let m = resilience_metrics(&report, span, SimDur::from_mins(1));
         format!(

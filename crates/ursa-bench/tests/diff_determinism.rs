@@ -8,10 +8,11 @@ use std::fmt::Write as _;
 use proptest::prelude::*;
 use ursa_apps::chains::study_chain_with;
 use ursa_bench::diff::{diff_manifests, render_html, render_tsv};
-use ursa_bench::manifest::{parse_json, RunManifest};
+use ursa_bench::manifest::RunManifest;
 use ursa_bench::perf::REGRESSION_TOLERANCE;
 use ursa_bench::runner::run_cells_with;
 use ursa_core::decision_log::{DecisionKind, DecisionLog, DecisionRecord, ServiceDelta};
+use ursa_metrics::json::parse_json;
 use ursa_sim::engine::{SimConfig, Simulation};
 use ursa_sim::metrics::SimMetrics;
 use ursa_sim::time::{SimDur, SimTime};
@@ -50,9 +51,8 @@ fn cell_specs() -> impl Strategy<Value = Vec<CellSpec>> {
     )
 }
 
-/// Runs one cell and records everything a real experiment would into a
-/// non-global [`RunManifest`] (the builder, not the process-wide
-/// collector, so parallel test cells cannot race), returning the JSON.
+/// Runs one cell and records everything a real experiment would into its
+/// own [`RunManifest`], returning the JSON.
 fn manifest_json(index: usize, spec: &CellSpec) -> String {
     let edge = match spec.edge {
         0 => EdgeKind::NestedRpc,
@@ -127,7 +127,7 @@ proptest! {
             // alignments of the same manifest produce identical bytes.
             let again = diff_manifests(&v, &v, REGRESSION_TOLERANCE);
             prop_assert_eq!(render_tsv(&report), render_tsv(&again));
-            prop_assert_eq!(render_html(&report, &[]), render_html(&again, &[]));
+            prop_assert_eq!(render_html(&report), render_html(&again));
         }
     }
 }

@@ -7,7 +7,7 @@
 use ursa_apps::{social_network, App};
 use ursa_bench::experiments::qos::mem_stats;
 use ursa_bench::runner::run_cells_with;
-use ursa_bench::{f3, LoadSpec, PreparedManagers, Scale, System};
+use ursa_bench::{f3, DeploySpec, LoadSpec, PreparedManagers, Scale, System};
 use ursa_k8s::{EvictionPolicy, K8sPlane, PodTemplate, GIB, MIB};
 use ursa_sim::memory::MemPlan;
 use ursa_sim::metrics::SimMetrics;
@@ -73,16 +73,11 @@ fn render_rows(jobs: usize, managers: &PreparedManagers) -> Vec<String> {
     run_cells_with(jobs, inputs, |_, (li, si)| {
         let seed = SEED ^ ((li as u64) << 8) ^ si as u64;
         let mut metrics = SimMetrics::for_topology(systems[si].label(), &app.topology, &app.slas);
-        let report = managers.deploy_cell_with_planes(
-            &app,
-            systems[si],
-            &LoadSpec::Constant,
-            Scale::Quick,
-            seed,
-            None,
-            Some(&plans[li]),
-            Some(&mut metrics),
-        );
+        let report = managers.clone().deploy(DeploySpec {
+            mem: Some(&plans[li]),
+            metrics: Some(&mut metrics),
+            ..DeploySpec::new(&app, systems[si], &LoadSpec::Constant, Scale::Quick, seed)
+        });
         let cores: f64 = report.records.iter().map(|r| r.total_cores).sum();
         let m = mem_stats(&metrics);
         format!(

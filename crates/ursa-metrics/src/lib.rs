@@ -15,6 +15,9 @@
 //! * [`digest`] — per-series scalar digests (count/min/max/mean/last) in
 //!   sorted key order, the series view run manifests embed for
 //!   `ursa-bench diff`.
+//! * [`json`] — the one hand-rolled JSON layer (escaping, number rendering,
+//!   a minimal parser) behind run manifests, post-mortem bundles and the
+//!   perf report.
 //! * [`logging`] — the leveled progress-logging layer shared by the
 //!   workspace (`--quiet`/`--verbose` in `ursa-bench`).
 //! * [`pool`] — the ordered scoped worker pool shared by the workspace
@@ -35,6 +38,7 @@
 
 pub mod digest;
 pub mod export;
+pub mod json;
 pub mod logging;
 pub mod pool;
 pub mod registry;

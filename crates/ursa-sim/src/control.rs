@@ -248,10 +248,11 @@ pub fn run_deployment(
     manager: &mut dyn ResourceManager,
     cfg: &DeployConfig,
 ) -> DeploymentReport {
-    run_deployment_metered(sim, slas, manager, cfg, None)
+    run_deployment_observed(sim, slas, manager, cfg, None, None)
 }
 
-/// [`run_deployment`] with an optional metrics collector.
+/// [`run_deployment`] with an optional metrics collector and an optional
+/// [`DeployObserver`].
 ///
 /// When `metrics` is given, every harvest window is scraped into it
 /// (utilization, latency percentiles, SLO burn rates), each manager tick is
@@ -260,20 +261,10 @@ pub fn run_deployment(
 /// observes the simulation only through pure accessors *after* each window
 /// has run, so the simulated outcome is bit-identical with `None` (see
 /// `metered_and_unmetered_runs_are_identical` in `crate::metrics`).
-pub fn run_deployment_metered(
-    sim: &mut Simulation,
-    slas: &[Sla],
-    manager: &mut dyn ResourceManager,
-    cfg: &DeployConfig,
-    metrics: Option<&mut crate::metrics::SimMetrics>,
-) -> DeploymentReport {
-    run_deployment_observed(sim, slas, manager, cfg, metrics, None)
-}
-
-/// [`run_deployment_metered`] with an optional [`DeployObserver`] invoked
-/// after every control window — the hook the post-mortem pipeline hangs
-/// off. The observer reads the run through `&` accessors only, so the
-/// simulated outcome is bit-identical with `None`.
+///
+/// The observer is invoked after every control window — the hook the
+/// post-mortem pipeline hangs off. It too reads the run through `&`
+/// accessors only, so the simulated outcome is bit-identical with `None`.
 pub fn run_deployment_observed(
     sim: &mut Simulation,
     slas: &[Sla],

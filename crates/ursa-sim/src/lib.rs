@@ -61,9 +61,8 @@ pub mod prelude {
     pub use crate::chaos::{Fault, FaultEvent, FaultKind, FaultPhase, FaultPlan};
     pub use crate::cluster::{CappedControlPlane, Cluster, MachineCfg, PlacementPolicy};
     pub use crate::control::{
-        run_deployment, run_deployment_metered, run_deployment_observed, ControlPlane,
-        DeployConfig, DeployObserver, DeploymentReport, ResourceManager, Sla, StaticManager,
-        WindowRecord,
+        run_deployment, run_deployment_observed, ControlPlane, DeployConfig, DeployObserver,
+        DeploymentReport, ResourceManager, Sla, StaticManager, WindowRecord,
     };
     pub use crate::engine::{SimConfig, Simulation};
     pub use crate::memory::{MemEvent, MemEventKind, MemPlan, MemProfile, MemSnapshot, NodeMemCfg};

@@ -7,7 +7,7 @@
 //! pure accessors like [`Simulation::worker_occupancy`]), draws no random
 //! numbers, and advances no simulated time. A run with metrics disabled
 //! (`None` passed to
-//! [`run_deployment_metered`](crate::control::run_deployment_metered))
+//! [`run_deployment_observed`](crate::control::run_deployment_observed))
 //! therefore produces bit-identical results to a metered run — the registry
 //! is zero-cost when absent and invisible when present. Wall-clock
 //! measurements (control-tick timing) flow *into* the metrics only; they
@@ -70,7 +70,7 @@ const BURN_LONG_WINDOWS: usize = 30;
 /// Metrics collector for one deployment run.
 ///
 /// Create one per run (scrape times must be strictly increasing), hand it
-/// to [`run_deployment_metered`](crate::control::run_deployment_metered),
+/// to [`run_deployment_observed`](crate::control::run_deployment_observed),
 /// then export with [`write_artifacts`](Self::write_artifacts) or inspect
 /// via [`store`](Self::store).
 #[derive(Debug, Clone)]
@@ -543,7 +543,7 @@ impl SimMetrics {
 mod tests {
     use super::*;
     use crate::control::{
-        run_deployment, run_deployment_metered, ControlPlane, DeployConfig, ResourceManager,
+        run_deployment, run_deployment_observed, ControlPlane, DeployConfig, ResourceManager,
         StaticManager,
     };
     use crate::engine::SimConfig;
@@ -601,12 +601,13 @@ mod tests {
         let mut s = sim(11);
         let slas = [Sla::new(ClassId(0), 99.0, 0.100)];
         let mut metrics = SimMetrics::new("scale-once", &s, &slas);
-        run_deployment_metered(
+        run_deployment_observed(
             &mut s,
             &slas,
             &mut ScaleOnce { ticks: 0 },
             &cfg(),
             Some(&mut metrics),
+            None,
         );
         // One scrape per control window.
         assert_eq!(metrics.store().len(), 6);
@@ -660,12 +661,13 @@ mod tests {
         let plain = run_deployment(&mut a, &slas, &mut ScaleOnce { ticks: 0 }, &cfg());
         let mut b = sim(7);
         let mut metrics = SimMetrics::new("scale-once", &b, &slas);
-        let metered = run_deployment_metered(
+        let metered = run_deployment_observed(
             &mut b,
             &slas,
             &mut ScaleOnce { ticks: 0 },
             &cfg(),
             Some(&mut metrics),
+            None,
         );
         assert_eq!(plain.records.len(), metered.records.len());
         for (x, y) in plain.records.iter().zip(&metered.records) {
@@ -682,12 +684,13 @@ mod tests {
         let mut s = sim(5);
         let slas = [Sla::new(ClassId(0), 99.0, 0.100)];
         let mut metrics = SimMetrics::new("static", &s, &slas);
-        run_deployment_metered(
+        run_deployment_observed(
             &mut s,
             &slas,
             &mut StaticManager,
             &cfg(),
             Some(&mut metrics),
+            None,
         );
         let dir = std::env::temp_dir().join(format!("ursa-metrics-test-{}", std::process::id()));
         let paths = metrics.write_artifacts(&dir, "run", "Test run").unwrap();

@@ -61,12 +61,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "deploying for {:.0} simulated minutes with metrics attached...",
         duration.as_secs_f64() / 60.0
     );
-    let report = run_deployment_metered(
+    let report = run_deployment_observed(
         &mut sim,
         &app.slas,
         &mut manager,
         &deploy,
         Some(&mut metrics),
+        None,
     );
     println!(
         "SLA violation rate {:.2}%, mean allocation {:.1} cores, {} scale annotations",
