@@ -331,7 +331,7 @@ impl Ursa {
     /// Propagates solver errors; on error the previous thresholds stay
     /// active.
     pub fn recalculate(&mut self, class_rates: &[f64]) -> Result<(), ModelError> {
-        let before = self.projected_allocation(&self.last_rates.clone());
+        let before = self.projected_allocation(&self.last_rates);
         self.recalculate_inner(class_rates)?;
         self.log_model_update(DecisionKind::Recalculate, before, class_rates);
         Ok(())
@@ -435,7 +435,7 @@ impl Ursa {
         class_rates: &[f64],
     ) -> Result<ReexplorationStats, ModelError> {
         let sid = ServiceId(service);
-        let projection_before = self.projected_allocation(&self.last_rates.clone());
+        let projection_before = self.projected_allocation(&self.last_rates);
         let mut profile = ServiceProfile::extract(&self.topology, sid, class_rates);
         // Fold the logic change into the replayed work profile.
         for cw in &mut profile.per_class {

@@ -89,11 +89,10 @@ pub fn build_model(
             let latency: Vec<Option<LatencyMatrix>> = (0..num_classes)
                 .map(|c| {
                     if exp.options.iter().all(|o| o.latency[c].is_some()) {
-                        let data: Vec<f64> = exp
-                            .options
-                            .iter()
-                            .flat_map(|o| o.latency[c].clone().expect("checked"))
-                            .collect();
+                        let mut data = Vec::with_capacity(exp.options.len() * grid.len());
+                        for o in &exp.options {
+                            data.extend_from_slice(o.latency[c].as_deref().expect("checked"));
+                        }
                         Some(LatencyMatrix::new(exp.options.len(), grid.len(), data))
                     } else {
                         None

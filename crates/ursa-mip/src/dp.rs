@@ -109,9 +109,74 @@ pub fn min_latency_allocation(
     })
 }
 
+/// The two budget-indexed rows [`min_latency_sum`] works in. One per solve,
+/// grown to the largest class budget on first use and reused for every
+/// class of every node after that.
+#[derive(Debug, Default)]
+pub(crate) struct DpScratch {
+    cur: Vec<f64>,
+    next: Vec<f64>,
+}
+
+/// Feasibility-only form of [`min_latency_allocation`]: the same minimum
+/// latency sum, bit for bit, with no choices recorded and nothing allocated.
+///
+/// `rows` yields one latency row per participating service, in the order
+/// [`min_latency_allocation`] would be given them; column `g` of every row
+/// costs `res_cols[g]` residual units. Only the cells up to the highest
+/// spend the services so far can reach are initialised and walked, which for
+/// a wide budget (a p50 SLA has 501 cells) is a small prefix.
+pub(crate) fn min_latency_sum<'a>(
+    rows: impl IntoIterator<Item = &'a [f64]>,
+    res_cols: &[usize],
+    budget: usize,
+    scratch: &mut DpScratch,
+) -> Option<f64> {
+    const INF: f64 = f64::INFINITY;
+    if scratch.cur.len() <= budget {
+        scratch.cur.resize(budget + 1, INF);
+        scratch.next.resize(budget + 1, INF);
+    }
+    let (mut cur, mut next) = (&mut scratch.cur[..], &mut scratch.next[..]);
+    // Widest column that fits: one over budget is skipped below and must
+    // not stretch the walked prefix.
+    let widest = res_cols
+        .iter()
+        .copied()
+        .filter(|&res| res <= budget)
+        .max()
+        .unwrap_or(0);
+    // cur[r] = min latency sum of the services so far spending exactly r
+    // units, for r <= hi; cells above hi are stale.
+    cur[0] = 0.0;
+    let mut hi = 0;
+    for row in rows {
+        let next_hi = (hi + widest).min(budget);
+        next[..=next_hi].fill(INF);
+        for (&lat, &res) in row.iter().zip(res_cols) {
+            if res > budget {
+                continue;
+            }
+            let reach = hi.min(budget - res);
+            for (&prev, slot) in cur[..=reach].iter().zip(&mut next[res..=res + reach]) {
+                // An unreachable `prev` is infinite and never wins.
+                let cand = prev + lat;
+                if cand < *slot {
+                    *slot = cand;
+                }
+            }
+        }
+        std::mem::swap(&mut cur, &mut next);
+        hi = next_hi;
+    }
+    let best = cur[..=hi].iter().copied().fold(INF, f64::min);
+    best.is_finite().then_some(best)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn unit_conversions_are_safe() {
@@ -208,6 +273,44 @@ mod tests {
                 (None, None) => {}
                 (a, b) => panic!("trial {trial}: dp {a:?} vs brute {b:?}"),
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The feasibility kernel returns the recording DP's minimum, bit
+        /// for bit, and `None` exactly when it does — on a scratch left
+        /// dirty by a wider call, with latencies coarse enough to tie and
+        /// budgets down among the residuals, where columns stop fitting.
+        #[test]
+        fn kernel_matches_recording_dp(
+            res_cols in proptest::collection::vec(0usize..101, 1..7),
+            lats in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 6), 0..7),
+            coarse in 0u8..2,
+            budget in 0usize..601,
+            narrow in 0u8..3,
+        ) {
+            let budget = budget % [601, 101, 12][narrow as usize];
+            let rows: Vec<Vec<f64>> = lats
+                .iter()
+                .map(|r| {
+                    r[..res_cols.len()]
+                        .iter()
+                        .map(|&l| if coarse == 1 { (l * 8.0).floor() / 8.0 } else { l })
+                        .collect()
+                })
+                .collect();
+            let options: Vec<Vec<(f64, usize)>> = rows
+                .iter()
+                .map(|r| r.iter().copied().zip(res_cols.iter().copied()).collect())
+                .collect();
+            let want = min_latency_allocation(&options, budget).map(|a| a.latency_sum.to_bits());
+            let mut scratch = DpScratch::default();
+            min_latency_sum(rows.iter().map(Vec::as_slice), &res_cols, 600, &mut scratch);
+            let got = min_latency_sum(rows.iter().map(Vec::as_slice), &res_cols, budget, &mut scratch)
+                .map(f64::to_bits);
+            prop_assert_eq!(got, want);
         }
     }
 

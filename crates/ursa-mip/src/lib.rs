@@ -46,7 +46,6 @@
 
 pub mod alloc2d;
 pub mod dp;
-pub mod lp;
 pub mod model;
 pub mod solve;
 
@@ -54,9 +53,5 @@ pub use alloc2d::{
     pack_first_fit, solve_2d, Model2d, NodeCapacity, ResourceCost, ServiceModel2d, Solution2d,
     Weights,
 };
-pub use lp::{solve_lp, Cmp, LpOutcome, LpProblem};
 pub use model::{LatencyMatrix, MipModel, ModelError, ServiceModel, SlaConstraint};
-pub use solve::{
-    lp_relaxation_bound, solve, solve_brute_force, solve_greedy, solve_with_options, Solution,
-    SolveOptions,
-};
+pub use solve::{solve, solve_brute_force, solve_greedy, Solution};

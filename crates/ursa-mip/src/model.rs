@@ -108,7 +108,11 @@ pub enum ModelError {
     /// The model inputs are structurally inconsistent.
     Invalid(String),
     /// No assignment satisfies every SLA constraint; carries the class index
-    /// of a constraint that cannot be met even with maximum resources.
+    /// of the first constraint that cannot be met even with maximum
+    /// resources (alone, every service on its best latency row). When every
+    /// constraint can be met alone and only their combination cannot, it
+    /// carries the class of the first constraint violated by the greedy
+    /// start, each service at its minimum-latency option.
     Infeasible { class: usize },
 }
 
@@ -179,9 +183,8 @@ impl MipModel {
                 }
             }
         }
-        let mut seen = std::collections::HashSet::new();
-        for c in &self.constraints {
-            if !seen.insert(c.class) {
+        for (k, c) in self.constraints.iter().enumerate() {
+            if self.constraints[..k].iter().any(|p| p.class == c.class) {
                 return Err(ModelError::Invalid(format!(
                     "duplicate constraint for class {}",
                     c.class

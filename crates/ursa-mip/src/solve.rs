@@ -11,10 +11,20 @@
 //!   (standing in for the paper's Gurobi).
 //! * [`solve_brute_force`] — exhaustive enumeration; cross-validation in
 //!   tests only.
+//!
+//! All three read the model through one private `Context`, built (and the
+//! model validated) once per call. The greedy descent and the
+//! branch-and-bound ask it one question, "is class *k* still feasible?",
+//! answered by the feasibility-only kernel `dp::min_latency_sum`, and only
+//! for the classes of the service they just moved: a class none of whose
+//! services changed keeps the verdict it had. Neither allocates while it
+//! searches. The recording DP [`min_latency_allocation`] runs once per
+//! class, on the returned assignment, to produce the percentile choices —
+//! and on every assignment of the brute-force reference, which shares none
+//! of the incremental logic.
 
-use crate::dp::{budget_units, min_latency_allocation, residual_units};
-use crate::lp::{solve_lp, Cmp, LpOutcome, LpProblem};
-use crate::model::{MipModel, ModelError, SlaConstraint};
+use crate::dp::{budget_units, min_latency_allocation, min_latency_sum, residual_units, DpScratch};
+use crate::model::{LatencyMatrix, MipModel, ModelError};
 
 /// A solved allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,194 +67,253 @@ impl Solution {
 /// Node cap for branch-and-bound before giving up on proving optimality.
 const MAX_NODES: u64 = 2_000_000;
 
-/// Branch-and-bound tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SolveOptions {
-    /// Strengthen pruning with an LP-relaxation lower bound at shallow
-    /// search depths (solved by the [`crate::lp`] simplex). Never changes
-    /// the result, only the number of nodes explored.
-    pub lp_bound: bool,
-}
-
-/// LP relaxation of the multiple-choice structure under a partial
-/// assignment: fractional option choices, latency constraints relaxed to
-/// each option's best (minimum-column) latency with the residual budget
-/// dropped. A valid lower bound on the resource objective of any completion
-/// of `alpha`.
-///
-/// Returns `None` when the relaxation is infeasible (the node can be
-/// pruned) — a strictly stronger test than per-class optimistic DP alone
-/// would justify pruning on cost grounds.
-pub fn lp_relaxation_bound(model: &MipModel, alpha: &[Option<usize>]) -> Option<f64> {
-    // Variables: one block of z_{s,o} per *undecided* service.
-    let mut var_of: Vec<Option<(usize, usize)>> = Vec::new(); // (offset, count)
-    let mut n_vars = 0usize;
-    for (s, svc) in model.services.iter().enumerate() {
-        if alpha[s].is_none() {
-            var_of.push(Some((n_vars, svc.resource.len())));
-            n_vars += svc.resource.len();
-        } else {
-            var_of.push(None);
-        }
-    }
-    if n_vars == 0 {
-        return Some(
-            alpha
-                .iter()
-                .enumerate()
-                .map(|(s, a)| model.services[s].resource[a.expect("assigned")])
-                .sum(),
-        );
-    }
-    let mut objective = vec![0.0; n_vars];
-    let mut fixed_cost = 0.0;
-    for (s, svc) in model.services.iter().enumerate() {
-        match (alpha[s], var_of[s]) {
-            (Some(a), _) => fixed_cost += svc.resource[a],
-            (None, Some((off, cnt))) => {
-                objective[off..off + cnt].copy_from_slice(&svc.resource[..cnt]);
-            }
-            _ => unreachable!(),
-        }
-    }
-    let mut constraints: Vec<(Vec<f64>, Cmp, f64)> = Vec::new();
-    // One-hot (relaxed to a simplex) per undecided service.
-    for entry in var_of.iter().flatten() {
-        let (off, cnt) = *entry;
-        let mut row = vec![0.0; n_vars];
-        for o in 0..cnt {
-            row[off + o] = 1.0;
-        }
-        constraints.push((row, Cmp::Eq, 1.0));
-    }
-    // Relaxed latency constraint per class: best-column latency per option.
-    for c in &model.constraints {
-        let mut row = vec![0.0; n_vars];
-        let mut fixed_lat = 0.0;
-        for (s, svc) in model.services.iter().enumerate() {
-            let Some(m) = &svc.latency[c.class] else {
-                continue;
-            };
-            let best = |o: usize| m.row(o).iter().cloned().fold(f64::INFINITY, f64::min);
-            match (alpha[s], var_of[s]) {
-                (Some(a), _) => fixed_lat += best(a),
-                (None, Some((off, cnt))) => {
-                    for o in 0..cnt {
-                        row[off + o] = best(o);
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-        constraints.push((row, Cmp::Le, c.target - fixed_lat));
-    }
-    match solve_lp(&LpProblem {
-        objective,
-        constraints,
-    }) {
-        LpOutcome::Optimal { objective, .. } => Some(objective + fixed_cost),
-        LpOutcome::Infeasible => None,
-        LpOutcome::Unbounded => Some(fixed_cost), // cannot happen: costs >= 0
-    }
-}
-
-struct ClassProblem {
-    constraint: SlaConstraint,
-    /// Participating services (model indices).
-    services: Vec<usize>,
+/// One SLA constraint as the search sees it.
+struct ClassTable<'m> {
+    /// Class index, for error reports.
+    class: usize,
+    target: f64,
+    /// Residual budget in units.
     budget: usize,
+    /// Participating services in model order, each with its latency matrix.
+    services: Vec<(usize, &'m LatencyMatrix)>,
+    /// Per participating service its *optimistic row*: the per-column
+    /// minimum over its LPR rows, the best an undecided service can still
+    /// do. `services.len() × cols`, row-major.
+    optimistic: Vec<f64>,
 }
 
-fn class_problems(model: &MipModel) -> Vec<ClassProblem> {
-    model
-        .constraints
-        .iter()
-        .map(|c| ClassProblem {
-            constraint: *c,
-            services: model.services_of_class(c.class),
-            budget: budget_units(100.0 - c.percentile),
-        })
-        .collect()
+/// What a solve derives from the model once, before it searches.
+struct Context<'m> {
+    model: &'m MipModel,
+    /// Residual units per percentile-grid column.
+    res_cols: Vec<usize>,
+    /// One table per constraint, in model order.
+    classes: Vec<ClassTable<'m>>,
+    /// For each service, the constraints (indices into `classes`) it
+    /// participates in.
+    classes_of: Vec<Vec<usize>>,
+    /// Branch order: services with the largest resource spread first.
+    order: Vec<usize>,
+    /// Each service's options cheapest first, so that good incumbents
+    /// appear early.
+    cheapest_first: Vec<Vec<usize>>,
+    /// `rest[d]`: the summed minimum resource of `order[d..]` — what the
+    /// services still undecided at depth `d` cost at least.
+    rest: Vec<f64>,
 }
 
-/// Residual units per percentile-grid column.
-fn residual_cols(model: &MipModel) -> Vec<usize> {
-    model
-        .percentiles
-        .iter()
-        .map(|p| residual_units(100.0 - p))
-        .collect()
-}
-
-/// Checks whether a full LPR assignment satisfies every class; on success
-/// returns the percentile choices (one vec per constraint).
-fn feasible_assignment(
-    model: &MipModel,
-    problems: &[ClassProblem],
-    res_cols: &[usize],
-    alpha: &[usize],
-) -> Option<Vec<Vec<usize>>> {
-    let mut out = Vec::with_capacity(problems.len());
-    for p in problems {
-        let options: Vec<Vec<(f64, usize)>> = p
-            .services
+impl<'m> Context<'m> {
+    fn new(model: &'m MipModel) -> Result<Self, ModelError> {
+        model.validate()?;
+        let n = model.services.len();
+        let res_cols: Vec<usize> = model
+            .percentiles
             .iter()
-            .map(|&s| {
-                let m = model.services[s].latency[p.constraint.class]
-                    .as_ref()
-                    .expect("participating service");
-                m.row(alpha[s])
+            .map(|p| residual_units(100.0 - p))
+            .collect();
+        let mut classes_of = vec![Vec::new(); n];
+        let classes = model
+            .constraints
+            .iter()
+            .enumerate()
+            .map(|(k, c)| {
+                let services: Vec<(usize, &LatencyMatrix)> = model
+                    .services
                     .iter()
-                    .zip(res_cols)
-                    .map(|(&lat, &r)| (lat, r))
-                    .collect()
+                    .enumerate()
+                    .filter_map(|(s, svc)| svc.latency[c.class].as_ref().map(|m| (s, m)))
+                    .collect();
+                let mut optimistic = Vec::with_capacity(services.len() * res_cols.len());
+                for &(s, m) in &services {
+                    classes_of[s].push(k);
+                    optimistic.extend((0..res_cols.len()).map(|beta| {
+                        (0..m.rows())
+                            .map(|a| m.at(a, beta))
+                            .fold(f64::INFINITY, f64::min)
+                    }));
+                }
+                ClassTable {
+                    class: c.class,
+                    target: c.target,
+                    budget: budget_units(100.0 - c.percentile),
+                    services,
+                    optimistic,
+                }
             })
             .collect();
-        let alloc = min_latency_allocation(&options, p.budget)?;
-        if alloc.latency_sum > p.constraint.target + 1e-12 {
-            return None;
-        }
-        out.push(alloc.beta);
-    }
-    Some(out)
-}
 
-/// Optimistic feasibility: can class `p` be satisfied if every *undecided*
-/// service takes its best (min over remaining LPR options) latency row?
-fn optimistic_feasible(
-    model: &MipModel,
-    p: &ClassProblem,
-    res_cols: &[usize],
-    alpha: &[Option<usize>],
-) -> bool {
-    let options: Vec<Vec<(f64, usize)>> = p
-        .services
-        .iter()
-        .map(|&s| {
-            let m = model.services[s].latency[p.constraint.class]
-                .as_ref()
-                .expect("participating service");
-            match alpha[s] {
-                Some(a) => m
-                    .row(a)
-                    .iter()
-                    .zip(res_cols)
-                    .map(|(&lat, &r)| (lat, r))
-                    .collect(),
-                None => (0..res_cols.len())
-                    .map(|beta| {
-                        let best = (0..m.rows())
-                            .map(|a| m.at(a, beta))
-                            .fold(f64::INFINITY, f64::min);
-                        (best, res_cols[beta])
-                    })
-                    .collect(),
-            }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            let spread = |s: usize| {
+                let r = &model.services[s].resource;
+                r.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+                    - r.iter().cloned().fold(f64::INFINITY, f64::min)
+            };
+            spread(b).partial_cmp(&spread(a)).expect("finite")
+        });
+        let cheapest_first = model
+            .services
+            .iter()
+            .map(|svc| {
+                let mut opts: Vec<usize> = (0..svc.resource.len()).collect();
+                opts.sort_by(|&a, &b| {
+                    svc.resource[a]
+                        .partial_cmp(&svc.resource[b])
+                        .expect("finite")
+                });
+                opts
+            })
+            .collect();
+        let min_res: Vec<f64> = model
+            .services
+            .iter()
+            .map(|s| s.resource.iter().cloned().fold(f64::INFINITY, f64::min))
+            .collect();
+        // Each suffix is summed on its own, front to back: the bound is
+        // compared against the incumbent with a 1e-12 slack, so its
+        // rounding is part of the search tree.
+        let rest = (0..=n)
+            .map(|d| order[d..].iter().map(|&u| min_res[u]).sum())
+            .collect();
+
+        Ok(Context {
+            model,
+            res_cols,
+            classes,
+            classes_of,
+            order,
+            cheapest_first,
+            rest,
         })
-        .collect();
-    match min_latency_allocation(&options, p.budget) {
-        Some(a) => a.latency_sum <= p.constraint.target + 1e-12,
-        None => false,
+    }
+
+    /// Can constraint `k` be met with each of its services `s` at LPR option
+    /// `choice(s)` — or, where that is `None` (undecided), at its optimistic
+    /// row?
+    fn class_ok(
+        &self,
+        k: usize,
+        choice: impl Fn(usize) -> Option<usize>,
+        scratch: &mut DpScratch,
+    ) -> bool {
+        let t = &self.classes[k];
+        let rows = t
+            .services
+            .iter()
+            .zip(t.optimistic.chunks_exact(self.res_cols.len()))
+            .map(|(&(s, m), optimistic)| match choice(s) {
+                Some(a) => m.row(a),
+                None => optimistic,
+            });
+        match min_latency_sum(rows, &self.res_cols, t.budget, scratch) {
+            Some(latency) => latency <= t.target + 1e-12,
+            None => false,
+        }
+    }
+
+    /// Checks a full LPR assignment against every class with the recording
+    /// DP; on success returns the percentile choices (one vec per
+    /// constraint).
+    fn feasible_assignment(&self, alpha: &[usize]) -> Option<Vec<Vec<usize>>> {
+        let mut out = Vec::with_capacity(self.classes.len());
+        for t in &self.classes {
+            let options: Vec<Vec<(f64, usize)>> = t
+                .services
+                .iter()
+                .map(|&(s, m)| {
+                    m.row(alpha[s])
+                        .iter()
+                        .zip(&self.res_cols)
+                        .map(|(&lat, &r)| (lat, r))
+                        .collect()
+                })
+                .collect();
+            let alloc = min_latency_allocation(&options, t.budget)?;
+            if alloc.latency_sum > t.target + 1e-12 {
+                return None;
+            }
+            out.push(alloc.beta);
+        }
+        Some(out)
+    }
+
+    fn cost(&self, alpha: &[usize]) -> f64 {
+        alpha
+            .iter()
+            .enumerate()
+            .map(|(s, &a)| self.model.services[s].resource[a])
+            .sum()
+    }
+
+    /// The greedy descent: the assignment it stops at and its cost, or the
+    /// class of the first constraint its start violates.
+    fn greedy(&self, scratch: &mut DpScratch) -> Result<(Vec<usize>, f64), usize> {
+        // Start at each service's minimum-latency option (summed row means
+        // over the classes it serves) — with monotone exploration data this
+        // is the most-resourced option.
+        let mut alpha: Vec<usize> = self
+            .model
+            .services
+            .iter()
+            .map(|s| {
+                let mean_latency = |o: usize| -> f64 {
+                    s.latency
+                        .iter()
+                        .flatten()
+                        .map(|m| m.row(o).iter().sum::<f64>() / m.cols() as f64)
+                        .sum()
+                };
+                (0..s.resource.len())
+                    .min_by(|&a, &b| {
+                        mean_latency(a)
+                            .partial_cmp(&mean_latency(b))
+                            .expect("finite")
+                    })
+                    .expect("non-empty options")
+            })
+            .collect();
+        if let Some(k) =
+            (0..self.classes.len()).find(|&k| !self.class_ok(k, |s| Some(alpha[s]), scratch))
+        {
+            return Err(self.classes[k].class);
+        }
+        // Descend: repeatedly apply the single-service option change with
+        // the best resource saving that stays feasible. Every class holds
+        // at `alpha`, so a candidate can only break the classes of the
+        // service it moves.
+        loop {
+            let mut best: Option<(f64, usize, usize)> = None; // (saving, service, option)
+            for (s, svc) in self.model.services.iter().enumerate() {
+                let current = alpha[s];
+                for o in 0..svc.resource.len() {
+                    if o == current {
+                        continue;
+                    }
+                    let saving = svc.resource[current] - svc.resource[o];
+                    if saving <= 1e-12 {
+                        continue;
+                    }
+                    if best.map(|(bs, _, _)| saving <= bs).unwrap_or(false) {
+                        continue;
+                    }
+                    alpha[s] = o;
+                    if self.classes_of[s]
+                        .iter()
+                        .all(|&k| self.class_ok(k, |u| Some(alpha[u]), scratch))
+                    {
+                        best = Some((saving, s, o));
+                    }
+                    alpha[s] = current;
+                }
+            }
+            match best {
+                Some((_, s, o)) => alpha[s] = o,
+                None => {
+                    let cost = self.cost(&alpha);
+                    return Ok((alpha, cost));
+                }
+            }
+        }
     }
 }
 
@@ -262,251 +331,125 @@ fn optimistic_feasible(
 /// [`ModelError::Infeasible`] when the minimum-latency assignment violates
 /// some class's SLA.
 pub fn solve_greedy(model: &MipModel) -> Result<Solution, ModelError> {
-    model.validate()?;
-    let problems = class_problems(model);
-    let res_cols = residual_cols(model);
-    // Start at each service's minimum-latency option (summed row means over
-    // the classes it serves) — with monotone exploration data this is the
-    // most-resourced option.
-    let mut alpha: Vec<usize> = model
-        .services
-        .iter()
-        .map(|s| {
-            let mean_latency = |o: usize| -> f64 {
-                s.latency
-                    .iter()
-                    .flatten()
-                    .map(|m| m.row(o).iter().sum::<f64>() / m.cols() as f64)
-                    .sum()
-            };
-            (0..s.resource.len())
-                .min_by(|&a, &b| {
-                    mean_latency(a)
-                        .partial_cmp(&mean_latency(b))
-                        .expect("finite")
-                })
-                .expect("non-empty options")
-        })
-        .collect();
-    if feasible_assignment(model, &problems, &res_cols, &alpha).is_none() {
-        // Identify a violating class for the error.
-        let class = problems
-            .iter()
-            .find(|p| {
-                let opt: Vec<Option<usize>> = alpha.iter().map(|&a| Some(a)).collect();
-                !optimistic_feasible(model, p, &res_cols, &opt)
-            })
-            .map(|p| p.constraint.class)
-            .unwrap_or(0);
-        return Err(ModelError::Infeasible { class });
-    }
-    // Descend: repeatedly apply the single-service option change with the
-    // best resource saving that stays feasible.
-    loop {
-        let current_cost: f64 = alpha
-            .iter()
-            .enumerate()
-            .map(|(s, &a)| model.services[s].resource[a])
-            .sum();
-        let mut best: Option<(f64, usize, usize)> = None; // (saving, service, option)
-        for (s, svc) in model.services.iter().enumerate() {
-            for o in 0..svc.resource.len() {
-                if o == alpha[s] {
-                    continue;
-                }
-                let saving = svc.resource[alpha[s]] - svc.resource[o];
-                if saving <= 1e-12 {
-                    continue;
-                }
-                if best.map(|(bs, _, _)| saving <= bs).unwrap_or(false) {
-                    continue;
-                }
-                let mut cand = alpha.clone();
-                cand[s] = o;
-                if feasible_assignment(model, &problems, &res_cols, &cand).is_some() {
-                    best = Some((saving, s, o));
-                }
-            }
+    let ctx = Context::new(model)?;
+    let (lpr_choice, objective) = ctx
+        .greedy(&mut DpScratch::default())
+        .map_err(|class| ModelError::Infeasible { class })?;
+    let percentile_choice = ctx.feasible_assignment(&lpr_choice).expect("feasible");
+    Ok(Solution {
+        objective,
+        lpr_choice,
+        percentile_choice,
+        proved_optimal: false,
+        nodes_explored: 0,
+    })
+}
+
+/// Depth-first branch-and-bound over the services of [`Context::order`].
+struct Search<'c, 'm> {
+    ctx: &'c Context<'m>,
+    scratch: DpScratch,
+    /// The partial assignment; `None` is undecided.
+    alpha: Vec<Option<usize>>,
+    best_cost: f64,
+    /// The incumbent — or, while there is none, the class the greedy start
+    /// violated.
+    best_alpha: Result<Vec<usize>, usize>,
+    nodes: u64,
+    exhausted: bool,
+}
+
+impl Search<'_, '_> {
+    /// Expands the node at `depth`, whose assigned services cost
+    /// `partial_cost`. Every class is feasible at this node's assignment
+    /// (undecided services at their optimistic rows): the root is checked
+    /// before the search starts, and a child is entered only after the
+    /// classes of its branched service — the only ones whose inputs differ
+    /// from the parent's — have been checked again.
+    fn expand(&mut self, depth: usize, partial_cost: f64) {
+        let ctx = self.ctx;
+        self.nodes += 1;
+        if self.nodes > MAX_NODES {
+            self.exhausted = true;
+            return;
         }
-        match best {
-            Some((_, s, o)) => alpha[s] = o,
-            None => {
-                let percentile_choice =
-                    feasible_assignment(model, &problems, &res_cols, &alpha).expect("feasible");
-                return Ok(Solution {
-                    objective: current_cost,
-                    lpr_choice: alpha,
-                    percentile_choice,
-                    proved_optimal: false,
-                    nodes_explored: 0,
-                });
+        if depth == ctx.order.len() {
+            // A leaf has no undecided service, so the invariant above is
+            // its feasibility proof.
+            if partial_cost < self.best_cost - 1e-12 {
+                self.best_cost = partial_cost;
+                self.best_alpha = Ok(self.alpha.iter().map(|a| a.expect("assigned")).collect());
             }
+            return;
+        }
+        let s = ctx.order[depth];
+        let resource = &ctx.model.services[s].resource;
+        for &o in &ctx.cheapest_first[s] {
+            if self.exhausted {
+                return;
+            }
+            let cost = partial_cost + resource[o];
+            // Lower bound: assigned cost + min resource of the undecided.
+            let lb = cost + ctx.rest[depth + 1];
+            if lb >= self.best_cost - 1e-12 {
+                continue;
+            }
+            self.alpha[s] = Some(o);
+            let (alpha, scratch) = (&self.alpha, &mut self.scratch);
+            if ctx.classes_of[s]
+                .iter()
+                .all(|&k| ctx.class_ok(k, |u| alpha[u], scratch))
+            {
+                self.expand(depth + 1, cost);
+            }
+            self.alpha[s] = None;
         }
     }
 }
 
-/// Solves the model to optimality with branch-and-bound (default options).
+/// Solves the model to optimality with branch-and-bound.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::Invalid`] for malformed models and
 /// [`ModelError::Infeasible`] when no assignment meets every SLA.
 pub fn solve(model: &MipModel) -> Result<Solution, ModelError> {
-    solve_with_options(model, SolveOptions::default())
-}
-
-/// Like [`solve`], with explicit branch-and-bound options.
-///
-/// # Errors
-///
-/// Same contract as [`solve`].
-pub fn solve_with_options(model: &MipModel, options: SolveOptions) -> Result<Solution, ModelError> {
-    model.validate()?;
-    let problems = class_problems(model);
-    let res_cols = residual_cols(model);
-    let n = model.services.len();
-
-    // Incumbent from greedy, if its heuristic start was feasible.
-    let (mut best_cost, mut best_alpha) = match solve_greedy(model) {
-        Ok(greedy) => (greedy.objective, Some(greedy.lpr_choice)),
-        Err(ModelError::Infeasible { .. }) => (f64::INFINITY, None),
-        Err(e) => return Err(e),
-    };
-
-    // Branch order: services with the largest resource spread first.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let spread = |s: usize| {
-            let r = &model.services[s].resource;
-            r.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-                - r.iter().cloned().fold(f64::INFINITY, f64::min)
-        };
-        spread(b).partial_cmp(&spread(a)).expect("finite")
-    });
-    // Per-service minimum resource (for the lower bound).
-    let min_res: Vec<f64> = model
-        .services
-        .iter()
-        .map(|s| s.resource.iter().cloned().fold(f64::INFINITY, f64::min))
-        .collect();
-
-    let mut alpha: Vec<Option<usize>> = vec![None; n];
-    let mut nodes = 0u64;
-    let mut exhausted = false;
-
-    // Depth-first search with explicit recursion.
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        depth: usize,
-        model: &MipModel,
-        problems: &[ClassProblem],
-        res_cols: &[usize],
-        order: &[usize],
-        min_res: &[f64],
-        alpha: &mut Vec<Option<usize>>,
-        partial_cost: f64,
-        best_cost: &mut f64,
-        best_alpha: &mut Option<Vec<usize>>,
-        nodes: &mut u64,
-        exhausted: &mut bool,
-        options: SolveOptions,
-    ) {
-        *nodes += 1;
-        if *nodes > MAX_NODES {
-            *exhausted = true;
-            return;
-        }
-        if depth == order.len() {
-            let full: Vec<usize> = alpha.iter().map(|a| a.expect("assigned")).collect();
-            if feasible_assignment(model, problems, res_cols, &full).is_some()
-                && partial_cost < *best_cost - 1e-12
-            {
-                *best_cost = partial_cost;
-                *best_alpha = Some(full);
-            }
-            return;
-        }
-        let s = order[depth];
-        // Try options cheapest-first so good incumbents appear early.
-        let mut opts: Vec<usize> = (0..model.services[s].resource.len()).collect();
-        opts.sort_by(|&a, &b| {
-            model.services[s].resource[a]
-                .partial_cmp(&model.services[s].resource[b])
-                .expect("finite")
-        });
-        for o in opts {
-            if *exhausted {
-                return;
-            }
-            let cost = partial_cost + model.services[s].resource[o];
-            // Lower bound: assigned cost + min resource of the undecided.
-            let lb: f64 = cost + order[depth + 1..].iter().map(|&u| min_res[u]).sum::<f64>();
-            if lb >= *best_cost - 1e-12 {
-                continue;
-            }
-            alpha[s] = Some(o);
-            // Optimistic feasibility prune across all classes.
-            let mut viable = problems
-                .iter()
-                .all(|p| optimistic_feasible(model, p, res_cols, alpha));
-            // Optional LP-relaxation bound at shallow depths.
-            if viable && options.lp_bound && depth < 2 {
-                match lp_relaxation_bound(model, alpha) {
-                    Some(lb) if lb >= *best_cost - 1e-12 => viable = false,
-                    None => viable = false,
-                    _ => {}
-                }
-            }
-            if viable {
-                dfs(
-                    depth + 1,
-                    model,
-                    problems,
-                    res_cols,
-                    order,
-                    min_res,
-                    alpha,
-                    cost,
-                    best_cost,
-                    best_alpha,
-                    nodes,
-                    exhausted,
-                    options,
-                );
-            }
-            alpha[s] = None;
-        }
-    }
-
-    dfs(
-        0,
-        model,
-        &problems,
-        &res_cols,
-        &order,
-        &min_res,
-        &mut alpha,
-        0.0,
-        &mut best_cost,
-        &mut best_alpha,
-        &mut nodes,
-        &mut exhausted,
-        options,
-    );
-
-    let Some(best_alpha) = best_alpha else {
+    let ctx = Context::new(model)?;
+    let mut scratch = DpScratch::default();
+    // The root: each class on its own best terms. One that fails here fails
+    // under every assignment.
+    if let Some(k) = (0..ctx.classes.len()).find(|&k| !ctx.class_ok(k, |_| None, &mut scratch)) {
         return Err(ModelError::Infeasible {
-            class: model.constraints.first().map(|c| c.class).unwrap_or(0),
+            class: ctx.classes[k].class,
         });
+    }
+    // Incumbent from greedy, if its heuristic start was feasible.
+    let (best_cost, best_alpha) = match ctx.greedy(&mut scratch) {
+        Ok((alpha, cost)) => (cost, Ok(alpha)),
+        Err(class) => (f64::INFINITY, Err(class)),
     };
-    let percentile_choice =
-        feasible_assignment(model, &problems, &res_cols, &best_alpha).expect("incumbent feasible");
+    let mut search = Search {
+        ctx: &ctx,
+        scratch,
+        alpha: vec![None; model.services.len()],
+        best_cost,
+        best_alpha,
+        nodes: 0,
+        exhausted: false,
+    };
+    search.expand(0, 0.0);
+    let lpr_choice = search
+        .best_alpha
+        .map_err(|class| ModelError::Infeasible { class })?;
+    let percentile_choice = ctx
+        .feasible_assignment(&lpr_choice)
+        .expect("incumbent feasible");
     Ok(Solution {
-        objective: best_cost,
-        lpr_choice: best_alpha,
+        objective: search.best_cost,
+        lpr_choice,
         percentile_choice,
-        proved_optimal: !exhausted,
-        nodes_explored: nodes,
+        proved_optimal: !search.exhausted,
+        nodes_explored: search.nodes,
     })
 }
 
@@ -514,21 +457,16 @@ pub fn solve_with_options(model: &MipModel, options: SolveOptions) -> Result<Sol
 ///
 /// # Errors
 ///
-/// Same contract as [`solve`].
+/// Same contract as [`solve`], except that an `Infeasible` error names the
+/// first constraint's class: the reference gives a verdict, not a diagnosis.
 pub fn solve_brute_force(model: &MipModel) -> Result<Solution, ModelError> {
-    model.validate()?;
-    let problems = class_problems(model);
-    let res_cols = residual_cols(model);
+    let ctx = Context::new(model)?;
     let n = model.services.len();
     let mut idx = vec![0usize; n];
     let mut best: Option<(f64, Vec<usize>)> = None;
     loop {
-        if feasible_assignment(model, &problems, &res_cols, &idx).is_some() {
-            let cost: f64 = idx
-                .iter()
-                .enumerate()
-                .map(|(s, &a)| model.services[s].resource[a])
-                .sum();
+        if ctx.feasible_assignment(&idx).is_some() {
+            let cost = ctx.cost(&idx);
             if best
                 .as_ref()
                 .map(|(b, _)| cost < *b - 1e-12)
@@ -555,8 +493,7 @@ pub fn solve_brute_force(model: &MipModel) -> Result<Solution, ModelError> {
     }
     match best {
         Some((objective, lpr_choice)) => {
-            let percentile_choice =
-                feasible_assignment(model, &problems, &res_cols, &lpr_choice).expect("feasible");
+            let percentile_choice = ctx.feasible_assignment(&lpr_choice).expect("feasible");
             Ok(Solution {
                 objective,
                 lpr_choice,
@@ -574,7 +511,7 @@ pub fn solve_brute_force(model: &MipModel) -> Result<Solution, ModelError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LatencyMatrix, ServiceModel};
+    use crate::model::{LatencyMatrix, ServiceModel, SlaConstraint};
     use ursa_stats::rng::Rng;
 
     /// Grid used throughout: residuals 10, 5, 1 units.
@@ -744,6 +681,76 @@ mod tests {
         let sol = solve(&model).unwrap();
         assert_eq!(sol.lpr_choice, vec![0], "tight class forces provisioning");
         assert_eq!(sol.objective, 8.0);
+    }
+
+    /// A service on the path of two classes, with one latency matrix (a
+    /// row per option) for each.
+    fn shared(resource: Vec<f64>, rows: [Vec<Vec<f64>>; 2]) -> ServiceModel {
+        ServiceModel {
+            name: "shared".into(),
+            latency: rows
+                .into_iter()
+                .map(|r| {
+                    Some(LatencyMatrix::new(
+                        r.len(),
+                        r[0].len(),
+                        r.into_iter().flatten().collect(),
+                    ))
+                })
+                .collect(),
+            resource,
+        }
+    }
+
+    fn p99(class: usize, target: f64) -> SlaConstraint {
+        SlaConstraint {
+            class,
+            percentile: 99.0,
+            target,
+        }
+    }
+
+    #[test]
+    fn infeasible_names_the_class_that_fails_alone() {
+        // Class 0 is loose, class 1 cannot be met by the only option:
+        // the error must name class 1, not the first constraint.
+        let row = vec![vec![0.010, 0.020]];
+        let model = MipModel {
+            percentiles: vec![99.0, 99.9],
+            services: vec![shared(vec![1.0], [row.clone(), row])],
+            constraints: vec![p99(0, 1.0), p99(1, 0.001)],
+        };
+        let greedy = solve_greedy(&model).unwrap_err();
+        assert_eq!(greedy, ModelError::Infeasible { class: 1 });
+        assert_eq!(solve(&model).unwrap_err(), greedy);
+    }
+
+    #[test]
+    fn jointly_infeasible_names_the_class_the_greedy_start_violated() {
+        // Option 0 is fast for class 0 and slow for class 1, option 1 the
+        // reverse: each class can be met alone, never both. The greedy
+        // start (lowest mean latency: option 0) violates class 1.
+        let fast_slow = vec![vec![0.010, 0.010], vec![0.500, 0.500]];
+        let slow_fast = vec![vec![0.400, 0.400], vec![0.010, 0.010]];
+        let model = MipModel {
+            percentiles: vec![99.0, 99.9],
+            services: vec![shared(vec![2.0, 1.0], [fast_slow, slow_fast])],
+            constraints: vec![p99(0, 0.050), p99(1, 0.050)],
+        };
+        for alone in 0..2 {
+            let mut one = model.clone();
+            one.constraints.remove(1 - alone);
+            assert!(solve(&one).is_ok(), "class {alone} alone is feasible");
+        }
+        assert_eq!(
+            solve_greedy(&model).unwrap_err(),
+            ModelError::Infeasible { class: 1 }
+        );
+        assert_eq!(
+            solve(&model).unwrap_err(),
+            ModelError::Infeasible { class: 1 }
+        );
+        assert!(solve_brute_force(&model).is_err());
     }
 
     #[test]
