@@ -1,12 +1,100 @@
 //! Standalone driver for the perf-harness cells, sized for external
-//! profilers (gprofng, perf): long enough runs to dominate startup, no
-//! harness timing logic in the way.
+//! profilers: long enough runs to dominate startup, no harness timing
+//! logic in the way. The engine does not time itself (DESIGN.md §6,
+//! "Engine cost model, measured from outside"); this is how to ask where
+//! its time goes.
 //!
 //! ```sh
 //! cargo build --release -p ursa-bench --example profile_cells
-//! gprofng collect app -o /tmp/prof.er target/release/examples/profile_cells ps_heavy 20
+//! cd target/release/examples      # usage: profile_cells [canonical|ps_heavy] [reps]
+//! ```
+//!
+//! With `gprofng` (binutils ≥ 2.39; `-p hi` samples every millisecond):
+//!
+//! ```sh
+//! gprofng collect app -p hi -o /tmp/prof.er ./profile_cells canonical 100
 //! gprofng display text -functions /tmp/prof.er | head -40
 //! ```
+//!
+//! Without it, a `SIGPROF` sampler needs only `gcc` and `addr2line`. Preload
+//! a shim that records the interrupted instruction pointer on every
+//! `ITIMER_PROF` tick (CPU time, so a descheduled process is not sampled)
+//! and dumps them with the memory map at exit:
+//!
+//! ```c
+//! #define _GNU_SOURCE
+//! #include <signal.h>
+//! #include <stdio.h>
+//! #include <sys/time.h>
+//! #include <ucontext.h>
+//!
+//! static unsigned long ips[1 << 20];
+//! static unsigned n;
+//!
+//! static void tick(int sig, siginfo_t *si, void *uc) {
+//!     if (n < 1 << 20) ips[n++] = ((ucontext_t *)uc)->uc_mcontext.gregs[REG_RIP];
+//! }
+//!
+//! __attribute__((constructor)) static void start(void) {
+//!     struct sigaction sa = {.sa_sigaction = tick, .sa_flags = SA_SIGINFO | SA_RESTART};
+//!     sigaction(SIGPROF, &sa, 0);
+//!     struct itimerval every_ms = {{0, 1000}, {0, 1000}};
+//!     setitimer(ITIMER_PROF, &every_ms, 0);
+//! }
+//!
+//! __attribute__((destructor)) static void stop(void) {
+//!     char line[512];
+//!     FILE *maps = fopen("/proc/self/maps", "r"), *out = fopen("sigprof.out", "w");
+//!     while (fgets(line, sizeof line, maps)) fprintf(out, "map %s", line);
+//!     for (unsigned i = 0; i < n; i++) fprintf(out, "ip %lx\n", ips[i]);
+//!     fclose(out);
+//! }
+//! ```
+//!
+//! ```sh
+//! gcc -O2 -shared -fPIC sigprof.c -o sigprof.so
+//! LD_PRELOAD=$PWD/sigprof.so ./profile_cells canonical 100   # writes ./sigprof.out
+//! python3 symbolise.py sigprof.out
+//! ```
+//!
+//! where `symbolise.py` turns each address into an offset inside the file
+//! it was mapped from and asks `addr2line` for the function (the release
+//! profile keeps debug info; shared libraries without it resolve to the
+//! nearest exported symbol, so read those lines as "libm", "libc"):
+//!
+//! ```python
+//! import collections, subprocess, sys
+//! base, text, ips = {}, [], []
+//! for line in open(sys.argv[1]):
+//!     kind, *f = line.split()
+//!     if kind == "ip":
+//!         ips.append(int(f[0], 16))
+//!     elif len(f) > 5:
+//!         lo, hi = (int(x, 16) for x in f[0].split("-"))
+//!         if int(f[2], 16) == 0:
+//!             base[f[5]] = lo
+//!         if "x" in f[1]:
+//!             text.append((lo, hi, f[5]))
+//! by_file = collections.defaultdict(list)
+//! for ip in ips:
+//!     for lo, hi, path in text:
+//!         if lo <= ip < hi:
+//!             by_file[path].append(hex(ip - base[path]))
+//! count = collections.Counter()
+//! for path, addrs in by_file.items():
+//!     # -i lists the inlined frames innermost first; the last function
+//!     # before the next address is the one that was actually called.
+//!     out = subprocess.run(["addr2line", "-a", "-i", "-f", "-C", "-e", path] + addrs,
+//!                          capture_output=True, text=True).stdout
+//!     for frames in out.split("\n0x"):
+//!         count[f"{path.rsplit('/', 1)[-1]}  {frames.splitlines()[-2]}"] += 1
+//! for fn, k in count.most_common(20):
+//!     print(f"{100 * k / len(ips):5.1f}%  {fn}")
+//! ```
+//!
+//! The kernel delivers `ITIMER_PROF` at its tick rate, 250–1000 samples per
+//! CPU-second: run enough reps for a few thousand samples before reading
+//! anything below 5 %.
 
 use ursa_apps::social_network;
 use ursa_sim::prelude::*;
@@ -23,23 +111,8 @@ fn ps_heavy(seed: u64) -> u64 {
     )
     .expect("static ps_heavy topology");
     let mut sim = Simulation::new(topo, SimConfig::default(), seed);
-    if std::env::var("PROF_EVERY").is_ok() {
-        sim.enable_profiler(1);
-    }
     sim.set_rate(ClassId(0), RateFn::Constant(4000.0));
     sim.run_for(SimDur::from_secs(10));
-    if let Some(p) = sim.profiler() {
-        for st in p.report().phases {
-            if st.count > 0 {
-                eprintln!(
-                    "{:12} count={:9} ns/ev={:8.1}",
-                    st.phase.label(),
-                    st.count,
-                    st.est_nanos / sim.events_processed() as f64
-                );
-            }
-        }
-    }
     sim.events_processed()
 }
 

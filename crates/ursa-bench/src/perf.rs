@@ -14,13 +14,12 @@
 //! * **big** — the full social network replicated 7× (63 services) on one
 //!   engine: event queue and telemetry tables an order of magnitude wider.
 //!
-//! The first two are timed as plain/profiled back-to-back pairs, which
-//! yields the phase profiler's overhead and asserts that the profiled run
-//! processes exactly the plain run's events (the profiler must observe,
-//! not perturb). `--check <baseline.json>` compares every cell's
-//! events/sec against a committed baseline (tolerance from `--tolerance` /
-//! `URSA_PERF_TOLERANCE`, default [`REGRESSION_TOLERANCE`]) and gates the
-//! profiler overhead at [`PROFILER_OVERHEAD_BUDGET_PCT`].
+//! `--check <baseline.json>` compares every cell's events/sec against a
+//! committed baseline (tolerance from `--tolerance` /
+//! `URSA_PERF_TOLERANCE`, default [`REGRESSION_TOLERANCE`]). The schema
+//! stays v8: the per-cell `profiler_overhead_pct` of older reports (the
+//! committed baseline still carries it) went with the profiler's clock
+//! reads and was never read from a baseline.
 
 use std::path::Path;
 use std::time::Instant;
@@ -39,10 +38,6 @@ pub const SCHEMA: &str = "ursa-bench-perf/v8";
 /// complexity-class regressions (the ps_heavy cell slows ~3x if PS goes
 /// quadratic again), not single-digit codegen drift.
 pub const REGRESSION_TOLERANCE: f64 = 0.35;
-/// Maximum tolerated profiler overhead (`--check` gate), measured as the
-/// paired-minimum ratio (see [`time_cell`]). Overhead below measurement
-/// noise clamps to zero.
-pub const PROFILER_OVERHEAD_BUDGET_PCT: f64 = 2.0;
 /// Wall-clock repetitions per cell. The minimum is reported: far more
 /// stable on a shared runner than a single shot.
 const REPS: usize = 5;
@@ -50,12 +45,11 @@ const REPS: usize = 5;
 /// Builds one cell: a loaded simulation and the simulated seconds to run.
 type CellFn = fn() -> (Simulation, u64);
 
-/// The cells: name, whether the profiler overhead is measured and gated
-/// on it (every repetition then also times a profiled twin), and the build.
-const CELLS: [(&str, bool, CellFn); 3] = [
-    ("canonical", true, canonical_cell),
-    ("ps_heavy", true, ps_heavy_cell),
-    ("big", false, big_cell),
+/// The cells: the name `--check` aligns on, and the build.
+const CELLS: [(&str, CellFn); 3] = [
+    ("canonical", canonical_cell),
+    ("ps_heavy", ps_heavy_cell),
+    ("big", big_cell),
 ];
 
 fn canonical_cell() -> (Simulation, u64) {
@@ -88,12 +82,9 @@ fn big_cell() -> (Simulation, u64) {
     (sim, 20)
 }
 
-/// Builds a cell and simulates it to its end, profiled or plain.
-fn run_cell(build: CellFn, profiled: bool) -> Simulation {
+/// Builds a cell and simulates it to its end.
+fn run_cell(build: CellFn) -> Simulation {
     let (mut sim, secs) = build();
-    if profiled {
-        sim.enable_profiler(PhaseProfiler::DEFAULT_SAMPLE_EVERY);
-    }
     sim.run_for(SimDur::from_secs(secs));
     sim
 }
@@ -113,39 +104,17 @@ struct CellResult {
     /// Single-thread engine throughput (live events / best wall).
     events_per_sec: f64,
     wall_ms: f64,
-    /// Paired-minimum profiler overhead, percent, on the gated cells.
-    profiler_overhead_pct: Option<f64>,
 }
 
 /// Times a cell best-of-N, asserting its event counts repeat exactly.
-///
-/// On a gated cell every repetition is a back-to-back plain/profiled pair
-/// and the overhead estimate is the *minimum over pairs* of the
-/// profiled/plain wall ratio, clamped at zero. Best-of-N walls of two
-/// separately-timed populations wander by several percent on shared
-/// runners — far above the real sampled-profiler cost — so a
-/// difference-of-minima gate would flake. Pairing keeps machine state
-/// comparable within each ratio, and the minimum rejects pairs where the
-/// profiled half got unlucky; a *systematic* regression (the profiler
-/// suddenly doing real work per event) inflates every pair and still
-/// trips the gate.
-fn time_cell(&(name, gated, build): &(&'static str, bool, CellFn)) -> CellResult {
-    let timed = |profiled: bool| {
-        let t = Instant::now();
-        let counts = counts(&run_cell(build, profiled));
-        (counts, t.elapsed().as_secs_f64())
-    };
-    let (mut best_wall, mut best_ratio) = (f64::MAX, f64::MAX);
+fn time_cell(&(name, build): &(&'static str, CellFn)) -> CellResult {
+    let mut best_wall = f64::MAX;
     let mut kept = None;
     for _ in 0..REPS {
-        let (plain, wall) = timed(false);
-        assert_eq!(*kept.get_or_insert(plain), plain, "{name} drifted");
-        best_wall = best_wall.min(wall);
-        if gated {
-            let (profiled, profiled_wall) = timed(true);
-            assert_eq!(plain, profiled, "the profiler perturbed {name}");
-            best_ratio = best_ratio.min(profiled_wall / wall.max(1e-9));
-        }
+        let t = Instant::now();
+        let counts = counts(&run_cell(build));
+        best_wall = best_wall.min(t.elapsed().as_secs_f64());
+        assert_eq!(*kept.get_or_insert(counts), counts, "{name} drifted");
     }
     let (events, _) = kept.expect("REPS > 0");
     CellResult {
@@ -153,7 +122,6 @@ fn time_cell(&(name, gated, build): &(&'static str, bool, CellFn)) -> CellResult
         events,
         events_per_sec: events as f64 / best_wall.max(1e-9),
         wall_ms: best_wall * 1e3,
-        profiler_overhead_pct: gated.then(|| (best_ratio - 1.0).max(0.0) * 100.0),
     }
 }
 
@@ -163,12 +131,9 @@ fn to_json(cells: &[CellResult]) -> String {
     let rows: Vec<String> = cells
         .iter()
         .map(|c| {
-            let overhead = c.profiler_overhead_pct.map_or_else(String::new, |p| {
-                format!(", \"profiler_overhead_pct\": {p:.2}")
-            });
             format!(
                 "    {{\"name\": \"{}\", \"events\": {}, \"events_per_sec\": {:.1}, \
-                 \"wall_ms\": {:.2}{overhead}}}",
+                 \"wall_ms\": {:.2}}}",
                 c.name, c.events, c.events_per_sec, c.wall_ms
             )
         })
@@ -180,11 +145,10 @@ fn to_json(cells: &[CellResult]) -> String {
 }
 
 /// Checks `cells` against a baseline report: every cell's `events_per_sec`
-/// must reach `baseline × (1 − tolerance)` and every measured profiler
-/// overhead must fit the budget. Returns the exit code (0 ok, 1 regression,
-/// 2 unusable baseline) and one line per gate, each naming the cell and the
-/// metric (a multi-cell check that only echoes a number is undebuggable
-/// from CI logs) and the margin left before it trips.
+/// must reach `baseline × (1 − tolerance)`. Returns the exit code (0 ok,
+/// 1 regression, 2 unusable baseline) and one line per cell, naming the
+/// cell and the metric (a multi-cell check that only echoes a number is
+/// undebuggable from CI logs) and the margin left before it trips.
 fn check(cells: &[CellResult], baseline: &str, tolerance: f64) -> (i32, Vec<String>) {
     let baseline = match parse_json(baseline) {
         Ok(v) if v.get("schema").and_then(JsonValue::as_str) == Some(SCHEMA) => v,
@@ -207,23 +171,15 @@ fn check(cells: &[CellResult], baseline: &str, tolerance: f64) -> (i32, Vec<Stri
             code = 2;
             continue;
         };
-        let mut gate = |metric: &str, ok: bool, detail: String| {
-            let verdict = ["PERF REGRESSION", "perf check ok"][usize::from(ok)];
-            lines.push(format!(
-                "{verdict}: cell `{name}`, metric `{metric}`: {detail}"
-            ));
-            code = code.max(i32::from(!ok));
-        };
         let (cur, floor) = (cell.events_per_sec, base * (1.0 - tolerance));
         let margin = 100.0 * (cur / floor - 1.0);
-        let detail =
-            format!("{cur:.0} vs baseline {base:.0} (floor {floor:.0}, margin {margin:+.0}%)");
-        gate("events_per_sec", cur >= floor, detail);
-        if let Some(pct) = cell.profiler_overhead_pct {
-            let ok = pct <= PROFILER_OVERHEAD_BUDGET_PCT;
-            let detail = format!("{pct:.2}% against a {PROFILER_OVERHEAD_BUDGET_PCT}% budget");
-            gate("profiler_overhead_pct", ok, detail);
-        }
+        let ok = cur >= floor;
+        let verdict = ["PERF REGRESSION", "perf check ok"][usize::from(ok)];
+        lines.push(format!(
+            "{verdict}: cell `{name}`, metric `events_per_sec`: \
+             {cur:.0} vs baseline {base:.0} (floor {floor:.0}, margin {margin:+.0}%)"
+        ));
+        code = code.max(i32::from(!ok));
     }
     (code, lines)
 }
@@ -233,7 +189,7 @@ fn check(cells: &[CellResult], baseline: &str, tolerance: f64) -> (i32, Vec<Stri
 /// baseline at `tolerance`. Returns the process exit code (0 = ok,
 /// 1 = regression, 2 = bad baseline or I/O).
 pub fn run(out: &Path, check_against: Option<&Path>, tolerance: f64) -> i32 {
-    run_cell(canonical_cell, false);
+    run_cell(canonical_cell);
     let cells: Vec<CellResult> = CELLS.iter().map(time_cell).collect();
     let json = to_json(&cells);
     if let Some(dir) = out.parent() {
@@ -270,53 +226,51 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cells_are_deterministic_and_unperturbed_by_the_profiler() {
+    fn cells_are_deterministic() {
         for build in [canonical_cell, ps_heavy_cell] {
-            let plain = counts(&run_cell(build, false));
-            assert!(plain.0 > 0);
-            assert_eq!(plain, counts(&run_cell(build, false)));
-            assert_eq!(plain, counts(&run_cell(build, true)));
+            let first = counts(&run_cell(build));
+            assert!(first.0 > 0);
+            assert_eq!(first, counts(&run_cell(build)));
         }
         // Despite hundreds of concurrent jobs sharing the replica, the
         // event queue must stay shallow: the scheduler keeps at most one
         // pending completion check per replica (plus source timers), never
         // one timer per job. A deep queue here means the lazy invalidation
         // machinery broke.
-        let depth = run_cell(ps_heavy_cell, false).event_heap_max_depth();
+        let depth = run_cell(ps_heavy_cell).event_heap_max_depth();
         assert!(depth < 64, "ps_heavy event queue blew up: {depth}");
     }
 
     fn sample() -> Vec<CellResult> {
-        let cell = |name, events_per_sec, profiler_overhead_pct| CellResult {
+        let cell = |name, events_per_sec| CellResult {
             name,
             events: 1234,
             events_per_sec,
             wall_ms: 21.7,
-            profiler_overhead_pct,
         };
         vec![
-            cell("canonical", 56789.5, Some(0.85)),
-            cell("ps_heavy", 98765.5, Some(1.15)),
-            cell("big", 5_000_000.0, None),
+            cell("canonical", 56789.5),
+            cell("ps_heavy", 98765.5),
+            cell("big", 5_000_000.0),
         ]
     }
 
     #[test]
-    fn check_gates_floors_and_overheads_over_the_v8_schema() {
+    fn check_gates_floors_over_the_v8_schema() {
         let cells = sample();
         let json = to_json(&cells);
         let verdict = |baseline: &str, tolerance: f64| check(&cells, baseline, tolerance);
-        // A report is within any tolerance of itself: three floors and two
-        // overhead gates, all passing.
+        // A report is within any tolerance of itself: three floors, all
+        // passing.
         let (code, lines) = verdict(&json, 0.0);
-        assert_eq!((code, lines.len()), (0, 5), "{lines:?}");
+        assert_eq!((code, lines.len()), (0, 3), "{lines:?}");
         // A doubled baseline cell trips the floor, naming cell and metric.
         let (code, lines) = verdict(&json.replace("98765.5", "197531.0"), REGRESSION_TOLERANCE);
         assert_eq!(code, 1);
         let failed = "PERF REGRESSION: cell `ps_heavy`, metric `events_per_sec`: 98766 vs";
-        assert!(lines[2].starts_with(failed), "{lines:?}");
+        assert!(lines[1].starts_with(failed), "{lines:?}");
         let passed = |l: &&String| l.starts_with("perf check ok");
-        assert_eq!(lines.iter().filter(passed).count(), 4, "{lines:?}");
+        assert_eq!(lines.iter().filter(passed).count(), 2, "{lines:?}");
         // A 10 % drift below the baseline passes inside the band only.
         let drifted = json.replace("56789.5", "63099.4");
         assert_eq!(verdict(&drifted, 0.35).0, 0);
@@ -328,21 +282,18 @@ mod tests {
         assert_eq!(code, 1);
         let failed =
             "PERF REGRESSION: cell `big`, metric `events_per_sec`: 5000000 vs baseline 6500000";
-        assert!(lines[4].starts_with(failed), "{lines:?}");
+        assert!(lines[2].starts_with(failed), "{lines:?}");
         // A missing cell or number, a foreign schema and a torn file are unusable.
         let (code, lines) = verdict(&json.replace("\"ps_heavy\"", "\"renamed\""), 0.35);
         assert_eq!(code, 2);
-        assert!(lines[2].ends_with("for cell `ps_heavy`"), "{lines:?}");
+        assert!(lines[1].ends_with("for cell `ps_heavy`"), "{lines:?}");
         let no_number = json.replace("\"events_per_sec\": 56789.5, ", "");
         assert_eq!(verdict(&no_number, 0.35).0, 2);
         assert_eq!(verdict(&json.replace("/v8", "/v7"), 0.35).0, 2);
         assert_eq!(verdict("{", 0.35).0, 2);
-        // The overhead gate reads the measurement, not the baseline.
-        let mut hot = sample();
-        hot[0].profiler_overhead_pct = Some(7.3);
-        let (code, lines) = check(&hot, &json, 0.35);
-        assert_eq!(code, 1);
-        let failed = "PERF REGRESSION: cell `canonical`, metric `profiler_overhead_pct`: 7.30%";
-        assert!(lines[1].starts_with(failed), "{lines:?}");
+        // The committed baseline, older reports' extra field included, is
+        // still a usable v8 report.
+        let committed = include_str!("../../../results/bench/BENCH_baseline.json");
+        assert_ne!(verdict(committed, 0.35).0, 2);
     }
 }

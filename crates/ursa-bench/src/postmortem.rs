@@ -471,10 +471,8 @@ fn render_json(
     }
     s.push_str("],\n");
 
-    // Engine phase profile — deterministic fields only. Per-phase
-    // `est_nanos`/`share` measure the host wall clock and would break the
-    // byte-identical-at-any-`--jobs` guarantee; sample counts are a pure
-    // function of the seed (every Nth popped event) and survive.
+    // Engine phase profile: how many of every Nth popped event were of
+    // each kind — a pure function of the seed.
     match sim.profiler() {
         None => s.push_str("\"phase_profile\":null,\n"),
         Some(p) => {
@@ -737,10 +735,9 @@ fn render_html(
         let _ = writeln!(
             h,
             "<h2>Engine phase profile ({} of {} events sampled, 1/{})</h2>\n\
-             <table><tr><th>phase</th><th>sampled spans</th></tr>",
+             <table><tr><th>phase</th><th>sampled events</th></tr>",
             report.events_sampled, report.events_seen, report.sample_every
         );
-        // Counts only: wall-derived nanos would break bundle determinism.
         for st in report.phases.iter().filter(|st| st.count > 0) {
             let _ = writeln!(
                 h,

@@ -98,8 +98,7 @@ fn snapshot_bundles_are_jobs_invariant() {
         .map(|(_, bytes)| String::from_utf8(bytes.clone()).unwrap())
         .collect();
     assert!(all.contains("snapshot-at"), "{all}");
-    // The armed profiler's sample counts land in the bundle (the
-    // wall-derived nanos stay out — determinism above proves it).
+    // The armed profiler's sample counts land in the bundle.
     assert!(
         all.contains("\"phase_profile\":{\"sample_every\":"),
         "{all}"

@@ -204,12 +204,6 @@ impl ReqArena {
         self.slots.len()
     }
 
-    /// High-water mark of hop records ever carved (including regions
-    /// orphaned by cap growth).
-    pub fn nodes_high_water(&self) -> usize {
-        self.phase.len()
-    }
-
     fn grow_nodes(&mut self, n: usize) {
         let new_len = self.phase.len() + n;
         self.phase.resize(new_len, Phase::Queued);
@@ -289,12 +283,12 @@ mod tests {
         assert_eq!(s2, s);
         let new_base = a.node_index(s2, a.gen(s2), 0);
         assert!(new_base > old_base, "larger tree gets a fresh region");
-        assert_eq!(a.nodes_high_water(), 10);
+        assert_eq!(a.phase.len(), 10);
         // Shrinking reuses the (larger) existing region.
         a.release(s2);
         let s3 = a.alloc(0, SimTime::ZERO, 4, false);
         assert_eq!(a.node_index(s3, a.gen(s3), 0), new_base);
-        assert_eq!(a.nodes_high_water(), 10);
+        assert_eq!(a.phase.len(), 10);
     }
 
     #[test]
@@ -317,7 +311,7 @@ mod tests {
             .map(|_| a.alloc(0, SimTime::ZERO, 2, false))
             .collect();
         assert_eq!(a.slots_high_water(), 3);
-        assert_eq!(a.nodes_high_water(), 6);
+        assert_eq!(a.phase.len(), 6);
         for s in keep {
             a.release(s);
         }

@@ -338,8 +338,6 @@ pub fn run_deployment_observed(
         let wall = t0.elapsed();
         decision_nanos += wall.as_nanos();
         decisions += 1;
-        // Exact (unsampled) control-phase time; no-op when profiling is off.
-        sim.profiler_note_control(wall.as_nanos() as u64);
         if let Some(m) = metrics.as_mut() {
             let before = before.expect("captured when metered");
             let changes: Vec<(String, usize, usize)> = (0..num_services)

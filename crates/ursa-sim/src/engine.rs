@@ -32,8 +32,8 @@
 //! The event core (v3) is built for raw single-core throughput while
 //! preserving the seed → bit-identical-output contract:
 //!
-//! * events live in a calendar queue ([`crate::calq`]) — O(1) bucket
-//!   append for in-window pushes, heap order only over the current band;
+//! * events live in one sorted vector ([`crate::evq`]) — a push that pops
+//!   next is an append, any other shifts only the entries ahead of it;
 //! * in-flight request/hop state lives in a generational SoA arena
 //!   ([`crate::arena`]) instead of pooled per-request `Vec`s;
 //! * per-hop routing fields come from the topology's SoA hot table
@@ -43,14 +43,13 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 use ursa_stats::dist::{Distribution, LogNormal};
 use ursa_stats::rng::{BlockRng, Rng};
 
 use crate::arena::{Phase, ReqArena, NO_DAEMON};
-use crate::calq::{CalQueue, QEntry};
 use crate::chaos::{ChaosState, Fault, FaultEvent, FaultKind, FaultPhase, FaultPlan};
+use crate::evq::{EventQueue, QEntry};
 use crate::memory::{select_victim, MemEvent, MemEventKind, MemPlan, MemState, VictimCandidate};
 use crate::profiler::{PhaseProfiler, SimPhase};
 use crate::ps::{ps_rate, VtPs};
@@ -87,8 +86,7 @@ struct Token {
 
 /// Event payloads are deliberately compact (every field fits in 32 bits)
 /// so a [`QEntry<EventKind>`] stays at 32 bytes: the event queue is the
-/// hottest data structure in the engine and bucket promotions move whole
-/// entries.
+/// hottest data structure in the engine and an insert moves whole entries.
 #[derive(Debug, Clone, Copy)]
 enum EventKind {
     /// Next candidate arrival of a class's Poisson source (thinning).
@@ -114,6 +112,23 @@ enum EventKind {
     MemCheck,
     /// An OOM-killed or evicted replica of `service` restarts.
     MemRestart { service: u32 },
+}
+
+/// The profiler phase of a dispatched event: its kind, or
+/// [`SimPhase::Stale`] when dispatch found it superseded. No wildcard arm,
+/// so a new `EventKind` cannot go unclassified.
+fn phase_of(kind: EventKind, live: bool) -> SimPhase {
+    if !live {
+        return SimPhase::Stale;
+    }
+    match kind {
+        EventKind::SourceNext { .. } => SimPhase::SourceNext,
+        EventKind::NodeArrive { .. } => SimPhase::NodeArrive,
+        EventKind::PsCheck { .. } => SimPhase::PsCheck,
+        EventKind::TraceArrival { .. } => SimPhase::TraceArrival,
+        EventKind::ChaosStart { .. } | EventKind::ChaosEnd { .. } => SimPhase::Chaos,
+        EventKind::MemCheck | EventKind::MemRestart { .. } => SimPhase::Mem,
+    }
 }
 
 /// Strict-priority FIFO queue of tokens.
@@ -364,7 +379,7 @@ pub struct Simulation {
     /// `ps_check` calls).
     ps_scratch: Vec<Token>,
     telemetry: Telemetry,
-    events: CalQueue<EventKind>,
+    events: EventQueue<EventKind>,
     seq: u64,
     /// Dispatched events that did real work (see [`events_processed`]).
     events_live: u64,
@@ -396,11 +411,6 @@ pub struct Simulation {
     /// bit-identical-when-disabled contract as the tracer and chaos
     /// planes.
     prof: Option<Box<PhaseProfiler>>,
-    /// True only while the currently dispatched event is being sampled in
-    /// detail *and* no profiler span is open — the one-word gate the inner
-    /// phase hooks check. Kept outside `prof` so the not-sampling path is
-    /// a plain bool load.
-    prof_sampling: bool,
     /// Flight recorder, armed via
     /// [`arm_flight_recorder`](Self::arm_flight_recorder). Purely
     /// observational; same bit-identical contract.
@@ -474,7 +484,7 @@ impl Simulation {
             arena: ReqArena::new(),
             ps_scratch: Vec::new(),
             telemetry,
-            events: CalQueue::new(),
+            events: EventQueue::new(),
             seq: 0,
             events_live: 0,
             events_stale: 0,
@@ -491,7 +501,6 @@ impl Simulation {
             tracer: None,
             chaos: None,
             prof: None,
-            prof_sampling: false,
             recorder: None,
             mem: None,
         }
@@ -532,32 +541,22 @@ impl Simulation {
     }
 
     /// Enables the engine phase profiler (see [`crate::profiler`]): every
-    /// `sample_every`-th dispatched event is wall-clock timed in detail
-    /// and attributed to phases. The profiler only *reads* the wall clock
-    /// — it never touches simulation state or any RNG — so enabling it
-    /// leaves simulated output bit-identical to a run without it.
+    /// `sample_every`-th dispatched event is classified by kind and
+    /// counted. The profiler never touches simulation state or any RNG,
+    /// so enabling it leaves simulated output bit-identical to a run
+    /// without it.
     ///
     /// # Panics
     ///
     /// Panics if `sample_every == 0`.
     pub fn enable_profiler(&mut self, sample_every: u32) {
         self.prof = Some(Box::new(PhaseProfiler::new(sample_every)));
-        self.prof_sampling = false;
     }
 
     /// The phase profiler, if enabled — call
     /// [`report`](PhaseProfiler::report) for the breakdown.
     pub fn profiler(&self) -> Option<&PhaseProfiler> {
         self.prof.as_deref()
-    }
-
-    /// Feeds exact control-callback wall time into the profiler (no-op
-    /// when profiling is off). Called by the deployment driver, which
-    /// already times each manager tick.
-    pub fn profiler_note_control(&mut self, nanos: u64) {
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.accrue_control(nanos);
-        }
     }
 
     /// Arms the flight recorder (see [`crate::recorder`]): the most
@@ -724,39 +723,15 @@ impl Simulation {
         self.heap_compactions
     }
 
-    /// Current band width of the calendar event queue, in nanoseconds.
-    pub fn event_queue_band_ns(&self) -> u64 {
-        self.events.band_ns()
-    }
-
-    /// Adaptive band-width rebuilds of the calendar event queue.
+    /// Always 0: the event queue is one sorted vector and has no layout to
+    /// rebuild. Kept because the ledger (`engine.queue_resizes`) calls it.
     pub fn event_queue_resizes(&self) -> u64 {
-        self.events.resizes()
-    }
-
-    /// Bucket-to-heap promotions performed by the calendar event queue.
-    pub fn event_queue_promotions(&self) -> u64 {
-        self.events.promotions()
-    }
-
-    /// Largest single bucket a promotion drained.
-    pub fn event_queue_max_band_drain(&self) -> usize {
-        self.events.max_band_drain()
-    }
-
-    /// High-water mark of the far-future overflow band.
-    pub fn event_queue_overflow_max(&self) -> usize {
-        self.events.overflow_max()
+        0
     }
 
     /// High-water mark of concurrently allocated request slots.
     pub fn arena_slots_high_water(&self) -> usize {
         self.arena.slots_high_water()
-    }
-
-    /// High-water mark of hop records carved in the request arena.
-    pub fn arena_nodes_high_water(&self) -> usize {
-        self.arena.nodes_high_water()
     }
 
     /// Sets (or replaces) the arrival process of a request class.
@@ -776,12 +751,10 @@ impl Simulation {
         if lam_max <= 0.0 {
             return;
         }
-        let t0 = self.prof_span();
         // Inverse-CDF exponential draw, the exact expression of
         // `Exponential::sample`, inlined so the source pulls from its
         // block-buffered RNG: identical stream, identical f64 result.
         let dt = -self.sources[class].rng.next_f64_open().ln() / lam_max;
-        self.prof_span_end(SimPhase::Rng, t0);
         let at = self.now + SimDur::from_secs_f64(dt);
         self.schedule(
             at,
@@ -793,14 +766,14 @@ impl Simulation {
     }
 
     fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let t0 = self.prof_span();
         self.seq += 1;
         self.events.push(at, self.seq, kind);
-        self.prof_span_end(SimPhase::QueuePush, t0);
+        self.compact_if_mostly_stale();
+    }
+
+    fn compact_if_mostly_stale(&mut self) {
         if self.heap_stale >= COMPACT_MIN_STALE && self.heap_stale * 2 >= self.events.len() {
-            let t0 = self.prof_span();
             self.compact_events();
-            self.prof_span_end(SimPhase::QueueMaint, t0);
         }
     }
 
@@ -843,9 +816,7 @@ impl Simulation {
                 .start(slot, class, self.now, num_nodes);
         }
         self.in_flight += 1;
-        let t0p = self.prof_span();
         self.telemetry.record_injection(class);
-        self.prof_span_end(SimPhase::Telemetry, t0p);
         let token = Token {
             slot,
             gen: self.arena.gen(slot),
@@ -860,21 +831,22 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if any time is in the past.
+    /// Panics if any time is in the past; nothing is scheduled then.
     pub fn schedule_arrivals(&mut self, class: ClassId, times: &[SimTime]) {
-        for &at in times {
-            assert!(
-                at >= self.now,
-                "arrival {at} is in the past (now {})",
-                self.now
-            );
-            self.schedule(
-                at,
-                EventKind::TraceArrival {
-                    class: class.0 as u32,
-                },
-            );
+        if let Some(at) = times.iter().find(|&&at| at < self.now) {
+            panic!("arrival {at} is in the past (now {})", self.now);
         }
+        let kind = EventKind::TraceArrival {
+            class: class.0 as u32,
+        };
+        // One batch: a trace is ascending in time, the one order in which
+        // pushing entry by entry would shift the whole queue every time.
+        let first = self.seq + 1;
+        self.seq += times.len() as u64;
+        let batch = times.iter().zip(first..);
+        self.events
+            .extend(batch.map(|(&at, seq)| QEntry { at, seq, kind }));
+        self.compact_if_mostly_stale();
     }
 
     /// Runs the simulation until simulated time `t`.
@@ -883,37 +855,20 @@ impl Simulation {
             if entry.at > t {
                 break;
             }
-            // Profiler gate: one predictably-false branch when disabled;
-            // when enabled, only every N-th event reads the clock.
-            let ev_t0 = match self.prof.as_deref_mut() {
-                Some(p) => {
-                    if p.event_tick() {
-                        self.prof_sampling = true;
-                        Some(Instant::now())
-                    } else {
-                        None
-                    }
-                }
-                None => None,
-            };
             let entry = self.events.pop().expect("peeked");
-            let popped_at = ev_t0.map(|_| Instant::now());
             self.now = entry.at;
             if self.recorder.is_some() {
                 self.record_event(&entry);
             }
-            if self.dispatch(entry.kind) {
+            let live = self.dispatch(entry.kind);
+            if live {
                 self.events_live += 1;
             } else {
                 self.events_stale += 1;
             }
-            if let (Some(t0), Some(t1)) = (ev_t0, popped_at) {
-                let total = t0.elapsed().as_nanos() as u64;
-                let queue_pop = (t1 - t0).as_nanos() as u64;
-                self.prof_sampling = false;
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.event_done(total, queue_pop);
-                }
+            // Profiler gate: one predictably-false branch when disabled.
+            if let Some(p) = self.prof.as_deref_mut() {
+                p.observe(|| phase_of(entry.kind, live));
             }
         }
         if t > self.now {
@@ -959,32 +914,6 @@ impl Simulation {
     fn record_flight(&mut self, at: SimTime, seq: u64, kind: FlightEventKind) {
         if let Some(rec) = self.recorder.as_deref_mut() {
             rec.push(FlightEntry { at, seq, kind });
-        }
-    }
-
-    /// Opens a profiler span: returns a start instant only while the
-    /// current event is sampled and no span is already open (outermost
-    /// span wins; nested hooks fold into it).
-    #[inline]
-    fn prof_span(&mut self) -> Option<Instant> {
-        if self.prof_sampling {
-            self.prof_sampling = false;
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Closes a profiler span opened by [`Self::prof_span`], attributing
-    /// its wall time to `phase`.
-    #[inline]
-    fn prof_span_end(&mut self, phase: SimPhase, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            let nanos = t0.elapsed().as_nanos() as u64;
-            self.prof_sampling = true;
-            if let Some(p) = self.prof.as_deref_mut() {
-                p.accrue(phase, nanos);
-            }
         }
     }
 
@@ -1039,27 +968,16 @@ impl Simulation {
                 true
             }
             EventKind::ChaosStart { fault } => {
-                let t0 = self.prof_span();
                 self.chaos_start(fault as usize);
-                self.prof_span_end(SimPhase::Chaos, t0);
                 true
             }
             EventKind::ChaosEnd { fault } => {
-                let t0 = self.prof_span();
                 self.chaos_end(fault as usize);
-                self.prof_span_end(SimPhase::Chaos, t0);
                 true
             }
-            EventKind::MemCheck => {
-                let t0 = self.prof_span();
-                let live = self.mem_check();
-                self.prof_span_end(SimPhase::Mem, t0);
-                live
-            }
+            EventKind::MemCheck => self.mem_check(),
             EventKind::MemRestart { service } => {
-                let t0 = self.prof_span();
                 self.mem_restart(service as usize);
-                self.prof_span_end(SimPhase::Mem, t0);
                 true
             }
         }
@@ -1521,9 +1439,7 @@ impl Simulation {
         let h = self.hot.node(class, token.node);
         let s = self.hot.service[h] as usize;
         let prio = self.hot.class_prio[class] as usize;
-        let t0p = self.prof_span();
         self.telemetry.record_arrival(ServiceId(s), ClassId(class));
-        self.prof_span_end(SimPhase::Telemetry, t0p);
         let ni = self.nidx(token);
         self.arena.enqueue_at[ni] = self.now;
         self.arena.phase[ni] = Phase::Queued;
@@ -1646,12 +1562,10 @@ impl Simulation {
         // Chaos slowdown is NOT applied here: it rescales the replica's PS
         // rate (affecting in-flight work too), not the sampled demand.
         let scale = self.work_scale[s];
-        let t0p = self.prof_span();
         let work = {
             let tmpl = &self.templates[class].nodes[token.node as usize];
             (tmpl.pre.sample(&mut self.rng) * scale).max(MIN_WORK)
         };
-        self.prof_span_end(SimPhase::Rng, t0p);
         let ni = self.nidx(token);
         self.arena.phase[ni] = Phase::Pre;
         self.arena.replica[ni] = r as u32;
@@ -1670,13 +1584,11 @@ impl Simulation {
     /// plus two telemetry accumulator adds, regardless of how many jobs
     /// are active.
     fn ps_advance(&mut self, s: usize, r: usize) {
-        let t0 = self.prof_span();
         let now = self.now;
         let slow = self.slow_of(s);
         if let Some(rep) = self.services[s].replicas[r].as_mut() {
             rep.advance_to(now, slow);
         }
-        self.prof_span_end(SimPhase::PsAdvance, t0);
     }
 
     /// Recomputes the replica's next real-time completion from the head
@@ -1689,12 +1601,10 @@ impl Simulation {
     /// Call after any membership or rate change, with the clock already
     /// advanced to `now` ([`Self::ps_advance`]).
     fn ps_resync(&mut self, s: usize, r: usize) {
-        let t0 = self.prof_span();
         let now = self.now;
         let slow = self.slow_of(s);
         let (schedule, invalidated) = {
             let Some(rep) = self.services[s].replicas[r].as_mut() else {
-                self.prof_span_end(SimPhase::PsAdvance, t0);
                 return;
             };
             match rep.next_check_at(now, slow) {
@@ -1737,14 +1647,12 @@ impl Simulation {
                 },
             );
         }
-        self.prof_span_end(SimPhase::PsAdvance, t0);
     }
 
     /// Admits one compute phase into a replica's PS queue — the fused
     /// hot path: advance, admit, and re-arm under a single replica
     /// borrow.
     fn ps_add(&mut self, s: usize, r: usize, token: Token, work: f64) {
-        let t0 = self.prof_span();
         let now = self.now;
         let slow = self.slow_of(s);
         let (schedule, invalidated) = {
@@ -1775,7 +1683,6 @@ impl Simulation {
                 },
             );
         }
-        self.prof_span_end(SimPhase::PsAdmit, t0);
     }
 
     /// Advances every replica of `s` to `now` at the *current* rate.
@@ -1799,9 +1706,6 @@ impl Simulation {
     /// Handles a popped `PsCheck`; returns `false` when the check was
     /// stale (superseded generation or removed replica) and did no work.
     fn ps_check(&mut self, s: usize, r: usize, gen: u32) -> bool {
-        // Span covers advance + pop + re-arm; the completion fan-out below
-        // runs outside it so downstream phases attribute themselves.
-        let t0 = self.prof_span();
         let now = self.now;
         let slow = self.slow_of(s);
         // Collect completions into the reusable scratch buffer (taken out of
@@ -1817,7 +1721,6 @@ impl Simulation {
                 _ => {
                     self.heap_stale = self.heap_stale.saturating_sub(1);
                     self.ps_scratch = finished;
-                    self.prof_span_end(SimPhase::PsComplete, t0);
                     return false;
                 }
             };
@@ -1841,7 +1744,6 @@ impl Simulation {
                 },
             );
         }
-        self.prof_span_end(SimPhase::PsComplete, t0);
         for &token in &finished {
             let phase = self.arena.phase[self.nidx(token)];
             match phase {
@@ -1968,9 +1870,7 @@ impl Simulation {
         let Some(jitter) = self.net_jitter else {
             return self.cfg.net_delay;
         };
-        let t0 = self.prof_span();
         let delay = jitter.sample(&mut self.rng);
-        self.prof_span_end(SimPhase::Rng, t0);
         SimDur::from_secs_f64(delay)
     }
 
@@ -2060,7 +1960,6 @@ impl Simulation {
 
     fn start_post(&mut self, token: Token) {
         let class = self.arena.class(token.slot);
-        let t0p = self.prof_span();
         let (s, work) = {
             let svc = self.templates[class].nodes[token.node as usize].service;
             let scale = self.work_scale[svc];
@@ -2068,7 +1967,6 @@ impl Simulation {
             let w = t.post.sample(&mut self.rng) * scale;
             (t.service, w)
         };
-        self.prof_span_end(SimPhase::Rng, t0p);
         let ni = self.nidx(token);
         let r = self.arena.replica[ni] as usize;
         if work <= WORK_EPS {
@@ -2093,10 +1991,8 @@ impl Simulation {
         let tier = (full - nested_wait.as_secs_f64()).max(0.0);
         let r = self.arena.replica[ni] as usize;
         let daemon_of = self.arena.daemon_of[ni];
-        let t0p = self.prof_span();
         self.telemetry
             .record_response(ServiceId(s), ClassId(class), tier, full);
-        self.prof_span_end(SimPhase::Telemetry, t0p);
         if self.arena.traced(token.slot) {
             if let Some(t) = self.tracer.as_mut() {
                 t.on_respond(token.slot, token.node, now, nested_wait);
@@ -2150,9 +2046,7 @@ impl Simulation {
             let traced = self.arena.traced(token.slot);
             self.arena.release(token.slot);
             self.in_flight -= 1;
-            let t0p = self.prof_span();
             self.telemetry.record_e2e(ClassId(req_class), latency);
-            self.prof_span_end(SimPhase::Telemetry, t0p);
             if traced {
                 let now = self.now;
                 if let Some(t) = self.tracer.as_mut() {
@@ -2168,10 +2062,8 @@ impl Simulation {
     /// only ever sees depths the queue actually held.
     fn note_mq_depth(&mut self, s: usize) {
         let depth = self.services[s].mq.len();
-        let t0 = self.prof_span();
         self.telemetry
             .record_mq_depth(ServiceId(s), self.now, depth);
-        self.prof_span_end(SimPhase::Telemetry, t0);
     }
 
     fn maybe_remove_drained(&mut self, s: usize, r: usize) {
@@ -2350,7 +2242,7 @@ impl Simulation {
             .sum()
     }
 
-    /// Instantaneous worker occupancy of a service: busy worker slots over
+    /// Worker occupancy of a service right now: busy worker slots over
     /// total worker slots, summed across live (non-draining) replicas, in
     /// `[0, 1]`. Returns `0.0` when the service has no live workers. This is
     /// the saturation signal the metrics pipeline exports alongside CPU
@@ -2962,6 +2854,63 @@ mod trace_tests {
         let mut sim = Simulation::new(one_service(), SimConfig::default(), 3);
         sim.run_for(SimDur::from_secs(5));
         sim.schedule_arrivals(ClassId(0), &[SimTime::from_secs_f64(1.0)]);
+    }
+
+    /// A batch with one bad time schedules nothing, not the prefix before it.
+    #[test]
+    fn rejected_trace_leaves_the_queue_untouched() {
+        let mut sim = Simulation::new(one_service(), SimConfig::default(), 3);
+        sim.run_for(SimDur::from_secs(5));
+        sim.schedule_arrivals(ClassId(0), &[SimTime::from_secs_f64(20.0)]);
+        let times = [6.0, 7.0, 1.0, 8.0].map(SimTime::from_secs_f64);
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.schedule_arrivals(ClassId(0), &times)
+        }));
+        assert!(rejected.is_err());
+        assert_eq!(sim.event_heap_depth(), 1);
+        sim.run_for(SimDur::from_secs(10));
+        assert_eq!(sim.harvest().injections[0], 0);
+    }
+
+    /// Every `EventKind` variant, sampled, lands in exactly one phase, and
+    /// the phases' counts add up to the events sampled.
+    #[test]
+    fn profiler_classifies_every_event_kind_exactly_once() {
+        let mut sim = Simulation::new(one_service(), SimConfig::default(), 5);
+        sim.enable_profiler(1);
+        let at = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
+        // No plane is installed: the chaos and restart events are live
+        // no-ops, the memory scan reports itself stale.
+        sim.schedule(at(1), EventKind::SourceNext { class: 0, gen: 0 });
+        sim.schedule(at(2), EventKind::SourceNext { class: 0, gen: 7 });
+        sim.schedule_arrivals(ClassId(0), &[at(3)]);
+        sim.schedule(at(4), EventKind::ChaosStart { fault: 0 });
+        sim.schedule(at(5), EventKind::ChaosEnd { fault: 0 });
+        sim.schedule(at(6), EventKind::MemCheck);
+        sim.schedule(at(7), EventKind::MemRestart { service: 0 });
+        let stale_check = EventKind::PsCheck {
+            service: 0,
+            replica: 0,
+            gen: u32::MAX,
+        };
+        sim.schedule(at(8), stale_check);
+        sim.run_for(SimDur::from_secs(1));
+
+        let report = sim.profiler().expect("enabled").report();
+        let count = |phase: SimPhase| report.phases[phase as usize].count;
+        // The trace arrival's request: root hop arrives, one PS completion.
+        assert_eq!(count(SimPhase::SourceNext), 1);
+        assert_eq!(count(SimPhase::TraceArrival), 1);
+        assert_eq!(count(SimPhase::NodeArrive), 1);
+        assert_eq!(count(SimPhase::PsCheck), 1);
+        assert_eq!(count(SimPhase::Chaos), 2);
+        assert_eq!(count(SimPhase::Mem), 1);
+        assert_eq!(count(SimPhase::Stale), 3);
+        assert_eq!(count(SimPhase::Stale), sim.events_stale());
+        let total: u64 = report.phases.iter().map(|s| s.count).sum();
+        assert_eq!(total, report.events_sampled);
+        assert_eq!(total, report.events_seen);
+        assert_eq!(total, sim.events_processed() + sim.events_stale());
     }
 }
 

@@ -40,11 +40,11 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
-pub mod calq;
 pub mod chaos;
 pub mod cluster;
 pub mod control;
 pub mod engine;
+pub mod evq;
 pub mod memory;
 pub mod metrics;
 pub mod profiler;

@@ -1,102 +1,62 @@
-//! Engine phase profiler: sampled wall-clock accounting of where one
-//! `Simulation` spends its time, broken down by engine phase.
+//! Engine phase profiler: a sampled census of what one `Simulation`
+//! dispatches, by kind of event.
 //!
-//! The profiler exists to answer one question for the perf roadmap: *which
-//! phase do we attack next?* It is off by default; when off it costs one
-//! predictably-false branch per dispatched event and never touches the
-//! simulation state or any RNG — enabling it leaves simulated output
-//! bit-identical to a run without it (enforced by
-//! `tests/observability_bitident.rs`).
+//! Off by default; when on, every `sample_every`-th popped event is
+//! classified into exactly one [`SimPhase`] and counted. The profiler never
+//! touches simulation state or any RNG, so enabling it leaves simulated
+//! output bit-identical to a run without it (enforced by
+//! `tests/observability_bitident.rs`), and its counts are a pure function
+//! of the seed — which is why post-mortem bundles can carry them.
 //!
-//! # How the accounting works
-//!
-//! Timing every hook of every event with `Instant::now()` would cost far
-//! more than the phases being measured (the canonical bench cell runs at
-//! ~160 ns/event, a clock read pair is a meaningful fraction of that). So
-//! the profiler *samples*: every `sample_every`-th popped event is timed in
-//! detail — its total dispatch wall time, plus one span per instrumented
-//! leaf phase it passes through. Unsampled events pay only the countdown
-//! decrement. Reported totals are scaled estimates
-//! (`sampled nanos x sample_every`); with the default period and
-//! bench-scale event counts (10^5..10^7 events) the breakdown is stable to
-//! a few percent, which is all a "what do we optimize next" signal needs.
-//!
-//! Spans never nest: the outermost span a sampled event opens wins, and any
-//! phase hook reached while a span is open is folded into the open span's
-//! phase (e.g. the event-heap push performed inside a PS admit counts as
-//! [`SimPhase::PsAdmit`]). Whatever part of a sampled event is covered by
-//! no span at all lands in [`SimPhase::Other`].
-//!
-//! The control phase is the exception to sampling: manager decisions are
-//! rare (one per control window) and already wall-clock timed by the
-//! deployment driver, so their cost is fed in exactly via
-//! [`PhaseProfiler::accrue_control`] and reported unscaled.
+//! It reads no clock. Host-clock timing of sampled events was held to a
+//! bar fixed in advance (phases summing to 0.9–1.1× the measured cost of an
+//! event) and missed it at two clock reads per sample just as it had at
+//! ten; DESIGN §6 "Engine cost model, measured from outside" has the
+//! numbers and the external-sampler recipe that replaced it.
 
-/// Engine phases distinguished by the profiler.
+/// What a sampled event was: its `EventKind`, or [`Stale`](SimPhase::Stale)
+/// when it was superseded before it fired and did no work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimPhase {
-    /// Event-queue pop at the head of the dispatch loop.
-    QueuePop,
-    /// Event-queue push (O(1) bucket append in the common case).
-    QueuePush,
-    /// Event-queue maintenance: stale-entry compaction and adaptive
-    /// band-width rebuilds of the calendar queue.
-    QueueMaint,
-    /// Advancing a replica's virtual clock (`advance_to` / re-sync).
-    PsAdvance,
-    /// Admitting a compute phase into a PS queue (the fused hot path).
-    PsAdmit,
-    /// Popping due PS completions and re-arming the next check.
-    PsComplete,
-    /// Random draws: work sizes, network delays, source interarrivals.
-    Rng,
-    /// Telemetry accumulator writes (arrivals, responses, MQ depth).
-    Telemetry,
+    /// A Poisson source fired: thinning draw, injection, re-arm.
+    SourceNext,
+    /// A request hop arrived at its service.
+    NodeArrive,
+    /// Processor-sharing completions on a replica.
+    PsCheck,
+    /// A superseded `PsCheck`, re-armed source or memory scan: popped,
+    /// recognised and dropped.
+    Stale,
+    /// A trace-replay arrival.
+    TraceArrival,
     /// Chaos fault injection / recovery actuation.
     Chaos,
-    /// Memory-plane scans: usage accounting, OOM-kill, eviction.
+    /// Memory-plane scans and replica restarts.
     Mem,
-    /// Resource-manager decision callbacks (exact, not sampled).
-    Control,
-    /// Sampled event time covered by no instrumented span.
-    Other,
 }
-
-/// Number of [`SimPhase`] variants.
-pub const PHASE_COUNT: usize = 12;
 
 impl SimPhase {
     /// All phases, in reporting order.
-    pub const ALL: [SimPhase; PHASE_COUNT] = [
-        SimPhase::QueuePop,
-        SimPhase::QueuePush,
-        SimPhase::QueueMaint,
-        SimPhase::PsAdvance,
-        SimPhase::PsAdmit,
-        SimPhase::PsComplete,
-        SimPhase::Rng,
-        SimPhase::Telemetry,
+    pub const ALL: [SimPhase; 7] = [
+        SimPhase::SourceNext,
+        SimPhase::NodeArrive,
+        SimPhase::PsCheck,
+        SimPhase::Stale,
+        SimPhase::TraceArrival,
         SimPhase::Chaos,
         SimPhase::Mem,
-        SimPhase::Control,
-        SimPhase::Other,
     ];
 
-    /// Stable snake_case identifier (used in `BENCH_sim.json`).
+    /// Stable snake_case identifier (used in post-mortem bundles).
     pub fn label(&self) -> &'static str {
         match self {
-            SimPhase::QueuePop => "queue_pop",
-            SimPhase::QueuePush => "queue_push",
-            SimPhase::QueueMaint => "queue_maint",
-            SimPhase::PsAdvance => "ps_advance",
-            SimPhase::PsAdmit => "ps_admit",
-            SimPhase::PsComplete => "ps_complete",
-            SimPhase::Rng => "rng",
-            SimPhase::Telemetry => "telemetry",
+            SimPhase::SourceNext => "source_next",
+            SimPhase::NodeArrive => "node_arrive",
+            SimPhase::PsCheck => "ps_check",
+            SimPhase::Stale => "stale",
+            SimPhase::TraceArrival => "trace_arrival",
             SimPhase::Chaos => "chaos",
             SimPhase::Mem => "mem",
-            SimPhase::Control => "control",
-            SimPhase::Other => "other",
         }
     }
 }
@@ -106,70 +66,45 @@ impl SimPhase {
 pub struct PhaseStat {
     /// The phase.
     pub phase: SimPhase,
-    /// Estimated total nanoseconds spent in the phase over the run
-    /// (sampled nanos scaled by the sampling period; exact for
-    /// [`SimPhase::Control`]).
+    /// Always 0: the profiler does not time (see the module doc). Kept
+    /// because the ledger (`engine.profile_sum_ratio`) reads it.
     pub est_nanos: f64,
-    /// Fraction of the estimated total across all phases, in `[0, 1]`.
-    pub share: f64,
-    /// Spans accrued (sampled-event spans; control callbacks for
-    /// [`SimPhase::Control`]).
+    /// Sampled events classified into the phase.
     pub count: u64,
 }
 
-/// A finished profile: per-phase estimated time shares.
+/// A finished profile: sampled event counts per phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfilerReport {
     /// Events popped while the profiler was installed.
     pub events_seen: u64,
-    /// Events timed in detail.
+    /// Events classified; equals the sum of the phases' `count`.
     pub events_sampled: u64,
-    /// Sampling period (every N-th event is timed).
+    /// Sampling period (every N-th event is classified).
     pub sample_every: u32,
-    /// Per-phase stats in [`SimPhase::ALL`] order; phases with zero time
+    /// Per-phase stats in [`SimPhase::ALL`] order; phases with no events
     /// are included so consumers see a fixed-shape table.
     pub phases: Vec<PhaseStat>,
 }
 
-impl ProfilerReport {
-    /// Estimated nanoseconds per popped event attributed to `phase`.
-    pub fn ns_per_event(&self, phase: SimPhase) -> f64 {
-        if self.events_seen == 0 {
-            return 0.0;
-        }
-        self.phases
-            .iter()
-            .find(|p| p.phase == phase)
-            .map_or(0.0, |p| p.est_nanos / self.events_seen as f64)
-    }
-}
-
-/// Sampled per-phase wall-clock accounting for one `Simulation`.
+/// Sampled per-phase event census for one `Simulation`.
 ///
 /// Installed via `Simulation::enable_profiler`; the engine drives it from
-/// the dispatch loop. All methods are branch-cheap; none touch simulation
-/// state.
+/// the dispatch loop.
 #[derive(Debug)]
 pub struct PhaseProfiler {
     sample_every: u32,
     /// Events until the next sampled one (counts down to 0).
     countdown: u32,
     events_seen: u64,
-    events_sampled: u64,
-    /// Leaf-span nanos accrued within the event currently being sampled,
-    /// used to derive the uninstrumented remainder ([`SimPhase::Other`]).
-    leaf_in_event: u64,
-    nanos: [u64; PHASE_COUNT],
-    counts: [u64; PHASE_COUNT],
+    counts: [u64; SimPhase::ALL.len()],
 }
 
 impl PhaseProfiler {
-    /// Default sampling period: detailed timing every 256th event keeps
-    /// measured overhead well under the 2 % budget on the bench cells
-    /// while still sampling thousands of events per cell.
+    /// Default sampling period: thousands of samples per bench-scale cell.
     pub const DEFAULT_SAMPLE_EVERY: u32 = 256;
 
-    /// Creates a profiler timing every `sample_every`-th event.
+    /// Creates a profiler classifying every `sample_every`-th event.
     ///
     /// # Panics
     ///
@@ -180,97 +115,35 @@ impl PhaseProfiler {
             sample_every,
             countdown: sample_every,
             events_seen: 0,
-            events_sampled: 0,
-            leaf_in_event: 0,
-            nanos: [0; PHASE_COUNT],
-            counts: [0; PHASE_COUNT],
+            counts: [0; SimPhase::ALL.len()],
         }
     }
 
-    /// Advances the event counter; returns `true` when this event should
-    /// be timed in detail.
+    /// Notes one popped event; every `sample_every`-th is classified by
+    /// `phase` and counted.
     #[inline]
-    pub(crate) fn event_tick(&mut self) -> bool {
+    pub(crate) fn observe(&mut self, phase: impl FnOnce() -> SimPhase) {
         self.events_seen += 1;
         self.countdown -= 1;
         if self.countdown == 0 {
             self.countdown = self.sample_every;
-            self.events_sampled += 1;
-            self.leaf_in_event = 0;
-            true
-        } else {
-            false
+            self.counts[phase() as usize] += 1;
         }
     }
 
-    /// Accrues one closed leaf span of a sampled event.
-    #[inline]
-    pub(crate) fn accrue(&mut self, phase: SimPhase, nanos: u64) {
-        let i = phase as usize;
-        self.nanos[i] += nanos;
-        self.counts[i] += 1;
-        self.leaf_in_event += nanos;
-    }
-
-    /// Closes a sampled event: `total` is its full dispatch wall time,
-    /// `queue_pop` the pop portion. (Bucket promotions triggered by the
-    /// pre-dispatch peek run before the sampling window opens and are not
-    /// attributed — an accepted undercount of `queue_pop`.) The remainder
-    /// not covered by any leaf span is booked as [`SimPhase::Other`].
-    #[inline]
-    pub(crate) fn event_done(&mut self, total: u64, queue_pop: u64) {
-        self.accrue(SimPhase::QueuePop, queue_pop);
-        let covered = self.leaf_in_event;
-        let other = total.saturating_sub(covered);
-        self.nanos[SimPhase::Other as usize] += other;
-        self.counts[SimPhase::Other as usize] += 1;
-    }
-
-    /// Accrues exact (unsampled) control-callback time.
-    #[inline]
-    pub(crate) fn accrue_control(&mut self, nanos: u64) {
-        self.nanos[SimPhase::Control as usize] += nanos;
-        self.counts[SimPhase::Control as usize] += 1;
-    }
-
-    /// Events popped while the profiler was installed.
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
-    }
-
-    /// Events timed in detail.
-    pub fn events_sampled(&self) -> u64 {
-        self.events_sampled
-    }
-
-    /// Builds the report: sampled phases scaled to run totals, control
-    /// exact, shares normalized over the estimated grand total.
+    /// Builds the report.
     pub fn report(&self) -> ProfilerReport {
-        let scale = self.sample_every as f64;
-        let est = |phase: SimPhase| -> f64 {
-            let raw = self.nanos[phase as usize] as f64;
-            if phase == SimPhase::Control {
-                raw
-            } else {
-                raw * scale
-            }
-        };
-        let total: f64 = SimPhase::ALL.iter().map(|&p| est(p)).sum();
         let phases = SimPhase::ALL
             .iter()
-            .map(|&phase| {
-                let est_nanos = est(phase);
-                PhaseStat {
-                    phase,
-                    est_nanos,
-                    share: if total > 0.0 { est_nanos / total } else { 0.0 },
-                    count: self.counts[phase as usize],
-                }
+            .map(|&phase| PhaseStat {
+                phase,
+                est_nanos: 0.0,
+                count: self.counts[phase as usize],
             })
             .collect();
         ProfilerReport {
             events_seen: self.events_seen,
-            events_sampled: self.events_sampled,
+            events_sampled: self.counts.iter().sum(),
             sample_every: self.sample_every,
             phases,
         }
@@ -284,43 +157,26 @@ mod tests {
     #[test]
     fn sampling_period_is_honored() {
         let mut p = PhaseProfiler::new(4);
-        let sampled = (0..100).filter(|_| p.event_tick()).count();
-        assert_eq!(sampled, 25);
-        assert_eq!(p.events_seen(), 100);
-        assert_eq!(p.events_sampled(), 25);
-    }
-
-    #[test]
-    fn report_scales_sampled_phases_and_keeps_control_exact() {
-        let mut p = PhaseProfiler::new(10);
-        assert!(!p.event_tick()); // 9 to go
-        for _ in 0..8 {
-            assert!(!p.event_tick());
+        for _ in 0..100 {
+            p.observe(|| SimPhase::NodeArrive);
         }
-        assert!(p.event_tick()); // the 10th is sampled
-        p.accrue(SimPhase::PsAdmit, 100);
-        p.event_done(300, 50); // 150 uncovered -> Other
-        p.accrue_control(1_000);
         let r = p.report();
-        let by = |ph: SimPhase| r.phases.iter().find(|s| s.phase == ph).unwrap();
-        assert_eq!(by(SimPhase::PsAdmit).est_nanos, 1_000.0);
-        assert_eq!(by(SimPhase::QueuePop).est_nanos, 500.0);
-        assert_eq!(by(SimPhase::Other).est_nanos, 1_500.0);
-        assert_eq!(by(SimPhase::Control).est_nanos, 1_000.0);
-        let total: f64 = r.phases.iter().map(|s| s.est_nanos).sum();
-        assert_eq!(total, 4_000.0);
-        let share_sum: f64 = r.phases.iter().map(|s| s.share).sum();
-        assert!((share_sum - 1.0).abs() < 1e-12);
-        assert!(r.ns_per_event(SimPhase::PsAdmit) > 0.0);
+        assert_eq!((r.events_seen, r.events_sampled), (100, 25));
     }
 
     #[test]
-    fn empty_report_has_fixed_shape() {
-        let p = PhaseProfiler::new(64);
+    fn report_has_fixed_shape_and_counts_sum_to_sampled() {
+        let mut p = PhaseProfiler::new(1);
         let r = p.report();
-        assert_eq!(r.phases.len(), PHASE_COUNT);
-        assert!(r.phases.iter().all(|s| s.share == 0.0));
-        assert_eq!(r.ns_per_event(SimPhase::QueuePop), 0.0);
+        assert_eq!(r.phases.len(), SimPhase::ALL.len());
+        assert!(r.phases.iter().all(|s| s.count == 0 && s.est_nanos == 0.0));
+        for phase in [SimPhase::PsCheck, SimPhase::PsCheck, SimPhase::Stale] {
+            p.observe(|| phase);
+        }
+        let r = p.report();
+        assert_eq!(r.events_sampled, 3);
+        assert_eq!(r.phases.iter().map(|s| s.count).sum::<u64>(), 3);
+        assert_eq!(r.phases[SimPhase::PsCheck as usize].count, 2);
     }
 
     #[test]
@@ -330,9 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_unique() {
+    fn labels_are_unique_and_in_reporting_order() {
         let labels: std::collections::BTreeSet<_> =
             SimPhase::ALL.iter().map(|p| p.label()).collect();
-        assert_eq!(labels.len(), PHASE_COUNT);
+        assert_eq!(labels.len(), SimPhase::ALL.len());
+        for (i, p) in SimPhase::ALL.iter().enumerate() {
+            assert_eq!(*p as usize, i);
+        }
     }
 }

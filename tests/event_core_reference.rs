@@ -1,18 +1,18 @@
-//! Differential tests of the event-core v3 data structures.
+//! Differential tests of the event-core data structures.
 //!
-//! The v3 engine swapped two load-bearing structures whose observable
+//! The engine swapped two load-bearing structures whose observable
 //! behavior must be *exactly* the old one's — the bit-identical-output
 //! contract of the whole grid rides on them:
 //!
-//! * [`CalQueue`] replaced `BinaryHeap<Reverse<(at, seq)>>` as the event
-//!   queue. It is a hybrid: small queues live in a sorted vec ("heap
-//!   mode"), large ones in a calendar of time bands with a far-future
-//!   overflow list, flipping between layouts with hysteresis. Whatever
-//!   layout it is in, pops must come out in strict `(at, seq)` order and
-//!   `retain` must drop exactly the condemned entries — so the proptests
-//!   drive it against the old `BinaryHeap` through randomized
-//!   push/pop/retain schedules (with deliberate timestamp ties) at sizes
-//!   straddling both hybrid thresholds.
+//! * [`EventQueue`] replaced `BinaryHeap<Reverse<(at, seq)>>` as the event
+//!   queue. It is one vector sorted descending by `(at, seq)`: pops must
+//!   come out in strict `(at, seq)` order however the entries got in
+//!   (`push` or a batched `extend`) and `retain` must drop exactly the
+//!   condemned entries — so the proptests drive it against the old
+//!   `BinaryHeap` through randomized push/extend/pop/retain schedules
+//!   (with deliberate timestamp ties), shallow and thousands of entries
+//!   deep. They run in the dev profile, where the queue re-checks its
+//!   order after every insert, batch and sweep.
 //!
 //! * [`ReqArena`] replaced per-class pooled `Vec<Vec<NodeRt>>` request
 //!   state. Slot IDs feed traces and the flight recorder, so the arena
@@ -26,11 +26,11 @@ use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 use ursa::sim::arena::{Phase, ReqArena};
-use ursa::sim::calq::CalQueue;
+use ursa::sim::evq::{EventQueue, QEntry};
 use ursa::sim::time::SimTime;
 
 // ---------------------------------------------------------------------
-// Calendar queue vs BinaryHeap
+// Event queue vs BinaryHeap
 // ---------------------------------------------------------------------
 
 /// The pre-v3 event queue: a min-heap over `(at, seq)` with `retain`
@@ -64,34 +64,42 @@ impl RefHeap {
 /// `off` the push offset ahead of the current virtual now. Offsets are
 /// drawn from a *small* set of buckets so timestamp collisions (ties
 /// broken only by `seq`) are common rather than astronomically rare.
-fn ops_strategy(len: usize) -> impl Strategy<Value = Vec<(u8, u64)>> {
-    proptest::collection::vec((0u8..8, 0u64..48), 1..len)
+fn ops_strategy(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u8, u64)>> {
+    proptest::collection::vec((0u8..8, 0u64..48), len)
 }
 
 /// Drives both queues through the same schedule and requires identical
-/// peek/pop streams. `tie_scale` quantizes offsets into few distinct
-/// timestamps; `len` controls how deep the queue grows (past both
-/// hybrid thresholds when large).
-fn run_differential(ops: &[(u8, u64)], tie_scale: u64, push_bias: bool) {
-    let mut q: CalQueue<u32> = CalQueue::new();
+/// peek/pop streams; returns the deepest the queue got. `tie_scale`
+/// quantizes offsets into few distinct timestamps; `push_bias` makes the
+/// queue grow as long as the schedule lasts instead of hovering near empty.
+fn run_differential(ops: &[(u8, u64)], tie_scale: u64, push_bias: bool) -> usize {
+    let mut q: EventQueue<u32> = EventQueue::new();
     let mut r = RefHeap::default();
     let mut seq = 0u64;
     let mut now = 0u64;
     let mut kind = 0u32;
     for &(pick, off) in ops {
-        // With `push_bias`, 6 of 8 picks push, so the queue climbs past
-        // HYBRID_HIGH and exercises the calendar layout; without it the
-        // mix hovers in heap mode around the low watermark.
         let is_push = if push_bias { pick < 6 } else { pick < 3 };
         if is_push {
             // Quantized offsets make (at, seq) ties routine; a huge
-            // offset every 16th kind lands in the overflow band.
-            let far = if kind % 16 == 15 { 1 << 40 } else { 0 };
-            let at = now + off * tie_scale + far;
-            q.push(SimTime::from_nanos(at), seq, kind);
-            r.push(at, seq, kind);
-            seq += 1;
-            kind += 1;
+            // offset every 16th kind lands far behind everything else.
+            let mut entry = |off: u64| {
+                let far = if kind % 16 == 15 { 1 << 40 } else { 0 };
+                let at = now + off * tie_scale + far;
+                r.push(at, seq, kind);
+                let at = SimTime::from_nanos(at);
+                let e = QEntry { at, seq, kind };
+                seq += 1;
+                kind += 1;
+                e
+            };
+            if pick == 0 {
+                // A batch of up to 7, ascending in time like a replayed trace.
+                q.extend((0..off % 8).map(|i| entry(off + i)));
+            } else {
+                let e = entry(off);
+                q.push(e.at, e.seq, e.kind);
+            }
         } else if pick == 6 && kind.is_multiple_of(3) {
             // Stale-entry sweep: condemn a kind class, like the engine's
             // lazy compaction of invalidated PS checks.
@@ -113,7 +121,7 @@ fn run_differential(ops: &[(u8, u64)], tie_scale: u64, push_bias: bool) {
         assert_eq!(q.len(), r.heap.len(), "len diverged");
     }
     // Drain both completely: every remaining entry must come out in the
-    // same total order regardless of which bands it was parked in.
+    // same total order.
     loop {
         let got = q.pop().map(|e| (e.at.as_nanos(), e.seq, e.kind));
         let want = r.pop();
@@ -122,31 +130,38 @@ fn run_differential(ops: &[(u8, u64)], tie_scale: u64, push_bias: bool) {
             break;
         }
     }
+    q.max_depth()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Small schedules: the queue stays in heap mode (sorted vec).
+    /// Small schedules: the queue hovers at the depths the engine runs at.
     #[test]
-    fn calq_matches_heap_small(ops in ops_strategy(120)) {
+    fn event_queue_matches_heap_small(ops in ops_strategy(1..120)) {
         run_differential(&ops, 1_000, false);
-    }
-
-    /// Push-biased schedules thousands of entries deep: crosses
-    /// HYBRID_HIGH into the calendar, spreads entries over many bands
-    /// and the overflow list, then drains back through HYBRID_LOW.
-    #[test]
-    fn calq_matches_heap_across_hybrid_flips(ops in ops_strategy(2600)) {
-        run_differential(&ops, 50_000, true);
     }
 
     /// Dense ties: offsets quantized to 4 distinct timestamps, so almost
     /// every pop is decided by the seq tie-break alone.
     #[test]
-    fn calq_matches_heap_under_dense_ties(ops in ops_strategy(400)) {
+    fn event_queue_matches_heap_under_dense_ties(ops in ops_strategy(1..400)) {
         let tied: Vec<_> = ops.iter().map(|&(p, o)| (p, o % 4)).collect();
         run_differential(&tied, 1 << 20, true);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Deep: a push-biased schedule long enough to hold more than 5 000
+    /// live entries, with interleaved batches, stale-entry sweeps and 8
+    /// distinct timestamps per tie bucket, then drained to empty.
+    #[test]
+    fn event_queue_matches_heap_deep(ops in ops_strategy(10_000..11_000)) {
+        let tied: Vec<_> = ops.iter().map(|&(p, o)| (p, o % 8)).collect();
+        let deepest = run_differential(&tied, 1 << 16, true);
+        prop_assert!(deepest >= 5_000, "only {deepest} entries deep");
     }
 }
 
