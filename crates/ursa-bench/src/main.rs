@@ -53,11 +53,8 @@ fn main() {
             "--verbose" | "-v" => set_level(Level::Debug),
             "--jobs" | "-j" => {
                 i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                runner::set_jobs(n.max(1));
+                let raw = args.get(i).unwrap_or_else(|| usage());
+                runner::set_jobs(or_usage(parse_jobs(raw)));
             }
             "--seed" => {
                 i += 1;
@@ -93,11 +90,10 @@ fn main() {
         }
         i += 1;
     }
-    let snapshot_at = parse_snapshot_at(snapshot_at.as_deref(), postmortem_dir.is_some())
-        .unwrap_or_else(|e| {
-            warn!("{e}");
-            usage()
-        });
+    let snapshot_at = or_usage(parse_snapshot_at(
+        snapshot_at.as_deref(),
+        postmortem_dir.is_some(),
+    ));
     let t0 = std::time::Instant::now();
     info!("[runner] {} worker(s)", runner::jobs());
     let scale_label = match scale {
@@ -181,19 +177,31 @@ fn main() {
     );
 }
 
-/// Resolves the perf/diff tolerance: the `--tolerance` operand, then the
-/// `URSA_PERF_TOLERANCE` environment variable, then the built-in default.
-/// Whichever source supplies it must be a number in `[0, 1)`: from 1 up,
+/// Validates `--jobs`: a worker count of at least 1. 0 is refused, not
+/// guessed at: `runner::set_jobs(0)` means "all cores", which is what
+/// leaving the flag out already selects.
+fn parse_jobs(raw: &str) -> Result<usize, String> {
+    match raw.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "--jobs must be a whole number of workers >= 1, got `{raw}` \
+             (leave the flag out to use every core)"
+        )),
+    }
+}
+
+/// Resolves the perf/diff tolerance: the `--tolerance` operand, else the
+/// built-in default. It must be a number in `[0, 1)`: from 1 up,
 /// `floor = base·(1−t)` is at most zero and every check passes.
-fn parse_tolerance(flag: Option<&str>, env: Option<&str>) -> Result<f64, String> {
-    let (source, raw) = match (flag, env) {
-        (Some(raw), _) => ("--tolerance", raw),
-        (None, Some(raw)) => ("URSA_PERF_TOLERANCE", raw),
-        (None, None) => return Ok(perf::REGRESSION_TOLERANCE),
+fn parse_tolerance(flag: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = flag else {
+        return Ok(perf::REGRESSION_TOLERANCE);
     };
     match raw.parse::<f64>() {
         Ok(t) if (0.0..1.0).contains(&t) => Ok(t),
-        _ => Err(format!("{source} must be a number in [0, 1), got `{raw}`")),
+        _ => Err(format!(
+            "--tolerance must be a number in [0, 1), got `{raw}`"
+        )),
     }
 }
 
@@ -214,11 +222,9 @@ fn parse_snapshot_at(raw: Option<&str>, postmortem_dir_set: bool) -> Result<Opti
     }
 }
 
-/// [`parse_tolerance`] over the process environment; a bad value from
-/// either source is a usage error.
-fn resolve_tolerance(flag: Option<&str>) -> f64 {
-    let env = std::env::var("URSA_PERF_TOLERANCE").ok();
-    parse_tolerance(flag, env.as_deref()).unwrap_or_else(|e| {
+/// Unwraps a validated operand; a bad one is a usage error that says why.
+fn or_usage<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
         warn!("{e}");
         usage()
     })
@@ -254,7 +260,7 @@ fn perf_main(args: &[String]) -> i32 {
     perf::run(
         &out,
         check.as_deref(),
-        resolve_tolerance(tolerance.as_deref()),
+        or_usage(parse_tolerance(tolerance.as_deref())),
     )
 }
 
@@ -286,7 +292,7 @@ fn diff_main(args: &[String]) -> i32 {
         warn!("diff needs exactly two manifest paths, got {}", paths.len());
         usage();
     }
-    let tolerance = resolve_tolerance(tolerance.as_deref());
+    let tolerance = or_usage(parse_tolerance(tolerance.as_deref()));
     diff::run(&paths[0], &paths[1], &out_dir, tolerance)
 }
 
@@ -307,18 +313,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tolerance_is_range_checked_from_flag_and_env() {
-        assert_eq!(parse_tolerance(None, None), Ok(perf::REGRESSION_TOLERANCE));
-        assert_eq!(parse_tolerance(Some("0.2"), None), Ok(0.2));
-        assert_eq!(parse_tolerance(None, Some("0")), Ok(0.0));
-        // The flag wins over the environment, and is the one validated.
-        assert_eq!(parse_tolerance(Some("0.1"), Some("1.5")), Ok(0.1));
-        assert!(parse_tolerance(Some("1.5"), Some("0.1")).is_err());
+    fn tolerance_is_range_checked_from_the_flag() {
+        assert_eq!(parse_tolerance(None), Ok(perf::REGRESSION_TOLERANCE));
+        assert_eq!(parse_tolerance(Some("0.2")), Ok(0.2));
+        assert_eq!(parse_tolerance(Some("0")), Ok(0.0));
         for bad in ["1.5", "1", "-0.1", "NaN", "inf", "ten", ""] {
-            let flag = parse_tolerance(Some(bad), None).unwrap_err();
-            assert!(flag.contains("--tolerance"), "{flag}");
-            let env = parse_tolerance(None, Some(bad)).unwrap_err();
-            assert!(env.contains("URSA_PERF_TOLERANCE"), "{env}");
+            let e = parse_tolerance(Some(bad)).unwrap_err();
+            assert!(e.contains("--tolerance") && e.contains(bad), "{e}");
+        }
+    }
+
+    #[test]
+    fn jobs_zero_is_a_usage_error_not_one_worker() {
+        assert_eq!(parse_jobs("1"), Ok(1));
+        assert_eq!(parse_jobs("8"), Ok(8));
+        for bad in ["0", "-1", "2.5", "many", ""] {
+            let e = parse_jobs(bad).unwrap_err();
+            assert!(e.contains("--jobs") && e.contains(bad), "{e}");
         }
     }
 

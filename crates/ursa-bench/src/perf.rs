@@ -15,11 +15,11 @@
 //!   engine: event queue and telemetry tables an order of magnitude wider.
 //!
 //! `--check <baseline.json>` compares every cell's events/sec against a
-//! committed baseline (tolerance from `--tolerance` /
-//! `URSA_PERF_TOLERANCE`, default [`REGRESSION_TOLERANCE`]). The schema
-//! stays v8: the per-cell `profiler_overhead_pct` of older reports (the
-//! committed baseline still carries it) went with the profiler's clock
-//! reads and was never read from a baseline.
+//! committed baseline (tolerance from `--tolerance`, default
+//! [`REGRESSION_TOLERANCE`]). The schema stays v8: the per-cell
+//! `profiler_overhead_pct` of older reports (the committed baseline still
+//! carries it) went with the profiler's clock reads and was never read
+//! from a baseline.
 
 use std::path::Path;
 use std::time::Instant;
@@ -31,12 +31,11 @@ use ursa_sim::prelude::*;
 /// Report schema identifier.
 pub const SCHEMA: &str = "ursa-bench-perf/v8";
 /// Default allowed events/sec regression vs the baseline before
-/// `--check` fails (override with `--tolerance` or
-/// `URSA_PERF_TOLERANCE`). Generous because the reference numbers come
-/// from shared runners where even best-of-N walls wander by tens of
-/// percent between machine windows; the check exists to catch
-/// complexity-class regressions (the ps_heavy cell slows ~3x if PS goes
-/// quadratic again), not single-digit codegen drift.
+/// `--check` fails (override with `--tolerance`). Generous because the
+/// reference numbers come from shared runners where even best-of-N walls
+/// wander by tens of percent between machine windows; the check exists to
+/// catch complexity-class regressions (the ps_heavy cell slows ~3x if PS
+/// goes quadratic again), not single-digit codegen drift.
 pub const REGRESSION_TOLERANCE: f64 = 0.35;
 /// Wall-clock repetitions per cell. The minimum is reported: far more
 /// stable on a shared runner than a single shot.
@@ -89,34 +88,29 @@ fn run_cell(build: CellFn) -> Simulation {
     sim
 }
 
-/// A finished cell's `(live, stale)` event counts: deterministic per seed.
-fn counts(sim: &Simulation) -> (u64, u64) {
-    (sim.events_processed(), sim.events_stale())
-}
-
 /// One measured cell of the report.
 #[derive(Debug, Clone, PartialEq)]
 struct CellResult {
     /// The key `--check` aligns on.
     name: &'static str,
-    /// Live engine events.
+    /// Engine events dispatched.
     events: u64,
-    /// Single-thread engine throughput (live events / best wall).
+    /// Single-thread engine throughput (events / best wall).
     events_per_sec: f64,
     wall_ms: f64,
 }
 
-/// Times a cell best-of-N, asserting its event counts repeat exactly.
+/// Times a cell best-of-N, asserting its event count repeats exactly.
 fn time_cell(&(name, build): &(&'static str, CellFn)) -> CellResult {
     let mut best_wall = f64::MAX;
     let mut kept = None;
     for _ in 0..REPS {
         let t = Instant::now();
-        let counts = counts(&run_cell(build));
+        let events = run_cell(build).events_processed();
         best_wall = best_wall.min(t.elapsed().as_secs_f64());
-        assert_eq!(*kept.get_or_insert(counts), counts, "{name} drifted");
+        assert_eq!(*kept.get_or_insert(events), events, "{name} drifted");
     }
-    let (events, _) = kept.expect("REPS > 0");
+    let events = kept.expect("REPS > 0");
     CellResult {
         name,
         events,
@@ -228,15 +222,15 @@ mod tests {
     #[test]
     fn cells_are_deterministic() {
         for build in [canonical_cell, ps_heavy_cell] {
-            let first = counts(&run_cell(build));
-            assert!(first.0 > 0);
-            assert_eq!(first, counts(&run_cell(build)));
+            let first = run_cell(build).events_processed();
+            assert!(first > 0);
+            assert_eq!(first, run_cell(build).events_processed());
         }
         // Despite hundreds of concurrent jobs sharing the replica, the
         // event queue must stay shallow: the scheduler keeps at most one
         // pending completion check per replica (plus source timers), never
-        // one timer per job. A deep queue here means the lazy invalidation
-        // machinery broke.
+        // one timer per job. A deep queue here means superseded checks are
+        // no longer removed.
         let depth = run_cell(ps_heavy_cell).event_heap_max_depth();
         assert!(depth < 64, "ps_heavy event queue blew up: {depth}");
     }

@@ -43,8 +43,10 @@ use ursa_sim::telemetry::MetricsSnapshot;
 use ursa_sim::topology::ServiceId;
 use ursa_sim::trace::Trace;
 
-/// Bundle schema identifier (bump on breaking layout changes).
-pub const SCHEMA: &str = "ursa-postmortem/v1";
+/// Bundle schema identifier (bump on breaking layout changes). v2 dropped
+/// two fields the engine no longer has a value for: `live` on `ps_check`
+/// flight events and the `stale` row of `phase_profile.phases`.
+pub const SCHEMA: &str = "ursa-postmortem/v2";
 
 /// Most bundles one cell will write **per trigger kind**: after this many
 /// the observer keeps updating its trigger baselines but stops dumping for
@@ -309,16 +311,6 @@ fn flight_event_json(at: f64, seq: u64, kind: &FlightEventKind) -> String {
         FlightEventKind::NodeArrive { slot, node } => {
             let _ = write!(s, ",\"slot\":{slot},\"node\":{node}");
         }
-        FlightEventKind::PsCheck {
-            service,
-            replica,
-            live,
-        } => {
-            let _ = write!(
-                s,
-                ",\"service\":{service},\"replica\":{replica},\"live\":{live}"
-            );
-        }
         FlightEventKind::ChaosStart { fault } | FlightEventKind::ChaosEnd { fault } => {
             let _ = write!(s, ",\"fault\":{fault}");
         }
@@ -335,7 +327,8 @@ fn flight_event_json(at: f64, seq: u64, kind: &FlightEventKind) -> String {
             let _ = write!(s, ",\"in_flight\":{in_flight}");
         }
         FlightEventKind::MemCheck => {}
-        FlightEventKind::OomKill { service, replica } => {
+        FlightEventKind::PsCheck { service, replica }
+        | FlightEventKind::OomKill { service, replica } => {
             let _ = write!(s, ",\"service\":{service},\"replica\":{replica}");
         }
         FlightEventKind::Evict { service, tier } => {
@@ -782,7 +775,6 @@ mod tests {
             FlightEventKind::PsCheck {
                 service: 2,
                 replica: 0,
-                live: true,
             },
             FlightEventKind::Scale {
                 service: 1,

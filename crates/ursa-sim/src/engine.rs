@@ -25,9 +25,9 @@
 //! each replica advances one scalar clock instead of sweeping per-job
 //! countdowns, so arrivals and completions cost O(log n) instead of O(n)
 //! — the difference between a quadratic and a log-linear busy period in
-//! the overloaded regime. The event loop is stale-aware: superseded
-//! `PsCheck` timers are counted, skipped cheaply via a generation tag,
-//! and lazily compacted out of the event queue when they dominate it.
+//! the overloaded regime. The event queue never holds a stale entry: a
+//! replica has at most one `PsCheck` queued and a class at most one
+//! `SourceNext`, and whoever supersedes one removes it by its key first.
 //!
 //! The event core (v3) is built for raw single-core throughput while
 //! preserving the seed → bit-identical-output contract:
@@ -44,7 +44,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ursa_stats::dist::{Distribution, LogNormal};
 use ursa_stats::rng::{BlockRng, Rng};
 
 use crate::arena::{Phase, ReqArena, NO_DAEMON};
@@ -69,12 +68,6 @@ const WORK_EPS: f64 = 1e-12;
 const MIN_WORK: f64 = 1e-9;
 /// Smallest allowed CPU limit.
 const MIN_CORES: f64 = 0.01;
-/// Stale `PsCheck` entries tolerated in the event queue before a lazy
-/// compaction pass filters them out. Compaction runs when the stale count
-/// exceeds this floor *and* at least half the queue is stale, so small
-/// queues (the common case) never pay for it and large overloaded runs
-/// keep pop cost bounded by the *live* event count.
-const COMPACT_MIN_STALE: usize = 4096;
 
 /// Identifies one hop of one in-flight request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,18 +83,12 @@ struct Token {
 #[derive(Debug, Clone, Copy)]
 enum EventKind {
     /// Next candidate arrival of a class's Poisson source (thinning).
-    SourceNext { class: u32, gen: u32 },
+    SourceNext { class: u32 },
     /// A request hop arrives at its service (after network delay).
     NodeArrive { token: Token },
-    /// Possible processor-sharing completion on a replica. `gen` is a
-    /// perf filter, not a correctness gate: a check firing with a stale
-    /// generation is skipped, but even a spuriously "live" one would only
-    /// advance the virtual clock and pop jobs that are actually due.
-    PsCheck {
-        service: u16,
-        replica: u16,
-        gen: u32,
-    },
+    /// Possible processor-sharing completion on a replica: the one its
+    /// `check_at`/`check_seq` name.
+    PsCheck { service: u16, replica: u16 },
     /// A trace-replay arrival scheduled via `schedule_arrivals`.
     TraceArrival { class: u32 },
     /// An installed fault window begins (index into the fault plan).
@@ -114,13 +101,9 @@ enum EventKind {
     MemRestart { service: u32 },
 }
 
-/// The profiler phase of a dispatched event: its kind, or
-/// [`SimPhase::Stale`] when dispatch found it superseded. No wildcard arm,
-/// so a new `EventKind` cannot go unclassified.
-fn phase_of(kind: EventKind, live: bool) -> SimPhase {
-    if !live {
-        return SimPhase::Stale;
-    }
+/// The profiler phase of a dispatched event. No wildcard arm, so a new
+/// `EventKind` cannot go unclassified.
+fn phase_of(kind: EventKind) -> SimPhase {
     match kind {
         EventKind::SourceNext { .. } => SimPhase::SourceNext,
         EventKind::NodeArrive { .. } => SimPhase::NodeArrive,
@@ -187,16 +170,13 @@ struct Replica {
     /// Active compute phases under virtual-time processor sharing.
     ps: VtPs<Token>,
     last_advance: SimTime,
-    /// Generation of the newest scheduled `PsCheck`; older pending checks
-    /// are stale and skipped on pop.
-    ps_gen: u32,
-    /// Fire time of the current-generation pending check (valid while
-    /// `has_check`). A resync only schedules a *new* check when the true
-    /// next completion moved earlier; if it moved later, the pending
-    /// check fires early, finds nothing due, and re-arms exactly — so
-    /// most arrivals (any whose finish tag lands behind the head's)
-    /// push no event.
+    /// Queue key of the one pending `PsCheck` (valid while `has_check`).
+    /// A re-arm only replaces it when the true next completion moved
+    /// earlier; if it moved later, the pending check fires early, finds
+    /// nothing due, and re-arms exactly — so most arrivals (any whose
+    /// finish tag lands behind the head's) touch no event.
     check_at: SimTime,
+    check_seq: u64,
     has_check: bool,
     /// CPU telemetry accumulators, flushed to [`Telemetry`] on harvest
     /// and replica removal instead of per advance.
@@ -226,8 +206,8 @@ impl Replica {
             queue: PrioQueue::new(levels),
             ps: VtPs::new(),
             last_advance: now,
-            ps_gen: 0,
             check_at: SimTime::ZERO,
+            check_seq: 0,
             has_check: false,
             busy_acc: 0.0,
             cap_acc: 0.0,
@@ -275,6 +255,39 @@ impl Replica {
         let dt_ns = (dt_s * 1e9).ceil().max(1.0) as u64;
         Some(now + SimDur::from_nanos(dt_ns))
     }
+
+    /// Makes the pending `PsCheck` of this replica (slot `replica` of
+    /// `service`) fire no later than `at`, its next completion
+    /// ([`Self::next_check_at`]; `None` when idle). A pending check at or
+    /// before `at` is left alone. One that is later, or has nothing left to
+    /// wait for, is removed from `events` before its replacement is pushed:
+    /// the queue never holds two checks for one replica.
+    #[inline]
+    fn rearm(
+        &mut self,
+        at: Option<SimTime>,
+        (service, replica): (usize, usize),
+        events: &mut EventQueue<EventKind>,
+        seq: &mut u64,
+    ) {
+        if self.has_check {
+            if at.is_some_and(|at| at >= self.check_at) {
+                return;
+            }
+            let removed = events.remove(self.check_at, self.check_seq);
+            debug_assert!(removed, "pending PsCheck is not queued");
+            self.has_check = false;
+        }
+        if let Some(at) = at {
+            *seq += 1;
+            let kind = EventKind::PsCheck {
+                service: service as u16,
+                replica: replica as u16,
+            };
+            events.push(at, *seq, kind);
+            (self.check_at, self.check_seq, self.has_check) = (at, *seq, true);
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -310,7 +323,8 @@ impl ServiceRt {
 #[derive(Debug)]
 struct Source {
     rate: RateFn,
-    gen: u32,
+    /// Queue key of the one pending `SourceNext`, while armed.
+    pending: Option<(SimTime, u64)>,
     /// Block-buffered so interarrival + thinning draws amortize the
     /// xoshiro dependency chain; the observed stream is identical to a
     /// plain [`Rng`].
@@ -320,20 +334,15 @@ struct Source {
 /// Simulator configuration knobs.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Mean one-way network delay applied to every inter-service hop (and
-    /// to request injection). Default: 100 µs.
+    /// One-way network delay applied to every inter-service hop (and to
+    /// request injection). Default: 100 µs.
     pub net_delay: SimDur,
-    /// Coefficient of variation of the network delay. 0 (default) keeps
-    /// hops deterministic; > 0 samples each hop from a log-normal with the
-    /// configured mean.
-    pub net_delay_cv: f64,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             net_delay: SimDur::from_nanos(100_000),
-            net_delay_cv: 0.0,
         }
     }
 }
@@ -381,24 +390,13 @@ pub struct Simulation {
     telemetry: Telemetry,
     events: EventQueue<EventKind>,
     seq: u64,
-    /// Dispatched events that did real work (see [`events_processed`]).
+    /// Events dispatched (see [`events_processed`]).
     events_live: u64,
-    /// Dispatched events that were stale on arrival: superseded `PsCheck`
-    /// generations and re-armed Poisson sources.
-    events_stale: u64,
-    /// Stale `PsCheck` entries currently sitting in the event queue,
-    /// maintained incrementally; drives lazy compaction.
-    heap_stale: usize,
-    /// Lazy compaction passes performed.
-    heap_compactions: u64,
     now: SimTime,
     rng: Rng,
     sources: Vec<Source>,
     work_scale: Vec<f64>,
     cfg: SimConfig,
-    /// The per-hop network-delay distribution when `cfg.net_delay_cv > 0`
-    /// (`None`: every hop takes exactly `cfg.net_delay`).
-    net_jitter: Option<LogNormal>,
     prio_levels: usize,
     in_flight: usize,
     tracer: Option<Tracer>,
@@ -467,14 +465,12 @@ impl Simulation {
         let sources = (0..topology.num_classes())
             .map(|_| Source {
                 rate: RateFn::Constant(0.0),
-                gen: 0,
+                pending: None,
                 rng: BlockRng::new(rng.split()),
             })
             .collect();
         let work_scale = vec![1.0; topology.num_services()];
         let hot = topology.hot_table();
-        let net_jitter = (cfg.net_delay_cv > 0.0 && cfg.net_delay != SimDur::ZERO)
-            .then(|| LogNormal::from_mean_cv(cfg.net_delay.as_secs_f64(), cfg.net_delay_cv));
         Simulation {
             topology,
             templates,
@@ -487,15 +483,11 @@ impl Simulation {
             events: EventQueue::new(),
             seq: 0,
             events_live: 0,
-            events_stale: 0,
-            heap_stale: 0,
-            heap_compactions: 0,
             now: SimTime::ZERO,
             rng,
             sources,
             work_scale,
             cfg,
-            net_jitter,
             prio_levels,
             in_flight: 0,
             tracer: None,
@@ -687,23 +679,22 @@ impl Simulation {
         self.in_flight
     }
 
-    /// Discrete events dispatched since construction that did real work —
-    /// the engine's honest throughput denominator
-    /// (`events_processed() / wall_seconds` = events/sec for a run).
-    /// Stale dispatches (superseded `PsCheck` generations, re-armed
-    /// sources) are excluded; see [`events_stale`](Self::events_stale).
+    /// Discrete events dispatched since construction — the engine's
+    /// throughput denominator (`events_processed() / wall_seconds` =
+    /// events/sec for a run). Every one did work: a superseded event is
+    /// removed from the queue, never dispatched.
     pub fn events_processed(&self) -> u64 {
         self.events_live
     }
 
-    /// Dispatched events that were stale on arrival and did no work.
-    /// Historically these inflated `events_processed`, flattering
-    /// events/sec; they are now reported separately.
+    /// Always 0: a superseded event is removed where it is superseded, so
+    /// none is ever dispatched. Kept because the ledger
+    /// (`engine.events_stale`) calls it.
     pub fn events_stale(&self) -> u64 {
-        self.events_stale
+        0
     }
 
-    /// Current depth of the event queue (live + stale entries).
+    /// Current depth of the event queue.
     pub fn event_heap_depth(&self) -> usize {
         self.events.len()
     }
@@ -711,16 +702,6 @@ impl Simulation {
     /// High-water mark of the event queue over the simulation's lifetime.
     pub fn event_heap_max_depth(&self) -> usize {
         self.events.max_depth()
-    }
-
-    /// Stale `PsCheck` entries currently in the event queue.
-    pub fn event_heap_stale(&self) -> usize {
-        self.heap_stale
-    }
-
-    /// Lazy queue-compaction passes performed so far.
-    pub fn heap_compactions(&self) -> u64 {
-        self.heap_compactions
     }
 
     /// Always 0: the event queue is one sorted vector and has no layout to
@@ -740,13 +721,15 @@ impl Simulation {
     /// `rate_fn.rate(t)` (non-homogeneous via thinning).
     pub fn set_rate(&mut self, class: ClassId, rate_fn: RateFn) {
         let src = &mut self.sources[class.0];
-        src.gen += 1;
         src.rate = rate_fn;
-        let gen = src.gen;
-        self.arm_source(class.0, gen);
+        if let Some((at, seq)) = src.pending.take() {
+            let removed = self.events.remove(at, seq);
+            debug_assert!(removed, "pending SourceNext is not queued");
+        }
+        self.arm_source(class.0);
     }
 
-    fn arm_source(&mut self, class: usize, gen: u32) {
+    fn arm_source(&mut self, class: usize) {
         let lam_max = self.sources[class].rate.max_rate();
         if lam_max <= 0.0 {
             return;
@@ -756,46 +739,16 @@ impl Simulation {
         // block-buffered RNG: identical stream, identical f64 result.
         let dt = -self.sources[class].rng.next_f64_open().ln() / lam_max;
         let at = self.now + SimDur::from_secs_f64(dt);
-        self.schedule(
-            at,
-            EventKind::SourceNext {
-                class: class as u32,
-                gen,
-            },
-        );
+        let class_id = class as u32;
+        let seq = self.schedule(at, EventKind::SourceNext { class: class_id });
+        self.sources[class].pending = Some((at, seq));
     }
 
-    fn schedule(&mut self, at: SimTime, kind: EventKind) {
+    /// Queues `kind` at `at`; returns the `seq` half of its queue key.
+    fn schedule(&mut self, at: SimTime, kind: EventKind) -> u64 {
         self.seq += 1;
         self.events.push(at, self.seq, kind);
-        self.compact_if_mostly_stale();
-    }
-
-    fn compact_if_mostly_stale(&mut self) {
-        if self.heap_stale >= COMPACT_MIN_STALE && self.heap_stale * 2 >= self.events.len() {
-            self.compact_events();
-        }
-    }
-
-    /// Filters stale `PsCheck` entries out of the event queue. O(n); pop
-    /// order is unaffected because `(at, seq)` is a total order
-    /// independent of the queue's internal layout — determinism is
-    /// preserved no matter when compaction runs.
-    fn compact_events(&mut self) {
-        let services = &self.services;
-        self.events.retain(|kind| match *kind {
-            EventKind::PsCheck {
-                service,
-                replica,
-                gen,
-            } => matches!(
-                &services[service as usize].replicas[replica as usize],
-                Some(rep) if rep.ps_gen == gen
-            ),
-            _ => true,
-        });
-        self.heap_stale = 0;
-        self.heap_compactions += 1;
+        self.seq
     }
 
     /// Injects one request of `class` right now (root hop arrives after the
@@ -822,7 +775,7 @@ impl Simulation {
             gen: self.arena.gen(slot),
             node: 0,
         };
-        let at = self.now + self.sample_net_delay();
+        let at = self.now + self.cfg.net_delay;
         self.schedule(at, EventKind::NodeArrive { token });
     }
 
@@ -846,7 +799,6 @@ impl Simulation {
         let batch = times.iter().zip(first..);
         self.events
             .extend(batch.map(|(&at, seq)| QEntry { at, seq, kind }));
-        self.compact_if_mostly_stale();
     }
 
     /// Runs the simulation until simulated time `t`.
@@ -860,15 +812,11 @@ impl Simulation {
             if self.recorder.is_some() {
                 self.record_event(&entry);
             }
-            let live = self.dispatch(entry.kind);
-            if live {
-                self.events_live += 1;
-            } else {
-                self.events_stale += 1;
-            }
+            self.dispatch(entry.kind);
+            self.events_live += 1;
             // Profiler gate: one predictably-false branch when disabled.
             if let Some(p) = self.prof.as_deref_mut() {
-                p.observe(|| phase_of(entry.kind, live));
+                p.observe(|| phase_of(entry.kind));
             }
         }
         if t > self.now {
@@ -886,18 +834,9 @@ impl Simulation {
                 slot: token.slot,
                 node: token.node,
             },
-            EventKind::PsCheck {
-                service,
-                replica,
-                gen,
-            } => FlightEventKind::PsCheck {
-                service,
-                replica,
-                live: matches!(
-                    &self.services[service as usize].replicas[replica as usize],
-                    Some(rep) if rep.ps_gen == gen
-                ),
-            },
+            EventKind::PsCheck { service, replica } => {
+                FlightEventKind::PsCheck { service, replica }
+            }
             EventKind::TraceArrival { class } => FlightEventKind::TraceArrival { class },
             EventKind::ChaosStart { fault } => FlightEventKind::ChaosStart { fault },
             EventKind::ChaosEnd { fault } => FlightEventKind::ChaosEnd { fault },
@@ -923,16 +862,16 @@ impl Simulation {
         self.run_until(t);
     }
 
-    /// Dispatches one event; returns `false` when the event was stale on
-    /// arrival (a superseded `PsCheck` or re-armed source) and did no
-    /// work.
-    fn dispatch(&mut self, kind: EventKind) -> bool {
+    /// Dispatches one event.
+    fn dispatch(&mut self, kind: EventKind) {
         match kind {
-            EventKind::SourceNext { class, gen } => {
+            EventKind::SourceNext { class } => {
                 let class = class as usize;
-                if self.sources[class].gen != gen {
-                    return false;
-                }
+                let fired = self.sources[class].pending.take();
+                debug_assert!(
+                    fired.is_some_and(|(at, _)| at == self.now),
+                    "a popped SourceNext is its class's pending one"
+                );
                 let lam_max = self.sources[class].rate.max_rate();
                 if lam_max > 0.0 {
                     // Constant-rate fast path: thinning always accepts, so
@@ -948,38 +887,22 @@ impl Simulation {
                     if accept {
                         self.inject(ClassId(class));
                     }
-                    self.arm_source(class, gen);
+                    self.arm_source(class);
                 }
-                true
             }
             EventKind::NodeArrive { token } => {
                 if self.token_alive(token) {
                     self.node_arrive(token);
                 }
-                true
             }
-            EventKind::PsCheck {
-                service,
-                replica,
-                gen,
-            } => self.ps_check(service as usize, replica as usize, gen),
-            EventKind::TraceArrival { class } => {
-                self.inject(ClassId(class as usize));
-                true
+            EventKind::PsCheck { service, replica } => {
+                self.ps_check(service as usize, replica as usize)
             }
-            EventKind::ChaosStart { fault } => {
-                self.chaos_start(fault as usize);
-                true
-            }
-            EventKind::ChaosEnd { fault } => {
-                self.chaos_end(fault as usize);
-                true
-            }
+            EventKind::TraceArrival { class } => self.inject(ClassId(class as usize)),
+            EventKind::ChaosStart { fault } => self.chaos_start(fault as usize),
+            EventKind::ChaosEnd { fault } => self.chaos_end(fault as usize),
             EventKind::MemCheck => self.mem_check(),
-            EventKind::MemRestart { service } => {
-                self.mem_restart(service as usize);
-                true
-            }
+            EventKind::MemRestart { service } => self.mem_restart(service as usize),
         }
     }
 
@@ -1195,9 +1118,9 @@ impl Simulation {
     /// Recomputes per-replica usage, OOM-kills limit violators, relieves
     /// node pressure by QoS-ordered eviction, updates noisy-neighbor
     /// interference, and re-arms the next scan.
-    fn mem_check(&mut self) -> bool {
+    fn mem_check(&mut self) {
         let Some(m) = self.mem.as_deref() else {
-            return false;
+            return;
         };
         let now = self.now;
         let interval = m.check_interval;
@@ -1392,7 +1315,6 @@ impl Simulation {
         }
 
         self.schedule(now + interval, EventKind::MemCheck);
-        true
     }
 
     /// Restores one replica of `service` after its OOM/eviction restart
@@ -1592,61 +1514,22 @@ impl Simulation {
     }
 
     /// Recomputes the replica's next real-time completion from the head
-    /// finish tag — O(1) — and schedules a fresh `PsCheck` only when that
-    /// completion moved *earlier* than the pending check. If it moved
-    /// later (the common case on arrivals with typical work sizes), the
-    /// pending check fires early, finds nothing due, and re-arms here —
-    /// so most membership changes push no event at all.
+    /// finish tag — O(1) — and replaces the pending `PsCheck` only when that
+    /// completion moved *earlier*. If it moved later (the common case on
+    /// arrivals with typical work sizes), the pending check fires early,
+    /// finds nothing due, and re-arms here — so most membership changes
+    /// touch no event at all.
     ///
     /// Call after any membership or rate change, with the clock already
     /// advanced to `now` ([`Self::ps_advance`]).
     fn ps_resync(&mut self, s: usize, r: usize) {
         let now = self.now;
         let slow = self.slow_of(s);
-        let (schedule, invalidated) = {
-            let Some(rep) = self.services[s].replicas[r].as_mut() else {
-                return;
-            };
-            match rep.next_check_at(now, slow) {
-                None => {
-                    // Idle: drop any pending check.
-                    let invalidated = rep.has_check;
-                    if invalidated {
-                        rep.ps_gen = rep.ps_gen.wrapping_add(1);
-                        rep.has_check = false;
-                    }
-                    (None, invalidated)
-                }
-                Some(at) => {
-                    if rep.has_check && at >= rep.check_at {
-                        // Pending check fires at or before the true next
-                        // completion and will re-arm itself: no new event.
-                        (None, false)
-                    } else {
-                        let invalidated = rep.has_check;
-                        rep.ps_gen = rep.ps_gen.wrapping_add(1);
-                        rep.check_at = at;
-                        rep.has_check = true;
-                        (Some((at, rep.ps_gen)), invalidated)
-                    }
-                }
-            }
+        let Some(rep) = self.services[s].replicas[r].as_mut() else {
+            return;
         };
-        if invalidated {
-            // The superseded check stays in the heap until popped (and
-            // skipped) or compacted away.
-            self.heap_stale += 1;
-        }
-        if let Some((at, gen)) = schedule {
-            self.schedule(
-                at,
-                EventKind::PsCheck {
-                    service: s as u16,
-                    replica: r as u16,
-                    gen,
-                },
-            );
-        }
+        let at = rep.next_check_at(now, slow);
+        rep.rearm(at, (s, r), &mut self.events, &mut self.seq);
     }
 
     /// Admits one compute phase into a replica's PS queue — the fused
@@ -1655,34 +1538,11 @@ impl Simulation {
     fn ps_add(&mut self, s: usize, r: usize, token: Token, work: f64) {
         let now = self.now;
         let slow = self.slow_of(s);
-        let (schedule, invalidated) = {
-            let rep = self.services[s].replicas[r].as_mut().expect("live replica");
-            rep.advance_to(now, slow);
-            rep.ps.admit(work, token);
-            let at = rep.next_check_at(now, slow).expect("just admitted");
-            if rep.has_check && at >= rep.check_at {
-                (None, false)
-            } else {
-                let invalidated = rep.has_check;
-                rep.ps_gen = rep.ps_gen.wrapping_add(1);
-                rep.check_at = at;
-                rep.has_check = true;
-                (Some((at, rep.ps_gen)), invalidated)
-            }
-        };
-        if invalidated {
-            self.heap_stale += 1;
-        }
-        if let Some((at, gen)) = schedule {
-            self.schedule(
-                at,
-                EventKind::PsCheck {
-                    service: s as u16,
-                    replica: r as u16,
-                    gen,
-                },
-            );
-        }
+        let rep = self.services[s].replicas[r].as_mut().expect("live replica");
+        rep.advance_to(now, slow);
+        rep.ps.admit(work, token);
+        let at = rep.next_check_at(now, slow);
+        rep.rearm(at, (s, r), &mut self.events, &mut self.seq);
     }
 
     /// Advances every replica of `s` to `now` at the *current* rate.
@@ -1703,47 +1563,26 @@ impl Simulation {
         }
     }
 
-    /// Handles a popped `PsCheck`; returns `false` when the check was
-    /// stale (superseded generation or removed replica) and did no work.
-    fn ps_check(&mut self, s: usize, r: usize, gen: u32) -> bool {
+    /// Handles a popped `PsCheck`: by construction the replica's pending
+    /// one, so the slot is occupied and nothing else is queued for it.
+    fn ps_check(&mut self, s: usize, r: usize) {
         let now = self.now;
         let slow = self.slow_of(s);
         // Collect completions into the reusable scratch buffer (taken out of
         // `self` for the duration — nothing below re-enters `ps_check`).
         let mut finished = std::mem::take(&mut self.ps_scratch);
         finished.clear();
-        // Advance, pop, and re-arm under a single replica borrow. The
-        // firing check is the current generation by construction, so the
-        // re-arm never invalidates a pending event.
-        let schedule = {
-            let rep = match self.services[s].replicas[r].as_mut() {
-                Some(rep) if rep.ps_gen == gen => rep,
-                _ => {
-                    self.heap_stale = self.heap_stale.saturating_sub(1);
-                    self.ps_scratch = finished;
-                    return false;
-                }
-            };
-            rep.has_check = false;
-            rep.advance_to(now, slow);
-            rep.ps.pop_due(WORK_EPS, &mut finished);
-            rep.next_check_at(now, slow).map(|at| {
-                rep.ps_gen = rep.ps_gen.wrapping_add(1);
-                rep.check_at = at;
-                rep.has_check = true;
-                (at, rep.ps_gen)
-            })
-        };
-        if let Some((at, gen)) = schedule {
-            self.schedule(
-                at,
-                EventKind::PsCheck {
-                    service: s as u16,
-                    replica: r as u16,
-                    gen,
-                },
-            );
-        }
+        // Advance, pop, and re-arm under a single replica borrow.
+        let rep = self.services[s].replicas[r].as_mut().expect("live replica");
+        debug_assert!(
+            rep.has_check && rep.check_at == now,
+            "a popped PsCheck is its replica's pending one"
+        );
+        rep.has_check = false;
+        rep.advance_to(now, slow);
+        rep.ps.pop_due(WORK_EPS, &mut finished);
+        let at = rep.next_check_at(now, slow);
+        rep.rearm(at, (s, r), &mut self.events, &mut self.seq);
         for &token in &finished {
             let phase = self.arena.phase[self.nidx(token)];
             match phase {
@@ -1754,7 +1593,6 @@ impl Simulation {
         }
         finished.clear();
         self.ps_scratch = finished;
-        true
     }
 
     // ---- Request state machine -------------------------------------------
@@ -1857,21 +1695,11 @@ impl Simulation {
     /// Sends a child hop toward its service (network delay applies; an
     /// active RPC fault on the callee adds its timeout/retry penalty).
     fn launch_child(&mut self, child_token: Token) {
-        let mut at = self.now + self.sample_net_delay();
+        let mut at = self.now + self.cfg.net_delay;
         if self.chaos.is_some() {
             at += self.chaos_rpc_penalty(child_token);
         }
         self.schedule(at, EventKind::NodeArrive { token: child_token });
-    }
-
-    /// One network-hop delay (deterministic, or log-normal when
-    /// `net_delay_cv > 0`).
-    fn sample_net_delay(&mut self) -> SimDur {
-        let Some(jitter) = self.net_jitter else {
-            return self.cfg.net_delay;
-        };
-        let delay = jitter.sample(&mut self.rng);
-        SimDur::from_secs_f64(delay)
     }
 
     /// Tries to place an event-driven continuation on the replica's daemon
@@ -2083,6 +1911,12 @@ impl Simulation {
             if busy != 0.0 || cap != 0.0 {
                 self.telemetry.record_cpu(ServiceId(s), busy, cap);
             }
+            debug_assert!(
+                self.services[s].replicas[r]
+                    .as_ref()
+                    .is_some_and(|rep| !rep.has_check),
+                "an idle replica has no PsCheck queued"
+            );
             self.services[s].replicas[r] = None;
         }
     }
@@ -2872,111 +2706,41 @@ mod trace_tests {
         assert_eq!(sim.harvest().injections[0], 0);
     }
 
-    /// Every `EventKind` variant, sampled, lands in exactly one phase, and
-    /// the phases' counts add up to the events sampled.
+    /// Every `EventKind` variant, sampled, lands in exactly one of the six
+    /// phases, and the phases' counts add up to the events dispatched.
     #[test]
     fn profiler_classifies_every_event_kind_exactly_once() {
         let mut sim = Simulation::new(one_service(), SimConfig::default(), 5);
         sim.enable_profiler(1);
         let at = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
-        // No plane is installed: the chaos and restart events are live
-        // no-ops, the memory scan reports itself stale.
-        sim.schedule(at(1), EventKind::SourceNext { class: 0, gen: 0 });
-        sim.schedule(at(2), EventKind::SourceNext { class: 0, gen: 7 });
+        // One source firing, armed by hand as `arm_source` would; at the
+        // default rate of 0 it neither injects nor re-arms.
+        let seq = sim.schedule(at(1), EventKind::SourceNext { class: 0 });
+        sim.sources[0].pending = Some((at(1), seq));
         sim.schedule_arrivals(ClassId(0), &[at(3)]);
+        // No plane is installed: these four dispatch as no-ops.
         sim.schedule(at(4), EventKind::ChaosStart { fault: 0 });
         sim.schedule(at(5), EventKind::ChaosEnd { fault: 0 });
         sim.schedule(at(6), EventKind::MemCheck);
         sim.schedule(at(7), EventKind::MemRestart { service: 0 });
-        let stale_check = EventKind::PsCheck {
-            service: 0,
-            replica: 0,
-            gen: u32::MAX,
-        };
-        sim.schedule(at(8), stale_check);
         sim.run_for(SimDur::from_secs(1));
 
         let report = sim.profiler().expect("enabled").report();
-        let count = |phase: SimPhase| report.phases[phase as usize].count;
         // The trace arrival's request: root hop arrives, one PS completion.
-        assert_eq!(count(SimPhase::SourceNext), 1);
-        assert_eq!(count(SimPhase::TraceArrival), 1);
-        assert_eq!(count(SimPhase::NodeArrive), 1);
-        assert_eq!(count(SimPhase::PsCheck), 1);
-        assert_eq!(count(SimPhase::Chaos), 2);
-        assert_eq!(count(SimPhase::Mem), 1);
-        assert_eq!(count(SimPhase::Stale), 3);
-        assert_eq!(count(SimPhase::Stale), sim.events_stale());
-        let total: u64 = report.phases.iter().map(|s| s.count).sum();
-        assert_eq!(total, report.events_sampled);
-        assert_eq!(total, report.events_seen);
-        assert_eq!(total, sim.events_processed() + sim.events_stale());
-    }
-}
-
-#[cfg(test)]
-mod net_jitter_tests {
-    use super::*;
-    use crate::topology::{CallNode, ClassCfg, Priority, ServiceCfg, WorkDist};
-
-    fn two_tier(cv: f64) -> Simulation {
-        let topo = Topology::new(
-            vec![ServiceCfg::new("a", 4.0), ServiceCfg::new("b", 4.0)],
-            vec![ClassCfg {
-                name: "c".into(),
-                priority: Priority::HIGH,
-                root: CallNode::leaf(ServiceId(0), WorkDist::Constant(0.001)).with_child(
-                    EdgeKind::NestedRpc,
-                    CallNode::leaf(ServiceId(1), WorkDist::Constant(0.001)),
-                ),
-            }],
-        )
-        .unwrap();
-        let cfg = SimConfig {
-            net_delay: SimDur::from_millis(2),
-            net_delay_cv: cv,
-        };
-        Simulation::new(topo, cfg, 9)
-    }
-
-    #[test]
-    fn jitter_preserves_mean_but_spreads_tail() {
-        let run = |cv: f64| {
-            let mut sim = two_tier(cv);
-            sim.set_rate(ClassId(0), RateFn::Constant(50.0));
-            sim.run_for(SimDur::from_secs(60));
-            let snap = sim.harvest();
-            let e2e = &snap.e2e_latency[0];
-            (e2e.mean().unwrap(), e2e.percentile(99.0).unwrap())
-        };
-        let (mean_det, p99_det) = run(0.0);
-        let (mean_jit, p99_jit) = run(1.0);
-        // Three network hops of 2 ms mean in either case.
-        assert!(
-            (mean_jit - mean_det).abs() < 0.0015,
-            "{mean_det} vs {mean_jit}"
-        );
-        assert!(
-            p99_jit > p99_det,
-            "jitter must widen the tail: {p99_det} vs {p99_jit}"
-        );
-    }
-
-    /// The jittered hop delays themselves, not just their moments: a digest
-    /// of every end-to-end latency of a short jittered run, recorded when
-    /// the log-normal was still rebuilt on every hop. Building it once in
-    /// `Simulation::new` must reproduce it bit for bit.
-    #[test]
-    fn jittered_latencies_are_pinned() {
-        let mut sim = two_tier(1.0);
-        sim.set_rate(ClassId(0), RateFn::Constant(50.0));
-        sim.run_for(SimDur::from_secs(10));
-        let snap = sim.harvest();
-        let samples = snap.e2e_latency[0].samples();
-        let digest = samples.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
-            (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
-        });
-        assert_eq!((samples.len(), digest), (479, 10_320_124_433_706_562_321));
+        let want = [
+            (SimPhase::SourceNext, 1),
+            (SimPhase::NodeArrive, 1),
+            (SimPhase::PsCheck, 1),
+            (SimPhase::TraceArrival, 1),
+            (SimPhase::Chaos, 2),
+            (SimPhase::Mem, 2),
+        ];
+        let got: Vec<(SimPhase, u64)> = report.phases.iter().map(|s| (s.phase, s.count)).collect();
+        assert_eq!(got, want);
+        assert_eq!(report.events_sampled, 8);
+        assert_eq!(report.events_seen, 8);
+        assert_eq!(sim.events_processed(), 8);
+        assert_eq!(sim.events_stale(), 0);
     }
 }
 
@@ -3273,5 +3037,147 @@ mod chaos_tests {
         let mut plan = FaultPlan::new();
         plan.push(window(1.0, 2.0, FaultKind::MqStall { service: 9 }));
         sim.install_faults(&plan, 1);
+    }
+}
+
+#[cfg(test)]
+mod eager_cancel_tests {
+    use super::*;
+    use crate::chaos::{Fault, FaultKind, FaultPlan};
+    use crate::memory::{MemEventKind, MemPlan, MemProfile, NodeMemCfg};
+    use crate::topology::{CallNode, ClassCfg, Priority, ResourceSpec, ServiceCfg, WorkDist};
+
+    /// Panics unless the queued `PsCheck`s and `SourceNext`s are exactly
+    /// the pending ones the replicas and sources name: at most one per
+    /// replica slot and one per class, none for an emptied slot, none
+    /// superseded.
+    fn assert_only_pending_events_queued(sim: &Simulation) {
+        let (mut checks, mut sources) = (Vec::new(), Vec::new());
+        for e in sim.events.entries() {
+            match e.kind {
+                EventKind::PsCheck { service, replica } => {
+                    checks.push((service as usize, replica as usize, e.at, e.seq));
+                }
+                EventKind::SourceNext { class } => sources.push((class as usize, e.at, e.seq)),
+                _ => {}
+            }
+        }
+        checks.sort_unstable();
+        sources.sort_unstable();
+        let mut pending_checks = Vec::new();
+        for (s, svc) in sim.services.iter().enumerate() {
+            for (r, rep) in svc.replicas.iter().enumerate() {
+                if let Some(rep) = rep.as_ref().filter(|rep| rep.has_check) {
+                    pending_checks.push((s, r, rep.check_at, rep.check_seq));
+                }
+            }
+        }
+        let pending_sources: Vec<_> = sim
+            .sources
+            .iter()
+            .enumerate()
+            .filter_map(|(c, src)| src.pending.map(|(at, seq)| (c, at, seq)))
+            .collect();
+        assert_eq!(checks, pending_checks, "at {}", sim.now);
+        assert_eq!(sources, pending_sources, "at {}", sim.now);
+    }
+
+    /// Every path that supersedes a pending event — admissions, scaling,
+    /// a crash, a slowdown, a CPU-limit change, an OOM-kill and its
+    /// restart, re-armed sources, a trace batch — in one run, the queue
+    /// checked after every window. The drain path's own check (a slot is
+    /// never emptied with a check queued) is a `debug_assert!` that is
+    /// live here.
+    #[test]
+    fn queue_holds_only_pending_checks_and_sources_under_churn() {
+        let leaky = ResourceSpec::burstable(1.0, 2.0, 64 << 20, 128 << 20);
+        let topo = Topology::new(
+            vec![
+                ServiceCfg::new("front", 2.0).with_replicas(3),
+                ServiceCfg::new("back", 2.0)
+                    .with_replicas(3)
+                    .with_resources(leaky),
+            ],
+            vec![
+                ClassCfg {
+                    name: "chain".into(),
+                    priority: Priority::HIGH,
+                    root: CallNode::leaf(ServiceId(0), WorkDist::Exponential { mean: 0.004 })
+                        .with_child(
+                            EdgeKind::NestedRpc,
+                            CallNode::leaf(ServiceId(1), WorkDist::Exponential { mean: 0.004 }),
+                        ),
+                },
+                ClassCfg {
+                    name: "leaf".into(),
+                    priority: Priority::LOW,
+                    root: CallNode::leaf(ServiceId(1), WorkDist::Exponential { mean: 0.002 }),
+                },
+            ],
+        )
+        .unwrap();
+        let mut sim = Simulation::new(topo, SimConfig::default(), 23);
+        let secs = SimTime::from_secs_f64;
+        let mut plan = FaultPlan::new();
+        let (service, count) = (0, 1);
+        plan.push(Fault {
+            at: secs(4.5),
+            until: secs(9.5),
+            kind: FaultKind::ReplicaCrash { service, count },
+        });
+        plan.push(Fault {
+            at: secs(10.5),
+            until: secs(14.5),
+            kind: FaultKind::Slowdown {
+                service,
+                factor: 3.0,
+            },
+        });
+        sim.install_faults(&plan, 2);
+        // A 16 MiB/s leak from 32 MiB crosses the 128 MiB limit every ~6 s.
+        let leak = MemProfile::new(32 << 20, 1 << 20).with_growth((16 << 20) as f64);
+        sim.install_memory_plane(
+            &MemPlan::new(vec![NodeMemCfg::new(4 << 30); 2]).with_profile(1, leak),
+        );
+        sim.set_rate(ClassId(0), RateFn::Constant(400.0));
+        sim.set_rate(ClassId(1), RateFn::Constant(300.0));
+
+        let (mut oom_kills, mut restarts, mut faults) = (0, 0, 0);
+        for window in 0..30u64 {
+            match window {
+                3 => sim.set_replicas(ServiceId(0), 5),
+                6 => {
+                    let batch: Vec<SimTime> =
+                        (0..200).map(|i| secs(6.0 + i as f64 * 0.01)).collect();
+                    sim.schedule_arrivals(ClassId(1), &batch);
+                }
+                8 => sim.set_rate(
+                    ClassId(0),
+                    RateFn::Diurnal {
+                        base: 100.0,
+                        peak: 700.0,
+                        period: SimDur::from_secs(10),
+                    },
+                ),
+                12 => sim.set_replicas(ServiceId(0), 2),
+                16 => sim.set_cpu_limit(ServiceId(1), 1.0),
+                20 => sim.set_rate(ClassId(1), RateFn::Constant(0.0)),
+                24 => sim.set_rate(ClassId(1), RateFn::Constant(500.0)),
+                _ => {}
+            }
+            assert_only_pending_events_queued(&sim);
+            sim.run_for(SimDur::from_secs(1));
+            assert_only_pending_events_queued(&sim);
+            let snap = sim.harvest();
+            faults += snap.faults.len();
+            let mem = snap.mem.expect("plane installed");
+            oom_kills += mem.oom_kills;
+            let restarted = |e: &&MemEvent| e.kind == MemEventKind::Restart;
+            restarts += mem.events.iter().filter(restarted).count();
+        }
+        assert!(oom_kills >= 2 && restarts >= 1, "{oom_kills} / {restarts}");
+        assert_eq!(faults, 4, "both windows opened and closed");
+        assert!(sim.events_processed() > 50_000);
+        assert_eq!(sim.events_stale(), 0);
     }
 }

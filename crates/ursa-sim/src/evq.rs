@@ -104,11 +104,24 @@ impl<K> EventQueue<K> {
         self.entries.pop()
     }
 
-    /// Keeps only entries whose payload satisfies `f`; the pop order of the
-    /// survivors is unchanged.
-    pub fn retain(&mut self, mut f: impl FnMut(&K) -> bool) {
-        self.entries.retain(|e| f(&e.kind));
-        debug_assert!(sorted(&self.entries), "retain broke the order");
+    /// Removes the entry keyed `(at, seq)`, if queued; the pop order of the
+    /// rest is unchanged. Costs what the matching `push` cost: a binary
+    /// search and a shift of the entries that pop before it.
+    #[inline]
+    pub fn remove(&mut self, at: SimTime, seq: u64) -> bool {
+        let key = (at, seq);
+        let pos = self.entries.partition_point(|x| x.key() > key);
+        let found = self.entries.get(pos).is_some_and(|x| x.key() == key);
+        if found {
+            self.entries.remove(pos);
+        }
+        found
+    }
+
+    /// The queued entries, next to pop last.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> &[QEntry<K>] {
+        &self.entries
     }
 }
 
@@ -167,15 +180,22 @@ mod tests {
         assert_eq!(drain(&mut q), want);
     }
 
+    /// Keyed removal takes exactly the named entry — head, deepest, one of a
+    /// tie — and reports an absent key without touching the queue.
     #[test]
-    fn retain_drops_matching_entries_only() {
+    fn remove_takes_the_keyed_entry_only() {
         let mut q = EventQueue::new();
-        for i in 0..2000u64 {
-            q.push(t(i * 50_000), i, i);
+        for seq in 0..6u64 {
+            q.push(t(10 * (seq / 2)), seq, seq);
         }
-        q.retain(|k| k % 3 != 0);
-        let got: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
-        let expect: Vec<u64> = (0..2000).filter(|k| k % 3 != 0).collect();
-        assert_eq!(got, expect);
+        assert!(q.remove(t(0), 0), "current head");
+        assert!(q.remove(t(20), 5), "deepest entry");
+        assert!(q.remove(t(10), 2), "first of a tie");
+        for (at, seq) in [(10, 2), (10, 4), (20, 3), (30, 6)] {
+            assert!(!q.remove(t(at), seq), "({at}, {seq}) is not queued");
+        }
+        assert_eq!(q.max_depth(), 6);
+        assert_eq!(drain(&mut q), vec![(0, 1), (10, 3), (20, 4)]);
+        assert!(!q.remove(t(0), 1), "empty queue");
     }
 }

@@ -27,9 +27,8 @@
 //! | `class_latency_p50/p95/p99` | `class` | end-to-end latency percentiles (gap when idle) |
 //! | `class_completions_total`, `class_injections_total` | `class` | cumulative counters |
 //! | `total_allocated_cores` | — | all replicas, live and draining |
-//! | `sim_events_live_total`, `sim_events_stale_total` | — | scheduler: dispatched events that did / did no work |
-//! | `sim_event_heap_depth`, `sim_event_heap_stale`, `sim_event_heap_max_depth` | — | scheduler: event-heap occupancy |
-//! | `sim_heap_compactions_total` | — | scheduler: lazy stale-entry compaction passes |
+//! | `sim_events_live_total` | — | scheduler: events dispatched |
+//! | `sim_event_heap_depth`, `sim_event_heap_max_depth` | — | scheduler: event-queue occupancy |
 //! | `node_mem_util` | `node` | node memory usage / capacity at the last scan (memory plane) |
 //! | `mem_oom_kills_total` | — | cumulative OOM-kills (memory plane) |
 //! | `mem_evictions_total` | `tier` | cumulative pressure evictions by QoS tier (memory plane) |
@@ -238,8 +237,8 @@ impl SimMetrics {
             Labels::empty(),
             sim.total_allocated_cores(),
         );
-        // Scheduler internals (PR 5's stale-aware event loop), surfaced so
-        // heap pathologies are visible next to the workload series.
+        // Scheduler internals, surfaced so queue pathologies are visible
+        // next to the workload series.
         {
             let r = &mut self.registry;
             r.counter_set(
@@ -247,25 +246,10 @@ impl SimMetrics {
                 Labels::empty(),
                 sim.events_processed() as f64,
             );
-            r.counter_set(
-                "sim_events_stale_total",
-                Labels::empty(),
-                sim.events_stale() as f64,
-            );
-            r.counter_set(
-                "sim_heap_compactions_total",
-                Labels::empty(),
-                sim.heap_compactions() as f64,
-            );
             r.gauge_set(
                 "sim_event_heap_depth",
                 Labels::empty(),
                 sim.event_heap_depth() as f64,
-            );
-            r.gauge_set(
-                "sim_event_heap_stale",
-                Labels::empty(),
-                sim.event_heap_stale() as f64,
             );
             r.gauge_set(
                 "sim_event_heap_max_depth",
@@ -619,11 +603,8 @@ mod tests {
             "class_latency_p99",
             "slo_burn_rate_short",
             "sim_events_live_total",
-            "sim_events_stale_total",
             "sim_event_heap_depth",
-            "sim_event_heap_stale",
             "sim_event_heap_max_depth",
-            "sim_heap_compactions_total",
         ] {
             assert!(
                 store.series_named(name).next().is_some(),

@@ -14,8 +14,7 @@
 //! ten; DESIGN §6 "Engine cost model, measured from outside" has the
 //! numbers and the external-sampler recipe that replaced it.
 
-/// What a sampled event was: its `EventKind`, or [`Stale`](SimPhase::Stale)
-/// when it was superseded before it fired and did no work.
+/// What a sampled event was, by `EventKind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimPhase {
     /// A Poisson source fired: thinning draw, injection, re-arm.
@@ -24,9 +23,6 @@ pub enum SimPhase {
     NodeArrive,
     /// Processor-sharing completions on a replica.
     PsCheck,
-    /// A superseded `PsCheck`, re-armed source or memory scan: popped,
-    /// recognised and dropped.
-    Stale,
     /// A trace-replay arrival.
     TraceArrival,
     /// Chaos fault injection / recovery actuation.
@@ -37,11 +33,10 @@ pub enum SimPhase {
 
 impl SimPhase {
     /// All phases, in reporting order.
-    pub const ALL: [SimPhase; 7] = [
+    pub const ALL: [SimPhase; 6] = [
         SimPhase::SourceNext,
         SimPhase::NodeArrive,
         SimPhase::PsCheck,
-        SimPhase::Stale,
         SimPhase::TraceArrival,
         SimPhase::Chaos,
         SimPhase::Mem,
@@ -53,7 +48,6 @@ impl SimPhase {
             SimPhase::SourceNext => "source_next",
             SimPhase::NodeArrive => "node_arrive",
             SimPhase::PsCheck => "ps_check",
-            SimPhase::Stale => "stale",
             SimPhase::TraceArrival => "trace_arrival",
             SimPhase::Chaos => "chaos",
             SimPhase::Mem => "mem",
@@ -170,7 +164,7 @@ mod tests {
         let r = p.report();
         assert_eq!(r.phases.len(), SimPhase::ALL.len());
         assert!(r.phases.iter().all(|s| s.count == 0 && s.est_nanos == 0.0));
-        for phase in [SimPhase::PsCheck, SimPhase::PsCheck, SimPhase::Stale] {
+        for phase in [SimPhase::PsCheck, SimPhase::PsCheck, SimPhase::Mem] {
             p.observe(|| phase);
         }
         let r = p.report();

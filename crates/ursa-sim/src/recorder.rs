@@ -41,9 +41,6 @@ pub enum FlightEventKind {
         service: u16,
         /// Replica index.
         replica: u16,
-        /// False when the check was stale on arrival (superseded
-        /// generation) and did no work.
-        live: bool,
     },
     /// A replayed (explicitly scheduled) arrival was injected.
     TraceArrival {
@@ -239,7 +236,6 @@ mod tests {
             FlightEventKind::PsCheck {
                 service: 0,
                 replica: 0,
-                live: true,
             },
             FlightEventKind::TraceArrival { class: 0 },
             FlightEventKind::ChaosStart { fault: 0 },

@@ -219,103 +219,6 @@ impl Distribution for Pareto {
     }
 }
 
-/// Draws a Poisson-distributed count with the given mean.
-///
-/// Uses Knuth's method for small means and a normal approximation for large
-/// ones; adequate for batch-size sampling in the workload generator.
-///
-/// # Panics
-///
-/// Panics if `mean` is negative or non-finite.
-pub fn poisson_count(mean: f64, rng: &mut Rng) -> u64 {
-    assert!(mean >= 0.0 && mean.is_finite());
-    if mean == 0.0 {
-        return 0;
-    }
-    if mean < 30.0 {
-        let limit = (-mean).exp();
-        let mut product = rng.next_f64_open();
-        let mut count = 0;
-        while product > limit {
-            product *= rng.next_f64_open();
-            count += 1;
-        }
-        count
-    } else {
-        let draw = mean + mean.sqrt() * Normal::standard_sample(rng);
-        draw.round().max(0.0) as u64
-    }
-}
-
-/// A distribution clamped to be non-negative and optionally shifted.
-///
-/// Service times must be positive: `Shifted` adds a deterministic floor
-/// (e.g. a fixed syscall/serialization cost) to a stochastic body.
-#[derive(Debug, Clone)]
-pub struct Shifted<D> {
-    inner: D,
-    offset: f64,
-}
-
-impl<D: Distribution> Shifted<D> {
-    /// Wraps `inner`, adding `offset` to every sample and flooring at zero.
-    pub fn new(inner: D, offset: f64) -> Self {
-        Shifted { inner, offset }
-    }
-}
-
-impl<D: Distribution> Distribution for Shifted<D> {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        (self.inner.sample(rng) + self.offset).max(0.0)
-    }
-    fn mean(&self) -> f64 {
-        self.inner.mean() + self.offset
-    }
-}
-
-/// A finite mixture of boxed distributions with given weights.
-pub struct Mixture {
-    components: Vec<(f64, Box<dyn Distribution + Send + Sync>)>,
-}
-
-impl core::fmt::Debug for Mixture {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Mixture")
-            .field("components", &self.components.len())
-            .field("mean", &self.mean())
-            .finish()
-    }
-}
-
-impl Mixture {
-    /// Creates a mixture from `(weight, component)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty or any weight is negative.
-    pub fn new(components: Vec<(f64, Box<dyn Distribution + Send + Sync>)>) -> Self {
-        assert!(!components.is_empty());
-        assert!(components.iter().all(|(w, _)| *w >= 0.0));
-        Mixture { components }
-    }
-}
-
-impl Distribution for Mixture {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        let weights: Vec<f64> = self.components.iter().map(|(w, _)| *w).collect();
-        let idx = rng.choose_weighted(&weights);
-        self.components[idx].1.sample(rng)
-    }
-    fn mean(&self) -> f64 {
-        let total: f64 = self.components.iter().map(|(w, _)| w).sum();
-        self.components
-            .iter()
-            .map(|(w, d)| w * d.mean())
-            .sum::<f64>()
-            / total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,45 +279,6 @@ mod tests {
         let big_p = (0..n).filter(|_| p.sample(&mut rng) > 20.0).count();
         let big_e = (0..n).filter(|_| e.sample(&mut rng) > 20.0).count();
         assert!(big_p > big_e * 5, "pareto {big_p} vs exp {big_e}");
-    }
-
-    #[test]
-    fn poisson_count_mean() {
-        let mut rng = Rng::seed_from(7);
-        for mean in [0.5, 5.0, 80.0] {
-            let n = 50_000;
-            let m = (0..n).map(|_| poisson_count(mean, &mut rng)).sum::<u64>() as f64 / n as f64;
-            assert!(
-                (m - mean).abs() < mean.max(1.0) * 0.05,
-                "mean {mean} got {m}"
-            );
-        }
-    }
-
-    #[test]
-    fn poisson_zero_mean_is_zero() {
-        let mut rng = Rng::seed_from(8);
-        assert_eq!(poisson_count(0.0, &mut rng), 0);
-    }
-
-    #[test]
-    fn shifted_adds_floor() {
-        let d = Shifted::new(Constant(-5.0), 2.0);
-        let mut rng = Rng::seed_from(9);
-        assert_eq!(d.sample(&mut rng), 0.0);
-        let d2 = Shifted::new(Constant(1.0), 2.0);
-        assert_eq!(d2.sample(&mut rng), 3.0);
-    }
-
-    #[test]
-    fn mixture_mean_is_weighted() {
-        let m = Mixture::new(vec![
-            (1.0, Box::new(Constant(2.0)) as _),
-            (3.0, Box::new(Constant(6.0)) as _),
-        ]);
-        assert!((m.mean() - 5.0).abs() < 1e-12);
-        let s = sample_mean(&m, 100_000, 10);
-        assert!((s - 5.0).abs() < 0.05, "mean {s}");
     }
 
     #[test]

@@ -7,15 +7,14 @@
 //!
 //! * [`rng`] — a deterministic, splittable pseudo-random number generator
 //!   (xoshiro256\*\* seeded via SplitMix64), with no global state;
-//! * [`dist`] — sampling distributions (exponential, normal, log-normal,
-//!   Pareto, Poisson, mixtures, ...) used for service times and arrivals;
+//! * [`dist`] — sampling distributions (constant, uniform, exponential,
+//!   normal, log-normal, Pareto) used for service times and arrivals;
 //! * [`ttest`] — Welch's t-test, the hypothesis test Ursa uses both in the
 //!   backpressure profiling engine (§III of the paper) and in the resource
 //!   controller's threshold check (§V);
-//! * [`quantile`] — exact and windowed quantile recorders for latency
-//!   distributions;
-//! * [`histogram`] — a log-bucketed latency histogram for cheap telemetry;
-//! * [`describe`] — streaming descriptive statistics (Welford).
+//! * [`quantile`] — the bounded sample window telemetry records into, and
+//!   the exact percentile of a sorted slice;
+//! * [`tdigest`] — a mergeable quantile sketch for long-lived series.
 //!
 //! # Example
 //!
@@ -31,17 +30,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod describe;
 pub mod dist;
-pub mod histogram;
 pub mod quantile;
 pub mod rng;
 pub mod tdigest;
 pub mod ttest;
 
-pub use describe::Welford;
 pub use dist::Distribution;
-pub use histogram::LatencyHistogram;
 pub use quantile::{percentile_of_sorted, QuantileWindow};
 pub use rng::Rng;
 pub use tdigest::TDigest;

@@ -47,10 +47,10 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 /// queries always reflect the most recent `capacity` observations — matching
 /// how Prometheus-style telemetry windows behave in the paper's setup.
 ///
-/// Every order-statistic query ([`sorted`](Self::sorted),
-/// [`percentile`](Self::percentile), [`percentiles`](Self::percentiles))
-/// sorts a fresh copy: the simulator reads a window once per harvest, through
-/// [`drain`](Self::drain); a caller that queries repeatedly keeps the copy.
+/// The window answers no query itself: the simulator reads it once per
+/// harvest, through [`drain`](Self::drain), and asks the drained samples;
+/// [`sorted`](Self::sorted) sorts a fresh copy, which a caller that queries
+/// repeatedly keeps.
 #[derive(Debug, Clone)]
 pub struct QuantileWindow {
     buf: Vec<f64>,
@@ -98,16 +98,6 @@ impl QuantileWindow {
         self.total_count += 1;
     }
 
-    /// The retained samples in arrival order, as the ring's two contiguous
-    /// runs (the second is empty unless the ring has wrapped).
-    fn as_slices(&self) -> (&[f64], &[f64]) {
-        let first = self.len.min(self.buf.len() - self.head);
-        (
-            &self.buf[self.head..self.head + first],
-            &self.buf[..self.len - first],
-        )
-    }
-
     /// Number of samples currently in the window.
     pub fn len(&self) -> usize {
         self.len
@@ -130,12 +120,12 @@ impl QuantileWindow {
     }
 
     /// Copies the current window contents in arrival order (oldest first):
-    /// two slice copies, no per-element index arithmetic.
-    pub fn to_vec(&self) -> Vec<f64> {
-        let (older, newer) = self.as_slices();
+    /// the ring's two contiguous runs, the second empty unless it wrapped.
+    fn to_vec(&self) -> Vec<f64> {
+        let first = self.len.min(self.buf.len() - self.head);
         let mut out = Vec::with_capacity(self.len);
-        out.extend_from_slice(older);
-        out.extend_from_slice(newer);
+        out.extend_from_slice(&self.buf[self.head..self.head + first]);
+        out.extend_from_slice(&self.buf[..self.len - first]);
         out
     }
 
@@ -153,51 +143,6 @@ impl QuantileWindow {
         let mut out = self.to_vec();
         out.sort_unstable_by(f64::total_cmp);
         out
-    }
-
-    /// Returns the `p`-th percentile of the window, or `None` if empty.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        (!self.is_empty()).then(|| percentile_of_sorted(&self.sorted(), p))
-    }
-
-    /// Returns several percentiles at once (one sort), or `None` if empty.
-    pub fn percentiles(&self, ps: &[f64]) -> Option<Vec<f64>> {
-        if self.is_empty() {
-            return None;
-        }
-        let sorted = self.sorted();
-        Some(
-            ps.iter()
-                .map(|&p| percentile_of_sorted(&sorted, p))
-                .collect(),
-        )
-    }
-
-    /// Mean of the window (summed in arrival order), or `None` if empty.
-    /// Streams the ring directly — no allocation, no sort.
-    pub fn mean(&self) -> Option<f64> {
-        if self.is_empty() {
-            return None;
-        }
-        let (older, newer) = self.as_slices();
-        let sum: f64 = older.iter().chain(newer).sum();
-        Some(sum / self.len as f64)
-    }
-
-    /// Fraction of window samples strictly greater than `threshold`,
-    /// or `None` if empty. This is the SLA-violation frequency estimator.
-    /// Streams the ring directly — no allocation, no sort.
-    pub fn fraction_above(&self, threshold: f64) -> Option<f64> {
-        if self.is_empty() {
-            return None;
-        }
-        let (older, newer) = self.as_slices();
-        let above = older
-            .iter()
-            .chain(newer)
-            .filter(|&&x| x > threshold)
-            .count();
-        Some(above as f64 / self.len as f64)
     }
 }
 
@@ -231,9 +176,7 @@ mod tests {
         for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
             w.record(v);
         }
-        let mut got = w.to_vec();
-        got.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(got, vec![3.0, 4.0, 5.0]);
+        assert_eq!(w.sorted(), vec![3.0, 4.0, 5.0]);
         assert_eq!(w.total_count(), 5);
         assert_eq!(w.len(), 3);
     }
@@ -253,8 +196,6 @@ mod tests {
             vec![8.0, 2.0, 7.0, 3.0],
             "wrapped, head mid-ring"
         );
-        assert_eq!(w.mean(), Some(5.0));
-        assert_eq!(w.fraction_above(2.5), Some(0.75));
         assert_eq!(w.drain(), vec![8.0, 2.0, 7.0, 3.0]);
         assert!(w.is_empty());
         assert_eq!(w.total_count(), 6, "drain keeps the lifetime count");
@@ -270,29 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn window_percentile_exact() {
-        let mut w = QuantileWindow::new(1000);
-        for i in 0..1000 {
-            w.record(i as f64);
-        }
-        let p99 = w.percentile(99.0).unwrap();
-        assert!((p99 - 989.01).abs() < 1e-9, "p99 {p99}");
-        let p50 = w.percentile(50.0).unwrap();
-        assert!((p50 - 499.5).abs() < 1e-9, "p50 {p50}");
-    }
-
-    #[test]
-    fn window_fraction_above() {
-        let mut w = QuantileWindow::new(10);
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            w.record(v);
-        }
-        assert_eq!(w.fraction_above(2.5), Some(0.5));
-        assert_eq!(w.fraction_above(100.0), Some(0.0));
-        assert_eq!(w.fraction_above(0.0), Some(1.0));
-    }
-
-    #[test]
     fn window_clear_resets_samples_not_count() {
         let mut w = QuantileWindow::new(4);
         w.record(1.0);
@@ -300,30 +218,9 @@ mod tests {
         w.clear();
         assert!(w.is_empty());
         assert_eq!(w.total_count(), 2);
-        assert_eq!(w.percentile(50.0), None);
+        assert_eq!(w.sorted(), Vec::<f64>::new());
         w.record(7.0);
-        assert_eq!(w.percentile(50.0), Some(7.0));
-    }
-
-    #[test]
-    fn percentiles_batch_matches_single() {
-        let mut w = QuantileWindow::new(100);
-        for i in 0..100 {
-            w.record((i * 7 % 100) as f64);
-        }
-        let batch = w.percentiles(&[50.0, 90.0, 99.0]).unwrap();
-        assert_eq!(batch[0], w.percentile(50.0).unwrap());
-        assert_eq!(batch[1], w.percentile(90.0).unwrap());
-        assert_eq!(batch[2], w.percentile(99.0).unwrap());
-    }
-
-    #[test]
-    fn mean_simple() {
-        let mut w = QuantileWindow::new(8);
-        for v in [2.0, 4.0, 6.0] {
-            w.record(v);
-        }
-        assert_eq!(w.mean(), Some(4.0));
+        assert_eq!(w.sorted(), vec![7.0]);
     }
 
     #[test]
@@ -331,14 +228,13 @@ mod tests {
         let mut w = QuantileWindow::new(8);
         w.record(1.0);
         w.record(3.0);
-        assert_eq!(w.percentile(100.0), Some(3.0));
+        assert_eq!(w.sorted(), vec![1.0, 3.0]);
         w.record(9.0);
-        assert_eq!(w.percentile(100.0), Some(9.0)); // must see the new max
-        assert_eq!(w.sorted(), vec![1.0, 3.0, 9.0]);
+        assert_eq!(w.sorted(), vec![1.0, 3.0, 9.0]); // must see the new max
         w.clear();
-        assert_eq!(w.percentile(50.0), None);
+        assert!(w.sorted().is_empty());
         w.record(5.0);
-        assert_eq!(w.percentile(50.0), Some(5.0));
+        assert_eq!(w.sorted(), vec![5.0]);
     }
 
     #[test]
@@ -347,9 +243,8 @@ mod tests {
         for v in [10.0, 20.0, 30.0] {
             w.record(v);
         }
-        assert_eq!(w.percentile(0.0), Some(10.0));
+        assert_eq!(w.sorted(), vec![10.0, 20.0, 30.0]);
         w.record(40.0); // evicts 10.0
-        assert_eq!(w.percentile(0.0), Some(20.0));
         assert_eq!(w.sorted(), vec![20.0, 30.0, 40.0]);
     }
 
@@ -362,23 +257,9 @@ mod tests {
         let mut c = w.clone();
         assert_eq!(c.sorted(), vec![1.0, 3.0, 4.0]);
         c.record(2.0);
-        assert_eq!(c.percentile(0.0), Some(1.0));
+        assert_eq!(c.sorted(), vec![1.0, 2.0, 3.0, 4.0]);
         // The original is unaffected by the clone's mutation.
         assert_eq!(w.len(), 3);
         assert_eq!(w.sorted(), vec![1.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn repeated_queries_match_fresh_sort() {
-        let mut w = QuantileWindow::new(64);
-        for i in 0..200 {
-            w.record(((i * 37) % 64) as f64);
-        }
-        let mut fresh = w.to_vec();
-        fresh.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for &p in &[0.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
-            let got = w.percentile(p).unwrap();
-            assert_eq!(got, percentile_of_sorted(&fresh, p), "p{p}");
-        }
     }
 }

@@ -7,12 +7,12 @@
 //! * [`EventQueue`] replaced `BinaryHeap<Reverse<(at, seq)>>` as the event
 //!   queue. It is one vector sorted descending by `(at, seq)`: pops must
 //!   come out in strict `(at, seq)` order however the entries got in
-//!   (`push` or a batched `extend`) and `retain` must drop exactly the
-//!   condemned entries — so the proptests drive it against the old
-//!   `BinaryHeap` through randomized push/extend/pop/retain schedules
+//!   (`push` or a batched `extend`) and `remove` must take exactly the
+//!   keyed entry, or nothing — so the proptests drive it against the old
+//!   `BinaryHeap` through randomized push/extend/pop/remove schedules
 //!   (with deliberate timestamp ties), shallow and thousands of entries
 //!   deep. They run in the dev profile, where the queue re-checks its
-//!   order after every insert, batch and sweep.
+//!   order after every insert and batch.
 //!
 //! * [`ReqArena`] replaced per-class pooled `Vec<Vec<NodeRt>>` request
 //!   state. Slot IDs feed traces and the flight recorder, so the arena
@@ -33,9 +33,8 @@ use ursa::sim::time::SimTime;
 // Event queue vs BinaryHeap
 // ---------------------------------------------------------------------
 
-/// The pre-v3 event queue: a min-heap over `(at, seq)` with `retain`
-/// implemented as drain-filter-rebuild (exactly what `compact_events`
-/// used to do).
+/// The pre-v3 event queue: a min-heap over `(at, seq)`, with keyed
+/// `remove` implemented as drain-filter-rebuild.
 #[derive(Default)]
 struct RefHeap {
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
@@ -54,9 +53,17 @@ impl RefHeap {
         self.heap.peek().map(|&Reverse(e)| e)
     }
 
-    fn retain(&mut self, f: impl Fn(u32) -> bool) {
-        let kept: Vec<_> = self.heap.drain().filter(|Reverse(e)| f(e.2)).collect();
-        self.heap = kept.into_iter().collect();
+    fn remove(&mut self, at: u64, seq: u64) -> bool {
+        let before = self.heap.len();
+        let kept: Vec<_> = self.heap.drain().collect();
+        let keyed = |&Reverse(e): &Reverse<(u64, u64, u32)>| (e.0, e.1) == (at, seq);
+        self.heap = kept.into_iter().filter(|e| !keyed(e)).collect();
+        self.heap.len() < before
+    }
+
+    /// Key of the entry that pops last.
+    fn deepest(&self) -> Option<(u64, u64)> {
+        self.heap.iter().map(|&Reverse(e)| (e.0, e.1)).max()
     }
 }
 
@@ -78,6 +85,8 @@ fn run_differential(ops: &[(u8, u64)], tie_scale: u64, push_bias: bool) -> usize
     let mut seq = 0u64;
     let mut now = 0u64;
     let mut kind = 0u32;
+    // `at_of[seq]`: where every entry ever pushed was keyed.
+    let mut at_of: Vec<u64> = Vec::new();
     for &(pick, off) in ops {
         let is_push = if push_bias { pick < 6 } else { pick < 3 };
         if is_push {
@@ -87,6 +96,7 @@ fn run_differential(ops: &[(u8, u64)], tie_scale: u64, push_bias: bool) -> usize
                 let far = if kind % 16 == 15 { 1 << 40 } else { 0 };
                 let at = now + off * tie_scale + far;
                 r.push(at, seq, kind);
+                at_of.push(at);
                 let at = SimTime::from_nanos(at);
                 let e = QEntry { at, seq, kind };
                 seq += 1;
@@ -100,11 +110,27 @@ fn run_differential(ops: &[(u8, u64)], tie_scale: u64, push_bias: bool) -> usize
                 let e = entry(off);
                 q.push(e.at, e.seq, e.kind);
             }
-        } else if pick == 6 && kind.is_multiple_of(3) {
-            // Stale-entry sweep: condemn a kind class, like the engine's
-            // lazy compaction of invalidated PS checks.
-            q.retain(|&k| k % 3 != 0 || k % 2 == 0);
-            r.retain(|k| k % 3 != 0 || k % 2 == 0);
+        } else if pick == 6 {
+            // Keyed removal, like the engine cancelling a superseded
+            // check: the head, the deepest entry, a recent push (queued
+            // still, or popped or removed since), a key never pushed.
+            let recent = seq.saturating_sub(1 + off);
+            let key = match off % 4 {
+                0 => r.peek().map(|(at, seq, _)| (at, seq)),
+                1 => r.deepest(),
+                2 => at_of.get(recent as usize).map(|&at| (at, recent)),
+                _ => at_of.get(recent as usize).map(|&at| (at, seq + off)),
+            };
+            if let Some((at, key_seq)) = key {
+                let want = r.remove(at, key_seq);
+                match off % 4 {
+                    0 | 1 => assert!(want, "head and deepest are queued"),
+                    3 => assert!(!want, "a seq not yet issued is not queued"),
+                    _ => {}
+                }
+                let got = q.remove(SimTime::from_nanos(at), key_seq);
+                assert_eq!(got, want, "remove({at}, {key_seq}) diverged at seq {seq}");
+            }
         } else {
             assert_eq!(
                 q.peek().map(|e| (e.at.as_nanos(), e.seq, e.kind)),
@@ -155,7 +181,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Deep: a push-biased schedule long enough to hold more than 5 000
-    /// live entries, with interleaved batches, stale-entry sweeps and 8
+    /// live entries, with interleaved batches, keyed removals and 8
     /// distinct timestamps per tie bucket, then drained to empty.
     #[test]
     fn event_queue_matches_heap_deep(ops in ops_strategy(10_000..11_000)) {
