@@ -52,7 +52,9 @@ impl Default for FirmConfig {
 pub struct Firm {
     agents: Vec<DqnAgent>,
     cfg: FirmConfig,
-    slas: Vec<Sla>,
+    /// The SLA covering each class, if any (the first, should several name
+    /// one class).
+    sla_of_class: Vec<Option<Sla>>,
     /// Per-service classes that traverse it (for the SLA-ratio feature).
     service_classes: Vec<Vec<usize>>,
     rps_scale: Vec<f64>,
@@ -77,10 +79,21 @@ impl Firm {
         let agents = (0..num_services)
             .map(|s| DqnAgent::new(STATE_DIM, ACTIONS, 32, cfg.dqn, seed ^ ((s as u64) << 8)))
             .collect();
+        let num_classes = service_classes
+            .iter()
+            .flatten()
+            .copied()
+            .chain(slas.iter().map(|sla| sla.class.0))
+            .max()
+            .map_or(0, |c| c + 1);
+        let mut sla_of_class = vec![None; num_classes];
+        for sla in slas {
+            sla_of_class[sla.class.0].get_or_insert(*sla);
+        }
         Firm {
             agents,
             cfg,
-            slas: slas.to_vec(),
+            sla_of_class,
             service_classes,
             rps_scale: vec![1e-9; num_services],
             training: true,
@@ -112,7 +125,7 @@ impl Firm {
         let replicas = control.replicas(ServiceId(s)) as f64 / self.cfg.max_replicas as f64;
         let mut worst_ratio = 0.0f64;
         for &c in &self.service_classes[s] {
-            if let Some(sla) = self.slas.iter().find(|x| x.class.0 == c) {
+            if let Some(sla) = self.sla_of_class[c] {
                 if let Some(l) = snapshot.e2e_latency[c].percentile(sla.percentile) {
                     worst_ratio = worst_ratio.max((l / sla.target).min(3.0));
                 }
@@ -134,7 +147,7 @@ impl Firm {
         let saving = 1.0 - replicas / self.cfg.max_replicas as f64;
         let mut violated = 0.0;
         for &c in &self.service_classes[s] {
-            if let Some(sla) = self.slas.iter().find(|x| x.class.0 == c) {
+            if let Some(sla) = self.sla_of_class[c] {
                 if let Some(l) = snapshot.e2e_latency[c].percentile(sla.percentile) {
                     if l > sla.target {
                         violated = 1.0;

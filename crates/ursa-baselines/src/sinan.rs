@@ -77,18 +77,22 @@ impl Default for CollectConfig {
     }
 }
 
-fn features_of(
+/// Overwrites `out` with the feature vector of an allocation under a load.
+fn features_into(
     replicas: &[usize],
     rps: &[f64],
     replica_scale: &[f64],
     rps_scale: &[f64],
-) -> Vec<f64> {
-    replicas
-        .iter()
-        .zip(replica_scale)
-        .map(|(&r, &s)| r as f64 / s.max(1.0))
-        .chain(rps.iter().zip(rps_scale).map(|(&a, &s)| a / s.max(1e-9)))
-        .collect()
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.extend(
+        replicas
+            .iter()
+            .zip(replica_scale)
+            .map(|(&r, &s)| r as f64 / s.max(1.0))
+            .chain(rps.iter().zip(rps_scale).map(|(&a, &s)| a / s.max(1e-9))),
+    );
 }
 
 /// Runs Sinan's data-collection episode on a fresh simulation.
@@ -146,8 +150,10 @@ pub fn collect(sim: &mut Simulation, slas: &[Sla], cfg: &CollectConfig, seed: u6
             latency_ratio.push(ratio.min(5.0));
         }
         last_violated = violated;
+        let mut features = Vec::new();
+        features_into(&replicas, &rps, &replica_scale, &rps_scale, &mut features);
         samples.push(Sample {
-            features: features_of(&replicas, &rps, &replica_scale, &rps_scale),
+            features,
             latency_ratio,
             violated,
         });
@@ -180,6 +186,24 @@ pub struct Sinan {
     candidates_evaluated: u64,
     fallback_scaleouts: u64,
     faults_seen: u64,
+    /// What one prediction works in: the feature vector, the latency
+    /// model's output and its hidden activations.
+    features: Vec<f64>,
+    ratios: Vec<f64>,
+    hidden: Vec<f64>,
+    tick: TickBuffers,
+}
+
+/// What one decision works in, kept between ticks: the live allocation,
+/// the load, each service's CPU limit, the candidate under evaluation and
+/// the cheapest safe one so far.
+#[derive(Debug, Clone, Default)]
+struct TickBuffers {
+    current: Vec<usize>,
+    rps: Vec<f64>,
+    limits: Vec<f64>,
+    candidate: Vec<usize>,
+    best: Vec<usize>,
 }
 
 impl Sinan {
@@ -238,6 +262,10 @@ impl Sinan {
             candidates_evaluated: 0,
             fallback_scaleouts: 0,
             faults_seen: 0,
+            features: Vec::new(),
+            ratios: Vec::new(),
+            hidden: Vec::new(),
+            tick: TickBuffers::default(),
         }
     }
 
@@ -275,11 +303,22 @@ impl Sinan {
 
     /// Predicts (max latency ratio, violation probability) for an
     /// allocation under a load.
-    pub fn predict(&self, replicas: &[usize], rps: &[f64]) -> (f64, f64) {
-        let x = features_of(replicas, rps, &self.replica_scale, &self.rps_scale);
-        let ratios = self.latency_model.predict(&x);
-        let max_ratio = ratios.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let viol = self.violation_model.predict(&x).clamp(0.0, 1.0);
+    pub fn predict(&mut self, replicas: &[usize], rps: &[f64]) -> (f64, f64) {
+        features_into(
+            replicas,
+            rps,
+            &self.replica_scale,
+            &self.rps_scale,
+            &mut self.features,
+        );
+        self.latency_model
+            .predict_into(&self.features, &mut self.ratios, &mut self.hidden);
+        let max_ratio = self
+            .ratios
+            .iter()
+            .cloned()
+            .fold(f64::NEG_INFINITY, f64::max);
+        let viol = self.violation_model.predict(&self.features).clamp(0.0, 1.0);
         (max_ratio, viol)
     }
 }
@@ -294,53 +333,59 @@ impl ResourceManager for Sinan {
     fn on_tick(&mut self, snapshot: &MetricsSnapshot, control: &mut dyn ControlPlane) {
         self.faults_seen += snapshot.faults.len() as u64;
         let n = control.num_services();
-        let current: Vec<usize> = (0..n).map(|s| control.replicas(ServiceId(s))).collect();
-        let rps: Vec<f64> = (0..snapshot.injections.len())
-            .map(|c| snapshot.class_rps(ursa_sim::topology::ClassId(c)))
-            .collect();
+        let mut buf = std::mem::take(&mut self.tick);
+        buf.current.clear();
+        buf.current
+            .extend((0..n).map(|s| control.replicas(ServiceId(s))));
+        buf.rps.clear();
+        buf.rps.extend(
+            (0..snapshot.injections.len())
+                .map(|c| snapshot.class_rps(ursa_sim::topology::ClassId(c))),
+        );
+        buf.limits.clear();
+        buf.limits
+            .extend((0..n).map(|s| control.cpu_limit(ServiceId(s))));
 
-        let mut best: Option<(f64, Vec<usize>)> = None;
+        let mut best_cores: Option<f64> = None;
         for k in 0..self.candidates_per_tick {
-            let candidate: Vec<usize> = if k == 0 {
-                current.clone()
+            buf.candidate.clear();
+            if k == 0 {
+                buf.candidate.extend_from_slice(&buf.current);
             } else {
-                current
-                    .iter()
-                    .map(|&r| {
-                        let delta = [-2i64, -1, -1, 0, 0, 1, 1, 2][self.rng.index(8)];
-                        (r as i64 + delta).clamp(1, self.max_replicas as i64) as usize
-                    })
-                    .collect()
-            };
+                buf.candidate.extend(buf.current.iter().map(|&r| {
+                    let delta = [-2i64, -1, -1, 0, 0, 1, 1, 2][self.rng.index(8)];
+                    (r as i64 + delta).clamp(1, self.max_replicas as i64) as usize
+                }));
+            }
             self.candidates_evaluated += 1;
-            let (ratio, viol) = self.predict(&candidate, &rps);
+            let (ratio, viol) = self.predict(&buf.candidate, &buf.rps);
             if ratio < self.safety_ratio && viol < self.safety_violation_prob {
-                let cores: f64 = candidate
+                let cores: f64 = buf
+                    .candidate
                     .iter()
-                    .enumerate()
-                    .map(|(s, &r)| r as f64 * control.cpu_limit(ServiceId(s)))
+                    .zip(&buf.limits)
+                    .map(|(&r, &limit)| r as f64 * limit)
                     .sum();
-                if best.as_ref().map(|(c, _)| cores < *c).unwrap_or(true) {
-                    best = Some((cores, candidate));
+                if best_cores.map(|c| cores < c).unwrap_or(true) {
+                    best_cores = Some(cores);
+                    buf.best.clone_from(&buf.candidate);
                 }
             }
         }
-        match best {
-            Some((_, alloc)) => {
-                for (s, &r) in alloc.iter().enumerate() {
-                    if r != current[s] {
-                        control.set_replicas(ServiceId(s), r);
-                    }
+        if best_cores.is_some() {
+            for (s, (&r, &live)) in buf.best.iter().zip(&buf.current).enumerate() {
+                if r != live {
+                    control.set_replicas(ServiceId(s), r);
                 }
             }
-            None => {
-                // No candidate predicted safe: scale everything out.
-                self.fallback_scaleouts += 1;
-                for (s, &r) in current.iter().enumerate() {
-                    control.set_replicas(ServiceId(s), (r + 1).min(self.max_replicas));
-                }
+        } else {
+            // No candidate predicted safe: scale everything out.
+            self.fallback_scaleouts += 1;
+            for (s, &r) in buf.current.iter().enumerate() {
+                control.set_replicas(ServiceId(s), (r + 1).min(self.max_replicas));
             }
         }
+        self.tick = buf;
     }
 
     fn self_profile(&self) -> Vec<(&'static str, f64)> {
@@ -410,7 +455,7 @@ mod tests {
 
     #[test]
     fn model_distinguishes_rich_from_poor_allocations() {
-        let (sinan, dataset) = quick_collect(200);
+        let (mut sinan, dataset) = quick_collect(200);
         let n_services = dataset.replica_scale.len();
         let rps: Vec<f64> = dataset.rps_scale.clone();
         // The violation model (GBT) is the sample-efficient half; with a

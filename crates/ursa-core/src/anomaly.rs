@@ -12,12 +12,13 @@
 //!   distributions are stale (e.g. the service's business logic changed).
 //!   These request re-exploration of the implicated service.
 
+use crate::controller::ServiceLoads;
 use crate::optimizer::ScalingThreshold;
 use ursa_sim::control::Sla;
 use ursa_sim::telemetry::MetricsSnapshot;
 
 /// An anomaly raised by [`AnomalyDetector::check`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Anomaly {
     /// Request mix drifted; thresholds should be recalculated.
     LoadMix {
@@ -74,17 +75,21 @@ impl AnomalyDetector {
     /// `max_j (L_j / y_j) / mean_j (L_j / y_j)` over classes with load and
     /// a positive threshold. Returns 1.0 when fewer than two classes apply.
     pub fn request_ratio_deviation(loads: &[f64], threshold: &ScalingThreshold) -> f64 {
-        let ratios: Vec<f64> = loads
-            .iter()
-            .zip(&threshold.lpr)
-            .filter(|(&a, &y)| a > 0.0 && y > 0.0)
-            .map(|(&a, &y)| a / y)
-            .collect();
-        if ratios.len() < 2 {
+        // One pass; the sum adds the ratios in class order, which is the
+        // order the mean's rounding is pinned to.
+        let (mut n, mut max, mut sum) = (0usize, f64::NEG_INFINITY, 0.0);
+        for (&a, &y) in loads.iter().zip(&threshold.lpr) {
+            if a > 0.0 && y > 0.0 {
+                let ratio = a / y;
+                n += 1;
+                max = max.max(ratio);
+                sum += ratio;
+            }
+        }
+        if n < 2 {
             return 1.0;
         }
-        let max = ratios.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+        let mean = sum / n as f64;
         if mean > 0.0 {
             max / mean
         } else {
@@ -92,28 +97,23 @@ impl AnomalyDetector {
         }
     }
 
-    /// Checks one metrics window. `thresholds` are the active scaling
-    /// thresholds; `class_services[j]` lists the services on class `j`'s
-    /// path (for picking the re-exploration candidate).
+    /// Checks one metrics window and appends what it finds to `anomalies`.
+    /// `loads` are the window's per-service loads, `thresholds` the active
+    /// scaling thresholds; `class_services[j]` lists the services on class
+    /// `j`'s path (for picking the re-exploration candidate).
     pub fn check(
         &mut self,
         snapshot: &MetricsSnapshot,
+        loads: &ServiceLoads,
         slas: &[Sla],
         thresholds: &[ScalingThreshold],
         class_services: &[Vec<usize>],
-    ) -> Vec<Anomaly> {
-        let mut anomalies = Vec::new();
-        let window_secs = snapshot.window.as_secs_f64().max(1e-9);
-
+        anomalies: &mut Vec<Anomaly>,
+    ) {
         // Load anomalies: worst deviation across managed services.
         let mut worst: Option<(usize, f64)> = None;
         for t in thresholds {
-            let loads: Vec<f64> = snapshot.services[t.service]
-                .arrivals
-                .iter()
-                .map(|&a| a as f64 / window_secs)
-                .collect();
-            let dev = Self::request_ratio_deviation(&loads, t);
+            let dev = Self::request_ratio_deviation(loads.of(t.service), t);
             if dev > self.ratio_threshold && worst.map(|(_, d)| dev > d).unwrap_or(true) {
                 worst = Some((t.service, dev));
             }
@@ -158,7 +158,6 @@ impl AnomalyDetector {
                 self.violating_windows[c] = 0; // reset after raising
             }
         }
-        anomalies
     }
 }
 
@@ -196,6 +195,29 @@ mod tests {
         assert!(dev > 1.3, "dev {dev}");
     }
 
+    /// One window through `det`, loads read from the snapshot as the
+    /// manager's tick does.
+    fn check(
+        det: &mut AnomalyDetector,
+        snapshot: &MetricsSnapshot,
+        slas: &[Sla],
+        thresholds: &[ScalingThreshold],
+        class_services: &[Vec<usize>],
+    ) -> Vec<Anomaly> {
+        let mut loads = ServiceLoads::default();
+        loads.read(snapshot);
+        let mut anomalies = Vec::new();
+        det.check(
+            snapshot,
+            &loads,
+            slas,
+            thresholds,
+            class_services,
+            &mut anomalies,
+        );
+        anomalies
+    }
+
     fn two_class_topo() -> Topology {
         let mk = |name: &str| ClassCfg {
             name: name.into(),
@@ -225,13 +247,13 @@ mod tests {
             )
         };
         for i in 0..2 {
-            let a = det.check(&mk_snapshot(true), &slas, &[], &class_services);
+            let a = check(&mut det, &mk_snapshot(true), &slas, &[], &class_services);
             assert!(a.is_empty(), "window {i}: {a:?}");
         }
-        let a = det.check(&mk_snapshot(true), &slas, &[], &class_services);
+        let a = check(&mut det, &mk_snapshot(true), &slas, &[], &class_services);
         assert!(matches!(a[0], Anomaly::Latency { class: 0, .. }));
         // Counter resets after raising.
-        let a = det.check(&mk_snapshot(false), &slas, &[], &class_services);
+        let a = check(&mut det, &mk_snapshot(false), &slas, &[], &class_services);
         assert!(a.is_empty());
     }
 
@@ -258,7 +280,7 @@ mod tests {
             &[2.0],
             &[0],
         );
-        let a = det.check(&snap, &[], &[t], &[vec![0], vec![0]]);
+        let a = check(&mut det, &snap, &[], &[t], &[vec![0], vec![0]]);
         assert!(matches!(a[0], Anomaly::LoadMix { service: 0, .. }));
     }
 }

@@ -78,6 +78,37 @@ pub struct ServiceExploration {
     pub time: SimDur,
 }
 
+/// Replicas a service needs at per-class `loads` so that no class's
+/// per-replica load exceeds `lpr` (Equation 3's `max_j ⌈load_j / LPR_j⌉`;
+/// at least one, classes with no threshold or no load ask for nothing).
+pub fn replicas_for(lpr: &[f64], loads: &[f64]) -> usize {
+    let mut needed = 1usize;
+    for (a, y) in loads.iter().zip(lpr) {
+        if *y > 0.0 && *a > 0.0 {
+            needed = needed.max((a / y).ceil() as usize);
+        }
+    }
+    needed
+}
+
+impl ServiceExploration {
+    /// This service's per-class load at application-level `class_rates`:
+    /// each rate times the class's visit multiplicity here (the explored
+    /// LPRs are service-level too). Overwrites `out`.
+    pub fn loads_at(&self, class_rates: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(class_rates.iter().zip(&self.visits).map(|(r, v)| r * v));
+    }
+
+    /// Equation 3: the cores each recorded option costs at service-level
+    /// `loads`, in option order.
+    pub fn resources_at<'a>(&'a self, loads: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        self.options
+            .iter()
+            .map(move |opt| replicas_for(&opt.lpr, loads) as f64 * self.cores_per_replica)
+    }
+}
+
 /// Exploration configuration (Algorithm 1's inputs).
 #[derive(Debug, Clone)]
 pub struct ExplorationConfig {

@@ -67,6 +67,7 @@ pub use exploration::{explore_all, explore_service, ExplorationConfig, Explorati
 pub use harness::{IsolatedHarness, ServiceProfile};
 pub use manager::{OfflineStats, ReexplorationStats, Ursa, UrsaConfig};
 pub use optimizer::{
-    build_model, optimize, OptimizeOutcome, OverestimationTracker, ScalingThreshold,
+    build_model, optimize, OptimizeOutcome, OverestimationTracker, PreparedOptimizer,
+    ScalingThreshold,
 };
 pub use profiling::{profile_service, BackpressureProfile, ProfilingConfig};

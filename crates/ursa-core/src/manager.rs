@@ -7,11 +7,15 @@
 //! driver as the Sinan/Firm/autoscaling baselines.
 
 use crate::anomaly::{Anomaly, AnomalyDetector};
-use crate::controller::ThresholdScaler;
+use crate::controller::{ServiceLoads, ThresholdScaler};
 use crate::decision_log::{DecisionKind, DecisionLog, DecisionRecord, ServiceDelta};
-use crate::exploration::{explore_all, explore_service, ExplorationConfig, ExplorationReport};
+use crate::exploration::{
+    explore_all, explore_service, replicas_for, ExplorationConfig, ExplorationReport,
+};
 use crate::harness::ServiceProfile;
-use crate::optimizer::{optimize, OptimizeOutcome, OverestimationTracker};
+use crate::optimizer::{
+    OptimizeOutcome, OverestimationTracker, PreparedOptimizer, ScalingThreshold,
+};
 use crate::profiling::{profile_service, BackpressureProfile, ProfilingConfig};
 use ursa_metrics::pool;
 use ursa_mip::ModelError;
@@ -60,6 +64,13 @@ pub struct Ursa {
     seed: u64,
     profiles: Vec<Option<BackpressureProfile>>,
     report: ExplorationReport,
+    /// The optimizer prepared from `report` under the relaxed SLAs, or why
+    /// it cannot be: rebuilt wherever either changes (`explore_and_prepare`,
+    /// `re_explore`, `override_for_ablation`), re-priced by every
+    /// recalculation in between.
+    prepared: Result<PreparedOptimizer, ModelError>,
+    /// The thresholds the scaler and the detector read; `thresholds[i]`
+    /// belongs to `report.services[i]`.
     outcome: OptimizeOutcome,
     scaler: ThresholdScaler,
     detector: AnomalyDetector,
@@ -88,6 +99,39 @@ pub struct Ursa {
     /// Simulated time of the latest control tick (timestamps decisions
     /// taken outside a [`ControlPlane`] call, e.g. recalculations).
     clock: SimTime,
+    /// Buffers a tick or a recalculation fills and empties again, kept so
+    /// that neither allocates them: the window's per-service loads, its
+    /// anomalies and class rates, one service's loads while it is
+    /// projected, and the projected allocation before a model update.
+    loads: ServiceLoads,
+    anomalies: Vec<Anomaly>,
+    window_rates: Vec<f64>,
+    service_loads: Vec<f64>,
+    projected_before: Vec<Projection>,
+}
+
+/// A service, with the replica count and per-replica cores its threshold
+/// projects at some rates.
+type Projection = (usize, usize, f64);
+
+/// What each threshold projects at `class_rates` — what the scaler
+/// converges to under steady load, and the before/after basis for
+/// model-level decisions (which change thresholds, not live replicas).
+/// `thresholds[i]` belongs to `report.services[i]`.
+fn project<'a>(
+    report: &'a ExplorationReport,
+    thresholds: &'a [ScalingThreshold],
+    class_rates: &'a [f64],
+    loads: &'a mut Vec<f64>,
+) -> impl Iterator<Item = Projection> + 'a {
+    thresholds
+        .iter()
+        .zip(&report.services)
+        .map(move |(t, exp)| {
+            debug_assert_eq!(t.service, exp.service);
+            exp.loads_at(class_rates, loads);
+            (t.service, t.replicas_for(loads), t.cores_per_replica)
+        })
 }
 
 impl Ursa {
@@ -139,9 +183,10 @@ impl Ursa {
         //    full-provisioned allocation and relax the MIP targets by it
         //    (with a 0.9 safety factor, never below 1).
         let work_scales = vec![1.0; topology.num_services()];
-        let (relaxation, outcome) =
-            match optimize(&report, slas, class_rates, &cfg.exploration.percentile_grid) {
-                Ok(outcome) => (vec![1.0; slas.len()], outcome),
+        let grid = &cfg.exploration.percentile_grid;
+        let (relaxation, (prepared, outcome)) =
+            match PreparedOptimizer::with_outcome(&report, slas, class_rates, grid) {
+                Ok(solved) => (vec![1.0; slas.len()], solved),
                 Err(ModelError::Infeasible { .. }) => {
                     let relaxation = calibrate_relaxation(
                         topology,
@@ -153,18 +198,14 @@ impl Ursa {
                         seed ^ 0xCA11B,
                     );
                     let relaxed = relax_slas(slas, &relaxation);
-                    let outcome = optimize(
-                        &report,
-                        &relaxed,
-                        class_rates,
-                        &cfg.exploration.percentile_grid,
-                    )?;
-                    (relaxation, outcome)
+                    let solved =
+                        PreparedOptimizer::with_outcome(&report, &relaxed, class_rates, grid)?;
+                    (relaxation, solved)
                 }
                 Err(e) => return Err(e),
             };
 
-        let scaler = ThresholdScaler::new(topology.num_services(), &outcome.thresholds);
+        let scaler = ThresholdScaler::new(topology.num_services(), topology.num_classes());
         let detector = AnomalyDetector::new(topology.num_classes());
         let tracker = OverestimationTracker::new(slas.len(), 0.25);
         let class_services = (0..topology.num_classes())
@@ -183,6 +224,7 @@ impl Ursa {
             seed,
             profiles,
             report,
+            prepared: Ok(prepared),
             outcome,
             scaler,
             detector,
@@ -198,6 +240,11 @@ impl Ursa {
             decisions: DecisionLog::default(),
             last_rates: class_rates.to_vec(),
             clock: SimTime::ZERO,
+            loads: ServiceLoads::default(),
+            anomalies: Vec::new(),
+            window_rates: Vec::new(),
+            service_loads: Vec::new(),
+            projected_before: Vec::new(),
         })
     }
 
@@ -253,15 +300,25 @@ impl Ursa {
     /// An ablation/testing hook: lets experiments splice in exploration
     /// data gathered under non-standard stop conditions (e.g. with the
     /// backpressure ceiling lifted) while keeping the rest of the manager.
+    /// `outcome` must come from `report` (one threshold per service, in
+    /// its order).
     #[doc(hidden)]
-    pub fn override_for_ablation(
-        &mut self,
-        report: ExplorationReport,
-        outcome: crate::optimizer::OptimizeOutcome,
-    ) {
-        self.scaler.update_thresholds(&outcome.thresholds);
+    pub fn override_for_ablation(&mut self, report: ExplorationReport, outcome: OptimizeOutcome) {
         self.report = report;
         self.outcome = outcome;
+        self.prepare_optimizer();
+    }
+
+    /// Prepares the optimizer again, from the report and relaxation as they
+    /// now stand (priced, for want of anything it matters to, at the rates
+    /// of the last decision).
+    fn prepare_optimizer(&mut self) {
+        self.prepared = PreparedOptimizer::new(
+            &self.report,
+            &relax_slas(&self.slas, &self.relaxation),
+            &self.last_rates,
+            &self.cfg.exploration.percentile_grid,
+        );
     }
 
     /// The Theorem-1 latency bound for SLA constraint `k`, corrected by the
@@ -284,26 +341,22 @@ impl Ursa {
         control: &mut dyn ControlPlane,
     ) {
         let mut deltas = Vec::new();
-        for t in &self.outcome.thresholds {
-            let mut service_loads = vec![0.0; class_rates.len()];
-            let exp = self
-                .report
-                .services
-                .iter()
-                .find(|e| e.service == t.service)
-                .expect("threshold has exploration data");
-            for (j, rate) in class_rates.iter().enumerate() {
-                service_loads[j] = rate * exp.visits[j];
-            }
-            let sid = ServiceId(t.service);
+        let projected = project(
+            &self.report,
+            &self.outcome.thresholds,
+            class_rates,
+            &mut self.service_loads,
+        );
+        for (service, replicas, _) in projected {
+            let sid = ServiceId(service);
             let replicas_before = control.replicas(sid);
             let cores_before = control.cpu_limit(sid);
-            control.set_replicas(sid, t.replicas_for(&service_loads));
+            control.set_replicas(sid, replicas);
             // Read back: a capacity-capped control plane may clamp.
             let replicas_after = control.replicas(sid);
             if replicas_after != replicas_before {
                 deltas.push(ServiceDelta {
-                    service: t.service,
+                    service,
                     replicas_before,
                     replicas_after,
                     cores_before,
@@ -320,7 +373,8 @@ impl Ursa {
             objective: Some(self.outcome.solution.objective),
         };
         self.decisions.push(record);
-        self.last_rates = class_rates.to_vec();
+        self.last_rates.clear();
+        self.last_rates.extend_from_slice(class_rates);
     }
 
     /// Recalculates LPR thresholds from existing exploration data at the
@@ -331,26 +385,20 @@ impl Ursa {
     /// Propagates solver errors; on error the previous thresholds stay
     /// active.
     pub fn recalculate(&mut self, class_rates: &[f64]) -> Result<(), ModelError> {
-        let before = self.projected_allocation(&self.last_rates);
+        self.project_before();
         self.recalculate_inner(class_rates)?;
-        self.log_model_update(DecisionKind::Recalculate, before, class_rates);
+        self.log_model_update(DecisionKind::Recalculate, class_rates);
         Ok(())
     }
 
     /// [`recalculate`](Self::recalculate) without the decision-log entry
-    /// (used by `re_explore`, which logs one combined record instead).
+    /// (used by `re_explore`, which logs one combined record instead):
+    /// re-prices the prepared optimizer and rewrites the outcome in place.
     fn recalculate_inner(&mut self, class_rates: &[f64]) -> Result<(), ModelError> {
         let t0 = std::time::Instant::now();
-        let relaxed = relax_slas(&self.slas, &self.relaxation);
-        let outcome = optimize(
-            &self.report,
-            &relaxed,
-            class_rates,
-            &self.cfg.exploration.percentile_grid,
-        )?;
+        let prepared = self.prepared.as_mut().map_err(|e| e.clone())?;
+        prepared.optimize_at(&self.report, class_rates, &mut self.outcome)?;
         self.last_recalc_wall_ms = t0.elapsed().as_nanos() as f64 / 1e6;
-        self.scaler.update_thresholds(&outcome.thresholds);
-        self.outcome = outcome;
         self.recalcs += 1;
         Ok(())
     }
@@ -362,40 +410,31 @@ impl Ursa {
             .collect()
     }
 
-    /// The replica count and per-replica cores each current threshold
-    /// projects at `class_rates` — what the scaler converges to under
-    /// steady load, and the before/after basis for model-level decisions
-    /// (which change thresholds, not live replicas).
-    fn projected_allocation(&self, class_rates: &[f64]) -> Vec<(usize, usize, f64)> {
-        self.outcome
-            .thresholds
-            .iter()
-            .filter_map(|t| {
-                let exp = self
-                    .report
-                    .services
-                    .iter()
-                    .find(|e| e.service == t.service)?;
-                let loads: Vec<f64> = class_rates
-                    .iter()
-                    .enumerate()
-                    .map(|(j, rate)| rate * exp.visits[j])
-                    .collect();
-                Some((t.service, t.replicas_for(&loads), t.cores_per_replica))
-            })
-            .collect()
+    /// Notes what the current thresholds project at the rates of the last
+    /// decision: the "before" of the model update about to be made.
+    fn project_before(&mut self) {
+        self.projected_before.clear();
+        self.projected_before.extend(project(
+            &self.report,
+            &self.outcome.thresholds,
+            &self.last_rates,
+            &mut self.service_loads,
+        ));
     }
 
-    /// Logs a model-level decision as the change in projected allocation.
-    fn log_model_update(
-        &mut self,
-        kind: DecisionKind,
-        before: Vec<(usize, usize, f64)>,
-        class_rates: &[f64],
-    ) {
+    /// Logs a model-level decision as the change in projected allocation
+    /// since [`project_before`](Self::project_before).
+    fn log_model_update(&mut self, kind: DecisionKind, class_rates: &[f64]) {
         let mut deltas = Vec::new();
-        for (service, replicas_after, cores_after) in self.projected_allocation(class_rates) {
-            let (replicas_before, cores_before) = before
+        let projected = project(
+            &self.report,
+            &self.outcome.thresholds,
+            class_rates,
+            &mut self.service_loads,
+        );
+        for (service, replicas_after, cores_after) in projected {
+            let (replicas_before, cores_before) = self
+                .projected_before
                 .iter()
                 .find(|(s, _, _)| *s == service)
                 .map(|&(_, r, c)| (r, c))
@@ -418,7 +457,8 @@ impl Ursa {
             objective: Some(self.outcome.solution.objective),
         };
         self.decisions.push(record);
-        self.last_rates = class_rates.to_vec();
+        self.last_rates.clear();
+        self.last_rates.extend_from_slice(class_rates);
     }
 
     /// Partially re-explores one service (e.g. after a business-logic
@@ -435,7 +475,7 @@ impl Ursa {
         class_rates: &[f64],
     ) -> Result<ReexplorationStats, ModelError> {
         let sid = ServiceId(service);
-        let projection_before = self.projected_allocation(&self.last_rates);
+        self.project_before();
         let mut profile = ServiceProfile::extract(&self.topology, sid, class_rates);
         // Fold the logic change into the replayed work profile.
         for cw in &mut profile.per_class {
@@ -475,6 +515,7 @@ impl Ursa {
         }
         self.report.total_samples += stats.samples;
         self.work_scales[service] = work_scale;
+        self.prepare_optimizer();
         match self.recalculate_inner(class_rates) {
             Ok(()) => {}
             Err(ModelError::Infeasible { .. }) => {
@@ -490,15 +531,12 @@ impl Ursa {
                     &self.cfg.exploration,
                     self.seed ^ 0xCA11B2,
                 );
+                self.prepare_optimizer();
                 self.recalculate_inner(class_rates)?;
             }
             Err(e) => return Err(e),
         }
-        self.log_model_update(
-            DecisionKind::ReExplore { service },
-            projection_before,
-            class_rates,
-        );
+        self.log_model_update(DecisionKind::ReExplore { service }, class_rates);
         self.pending_reexploration = None;
         Ok(stats)
     }
@@ -545,19 +583,11 @@ pub fn calibrate_relaxation(
             sim.set_work_scale(ServiceId(svc), scale);
         }
     }
+    let mut loads = Vec::new();
     for exp in &report.services {
         if let Some(opt) = exp.options.first() {
-            let mut loads = vec![0.0; class_rates.len()];
-            for (j, rate) in class_rates.iter().enumerate() {
-                loads[j] = rate * exp.visits[j];
-            }
-            let mut replicas = 1usize;
-            for (j, &y) in opt.lpr.iter().enumerate() {
-                if y > 0.0 && loads[j] > 0.0 {
-                    replicas = replicas.max((loads[j] / y).ceil() as usize);
-                }
-            }
-            sim.set_replicas(ServiceId(exp.service), replicas);
+            exp.loads_at(class_rates, &mut loads);
+            sim.set_replicas(ServiceId(exp.service), replicas_for(&opt.lpr, &loads));
         }
     }
     for (j, &rate) in class_rates.iter().enumerate() {
@@ -690,7 +720,10 @@ impl ResourceManager for Ursa {
         }
 
         // 1. Threshold scaling (the fast path).
-        let actions = self.scaler.tick(snapshot, control);
+        self.loads.read(snapshot);
+        let actions = self
+            .scaler
+            .tick(&self.loads, &self.outcome.thresholds, control);
         if !actions.is_empty() {
             let deltas = actions
                 .iter()
@@ -729,23 +762,25 @@ impl ResourceManager for Ursa {
         if self.recalc_cooldown > 0 {
             self.recalc_cooldown -= 1;
         }
-        let anomalies = self.detector.check(
+        let mut anomalies = std::mem::take(&mut self.anomalies);
+        self.detector.check(
             snapshot,
+            &self.loads,
             &self.slas,
             &self.outcome.thresholds,
             &self.class_services,
+            &mut anomalies,
         );
-        for anomaly in anomalies {
+        for anomaly in anomalies.drain(..) {
             match anomaly {
                 Anomaly::LoadMix { .. } if self.recalc_cooldown == 0 => {
                     let window = snapshot.window.as_secs_f64().max(1e-9);
-                    let rates: Vec<f64> = snapshot
-                        .injections
-                        .iter()
-                        .map(|&n| n as f64 / window)
-                        .collect();
+                    let mut rates = std::mem::take(&mut self.window_rates);
+                    rates.clear();
+                    rates.extend(snapshot.injections.iter().map(|&n| n as f64 / window));
                     // Ignore solver errors online; stale thresholds remain.
                     let _ = self.recalculate(&rates);
+                    self.window_rates = rates;
                     self.recalc_cooldown = 5;
                 }
                 Anomaly::LoadMix { .. } => {}
@@ -773,6 +808,7 @@ impl ResourceManager for Ursa {
                 }
             }
         }
+        self.anomalies = anomalies;
     }
 
     fn self_profile(&self) -> Vec<(&'static str, f64)> {
@@ -934,5 +970,38 @@ mod tests {
             .map(|row| row[0])
             .expect("row");
         assert!(after < before, "{before} -> {after}");
+    }
+
+    /// The optimizer a re-exploration prepares again is the one the updated
+    /// report prepares from scratch: same outcome at the re-exploration's
+    /// rates, and at others after it.
+    #[test]
+    fn re_explore_prepares_what_the_updated_report_prepares() {
+        let app = social_network(true);
+        let sum: f64 = app.mix.iter().sum();
+        let rates: Vec<f64> = app.mix.iter().map(|w| 200.0 * w / sum).collect();
+        let mut ursa = Ursa::explore_and_prepare(&app.topology, &app.slas, &rates, quick_cfg(), 44)
+            .expect("prepare");
+        let svc = app.service("timeline-update").unwrap().0;
+        ursa.re_explore(svc, 0.25, &rates).expect("re-explore");
+        let grid = quick_cfg().exploration.percentile_grid;
+        let same_as_scratch = |ursa: &Ursa, rates: &[f64]| {
+            let got = ursa.outcome();
+            let want = crate::optimizer::optimize(ursa.exploration(), &got.slas, rates, &grid)
+                .expect("feasible from scratch");
+            assert_eq!(got.thresholds, want.thresholds);
+            assert_eq!(got.solution, want.solution);
+            let bits = |bounds: &[f64]| bounds.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.latency_bounds), bits(&want.latency_bounds));
+            assert_eq!(got.slas, want.slas);
+        };
+        same_as_scratch(&ursa, &rates);
+        let skewed: Vec<f64> = rates
+            .iter()
+            .enumerate()
+            .map(|(j, r)| r * (1.0 + j as f64))
+            .collect();
+        ursa.recalculate(&skewed).expect("recalc");
+        same_as_scratch(&ursa, &skewed);
     }
 }

@@ -2,18 +2,24 @@
 //!
 //! Translates exploration data plus the current user load into the MIP of
 //! §IV (built and solved by the `ursa-mip` crate), and extracts per-service
-//! load-per-replica scaling thresholds from the solution. Also maintains
-//! the latency-overestimation correction: Theorem 1's bound is an upper
-//! bound, so Ursa tracks the observed ratio of measured to bounded latency
-//! per class and multiplies future estimates by it (§IV, "mitigating
-//! latency overestimation"; evaluated in Figs. 9–10).
+//! load-per-replica scaling thresholds from the solution. Load enters that
+//! model through its resource costs alone (Equation 3), so the rest of it —
+//! every latency row, residual budget and SLA target — is prepared once per
+//! exploration report ([`PreparedOptimizer`]) and a recalculation only
+//! re-prices it. Also maintains the latency-overestimation correction:
+//! Theorem 1's bound is an upper bound, so Ursa tracks the observed ratio
+//! of measured to bounded latency per class and multiplies future estimates
+//! by it (§IV, "mitigating latency overestimation"; evaluated in
+//! Figs. 9–10).
 
-use crate::exploration::ExplorationReport;
-use ursa_mip::{LatencyMatrix, MipModel, ModelError, ServiceModel, SlaConstraint, Solution};
+use crate::exploration::{replicas_for, ExplorationReport};
+use ursa_mip::{
+    LatencyMatrix, MipModel, ModelError, ServiceModel, SlaConstraint, Solution, Solver,
+};
 use ursa_sim::control::Sla;
 
 /// A per-service scaling threshold chosen by the optimizer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScalingThreshold {
     /// Service index in the application topology.
     pub service: usize,
@@ -30,20 +36,14 @@ impl ScalingThreshold {
     /// Replicas needed at the given per-class loads so that no class's
     /// per-replica load exceeds the threshold (Equation 3's `max` term).
     pub fn replicas_for(&self, loads: &[f64]) -> usize {
-        let mut needed = 1usize;
-        for (a, y) in loads.iter().zip(&self.lpr) {
-            if *y > 0.0 && *a > 0.0 {
-                needed = needed.max((a / y).ceil() as usize);
-            }
-        }
-        needed
+        replicas_for(&self.lpr, loads)
     }
 }
 
 /// Optimization outcome: thresholds plus the solved model for inspection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OptimizeOutcome {
-    /// One threshold per explored service.
+    /// One threshold per explored service, in the report's service order.
     pub thresholds: Vec<ScalingThreshold>,
     /// The MIP solution (objective = projected total cores).
     pub solution: Solution,
@@ -64,27 +64,13 @@ pub fn build_model(
     class_rates: &[f64],
     grid: &[f64],
 ) -> MipModel {
+    let mut loads = Vec::new();
     let services = report
         .services
         .iter()
         .map(|exp| {
-            let resource: Vec<f64> = exp
-                .options
-                .iter()
-                .map(|opt| {
-                    let mut replicas = 1usize;
-                    for (j, &y) in opt.lpr.iter().enumerate() {
-                        // Service-level load: application rate times the
-                        // class's visit multiplicity on this service (the
-                        // explored LPR is also service-level).
-                        let load = class_rates[j] * exp.visits[j];
-                        if y > 0.0 && load > 0.0 {
-                            replicas = replicas.max((load / y).ceil() as usize);
-                        }
-                    }
-                    replicas as f64 * exp.cores_per_replica
-                })
-                .collect();
+            exp.loads_at(class_rates, &mut loads);
+            let resource: Vec<f64> = exp.resources_at(&loads).collect();
             let num_classes = class_rates.len();
             let latency: Vec<Option<LatencyMatrix>> = (0..num_classes)
                 .map(|c| {
@@ -121,7 +107,106 @@ pub fn build_model(
     }
 }
 
-/// Solves the model and extracts scaling thresholds.
+/// The optimizer prepared for one exploration report and one set of SLAs.
+///
+/// Everything [`build_model`] copies out of the report except the resource
+/// costs is fixed by exploration, so it is copied, validated and checked
+/// for feasibility here, once; [`optimize_at`](Self::optimize_at) re-prices
+/// the resource table for the rates of the moment and solves. Whoever
+/// changes the report's rows or the SLA targets prepares again.
+#[derive(Debug, Clone)]
+pub struct PreparedOptimizer {
+    solver: Solver,
+    slas: Vec<Sla>,
+    /// The resource table of the latest call, laid out as the solver
+    /// takes it: services in report order, one entry per option.
+    resource: Vec<f64>,
+    /// One service's loads while it is priced.
+    loads: Vec<f64>,
+}
+
+impl PreparedOptimizer {
+    /// Prepares the model of `report` under `slas`. `class_rates` only has
+    /// to be a load the report can be priced at; it decides nothing here.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ModelError`] from validation, or from a class whose SLA
+    /// no allocation can meet.
+    pub fn new(
+        report: &ExplorationReport,
+        slas: &[Sla],
+        class_rates: &[f64],
+        grid: &[f64],
+    ) -> Result<Self, ModelError> {
+        let model = build_model(report, slas, class_rates, grid);
+        Ok(PreparedOptimizer {
+            solver: Solver::new(&model)?,
+            slas: slas.to_vec(),
+            resource: Vec::new(),
+            loads: Vec::new(),
+        })
+    }
+
+    /// Prepares, and solves at the same `class_rates`: the optimizer and its
+    /// first outcome.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ModelError`] from validation or an infeasible model.
+    pub fn with_outcome(
+        report: &ExplorationReport,
+        slas: &[Sla],
+        class_rates: &[f64],
+        grid: &[f64],
+    ) -> Result<(Self, OptimizeOutcome), ModelError> {
+        let mut prepared = Self::new(report, slas, class_rates, grid)?;
+        let mut outcome = OptimizeOutcome::default();
+        prepared.optimize_at(report, class_rates, &mut outcome)?;
+        Ok((prepared, outcome))
+    }
+
+    /// Solves at `class_rates` and rewrites `outcome` in place (left
+    /// untouched on error). `report` is the one this was prepared from.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ModelError`] from an infeasible model.
+    pub fn optimize_at(
+        &mut self,
+        report: &ExplorationReport,
+        class_rates: &[f64],
+        outcome: &mut OptimizeOutcome,
+    ) -> Result<(), ModelError> {
+        self.resource.clear();
+        for exp in &report.services {
+            exp.loads_at(class_rates, &mut self.loads);
+            self.resource.extend(exp.resources_at(&self.loads));
+        }
+        self.solver
+            .solve_at(&self.resource, &mut outcome.solution)?;
+
+        outcome
+            .thresholds
+            .resize_with(report.services.len(), ScalingThreshold::default);
+        let chosen = report.services.iter().zip(&outcome.solution.lpr_choice);
+        for (t, (exp, &alpha)) in outcome.thresholds.iter_mut().zip(chosen) {
+            t.service = exp.service;
+            t.name.clone_from(&exp.name);
+            t.lpr.clone_from(&exp.options[alpha].lpr);
+            t.cores_per_replica = exp.cores_per_replica;
+        }
+        outcome.latency_bounds.clear();
+        outcome.latency_bounds.extend(
+            (0..self.slas.len()).map(|k| self.solver.estimated_latency(&outcome.solution, k)),
+        );
+        outcome.slas.clone_from(&self.slas);
+        Ok(())
+    }
+}
+
+/// Solves the model and extracts scaling thresholds: a
+/// [`PreparedOptimizer`] used once.
 ///
 /// # Errors
 ///
@@ -132,28 +217,7 @@ pub fn optimize(
     class_rates: &[f64],
     grid: &[f64],
 ) -> Result<OptimizeOutcome, ModelError> {
-    let model = build_model(report, slas, class_rates, grid);
-    let solution = ursa_mip::solve(&model)?;
-    let thresholds = report
-        .services
-        .iter()
-        .zip(&solution.lpr_choice)
-        .map(|(exp, &alpha)| ScalingThreshold {
-            service: exp.service,
-            name: exp.name.clone(),
-            lpr: exp.options[alpha].lpr.clone(),
-            cores_per_replica: exp.cores_per_replica,
-        })
-        .collect();
-    let latency_bounds = (0..slas.len())
-        .map(|k| solution.estimated_latency(&model, k))
-        .collect();
-    Ok(OptimizeOutcome {
-        thresholds,
-        solution,
-        latency_bounds,
-        slas: slas.to_vec(),
-    })
+    PreparedOptimizer::with_outcome(report, slas, class_rates, grid).map(|(_, outcome)| outcome)
 }
 
 /// Tracks the ratio of measured end-to-end latency to the Theorem-1 bound

@@ -109,35 +109,42 @@ pub fn min_latency_allocation(
     })
 }
 
-/// The two budget-indexed rows [`min_latency_sum`] works in. One per solve,
-/// grown to the largest class budget on first use and reused for every
-/// class of every node after that.
-#[derive(Debug, Default)]
+/// What the allocation-free DP works in: two budget-indexed rows and, for
+/// the recording pass, one row of picks per service. One per solver, grown
+/// on first use and reused for every class of every node after that.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct DpScratch {
     cur: Vec<f64>,
     next: Vec<f64>,
+    /// `pick[k * (budget + 1) + r]`: the column service `k` takes on the
+    /// cheapest way for services `0..=k` to spend exactly `r` units.
+    /// Written by the recording pass only, and only where reachable.
+    pick: Vec<u32>,
 }
 
-/// Feasibility-only form of [`min_latency_allocation`]: the same minimum
-/// latency sum, bit for bit, with no choices recorded and nothing allocated.
+/// The DP of [`min_latency_allocation`] without its allocations: the cheapest
+/// spend (the smallest on ties) and its latency sum, bit for bit.
 ///
 /// `rows` yields one latency row per participating service, in the order
 /// [`min_latency_allocation`] would be given them; column `g` of every row
 /// costs `res_cols[g]` residual units. Only the cells up to the highest
 /// spend the services so far can reach are initialised and walked, which for
-/// a wide budget (a p50 SLA has 501 cells) is a small prefix.
-pub(crate) fn min_latency_sum<'a>(
+/// a wide budget (a p50 SLA has 501 cells) is a small prefix. With `RECORD`
+/// the winning column of every reachable cell is kept in `scratch.pick`.
+fn walk<'a, const RECORD: bool>(
     rows: impl IntoIterator<Item = &'a [f64]>,
     res_cols: &[usize],
     budget: usize,
     scratch: &mut DpScratch,
-) -> Option<f64> {
+) -> Option<(usize, f64)> {
     const INF: f64 = f64::INFINITY;
-    if scratch.cur.len() <= budget {
-        scratch.cur.resize(budget + 1, INF);
-        scratch.next.resize(budget + 1, INF);
+    let stride = budget + 1;
+    if scratch.cur.len() < stride {
+        scratch.cur.resize(stride, INF);
+        scratch.next.resize(stride, INF);
     }
-    let (mut cur, mut next) = (&mut scratch.cur[..], &mut scratch.next[..]);
+    let DpScratch { cur, next, pick } = scratch;
+    let (mut cur, mut next) = (&mut cur[..], &mut next[..]);
     // Widest column that fits: one over budget is skipped below and must
     // not stretch the walked prefix.
     let widest = res_cols
@@ -150,27 +157,72 @@ pub(crate) fn min_latency_sum<'a>(
     // units, for r <= hi; cells above hi are stale.
     cur[0] = 0.0;
     let mut hi = 0;
-    for row in rows {
+    for (k, row) in rows.into_iter().enumerate() {
+        if RECORD && pick.len() < (k + 1) * stride {
+            pick.resize((k + 1) * stride, u32::MAX);
+        }
         let next_hi = (hi + widest).min(budget);
         next[..=next_hi].fill(INF);
-        for (&lat, &res) in row.iter().zip(res_cols) {
+        for (g, (&lat, &res)) in row.iter().zip(res_cols).enumerate() {
             if res > budget {
                 continue;
             }
             let reach = hi.min(budget - res);
-            for (&prev, slot) in cur[..=reach].iter().zip(&mut next[res..=res + reach]) {
+            let slots = cur[..=reach].iter().zip(&mut next[res..=res + reach]);
+            for (spent, (&prev, slot)) in slots.enumerate() {
                 // An unreachable `prev` is infinite and never wins.
                 let cand = prev + lat;
                 if cand < *slot {
                     *slot = cand;
+                    if RECORD {
+                        pick[k * stride + res + spent] = g as u32;
+                    }
                 }
             }
         }
         std::mem::swap(&mut cur, &mut next);
         hi = next_hi;
     }
-    let best = cur[..=hi].iter().copied().fold(INF, f64::min);
-    best.is_finite().then_some(best)
+    let mut best = (0, INF);
+    for (spent, &sum) in cur[..=hi].iter().enumerate() {
+        if sum < best.1 {
+            best = (spent, sum);
+        }
+    }
+    best.1.is_finite().then_some(best)
+}
+
+/// Feasibility-only form of [`min_latency_allocation`]: the same minimum
+/// latency sum, bit for bit, with no choices recorded and nothing allocated.
+pub(crate) fn min_latency_sum<'a>(
+    rows: impl IntoIterator<Item = &'a [f64]>,
+    res_cols: &[usize],
+    budget: usize,
+    scratch: &mut DpScratch,
+) -> Option<f64> {
+    walk::<false>(rows, res_cols, budget, scratch).map(|(_, sum)| sum)
+}
+
+/// Recording form of [`min_latency_sum`]: also writes the column each
+/// service takes into `beta` (one slot per row) — the choices
+/// [`min_latency_allocation`] returns, with nothing allocated once the
+/// scratch has grown.
+pub(crate) fn min_latency_choices<'a>(
+    rows: impl IntoIterator<Item = &'a [f64]>,
+    res_cols: &[usize],
+    budget: usize,
+    scratch: &mut DpScratch,
+    beta: &mut [usize],
+) -> Option<f64> {
+    let (mut spent, sum) = walk::<true>(rows, res_cols, budget, scratch)?;
+    let stride = budget + 1;
+    for (k, chosen) in beta.iter_mut().enumerate().rev() {
+        let g = scratch.pick[k * stride + spent] as usize;
+        debug_assert!(g != u32::MAX as usize, "backtrack hit an unreachable cell");
+        *chosen = g;
+        spent -= res_cols[g];
+    }
+    Some(sum)
 }
 
 #[cfg(test)]
@@ -279,12 +331,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
-        /// The feasibility kernel returns the recording DP's minimum, bit
-        /// for bit, and `None` exactly when it does — on a scratch left
-        /// dirty by a wider call, with latencies coarse enough to tie and
-        /// budgets down among the residuals, where columns stop fitting.
+        /// The allocation-free DP returns the reference DP's minimum, bit
+        /// for bit, `None` exactly when it does and, when recording, its
+        /// choices — on a scratch left dirty by a wider call, with
+        /// latencies coarse enough to tie and budgets down among the
+        /// residuals, where columns stop fitting.
         #[test]
-        fn kernel_matches_recording_dp(
+        fn kernel_matches_reference_dp(
             res_cols in proptest::collection::vec(0usize..101, 1..7),
             lats in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 6), 0..7),
             coarse in 0u8..2,
@@ -311,6 +364,19 @@ mod tests {
             let got = min_latency_sum(rows.iter().map(Vec::as_slice), &res_cols, budget, &mut scratch)
                 .map(f64::to_bits);
             prop_assert_eq!(got, want);
+            // The recording form makes the reference's choices too.
+            let mut beta = vec![usize::MAX; rows.len()];
+            let sum = min_latency_choices(
+                rows.iter().map(Vec::as_slice),
+                &res_cols,
+                budget,
+                &mut scratch,
+                &mut beta,
+            );
+            prop_assert_eq!(sum.map(f64::to_bits), want);
+            if let Some(reference) = min_latency_allocation(&options, budget) {
+                prop_assert_eq!(beta, reference.beta);
+            }
         }
     }
 

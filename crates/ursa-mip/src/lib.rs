@@ -54,4 +54,4 @@ pub use alloc2d::{
     Weights,
 };
 pub use model::{LatencyMatrix, MipModel, ModelError, ServiceModel, SlaConstraint};
-pub use solve::{solve, solve_brute_force, solve_greedy, Solution};
+pub use solve::{solve, solve_brute_force, solve_greedy, Solution, Solver};

@@ -12,22 +12,33 @@
 //! * [`solve_brute_force`] — exhaustive enumeration; cross-validation in
 //!   tests only.
 //!
-//! All three read the model through one private `Context`, built (and the
-//! model validated) once per call. The greedy descent and the
-//! branch-and-bound ask it one question, "is class *k* still feasible?",
-//! answered by the feasibility-only kernel `dp::min_latency_sum`, and only
-//! for the classes of the service they just moved: a class none of whose
-//! services changed keeps the verdict it had. Neither allocates while it
-//! searches. The recording DP [`min_latency_allocation`] runs once per
-//! class, on the returned assignment, to produce the percentile choices —
-//! and on every assignment of the brute-force reference, which shares none
-//! of the incremental logic.
+//! The model splits along the line load draws through it: the resource
+//! table `R_i[α]` is the only part that moves with the offered load
+//! (Equation 3), every latency row, residual budget and SLA target is fixed
+//! by exploration. A [`Solver`] is the fixed half prepared once — the model
+//! validated, per-class tables and optimistic rows, the verdict on each
+//! class alone, the greedy start — and [`Solver::solve_at`] prices it with
+//! one resource table: it re-derives the branch order and the cost bound,
+//! descends, searches and records, and allocates nothing while it does.
+//! [`solve`] and [`solve_greedy`] are a `Solver` used once.
+//!
+//! The greedy descent and the branch-and-bound ask one question, "is class
+//! *k* still feasible?", answered by the feasibility-only kernel
+//! `dp::min_latency_sum`, and only for the classes of the service they just
+//! moved: a class none of whose services changed keeps the verdict it had.
+//! The recording form of the same DP runs once per class, on the returned
+//! assignment, to produce the percentile choices. The brute-force reference
+//! shares none of this: it runs the allocating [`min_latency_allocation`]
+//! on every assignment.
 
-use crate::dp::{budget_units, min_latency_allocation, min_latency_sum, residual_units, DpScratch};
+use crate::dp::{
+    budget_units, min_latency_allocation, min_latency_choices, min_latency_sum, residual_units,
+    DpScratch,
+};
 use crate::model::{LatencyMatrix, MipModel, ModelError};
 
 /// A solved allocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Solution {
     /// Total resource cost in cores (the objective).
     pub objective: f64,
@@ -68,42 +79,40 @@ impl Solution {
 const MAX_NODES: u64 = 2_000_000;
 
 /// One SLA constraint as the search sees it.
-struct ClassTable<'m> {
+#[derive(Debug, Clone)]
+struct ClassTable {
     /// Class index, for error reports.
     class: usize,
     target: f64,
     /// Residual budget in units.
     budget: usize,
     /// Participating services in model order, each with its latency matrix.
-    services: Vec<(usize, &'m LatencyMatrix)>,
+    services: Vec<(usize, LatencyMatrix)>,
     /// Per participating service its *optimistic row*: the per-column
     /// minimum over its LPR rows, the best an undecided service can still
     /// do. `services.len() × cols`, row-major.
     optimistic: Vec<f64>,
 }
 
-/// What a solve derives from the model once, before it searches.
-struct Context<'m> {
-    model: &'m MipModel,
+/// The half of a model that load does not reach.
+#[derive(Debug, Clone)]
+struct Tables {
+    /// Service names, for error reports.
+    names: Vec<String>,
+    /// A resource table is flat, services in model order: service `s` owns
+    /// entries `offsets[s]..offsets[s + 1]`, one per LPR option.
+    offsets: Vec<usize>,
     /// Residual units per percentile-grid column.
     res_cols: Vec<usize>,
     /// One table per constraint, in model order.
-    classes: Vec<ClassTable<'m>>,
+    classes: Vec<ClassTable>,
     /// For each service, the constraints (indices into `classes`) it
     /// participates in.
     classes_of: Vec<Vec<usize>>,
-    /// Branch order: services with the largest resource spread first.
-    order: Vec<usize>,
-    /// Each service's options cheapest first, so that good incumbents
-    /// appear early.
-    cheapest_first: Vec<Vec<usize>>,
-    /// `rest[d]`: the summed minimum resource of `order[d..]` — what the
-    /// services still undecided at depth `d` cost at least.
-    rest: Vec<f64>,
 }
 
-impl<'m> Context<'m> {
-    fn new(model: &'m MipModel) -> Result<Self, ModelError> {
+impl Tables {
+    fn new(model: &MipModel) -> Result<Self, ModelError> {
         model.validate()?;
         let n = model.services.len();
         let res_cols: Vec<usize> = model
@@ -117,15 +126,15 @@ impl<'m> Context<'m> {
             .iter()
             .enumerate()
             .map(|(k, c)| {
-                let services: Vec<(usize, &LatencyMatrix)> = model
+                let services: Vec<(usize, LatencyMatrix)> = model
                     .services
                     .iter()
                     .enumerate()
-                    .filter_map(|(s, svc)| svc.latency[c.class].as_ref().map(|m| (s, m)))
+                    .filter_map(|(s, svc)| svc.latency[c.class].clone().map(|m| (s, m)))
                     .collect();
                 let mut optimistic = Vec::with_capacity(services.len() * res_cols.len());
-                for &(s, m) in &services {
-                    classes_of[s].push(k);
+                for (s, m) in &services {
+                    classes_of[*s].push(k);
                     optimistic.extend((0..res_cols.len()).map(|beta| {
                         (0..m.rows())
                             .map(|a| m.at(a, beta))
@@ -141,50 +150,47 @@ impl<'m> Context<'m> {
                 }
             })
             .collect();
-
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            let spread = |s: usize| {
-                let r = &model.services[s].resource;
-                r.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-                    - r.iter().cloned().fold(f64::INFINITY, f64::min)
-            };
-            spread(b).partial_cmp(&spread(a)).expect("finite")
-        });
-        let cheapest_first = model
-            .services
-            .iter()
-            .map(|svc| {
-                let mut opts: Vec<usize> = (0..svc.resource.len()).collect();
-                opts.sort_by(|&a, &b| {
-                    svc.resource[a]
-                        .partial_cmp(&svc.resource[b])
-                        .expect("finite")
-                });
-                opts
-            })
-            .collect();
-        let min_res: Vec<f64> = model
-            .services
-            .iter()
-            .map(|s| s.resource.iter().cloned().fold(f64::INFINITY, f64::min))
-            .collect();
-        // Each suffix is summed on its own, front to back: the bound is
-        // compared against the incumbent with a 1e-12 slack, so its
-        // rounding is part of the search tree.
-        let rest = (0..=n)
-            .map(|d| order[d..].iter().map(|&u| min_res[u]).sum())
-            .collect();
-
-        Ok(Context {
-            model,
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for svc in &model.services {
+            offsets.push(offsets[offsets.len() - 1] + svc.resource.len());
+        }
+        Ok(Tables {
+            names: model.services.iter().map(|s| s.name.clone()).collect(),
+            offsets,
             res_cols,
             classes,
             classes_of,
-            order,
-            cheapest_first,
-            rest,
         })
+    }
+
+    fn num_services(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Service `s`'s entries of a table laid out like a resource table.
+    fn options<'t, T>(&self, table: &'t [T], s: usize) -> &'t [T] {
+        &table[self.offsets[s]..self.offsets[s + 1]]
+    }
+
+    /// What [`MipModel::validate`] asks of resources, asked of a table.
+    fn check_resource(&self, resource: &[f64]) -> Result<(), ModelError> {
+        let expected = self.offsets[self.num_services()];
+        if resource.len() != expected {
+            return Err(ModelError::Invalid(format!(
+                "resource table has {} entries, expected {expected}",
+                resource.len()
+            )));
+        }
+        for (s, name) in self.names.iter().enumerate() {
+            let bad = |r: &f64| *r < 0.0 || !r.is_finite();
+            if self.options(resource, s).iter().any(bad) {
+                return Err(ModelError::Invalid(format!(
+                    "service {name} has invalid resource"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Can constraint `k` be met with each of its services `s` at LPR option
@@ -201,7 +207,7 @@ impl<'m> Context<'m> {
             .services
             .iter()
             .zip(t.optimistic.chunks_exact(self.res_cols.len()))
-            .map(|(&(s, m), optimistic)| match choice(s) {
+            .map(|((s, m), optimistic)| match choice(*s) {
                 Some(a) => m.row(a),
                 None => optimistic,
             });
@@ -211,17 +217,28 @@ impl<'m> Context<'m> {
         }
     }
 
-    /// Checks a full LPR assignment against every class with the recording
+    /// The first constraint, in model order, that `choice` violates.
+    fn first_violated(
+        &self,
+        choice: impl Fn(usize) -> Option<usize>,
+        scratch: &mut DpScratch,
+    ) -> Option<usize> {
+        (0..self.classes.len())
+            .find(|&k| !self.class_ok(k, &choice, scratch))
+            .map(|k| self.classes[k].class)
+    }
+
+    /// Checks a full LPR assignment against every class with the reference
     /// DP; on success returns the percentile choices (one vec per
-    /// constraint).
+    /// constraint). The brute-force path.
     fn feasible_assignment(&self, alpha: &[usize]) -> Option<Vec<Vec<usize>>> {
         let mut out = Vec::with_capacity(self.classes.len());
         for t in &self.classes {
             let options: Vec<Vec<(f64, usize)>> = t
                 .services
                 .iter()
-                .map(|&(s, m)| {
-                    m.row(alpha[s])
+                .map(|(s, m)| {
+                    m.row(alpha[*s])
                         .iter()
                         .zip(&self.res_cols)
                         .map(|(&lat, &r)| (lat, r))
@@ -237,22 +254,107 @@ impl<'m> Context<'m> {
         Some(out)
     }
 
-    fn cost(&self, alpha: &[usize]) -> f64 {
+    fn cost(&self, resource: &[f64], alpha: &[usize]) -> f64 {
         alpha
             .iter()
             .enumerate()
-            .map(|(s, &a)| self.model.services[s].resource[a])
+            .map(|(s, &a)| self.options(resource, s)[a])
             .sum()
     }
+}
 
-    /// The greedy descent: the assignment it stops at and its cost, or the
-    /// class of the first constraint its start violates.
-    fn greedy(&self, scratch: &mut DpScratch) -> Result<(Vec<usize>, f64), usize> {
+/// What one resource table decides before the search starts. Every sort
+/// starts from the identity permutation: the sorts are stable, so starting
+/// from the last table's order would break ties differently than a fresh
+/// solve does.
+#[derive(Debug, Clone, Default)]
+struct Priced {
+    /// Branch order: services with the largest resource spread first.
+    order: Vec<usize>,
+    /// Each service's options cheapest first, so that good incumbents
+    /// appear early; laid out like a resource table.
+    cheapest_first: Vec<usize>,
+    /// `rest[d]`: the summed minimum resource of `order[d..]` — what the
+    /// services still undecided at depth `d` cost at least.
+    rest: Vec<f64>,
+    /// Per-service sort key, then per-service minimum resource.
+    key: Vec<f64>,
+}
+
+impl Priced {
+    fn reprice(&mut self, tables: &Tables, resource: &[f64]) {
+        let n = tables.num_services();
+        let Priced {
+            order,
+            cheapest_first,
+            rest,
+            key,
+        } = self;
+        key.clear();
+        key.extend((0..n).map(|s| {
+            let r = tables.options(resource, s);
+            r.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+                - r.iter().cloned().fold(f64::INFINITY, f64::min)
+        }));
+        order.clear();
+        order.extend(0..n);
+        order.sort_by(|&a, &b| key[b].partial_cmp(&key[a]).expect("finite"));
+
+        cheapest_first.clear();
+        for s in 0..n {
+            let r = tables.options(resource, s);
+            cheapest_first.extend(0..r.len());
+            cheapest_first[tables.offsets[s]..]
+                .sort_by(|&a, &b| r[a].partial_cmp(&r[b]).expect("finite"));
+            key[s] = r.iter().cloned().fold(f64::INFINITY, f64::min);
+        }
+        // Each suffix is summed on its own, front to back: the bound is
+        // compared against the incumbent with a 1e-12 slack, so its
+        // rounding is part of the search tree.
+        rest.clear();
+        rest.extend((0..=n).map(|d| order[d..].iter().map(|&u| key[u]).sum::<f64>()));
+    }
+}
+
+/// A model prepared for solving at any load.
+///
+/// Load enters the model through the resource table alone, so everything
+/// else is settled once, by [`Solver::new`]: validation, the per-class
+/// tables, whether each class can be met at all, and where the greedy
+/// descent starts. [`solve_at`](Self::solve_at) then answers for one
+/// resource table what [`solve`] answers for the model carrying it — the
+/// same [`Solution`], search tree and error, to the bit — without
+/// allocating once its buffers have grown.
+///
+/// No verdict is remembered between calls: a cache would need a capacity,
+/// and would make a call's cost depend on the calls before it.
+#[derive(Debug, Clone)]
+pub struct Solver {
+    tables: Tables,
+    /// Each service's minimum-latency option, where the greedy descent
+    /// starts; or the class of the first constraint that start violates,
+    /// in which case the search runs without an incumbent.
+    start: Result<Vec<usize>, usize>,
+    priced: Priced,
+    scratch: DpScratch,
+    /// The descent's assignment, then the incumbent.
+    alpha: Vec<usize>,
+    /// The search's partial assignment; all `None` between calls.
+    partial: Vec<Option<usize>>,
+}
+
+impl Solver {
+    /// The solver, and the class of the first constraint that cannot be met
+    /// even on its own best terms (every service on its optimistic row):
+    /// one that fails there fails under every assignment.
+    fn prepare(model: &MipModel) -> Result<(Self, Option<usize>), ModelError> {
+        let tables = Tables::new(model)?;
+        let mut scratch = DpScratch::default();
+        let hopeless = tables.first_violated(|_| None, &mut scratch);
         // Start at each service's minimum-latency option (summed row means
         // over the classes it serves) — with monotone exploration data this
         // is the most-resourced option.
-        let mut alpha: Vec<usize> = self
-            .model
+        let start: Vec<usize> = model
             .services
             .iter()
             .map(|s| {
@@ -272,24 +374,126 @@ impl<'m> Context<'m> {
                     .expect("non-empty options")
             })
             .collect();
-        if let Some(k) =
-            (0..self.classes.len()).find(|&k| !self.class_ok(k, |s| Some(alpha[s]), scratch))
-        {
-            return Err(self.classes[k].class);
+        let start = match tables.first_violated(|s| Some(start[s]), &mut scratch) {
+            None => Ok(start),
+            Some(class) => Err(class),
+        };
+        let n = tables.num_services();
+        let solver = Solver {
+            tables,
+            start,
+            priced: Priced::default(),
+            scratch,
+            alpha: Vec::with_capacity(n),
+            partial: vec![None; n],
+        };
+        Ok((solver, hopeless))
+    }
+
+    /// Prepares `model` for [`solve_at`](Self::solve_at). The model's own
+    /// resources are validated with the rest of it and otherwise unused.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Invalid`] for malformed models and
+    /// [`ModelError::Infeasible`] when some class's SLA cannot be met by any
+    /// assignment, whatever the resources cost.
+    pub fn new(model: &MipModel) -> Result<Self, ModelError> {
+        match Self::prepare(model)? {
+            (solver, None) => Ok(solver),
+            (_, Some(class)) => Err(ModelError::Infeasible { class }),
         }
+    }
+
+    /// Solves to optimality with `resource` — flat, services in model
+    /// order, one entry per LPR option — as the model's resource costs, and
+    /// writes the result into `solution` (left untouched on error).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Invalid`] when the table has the wrong length
+    /// or a negative or non-finite entry, and [`ModelError::Infeasible`]
+    /// when no assignment meets every SLA jointly.
+    pub fn solve_at(
+        &mut self,
+        resource: &[f64],
+        solution: &mut Solution,
+    ) -> Result<(), ModelError> {
+        self.tables.check_resource(resource)?;
+        self.priced.reprice(&self.tables, resource);
+        // Incumbent from greedy, if its heuristic start was feasible.
+        let incumbent = self.greedy(resource);
+        let mut search = Search {
+            tables: &self.tables,
+            priced: &self.priced,
+            resource,
+            scratch: &mut self.scratch,
+            partial: &mut self.partial,
+            best_cost: incumbent.unwrap_or(f64::INFINITY),
+            best_alpha: &mut self.alpha,
+            found: incumbent.is_some(),
+            nodes: 0,
+            exhausted: false,
+        };
+        search.expand(0, 0.0);
+        let Search {
+            best_cost,
+            found,
+            nodes,
+            exhausted,
+            ..
+        } = search;
+        if !found {
+            let class = *self
+                .start
+                .as_ref()
+                .expect_err("a feasible start gives an incumbent");
+            return Err(ModelError::Infeasible { class });
+        }
+        self.record(solution);
+        solution.objective = best_cost;
+        solution.proved_optimal = !exhausted;
+        solution.nodes_explored = nodes;
+        Ok(())
+    }
+
+    /// The model's latency estimate for the `k`-th constraint's class under
+    /// `solution`: [`Solution::estimated_latency`] without the model.
+    pub fn estimated_latency(&self, solution: &Solution, k: usize) -> f64 {
+        self.tables.classes[k]
+            .services
+            .iter()
+            .zip(&solution.percentile_choice[k])
+            .map(|((s, m), &beta)| m.at(solution.lpr_choice[*s], beta))
+            .sum()
+    }
+
+    /// The greedy descent: leaves the assignment it stops at in `alpha` and
+    /// returns its cost, or `None` when the start violates a class.
+    fn greedy(&mut self, resource: &[f64]) -> Option<f64> {
+        let Solver {
+            tables,
+            start,
+            scratch,
+            alpha,
+            ..
+        } = self;
+        alpha.clear();
+        alpha.extend_from_slice(start.as_ref().ok()?);
         // Descend: repeatedly apply the single-service option change with
         // the best resource saving that stays feasible. Every class holds
         // at `alpha`, so a candidate can only break the classes of the
         // service it moves.
         loop {
             let mut best: Option<(f64, usize, usize)> = None; // (saving, service, option)
-            for (s, svc) in self.model.services.iter().enumerate() {
+            for s in 0..tables.num_services() {
+                let options = tables.options(resource, s);
                 let current = alpha[s];
-                for o in 0..svc.resource.len() {
+                for (o, &cost) in options.iter().enumerate() {
                     if o == current {
                         continue;
                     }
-                    let saving = svc.resource[current] - svc.resource[o];
+                    let saving = options[current] - cost;
                     if saving <= 1e-12 {
                         continue;
                     }
@@ -297,9 +501,9 @@ impl<'m> Context<'m> {
                         continue;
                     }
                     alpha[s] = o;
-                    if self.classes_of[s]
+                    if tables.classes_of[s]
                         .iter()
-                        .all(|&k| self.class_ok(k, |u| Some(alpha[u]), scratch))
+                        .all(|&k| tables.class_ok(k, |u| Some(alpha[u]), scratch))
                     {
                         best = Some((saving, s, o));
                     }
@@ -308,13 +512,121 @@ impl<'m> Context<'m> {
             }
             match best {
                 Some((_, s, o)) => alpha[s] = o,
-                None => {
-                    let cost = self.cost(&alpha);
-                    return Ok((alpha, cost));
-                }
+                None => return Some(tables.cost(resource, alpha)),
             }
         }
     }
+
+    /// Writes `alpha` and the percentile choices that go with it into
+    /// `solution`. Every class must hold at `alpha`.
+    fn record(&mut self, solution: &mut Solution) {
+        let Solver {
+            tables,
+            scratch,
+            alpha,
+            ..
+        } = self;
+        solution.lpr_choice.clear();
+        solution.lpr_choice.extend_from_slice(alpha);
+        solution
+            .percentile_choice
+            .resize_with(tables.classes.len(), Vec::new);
+        for (t, beta) in tables.classes.iter().zip(&mut solution.percentile_choice) {
+            beta.resize(t.services.len(), 0);
+            let rows = t.services.iter().map(|(s, m)| m.row(alpha[*s]));
+            let latency = min_latency_choices(rows, &tables.res_cols, t.budget, scratch, beta);
+            debug_assert!(latency.is_some_and(|l| l <= t.target + 1e-12));
+        }
+    }
+}
+
+/// Depth-first branch-and-bound over the services of [`Priced::order`].
+struct Search<'s> {
+    tables: &'s Tables,
+    priced: &'s Priced,
+    resource: &'s [f64],
+    scratch: &'s mut DpScratch,
+    /// The partial assignment; `None` is undecided.
+    partial: &'s mut [Option<usize>],
+    best_cost: f64,
+    /// The incumbent, once `found`.
+    best_alpha: &'s mut Vec<usize>,
+    found: bool,
+    nodes: u64,
+    exhausted: bool,
+}
+
+impl Search<'_> {
+    /// Expands the node at `depth`, whose assigned services cost
+    /// `partial_cost`. Every class is feasible at this node's assignment
+    /// (undecided services at their optimistic rows): the root is checked
+    /// when the solver is prepared, and a child is entered only after the
+    /// classes of its branched service — the only ones whose inputs differ
+    /// from the parent's — have been checked again.
+    fn expand(&mut self, depth: usize, partial_cost: f64) {
+        let (tables, priced) = (self.tables, self.priced);
+        self.nodes += 1;
+        if self.nodes > MAX_NODES {
+            self.exhausted = true;
+            return;
+        }
+        if depth == priced.order.len() {
+            // A leaf has no undecided service, so the invariant above is
+            // its feasibility proof.
+            if partial_cost < self.best_cost - 1e-12 {
+                self.best_cost = partial_cost;
+                self.found = true;
+                self.best_alpha.clear();
+                self.best_alpha
+                    .extend(self.partial.iter().map(|a| a.expect("assigned")));
+            }
+            return;
+        }
+        let s = priced.order[depth];
+        let resource = tables.options(self.resource, s);
+        for &o in tables.options(&priced.cheapest_first, s) {
+            if self.exhausted {
+                return;
+            }
+            let cost = partial_cost + resource[o];
+            // Lower bound: assigned cost + min resource of the undecided.
+            let lb = cost + priced.rest[depth + 1];
+            if lb >= self.best_cost - 1e-12 {
+                continue;
+            }
+            self.partial[s] = Some(o);
+            let (partial, scratch) = (&*self.partial, &mut *self.scratch);
+            if tables.classes_of[s]
+                .iter()
+                .all(|&k| tables.class_ok(k, |u| partial[u], scratch))
+            {
+                self.expand(depth + 1, cost);
+            }
+            self.partial[s] = None;
+        }
+    }
+}
+
+/// A model's resources as the flat table [`Solver::solve_at`] takes.
+fn resource_table(model: &MipModel) -> Vec<f64> {
+    model
+        .services
+        .iter()
+        .flat_map(|s| s.resource.iter().copied())
+        .collect()
+}
+
+/// Solves the model to optimality with branch-and-bound: a [`Solver`] used
+/// once, at the model's own resources.
+///
+/// # Errors
+///
+/// Returns [`ModelError::Invalid`] for malformed models and
+/// [`ModelError::Infeasible`] when no assignment meets every SLA.
+pub fn solve(model: &MipModel) -> Result<Solution, ModelError> {
+    let mut solution = Solution::default();
+    Solver::new(model)?.solve_at(&resource_table(model), &mut solution)?;
+    Ok(solution)
 }
 
 /// Solves the model greedily: start from each service's minimum-latency
@@ -331,126 +643,17 @@ impl<'m> Context<'m> {
 /// [`ModelError::Infeasible`] when the minimum-latency assignment violates
 /// some class's SLA.
 pub fn solve_greedy(model: &MipModel) -> Result<Solution, ModelError> {
-    let ctx = Context::new(model)?;
-    let (lpr_choice, objective) = ctx
-        .greedy(&mut DpScratch::default())
-        .map_err(|class| ModelError::Infeasible { class })?;
-    let percentile_choice = ctx.feasible_assignment(&lpr_choice).expect("feasible");
-    Ok(Solution {
+    let (mut solver, _) = Solver::prepare(model)?;
+    let Some(objective) = solver.greedy(&resource_table(model)) else {
+        let class = solver.start.expect_err("the descent had no start");
+        return Err(ModelError::Infeasible { class });
+    };
+    let mut solution = Solution {
         objective,
-        lpr_choice,
-        percentile_choice,
-        proved_optimal: false,
-        nodes_explored: 0,
-    })
-}
-
-/// Depth-first branch-and-bound over the services of [`Context::order`].
-struct Search<'c, 'm> {
-    ctx: &'c Context<'m>,
-    scratch: DpScratch,
-    /// The partial assignment; `None` is undecided.
-    alpha: Vec<Option<usize>>,
-    best_cost: f64,
-    /// The incumbent — or, while there is none, the class the greedy start
-    /// violated.
-    best_alpha: Result<Vec<usize>, usize>,
-    nodes: u64,
-    exhausted: bool,
-}
-
-impl Search<'_, '_> {
-    /// Expands the node at `depth`, whose assigned services cost
-    /// `partial_cost`. Every class is feasible at this node's assignment
-    /// (undecided services at their optimistic rows): the root is checked
-    /// before the search starts, and a child is entered only after the
-    /// classes of its branched service — the only ones whose inputs differ
-    /// from the parent's — have been checked again.
-    fn expand(&mut self, depth: usize, partial_cost: f64) {
-        let ctx = self.ctx;
-        self.nodes += 1;
-        if self.nodes > MAX_NODES {
-            self.exhausted = true;
-            return;
-        }
-        if depth == ctx.order.len() {
-            // A leaf has no undecided service, so the invariant above is
-            // its feasibility proof.
-            if partial_cost < self.best_cost - 1e-12 {
-                self.best_cost = partial_cost;
-                self.best_alpha = Ok(self.alpha.iter().map(|a| a.expect("assigned")).collect());
-            }
-            return;
-        }
-        let s = ctx.order[depth];
-        let resource = &ctx.model.services[s].resource;
-        for &o in &ctx.cheapest_first[s] {
-            if self.exhausted {
-                return;
-            }
-            let cost = partial_cost + resource[o];
-            // Lower bound: assigned cost + min resource of the undecided.
-            let lb = cost + ctx.rest[depth + 1];
-            if lb >= self.best_cost - 1e-12 {
-                continue;
-            }
-            self.alpha[s] = Some(o);
-            let (alpha, scratch) = (&self.alpha, &mut self.scratch);
-            if ctx.classes_of[s]
-                .iter()
-                .all(|&k| ctx.class_ok(k, |u| alpha[u], scratch))
-            {
-                self.expand(depth + 1, cost);
-            }
-            self.alpha[s] = None;
-        }
-    }
-}
-
-/// Solves the model to optimality with branch-and-bound.
-///
-/// # Errors
-///
-/// Returns [`ModelError::Invalid`] for malformed models and
-/// [`ModelError::Infeasible`] when no assignment meets every SLA.
-pub fn solve(model: &MipModel) -> Result<Solution, ModelError> {
-    let ctx = Context::new(model)?;
-    let mut scratch = DpScratch::default();
-    // The root: each class on its own best terms. One that fails here fails
-    // under every assignment.
-    if let Some(k) = (0..ctx.classes.len()).find(|&k| !ctx.class_ok(k, |_| None, &mut scratch)) {
-        return Err(ModelError::Infeasible {
-            class: ctx.classes[k].class,
-        });
-    }
-    // Incumbent from greedy, if its heuristic start was feasible.
-    let (best_cost, best_alpha) = match ctx.greedy(&mut scratch) {
-        Ok((alpha, cost)) => (cost, Ok(alpha)),
-        Err(class) => (f64::INFINITY, Err(class)),
+        ..Solution::default()
     };
-    let mut search = Search {
-        ctx: &ctx,
-        scratch,
-        alpha: vec![None; model.services.len()],
-        best_cost,
-        best_alpha,
-        nodes: 0,
-        exhausted: false,
-    };
-    search.expand(0, 0.0);
-    let lpr_choice = search
-        .best_alpha
-        .map_err(|class| ModelError::Infeasible { class })?;
-    let percentile_choice = ctx
-        .feasible_assignment(&lpr_choice)
-        .expect("incumbent feasible");
-    Ok(Solution {
-        objective: search.best_cost,
-        lpr_choice,
-        percentile_choice,
-        proved_optimal: !search.exhausted,
-        nodes_explored: search.nodes,
-    })
+    solver.record(&mut solution);
+    Ok(solution)
 }
 
 /// Exhaustively enumerates all LPR assignments (test reference only).
@@ -460,13 +663,14 @@ pub fn solve(model: &MipModel) -> Result<Solution, ModelError> {
 /// Same contract as [`solve`], except that an `Infeasible` error names the
 /// first constraint's class: the reference gives a verdict, not a diagnosis.
 pub fn solve_brute_force(model: &MipModel) -> Result<Solution, ModelError> {
-    let ctx = Context::new(model)?;
+    let tables = Tables::new(model)?;
+    let resource = resource_table(model);
     let n = model.services.len();
     let mut idx = vec![0usize; n];
     let mut best: Option<(f64, Vec<usize>)> = None;
     loop {
-        if ctx.feasible_assignment(&idx).is_some() {
-            let cost = ctx.cost(&idx);
+        if tables.feasible_assignment(&idx).is_some() {
+            let cost = tables.cost(&resource, &idx);
             if best
                 .as_ref()
                 .map(|(b, _)| cost < *b - 1e-12)
@@ -493,7 +697,7 @@ pub fn solve_brute_force(model: &MipModel) -> Result<Solution, ModelError> {
     }
     match best {
         Some((objective, lpr_choice)) => {
-            let percentile_choice = ctx.feasible_assignment(&lpr_choice).expect("feasible");
+            let percentile_choice = tables.feasible_assignment(&lpr_choice).expect("feasible");
             Ok(Solution {
                 objective,
                 lpr_choice,

@@ -1,0 +1,240 @@
+//! Ursa's control plane, replayed and pinned.
+//!
+//! `tests/mip_pinned_tree.rs` holds the solver to its search tree; this
+//! holds the manager around it to its decisions. A prepared [`Ursa`] is
+//! driven through recorded snapshots and through a recalculation sweep that
+//! crosses a re-exploration, and everything it decides — replicas after
+//! every tick, the recalculation count, every latency bound to the bit, the
+//! decision log as exported — is folded into one digest per scenario. The
+//! digests were recorded at the commit before the optimiser was split into
+//! "prepared once per exploration, re-priced per recalculation" (PR 24) and
+//! have to survive every change that claims the same decisions: a moved
+//! tie-break, a float sum in another order or a threshold read one
+//! recalculation late moves at least one of them.
+//!
+//! The test prints each digest as computed; `cargo test` shows that output
+//! when the test fails, so re-pinning after a change that moves decisions on
+//! purpose is pasting the printed values.
+
+use ursa::apps::{social_network, App};
+use ursa::core::exploration::ExplorationConfig;
+use ursa::core::manager::{Ursa, UrsaConfig};
+use ursa::core::profiling::ProfilingConfig;
+use ursa::sim::prelude::*;
+
+/// The actuation surface managers see, backed by two vectors: a recorded
+/// load does not react to replayed decisions, so no simulation is needed.
+struct VecPlane {
+    now: SimTime,
+    replicas: Vec<usize>,
+    cores: Vec<f64>,
+}
+
+impl VecPlane {
+    fn of(app: &App) -> Self {
+        let services = app.topology.services();
+        VecPlane {
+            now: SimTime::ZERO,
+            replicas: services.iter().map(|s| s.initial_replicas).collect(),
+            cores: services.iter().map(|s| s.cores).collect(),
+        }
+    }
+}
+
+impl ControlPlane for VecPlane {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn num_services(&self) -> usize {
+        self.replicas.len()
+    }
+    fn service_name(&self, service: ServiceId) -> String {
+        format!("s{}", service.0)
+    }
+    fn replicas(&self, service: ServiceId) -> usize {
+        self.replicas[service.0]
+    }
+    fn set_replicas(&mut self, service: ServiceId, n: usize) {
+        self.replicas[service.0] = n.clamp(1, 1024);
+    }
+    fn cpu_limit(&self, service: ServiceId) -> f64 {
+        self.cores[service.0]
+    }
+    fn set_cpu_limit(&mut self, service: ServiceId, cores: f64) {
+        self.cores[service.0] = cores;
+    }
+    fn total_allocated_cores(&self) -> f64 {
+        self.replicas
+            .iter()
+            .zip(&self.cores)
+            .map(|(&r, &c)| r as f64 * c)
+            .sum()
+    }
+}
+
+/// FNV-1a over everything a scenario observed.
+#[derive(Debug)]
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    /// What the manager's model says right now: the recalculation count,
+    /// the objective, every threshold and every latency bound, to the bit.
+    fn model(&mut self, ursa: &Ursa) {
+        let outcome = ursa.outcome();
+        self.word(ursa.recalcs());
+        self.word(outcome.solution.objective.to_bits());
+        self.word(outcome.solution.nodes_explored);
+        for t in &outcome.thresholds {
+            self.word(t.service as u64);
+            for y in &t.lpr {
+                self.word(y.to_bits());
+            }
+        }
+        for bound in &outcome.latency_bounds {
+            self.word(bound.to_bits());
+        }
+    }
+
+    /// The decision log, as the exporter writes it.
+    fn log(&mut self, ursa: &Ursa) {
+        let mut jsonl = Vec::new();
+        ursa.decisions()
+            .write_jsonl(&mut jsonl)
+            .expect("writing to a Vec cannot fail");
+        self.word(ursa.decisions().len() as u64);
+        self.bytes(&jsonl);
+    }
+}
+
+fn rates_at(total: f64, mix: &[f64]) -> Vec<f64> {
+    let sum: f64 = mix.iter().sum();
+    mix.iter().map(|w| total * w / sum).collect()
+}
+
+fn prepared(app: &App) -> Ursa {
+    let cfg = UrsaConfig {
+        exploration: ExplorationConfig {
+            samples_per_option: 3,
+            window: SimDur::from_secs(15),
+            max_options: 5,
+            ..Default::default()
+        },
+        profiling: ProfilingConfig {
+            windows_per_level: 4,
+            window: SimDur::from_secs(8),
+            levels: 6,
+            ..Default::default()
+        },
+    };
+    let rates = rates_at(app.default_rps, &app.mix);
+    Ursa::explore_and_prepare(&app.topology, &app.slas, &rates, cfg, 0x24).expect("feasible")
+}
+
+/// Sixty one-minute snapshots of the social network, update-heavy (2×
+/// skew) under a 0.6×–1.4× diurnal rate with a twenty-minute period — the
+/// load `control_replay` records: the mix drifts enough for the anomaly
+/// detector to ask for recalculations, and the swing exercises scale-out,
+/// damped scale-in and the cooldown.
+fn replay_digest(app: &App, mut ursa: Ursa) -> u64 {
+    let mut sim = app.build_sim(0x5A4B);
+    app.apply_load_with_mix(
+        &mut sim,
+        RateFn::Diurnal {
+            base: 0.6 * app.default_rps,
+            peak: 1.4 * app.default_rps,
+            period: SimDur::from_mins(20),
+        },
+        &app.skewed_mix(2.0),
+    );
+    let snapshots: Vec<MetricsSnapshot> = (0..60)
+        .map(|_| {
+            sim.run_for(SimDur::from_mins(1));
+            sim.harvest()
+        })
+        .collect();
+
+    let mut digest = Digest::new();
+    let mut plane = VecPlane::of(app);
+    ursa.apply_initial_allocation(&rates_at(app.default_rps, &app.mix), &mut plane);
+    // Twice over, as the ledger replays it: the second round starts from
+    // the first's history rings, cooldown and thresholds.
+    for _ in 0..2 {
+        for snap in &snapshots {
+            plane.now = snap.at;
+            ursa.on_tick(snap, &mut plane);
+            for &r in &plane.replicas {
+                digest.word(r as u64);
+            }
+            digest.model(&ursa);
+        }
+    }
+    assert!(
+        ursa.recalcs() > 0,
+        "the skew must trigger recalculations or the replay pins nothing"
+    );
+    digest.log(&ursa);
+    digest.0
+}
+
+/// A rate × skew recalculation sweep (the ledger's `recalc_sweep` shape)
+/// with a re-exploration of `timeline-update` in the middle, so the second
+/// half re-prices a model prepared from the updated report.
+fn sweep_digest(app: &App, mut ursa: Ursa) -> u64 {
+    let mixes: Vec<Vec<f64>> = [1.0, 2.0, 0.5].iter().map(|&f| app.skewed_mix(f)).collect();
+    let point = |i: usize| {
+        let total = app.default_rps * (0.6 + 0.8 * (i * 7 % 97) as f64 / 96.0);
+        rates_at(total, &mixes[i % mixes.len()])
+    };
+    let mut digest = Digest::new();
+    for i in 0..45 {
+        ursa.recalculate(&point(i)).expect("feasible");
+        digest.model(&ursa);
+    }
+    let service = app.service("timeline-update").expect("service").0;
+    let stats = ursa
+        .re_explore(service, 0.25, &point(45))
+        .expect("re-exploration feasible");
+    digest.word(stats.samples as u64);
+    digest.model(&ursa);
+    for i in 46..90 {
+        ursa.recalculate(&point(i)).expect("feasible");
+        digest.model(&ursa);
+    }
+    digest.log(&ursa);
+    digest.0
+}
+
+#[test]
+fn decisions_are_pinned() {
+    let app = social_network(false);
+    let ursa = prepared(&app);
+    let got = [
+        ("replay", replay_digest(&app, ursa.clone())),
+        ("sweep", sweep_digest(&app, ursa)),
+    ];
+    for (name, digest) in got {
+        println!("(\"{name}\", {digest:#018x}),");
+    }
+    assert_eq!(
+        got,
+        [
+            ("replay", 0x6205_70a9_db8b_e592),
+            ("sweep", 0x5acb_9f3c_026d_5a07),
+        ],
+        "the control plane's decisions moved (computed digests printed above)"
+    );
+}

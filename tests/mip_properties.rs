@@ -3,13 +3,17 @@
 //! The exact branch-and-bound solver must agree with brute-force
 //! enumeration on every feasible/infeasible verdict and every objective
 //! value; the greedy solver must be feasible and never better than exact;
-//! solution percentile choices must respect the residual budgets.
+//! solution percentile choices must respect the residual budgets; and a
+//! prepared [`Solver`] re-priced through any sequence of resource tables
+//! must answer each as a fresh [`solve`] of the model carrying it does.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use ursa::mip::{
     solve, solve_brute_force, solve_greedy, LatencyMatrix, MipModel, ModelError, ServiceModel,
-    SlaConstraint,
+    SlaConstraint, Solution, Solver,
 };
+use ursa::stats::rng::Rng;
 
 const GRID: [f64; 3] = [99.0, 99.5, 99.9];
 const GRID_RESIDUAL_UNITS: [usize; 3] = [10, 5, 1];
@@ -78,8 +82,111 @@ fn small_model() -> impl Strategy<Value = MipModel> {
         })
 }
 
+/// `model` with `table` (flat, services in order) as its resources.
+fn with_resources(model: &MipModel, table: &[f64]) -> MipModel {
+    let mut priced = model.clone();
+    let mut entries = table.iter();
+    for svc in &mut priced.services {
+        for r in &mut svc.resource {
+            *r = *entries.next().expect("table covers every option");
+        }
+    }
+    priced
+}
+
+/// A resource table for `model` drawn from `seed`: coarse on even seeds,
+/// so that spreads and costs tie and the stable sorts have ties to keep.
+fn table_from(model: &MipModel, seed: u64) -> Vec<f64> {
+    let mut rng = Rng::seed_from(seed);
+    let entries: usize = model.services.iter().map(|s| s.resource.len()).sum();
+    (0..entries)
+        .map(|_| {
+            if seed.is_multiple_of(2) {
+                (1 + rng.index(4)) as f64
+            } else {
+                0.5 + 10.0 * rng.next_f64()
+            }
+        })
+        .collect()
+}
+
+/// Drives one [`Solver`] through `tables` and holds every answer to a fresh
+/// `solve` of the model carrying that table: the same `Solution` (objective
+/// to the bit, `nodes_explored` included) or the same error, with the
+/// caller's solution left alone by a failed call. A model the solver
+/// refuses at build time must fail the same way under every valid table.
+fn assert_matches_fresh_solves(model: &MipModel, tables: &[Vec<f64>]) -> Result<(), TestCaseError> {
+    let mut solver = Solver::new(model);
+    let mut solution = Solution::default();
+    for (step, table) in tables.iter().enumerate() {
+        let fresh = solve(&with_resources(model, table));
+        match &mut solver {
+            Ok(solver) => {
+                let before = solution.clone();
+                match (solver.solve_at(table, &mut solution), fresh) {
+                    (Ok(()), Ok(fresh)) => {
+                        prop_assert!(
+                            solution == fresh
+                                && solution.objective.to_bits() == fresh.objective.to_bits(),
+                            "step {step}: {solution:?} vs fresh {fresh:?}"
+                        );
+                    }
+                    (Err(got), Err(fresh)) => {
+                        prop_assert!(got == fresh, "step {step}: {got:?} vs fresh {fresh:?}");
+                        prop_assert!(
+                            solution == before,
+                            "step {step}: a failed call wrote {solution:?}"
+                        );
+                    }
+                    (got, fresh) => prop_assert!(false, "step {step}: {got:?} vs {fresh:?}"),
+                }
+            }
+            Err(refused) => {
+                if table.iter().all(|r| r.is_finite() && *r >= 0.0) {
+                    prop_assert!(
+                        fresh.as_ref() == Err(&*refused),
+                        "step {step}: refused with {refused:?}, fresh {fresh:?}"
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `seeds` as a sequence of tables, then the first with every service's
+/// cost order reversed, the first again, one poisoned with an invalid
+/// entry, and the first once more after the failure.
+fn table_sequence(model: &MipModel, seeds: &[u64], poison: f64) -> Vec<Vec<f64>> {
+    let mut tables: Vec<Vec<f64>> = seeds.iter().map(|&s| table_from(model, s)).collect();
+    let first = tables[0].clone();
+    let mut reversed = Vec::with_capacity(first.len());
+    let mut at = 0;
+    for svc in &model.services {
+        let options = &first[at..at + svc.resource.len()];
+        reversed.extend(options.iter().rev());
+        at += options.len();
+    }
+    let mut poisoned = first.clone();
+    let hit = seeds[0] as usize % poisoned.len();
+    poisoned[hit] = poison;
+    tables.extend([reversed, first.clone(), poisoned, first]);
+    tables
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One prepared solver, re-priced step by step ≡ a fresh solve per step.
+    #[test]
+    fn prepared_solver_agrees_with_fresh_solves(
+        model in small_model(),
+        seeds in proptest::collection::vec(any::<u64>(), 1..5),
+        poison in 0usize..3,
+    ) {
+        let poison = [f64::NAN, f64::INFINITY, -1.0][poison];
+        assert_matches_fresh_solves(&model, &table_sequence(&model, &seeds, poison))?;
+    }
 
     /// Exact solver ≡ brute force on verdict and objective.
     #[test]
@@ -186,4 +293,58 @@ fn exact_agrees_with_brute_force_on_non_monotone_resources() {
     assert_eq!(exact.objective, 4.815560045162602);
     assert_eq!(brute.objective, exact.objective);
     assert!(exact.proved_optimal);
+}
+
+/// The two ways a model has no solution, through a prepared solver: a class
+/// that fails alone is refused when the solver is built; classes that can
+/// each be met alone but never together fail every `solve_at`, naming the
+/// class the greedy start violated.
+#[test]
+fn prepared_solver_reports_infeasibility_as_fresh_solves_do() {
+    let shared = |resource: Vec<f64>, rows: [Vec<f64>; 2]| ServiceModel {
+        name: "shared".into(),
+        latency: rows
+            .into_iter()
+            .map(|r| Some(LatencyMatrix::new(r.len() / 2, 2, r)))
+            .collect(),
+        resource,
+    };
+    let p99 = |class, target| SlaConstraint {
+        class,
+        percentile: 99.0,
+        target,
+    };
+    // Option 0 is fast for class 0 and slow for class 1, option 1 the
+    // reverse.
+    let jointly = MipModel {
+        percentiles: vec![99.0, 99.9],
+        services: vec![shared(
+            vec![2.0, 1.0],
+            [
+                vec![0.010, 0.010, 0.500, 0.500],
+                vec![0.400, 0.400, 0.010, 0.010],
+            ],
+        )],
+        constraints: vec![p99(0, 0.050), p99(1, 0.050)],
+    };
+    let mut solver = Solver::new(&jointly).expect("each class can be met alone");
+    let mut solution = Solution::default();
+    assert_eq!(
+        solver.solve_at(&[2.0, 1.0], &mut solution),
+        Err(ModelError::Infeasible { class: 1 })
+    );
+    // Class 1 cannot be met by the only option.
+    let alone = MipModel {
+        percentiles: vec![99.0, 99.9],
+        services: vec![shared(vec![1.0], [vec![0.010, 0.020], vec![0.010, 0.020]])],
+        constraints: vec![p99(0, 1.0), p99(1, 0.001)],
+    };
+    assert_eq!(
+        Solver::new(&alone).err(),
+        Some(ModelError::Infeasible { class: 1 })
+    );
+    for model in [jointly, alone] {
+        let tables = table_sequence(&model, &[4, 7], f64::NAN);
+        assert_matches_fresh_solves(&model, &tables).expect("same errors as fresh solves");
+    }
 }
