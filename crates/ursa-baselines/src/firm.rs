@@ -20,6 +20,7 @@ use ursa_stats::rng::Rng;
 const ACTIONS: usize = 3; // 0 = scale in, 1 = hold, 2 = scale out
 /// State: [cpu_util, replicas/max, worst SLA ratio, service rps (norm)].
 const STATE_DIM: usize = 4;
+type State = [f64; STATE_DIM];
 
 /// Firm configuration.
 #[derive(Debug, Clone)]
@@ -60,7 +61,7 @@ pub struct Firm {
     rps_scale: Vec<f64>,
     /// When true, agents explore (ε-greedy) and learn from transitions.
     pub training: bool,
-    last_state_action: Vec<Option<(Vec<f64>, usize)>>,
+    last_state_action: Vec<Option<(State, usize)>>,
     samples_consumed: usize,
     training_time: SimDur,
     scale_actions: u64,
@@ -120,7 +121,7 @@ impl Firm {
         s: usize,
         snapshot: &MetricsSnapshot,
         control: &dyn ControlPlane,
-    ) -> Vec<f64> {
+    ) -> State {
         let util = snapshot.services[s].cpu_utilization;
         let replicas = control.replicas(ServiceId(s)) as f64 / self.cfg.max_replicas as f64;
         let mut worst_ratio = 0.0f64;
@@ -133,7 +134,7 @@ impl Firm {
         }
         let rps = snapshot.services[s].arrival_rps(snapshot.window);
         self.rps_scale[s] = self.rps_scale[s].max(rps);
-        vec![
+        [
             util,
             replicas,
             worst_ratio,
@@ -164,6 +165,9 @@ impl ResourceManager for Firm {
         "firm"
     }
 
+    /// One decision per service, through its agent's network. Deployed
+    /// (not `training`), a tick allocates nothing once every agent has
+    /// acted.
     fn on_tick(&mut self, snapshot: &MetricsSnapshot, control: &mut dyn ControlPlane) {
         self.faults_seen += snapshot.faults.len() as u64;
         let n = self.agents.len();
@@ -174,10 +178,10 @@ impl ResourceManager for Firm {
                 if let Some((prev_state, prev_action)) = self.last_state_action[s].take() {
                     let reward = self.reward_of(s, snapshot, control);
                     self.agents[s].observe(Transition {
-                        state: prev_state,
+                        state: prev_state.to_vec(),
                         action: prev_action,
                         reward,
-                        next_state: state.clone(),
+                        next_state: state.to_vec(),
                     });
                 }
                 self.samples_consumed += 1;

@@ -77,22 +77,19 @@ impl Default for CollectConfig {
     }
 }
 
-/// Overwrites `out` with the feature vector of an allocation under a load.
-fn features_into(
-    replicas: &[usize],
-    rps: &[f64],
-    replica_scale: &[f64],
-    rps_scale: &[f64],
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.extend(
-        replicas
-            .iter()
-            .zip(replica_scale)
-            .map(|(&r, &s)| r as f64 / s.max(1.0))
-            .chain(rps.iter().zip(rps_scale).map(|(&a, &s)| a / s.max(1e-9))),
-    );
+/// The feature vector of an allocation under a load: each service's
+/// replicas, then each class's requests per second, over their normalisers.
+fn features<'a>(
+    replicas: &'a [usize],
+    rps: &'a [f64],
+    replica_scale: &'a [f64],
+    rps_scale: &'a [f64],
+) -> impl Iterator<Item = f64> + 'a {
+    replicas
+        .iter()
+        .zip(replica_scale)
+        .map(|(&r, &s)| r as f64 / s.max(1.0))
+        .chain(rps.iter().zip(rps_scale).map(|(&a, &s)| a / s.max(1e-9)))
 }
 
 /// Runs Sinan's data-collection episode on a fresh simulation.
@@ -150,10 +147,8 @@ pub fn collect(sim: &mut Simulation, slas: &[Sla], cfg: &CollectConfig, seed: u6
             latency_ratio.push(ratio.min(5.0));
         }
         last_violated = violated;
-        let mut features = Vec::new();
-        features_into(&replicas, &rps, &replica_scale, &rps_scale, &mut features);
         samples.push(Sample {
-            features,
+            features: features(&replicas, &rps, &replica_scale, &rps_scale).collect(),
             latency_ratio,
             violated,
         });
@@ -186,24 +181,32 @@ pub struct Sinan {
     candidates_evaluated: u64,
     fallback_scaleouts: u64,
     faults_seen: u64,
-    /// What one prediction works in: the feature vector, the latency
-    /// model's output and its hidden activations.
-    features: Vec<f64>,
-    ratios: Vec<f64>,
-    hidden: Vec<f64>,
     tick: TickBuffers,
 }
 
 /// What one decision works in, kept between ticks: the live allocation,
-/// the load, each service's CPU limit, the candidate under evaluation and
-/// the cheapest safe one so far.
-#[derive(Debug, Clone, Default)]
+/// the load, each service's CPU limit and the candidates, one allocation
+/// after another; then what the predictors work in — the candidates'
+/// feature vectors (feature-major), the latency model's outputs and hidden
+/// activations, and the violation model's outputs.
+#[derive(Debug, Default)]
 struct TickBuffers {
     current: Vec<usize>,
     rps: Vec<f64>,
     limits: Vec<f64>,
-    candidate: Vec<usize>,
-    best: Vec<usize>,
+    candidates: Vec<usize>,
+    features: Vec<f64>,
+    ratios: Vec<f64>,
+    hidden: Vec<f64>,
+    violations: Vec<f64>,
+}
+
+/// A copy starts with empty buffers: every tick rewrites them before it
+/// reads them, so copying a manager need not copy them.
+impl Clone for TickBuffers {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl Sinan {
@@ -262,9 +265,6 @@ impl Sinan {
             candidates_evaluated: 0,
             fallback_scaleouts: 0,
             faults_seen: 0,
-            features: Vec::new(),
-            ratios: Vec::new(),
-            hidden: Vec::new(),
             tick: TickBuffers::default(),
         }
     }
@@ -277,6 +277,17 @@ impl Sinan {
     /// The SLAs this manager was trained against.
     pub fn slas(&self) -> &[Sla] {
         &self.slas
+    }
+
+    /// The trained latency predictor: feature row → latency ratio per SLA.
+    pub fn latency_model(&self) -> &Mlp {
+        &self.latency_model
+    }
+
+    /// The trained violation model: feature row → violation probability
+    /// (unclamped).
+    pub fn violation_model(&self) -> &GbtRegressor {
+        &self.violation_model
     }
 
     /// Evaluates the violation predictor on a dataset: returns
@@ -304,22 +315,80 @@ impl Sinan {
     /// Predicts (max latency ratio, violation probability) for an
     /// allocation under a load.
     pub fn predict(&mut self, replicas: &[usize], rps: &[f64]) -> (f64, f64) {
-        features_into(
+        let TickBuffers {
+            features,
+            ratios,
+            hidden,
+            ..
+        } = &mut self.tick;
+        features.clear();
+        features.extend(self::features(
             replicas,
             rps,
             &self.replica_scale,
             &self.rps_scale,
-            &mut self.features,
-        );
-        self.latency_model
-            .predict_into(&self.features, &mut self.ratios, &mut self.hidden);
-        let max_ratio = self
-            .ratios
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let viol = self.violation_model.predict(&self.features).clamp(0.0, 1.0);
+        ));
+        self.latency_model.predict_into(features, ratios, hidden);
+        let max_ratio = ratios.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let viol = self.violation_model.predict(features).clamp(0.0, 1.0);
         (max_ratio, viol)
+    }
+
+    /// The cheapest of the `count` allocations in `buf.candidates` (one
+    /// after another) predicted safe under `buf.rps`, by index; the first
+    /// on ties. Both models see all candidates in one batch, and each
+    /// prediction has the bits [`predict`](Self::predict) gives its
+    /// candidate alone.
+    fn cheapest_safe(&self, buf: &mut TickBuffers, count: usize) -> Option<usize> {
+        if count == 0 {
+            return None;
+        }
+        let TickBuffers {
+            rps,
+            limits,
+            candidates,
+            features,
+            ratios,
+            hidden,
+            violations,
+            ..
+        } = buf;
+        let n = candidates.len() / count;
+        features.clear();
+        features.resize((n + rps.len()) * count, 0.0);
+        for (k, candidate) in candidates.chunks_exact(n).enumerate() {
+            let column = features[k..].iter_mut().step_by(count);
+            let values = self::features(candidate, rps, &self.replica_scale, &self.rps_scale);
+            for (slot, v) in column.zip(values) {
+                *slot = v;
+            }
+        }
+        self.latency_model
+            .predict_batch(features, count, ratios, hidden);
+        violations.clear();
+        violations.resize(count, 0.0);
+        self.violation_model.predict_batch(features, violations);
+
+        let mut best: Option<(f64, usize)> = None;
+        for (k, candidate) in candidates.chunks_exact(n).enumerate() {
+            let ratio = ratios[k..]
+                .iter()
+                .step_by(count)
+                .cloned()
+                .fold(f64::NEG_INFINITY, f64::max);
+            let viol = violations[k].clamp(0.0, 1.0);
+            if ratio < self.safety_ratio && viol < self.safety_violation_prob {
+                let cores: f64 = candidate
+                    .iter()
+                    .zip(limits.iter())
+                    .map(|(&r, &limit)| r as f64 * limit)
+                    .sum();
+                if best.map(|(c, _)| cores < c).unwrap_or(true) {
+                    best = Some((cores, k));
+                }
+            }
+        }
+        best.map(|(_, k)| k)
     }
 }
 
@@ -346,43 +415,36 @@ impl ResourceManager for Sinan {
         buf.limits
             .extend((0..n).map(|s| control.cpu_limit(ServiceId(s))));
 
-        let mut best_cores: Option<f64> = None;
-        for k in 0..self.candidates_per_tick {
-            buf.candidate.clear();
+        // Every candidate is drawn before any is evaluated; the draws are
+        // the same, in the same order, as when each was evaluated as drawn.
+        let count = self.candidates_per_tick;
+        buf.candidates.clear();
+        for k in 0..count {
             if k == 0 {
-                buf.candidate.extend_from_slice(&buf.current);
+                buf.candidates.extend_from_slice(&buf.current);
             } else {
-                buf.candidate.extend(buf.current.iter().map(|&r| {
+                buf.candidates.extend(buf.current.iter().map(|&r| {
                     let delta = [-2i64, -1, -1, 0, 0, 1, 1, 2][self.rng.index(8)];
                     (r as i64 + delta).clamp(1, self.max_replicas as i64) as usize
                 }));
             }
-            self.candidates_evaluated += 1;
-            let (ratio, viol) = self.predict(&buf.candidate, &buf.rps);
-            if ratio < self.safety_ratio && viol < self.safety_violation_prob {
-                let cores: f64 = buf
-                    .candidate
-                    .iter()
-                    .zip(&buf.limits)
-                    .map(|(&r, &limit)| r as f64 * limit)
-                    .sum();
-                if best_cores.map(|c| cores < c).unwrap_or(true) {
-                    best_cores = Some(cores);
-                    buf.best.clone_from(&buf.candidate);
-                }
-            }
         }
-        if best_cores.is_some() {
-            for (s, (&r, &live)) in buf.best.iter().zip(&buf.current).enumerate() {
-                if r != live {
-                    control.set_replicas(ServiceId(s), r);
+        self.candidates_evaluated += count as u64;
+        match self.cheapest_safe(&mut buf, count) {
+            Some(k) => {
+                let best = &buf.candidates[k * n..(k + 1) * n];
+                for (s, (&r, &live)) in best.iter().zip(&buf.current).enumerate() {
+                    if r != live {
+                        control.set_replicas(ServiceId(s), r);
+                    }
                 }
             }
-        } else {
-            // No candidate predicted safe: scale everything out.
-            self.fallback_scaleouts += 1;
-            for (s, &r) in buf.current.iter().enumerate() {
-                control.set_replicas(ServiceId(s), (r + 1).min(self.max_replicas));
+            None => {
+                // No candidate predicted safe: scale everything out.
+                self.fallback_scaleouts += 1;
+                for (s, &r) in buf.current.iter().enumerate() {
+                    control.set_replicas(ServiceId(s), (r + 1).min(self.max_replicas));
+                }
             }
         }
         self.tick = buf;

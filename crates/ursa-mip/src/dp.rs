@@ -122,22 +122,54 @@ pub(crate) struct DpScratch {
     pick: Vec<u32>,
 }
 
+/// Where a walk of the DP starts, and what it leaves behind.
+///
+/// The state after the first `at` rows depends on those rows alone, so
+/// walks that share them — every option of one service, whose rows come
+/// after the services before it — can share that state: the first walk
+/// saves it, the others resume from it.
+#[derive(Debug)]
+pub(crate) enum Prefix<'p> {
+    /// Walk every row from the start; save nothing.
+    Whole,
+    /// Walk every row from the start, leaving the state after the first
+    /// `at` in `saved`.
+    Save { at: usize, saved: &'p mut Vec<f64> },
+    /// The rows given are the ones after the first `at`, whose state is
+    /// `saved`.
+    Resume { at: usize, saved: &'p [f64] },
+}
+
+impl Prefix<'_> {
+    /// How many leading rows the walk is not given.
+    pub(crate) fn skipped(&self) -> usize {
+        match self {
+            Prefix::Resume { at, .. } => *at,
+            _ => 0,
+        }
+    }
+}
+
 /// The DP of [`min_latency_allocation`] without its allocations: the cheapest
 /// spend (the smallest on ties) and its latency sum, bit for bit.
 ///
 /// `rows` yields one latency row per participating service, in the order
-/// [`min_latency_allocation`] would be given them; column `g` of every row
-/// costs `res_cols[g]` residual units. Only the cells up to the highest
-/// spend the services so far can reach are initialised and walked, which for
-/// a wide budget (a p50 SLA has 501 cells) is a small prefix. With `RECORD`
-/// the winning column of every reachable cell is kept in `scratch.pick`.
+/// [`min_latency_allocation`] would be given them, less any `prefix` skips;
+/// column `g` of every row costs `res_cols[g]` residual units. Only the
+/// cells up to the highest spend the services so far can reach are
+/// initialised and walked, which for a wide budget (a p50 SLA has 501
+/// cells) is a small prefix of the row — and all a saved state holds. With
+/// `RECORD` the winning column of every reachable cell is kept in
+/// `scratch.pick`; a recording walk starts from the first row.
 fn walk<'a, const RECORD: bool>(
     rows: impl IntoIterator<Item = &'a [f64]>,
     res_cols: &[usize],
     budget: usize,
     scratch: &mut DpScratch,
+    prefix: Prefix<'_>,
 ) -> Option<(usize, f64)> {
     const INF: f64 = f64::INFINITY;
+    debug_assert!(!RECORD || matches!(prefix, Prefix::Whole));
     let stride = budget + 1;
     if scratch.cur.len() < stride {
         scratch.cur.resize(stride, INF);
@@ -155,9 +187,25 @@ fn walk<'a, const RECORD: bool>(
         .unwrap_or(0);
     // cur[r] = min latency sum of the services so far spending exactly r
     // units, for r <= hi; cells above hi are stale.
-    cur[0] = 0.0;
-    let mut hi = 0;
+    let (mut hi, mut save) = match prefix {
+        Prefix::Whole => {
+            cur[0] = 0.0;
+            (0, None)
+        }
+        Prefix::Save { at, saved } => {
+            cur[0] = 0.0;
+            (0, Some((at, saved)))
+        }
+        Prefix::Resume { saved, .. } => {
+            cur[..saved.len()].copy_from_slice(saved);
+            (saved.len() - 1, None)
+        }
+    };
     for (k, row) in rows.into_iter().enumerate() {
+        if let Some((_, saved)) = save.take_if(|(at, _)| *at == k) {
+            saved.clear();
+            saved.extend_from_slice(&cur[..=hi]);
+        }
         if RECORD && pick.len() < (k + 1) * stride {
             pick.resize((k + 1) * stride, u32::MAX);
         }
@@ -169,14 +217,21 @@ fn walk<'a, const RECORD: bool>(
             }
             let reach = hi.min(budget - res);
             let slots = cur[..=reach].iter().zip(&mut next[res..=res + reach]);
-            for (spent, (&prev, slot)) in slots.enumerate() {
-                // An unreachable `prev` is infinite and never wins.
-                let cand = prev + lat;
-                if cand < *slot {
-                    *slot = cand;
-                    if RECORD {
+            // An unreachable `prev` is infinite and never wins.
+            if RECORD {
+                for (spent, (&prev, slot)) in slots.enumerate() {
+                    let cand = prev + lat;
+                    if cand < *slot {
+                        *slot = cand;
                         pick[k * stride + res + spent] = g as u32;
                     }
+                }
+            } else {
+                // The same update as a select, not a branch: the compiler
+                // makes it a branch-free minimum over the slots.
+                for (&prev, slot) in slots {
+                    let cand = prev + lat;
+                    *slot = if cand < *slot { cand } else { *slot };
                 }
             }
         }
@@ -193,14 +248,16 @@ fn walk<'a, const RECORD: bool>(
 }
 
 /// Feasibility-only form of [`min_latency_allocation`]: the same minimum
-/// latency sum, bit for bit, with no choices recorded and nothing allocated.
+/// latency sum, bit for bit, with no choices recorded and nothing allocated
+/// once `scratch` and any saved prefix have grown.
 pub(crate) fn min_latency_sum<'a>(
     rows: impl IntoIterator<Item = &'a [f64]>,
     res_cols: &[usize],
     budget: usize,
     scratch: &mut DpScratch,
+    prefix: Prefix<'_>,
 ) -> Option<f64> {
-    walk::<false>(rows, res_cols, budget, scratch).map(|(_, sum)| sum)
+    walk::<false>(rows, res_cols, budget, scratch, prefix).map(|(_, sum)| sum)
 }
 
 /// Recording form of [`min_latency_sum`]: also writes the column each
@@ -214,7 +271,7 @@ pub(crate) fn min_latency_choices<'a>(
     scratch: &mut DpScratch,
     beta: &mut [usize],
 ) -> Option<f64> {
-    let (mut spent, sum) = walk::<true>(rows, res_cols, budget, scratch)?;
+    let (mut spent, sum) = walk::<true>(rows, res_cols, budget, scratch, Prefix::Whole)?;
     let stride = budget + 1;
     for (k, chosen) in beta.iter_mut().enumerate().rev() {
         let g = scratch.pick[k * stride + spent] as usize;
@@ -333,7 +390,8 @@ mod tests {
 
         /// The allocation-free DP returns the reference DP's minimum, bit
         /// for bit, `None` exactly when it does and, when recording, its
-        /// choices — on a scratch left dirty by a wider call, with
+        /// choices — whole or resumed from a state saved at any row, on a
+        /// scratch left dirty by a wider call, with
         /// latencies coarse enough to tie and budgets down among the
         /// residuals, where columns stop fitting.
         #[test]
@@ -360,10 +418,22 @@ mod tests {
                 .collect();
             let want = min_latency_allocation(&options, budget).map(|a| a.latency_sum.to_bits());
             let mut scratch = DpScratch::default();
-            min_latency_sum(rows.iter().map(Vec::as_slice), &res_cols, 600, &mut scratch);
-            let got = min_latency_sum(rows.iter().map(Vec::as_slice), &res_cols, budget, &mut scratch)
-                .map(f64::to_bits);
-            prop_assert_eq!(got, want);
+            let sum = |scratch: &mut DpScratch, budget, prefix: Prefix<'_>| {
+                let rows = rows[prefix.skipped()..].iter().map(Vec::as_slice);
+                min_latency_sum(rows, &res_cols, budget, scratch, prefix).map(f64::to_bits)
+            };
+            sum(&mut scratch, 600, Prefix::Whole);
+            prop_assert_eq!(sum(&mut scratch, budget, Prefix::Whole), want);
+            // Saved at every split point, on a dirty scratch, and resumed
+            // there: the walk is the uninterrupted one.
+            for at in 0..rows.len() {
+                let mut saved = vec![f64::NAN; 3];
+                let whole = sum(&mut scratch, budget, Prefix::Save { at, saved: &mut saved });
+                prop_assert_eq!(whole, want);
+                sum(&mut scratch, 600, Prefix::Whole);
+                let resumed = sum(&mut scratch, budget, Prefix::Resume { at, saved: &saved });
+                prop_assert_eq!(resumed, want);
+            }
             // The recording form makes the reference's choices too.
             let mut beta = vec![usize::MAX; rows.len()];
             let sum = min_latency_choices(

@@ -33,7 +33,7 @@
 
 use crate::dp::{
     budget_units, min_latency_allocation, min_latency_choices, min_latency_sum, residual_units,
-    DpScratch,
+    DpScratch, Prefix,
 };
 use crate::model::{LatencyMatrix, MipModel, ModelError};
 
@@ -78,6 +78,12 @@ impl Solution {
 /// Node cap for branch-and-bound before giving up on proving optimality.
 const MAX_NODES: u64 = 2_000_000;
 
+/// The fewest DP rows a saved prefix stands for. A walk starts from one
+/// reachable cell, so its first row costs one pass over the columns, and
+/// saving and restoring the state after the second costs about what walking
+/// that row does: shorter prefixes are walked again.
+const MIN_PREFIX: usize = 3;
+
 /// One SLA constraint as the search sees it.
 #[derive(Debug, Clone)]
 struct ClassTable {
@@ -106,9 +112,24 @@ struct Tables {
     res_cols: Vec<usize>,
     /// One table per constraint, in model order.
     classes: Vec<ClassTable>,
-    /// For each service, the constraints (indices into `classes`) it
-    /// participates in.
-    classes_of: Vec<Vec<usize>>,
+    /// For each service, the constraints it participates in.
+    classes_of: Vec<Vec<Membership>>,
+    /// Service `s`'s memberships that save a prefix own the solver's
+    /// prefix slots `slots[s]..slots[s + 1]`.
+    slots: Vec<usize>,
+}
+
+/// A service's place in one of its constraints.
+#[derive(Debug, Clone, Copy)]
+struct Membership {
+    /// The constraint, an index into [`Tables::classes`].
+    class: usize,
+    /// How many of the constraint's services come before this one in model
+    /// order: the DP rows every option of this service is walked after.
+    at: usize,
+    /// Where the DP state after those rows is saved, an index into the
+    /// solver's prefixes — if there are at least [`MIN_PREFIX`] of them.
+    slot: Option<usize>,
 }
 
 impl Tables {
@@ -133,8 +154,12 @@ impl Tables {
                     .filter_map(|(s, svc)| svc.latency[c.class].clone().map(|m| (s, m)))
                     .collect();
                 let mut optimistic = Vec::with_capacity(services.len() * res_cols.len());
-                for (s, m) in &services {
-                    classes_of[*s].push(k);
+                for (at, (s, m)) in services.iter().enumerate() {
+                    classes_of[*s].push(Membership {
+                        class: k,
+                        at,
+                        slot: None,
+                    });
                     optimistic.extend((0..res_cols.len()).map(|beta| {
                         (0..m.rows())
                             .map(|a| m.at(a, beta))
@@ -150,6 +175,15 @@ impl Tables {
                 }
             })
             .collect();
+        let mut slots = vec![0];
+        for memberships in &mut classes_of {
+            let mut next = slots[slots.len() - 1];
+            for m in memberships.iter_mut().filter(|m| m.at >= MIN_PREFIX) {
+                m.slot = Some(next);
+                next += 1;
+            }
+            slots.push(next);
+        }
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         for svc in &model.services {
@@ -161,6 +195,7 @@ impl Tables {
             res_cols,
             classes,
             classes_of,
+            slots,
         })
     }
 
@@ -195,25 +230,59 @@ impl Tables {
 
     /// Can constraint `k` be met with each of its services `s` at LPR option
     /// `choice(s)` — or, where that is `None` (undecided), at its optimistic
-    /// row?
+    /// row? A `prefix` to resume stands for the rows before its position.
     fn class_ok(
         &self,
         k: usize,
         choice: impl Fn(usize) -> Option<usize>,
         scratch: &mut DpScratch,
+        prefix: Prefix<'_>,
     ) -> bool {
         let t = &self.classes[k];
         let rows = t
             .services
             .iter()
             .zip(t.optimistic.chunks_exact(self.res_cols.len()))
+            .skip(prefix.skipped())
             .map(|((s, m), optimistic)| match choice(*s) {
                 Some(a) => m.row(a),
                 None => optimistic,
             });
-        match min_latency_sum(rows, &self.res_cols, t.budget, scratch) {
+        match min_latency_sum(rows, &self.res_cols, t.budget, scratch, prefix) {
             Some(latency) => latency <= t.target + 1e-12,
             None => false,
+        }
+    }
+
+    /// Do the constraints of service `s` still hold under `choice`, where
+    /// `s` is the only service moved since [`forget`](Self::forget) was last
+    /// called for it? Each constraint's rows before `s` have not moved
+    /// either, so its walk resumes from the state a previous call saved
+    /// there, or — with `save`, when another option of `s` may be asked
+    /// about next — saves that state on its way.
+    fn moved_ok(
+        &self,
+        s: usize,
+        choice: impl Fn(usize) -> Option<usize>,
+        scratch: &mut DpScratch,
+        prefixes: &mut [Vec<f64>],
+        save: bool,
+    ) -> bool {
+        self.classes_of[s].iter().all(|m| {
+            let prefix = match m.slot.map(|slot| &mut prefixes[slot]) {
+                Some(saved) if !saved.is_empty() => Prefix::Resume { at: m.at, saved },
+                Some(saved) if save => Prefix::Save { at: m.at, saved },
+                _ => Prefix::Whole,
+            };
+            self.class_ok(m.class, &choice, scratch, prefix)
+        })
+    }
+
+    /// Drops the states saved for service `s`: the services before it are
+    /// about to move.
+    fn forget(&self, s: usize, prefixes: &mut [Vec<f64>]) {
+        for saved in &mut prefixes[self.slots[s]..self.slots[s + 1]] {
+            saved.clear();
         }
     }
 
@@ -224,7 +293,7 @@ impl Tables {
         scratch: &mut DpScratch,
     ) -> Option<usize> {
         (0..self.classes.len())
-            .find(|&k| !self.class_ok(k, &choice, scratch))
+            .find(|&k| !self.class_ok(k, &choice, scratch, Prefix::Whole))
             .map(|k| self.classes[k].class)
     }
 
@@ -337,6 +406,9 @@ pub struct Solver {
     start: Result<Vec<usize>, usize>,
     priced: Priced,
     scratch: DpScratch,
+    /// The DP state each membership's service is walked after, saved by
+    /// the first of its options checked at a node (empty: none saved).
+    prefixes: Vec<Vec<f64>>,
     /// The descent's assignment, then the incumbent.
     alpha: Vec<usize>,
     /// The search's partial assignment; all `None` between calls.
@@ -379,11 +451,18 @@ impl Solver {
             Some(class) => Err(class),
         };
         let n = tables.num_services();
+        // Every slot is grown to its constraint's whole budget up front, so
+        // saving never allocates.
+        let prefixes = (tables.classes_of.iter().flatten())
+            .filter(|m| m.slot.is_some())
+            .map(|m| Vec::with_capacity(tables.classes[m.class].budget + 1))
+            .collect();
         let solver = Solver {
             tables,
             start,
             priced: Priced::default(),
             scratch,
+            prefixes,
             alpha: Vec::with_capacity(n),
             partial: vec![None; n],
         };
@@ -428,6 +507,7 @@ impl Solver {
             priced: &self.priced,
             resource,
             scratch: &mut self.scratch,
+            prefixes: &mut self.prefixes,
             partial: &mut self.partial,
             best_cost: incumbent.unwrap_or(f64::INFINITY),
             best_alpha: &mut self.alpha,
@@ -475,6 +555,7 @@ impl Solver {
             tables,
             start,
             scratch,
+            prefixes,
             alpha,
             ..
         } = self;
@@ -487,6 +568,7 @@ impl Solver {
         loop {
             let mut best: Option<(f64, usize, usize)> = None; // (saving, service, option)
             for s in 0..tables.num_services() {
+                tables.forget(s, prefixes);
                 let options = tables.options(resource, s);
                 let current = alpha[s];
                 for (o, &cost) in options.iter().enumerate() {
@@ -501,10 +583,8 @@ impl Solver {
                         continue;
                     }
                     alpha[s] = o;
-                    if tables.classes_of[s]
-                        .iter()
-                        .all(|&k| tables.class_ok(k, |u| Some(alpha[u]), scratch))
-                    {
+                    let save = o + 1 < options.len();
+                    if tables.moved_ok(s, |u| Some(alpha[u]), scratch, prefixes, save) {
                         best = Some((saving, s, o));
                     }
                     alpha[s] = current;
@@ -546,6 +626,7 @@ struct Search<'s> {
     priced: &'s Priced,
     resource: &'s [f64],
     scratch: &'s mut DpScratch,
+    prefixes: &'s mut [Vec<f64>],
     /// The partial assignment; `None` is undecided.
     partial: &'s mut [Option<usize>],
     best_cost: f64,
@@ -584,22 +665,27 @@ impl Search<'_> {
         }
         let s = priced.order[depth];
         let resource = tables.options(self.resource, s);
-        for &o in tables.options(&priced.cheapest_first, s) {
+        // Lower bound: assigned cost + min resource of the undecided.
+        let bound = |o: usize| partial_cost + resource[o] + priced.rest[depth + 1];
+        let options = tables.options(&priced.cheapest_first, s);
+        tables.forget(s, self.prefixes);
+        for (i, &o) in options.iter().enumerate() {
             if self.exhausted {
                 return;
             }
             let cost = partial_cost + resource[o];
-            // Lower bound: assigned cost + min resource of the undecided.
-            let lb = cost + priced.rest[depth + 1];
-            if lb >= self.best_cost - 1e-12 {
+            if bound(o) >= self.best_cost - 1e-12 {
                 continue;
             }
+            // The classes' rows before `s` are the same for every sibling:
+            // saved by the first that walks them, if the bound lets another
+            // follow.
+            let save = options
+                .get(i + 1)
+                .is_some_and(|&next| bound(next) < self.best_cost - 1e-12);
             self.partial[s] = Some(o);
             let (partial, scratch) = (&*self.partial, &mut *self.scratch);
-            if tables.classes_of[s]
-                .iter()
-                .all(|&k| tables.class_ok(k, |u| partial[u], scratch))
-            {
+            if tables.moved_ok(s, |u| partial[u], scratch, self.prefixes, save) {
                 self.expand(depth + 1, cost);
             }
             self.partial[s] = None;

@@ -34,35 +34,29 @@ impl Default for GbtParams {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf(f64),
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: Box<Node>,
-        right: Box<Node>,
-    },
+/// One node of a fitted tree. A split sends a row to `next[0]` when its
+/// `feature` is at most `value` and to `next[1]` otherwise; a leaf holds its
+/// `value` and sends every row back to itself, so a walk of a tree's full
+/// depth ends on the leaf a row reaches, whatever depth that leaf is at.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// A split's threshold, or a leaf's value.
+    value: f64,
+    feature: u32,
+    next: [u32; 2],
 }
 
-impl Node {
-    fn predict(&self, x: &[f64]) -> f64 {
-        match self {
-            Node::Leaf(v) => *v,
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                if x[*feature] <= *threshold {
-                    left.predict(x)
-                } else {
-                    right.predict(x)
-                }
-            }
-        }
-    }
+/// One fitted tree: where it starts in the node arena, and the depth of its
+/// deepest leaf.
+#[derive(Debug, Clone, Copy)]
+struct Tree {
+    root: u32,
+    depth: u32,
+}
+
+/// An arena index as stored in a [`Node`].
+fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("tree arena index fits u32")
 }
 
 fn mean(idx: &[usize], y: &[f64]) -> f64 {
@@ -74,6 +68,8 @@ fn sse_around_mean(idx: &[usize], y: &[f64]) -> f64 {
     idx.iter().map(|&i| (y[i] - m) * (y[i] - m)).sum()
 }
 
+/// Fits one tree to `residuals` over the samples `idx`, appends it to
+/// `nodes` depth-first and returns its depth.
 fn build_tree(
     xs: &[Vec<f64>],
     residuals: &[f64],
@@ -81,9 +77,19 @@ fn build_tree(
     depth: usize,
     params: &GbtParams,
     rng: &mut Rng,
-) -> Node {
+    nodes: &mut Vec<Node>,
+) -> u32 {
+    let leaf = |nodes: &mut Vec<Node>| {
+        let at = index(nodes.len());
+        nodes.push(Node {
+            value: mean(idx, residuals),
+            feature: 0,
+            next: [at, at],
+        });
+        0
+    };
     if depth >= params.max_depth || idx.len() < params.min_samples_split {
-        return Node::Leaf(mean(idx, residuals));
+        return leaf(nodes);
     }
     let n_features = xs[0].len();
     let parent_sse = sse_around_mean(idx, residuals);
@@ -119,21 +125,21 @@ fn build_tree(
             }
         }
     }
-    match best {
-        None => Node::Leaf(mean(idx, residuals)),
-        Some((_, feature, threshold)) => {
-            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-                idx.iter().partition(|&&i| xs[i][feature] <= threshold);
-            let left = build_tree(xs, residuals, &left_idx, depth + 1, params, rng);
-            let right = build_tree(xs, residuals, &right_idx, depth + 1, params, rng);
-            Node::Split {
-                feature,
-                threshold,
-                left: Box::new(left),
-                right: Box::new(right),
-            }
-        }
-    }
+    let Some((_, feature, threshold)) = best else {
+        return leaf(nodes);
+    };
+    let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
+        idx.iter().partition(|&&i| xs[i][feature] <= threshold);
+    let split = nodes.len();
+    nodes.push(Node {
+        value: threshold,
+        feature: index(feature),
+        next: [index(split + 1), 0],
+    });
+    let left = build_tree(xs, residuals, &left_idx, depth + 1, params, rng, nodes);
+    nodes[split].next[1] = index(nodes.len());
+    let right = build_tree(xs, residuals, &right_idx, depth + 1, params, rng, nodes);
+    1 + left.max(right)
 }
 
 /// A fitted gradient-boosted regression model.
@@ -141,7 +147,9 @@ fn build_tree(
 pub struct GbtRegressor {
     base: f64,
     learning_rate: f64,
-    trees: Vec<Node>,
+    /// Every tree's nodes, one tree after another.
+    nodes: Vec<Node>,
+    trees: Vec<Tree>,
 }
 
 impl GbtRegressor {
@@ -157,26 +165,76 @@ impl GbtRegressor {
         let mut rng = Rng::seed_from(seed);
         let base = ys.iter().sum::<f64>() / ys.len() as f64;
         let mut pred = vec![base; ys.len()];
-        let mut trees = Vec::with_capacity(params.n_trees);
+        let mut model = GbtRegressor {
+            base,
+            learning_rate: params.learning_rate,
+            nodes: Vec::new(),
+            trees: Vec::with_capacity(params.n_trees),
+        };
         let all_idx: Vec<usize> = (0..ys.len()).collect();
         for _ in 0..params.n_trees {
             let residuals: Vec<f64> = ys.iter().zip(&pred).map(|(y, p)| y - p).collect();
-            let tree = build_tree(xs, &residuals, &all_idx, 0, params, &mut rng);
-            for (i, p) in pred.iter_mut().enumerate() {
-                *p += params.learning_rate * tree.predict(&xs[i]);
+            let root = index(model.nodes.len());
+            let depth = build_tree(
+                xs,
+                &residuals,
+                &all_idx,
+                0,
+                params,
+                &mut rng,
+                &mut model.nodes,
+            );
+            let tree = Tree { root, depth };
+            model.trees.push(tree);
+            for (p, x) in pred.iter_mut().zip(xs) {
+                *p += params.learning_rate * model.leaf(tree, |f| x[f]);
             }
-            trees.push(tree);
         }
-        GbtRegressor {
-            base,
-            learning_rate: params.learning_rate,
-            trees,
-        }
+        model
     }
 
-    /// Predicts the target for one feature row.
+    /// The value of the leaf `x` reaches in `tree`; `x(f)` is feature `f`.
+    /// The walk has no exit test to mispredict: it always takes the tree's
+    /// depth in steps.
+    #[inline]
+    fn leaf(&self, tree: Tree, x: impl Fn(usize) -> f64) -> f64 {
+        let mut at = tree.root as usize;
+        for _ in 0..tree.depth {
+            let node = &self.nodes[at];
+            let left = x(node.feature as usize) <= node.value;
+            at = node.next[usize::from(!left)] as usize;
+        }
+        self.nodes[at].value
+    }
+
+    /// Predicts the target for one feature row: a batch of one.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        self.base + self.learning_rate * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
+        let mut out = [0.0];
+        self.predict_batch(x, &mut out);
+        out[0]
+    }
+
+    /// Predicts the targets of `out.len()` rows at once. `xs` holds them
+    /// feature-major (feature `f` of row `c` at `f * out.len() + c`), the
+    /// layout of [`crate::Mlp::predict_batch`]; every prediction has the
+    /// bits [`predict`](Self::predict) gives its row alone — the trees'
+    /// values are summed in tree order, from the start `Iterator::sum`
+    /// uses for floats, then scaled and added to the base.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is shorter than a split's feature requires.
+    pub fn predict_batch(&self, xs: &[f64], out: &mut [f64]) {
+        let batch = out.len();
+        out.fill(-0.0);
+        for &tree in &self.trees {
+            for (c, sum) in out.iter_mut().enumerate() {
+                *sum += self.leaf(tree, |f| xs[f * batch + c]);
+            }
+        }
+        for v in out {
+            *v = self.base + self.learning_rate * *v;
+        }
     }
 
     /// Number of fitted trees.
@@ -200,6 +258,69 @@ impl GbtRegressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mlp::to_columns;
+    use proptest::prelude::*;
+
+    /// The leaf `x` reaches from `at`, found by recursive descent: a node
+    /// that sends every row back to itself is a leaf.
+    fn descend(nodes: &[Node], at: usize, x: &[f64]) -> f64 {
+        let node = nodes[at];
+        if node.next == [index(at); 2] {
+            node.value
+        } else if x[node.feature as usize] <= node.value {
+            descend(nodes, node.next[0] as usize, x)
+        } else {
+            descend(nodes, node.next[1] as usize, x)
+        }
+    }
+
+    /// The model's prediction by recursive descent, the trees' values
+    /// summed the way `Iterator::sum` sums them.
+    fn predict_recursively(model: &GbtRegressor, x: &[f64]) -> f64 {
+        let trees = model.trees.iter();
+        let sum: f64 = trees
+            .map(|t| descend(&model.nodes, t.root as usize, x))
+            .sum();
+        model.base + model.learning_rate * sum
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fixed-depth walk over the flat arena reaches the leaves a
+        /// recursive descent of the same splits does, so batched and
+        /// one-row predictions have its bits — on the training rows, whose
+        /// values sit exactly on the split thresholds, and on fresh ones.
+        #[test]
+        fn flat_trees_match_recursive_descent(
+            rows in 8usize..120,
+            width in 1usize..6,
+            n_trees in 1usize..12,
+            max_depth in 0usize..7,
+            batch in 1usize..70,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Rng::seed_from(seed);
+            let mut draw = |n: usize| -> Vec<Vec<f64>> {
+                (0..n).map(|_| (0..width).map(|_| (rng.next_f64() * 8.0).floor() - 4.0).collect()).collect()
+            };
+            let xs = draw(rows);
+            let ys: Vec<f64> = xs.iter().map(|x| x[0] * x[0] - x[width - 1]).collect();
+            let params = GbtParams { n_trees, max_depth, min_samples_split: 4, ..GbtParams::default() };
+            let model = GbtRegressor::fit(&xs, &ys, &params, seed);
+            let mut fresh = draw(batch);
+            fresh.extend(xs.iter().take(batch).cloned());
+            let mut columns = Vec::new();
+            to_columns(fresh.iter().map(Vec::as_slice), width, &mut columns, "width");
+            let mut out = vec![f64::NAN; fresh.len()];
+            model.predict_batch(&columns, &mut out);
+            for (x, got) in fresh.iter().zip(&out) {
+                let want = predict_recursively(&model, x).to_bits();
+                prop_assert_eq!(got.to_bits(), want);
+                prop_assert_eq!(model.predict(x).to_bits(), want);
+            }
+        }
+    }
 
     fn dataset(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut rng = Rng::seed_from(seed);

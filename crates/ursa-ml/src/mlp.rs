@@ -82,21 +82,77 @@ impl Layer {
         }
     }
 
-    fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
+    /// The forward kernel, and the only one: `out` becomes `W·x + b` for
+    /// each of the `batch` columns of `x`. Both are feature-major — value
+    /// `i` of column `c` sits at `i * batch + c` — so a row of `W` meets a
+    /// run of neighbouring columns at once.
+    ///
+    /// Each column still starts from its bias and adds the inputs' products
+    /// in input order, as a dot product would, so a column's value does not
+    /// depend on the batch it rides in. `LANES` columns are accumulated
+    /// together to overlap their adds; what is left over goes one by one.
+    fn forward(&self, x: &[f64], batch: usize, out: &mut Vec<f64>) {
+        debug_assert_eq!(x.len(), self.inp * batch);
         out.clear();
-        out.reserve(self.out);
-        for o in 0..self.out {
-            let mut acc = self.b[o];
-            let row = &self.w[o * self.inp..(o + 1) * self.inp];
-            for (wi, xi) in row.iter().zip(x) {
-                acc += wi * xi;
+        let row = |o: usize| &self.w[o * self.inp..(o + 1) * self.inp];
+        if batch == 1 {
+            // A batch of one is its own column, read as a plain slice.
+            out.extend((0..self.out).map(|o| dot(self.b[o], row(o), x.iter().copied())));
+            return;
+        }
+        out.resize(self.out * batch, 0.0);
+        let rows = || self.w.chunks_exact(self.inp).zip(&self.b);
+        let blocked = batch - batch % LANES;
+        for c in (0..blocked).step_by(LANES) {
+            for (dst, (row, &bias)) in out.chunks_exact_mut(batch).zip(rows()) {
+                let mut acc = [bias; LANES];
+                for (&wi, xi) in row.iter().zip(x.chunks_exact(batch)) {
+                    for (a, &xv) in acc.iter_mut().zip(&xi[c..c + LANES]) {
+                        *a += wi * xv;
+                    }
+                }
+                dst[c..c + LANES].copy_from_slice(&acc);
             }
-            out.push(acc);
+        }
+        for c in blocked..batch {
+            for (o, (row, &bias)) in rows().enumerate() {
+                out[o * batch + c] = dot(bias, row, column(x, batch, c));
+            }
         }
     }
 
     fn param_count(&self) -> usize {
         self.w.len() + self.b.len()
+    }
+}
+
+/// Columns the forward kernel accumulates together.
+const LANES: usize = 8;
+
+/// What a training step works in, kept between steps: the batch as columns,
+/// every layer's output, the back-propagated gradients and one sample's
+/// activations.
+#[derive(Debug, Default)]
+struct TrainScratch {
+    /// The batch's inputs and targets, feature-major.
+    x: Vec<f64>,
+    y: Vec<f64>,
+    /// `acts[l]`: layer `l`'s activated output, feature-major.
+    acts: Vec<Vec<f64>>,
+    /// `inputs[l]`: the input layer `l` saw for the sample being
+    /// back-propagated, gathered from its column.
+    inputs: Vec<Vec<f64>>,
+    delta: Vec<f64>,
+    prev: Vec<f64>,
+    grad_w: Vec<Vec<f64>>,
+    grad_b: Vec<Vec<f64>>,
+}
+
+/// A copy starts empty: a step rewrites every buffer before it reads it, so
+/// copying a network need not copy them.
+impl Clone for TrainScratch {
+    fn clone(&self) -> Self {
+        Self::default()
     }
 }
 
@@ -107,6 +163,7 @@ pub struct Mlp {
     act: Activation,
     output: Output,
     t: u64,
+    train: TrainScratch,
 }
 
 const BETA1: f64 = 0.9;
@@ -132,6 +189,7 @@ impl Mlp {
             act,
             output,
             t: 0,
+            train: TrainScratch::default(),
         }
     }
 
@@ -164,13 +222,38 @@ impl Mlp {
     /// [`predict`](Self::predict) into caller-owned buffers, for callers
     /// on a decision path that predict in a loop: the output is left in
     /// `out`, `scratch` holds the hidden activations, and neither
-    /// allocates once it has grown to the widest layer.
+    /// allocates once it has grown to the widest layer. A batch of one.
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the input dimension.
     pub fn predict_into(&self, x: &[f64], out: &mut Vec<f64>, scratch: &mut Vec<f64>) {
-        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
+        self.predict_batch(x, 1, out, scratch);
+    }
+
+    /// Runs the network forward on `batch` inputs at once. `xs` holds them
+    /// feature-major (input `i` of sample `c` at `i * batch + c`) and the
+    /// outputs are left in `out` the same way; every output has the bits
+    /// [`predict`](Self::predict) gives its sample alone. `scratch` holds
+    /// the hidden activations; neither buffer allocates once grown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero or `xs.len()` is not `batch` times the
+    /// input dimension.
+    pub fn predict_batch(
+        &self,
+        xs: &[f64],
+        batch: usize,
+        out: &mut Vec<f64>,
+        scratch: &mut Vec<f64>,
+    ) {
+        assert!(batch > 0, "empty batch");
+        assert_eq!(
+            xs.len(),
+            self.input_dim() * batch,
+            "input dimension mismatch"
+        );
         // Layers alternate between the two buffers; start on the one that
         // makes the last layer land in `out`.
         let (mut dst, mut src) = if self.layers.len() % 2 == 1 {
@@ -179,7 +262,7 @@ impl Mlp {
             (scratch, out)
         };
         for li in 0..self.layers.len() {
-            self.layers[li].forward(if li == 0 { x } else { src }, dst);
+            self.layers[li].forward(if li == 0 { xs } else { src }, batch, dst);
             self.activate(li, dst);
             std::mem::swap(&mut dst, &mut src);
         }
@@ -213,30 +296,86 @@ impl Mlp {
         Y: AsRef<[f64]>,
     {
         assert!(!xs.is_empty() && xs.len() == ys.len(), "bad batch");
-        let n_layers = self.layers.len();
-        let mut grad_w: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
-        let mut grad_b: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
-        let mut loss = 0.0;
-        // Per-sample buffers, allocated once per batch: `acts[l]` is layer
-        // `l`'s output, `delta`/`prev` the back-propagated gradients.
-        let mut acts: Vec<Vec<f64>> = vec![Vec::new(); n_layers];
-        let (mut delta, mut prev) = (Vec::new(), Vec::new());
+        let (mut x, mut y) = (
+            std::mem::take(&mut self.train.x),
+            std::mem::take(&mut self.train.y),
+        );
+        let (inp, out) = (self.input_dim(), self.output_dim());
+        to_columns(
+            xs.iter().map(AsRef::as_ref),
+            inp,
+            &mut x,
+            "input dimension mismatch",
+        );
+        to_columns(
+            ys.iter().map(AsRef::as_ref),
+            out,
+            &mut y,
+            "target dimension mismatch",
+        );
+        let loss = self.train_columns(&x, &y, xs.len(), lr);
+        (self.train.x, self.train.y) = (x, y);
+        loss
+    }
 
-        for (x, y) in xs.iter().zip(ys) {
-            let (x, y) = (x.as_ref(), y.as_ref());
-            // Forward with cached activations.
-            for li in 0..n_layers {
-                let (done, rest) = acts.split_at_mut(li);
-                let input = if li == 0 { x } else { &done[li - 1] };
-                self.layers[li].forward(input, &mut rest[0]);
-                self.activate(li, &mut rest[0]);
+    /// [`train_batch`](Self::train_batch) on a batch already laid out
+    /// feature-major, as [`predict_batch`](Self::predict_batch) takes it:
+    /// `xs` holds the inputs, `ys` the targets. The batch goes forward
+    /// through the forward kernel, then each sample is back-propagated on
+    /// its own, in batch order, so every gradient sums its samples' terms in
+    /// the order it always has.
+    pub(crate) fn train_columns(&mut self, xs: &[f64], ys: &[f64], batch: usize, lr: f64) -> f64 {
+        assert!(batch > 0, "bad batch");
+        assert_eq!(
+            xs.len(),
+            self.input_dim() * batch,
+            "input dimension mismatch"
+        );
+        assert_eq!(
+            ys.len(),
+            self.output_dim() * batch,
+            "target dimension mismatch"
+        );
+        let n_layers = self.layers.len();
+        let mut t = std::mem::take(&mut self.train);
+        let TrainScratch {
+            acts,
+            inputs,
+            delta,
+            prev,
+            grad_w,
+            grad_b,
+            ..
+        } = &mut t;
+        acts.resize_with(n_layers, Vec::new);
+        inputs.resize_with(n_layers, Vec::new);
+        grad_w.resize_with(n_layers, Vec::new);
+        grad_b.resize_with(n_layers, Vec::new);
+        for (li, layer) in self.layers.iter().enumerate() {
+            grad_w[li].clear();
+            grad_w[li].resize(layer.w.len(), 0.0);
+            grad_b[li].clear();
+            grad_b[li].resize(layer.b.len(), 0.0);
+        }
+        // Forward, keeping every layer's output.
+        for li in 0..n_layers {
+            let (done, rest) = acts.split_at_mut(li);
+            let input = if li == 0 { xs } else { &done[li - 1] };
+            self.layers[li].forward(input, batch, &mut rest[0]);
+            self.activate(li, &mut rest[0]);
+        }
+        let mut loss = 0.0;
+        for c in 0..batch {
+            // This sample's column of every layer's input.
+            for (li, input) in inputs.iter_mut().enumerate() {
+                input.clear();
+                input.extend(column(if li == 0 { xs } else { &acts[li - 1] }, batch, c));
             }
-            let out = &acts[n_layers - 1];
-            assert_eq!(out.len(), y.len(), "target dimension mismatch");
             // d(loss)/d(pre-activation) of the output layer. For sigmoid
             // output with squared error we fold in the sigmoid gradient.
             delta.clear();
-            delta.extend(out.iter().zip(y).map(|(o, t)| {
+            let (out, y) = (column(&acts[n_layers - 1], batch, c), column(ys, batch, c));
+            delta.extend(out.zip(y).map(|(o, t)| {
                 loss += (o - t) * (o - t);
                 let mut d = 2.0 * (o - t);
                 if self.output == Output::Sigmoid {
@@ -247,19 +386,18 @@ impl Mlp {
             // Backward.
             for li in (0..n_layers).rev() {
                 let layer = &self.layers[li];
-                let input = if li == 0 { x } else { &acts[li - 1] };
-                for o in 0..layer.out {
-                    grad_b[li][o] += delta[o];
-                    let row = &mut grad_w[li][o * layer.inp..(o + 1) * layer.inp];
+                let input = &inputs[li];
+                let rows = grad_w[li].chunks_exact_mut(layer.inp);
+                for ((row, gb), &d) in rows.zip(&mut grad_b[li]).zip(delta.iter()) {
+                    *gb += d;
                     for (g, xi) in row.iter_mut().zip(input) {
-                        *g += delta[o] * xi;
+                        *g += d * xi;
                     }
                 }
                 if li > 0 {
                     prev.clear();
                     prev.resize(layer.inp, 0.0);
-                    for (o, &d) in delta.iter().enumerate() {
-                        let row = &layer.w[o * layer.inp..(o + 1) * layer.inp];
+                    for (&d, row) in delta.iter().zip(layer.w.chunks_exact(layer.inp)) {
                         for (p, wi) in prev.iter_mut().zip(row) {
                             *p += d * wi;
                         }
@@ -268,13 +406,13 @@ impl Mlp {
                     for (p, a) in prev.iter_mut().zip(input) {
                         *p *= self.act.grad(*a);
                     }
-                    std::mem::swap(&mut delta, &mut prev);
+                    std::mem::swap(delta, prev);
                 }
             }
         }
 
         // Adam update.
-        let scale = 1.0 / xs.len() as f64;
+        let scale = 1.0 / batch as f64;
         self.t += 1;
         let bc1 = 1.0 - BETA1.powi(self.t as i32);
         let bc2 = 1.0 - BETA2.powi(self.t as i32);
@@ -296,7 +434,8 @@ impl Mlp {
                 layer.b[i] -= lr * mhat / (vhat.sqrt() + ADAM_EPS);
             }
         }
-        loss / (xs.len() as f64)
+        self.train = t;
+        loss / (batch as f64)
     }
 
     /// Copies another network's parameters into this one (target networks).
@@ -318,9 +457,233 @@ impl Mlp {
     }
 }
 
+/// `bias` plus the products of `row` and `x`, added in order.
+#[inline]
+fn dot(bias: f64, row: &[f64], x: impl Iterator<Item = f64>) -> f64 {
+    let mut acc = bias;
+    for (&wi, xv) in row.iter().zip(x) {
+        acc += wi * xv;
+    }
+    acc
+}
+
+/// Column `c` of a feature-major batch of `batch`.
+fn column(values: &[f64], batch: usize, c: usize) -> impl Iterator<Item = f64> + '_ {
+    values.chunks_exact(batch).map(move |v| v[c])
+}
+
+/// Lays `rows`, each `width` long, out feature-major in `out`: the batch
+/// layout of [`Mlp::predict_batch`].
+///
+/// # Panics
+///
+/// Panics with `mismatch` if a row is not `width` long.
+pub(crate) fn to_columns<'r>(
+    rows: impl ExactSizeIterator<Item = &'r [f64]>,
+    width: usize,
+    out: &mut Vec<f64>,
+    mismatch: &str,
+) {
+    let batch = rows.len();
+    out.clear();
+    out.resize(width * batch, 0.0);
+    for (c, row) in rows.enumerate() {
+        assert_eq!(row.len(), width, "{mismatch}");
+        for (slot, &v) in out[c..].iter_mut().step_by(batch).zip(row) {
+            *slot = v;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One layer's pre-activation outputs for one row, each a dot product
+    /// started from its bias.
+    fn layer_row(layer: &Layer, x: &[f64]) -> Vec<f64> {
+        (0..layer.out)
+            .map(|o| {
+                let mut acc = layer.b[o];
+                for (wi, xi) in layer.w[o * layer.inp..(o + 1) * layer.inp].iter().zip(x) {
+                    acc += wi * xi;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// One row through the network the textbook way, layer by layer: every
+    /// layer's activated output, the last being the network's. The scalar
+    /// reference the batched kernel must match bit for bit.
+    fn forward_row(net: &Mlp, x: &[f64]) -> Vec<Vec<f64>> {
+        let mut acts: Vec<Vec<f64>> = Vec::new();
+        for (li, layer) in net.layers.iter().enumerate() {
+            let mut out = layer_row(layer, acts.last().map_or(x, Vec::as_slice));
+            net.activate(li, &mut out);
+            acts.push(out);
+        }
+        acts
+    }
+
+    /// One Adam step the way it was taken before training went through the
+    /// batched kernel: every sample forward on its own, then back.
+    fn train_rows(net: &mut Mlp, xs: &[Vec<f64>], ys: &[Vec<f64>], lr: f64) -> f64 {
+        let n_layers = net.layers.len();
+        let mut grad_w: Vec<Vec<f64>> = net.layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
+        let mut grad_b: Vec<Vec<f64>> = net.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
+        let mut loss = 0.0;
+        for (x, y) in xs.iter().zip(ys) {
+            // acts[l]: layer l's input; acts[n_layers]: the output.
+            let mut acts = vec![x.clone()];
+            acts.extend(forward_row(net, x));
+            let mut delta: Vec<f64> = acts[n_layers]
+                .iter()
+                .zip(y)
+                .map(|(o, t)| {
+                    loss += (o - t) * (o - t);
+                    let mut d = 2.0 * (o - t);
+                    if net.output == Output::Sigmoid {
+                        d *= o * (1.0 - o);
+                    }
+                    d
+                })
+                .collect();
+            for li in (0..n_layers).rev() {
+                let layer = &net.layers[li];
+                let input = &acts[li];
+                for o in 0..layer.out {
+                    grad_b[li][o] += delta[o];
+                    for (i, xi) in input.iter().enumerate() {
+                        grad_w[li][o * layer.inp + i] += delta[o] * xi;
+                    }
+                }
+                if li > 0 {
+                    let mut prev = vec![0.0; layer.inp];
+                    for (o, &d) in delta.iter().enumerate() {
+                        for (i, p) in prev.iter_mut().enumerate() {
+                            *p += d * layer.w[o * layer.inp + i];
+                        }
+                    }
+                    for (p, a) in prev.iter_mut().zip(input) {
+                        *p *= net.act.grad(*a);
+                    }
+                    delta = prev;
+                }
+            }
+        }
+        let scale = 1.0 / xs.len() as f64;
+        net.t += 1;
+        let bc1 = 1.0 - BETA1.powi(net.t as i32);
+        let bc2 = 1.0 - BETA2.powi(net.t as i32);
+        for (li, layer) in net.layers.iter_mut().enumerate() {
+            let params = [
+                (&mut layer.w, &mut layer.mw, &mut layer.vw, &grad_w[li]),
+                (&mut layer.b, &mut layer.mb, &mut layer.vb, &grad_b[li]),
+            ];
+            for (p, m, v, grad) in params {
+                for (i, g) in grad.iter().enumerate() {
+                    let g = g * scale;
+                    m[i] = BETA1 * m[i] + (1.0 - BETA1) * g;
+                    v[i] = BETA2 * v[i] + (1.0 - BETA2) * g * g;
+                    p[i] -= lr * (m[i] / bc1) / ((v[i] / bc2).sqrt() + ADAM_EPS);
+                }
+            }
+        }
+        loss / xs.len() as f64
+    }
+
+    /// A network of random shape and `batch` random rows for it.
+    fn random_case(
+        widths: &[usize],
+        batch: usize,
+        act: u8,
+        sigmoid: bool,
+        seed: u64,
+    ) -> (Mlp, Vec<Vec<f64>>) {
+        let act = [Activation::Relu, Activation::Tanh][act as usize];
+        let output = if sigmoid {
+            Output::Sigmoid
+        } else {
+            Output::Linear
+        };
+        let mut net = Mlp::new(widths, act, output, seed);
+        let mut rng = Rng::seed_from(seed ^ 0xD1FF);
+        // Fresh networks have zero biases; these must count too.
+        for layer in &mut net.layers {
+            layer.b.fill_with(|| rng.next_f64() - 0.5);
+        }
+        let rows = (0..batch)
+            .map(|_| (0..widths[0]).map(|_| rng.next_f64() * 4.0 - 2.0).collect())
+            .collect();
+        (net, rows)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every output of a batched pass has the bits the scalar forward
+        /// gives its row alone — for any widths, batch sizes around and
+        /// across the lane width, both hidden activations and both heads,
+        /// on buffers left dirty by a larger batch.
+        #[test]
+        fn batched_forward_matches_rows(
+            widths in proptest::collection::vec(1usize..20, 2..5),
+            batch in 1usize..71,
+            act in 0u8..2,
+            sigmoid in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let (net, rows) = random_case(&widths, batch, act, sigmoid, seed);
+            let mut columns = Vec::new();
+            to_columns(rows.iter().map(Vec::as_slice), widths[0], &mut columns, "width");
+            let (mut out, mut scratch) = (vec![f64::NAN; 5000], vec![f64::NAN; 5000]);
+            net.predict_batch(&columns, batch, &mut out, &mut scratch);
+            let outputs = widths[widths.len() - 1];
+            prop_assert_eq!(out.len(), outputs * batch);
+            for (c, row) in rows.iter().enumerate() {
+                let want = bits(&forward_row(&net, row).pop().expect("a layer"));
+                let got: Vec<u64> = (0..outputs).map(|o| out[o * batch + c].to_bits()).collect();
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(bits(&net.predict(row)), want);
+            }
+        }
+
+        /// A training step through the batched kernel moves every parameter
+        /// and Adam moment to the bits the per-sample step does, and
+        /// reports the same loss.
+        #[test]
+        fn batched_training_matches_rows(
+            widths in proptest::collection::vec(1usize..12, 2..5),
+            batch in 1usize..40,
+            act in 0u8..2,
+            sigmoid in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let (mut net, rows) = random_case(&widths, batch, act, sigmoid, seed);
+            let mut rng = Rng::seed_from(seed ^ 0x7A26);
+            let outputs = widths[widths.len() - 1];
+            let targets: Vec<Vec<f64>> =
+                (0..batch).map(|_| (0..outputs).map(|_| rng.next_f64()).collect()).collect();
+            let mut reference = net.clone();
+            for step in 0..3 {
+                let lr = 0.01 * (step + 1) as f64;
+                let got = net.train_batch(&rows, &targets, lr);
+                let want = train_rows(&mut reference, &rows, &targets, lr);
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+            for (a, b) in net.layers.iter().zip(&reference.layers) {
+                for (x, y) in [(&a.w, &b.w), (&a.b, &b.b), (&a.mw, &b.mw), (&a.vw, &b.vw), (&a.mb, &b.mb), (&a.vb, &b.vb)] {
+                    prop_assert_eq!(bits(x), bits(y));
+                }
+            }
+        }
+    }
 
     #[test]
     fn shapes_and_params() {

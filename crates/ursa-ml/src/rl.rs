@@ -9,7 +9,7 @@
 //! the reward-tradeoff failure mode (sacrificing SLA for savings). The
 //! substitution is recorded in DESIGN.md.
 
-use crate::mlp::{Activation, Mlp, Output};
+use crate::mlp::{to_columns, Activation, Mlp, Output};
 use ursa_stats::rng::Rng;
 
 /// One transition in the replay buffer.
@@ -123,6 +123,29 @@ pub struct DqnAgent {
     steps: u64,
     actions: usize,
     rng: Rng,
+    scratch: AgentScratch,
+}
+
+/// What acting and training work in, kept between calls.
+#[derive(Debug, Default)]
+struct AgentScratch {
+    /// A training batch's states and next states, feature-major.
+    states: Vec<f64>,
+    next_states: Vec<f64>,
+    /// Q-values: of one state when acting; of a batch's states, then its
+    /// TD targets, when training.
+    q: Vec<f64>,
+    /// The target network's Q-values of a batch's next states.
+    next_q: Vec<f64>,
+    hidden: Vec<f64>,
+}
+
+/// A copy starts empty: every call rewrites these buffers before it reads
+/// them, so copying an agent need not copy them.
+impl Clone for AgentScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl DqnAgent {
@@ -148,6 +171,7 @@ impl DqnAgent {
             steps: 0,
             actions,
             rng: Rng::seed_from(seed.wrapping_mul(0x9E37_79B9)),
+            scratch: AgentScratch::default(),
         }
     }
 
@@ -170,9 +194,11 @@ impl DqnAgent {
         }
     }
 
-    /// Greedy (deployment-time) action selection.
-    pub fn act_greedy(&self, state: &[f64]) -> usize {
-        let q = self.q.predict(state);
+    /// Greedy (deployment-time) action selection; allocates nothing once
+    /// the agent has acted before.
+    pub fn act_greedy(&mut self, state: &[f64]) -> usize {
+        let AgentScratch { q, hidden, .. } = &mut self.scratch;
+        self.q.predict_into(state, q, hidden);
         q.iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite Q"))
@@ -182,27 +208,51 @@ impl DqnAgent {
 
     /// Records a transition and performs one training step (if the replay
     /// buffer has a full batch). Returns the batch loss if trained.
+    ///
+    /// The TD targets take two batched passes: the Q-network over the
+    /// sampled states, the target network over their next states.
     pub fn observe(&mut self, t: Transition) -> Option<f64> {
         self.replay.push(t);
-        if self.replay.len() < self.params.batch {
+        let n = self.params.batch;
+        if self.replay.len() < n {
             return None;
         }
-        // The batch borrows its states from the replay buffer; only the
-        // TD targets (one row per transition) are built here.
-        let batch = self.replay.sample(self.params.batch, &mut self.rng);
-        let mut ys: Vec<Vec<f64>> = Vec::with_capacity(batch.len());
-        let (mut next_q, mut scratch) = (Vec::new(), Vec::new());
-        for tr in &batch {
-            let mut target_q = Vec::with_capacity(self.actions);
-            self.q.predict_into(&tr.state, &mut target_q, &mut scratch);
-            self.target
-                .predict_into(&tr.next_state, &mut next_q, &mut scratch);
-            let max_next = next_q.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            target_q[tr.action] = tr.reward + self.params.gamma * max_next;
-            ys.push(target_q);
+        let batch = self.replay.sample(n, &mut self.rng);
+        let AgentScratch {
+            states,
+            next_states,
+            q,
+            next_q,
+            hidden,
+        } = &mut self.scratch;
+        let width = self.q.input_dim();
+        let mismatch = "state dimension mismatch";
+        to_columns(
+            batch.iter().map(|tr| &tr.state[..]),
+            width,
+            states,
+            mismatch,
+        );
+        to_columns(
+            batch.iter().map(|tr| &tr.next_state[..]),
+            width,
+            next_states,
+            mismatch,
+        );
+        self.q.predict_batch(states, n, q, hidden);
+        self.target.predict_batch(next_states, n, next_q, hidden);
+        // Each sample's targets are its own Q-values but for the action
+        // taken, which gets the reward plus the discounted best next value.
+        for (c, tr) in batch.iter().enumerate() {
+            assert!(tr.action < self.actions, "action out of range");
+            let max_next = next_q[c..]
+                .iter()
+                .step_by(n)
+                .cloned()
+                .fold(f64::NEG_INFINITY, f64::max);
+            q[tr.action * n + c] = tr.reward + self.params.gamma * max_next;
         }
-        let xs: Vec<&[f64]> = batch.iter().map(|tr| tr.state.as_slice()).collect();
-        let loss = self.q.train_batch(&xs, &ys, self.params.lr);
+        let loss = self.q.train_columns(states, q, n, self.params.lr);
         self.steps += 1;
         self.eps = (self.eps * self.params.eps_decay).max(self.params.eps_end);
         if self.steps.is_multiple_of(self.params.target_sync) {
@@ -232,11 +282,12 @@ mod tests {
         assert!(states.contains(&1.0) && states.contains(&2.0));
     }
 
-    /// A 5-state corridor MDP: move left/right, reward at the right end.
-    /// The agent must learn to walk right.
-    #[test]
-    fn dqn_solves_corridor() {
-        let n = 5usize;
+    const CORRIDOR: usize = 5;
+
+    /// An agent trained on a 5-state corridor MDP: move left/right, reward
+    /// at the right end.
+    fn corridor_agent(episodes: usize) -> DqnAgent {
+        let n = CORRIDOR;
         let params = DqnParams {
             eps_decay: 0.99,
             lr: 5e-3,
@@ -244,7 +295,7 @@ mod tests {
         };
         let mut agent = DqnAgent::new(1, 2, 24, params, 42);
         let mut rng = Rng::seed_from(17);
-        for _episode in 0..300 {
+        for _episode in 0..episodes {
             let mut pos = rng.index(n);
             for _step in 0..12 {
                 let state = vec![pos as f64 / (n - 1) as f64];
@@ -266,12 +317,49 @@ mod tests {
                 }
             }
         }
+        agent
+    }
+
+    /// The agent must learn to walk right.
+    #[test]
+    fn dqn_solves_corridor() {
+        let n = CORRIDOR;
+        let mut agent = corridor_agent(300);
         // Greedy policy should now walk right from every interior state.
         for pos in 0..n - 1 {
             let a = agent.act_greedy(&[pos as f64 / (n - 1) as f64]);
             assert_eq!(a, 1, "state {pos} should move right");
         }
         assert!(agent.epsilon() < 0.5);
+    }
+
+    /// Both networks after training, to the bit, and the exploration rate:
+    /// recorded before the TD targets were computed in batches, so a
+    /// training step that rounds differently anywhere moves it.
+    #[test]
+    fn trained_networks_are_pinned() {
+        let agent = corridor_agent(120);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |w: u64| {
+            for b in w.to_le_bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for i in 0..=40 {
+            let state = [i as f64 / 40.0 * 1.5 - 0.25];
+            for net in [&agent.q, &agent.target] {
+                for q in net.predict(&state) {
+                    fold(q.to_bits());
+                }
+            }
+        }
+        fold(agent.epsilon().to_bits());
+        fold(agent.steps);
+        println!("{digest:#018x}");
+        assert_eq!(
+            digest, 0x8969_8c0b_90a5_f8da,
+            "the trained networks moved (digest printed above)"
+        );
     }
 
     #[test]

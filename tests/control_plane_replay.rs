@@ -12,11 +12,20 @@
 //! tie-break, a float sum in another order or a threshold read one
 //! recalculation late moves at least one of them.
 //!
+//! The baselines are pinned the same way, at the commit before their
+//! decision kernels were batched: Sinan's trained predictor over its
+//! own training set (every latency ratio and violation probability to the
+//! bit), and Sinan's and Firm's replays (every `set_replicas` call and the
+//! counters each reports, Firm one round still learning and two deployed).
+//!
 //! The test prints each digest as computed; `cargo test` shows that output
 //! when the test fails, so re-pinning after a change that moves decisions on
 //! purpose is pasting the printed values.
 
 use ursa::apps::{social_network, App};
+use ursa::baselines::{
+    collect_and_train, train_firm, CollectConfig, Dataset, Firm, FirmConfig, Sinan,
+};
 use ursa::core::exploration::ExplorationConfig;
 use ursa::core::manager::{Ursa, UrsaConfig};
 use ursa::core::profiling::ProfilingConfig;
@@ -28,6 +37,8 @@ struct VecPlane {
     now: SimTime,
     replicas: Vec<usize>,
     cores: Vec<f64>,
+    /// Every `set_replicas` call, in order, as `(service, replicas)`.
+    sets: Vec<(usize, usize)>,
 }
 
 impl VecPlane {
@@ -37,6 +48,7 @@ impl VecPlane {
             now: SimTime::ZERO,
             replicas: services.iter().map(|s| s.initial_replicas).collect(),
             cores: services.iter().map(|s| s.cores).collect(),
+            sets: Vec::new(),
         }
     }
 }
@@ -55,6 +67,7 @@ impl ControlPlane for VecPlane {
         self.replicas[service.0]
     }
     fn set_replicas(&mut self, service: ServiceId, n: usize) {
+        self.sets.push((service.0, n));
         self.replicas[service.0] = n.clamp(1, 1024);
     }
     fn cpu_limit(&self, service: ServiceId) -> f64 {
@@ -149,7 +162,7 @@ fn prepared(app: &App) -> Ursa {
 /// load `control_replay` records: the mix drifts enough for the anomaly
 /// detector to ask for recalculations, and the swing exercises scale-out,
 /// damped scale-in and the cooldown.
-fn replay_digest(app: &App, mut ursa: Ursa) -> u64 {
+fn snapshots(app: &App) -> Vec<MetricsSnapshot> {
     let mut sim = app.build_sim(0x5A4B);
     app.apply_load_with_mix(
         &mut sim,
@@ -160,20 +173,22 @@ fn replay_digest(app: &App, mut ursa: Ursa) -> u64 {
         },
         &app.skewed_mix(2.0),
     );
-    let snapshots: Vec<MetricsSnapshot> = (0..60)
+    (0..60)
         .map(|_| {
             sim.run_for(SimDur::from_mins(1));
             sim.harvest()
         })
-        .collect();
+        .collect()
+}
 
+fn replay_digest(app: &App, snapshots: &[MetricsSnapshot], mut ursa: Ursa) -> u64 {
     let mut digest = Digest::new();
     let mut plane = VecPlane::of(app);
     ursa.apply_initial_allocation(&rates_at(app.default_rps, &app.mix), &mut plane);
     // Twice over, as the ledger replays it: the second round starts from
     // the first's history rings, cooldown and thresholds.
     for _ in 0..2 {
-        for snap in &snapshots {
+        for snap in snapshots {
             plane.now = snap.at;
             ursa.on_tick(snap, &mut plane);
             for &r in &plane.replicas {
@@ -218,13 +233,118 @@ fn sweep_digest(app: &App, mut ursa: Ursa) -> u64 {
     digest.0
 }
 
+/// Replays the snapshots through a baseline, round by round, and folds in
+/// every `set_replicas` call it makes and the counters it reports: one
+/// flipped prediction moves a call or a count.
+fn baseline_digest<M: ResourceManager>(
+    app: &App,
+    snapshots: &[MetricsSnapshot],
+    manager: &mut M,
+    rounds: usize,
+    mut before_round: impl FnMut(usize, &mut M),
+) -> u64 {
+    let mut digest = Digest::new();
+    let mut plane = VecPlane::of(app);
+    for round in 0..rounds {
+        before_round(round, manager);
+        for snap in snapshots {
+            plane.now = snap.at;
+            manager.on_tick(snap, &mut plane);
+        }
+    }
+    assert!(
+        !plane.sets.is_empty(),
+        "{} never scaled: the replay pins nothing",
+        manager.name()
+    );
+    digest.word(plane.sets.len() as u64);
+    for &(service, n) in &plane.sets {
+        digest.word(service as u64);
+        digest.word(n as u64);
+    }
+    for (name, value) in manager.self_profile() {
+        if name != "ctrl_model_train_ms" {
+            digest.bytes(name.as_bytes());
+            digest.word(value.to_bits());
+        }
+    }
+    digest.0
+}
+
+/// Sinan trained on a short balanced collection of the same application,
+/// as `prepare_sinan` trains it at a smaller scale.
+fn trained_sinan(app: &App) -> (Sinan, Dataset) {
+    let mut sim = app.build_sim(0x51A4);
+    app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
+    let cfg = CollectConfig {
+        samples: 160,
+        window: SimDur::from_secs(15),
+        max_replicas: 24,
+    };
+    collect_and_train(&mut sim, &app.slas, &cfg, 4, 0x25)
+}
+
+/// The trained predictor over its own training set: every latency ratio the
+/// MLP predicts and every violation probability the boosted trees predict,
+/// to the bit.
+fn predictor_digest(sinan: &Sinan, dataset: &Dataset) -> u64 {
+    let mut digest = Digest::new();
+    for sample in &dataset.samples {
+        for ratio in sinan.latency_model().predict(&sample.features) {
+            digest.word(ratio.to_bits());
+        }
+        digest.word(sinan.violation_model().predict(&sample.features).to_bits());
+    }
+    digest.0
+}
+
+/// Firm's agents trained online against injected anomalies, as
+/// `prepare_firm` trains them at a smaller scale.
+fn trained_firm(app: &App) -> Firm {
+    let service_classes = (0..app.topology.num_services())
+        .map(|s| {
+            app.topology
+                .classes_on_service(ServiceId(s))
+                .into_iter()
+                .map(|c| c.0)
+                .collect()
+        })
+        .collect();
+    let mut firm = Firm::new(
+        app.topology.num_services(),
+        &app.slas,
+        service_classes,
+        FirmConfig::default(),
+        0x25,
+    );
+    let mut sim = app.build_sim(0xF1B3);
+    app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
+    train_firm(&mut sim, &mut firm, 80, SimDur::from_secs(15), 7);
+    firm
+}
+
 #[test]
 fn decisions_are_pinned() {
     let app = social_network(false);
+    let snapshots = snapshots(&app);
     let ursa = prepared(&app);
+    let (mut sinan, dataset) = trained_sinan(&app);
+    let mut firm = trained_firm(&app);
     let got = [
-        ("replay", replay_digest(&app, ursa.clone())),
+        ("replay", replay_digest(&app, &snapshots, ursa.clone())),
         ("sweep", sweep_digest(&app, ursa)),
+        ("sinan_predictor", predictor_digest(&sinan, &dataset)),
+        (
+            "sinan_replay",
+            baseline_digest(&app, &snapshots, &mut sinan, 2, |_, _| {}),
+        ),
+        // One round still learning online, then two deployed (greedy).
+        (
+            "firm_replay",
+            baseline_digest(&app, &snapshots, &mut firm, 3, |round, firm| {
+                firm.training = round == 0;
+            }),
+        ),
     ];
     for (name, digest) in got {
         println!("(\"{name}\", {digest:#018x}),");
@@ -234,6 +354,9 @@ fn decisions_are_pinned() {
         [
             ("replay", 0x6205_70a9_db8b_e592),
             ("sweep", 0x5acb_9f3c_026d_5a07),
+            ("sinan_predictor", 0x502c_295e_73c5_18b8),
+            ("sinan_replay", 0x07d8_fc55_fccb_5103),
+            ("firm_replay", 0xaafd_2ff6_eebc_3dfd),
         ],
         "the control plane's decisions moved (computed digests printed above)"
     );
