@@ -1,6 +1,7 @@
-//! Standalone driver for the perf-harness cells, sized for external
-//! profilers: long enough runs to dominate startup, no harness timing
-//! logic in the way. The engine does not time itself (DESIGN.md §6,
+//! Standalone driver for two of the engine cells whose work counts
+//! `tests/ps_reference.rs` pins (canonical and ps_heavy), sized for
+//! external profilers: long enough runs to dominate startup, no harness
+//! timing logic in the way. The engine does not time itself (DESIGN.md §6,
 //! "Engine cost model, measured from outside"); this is how to ask where
 //! its time goes.
 //!
@@ -124,17 +125,27 @@ fn canonical(seed: u64) -> u64 {
     sim.events_processed()
 }
 
+fn usage() -> ! {
+    eprintln!("usage: profile_cells [canonical|ps_heavy] [reps]");
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let cell = args.get(1).map(String::as_str).unwrap_or("ps_heavy");
-    let reps: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(10);
+    let run: fn(u64) -> u64 = match cell {
+        "canonical" => |rep| canonical(0xBE7C + rep),
+        "ps_heavy" => |rep| ps_heavy(0x9527 + rep),
+        _ => usage(),
+    };
+    let reps: u64 = match args.get(2) {
+        None => 10,
+        Some(raw) => raw.parse().unwrap_or_else(|_| usage()),
+    };
     let mut total = 0u64;
     let t0 = std::time::Instant::now();
     for rep in 0..reps {
-        total += match cell {
-            "canonical" => canonical(0xBE7C + rep),
-            _ => ps_heavy(0x9527 + rep),
-        };
+        total += run(rep);
     }
     let dt = t0.elapsed().as_secs_f64();
     println!(

@@ -9,10 +9,9 @@
 //! * a script-free, self-contained HTML report (`diff.html`): the same
 //!   rows as static tables with significant entries highlighted.
 //!
-//! The significance rule is the one `perf --check` gates CI with: entry
-//! `b` differs significantly from baseline `a` when it falls outside
-//! `a × (1 ± tolerance)` (default tolerance [`crate::perf::REGRESSION_TOLERANCE`],
-//! overridable via `--tolerance` or `URSA_PERF_TOLERANCE`).
+//! Entry `b` differs significantly from baseline `a` when it falls outside
+//! `a × (1 ± tolerance)` (default [`DEFAULT_TOLERANCE`], overridable with
+//! `--tolerance`).
 //!
 //! Diffing a manifest against itself yields all-zero deltas and — because
 //! manifests and this report are rendered from BTreeMap-backed state with
@@ -24,10 +23,14 @@ use std::path::Path;
 
 use ursa_metrics::json::{parse_json, JsonValue};
 
+/// Default significance band: a value more than 35 % away from run A's
+/// counts as moved.
+pub const DEFAULT_TOLERANCE: f64 = 0.35;
+
 /// One aligned row of the diff.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffRow {
-    /// Section the row belongs to (`series`, `scalars`, `tables`).
+    /// Section the row belongs to (`series` or `tables`).
     pub section: String,
     /// The aligned key.
     pub key: String,
@@ -113,13 +116,6 @@ fn keyed_f64s(v: &JsonValue, section: &str) -> Vec<(String, f64)> {
             for (name, t) in v.get("tables").and_then(JsonValue::as_obj).unwrap_or(&[]) {
                 if let Some(rows) = t.get("rows").and_then(JsonValue::as_f64) {
                     out.push((format!("{name}#rows"), rows));
-                }
-            }
-        }
-        "scalars" => {
-            for (key, val) in v.get("scalars").and_then(JsonValue::as_obj).unwrap_or(&[]) {
-                if let Some(x) = val.as_f64() {
-                    out.push((key.clone(), x));
                 }
             }
         }
@@ -300,7 +296,7 @@ pub fn diff_manifests(a: &JsonValue, b: &JsonValue, tolerance: f64) -> DiffRepor
     }
     identity.extend(digest_rows(a, b));
     let mut rows = Vec::new();
-    for section in ["scalars", "series", "tables"] {
+    for section in ["series", "tables"] {
         let ka = keyed_f64s(a, section);
         let kb = keyed_f64s(b, section);
         rows.extend(align(section, &ka, &kb, tolerance));
@@ -363,7 +359,7 @@ pub fn render_html(report: &DiffReport) -> String {
     let _ = writeln!(
         out,
         "<p>{} aligned entries, {} significant at tolerance {:.2} \
-         (the <code>perf --check</code> band).</p>",
+         (outside <code>a × (1 ± tolerance)</code>).</p>",
         report.rows.len(),
         report.significant(),
         report.tolerance
@@ -387,7 +383,7 @@ pub fn render_html(report: &DiffReport) -> String {
         }
         out.push_str("</ul>\n");
     }
-    for section in ["scalars", "series", "tables"] {
+    for section in ["series", "tables"] {
         let rows: Vec<&DiffRow> = report
             .rows
             .iter()
@@ -419,7 +415,7 @@ pub fn render_html(report: &DiffReport) -> String {
     out
 }
 
-/// Runs the diff end-to-end: load, align at `tolerance` (the perf band),
+/// Runs the diff end-to-end: load, align at `tolerance`,
 /// write `diff.tsv` / `diff.html` under `out_dir`, print the summary.
 /// Returns the process exit code: 0 = no significant deltas,
 /// 1 = significant deltas or a decision-log divergence (the report was
@@ -487,87 +483,81 @@ pub fn run(a_path: &Path, b_path: &Path, out_dir: &Path, tolerance: f64) -> i32 
 mod tests {
     use super::*;
     use crate::manifest::RunManifest;
+    use ursa_metrics::{Labels, SeriesKey, TimeSeriesStore};
 
-    fn manifest(rps: f64) -> String {
+    /// A manifest holding one scrape of `series` under cell `cell`, plus
+    /// one table.
+    fn manifest(series: &[(&str, f64)]) -> JsonValue {
         let mut m = RunManifest::new("unit", 1, 2, "quick");
         m.set_topology_digest(0xAB);
-        m.note_scalar("events_per_sec", rps);
-        m.note_scalar("speedup", 3.0);
+        let mut store = TimeSeriesStore::new();
+        let row = series
+            .iter()
+            .map(|&(name, v)| (SeriesKey::new(name, Labels::empty()), v));
+        store.append_row(1.0, row);
+        m.note_store("cell", &store);
         m.note_table("t", 4, b"x\n");
-        m.to_json()
+        parse_json(&m.to_json()).unwrap()
+    }
+
+    fn run(rps: f64) -> JsonValue {
+        manifest(&[("rps", rps), ("speedup", 3.0)])
+    }
+
+    fn row<'a>(report: &'a DiffReport, key: &str) -> &'a DiffRow {
+        report.rows.iter().find(|r| r.key == key).unwrap()
     }
 
     #[test]
     fn self_diff_is_all_zero() {
-        let v = parse_json(&manifest(1000.0)).unwrap();
-        let report = diff_manifests(&v, &v, 0.35);
+        let v = run(1000.0);
+        let report = diff_manifests(&v, &v, DEFAULT_TOLERANCE);
         assert!(report.is_zero(), "{:?}", report.rows);
         assert_eq!(report.significant(), 0);
         let tsv = render_tsv(&report);
-        assert!(tsv.contains("events_per_sec\t1000.000000\t1000.000000\t0.000000"));
+        assert!(tsv.contains("series\tcell/rps#mean\t1000.000000\t1000.000000\t0.000000"));
+        assert!(tsv.contains("tables\tt#rows\t4.000000\t4.000000\t0.000000"));
         // Deterministic rendering.
-        assert_eq!(tsv, render_tsv(&diff_manifests(&v, &v, 0.35)));
-        assert_eq!(
-            render_html(&report),
-            render_html(&diff_manifests(&v, &v, 0.35))
-        );
+        let again = diff_manifests(&v, &v, DEFAULT_TOLERANCE);
+        assert_eq!(tsv, render_tsv(&again));
+        assert_eq!(render_html(&report), render_html(&again));
     }
 
     #[test]
-    fn significance_follows_the_perf_band() {
-        let a = parse_json(&manifest(1000.0)).unwrap();
+    fn significance_follows_the_band() {
+        let a = run(1000.0);
         // -30% stays inside the default 35% band; -50% trips it.
-        let ok = parse_json(&manifest(700.0)).unwrap();
-        let bad = parse_json(&manifest(500.0)).unwrap();
-        let r_ok = diff_manifests(&a, &ok, 0.35);
-        let row = r_ok
-            .rows
-            .iter()
-            .find(|r| r.key == "events_per_sec")
-            .unwrap();
-        assert!(!row.significant);
-        assert_eq!(row.delta, Some(-300.0));
-        assert!((row.rel.unwrap() + 0.3).abs() < 1e-12);
-        let r_bad = diff_manifests(&a, &bad, 0.35);
-        assert!(
-            r_bad
-                .rows
-                .iter()
-                .find(|r| r.key == "events_per_sec")
-                .unwrap()
-                .significant
-        );
+        let r_ok = diff_manifests(&a, &run(700.0), DEFAULT_TOLERANCE);
+        let ok = row(&r_ok, "cell/rps#mean");
+        assert!(!ok.significant);
+        assert_eq!(ok.delta, Some(-300.0));
+        assert!((ok.rel.unwrap() + 0.3).abs() < 1e-12);
+        let r_bad = diff_manifests(&a, &run(500.0), DEFAULT_TOLERANCE);
+        assert!(row(&r_bad, "cell/rps#mean").significant);
         // Improvements outside the band are flagged too (it is a change
         // detector, not only a regression gate).
-        let better = parse_json(&manifest(2000.0)).unwrap();
-        let r_up = diff_manifests(&a, &better, 0.35);
-        assert!(
-            r_up.rows
-                .iter()
-                .find(|r| r.key == "events_per_sec")
-                .unwrap()
-                .significant
-        );
+        let r_up = diff_manifests(&a, &run(2000.0), DEFAULT_TOLERANCE);
+        assert!(row(&r_up, "cell/rps#mean").significant);
     }
 
     #[test]
     fn one_sided_keys_are_flagged() {
-        let a = parse_json(&manifest(1000.0)).unwrap();
-        let mut m = RunManifest::new("unit", 1, 2, "quick");
-        m.note_scalar("events_per_sec", 1000.0);
-        let b = parse_json(&m.to_json()).unwrap();
-        let r = diff_manifests(&a, &b, 0.35);
-        let speedup = r.rows.iter().find(|x| x.key == "speedup").unwrap();
+        let a = run(1000.0);
+        let b = manifest(&[("rps", 1000.0)]);
+        let r = diff_manifests(&a, &b, DEFAULT_TOLERANCE);
+        let speedup = row(&r, "cell/speedup#mean");
         assert!(speedup.significant);
         assert_eq!(speedup.b, None);
+        assert!(!row(&r, "cell/rps#mean").significant);
         assert!(!r.is_zero());
     }
 
     #[test]
     fn html_is_script_free() {
-        let v = parse_json(&manifest(1000.0)).unwrap();
-        let html = render_html(&diff_manifests(&v, &v, 0.35));
+        let v = run(1000.0);
+        let html = render_html(&diff_manifests(&v, &v, DEFAULT_TOLERANCE));
         assert!(!html.contains("<script"));
-        assert!(html.contains("events_per_sec"));
+        assert!(html.contains("cell/rps#mean"));
+        assert!(!html.contains("scalars"));
     }
 }

@@ -17,7 +17,6 @@
 pub mod diff;
 pub mod experiments;
 pub mod manifest;
-pub mod perf;
 pub mod postmortem;
 pub mod runner;
 

@@ -8,8 +8,6 @@
 //! cargo run --release -p ursa-bench -- --exp fig2 --trace-dir traces/
 //! cargo run --release -p ursa-bench -- --exp fig9 --metrics-dir metrics/
 //! cargo run --release -p ursa-bench -- --exp chaos --postmortem-dir results/postmortem
-//! cargo run --release -p ursa-bench -- perf [--out BENCH_sim.json] [--check baseline.json] \
-//!     [--tolerance 0.35]
 //! cargo run --release -p ursa-bench -- diff RUN_A.json RUN_B.json [--out results/diff]
 //! ```
 //!
@@ -23,14 +21,11 @@ use std::path::PathBuf;
 
 use ursa_bench::manifest::RunManifest;
 use ursa_bench::{
-    diff, experiments, info, perf, results_dir, runner, set_level, warn, Level, RunCtx, Scale,
+    diff, experiments, info, results_dir, runner, set_level, warn, Level, RunCtx, Scale,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("perf") {
-        std::process::exit(perf_main(&args[2..]));
-    }
     if args.get(1).map(String::as_str) == Some("diff") {
         std::process::exit(diff_main(&args[2..]));
     }
@@ -190,12 +185,13 @@ fn parse_jobs(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// Resolves the perf/diff tolerance: the `--tolerance` operand, else the
-/// built-in default. It must be a number in `[0, 1)`: from 1 up,
-/// `floor = base·(1−t)` is at most zero and every check passes.
+/// Resolves the diff tolerance: the `--tolerance` operand, else
+/// [`diff::DEFAULT_TOLERANCE`]. It must be a number in `[0, 1)`: from 1 up,
+/// the band `a·(1 ± t)` reaches zero and a value that drops to nothing
+/// is not flagged.
 fn parse_tolerance(flag: Option<&str>) -> Result<f64, String> {
     let Some(raw) = flag else {
-        return Ok(perf::REGRESSION_TOLERANCE);
+        return Ok(diff::DEFAULT_TOLERANCE);
     };
     match raw.parse::<f64>() {
         Ok(t) if (0.0..1.0).contains(&t) => Ok(t),
@@ -228,40 +224,6 @@ fn or_usage<T>(parsed: Result<T, String>) -> T {
         warn!("{e}");
         usage()
     })
-}
-
-/// `ursa-bench perf [--out PATH] [--check BASELINE] [--tolerance T]`
-fn perf_main(args: &[String]) -> i32 {
-    let mut out = PathBuf::from("BENCH_sim.json");
-    let mut check: Option<PathBuf> = None;
-    let mut tolerance: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args.get(i).map(PathBuf::from).unwrap_or_else(|| usage());
-            }
-            "--check" => {
-                i += 1;
-                check = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
-            }
-            "--tolerance" => {
-                i += 1;
-                tolerance = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            other => {
-                warn!("unknown perf argument: {other}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    perf::run(
-        &out,
-        check.as_deref(),
-        or_usage(parse_tolerance(tolerance.as_deref())),
-    )
 }
 
 /// `ursa-bench diff RUN_A RUN_B [--out DIR] [--tolerance T]`
@@ -301,8 +263,6 @@ fn usage() -> ! {
         "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation|chaos|qos] \
          [--quick|--full] [--jobs N] [--seed N] [--quiet|--verbose] \
          [--trace-dir DIR] [--metrics-dir DIR] [--postmortem-dir DIR] [--snapshot-at SECS]\n\
-         \x20      ursa-bench perf [--out BENCH_sim.json] [--check baseline.json] \
-         [--tolerance T]\n\
          \x20      ursa-bench diff RUN_A.json RUN_B.json [--out DIR] [--tolerance T]"
     );
     std::process::exit(2)
@@ -314,7 +274,7 @@ mod tests {
 
     #[test]
     fn tolerance_is_range_checked_from_the_flag() {
-        assert_eq!(parse_tolerance(None), Ok(perf::REGRESSION_TOLERANCE));
+        assert_eq!(parse_tolerance(None), Ok(diff::DEFAULT_TOLERANCE));
         assert_eq!(parse_tolerance(Some("0.2")), Ok(0.2));
         assert_eq!(parse_tolerance(Some("0")), Ok(0.0));
         for bad in ["1.5", "1", "-0.1", "NaN", "inf", "ten", ""] {

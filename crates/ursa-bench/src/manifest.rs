@@ -3,9 +3,8 @@
 //! Every experiment run writes a manifest describing *what ran* (kind,
 //! seed, jobs, scale, topology digest, chaos- and memory-plan digests) and
 //! *what came out* (per-series metric digests, TSV-table digests,
-//! decision-log tails, free-form scalars). Two manifests from different
-//! commits or machines can then be aligned by `ursa-bench diff` without
-//! re-running anything.
+//! decision-log tails). Two manifests from different commits or machines
+//! can then be aligned by `ursa-bench diff` without re-running anything.
 //!
 //! Determinism contract: every collection in a manifest is BTreeMap-backed
 //! and series digests come from [`ursa_metrics::store_digests`] (sorted by
@@ -27,7 +26,7 @@ use ursa_metrics::json::{esc, num};
 use ursa_metrics::{store_digests, SeriesSummary, TimeSeriesStore};
 
 /// Manifest schema identifier.
-pub const SCHEMA: &str = "ursa-run-manifest/v2";
+pub const SCHEMA: &str = "ursa-run-manifest/v3";
 /// Decision-log tail lines retained per cell (divergence localisation).
 const DECISION_TAIL: usize = 8;
 
@@ -75,7 +74,6 @@ pub struct RunManifest {
     series: BTreeMap<String, SeriesSummary>,
     tables: BTreeMap<String, TableDigest>,
     decisions: BTreeMap<String, DecisionDigest>,
-    scalars: BTreeMap<String, f64>,
 }
 
 impl RunManifest {
@@ -92,7 +90,6 @@ impl RunManifest {
             series: BTreeMap::new(),
             tables: BTreeMap::new(),
             decisions: BTreeMap::new(),
-            scalars: BTreeMap::new(),
         }
     }
 
@@ -153,11 +150,6 @@ impl RunManifest {
                 tail,
             },
         );
-    }
-
-    /// Records one free-form scalar (perf numbers and the like).
-    pub fn note_scalar(&mut self, key: &str, value: f64) {
-        self.scalars.insert(key.to_string(), value);
     }
 
     /// Renders the manifest as JSON (stable key order, no dependencies).
@@ -230,12 +222,6 @@ impl RunManifest {
                 tail.join(", ")
             );
         }
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"scalars\": {{");
-        for (i, (key, v)) in self.scalars.iter().enumerate() {
-            let comma = trail(i, self.scalars.len());
-            let _ = writeln!(out, "    \"{}\": {}{comma}", esc(key), num(*v));
-        }
         let _ = writeln!(out, "  }}");
         let _ = writeln!(out, "}}");
         out
@@ -275,7 +261,6 @@ mod tests {
         m.note_chaos_digest("slowdown", 0x1234);
         m.note_mem_digest("qos", 0x5678);
         m.note_table("chaos_resilience", 30, b"a\tb\n1\t2\n");
-        m.note_scalar("events_per_sec", 123456.5);
         let mut store = TimeSeriesStore::new();
         store.append_row(
             1.0,
@@ -313,9 +298,17 @@ mod tests {
             .and_then(JsonValue::as_str)
             .unwrap()
             .contains("aa_rps"));
-        let scalars = v.get("scalars").and_then(JsonValue::as_obj).unwrap();
-        assert_eq!(scalars[0].0, "events_per_sec");
-        assert_eq!(scalars[0].1.as_f64(), Some(123456.5));
+        assert_eq!(
+            series[0].get("mean").and_then(JsonValue::as_f64),
+            Some(10.0)
+        );
+        assert_eq!(
+            series[0].get("count").and_then(JsonValue::as_f64),
+            Some(1.0)
+        );
+        let table = v.get("tables").and_then(|t| t.get("chaos_resilience"));
+        assert_eq!(table.and_then(|t| t.get("rows")?.as_f64()), Some(30.0));
+        assert!(v.get("scalars").is_none());
     }
 
     #[test]

@@ -7,9 +7,8 @@ use std::fmt::Write as _;
 
 use proptest::prelude::*;
 use ursa_apps::chains::study_chain_with;
-use ursa_bench::diff::{diff_manifests, render_html, render_tsv};
+use ursa_bench::diff::{diff_manifests, render_html, render_tsv, DEFAULT_TOLERANCE};
 use ursa_bench::manifest::RunManifest;
-use ursa_bench::perf::REGRESSION_TOLERANCE;
 use ursa_bench::runner::run_cells_with;
 use ursa_core::decision_log::{DecisionKind, DecisionLog, DecisionRecord, ServiceDelta};
 use ursa_metrics::json::parse_json;
@@ -73,7 +72,6 @@ fn manifest_json(index: usize, spec: &CellSpec) -> String {
     let mut m = RunManifest::new("proptest", spec.seed, 1, "quick");
     m.set_topology_digest(digest);
     m.note_store(&format!("cell{index}"), metrics.store());
-    m.note_scalar("events", sim.events_processed() as f64);
     let mut tsv = String::from("tier\tp99\n");
     for t in 0..spec.tiers {
         let _ = writeln!(
@@ -120,12 +118,15 @@ proptest! {
         prop_assert_eq!(&seq, &par, "manifest bytes must not depend on --jobs");
         for json in &seq {
             let v = parse_json(json).expect("manifest round-trips through the parser");
-            let report = diff_manifests(&v, &v, REGRESSION_TOLERANCE);
+            let report = diff_manifests(&v, &v, DEFAULT_TOLERANCE);
             prop_assert!(report.is_zero(), "self-diff must report zero deltas");
             prop_assert_eq!(report.significant(), 0);
+            for section in ["series", "tables"] {
+                prop_assert!(report.rows.iter().any(|r| r.section == section), "no {} rows", section);
+            }
             // The renders are pure functions of the report: two independent
             // alignments of the same manifest produce identical bytes.
-            let again = diff_manifests(&v, &v, REGRESSION_TOLERANCE);
+            let again = diff_manifests(&v, &v, DEFAULT_TOLERANCE);
             prop_assert_eq!(render_tsv(&report), render_tsv(&again));
             prop_assert_eq!(render_html(&report), render_html(&again));
         }

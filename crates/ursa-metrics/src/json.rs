@@ -1,7 +1,7 @@
 //! The workspace's one hand-rolled JSON layer: string escaping and number
-//! rendering for the emitters (run manifests, post-mortem bundles, the
-//! perf report) and a minimal parser for the readers (`ursa-bench diff`,
-//! `ursa-bench perf --check`). No dependencies, so the build stays offline.
+//! rendering for the emitters (run manifests, post-mortem bundles) and a
+//! minimal parser for the reader (`ursa-bench diff`). No dependencies, so
+//! the build stays offline.
 
 use std::fmt::Write as _;
 

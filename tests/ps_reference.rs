@@ -16,9 +16,12 @@
 //!   this exercises the sync → rescale → resync path);
 //! * pinned regression tests freeze the completion tie-break (finish
 //!   tag, then admission/token order) and the nanosecond quantization
-//!   of completion checks.
+//!   of completion checks;
+//! * three engine cells have their work counts pinned exactly, so a
+//!   change in complexity class shows up as a count, not as a wall clock.
 
 use proptest::prelude::*;
+use ursa::apps::{scale_app, social_network};
 use ursa::sim::chaos::{Fault, FaultKind, FaultPlan};
 use ursa::sim::prelude::*;
 use ursa::sim::ps::{ps_rate, VtPs};
@@ -325,5 +328,69 @@ fn constant_work_latency_is_quantization_stable() {
             (ns - ns.round()).abs() < 1e-3,
             "latency {s} is off the nanosecond grid"
         );
+    }
+}
+
+/// The vanilla social network under constant load for 30 s: the
+/// general-purpose cell.
+fn canonical_cell() -> (Simulation, u64) {
+    let app = social_network(true);
+    let mut sim = app.build_sim(0xBE7C);
+    app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
+    (sim, 30)
+}
+
+/// One 8-core replica with 512 worker slots in deep overload for 10 s:
+/// hundreds of jobs share the CPU at once.
+fn ps_heavy_cell() -> (Simulation, u64) {
+    let topo = Topology::new(
+        vec![ServiceCfg::new("svc", 8.0).with_workers(512)],
+        vec![ClassCfg {
+            name: "req".into(),
+            priority: Priority::HIGH,
+            root: CallNode::leaf(ServiceId(0), WorkDist::Exponential { mean: 0.004 }),
+        }],
+    )
+    .unwrap();
+    let mut sim = Simulation::new(topo, SimConfig::default(), 0x9527);
+    sim.set_rate(ClassId(0), RateFn::Constant(4000.0));
+    (sim, 10)
+}
+
+/// The social network replicated 7x (63 services) at twice its default
+/// rate for 20 s: an event queue and telemetry tables an order of
+/// magnitude wider.
+fn big_cell() -> (Simulation, u64) {
+    let app = scale_app(&social_network(false), 7);
+    let mut sim = app.build_sim(0x816C);
+    app.apply_load(&mut sim, RateFn::Constant(app.default_rps * 2.0));
+    (sim, 20)
+}
+
+/// Pinned work counts: events dispatched, the event queue's high-water
+/// depth and the request arena's high-water slot count, exactly. They
+/// guard what a wall-clock band on a shared machine cannot: the engine
+/// keeps at most one `PsCheck` per replica and one `SourceNext` per class
+/// queued, never one timer per job (ps_heavy's hundreds of concurrent
+/// jobs leave the queue 8 deep), and no change that moves the event
+/// order goes unnoticed. `VtPs` itself staying free of per-job sweeps is
+/// a CI lint ("processor sharing has no per-job traversal").
+#[test]
+fn engine_cell_work_counts_are_pinned() {
+    type Cell = fn() -> (Simulation, u64);
+    let cells: [(&str, Cell, (u64, usize, usize)); 3] = [
+        ("canonical", canonical_cell, (289_109, 21, 9_040)),
+        ("ps_heavy", ps_heavy_cell, (120_158, 8, 19_869)),
+        ("big", big_cell, (802_341, 211, 390)),
+    ];
+    for (name, build, want) in cells {
+        let (mut sim, secs) = build();
+        sim.run_for(SimDur::from_secs(secs));
+        let got = (
+            sim.events_processed(),
+            sim.event_heap_max_depth(),
+            sim.arena_slots_high_water(),
+        );
+        assert_eq!(got, want, "{name}: (events, queue high water, arena slots)");
     }
 }
