@@ -21,6 +21,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use ursa_metrics::export::html_esc;
 use ursa_metrics::json::{parse_json, JsonValue};
 
 /// Default significance band: a value more than 35 % away from run A's
@@ -334,12 +335,6 @@ pub fn render_tsv(report: &DiffReport) -> String {
         let _ = writeln!(out, "divergence\t{d}\t-\t-\t-\t-\tyes");
     }
     out
-}
-
-fn html_esc(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
 }
 
 /// Renders the self-contained HTML artifact.

@@ -24,22 +24,12 @@ use std::path::{Path, PathBuf};
 use ursa_core::decision_log::DecisionLog;
 use ursa_metrics::json::{esc, num};
 use ursa_metrics::{store_digests, SeriesSummary, TimeSeriesStore};
+use ursa_sim::topology::Fnv;
 
 /// Manifest schema identifier.
 pub const SCHEMA: &str = "ursa-run-manifest/v3";
 /// Decision-log tail lines retained per cell (divergence localisation).
 const DECISION_TAIL: usize = 8;
-
-/// FNV-1a 64-bit over raw bytes: platform-stable artifact digests (the
-/// std `DefaultHasher` is explicitly unspecified across releases).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Digest of one written TSV table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +113,7 @@ impl RunManifest {
             name.to_string(),
             TableDigest {
                 rows,
-                digest: fnv64(tsv),
+                digest: Fnv::digest(tsv),
             },
         );
     }
@@ -146,7 +136,7 @@ impl RunManifest {
             cell.to_string(),
             DecisionDigest {
                 total: log.len(),
-                digest: fnv64(text.as_bytes()),
+                digest: Fnv::digest(text.as_bytes()),
                 tail,
             },
         );
@@ -316,10 +306,23 @@ mod tests {
         assert_eq!(sample_manifest().to_json(), sample_manifest().to_json());
     }
 
+    /// Topology, plan and artifact digests share one FNV-1a. A change to
+    /// it would re-key every manifest already written, so the reference
+    /// vector, two topology digests and one TSV digest are pinned.
     #[test]
-    fn fnv_is_stable() {
+    fn digests_are_pinned() {
         // Reference vector: FNV-1a 64 of "a".
-        assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_ne!(fnv64(b"ab"), fnv64(b"ba"));
+        assert_eq!(Fnv::digest(b"a"), 0xaf63dc4c8601ec8c);
+        assert_ne!(Fnv::digest(b"ab"), Fnv::digest(b"ba"));
+        let topo = |vanilla| ursa_apps::social_network(vanilla).topology.digest();
+        assert_eq!(topo(false), 0xf006_7137_e356_ef34);
+        assert_eq!(topo(true), 0xfa1a_bf80_ba93_0e2b);
+        let mut m = RunManifest::new("fig11", 0, 1, "quick");
+        m.note_table(
+            "t",
+            1,
+            b"load\tsystem\tviolation_pct\tcores\n300\tursa\t1.21\t57.5\n",
+        );
+        assert_eq!(m.tables["t"].digest, 0xf1f4_ebdd_f852_7848);
     }
 }

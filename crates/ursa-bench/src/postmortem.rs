@@ -34,6 +34,7 @@ use std::path::{Path, PathBuf};
 
 use ursa_core::decision_log::{DecisionKind, DecisionLog};
 use ursa_core::manager::Ursa;
+use ursa_metrics::export::html_esc;
 use ursa_metrics::json::{esc, num};
 use ursa_sim::control::{DeployObserver, ResourceManager};
 use ursa_sim::engine::Simulation;
@@ -45,8 +46,9 @@ use ursa_sim::trace::Trace;
 
 /// Bundle schema identifier (bump on breaking layout changes). v2 dropped
 /// two fields the engine no longer has a value for: `live` on `ps_check`
-/// flight events and the `stale` row of `phase_profile.phases`.
-pub const SCHEMA: &str = "ursa-postmortem/v2";
+/// flight events and the `stale` row of `phase_profile.phases`; v3 dropped
+/// the `trace_arrival` row and flight event with the engine's trace replay.
+pub const SCHEMA: &str = "ursa-postmortem/v3";
 
 /// Most bundles one cell will write **per trigger kind**: after this many
 /// the observer keeps updating its trigger baselines but stops dumping for
@@ -305,7 +307,7 @@ fn flight_event_json(at: f64, seq: u64, kind: &FlightEventKind) -> String {
         kind.label()
     );
     match *kind {
-        FlightEventKind::SourceNext { class } | FlightEventKind::TraceArrival { class } => {
+        FlightEventKind::SourceNext { class } => {
             let _ = write!(s, ",\"class\":{class}");
         }
         FlightEventKind::NodeArrive { slot, node } => {
@@ -630,11 +632,6 @@ fn render_html(
     let at = snapshot.at.as_secs_f64();
     let topo = sim.topology();
     let mut h = String::with_capacity(16 * 1024);
-    let hesc = |s: &str| -> String {
-        s.replace('&', "&amp;")
-            .replace('<', "&lt;")
-            .replace('>', "&gt;")
-    };
     let _ = writeln!(
         h,
         "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\
@@ -643,20 +640,25 @@ fn render_html(
          table{{border-collapse:collapse;margin:1em 0}}\
          td,th{{border:1px solid #999;padding:2px 8px;text-align:left}}\
          th{{background:#eee}}</style></head><body>",
-        hesc(cell)
+        html_esc(cell)
     );
     let _ = writeln!(
         h,
         "<h1>Post-mortem: {}</h1>\n<p>simulated time t={at}s — full data in \
          <a href=\"{}.json\">{}.json</a></p>",
-        hesc(cell),
-        hesc(stem),
-        hesc(stem)
+        html_esc(cell),
+        html_esc(stem),
+        html_esc(stem)
     );
 
     h.push_str("<h2>Triggers</h2>\n<ul>\n");
     for t in triggers {
-        let _ = writeln!(h, "<li><b>{}</b>: {}</li>", t.label(), hesc(&t.describe()));
+        let _ = writeln!(
+            h,
+            "<li><b>{}</b>: {}</li>",
+            t.label(),
+            html_esc(&t.describe())
+        );
     }
     h.push_str("</ul>\n");
 
@@ -674,7 +676,7 @@ fn render_html(
                 f.kind.label(),
                 f.kind
                     .service()
-                    .map_or("-".into(), |x| hesc(&topo.services()[x].name)),
+                    .map_or("-".into(), |x| html_esc(&topo.services()[x].name)),
                 f.at.as_secs_f64(),
                 f.until.as_secs_f64(),
             );
@@ -692,7 +694,7 @@ fn render_html(
             h,
             "<tr><td>{}</td><td>{}</td><td>{:.2}</td><td>{:.2}</td>\
              <td>{:.2}</td><td>{:.1}</td></tr>",
-            hesc(&topo.services()[i].name),
+            html_esc(&topo.services()[i].name),
             svc.replicas,
             svc.cores_per_replica,
             svc.cpu_utilization,
@@ -766,6 +768,31 @@ mod tests {
         let t = Trigger::SnapshotAt { requested: 300.0 };
         assert!(t.to_json().contains("\"requested\":300"));
         assert!(!t.describe().is_empty());
+    }
+
+    /// A cell name lands in element text and, through the bundle stem, in
+    /// an `href` attribute: a `"` in it must not close the attribute.
+    #[test]
+    fn html_escapes_quotes_in_the_cell_name() {
+        use ursa_sim::prelude::*;
+        let topo = Topology::new(
+            vec![ServiceCfg::new("api", 1.0)],
+            vec![ClassCfg {
+                name: "get".into(),
+                priority: Priority::HIGH,
+                root: CallNode::leaf(ServiceId(0), WorkDist::Constant(0.001)),
+            }],
+        )
+        .unwrap();
+        let mut sim = Simulation::new(topo, SimConfig::default(), 1);
+        sim.run_for(SimDur::from_secs(1));
+        let snapshot = sim.harvest();
+        let cell = "fig\"11 <ursa>";
+        let triggers = [Trigger::SnapshotAt { requested: 1.0 }];
+        let html = render_html(&format!("{cell}-t1"), cell, &triggers, &sim, &snapshot);
+        let stem = "fig&quot;11 &lt;ursa&gt;-t1";
+        assert!(html.contains(&format!("<a href=\"{stem}.json\">{stem}.json</a>")));
+        assert!(!html.contains(cell));
     }
 
     #[test]

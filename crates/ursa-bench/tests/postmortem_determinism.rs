@@ -91,7 +91,7 @@ fn snapshot_bundles_are_jobs_invariant() {
     );
     // Sanity: the bundle records its trigger and schema.
     let json = String::from_utf8(serial[0][0].1.clone()).unwrap();
-    assert!(json.contains("\"schema\":\"ursa-postmortem/v2\""), "{json}");
+    assert!(json.contains("\"schema\":\"ursa-postmortem/v3\""), "{json}");
     let all: String = serial[0]
         .iter()
         .filter(|(name, _)| name.ends_with(".json"))

@@ -44,7 +44,7 @@
 
 #![forbid(unsafe_code)]
 
-use ursa_sim::chaos::{Fault, FaultKind, FaultPlan, DEFAULT_NODES};
+use ursa_sim::chaos::{Fault, FaultKind, FaultPlan};
 use ursa_sim::time::{SimDur, SimTime};
 use ursa_stats::dist::{Distribution, Exponential};
 use ursa_stats::rng::Rng;
@@ -78,29 +78,20 @@ enum Element {
 pub struct Scenario {
     name: String,
     elements: Vec<Element>,
-    nodes: usize,
 }
 
 impl Scenario {
-    /// An empty scenario with the default 8-node synthetic cluster.
+    /// An empty scenario.
     pub fn new(name: impl Into<String>) -> Self {
         Scenario {
             name: name.into(),
             elements: Vec::new(),
-            nodes: DEFAULT_NODES,
         }
     }
 
     /// The scenario's name (used in table rows and artifact paths).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Sets the synthetic cluster size used for node-failure placement.
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        assert!(nodes > 0, "cluster must have at least one node");
-        self.nodes = nodes;
-        self
     }
 
     /// Adds a single fault window covering `[offset, offset + duration)`.
@@ -145,7 +136,6 @@ impl Scenario {
     /// by injection time so equal plans compare equal structurally.
     pub fn compile(&self, seed: u64, horizon: SimDur) -> FaultPlan {
         let mut plan = FaultPlan::new();
-        plan.nodes = self.nodes;
         let end = SimTime::ZERO + horizon;
         for (i, el) in self.elements.iter().enumerate() {
             let sub_seed = seed ^ (i as u64 + 1).wrapping_mul(GOLDEN_GAMMA);

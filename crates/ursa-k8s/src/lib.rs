@@ -1,12 +1,11 @@
 //! Kubernetes-style resource-model authoring for the Ursa simulator —
-//! the layer above the engine's memory plane, the way [`ursa_chaos`]
+//! the layer above the engine's memory plane, the way `ursa-chaos`
 //! sits above the chaos plane.
 //!
-//! The engine consumes low-level pieces: per-service
-//! [`ResourceSpec`]s on the topology, a [`MemPlan`] of demand profiles
-//! and node capacities, and [`MachineCfg`]s for 2-D placement. This
-//! crate provides the operator-facing vocabulary that produces them
-//! consistently:
+//! The engine consumes low-level pieces: per-service [`ResourceSpec`]s
+//! on the topology and a [`MemPlan`] of demand profiles and node
+//! capacities. This crate provides the operator-facing vocabulary that
+//! produces them consistently:
 //!
 //! * a [`PodTemplate`] declares a service's requests/limits (deriving its
 //!   QoS class exactly as the kubelet does) and its deterministic memory
@@ -16,8 +15,7 @@
 //!   (pressure eviction, noisy-neighbor interference, scan cadence);
 //! * a [`K8sPlane`] composes them and lowers onto an existing topology:
 //!   [`K8sPlane::annotate`] attaches the resource specs,
-//!   [`K8sPlane::mem_plan`] builds the engine plan,
-//!   [`K8sPlane::machines`] builds the 2-D cluster, and
+//!   [`K8sPlane::mem_plan`] builds the engine plan, and
 //!   [`K8sPlane::install`] arms a simulation in one call.
 //!
 //! Everything here is a pure, deterministic transformation — no RNG, no
@@ -53,7 +51,6 @@
 
 #![forbid(unsafe_code)]
 
-use ursa_sim::cluster::MachineCfg;
 use ursa_sim::engine::Simulation;
 use ursa_sim::memory::{MemPlan, MemProfile, NodeMemCfg};
 use ursa_sim::time::SimDur;
@@ -341,21 +338,6 @@ impl K8sPlane {
         Ok(plan)
     }
 
-    /// The plane's nodes as 2-D [`MachineCfg`]s for
-    /// [`ursa_sim::cluster::Cluster`] placement.
-    pub fn machines(&self) -> Vec<MachineCfg> {
-        let mut out = Vec::with_capacity(self.node_count());
-        for (p, pool) in self.pools.iter().enumerate() {
-            for i in 0..pool.count {
-                out.push(
-                    MachineCfg::new(format!("pool{p}-node{i}"), pool.cores)
-                        .with_mem(pool.mem_bytes),
-                );
-            }
-        }
-        out
-    }
-
     /// Annotate-free installation: builds the [`MemPlan`] against the
     /// simulation's own topology and installs it.
     ///
@@ -452,16 +434,6 @@ mod tests {
         let back = plan.profiles.iter().find(|(i, _)| *i == 1).unwrap();
         assert_eq!(back.1.baseline_bytes, 128 * MIB);
         assert_eq!(back.1.growth_bytes_per_sec, 1024.0);
-    }
-
-    #[test]
-    fn machines_expand_pools_with_memory() {
-        let machines = plane().machines();
-        assert_eq!(machines.len(), 3);
-        assert_eq!(machines[0].cores, 8.0);
-        assert_eq!(machines[0].mem_bytes, 32 * GIB);
-        assert_eq!(machines[2].cores, 16.0);
-        assert_eq!(machines[2].name, "pool1-node0");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! eighth fold to gray and the table), values in text ink rather than
 //! series colors, and a legend whenever a panel shows two or more series.
 
+use super::html_esc;
 use crate::store::TimeSeriesStore;
 use std::fmt::Write as _;
 
@@ -107,12 +108,12 @@ pub fn render_dashboard(
 ) -> String {
     let mut out = String::with_capacity(64 * 1024);
     out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-    let _ = writeln!(out, "<title>{}</title>", esc(title));
+    let _ = writeln!(out, "<title>{}</title>", html_esc(title));
     out.push_str(&style());
     out.push_str("</head>\n<body>\n<div class=\"viz-root\">\n");
-    let _ = writeln!(out, "<h1>{}</h1>", esc(title));
+    let _ = writeln!(out, "<h1>{}</h1>", html_esc(title));
     if !subtitle.is_empty() {
-        let _ = writeln!(out, "<p class=\"subtitle\">{}</p>", esc(subtitle));
+        let _ = writeln!(out, "<p class=\"subtitle\">{}</p>", html_esc(subtitle));
     }
     if store.is_empty() {
         out.push_str("<p class=\"subtitle\">No scrapes recorded.</p>\n</div>\n</body>\n</html>\n");
@@ -145,7 +146,7 @@ fn render_panel(
     let _ = write!(
         out,
         "<section class=\"panel\">\n<h2>{}</h2>\n",
-        esc(&panel.title)
+        html_esc(&panel.title)
     );
     if series.is_empty() {
         out.push_str("<p class=\"subtitle\">no data</p>\n</section>\n");
@@ -164,7 +165,7 @@ fn render_panel(
             let _ = write!(
                 out,
                 "<span class=\"key\"><span class=\"swatch {class}\"></span>{}</span>",
-                esc(name)
+                html_esc(name)
             );
         }
         if series.len() > SERIES_LIGHT.len() {
@@ -220,7 +221,7 @@ fn render_panel(
     let _ = writeln!(
         out,
         "<svg viewBox=\"0 0 {W} {H}\" role=\"img\" aria-label=\"{}\">",
-        esc(&panel.title)
+        html_esc(&panel.title)
     );
 
     // Hairline gridlines + y tick labels (text ink, never series color).
@@ -245,7 +246,7 @@ fn render_panel(
             "<text class=\"tick\" x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"start\">{}</text>",
             4.0,
             MARGIN_TOP + 4.0,
-            esc(&panel.unit)
+            html_esc(&panel.unit)
         );
     }
 
@@ -284,7 +285,7 @@ fn render_panel(
             "<g class=\"ann\"><title>{}</title>\
              <line class=\"{class}\" x1=\"{x:.1}\" y1=\"{MARGIN_TOP:.1}\" x2=\"{x:.1}\" y2=\"{:.1}\"/>\
              <circle class=\"{class}\" cx=\"{x:.1}\" cy=\"{:.1}\" r=\"3\"/></g>",
-            esc(&a.label),
+            html_esc(&a.label),
             H - MARGIN_BOTTOM,
             MARGIN_TOP + 3.0,
         );
@@ -299,7 +300,7 @@ fn render_panel(
         } else {
             "sx".to_string()
         };
-        let _ = writeln!(out, "<g class=\"series\"><title>{}</title>", esc(name));
+        let _ = writeln!(out, "<g class=\"series\"><title>{}</title>", html_esc(name));
         let mut segment: Vec<(f64, f64)> = Vec::new();
         let mut last_point: Option<(f64, f64)> = None;
         let flush = |out: &mut String, seg: &mut Vec<(f64, f64)>| {
@@ -349,10 +350,10 @@ fn render_panel(
                          <title>{} @ {}m: {} {}</title></circle>",
                         x_of(times[j]),
                         y_of(v),
-                        esc(name),
+                        html_esc(name),
                         fmt_value(times[j] / 60.0),
                         fmt_value(v),
-                        esc(&panel.unit)
+                        html_esc(&panel.unit)
                     );
                 }
             }
@@ -380,7 +381,7 @@ fn render_panel(
                 "<text class=\"endlabel\" x=\"{:.1}\" y=\"{:.1}\"><tspan class=\"s{i}t\">\u{25CF}</tspan> {}</text>",
                 W - margin_right + 14.0,
                 ly + 3.5,
-                esc(&label)
+                html_esc(&label)
             );
         }
     }
@@ -395,7 +396,7 @@ fn render_table(out: &mut String, times: &[f64], series: &[(String, Vec<f64>)], 
     let stride = times.len().div_ceil(TABLE_ROW_BUDGET).max(1);
     out.push_str("<details><summary>Data table</summary>\n<table>\n<tr><th>t (min)</th>");
     for (name, _) in series {
-        let _ = write!(out, "<th>{}</th>", esc(name));
+        let _ = write!(out, "<th>{}</th>", html_esc(name));
     }
     out.push_str("</tr>\n");
     for (j, &t) in times.iter().enumerate() {
@@ -421,7 +422,11 @@ fn render_table(out: &mut String, times: &[f64], series: &[(String, Vec<f64>)], 
         );
     }
     if !unit.is_empty() {
-        let _ = writeln!(out, "<p class=\"subtitle\">values in {}</p>", esc(unit));
+        let _ = writeln!(
+            out,
+            "<p class=\"subtitle\">values in {}</p>",
+            html_esc(unit)
+        );
     }
     out.push_str("</details>\n");
 }
@@ -550,13 +555,6 @@ fn display_name(metric: &str, prefix: &str, labels: &[(String, String)]) -> Stri
     } else {
         format!("{} {}", values.join(" "), short)
     }
-}
-
-fn esc(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
 }
 
 /// Renders the inline stylesheet with the series tokens substituted from

@@ -18,9 +18,9 @@
 //!
 //! Packing is deterministic: first-fit-decreasing by scalarized demand
 //! with index tie-breaks, best-fit node scoring on the mean of the two
-//! free fractions — the same score the simulator's
-//! `Cluster::place_2d` uses, so the MIP's feasibility answer and the
-//! testbed's placement agree.
+//! free fractions. It is the MIP's own feasibility check and places
+//! nothing in the simulator, whose memory plane puts replicas on nodes
+//! round-robin (slot `r` of service `s` on node `(s + r) % nodes`).
 
 use crate::model::{LatencyMatrix, MipModel, ModelError, ServiceModel, SlaConstraint};
 use crate::solve::{solve, Solution};

@@ -54,7 +54,7 @@ use ursa_stats::rng::{BlockRng, Rng};
 
 use crate::arena::ReqArena;
 use crate::chaos::ChaosState;
-use crate::evq::{EventQueue, QEntry};
+use crate::evq::EventQueue;
 use crate::memory::MemState;
 use crate::profiler::{PhaseProfiler, SimPhase};
 use crate::ps::VtPs;
@@ -98,8 +98,6 @@ enum EventKind {
     /// Possible processor-sharing completion on a replica: the one its
     /// `check_at`/`check_seq` name.
     PsCheck { service: u16, replica: u16 },
-    /// A trace-replay arrival scheduled via `schedule_arrivals`.
-    TraceArrival { class: u32 },
     /// An installed fault window begins (index into the fault plan).
     ChaosStart { fault: u32 },
     /// An installed fault window ends.
@@ -117,7 +115,6 @@ fn phase_of(kind: EventKind) -> SimPhase {
         EventKind::SourceNext { .. } => SimPhase::SourceNext,
         EventKind::NodeArrive { .. } => SimPhase::NodeArrive,
         EventKind::PsCheck { .. } => SimPhase::PsCheck,
-        EventKind::TraceArrival { .. } => SimPhase::TraceArrival,
         EventKind::ChaosStart { .. } | EventKind::ChaosEnd { .. } => SimPhase::Chaos,
         EventKind::MemCheck | EventKind::MemRestart { .. } => SimPhase::Mem,
     }
@@ -491,7 +488,7 @@ impl Simulation {
 
     /// Injects one request of `class` right now (root hop arrives after the
     /// configured network delay).
-    pub fn inject(&mut self, class: ClassId) {
+    fn inject(&mut self, class: ClassId) {
         let num_nodes = self.templates[class.0].nodes.len();
         let traced = match &mut self.tracer {
             Some(t) => t.wants_sample(),
@@ -515,28 +512,6 @@ impl Simulation {
         };
         let at = self.now + self.cfg.net_delay;
         self.schedule(at, EventKind::NodeArrive { token });
-    }
-
-    /// Schedules explicit arrivals of `class` at the given absolute times —
-    /// trace replay, complementing the Poisson sources.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any time is in the past; nothing is scheduled then.
-    pub fn schedule_arrivals(&mut self, class: ClassId, times: &[SimTime]) {
-        if let Some(at) = times.iter().find(|&&at| at < self.now) {
-            panic!("arrival {at} is in the past (now {})", self.now);
-        }
-        let kind = EventKind::TraceArrival {
-            class: class.0 as u32,
-        };
-        // One batch: a trace is ascending in time, the one order in which
-        // pushing entry by entry would shift the whole queue every time.
-        let first = self.seq + 1;
-        self.seq += times.len() as u64;
-        let batch = times.iter().zip(first..);
-        self.events
-            .extend(batch.map(|(&at, seq)| QEntry { at, seq, kind }));
     }
 
     /// Runs the simulation until simulated time `t`.
@@ -604,7 +579,6 @@ impl Simulation {
             EventKind::PsCheck { service, replica } => {
                 self.ps_check(service as usize, replica as usize)
             }
-            EventKind::TraceArrival { class } => self.inject(ClassId(class as usize)),
             EventKind::ChaosStart { fault } => self.chaos_start(fault as usize),
             EventKind::ChaosEnd { fault } => self.chaos_end(fault as usize),
             EventKind::MemCheck => self.mem_check(),

@@ -2,7 +2,9 @@
 //! flight recorder, and the chaos and memory planes' events. Each is
 //! `None` until installed and leaves output bit-identical when off.
 
-use crate::chaos::{ChaosState, Fault, FaultEvent, FaultKind, FaultPhase, FaultPlan};
+use crate::chaos::{
+    node_of, ChaosState, Fault, FaultEvent, FaultKind, FaultPhase, FaultPlan, DEFAULT_NODES,
+};
 use crate::evq::QEntry;
 use crate::memory::{select_victim, MemEvent, MemEventKind, MemPlan, MemState, VictimCandidate};
 use crate::profiler::PhaseProfiler;
@@ -193,7 +195,6 @@ impl Simulation {
             EventKind::PsCheck { service, replica } => {
                 FlightEventKind::PsCheck { service, replica }
             }
-            EventKind::TraceArrival { class } => FlightEventKind::TraceArrival { class },
             EventKind::ChaosStart { fault } => FlightEventKind::ChaosStart { fault },
             EventKind::ChaosEnd { fault } => FlightEventKind::ChaosEnd { fault },
             EventKind::MemCheck => FlightEventKind::MemCheck,
@@ -237,14 +238,11 @@ impl Simulation {
                 format!("svc {service}, -{killed} replicas")
             }
             FaultKind::NodeFailure { node } => {
-                let nodes = self.chaos_ref().nodes;
                 for s in 0..self.services.len() {
-                    // Synthetic deterministic placement: replica slot `r`
-                    // of service `s` lives on node `(s + r) % nodes`.
                     let colocated = self.services[s]
                         .live
                         .iter()
-                        .filter(|&&r| (s + r as usize) % nodes == node)
+                        .filter(|&&r| node_of(s, r as usize, DEFAULT_NODES) == node)
                         .count();
                     let killed = self.chaos_kill(s, colocated);
                     if killed > 0 {

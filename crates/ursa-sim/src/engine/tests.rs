@@ -1,6 +1,6 @@
-//! Unit tests of the engine: queueing and scaling behaviour, tracing, trace
-//! replay, the profiler, the chaos plane, and the invariant that the event
-//! queue holds only pending checks and sources.
+//! Unit tests of the engine: queueing and scaling behaviour, tracing, the
+//! profiler, the chaos plane, and the invariant that the event queue holds
+//! only pending checks and sources.
 
 use super::*;
 use crate::chaos::{Fault, FaultKind, FaultPhase, FaultPlan};
@@ -460,54 +460,7 @@ fn one_service() -> Topology {
     .unwrap()
 }
 
-#[test]
-fn trace_replay_injects_exactly() {
-    let mut sim = Simulation::new(one_service(), SimConfig::default(), 1);
-    let times: Vec<SimTime> = (0..50)
-        .map(|i| SimTime::from_secs_f64(0.1 * i as f64))
-        .collect();
-    sim.schedule_arrivals(ClassId(0), &times);
-    sim.run_for(SimDur::from_secs(10));
-    let snap = sim.harvest();
-    assert_eq!(snap.injections[0], 50);
-    assert_eq!(snap.completions[0], 50);
-}
-
-#[test]
-fn trace_and_poisson_compose() {
-    let mut sim = Simulation::new(one_service(), SimConfig::default(), 2);
-    sim.set_rate(ClassId(0), RateFn::Constant(10.0));
-    sim.schedule_arrivals(ClassId(0), &[SimTime::from_secs_f64(1.0)]);
-    sim.run_for(SimDur::from_secs(30));
-    let snap = sim.harvest();
-    assert!(snap.injections[0] > 200, "poisson + trace arrivals");
-}
-
-#[test]
-#[should_panic(expected = "in the past")]
-fn trace_rejects_past_arrivals() {
-    let mut sim = Simulation::new(one_service(), SimConfig::default(), 3);
-    sim.run_for(SimDur::from_secs(5));
-    sim.schedule_arrivals(ClassId(0), &[SimTime::from_secs_f64(1.0)]);
-}
-
-/// A batch with one bad time schedules nothing, not the prefix before it.
-#[test]
-fn rejected_trace_leaves_the_queue_untouched() {
-    let mut sim = Simulation::new(one_service(), SimConfig::default(), 3);
-    sim.run_for(SimDur::from_secs(5));
-    sim.schedule_arrivals(ClassId(0), &[SimTime::from_secs_f64(20.0)]);
-    let times = [6.0, 7.0, 1.0, 8.0].map(SimTime::from_secs_f64);
-    let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sim.schedule_arrivals(ClassId(0), &times)
-    }));
-    assert!(rejected.is_err());
-    assert_eq!(sim.event_heap_depth(), 1);
-    sim.run_for(SimDur::from_secs(10));
-    assert_eq!(sim.harvest().injections[0], 0);
-}
-
-/// Every `EventKind` variant, sampled, lands in exactly one of the six
+/// Every `EventKind` variant, sampled, lands in exactly one of the five
 /// phases, and the phases' counts add up to the events dispatched.
 #[test]
 fn profiler_classifies_every_event_kind_exactly_once() {
@@ -518,7 +471,7 @@ fn profiler_classifies_every_event_kind_exactly_once() {
     // default rate of 0 it neither injects nor re-arms.
     let seq = sim.schedule(at(1), EventKind::SourceNext { class: 0 });
     sim.sources[0].pending = Some((at(1), seq));
-    sim.schedule_arrivals(ClassId(0), &[at(3)]);
+    sim.inject(ClassId(0));
     // No plane is installed: these four dispatch as no-ops.
     sim.schedule(at(4), EventKind::ChaosStart { fault: 0 });
     sim.schedule(at(5), EventKind::ChaosEnd { fault: 0 });
@@ -527,20 +480,19 @@ fn profiler_classifies_every_event_kind_exactly_once() {
     sim.run_for(SimDur::from_secs(1));
 
     let report = sim.profiler().expect("enabled").report();
-    // The trace arrival's request: root hop arrives, one PS completion.
+    // The injected request: root hop arrives, one PS completion.
     let want = [
         (SimPhase::SourceNext, 1),
         (SimPhase::NodeArrive, 1),
         (SimPhase::PsCheck, 1),
-        (SimPhase::TraceArrival, 1),
         (SimPhase::Chaos, 2),
         (SimPhase::Mem, 2),
     ];
     let got: Vec<(SimPhase, u64)> = report.phases.iter().map(|s| (s.phase, s.count)).collect();
     assert_eq!(got, want);
-    assert_eq!(report.events_sampled, 8);
-    assert_eq!(report.events_seen, 8);
-    assert_eq!(sim.events_processed(), 8);
+    assert_eq!(report.events_sampled, 7);
+    assert_eq!(report.events_seen, 7);
+    assert_eq!(sim.events_processed(), 7);
     assert_eq!(sim.events_stale(), 0);
 }
 
@@ -869,7 +821,7 @@ fn assert_only_pending_events_queued(sim: &Simulation) {
 
 /// Every path that supersedes a pending event — admissions, scaling,
 /// a crash, a slowdown, a CPU-limit change, an OOM-kill and its
-/// restart, re-armed sources, a trace batch — in one run, the queue
+/// restart, re-armed sources — in one run, the queue
 /// checked after every window. The drain path's own check (a slot is
 /// never emptied with a check queued) is a `debug_assert!` that is
 /// live here.
@@ -931,10 +883,6 @@ fn queue_holds_only_pending_checks_and_sources_under_churn() {
     for window in 0..30u64 {
         match window {
             3 => sim.set_replicas(ServiceId(0), 5),
-            6 => {
-                let batch: Vec<SimTime> = (0..200).map(|i| secs(6.0 + i as f64 * 0.01)).collect();
-                sim.schedule_arrivals(ClassId(1), &batch);
-            }
             8 => sim.set_rate(
                 ClassId(0),
                 RateFn::Diurnal {

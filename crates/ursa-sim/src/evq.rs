@@ -5,9 +5,9 @@
 //! binary-searches its place and shifts only the entries that pop *before*
 //! it, which at the depths the engine sustains (under a hundred entries in
 //! every experiment, a few hundred in the 63-service perf cell) is one or
-//! two cache lines of `memmove`. The one pattern that would shift the whole
-//! vector on every push — loading many entries in ascending time — goes
-//! through [`EventQueue::extend`], which appends the batch and sorts once.
+//! two cache lines of `memmove`. Pushing is the one insertion path: the
+//! engine never loads a batch in ascending time, the one pattern that
+//! would shift the whole vector on every push.
 //!
 //! `(at, seq)` keys are unique, so pop order is a total order independent
 //! of how the entries got here; `tests/event_core_reference.rs` checks it
@@ -82,18 +82,6 @@ impl<K> EventQueue<K> {
         self.max_depth = self.max_depth.max(self.entries.len());
     }
 
-    /// Adds a batch in any order: one append and one sort, where pushing
-    /// the entries one by one in ascending time would shift the whole
-    /// vector each time.
-    pub fn extend(&mut self, batch: impl IntoIterator<Item = QEntry<K>>) {
-        self.entries.extend(batch);
-        // Keys are unique, so an unstable sort is still deterministic.
-        self.entries
-            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-        debug_assert!(sorted(&self.entries), "duplicate (at, seq) key");
-        self.max_depth = self.max_depth.max(self.entries.len());
-    }
-
     #[inline]
     pub fn peek(&self) -> Option<&QEntry<K>> {
         self.entries.last()
@@ -160,24 +148,6 @@ mod tests {
         assert_eq!(drain(&mut q), expect);
         assert!(q.is_empty());
         assert_eq!(q.max_depth(), times.len());
-    }
-
-    /// A batch merges with what is already queued, in any input order.
-    #[test]
-    fn extend_merges_with_queued_entries() {
-        let mut q = EventQueue::new();
-        q.push(t(50), 0, ());
-        q.push(t(10), 1, ());
-        let batch = [(30, 2), (10, 3), (70, 4), (5, 5)];
-        q.extend(batch.map(|(ns, seq)| QEntry {
-            at: t(ns),
-            seq,
-            kind: (),
-        }));
-        assert_eq!(q.len(), 6);
-        assert_eq!(q.max_depth(), 6);
-        let want = vec![(5, 5), (10, 1), (10, 3), (30, 2), (50, 0), (70, 4)];
-        assert_eq!(drain(&mut q), want);
     }
 
     /// Keyed removal takes exactly the named entry — head, deepest, one of a

@@ -7,7 +7,9 @@
 //! worker pools; strict-priority request scheduling; Poisson (optionally
 //! time-varying) open-loop load; and Prometheus-style telemetry. Resource
 //! managers actuate it through the [`control::ControlPlane`] trait exactly
-//! as they would actuate Kubernetes.
+//! as they would actuate Kubernetes. Machines are not modelled: where a
+//! plane needs a replica's node (node failures, memory pressure), one
+//! synthetic round-robin rule places it ([`chaos::node_of`]).
 //!
 //! The queueing mechanics are faithful enough that the paper's central
 //! observation — RPC backpressure exists, MQ backpressure does not, and
@@ -41,7 +43,6 @@
 
 pub mod arena;
 pub mod chaos;
-pub mod cluster;
 pub mod control;
 pub mod engine;
 pub mod evq;
@@ -59,7 +60,6 @@ pub mod workload;
 /// Convenient glob-import of the commonly used simulator types.
 pub mod prelude {
     pub use crate::chaos::{Fault, FaultEvent, FaultKind, FaultPhase, FaultPlan};
-    pub use crate::cluster::{CappedControlPlane, Cluster, MachineCfg, PlacementPolicy};
     pub use crate::control::{
         run_deployment, run_deployment_observed, ControlPlane, DeployConfig, DeployObserver,
         DeploymentReport, ResourceManager, Sla, StaticManager, WindowRecord,

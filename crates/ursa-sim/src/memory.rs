@@ -416,11 +416,12 @@ impl MemState {
         }
     }
 
-    /// The node hosting replica slot `r` of service `s` (the same
-    /// synthetic placement as the chaos plane's node failures).
+    /// The node hosting replica slot `r` of service `s`: the chaos
+    /// plane's synthetic placement, [`node_of`](crate::chaos::node_of),
+    /// over this plan's nodes.
     #[inline]
     pub fn node_of(&self, s: usize, r: usize) -> usize {
-        (s + r) % self.nodes.len()
+        crate::chaos::node_of(s, r, self.nodes.len())
     }
 
     /// Records an incident.

@@ -5,7 +5,7 @@
 //! classified into exactly one [`SimPhase`] and counted. The profiler never
 //! touches simulation state or any RNG, so enabling it leaves simulated
 //! output bit-identical to a run without it (enforced by
-//! `tests/observability_bitident.rs`), and its counts are a pure function
+//! `tests/plane_bitident.rs`), and its counts are a pure function
 //! of the seed — which is why post-mortem bundles can carry them.
 //!
 //! It reads no clock. Host-clock timing of sampled events was held to a
@@ -23,8 +23,6 @@ pub enum SimPhase {
     NodeArrive,
     /// Processor-sharing completions on a replica.
     PsCheck,
-    /// A trace-replay arrival.
-    TraceArrival,
     /// Chaos fault injection / recovery actuation.
     Chaos,
     /// Memory-plane scans and replica restarts.
@@ -33,11 +31,10 @@ pub enum SimPhase {
 
 impl SimPhase {
     /// All phases, in reporting order.
-    pub const ALL: [SimPhase; 6] = [
+    pub const ALL: [SimPhase; 5] = [
         SimPhase::SourceNext,
         SimPhase::NodeArrive,
         SimPhase::PsCheck,
-        SimPhase::TraceArrival,
         SimPhase::Chaos,
         SimPhase::Mem,
     ];
@@ -48,7 +45,6 @@ impl SimPhase {
             SimPhase::SourceNext => "source_next",
             SimPhase::NodeArrive => "node_arrive",
             SimPhase::PsCheck => "ps_check",
-            SimPhase::TraceArrival => "trace_arrival",
             SimPhase::Chaos => "chaos",
             SimPhase::Mem => "mem",
         }

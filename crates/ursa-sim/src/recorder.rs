@@ -6,8 +6,8 @@
 //! predictably-false branch per dispatched event. The recorder is purely
 //! observational — it never touches simulation state, schedules nothing,
 //! and draws no random numbers — so arming it leaves simulated output
-//! bit-identical to an unarmed run (enforced by
-//! `tests/observability_bitident.rs`). Entries carry only simulated time,
+//! bit-identical to an unarmed run (enforced, in every combination with
+//! the other planes, by `tests/plane_bitident.rs`). Entries carry only simulated time,
 //! event sequence numbers, and `Copy` payloads: no wall-clock, no
 //! formatting at record time, so the ring contents are a pure function of
 //! the seed and the installed plan.
@@ -41,11 +41,6 @@ pub enum FlightEventKind {
         service: u16,
         /// Replica index.
         replica: u16,
-    },
-    /// A replayed (explicitly scheduled) arrival was injected.
-    TraceArrival {
-        /// Request class index.
-        class: u32,
     },
     /// Fault window `fault` was injected.
     ChaosStart {
@@ -109,7 +104,6 @@ impl FlightEventKind {
             FlightEventKind::SourceNext { .. } => "source_next",
             FlightEventKind::NodeArrive { .. } => "node_arrive",
             FlightEventKind::PsCheck { .. } => "ps_check",
-            FlightEventKind::TraceArrival { .. } => "trace_arrival",
             FlightEventKind::ChaosStart { .. } => "chaos_start",
             FlightEventKind::ChaosEnd { .. } => "chaos_end",
             FlightEventKind::MemCheck => "mem_check",
@@ -237,7 +231,6 @@ mod tests {
                 service: 0,
                 replica: 0,
             },
-            FlightEventKind::TraceArrival { class: 0 },
             FlightEventKind::ChaosStart { fault: 0 },
             FlightEventKind::ChaosEnd { fault: 0 },
             FlightEventKind::MemCheck,

@@ -859,14 +859,23 @@ impl Topology {
     }
 }
 
-/// Minimal FNV-1a hasher for structural digests (no dependencies, stable
-/// across platforms — unlike `DefaultHasher`, whose output is unspecified).
+/// FNV-1a 64-bit, the workspace's one digest hash: topology, fault-plan
+/// and memory-plan digests, and the run manifest's artifact digests (no
+/// dependencies, stable across platforms — unlike `DefaultHasher`, whose
+/// output is unspecified).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
+pub struct Fnv(u64);
 
 impl Fnv {
     pub(crate) fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// FNV-1a 64 of `bytes`.
+    pub fn digest(bytes: &[u8]) -> u64 {
+        let mut h = Fnv::new();
+        h.write_bytes(bytes);
+        h.finish()
     }
 
     pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {

@@ -8,33 +8,13 @@
 //!   each hop a named thread, so the call tree reads as a swimlane diagram
 //!   with queue/wait/blocked sub-slices nested inside each hop's slice.
 //!
-//! Both are hand-rolled: the workspace builds offline with no serde, and
-//! the needed subset of JSON is tiny.
-
-use std::fmt::Write as _;
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+//! Both are hand-rolled on the workspace's one JSON layer
+//! ([`ursa_metrics::json`]): the workspace builds offline with no serde,
+//! and the needed subset of JSON is tiny.
 
 pub mod jsonl {
-    use super::json_escape;
     use std::io::{self, Write};
+    use ursa_metrics::json::esc;
     use ursa_sim::trace::Trace;
 
     fn intervals_json(intervals: &[(ursa_sim::time::SimTime, ursa_sim::time::SimTime)]) -> String {
@@ -72,7 +52,7 @@ pub mod jsonl {
                     t.class.0,
                     s.node,
                     parent,
-                    json_escape(name),
+                    esc(name),
                     s.enqueue_at.as_secs_f64(),
                     s.start_at.as_secs_f64(),
                     s.respond_at.as_secs_f64(),
@@ -87,8 +67,8 @@ pub mod jsonl {
 }
 
 pub mod chrome {
-    use super::json_escape;
     use std::io::{self, Write};
+    use ursa_metrics::json::esc;
     use ursa_sim::time::SimTime;
     use ursa_sim::trace::Trace;
 
@@ -135,7 +115,7 @@ pub mod chrome {
                     .get(s.service.0)
                     .map(String::as_str)
                     .unwrap_or("?");
-                let svc = json_escape(svc);
+                let svc = esc(svc);
                 self.events.push(format!(
                     "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\
                      \"args\":{{\"name\":\"{svc} #{tid}\"}}}}"
@@ -193,7 +173,7 @@ pub mod chrome {
             self.events.push(format!(
                 "{{\"ph\":\"i\",\"s\":\"g\",\"name\":\"{}\",\"pid\":0,\"tid\":0,\
                  \"ts\":{:.3},\"args\":{}}}",
-                json_escape(name),
+                esc(name),
                 us(at),
                 args_json,
             ));
@@ -220,89 +200,9 @@ pub mod chrome {
 mod tests {
     use super::chrome::ChromeTrace;
     use super::*;
+    use ursa_metrics::json::parse_json;
     use ursa_sim::prelude::*;
     use ursa_sim::trace::Trace;
-
-    /// Minimal recursive-descent JSON validator: checks the bytes form one
-    /// syntactically-valid JSON value. Returns the remaining input.
-    fn skip_ws(s: &[u8]) -> &[u8] {
-        let mut i = 0;
-        while i < s.len() && (s[i] as char).is_ascii_whitespace() {
-            i += 1;
-        }
-        &s[i..]
-    }
-
-    fn parse_value(s: &[u8]) -> Result<&[u8], String> {
-        let s = skip_ws(s);
-        match s.first() {
-            Some(b'{') => parse_delimited(&s[1..], b'}', true),
-            Some(b'[') => parse_delimited(&s[1..], b']', false),
-            Some(b'"') => parse_string(&s[1..]),
-            Some(b't') => strip(s, "true"),
-            Some(b'f') => strip(s, "false"),
-            Some(b'n') => strip(s, "null"),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let mut i = 1;
-                while i < s.len()
-                    && (s[i].is_ascii_digit() || matches!(s[i], b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    i += 1;
-                }
-                Ok(&s[i..])
-            }
-            other => Err(format!("unexpected token {other:?}")),
-        }
-    }
-
-    fn strip<'a>(s: &'a [u8], lit: &str) -> Result<&'a [u8], String> {
-        s.strip_prefix(lit.as_bytes())
-            .ok_or_else(|| format!("expected {lit}"))
-    }
-
-    fn parse_string(mut s: &[u8]) -> Result<&[u8], String> {
-        loop {
-            match s.first() {
-                Some(b'"') => return Ok(&s[1..]),
-                Some(b'\\') => {
-                    s = s.get(2..).ok_or("dangling escape")?;
-                }
-                Some(_) => s = &s[1..],
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn parse_delimited(mut s: &[u8], close: u8, keyed: bool) -> Result<&[u8], String> {
-        s = skip_ws(s);
-        if s.first() == Some(&close) {
-            return Ok(&s[1..]);
-        }
-        loop {
-            if keyed {
-                s = skip_ws(s);
-                s = strip(s, "\"")?;
-                s = parse_string(s)?;
-                s = skip_ws(s);
-                s = strip(s, ":")?;
-            }
-            s = parse_value(s)?;
-            s = skip_ws(s);
-            match s.first() {
-                Some(b',') => s = &s[1..],
-                Some(c) if *c == close => return Ok(&s[1..]),
-                other => return Err(format!("expected , or close, got {other:?}")),
-            }
-        }
-    }
-
-    fn assert_valid_json(text: &str) {
-        let rest = parse_value(text.as_bytes()).expect("valid JSON");
-        assert!(
-            skip_ws(rest).is_empty(),
-            "trailing garbage after JSON value"
-        );
-    }
 
     fn sample_traces() -> (Vec<Trace>, Vec<String>) {
         let topo = Topology::new(
@@ -342,7 +242,7 @@ mod tests {
         let mut buf = Vec::new();
         ct.write(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert_valid_json(&text);
+        parse_json(&text).expect("valid JSON");
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("front\\\"end"), "service names are escaped");
         assert!(text.contains("downstream-wait"));
@@ -362,13 +262,7 @@ mod tests {
             "one line per span"
         );
         for line in lines {
-            assert_valid_json(line);
+            parse_json(line).expect("valid JSON");
         }
-    }
-
-    #[test]
-    fn escape_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -6,9 +6,7 @@
 pub mod blame;
 pub mod critical_path;
 pub mod export;
-pub mod whatif;
 
 pub use blame::{service_blame, top_percentile, BlameReport, ServiceBlame};
 pub use critical_path::{critical_path, PathCategory, PathSegment};
 pub use export::{chrome::ChromeTrace, jsonl};
-pub use whatif::{predict_speedup, WhatIfReport};

@@ -6,13 +6,12 @@
 //!
 //! * [`EventQueue`] replaced `BinaryHeap<Reverse<(at, seq)>>` as the event
 //!   queue. It is one vector sorted descending by `(at, seq)`: pops must
-//!   come out in strict `(at, seq)` order however the entries got in
-//!   (`push` or a batched `extend`) and `remove` must take exactly the
-//!   keyed entry, or nothing — so the proptests drive it against the old
-//!   `BinaryHeap` through randomized push/extend/pop/remove schedules
-//!   (with deliberate timestamp ties), shallow and thousands of entries
-//!   deep. They run in the dev profile, where the queue re-checks its
-//!   order after every insert and batch.
+//!   come out in strict `(at, seq)` order whatever order they were pushed
+//!   in, and `remove` must take exactly the keyed entry, or nothing — so
+//!   the proptests drive it against the old `BinaryHeap` through
+//!   randomized push/pop/remove schedules (with deliberate timestamp
+//!   ties), shallow and thousands of entries deep. They run in the dev
+//!   profile, where the queue re-checks its order after every insert.
 //!
 //! * [`ReqArena`] replaced per-class pooled `Vec<Vec<NodeRt>>` request
 //!   state. Slot IDs feed traces and the flight recorder, so the arena
@@ -26,7 +25,7 @@ use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 use ursa::sim::arena::{Phase, ReqArena};
-use ursa::sim::evq::{EventQueue, QEntry};
+use ursa::sim::evq::EventQueue;
 use ursa::sim::time::SimTime;
 
 // ---------------------------------------------------------------------
@@ -92,24 +91,13 @@ fn run_differential(ops: &[(u8, u64)], tie_scale: u64, push_bias: bool) -> usize
         if is_push {
             // Quantized offsets make (at, seq) ties routine; a huge
             // offset every 16th kind lands far behind everything else.
-            let mut entry = |off: u64| {
-                let far = if kind % 16 == 15 { 1 << 40 } else { 0 };
-                let at = now + off * tie_scale + far;
-                r.push(at, seq, kind);
-                at_of.push(at);
-                let at = SimTime::from_nanos(at);
-                let e = QEntry { at, seq, kind };
-                seq += 1;
-                kind += 1;
-                e
-            };
-            if pick == 0 {
-                // A batch of up to 7, ascending in time like a replayed trace.
-                q.extend((0..off % 8).map(|i| entry(off + i)));
-            } else {
-                let e = entry(off);
-                q.push(e.at, e.seq, e.kind);
-            }
+            let far = if kind % 16 == 15 { 1 << 40 } else { 0 };
+            let at = now + off * tie_scale + far;
+            r.push(at, seq, kind);
+            at_of.push(at);
+            q.push(SimTime::from_nanos(at), seq, kind);
+            seq += 1;
+            kind += 1;
         } else if pick == 6 {
             // Keyed removal, like the engine cancelling a superseded
             // check: the head, the deepest entry, a recent push (queued
@@ -181,8 +169,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Deep: a push-biased schedule long enough to hold more than 5 000
-    /// live entries, with interleaved batches, keyed removals and 8
-    /// distinct timestamps per tie bucket, then drained to empty.
+    /// live entries, with interleaved keyed removals and 8 distinct
+    /// timestamps per tie bucket, then drained to empty.
     #[test]
     fn event_queue_matches_heap_deep(ops in ops_strategy(10_000..11_000)) {
         let tied: Vec<_> = ops.iter().map(|&(p, o)| (p, o % 8)).collect();

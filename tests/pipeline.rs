@@ -178,41 +178,6 @@ fn skewed_load_triggers_recalculation() {
     );
 }
 
-/// Ursa under the paper's finite 8-machine testbed: the capacity-capped
-/// control plane clamps scale-outs, placements never exceed machine
-/// capacity, and the run still completes with sane metrics.
-#[test]
-fn capped_cluster_deployment() {
-    use ursa::sim::cluster::{CappedControlPlane, Cluster};
-    use ursa::sim::control::ResourceManager;
-
-    let app = app_by_name("social-vanilla").expect("app exists");
-    let mut ursa =
-        Ursa::explore_and_prepare(&app.topology, &app.slas, &rates(&app), quick_cfg(), 41).unwrap();
-    let mut sim = app.build_sim(42);
-    app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
-    ursa.apply_initial_allocation(&rates(&app), &mut sim);
-
-    let mut cluster = Cluster::paper_testbed();
-    let total = cluster.total_cores();
-    for _ in 0..10 {
-        sim.run_for(SimDur::from_mins(1));
-        let snap = sim.harvest();
-        let mut capped = CappedControlPlane::new(&mut sim, &mut cluster);
-        ursa.on_tick(&snap, &mut capped);
-        assert!(cluster.used_cores() <= total + 1e-9);
-        // Every placed replica corresponds to a live replica and vice versa.
-        for s in 0..app.topology.num_services() {
-            assert_eq!(
-                cluster.replicas_of(ursa::sim::topology::ServiceId(s)),
-                sim.replicas(ursa::sim::topology::ServiceId(s)),
-                "placement drift for service {s}"
-            );
-        }
-    }
-    assert!(cluster.used_cores() > 0.0);
-}
-
 /// Span tracing during a managed run: trace spans reconstruct per-service
 /// latency consistent with telemetry.
 #[test]
