@@ -49,23 +49,7 @@ where
     T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
-    run_cells_with(jobs(), items, f)
-}
-
-/// Runs `f` over `items` on `jobs` workers and returns the results in
-/// input order. `jobs <= 1` maps sequentially on the calling thread.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker (the cell closure panicking fails
-/// the whole sweep, exactly as it would sequentially).
-pub fn run_cells_with<I, T, F>(jobs: usize, items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    pool::map_ordered(jobs, items, f)
+    pool::map_ordered(jobs(), items, f)
 }
 
 #[cfg(test)]

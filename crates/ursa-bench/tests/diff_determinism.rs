@@ -9,9 +9,9 @@ use proptest::prelude::*;
 use ursa_apps::chains::study_chain_with;
 use ursa_bench::diff::{diff_manifests, render_html, render_tsv, DEFAULT_TOLERANCE};
 use ursa_bench::manifest::RunManifest;
-use ursa_bench::runner::run_cells_with;
 use ursa_core::decision_log::{DecisionKind, DecisionLog, DecisionRecord, ServiceDelta};
 use ursa_metrics::json::parse_json;
+use ursa_metrics::pool::map_ordered;
 use ursa_sim::engine::{SimConfig, Simulation};
 use ursa_sim::metrics::SimMetrics;
 use ursa_sim::time::{SimDur, SimTime};
@@ -111,7 +111,7 @@ proptest! {
         let inputs: Vec<(usize, CellSpec)> =
             specs.iter().cloned().enumerate().collect();
         let render = |jobs: usize| -> Vec<String> {
-            run_cells_with(jobs, inputs.clone(), |_, (i, s)| manifest_json(i, &s))
+            map_ordered(jobs, inputs.clone(), |_, (i, s)| manifest_json(i, &s))
         };
         let seq = render(1);
         let par = render(8);

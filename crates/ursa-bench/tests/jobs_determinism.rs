@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 use proptest::prelude::*;
 use ursa_apps::chains::study_chain_with;
-use ursa_bench::runner::run_cells_with;
+use ursa_metrics::pool::map_ordered;
 use ursa_sim::engine::{SimConfig, Simulation};
 use ursa_sim::time::SimDur;
 use ursa_sim::topology::{ClassId, EdgeKind};
@@ -83,8 +83,8 @@ proptest! {
 
     #[test]
     fn jobs1_and_jobs8_produce_identical_output(specs in cell_specs()) {
-        let seq = run_cells_with(1, specs.clone(), |_, s| digest(&s));
-        let par = run_cells_with(8, specs.clone(), |_, s| digest(&s));
+        let seq = map_ordered(1, specs.clone(), |_, s| digest(&s));
+        let par = map_ordered(8, specs.clone(), |_, s| digest(&s));
         prop_assert_eq!(seq, par);
     }
 }
@@ -104,7 +104,7 @@ fn fig11_12_grid_jobs_invariant() {
         .filter(|(li, _, _)| *li == 0 || *li == 3)
         .collect();
     let grid = |jobs: usize| -> Vec<String> {
-        run_cells_with(jobs, inputs.clone(), |_, (li, load, si)| {
+        map_ordered(jobs, inputs.clone(), |_, (li, load, si)| {
             let report = managers.deploy_cell(
                 &app,
                 System::ALL[si],

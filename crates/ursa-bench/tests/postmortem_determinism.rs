@@ -10,8 +10,8 @@ use ursa_apps::{social_network, App};
 use ursa_baselines::Autoscaler;
 use ursa_bench::experiments::chaos::fault_plans;
 use ursa_bench::postmortem::PostmortemObserver;
-use ursa_bench::runner::run_cells_with;
 use ursa_bench::{default_rates, prepare_ursa, Scale};
+use ursa_metrics::pool::map_ordered;
 use ursa_sim::control::{run_deployment_observed, DeployConfig};
 use ursa_sim::metrics::SimMetrics;
 use ursa_sim::recorder::FlightRecorder;
@@ -76,7 +76,7 @@ fn snapshot_bundles_are_jobs_invariant() {
     let seeds = [11u64, 23, 37];
     let render = |jobs: usize, tag: &str| {
         let inputs: Vec<(usize, u64)> = seeds.iter().copied().enumerate().collect();
-        run_cells_with(jobs, inputs, |_, (i, seed)| {
+        map_ordered(jobs, inputs, |_, (i, seed)| {
             let dir = scratch(&format!("pm-{tag}-{jobs}-{i}"));
             snapshot_cell(&app, &dir, seed)
         })

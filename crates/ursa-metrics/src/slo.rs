@@ -111,24 +111,14 @@ struct WindowCounts {
 #[derive(Debug, Clone)]
 pub struct SloMonitor {
     specs: Vec<SloSpec>,
-    rules: Vec<BurnRule>,
     history: Vec<Vec<WindowCounts>>,
 }
 
 impl SloMonitor {
-    /// Creates a monitor for the given specs with [`DEFAULT_RULES`].
+    /// Creates a monitor for the given specs, alerting on [`DEFAULT_RULES`].
     pub fn new(specs: Vec<SloSpec>) -> Self {
-        Self::with_rules(specs, DEFAULT_RULES.to_vec())
-    }
-
-    /// Creates a monitor with custom burn-rate rules.
-    pub fn with_rules(specs: Vec<SloSpec>, rules: Vec<BurnRule>) -> Self {
         let history = vec![Vec::new(); specs.len()];
-        SloMonitor {
-            specs,
-            rules,
-            history,
-        }
+        SloMonitor { specs, history }
     }
 
     /// The monitored specs.
@@ -169,12 +159,12 @@ impl SloMonitor {
             .map(|f| f / self.specs[idx].budget())
     }
 
-    /// Evaluates every rule against every spec at the current history,
-    /// returning the alerts that fire now.
+    /// Evaluates every rule of [`DEFAULT_RULES`] against every spec at the
+    /// current history, returning the alerts that fire now.
     pub fn check(&self) -> Vec<SloAlert> {
         let mut alerts = Vec::new();
         for (idx, spec) in self.specs.iter().enumerate() {
-            for rule in &self.rules {
+            for rule in &DEFAULT_RULES {
                 let (Some(short), Some(long)) = (
                     self.burn_rate(idx, rule.short_windows),
                     self.burn_rate(idx, rule.long_windows),

@@ -47,6 +47,7 @@
 //! matrix in `tests/plane_bitident.rs`).
 
 use crate::time::{SimDur, SimTime};
+use ursa_stats::dist::{Distribution, Exponential};
 use ursa_stats::rng::Rng;
 
 /// Synthetic cluster size for node-failure placement: the paper's
@@ -149,8 +150,9 @@ pub struct Fault {
 }
 
 /// A concrete, fully-timed fault schedule, ready to install on a
-/// [`Simulation`](crate::engine::Simulation). Build directly for one-off
-/// windows, or compile one from the `ursa-chaos` scenario DSL.
+/// [`Simulation`](crate::engine::Simulation): [`push`](Self::push) one-off
+/// windows, [`push_renewal`](Self::push_renewal) a stochastic failure
+/// process.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// The timed fault windows, in schedule order.
@@ -199,6 +201,40 @@ impl FaultPlan {
             FaultKind::ReplicaCrash { .. } | FaultKind::MqStall { .. } => {}
         }
         self.faults.push(fault);
+    }
+
+    /// Appends a renewal process of `kind` windows on `[0, horizon)`:
+    /// exponential up-time with mean `mtbf`, then a window of exponential
+    /// length with mean `mttr` (at least 1 ms, the last one clipped to the
+    /// horizon), repeating — a Poisson failure process with exponential
+    /// repair. The windows are sorted and never overlap.
+    ///
+    /// Pure in its arguments: the process draws from its own stream,
+    /// `seed ^ 0x9E37_79B9_7F4A_7C15` (the SplitMix64 increment), so a
+    /// caller may use `seed` for other draws without correlating them.
+    pub fn push_renewal(
+        &mut self,
+        kind: FaultKind,
+        mtbf: SimDur,
+        mttr: SimDur,
+        horizon: SimDur,
+        seed: u64,
+    ) {
+        let mut rng = Rng::seed_from(seed ^ 0x9E37_79B9_7F4A_7C15);
+        let up = Exponential::with_mean(mtbf.as_secs_f64());
+        let down = Exponential::with_mean(mttr.as_secs_f64());
+        let end = SimTime::ZERO + horizon;
+        let mut t = SimTime::ZERO;
+        loop {
+            t += SimDur::from_secs_f64(up.sample(&mut rng));
+            if t >= end {
+                return;
+            }
+            let outage = SimDur::from_secs_f64(down.sample(&mut rng)).max(SimDur::from_millis(1));
+            let until = (t + outage).min(end);
+            self.push(Fault { at: t, until, kind });
+            t = until;
+        }
     }
 
     /// Number of fault windows.
@@ -478,6 +514,50 @@ mod tests {
                 max_retries: 3,
             },
         });
+    }
+
+    fn renewal(mtbf: u64, mttr: u64, horizon: SimDur, seed: u64) -> FaultPlan {
+        let mut plan = FaultPlan::new();
+        let kind = FaultKind::ReplicaCrash {
+            service: 0,
+            count: 1,
+        };
+        plan.push_renewal(
+            kind,
+            SimDur::from_secs(mtbf),
+            SimDur::from_secs(mttr),
+            horizon,
+            seed,
+        );
+        plan
+    }
+
+    #[test]
+    fn renewal_is_deterministic_per_seed() {
+        let h = SimDur::from_mins(30);
+        assert_eq!(renewal(30, 5, h, 42), renewal(30, 5, h, 42));
+        assert_ne!(renewal(30, 5, h, 42), renewal(30, 5, h, 43), "seed matters");
+    }
+
+    #[test]
+    fn renewal_windows_are_sorted_disjoint_and_within_the_horizon() {
+        let h = SimDur::from_mins(30);
+        let plan = renewal(10, 8, h, 3);
+        assert!(!plan.is_empty());
+        for w in plan.faults.windows(2) {
+            assert!(
+                w[0].until <= w[1].at,
+                "renewal process cannot overlap itself"
+            );
+        }
+        assert!(plan.last_until().unwrap() <= SimTime::ZERO + h);
+    }
+
+    #[test]
+    fn renewal_rate_matches_mtbf_plus_mttr() {
+        // 4 h horizon, MTBF 60 s + MTTR 5 s => ~220 cycles expected.
+        let plan = renewal(60, 5, SimDur::from_secs(4 * 3600), 11);
+        assert!((150..300).contains(&plan.len()), "windows {}", plan.len());
     }
 
     #[test]

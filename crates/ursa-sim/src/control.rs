@@ -230,11 +230,35 @@ impl DeploymentReport {
 
     /// Time-averaged total CPU allocation in cores.
     pub fn avg_cpu_allocation(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().map(|r| r.total_cores).sum::<f64>() / self.records.len() as f64
+        mean_cores(self.records.iter())
     }
+}
+
+/// Pooled SLA violation share of some windows: violated class-windows over
+/// class-windows with completions (0 when there are none).
+pub fn violated_share<'a>(records: impl IntoIterator<Item = &'a WindowRecord>) -> f64 {
+    let mut pairs = 0usize;
+    let mut bad = 0usize;
+    for r in records {
+        for v in r.class_violation.iter().flatten() {
+            pairs += 1;
+            bad += *v as usize;
+        }
+    }
+    if pairs == 0 {
+        0.0
+    } else {
+        bad as f64 / pairs as f64
+    }
+}
+
+/// Mean total allocated cores of some windows (0 when there are none).
+pub fn mean_cores<'a>(records: impl ExactSizeIterator<Item = &'a WindowRecord>) -> f64 {
+    let n = records.len();
+    if n == 0 {
+        return 0.0;
+    }
+    records.map(|r| r.total_cores).sum::<f64>() / n as f64
 }
 
 /// Runs a managed deployment: alternates simulation windows with manager

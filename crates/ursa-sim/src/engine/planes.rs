@@ -6,7 +6,10 @@ use crate::chaos::{
     node_of, ChaosState, Fault, FaultEvent, FaultKind, FaultPhase, FaultPlan, DEFAULT_NODES,
 };
 use crate::evq::QEntry;
-use crate::memory::{select_victim, MemEvent, MemEventKind, MemPlan, MemState, VictimCandidate};
+use crate::memory::{
+    select_victim, MemEvent, MemEventKind, MemPlan, MemState, VictimCandidate, CHECK_INTERVAL,
+    INTERFERENCE_FACTOR, INTERFERENCE_THRESHOLD, PRESSURE_THRESHOLD, RESTART_DELAY,
+};
 use crate::profiler::PhaseProfiler;
 use crate::recorder::{FlightEntry, FlightEventKind, FlightRecorder};
 use crate::time::{SimDur, SimTime};
@@ -139,11 +142,6 @@ impl Simulation {
         self.chaos = Some(Box::new(state));
     }
 
-    /// Number of fault windows installed (0 when the chaos plane is off).
-    pub fn faults_installed(&self) -> usize {
-        self.chaos.as_ref().map_or(0, |c| c.faults.len())
-    }
-
     /// Installs the memory plane (see [`crate::memory`]): a periodic usage
     /// scan becomes an ordinary discrete event that OOM-kills replicas
     /// over their memory limit, evicts replicas under node memory
@@ -158,13 +156,13 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if a plane is already installed or the plan is invalid (no
-    /// nodes, out-of-range service, non-finite thresholds).
+    /// nodes, an empty node, an out-of-range service).
     pub fn install_memory_plane(&mut self, plan: &MemPlan) {
         assert!(self.mem.is_none(), "memory plane already installed");
         let mut state = MemState::new(plan, &self.topology);
         state.last_check = self.now;
         let active = !plan.profiles.is_empty();
-        let first = self.now + plan.check_interval;
+        let first = self.now + CHECK_INTERVAL;
         self.mem = Some(Box::new(state));
         if active {
             self.schedule(first, EventKind::MemCheck);
@@ -174,12 +172,6 @@ impl Simulation {
     /// True when a memory plane is installed.
     pub fn memory_plane_installed(&self) -> bool {
         self.mem.is_some()
-    }
-
-    /// Read-only view of the installed memory-plane state (`None` when
-    /// the plane is off) — for tests and diagnostics.
-    pub fn memory_plane(&self) -> Option<&MemState> {
-        self.mem.as_deref()
     }
 
     /// Maps a popped event to its flight-recorder entry and records it.
@@ -427,12 +419,7 @@ impl Simulation {
             return;
         };
         let now = self.now;
-        let interval = m.check_interval;
-        let restart_delay = m.restart_delay;
         let nodes = m.nodes.len();
-        let pressure = m.pressure_threshold;
-        let interference_threshold = m.interference_threshold;
-        let factor = m.interference_factor;
         let ns = self.services.len();
 
         // Integrate interference time since the previous scan at the
@@ -513,7 +500,7 @@ impl Simulation {
                     self.mem_mut().births[s][r] = None;
                     self.drain_replica(s, r);
                     self.schedule(
-                        now + restart_delay,
+                        now + RESTART_DELAY,
                         EventKind::MemRestart { service: s as u32 },
                     );
                 } else {
@@ -527,7 +514,7 @@ impl Simulation {
         // first, then highest usage-over-request. Each eviction strictly
         // shrinks the live set, so the loop terminates.
         for node in 0..nodes {
-            let cap = self.mem_ref().nodes[node].mem_bytes as f64;
+            let cap = self.mem_ref().nodes[node] as f64;
             loop {
                 let mut usage_total = 0u64;
                 let mut cands: Vec<VictimCandidate> = Vec::new();
@@ -555,7 +542,7 @@ impl Simulation {
                     }
                 }
                 self.mem_mut().node_util[node] = usage_total as f64 / cap;
-                if usage_total as f64 <= pressure * cap {
+                if usage_total as f64 <= PRESSURE_THRESHOLD * cap {
                     break;
                 }
                 let Some(v) = select_victim(&cands) else {
@@ -587,7 +574,7 @@ impl Simulation {
                 }
                 self.drain_replica(victim.service, victim.replica);
                 self.schedule(
-                    now + restart_delay,
+                    now + RESTART_DELAY,
                     EventKind::MemRestart {
                         service: victim.service as u32,
                     },
@@ -600,25 +587,23 @@ impl Simulation {
         // stealing cycles), through the same sync → rate change → resync
         // hook chaos slowdowns use. Applies to every co-located service,
         // profiled or not.
-        if factor > 1.0 {
-            let node_hot: Vec<bool> = (0..nodes)
-                .map(|n| self.mem_ref().node_util[n] > interference_threshold)
-                .collect();
-            for s in 0..ns {
-                let hot = self.services[s]
-                    .live
-                    .iter()
-                    .any(|&r| node_hot[self.mem_ref().node_of(s, r as usize)]);
-                let want = if hot { factor } else { 1.0 };
-                if self.mem_ref().interf[s] != want {
-                    self.ps_sync_all(s);
-                    self.mem_mut().interf[s] = want;
-                    self.ps_resync_all(s);
-                }
+        let node_hot: Vec<bool> = (0..nodes)
+            .map(|n| self.mem_ref().node_util[n] > INTERFERENCE_THRESHOLD)
+            .collect();
+        for s in 0..ns {
+            let hot = self.services[s]
+                .live
+                .iter()
+                .any(|&r| node_hot[self.mem_ref().node_of(s, r as usize)]);
+            let want = if hot { INTERFERENCE_FACTOR } else { 1.0 };
+            if self.mem_ref().interf[s] != want {
+                self.ps_sync_all(s);
+                self.mem_mut().interf[s] = want;
+                self.ps_resync_all(s);
             }
         }
 
-        self.schedule(now + interval, EventKind::MemCheck);
+        self.schedule(now + CHECK_INTERVAL, EventKind::MemCheck);
     }
 
     /// Restores one replica of `service` after its OOM/eviction restart

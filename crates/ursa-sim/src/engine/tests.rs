@@ -4,7 +4,7 @@
 
 use super::*;
 use crate::chaos::{Fault, FaultKind, FaultPhase, FaultPlan};
-use crate::memory::{MemEvent, MemEventKind, MemPlan, MemProfile, NodeMemCfg};
+use crate::memory::{MemEvent, MemEventKind, MemPlan, MemProfile};
 use crate::topology::{CallNode, ClassCfg, EdgeKind, Priority, ResourceSpec, ServiceCfg, WorkDist};
 
 fn single_service(cores: f64, mean_work: f64) -> Simulation {
@@ -873,9 +873,7 @@ fn queue_holds_only_pending_checks_and_sources_under_churn() {
     sim.install_faults(&plan, 2);
     // A 16 MiB/s leak from 32 MiB crosses the 128 MiB limit every ~6 s.
     let leak = MemProfile::new(32 << 20, 1 << 20).with_growth((16 << 20) as f64);
-    sim.install_memory_plane(
-        &MemPlan::new(vec![NodeMemCfg::new(4 << 30); 2]).with_profile(1, leak),
-    );
+    sim.install_memory_plane(&MemPlan::new(vec![4 << 30; 2]).with_profile(1, leak));
     sim.set_rate(ClassId(0), RateFn::Constant(400.0));
     sim.set_rate(ClassId(1), RateFn::Constant(300.0));
 

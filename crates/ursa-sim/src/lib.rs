@@ -65,7 +65,7 @@ pub mod prelude {
         DeploymentReport, ResourceManager, Sla, StaticManager, WindowRecord,
     };
     pub use crate::engine::{SimConfig, Simulation};
-    pub use crate::memory::{MemEvent, MemEventKind, MemPlan, MemProfile, MemSnapshot, NodeMemCfg};
+    pub use crate::memory::{MemEvent, MemEventKind, MemPlan, MemProfile, MemSnapshot};
     pub use crate::metrics::SimMetrics;
     pub use crate::profiler::{PhaseProfiler, PhaseStat, ProfilerReport, SimPhase};
     pub use crate::recorder::{FlightEntry, FlightEventKind, FlightRecorder};

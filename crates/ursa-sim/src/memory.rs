@@ -26,10 +26,18 @@
 use crate::time::{SimDur, SimTime};
 use crate::topology::{QosClass, Topology};
 
-/// Default periodic usage-scan interval (the kubelet's housekeeping tick).
-pub const DEFAULT_CHECK_INTERVAL: SimDur = SimDur::from_millis(500);
-/// Default delay before a killed/evicted replica is restarted.
-pub const DEFAULT_RESTART_DELAY: SimDur = SimDur::from_secs(10);
+/// Interval between usage scans (the kubelet's housekeeping tick).
+pub const CHECK_INTERVAL: SimDur = SimDur::from_millis(500);
+/// Delay before a killed/evicted replica is restarted.
+pub const RESTART_DELAY: SimDur = SimDur::from_secs(10);
+/// Node usage fraction above which pressure eviction starts (evictions
+/// proceed until usage drops back under it).
+pub const PRESSURE_THRESHOLD: f64 = 0.92;
+/// Node usage fraction above which co-located services suffer
+/// noisy-neighbor CPU interference (paging/reclaim stealing cycles).
+pub const INTERFERENCE_THRESHOLD: f64 = 0.80;
+/// Service-time multiplier applied while interference is active.
+pub const INTERFERENCE_FACTOR: f64 = 1.35;
 
 /// Deterministic per-replica memory demand profile of a service.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,7 +53,7 @@ pub struct MemProfile {
 
 impl MemProfile {
     /// A profile with the given baseline and per-request cost, no growth.
-    pub fn new(baseline_bytes: u64, per_request_bytes: u64) -> Self {
+    pub const fn new(baseline_bytes: u64, per_request_bytes: u64) -> Self {
         MemProfile {
             baseline_bytes,
             per_request_bytes,
@@ -67,22 +75,9 @@ impl MemProfile {
     }
 }
 
-/// Memory capacity of one simulated node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeMemCfg {
-    /// Allocatable memory in bytes.
-    pub mem_bytes: u64,
-}
-
-impl NodeMemCfg {
-    /// A node with the given allocatable memory.
-    pub fn new(mem_bytes: u64) -> Self {
-        NodeMemCfg { mem_bytes }
-    }
-}
-
-/// A memory-plane plan: which services have demand profiles, the node
-/// capacities they share, and the kubelet-style thresholds.
+/// A memory-plane plan: which services have demand profiles and the node
+/// capacities they share. Scan cadence, restart delay and the kubelet
+/// thresholds are this module's constants.
 ///
 /// Replica slot `r` of service `s` lives on node `(s + r) % nodes.len()`
 /// — the same synthetic deterministic placement the chaos plane's
@@ -92,36 +87,16 @@ pub struct MemPlan {
     /// `(service index, profile)` pairs; services without a profile have
     /// zero memory demand and never trigger OOM or eviction.
     pub profiles: Vec<(usize, MemProfile)>,
-    /// Node memory capacities.
-    pub nodes: Vec<NodeMemCfg>,
-    /// Interval between usage scans.
-    pub check_interval: SimDur,
-    /// Delay before a killed/evicted replica restarts.
-    pub restart_delay: SimDur,
-    /// Node usage fraction above which pressure eviction starts
-    /// (evictions proceed until usage drops back under it).
-    pub pressure_threshold: f64,
-    /// Node usage fraction above which co-located services suffer
-    /// noisy-neighbor CPU interference (paging/reclaim stealing cycles).
-    pub interference_threshold: f64,
-    /// Service-time multiplier applied while interference is active
-    /// (≥ 1; 1.0 disables interference entirely).
-    pub interference_factor: f64,
+    /// Allocatable memory of each node, in bytes.
+    pub nodes: Vec<u64>,
 }
 
 impl MemPlan {
-    /// A plan over the given nodes with kubelet-flavoured defaults:
-    /// 500 ms scans, 10 s restart delay, eviction above 100% usage,
-    /// interference ×1.3 above 85% usage.
-    pub fn new(nodes: Vec<NodeMemCfg>) -> Self {
+    /// A plan over nodes with the given allocatable bytes, no profiles.
+    pub fn new(nodes: Vec<u64>) -> Self {
         MemPlan {
             profiles: Vec::new(),
             nodes,
-            check_interval: DEFAULT_CHECK_INTERVAL,
-            restart_delay: DEFAULT_RESTART_DELAY,
-            pressure_threshold: 1.0,
-            interference_threshold: 0.85,
-            interference_factor: 1.3,
         }
     }
 
@@ -131,34 +106,13 @@ impl MemPlan {
         self
     }
 
-    /// Sets the scan interval, returning `self`.
-    pub fn with_check_interval(mut self, interval: SimDur) -> Self {
-        self.check_interval = interval;
-        self
-    }
-
-    /// Sets the restart delay, returning `self`.
-    pub fn with_restart_delay(mut self, delay: SimDur) -> Self {
-        self.restart_delay = delay;
-        self
-    }
-
-    /// Sets pressure/interference thresholds and the interference factor,
-    /// returning `self`.
-    pub fn with_thresholds(mut self, pressure: f64, interference: f64, factor: f64) -> Self {
-        self.pressure_threshold = pressure;
-        self.interference_threshold = interference;
-        self.interference_factor = factor;
-        self
-    }
-
     /// Structural digest (FNV-1a) for run manifests — same role as
     /// `FaultPlan::digest`.
     pub fn digest(&self) -> u64 {
         let mut h = crate::topology::Fnv::new();
         h.write_usize(self.nodes.len());
-        for n in &self.nodes {
-            h.write_usize(n.mem_bytes as usize);
+        for &bytes in &self.nodes {
+            h.write_usize(bytes as usize);
         }
         h.write_usize(self.profiles.len());
         for (s, p) in &self.profiles {
@@ -167,11 +121,13 @@ impl MemPlan {
             h.write_usize(p.per_request_bytes as usize);
             h.write_f64(p.growth_bytes_per_sec);
         }
-        h.write_usize(self.check_interval.as_nanos() as usize);
-        h.write_usize(self.restart_delay.as_nanos() as usize);
-        h.write_f64(self.pressure_threshold);
-        h.write_f64(self.interference_threshold);
-        h.write_f64(self.interference_factor);
+        // The five constants are still hashed, so plan digests in
+        // manifests written when they were plan fields still match.
+        h.write_usize(CHECK_INTERVAL.as_nanos() as usize);
+        h.write_usize(RESTART_DELAY.as_nanos() as usize);
+        h.write_f64(PRESSURE_THRESHOLD);
+        h.write_f64(INTERFERENCE_THRESHOLD);
+        h.write_f64(INTERFERENCE_FACTOR);
         h.finish()
     }
 }
@@ -305,7 +261,7 @@ pub fn select_victim(candidates: &[VictimCandidate]) -> Option<usize> {
 /// Engine-side state of the installed memory plane (the payload behind
 /// `Simulation`'s `Option<Box<MemState>>`; same pattern as `ChaosState`).
 #[derive(Debug)]
-pub struct MemState {
+pub(crate) struct MemState {
     /// Dense per-service profiles (`None` = zero demand).
     pub profiles: Vec<Option<MemProfile>>,
     /// Per-service memory limit in bytes (0 = unlimited).
@@ -314,18 +270,8 @@ pub struct MemState {
     pub requests: Vec<u64>,
     /// Per-service QoS class (BestEffort when no spec is attached).
     pub qos: Vec<QosClass>,
-    /// Node capacities.
-    pub nodes: Vec<NodeMemCfg>,
-    /// Scan interval.
-    pub check_interval: SimDur,
-    /// Restart delay.
-    pub restart_delay: SimDur,
-    /// Eviction threshold (fraction of node capacity).
-    pub pressure_threshold: f64,
-    /// Interference threshold (fraction of node capacity).
-    pub interference_threshold: f64,
-    /// Interference service-time multiplier.
-    pub interference_factor: f64,
+    /// Node capacities in bytes.
+    pub nodes: Vec<u64>,
     /// Current per-service interference multiplier (1.0 = none). Composes
     /// multiplicatively with the chaos plane's slowdown factor in the
     /// engine's PS rate hook.
@@ -354,29 +300,13 @@ impl MemState {
     ///
     /// # Panics
     ///
-    /// Panics if the plan has no nodes, a profile references an unknown
-    /// service, or the thresholds/factor are not positive finite.
+    /// Panics if the plan has no nodes, a node has no memory, or a
+    /// profile references an unknown service.
     pub fn new(plan: &MemPlan, topology: &Topology) -> Self {
         assert!(!plan.nodes.is_empty(), "memory plan needs nodes");
         assert!(
-            plan.nodes.iter().all(|n| n.mem_bytes > 0),
+            plan.nodes.iter().all(|&bytes| bytes > 0),
             "node memory must be positive"
-        );
-        assert!(
-            plan.pressure_threshold > 0.0 && plan.pressure_threshold.is_finite(),
-            "invalid pressure threshold"
-        );
-        assert!(
-            plan.interference_threshold > 0.0 && plan.interference_threshold.is_finite(),
-            "invalid interference threshold"
-        );
-        assert!(
-            plan.interference_factor >= 1.0 && plan.interference_factor.is_finite(),
-            "interference factor must be >= 1"
-        );
-        assert!(
-            plan.check_interval > SimDur::ZERO,
-            "check interval must be positive"
         );
         let ns = topology.num_services();
         let mut profiles: Vec<Option<MemProfile>> = vec![None; ns];
@@ -400,11 +330,6 @@ impl MemState {
             requests,
             qos,
             nodes: plan.nodes.clone(),
-            check_interval: plan.check_interval,
-            restart_delay: plan.restart_delay,
-            pressure_threshold: plan.pressure_threshold,
-            interference_threshold: plan.interference_threshold,
-            interference_factor: plan.interference_factor,
             interf: vec![1.0; ns],
             births: vec![Vec::new(); ns],
             node_util: vec![0.0; plan.nodes.len()],
@@ -520,6 +445,35 @@ mod tests {
         assert_eq!(select_victim(&[]), None);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The kubelet's tier order is strict: no Guaranteed replica is
+        /// evicted while a lower-tier one can be, and in general the
+        /// victim comes from the lowest tier holding an evictable replica.
+        #[test]
+        fn victim_comes_from_the_lowest_evictable_tier(
+            raw in proptest::collection::vec(
+                (0usize..3, 0u64..(4 << 30), 0u64..(2 << 30), proptest::prelude::any::<bool>()),
+                0..12,
+            ),
+        ) {
+            let cands: Vec<VictimCandidate> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(tier, usage, request, evictable))| {
+                    cand(i, QosClass::ALL[tier], usage, request, evictable)
+                })
+                .collect();
+            let lowest = cands.iter().filter(|c| c.evictable).map(|c| c.qos).min();
+            let victim = select_victim(&cands);
+            proptest::prop_assert_eq!(victim.map(|v| cands[v].qos), lowest);
+            if let Some(v) = victim {
+                proptest::prop_assert!(cands[v].evictable);
+            }
+        }
+    }
+
     #[test]
     fn profile_usage_is_deterministic() {
         let p = MemProfile::new(100 << 20, 1 << 20).with_growth(1024.0 * 1024.0);
@@ -546,8 +500,8 @@ mod tests {
 
     #[test]
     fn state_derives_limits_and_qos_from_topology() {
-        let plan = MemPlan::new(vec![NodeMemCfg::new(4 << 30); 2])
-            .with_profile(0, MemProfile::new(1 << 28, 1 << 20));
+        let plan =
+            MemPlan::new(vec![4 << 30; 2]).with_profile(0, MemProfile::new(1 << 28, 1 << 20));
         let st = MemState::new(&plan, &topo_with_specs());
         assert_eq!(st.limits, vec![1 << 30, 0]);
         assert_eq!(st.requests, vec![1 << 30, 0]);
@@ -561,7 +515,7 @@ mod tests {
 
     #[test]
     fn snapshot_drains_window_counters() {
-        let plan = MemPlan::new(vec![NodeMemCfg::new(4 << 30)]);
+        let plan = MemPlan::new(vec![4 << 30]);
         let mut st = MemState::new(&plan, &topo_with_specs());
         st.oom_kills = 3;
         st.evictions = [2, 1, 0];
@@ -588,16 +542,14 @@ mod tests {
 
     #[test]
     fn plan_digest_is_structure_sensitive() {
-        let base = MemPlan::new(vec![NodeMemCfg::new(4 << 30)]);
-        let same = MemPlan::new(vec![NodeMemCfg::new(4 << 30)]);
+        let base = MemPlan::new(vec![4 << 30]);
+        let same = MemPlan::new(vec![4 << 30]);
         assert_eq!(base.digest(), same.digest());
-        let bigger_node = MemPlan::new(vec![NodeMemCfg::new(8 << 30)]);
+        let bigger_node = MemPlan::new(vec![8 << 30]);
         assert_ne!(base.digest(), bigger_node.digest());
         let with_profile = base
             .clone()
             .with_profile(0, MemProfile::new(1 << 28, 1 << 20));
         assert_ne!(base.digest(), with_profile.digest());
-        let tuned = base.clone().with_thresholds(0.9, 0.8, 1.5);
-        assert_ne!(base.digest(), tuned.digest());
     }
 }

@@ -97,17 +97,10 @@ pub struct SimMetrics {
 }
 
 impl SimMetrics {
-    /// Creates a collector for `sim` labeled with the managing `system`
-    /// ("ursa", "sinan", ...). `slas` (possibly empty) seed the SLO
-    /// monitor; SLAs at percentile 0 or 100 have no error budget and are
-    /// skipped.
-    pub fn new(system: &str, sim: &Simulation, slas: &[Sla]) -> Self {
-        Self::for_topology(system, sim.topology(), slas)
-    }
-
-    /// Like [`new`](Self::new), but from a bare topology — for callers that
-    /// build the simulation later (or internally) yet need the collector
-    /// up front.
+    /// Creates a collector for simulations of `topo` labeled with the
+    /// managing `system` ("ursa", "sinan", ...). `slas` (possibly empty)
+    /// seed the SLO monitor; SLAs at percentile 0 or 100 have no error
+    /// budget and are skipped.
     pub fn for_topology(system: &str, topo: &Topology, slas: &[Sla]) -> Self {
         let service_names: Vec<String> = topo.services().iter().map(|s| s.name.clone()).collect();
         let class_names: Vec<String> = topo.classes().iter().map(|c| c.name.clone()).collect();
@@ -155,11 +148,6 @@ impl SimMetrics {
     /// onsets).
     pub fn annotations(&self) -> &[Annotation] {
         &self.annotations
-    }
-
-    /// The underlying registry, for callers exporting extra series.
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
     }
 
     /// The SLO monitor, when SLAs were given.
@@ -584,7 +572,7 @@ mod tests {
     fn metered_run_collects_series_and_annotations() {
         let mut s = sim(11);
         let slas = [Sla::new(ClassId(0), 99.0, 0.100)];
-        let mut metrics = SimMetrics::new("scale-once", &s, &slas);
+        let mut metrics = SimMetrics::for_topology("scale-once", s.topology(), &slas);
         run_deployment_observed(
             &mut s,
             &slas,
@@ -641,7 +629,7 @@ mod tests {
         let mut a = sim(7);
         let plain = run_deployment(&mut a, &slas, &mut ScaleOnce { ticks: 0 }, &cfg());
         let mut b = sim(7);
-        let mut metrics = SimMetrics::new("scale-once", &b, &slas);
+        let mut metrics = SimMetrics::for_topology("scale-once", b.topology(), &slas);
         let metered = run_deployment_observed(
             &mut b,
             &slas,
@@ -664,7 +652,7 @@ mod tests {
     fn artifacts_written_and_self_contained() {
         let mut s = sim(5);
         let slas = [Sla::new(ClassId(0), 99.0, 0.100)];
-        let mut metrics = SimMetrics::new("static", &s, &slas);
+        let mut metrics = SimMetrics::for_topology("static", s.topology(), &slas);
         run_deployment_observed(
             &mut s,
             &slas,
@@ -689,7 +677,7 @@ mod tests {
     #[test]
     fn memory_snapshot_feeds_series_panels_and_annotations() {
         let mut s = sim(3);
-        let mut metrics = SimMetrics::new("static", &s, &[]);
+        let mut metrics = SimMetrics::for_topology("static", s.topology(), &[]);
         s.run_for(SimDur::from_secs(10));
         let mut snap = s.harvest();
         // No memory plane installed: no mem series, no mem panels.
@@ -750,7 +738,7 @@ mod tests {
     fn slo_skips_budgetless_percentiles() {
         let s = sim(1);
         let slas = [Sla::new(ClassId(0), 100.0, 0.1)];
-        let metrics = SimMetrics::new("x", &s, &slas);
+        let metrics = SimMetrics::for_topology("x", s.topology(), &slas);
         assert!(metrics.slo().is_none());
     }
 }

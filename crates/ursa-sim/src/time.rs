@@ -96,11 +96,6 @@ impl SimDur {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// The span in milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Multiplies the span by an integer factor.
     pub const fn times(self, k: u64) -> SimDur {
         SimDur(self.0 * k)

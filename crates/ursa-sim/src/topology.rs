@@ -264,7 +264,7 @@ pub struct ResourceSpec {
 
 impl ResourceSpec {
     /// A Guaranteed-class spec: requests equal limits on both dimensions.
-    pub fn guaranteed(cpu: f64, mem_bytes: u64) -> Self {
+    pub const fn guaranteed(cpu: f64, mem_bytes: u64) -> Self {
         ResourceSpec {
             cpu_request: cpu,
             cpu_limit: cpu,
@@ -274,18 +274,18 @@ impl ResourceSpec {
     }
 
     /// A Burstable-class spec: requests below limits.
-    pub fn burstable(cpu_request: f64, cpu_limit: f64, mem_request: u64, mem_limit: u64) -> Self {
+    pub const fn burstable(
+        cpu_request: f64,
+        cpu_limit: f64,
+        mem_request: u64,
+        mem_limit: u64,
+    ) -> Self {
         ResourceSpec {
             cpu_request,
             cpu_limit,
             mem_request,
             mem_limit,
         }
-    }
-
-    /// A BestEffort-class spec: nothing requested, nothing limited.
-    pub fn best_effort() -> Self {
-        ResourceSpec::default()
     }
 
     /// Derives the QoS class with the kubelet's rules: Guaranteed iff
@@ -1158,57 +1158,54 @@ mod tests {
         assert_ne!(a.digest(), d.digest(), "edge kind changes the digest");
     }
 
-    #[test]
-    fn qos_class_derivation_follows_kubelet_rules() {
-        assert_eq!(
-            ResourceSpec::guaranteed(2.0, 1 << 30).qos_class(),
-            QosClass::Guaranteed
-        );
-        assert_eq!(
-            ResourceSpec::best_effort().qos_class(),
-            QosClass::BestEffort
-        );
-        assert_eq!(
-            ResourceSpec::burstable(1.0, 2.0, 1 << 29, 1 << 30).qos_class(),
-            QosClass::Burstable
-        );
-        // Requests == limits on CPU only: still Burstable (both dimensions
-        // must be fully specified for Guaranteed).
-        let cpu_only = ResourceSpec {
-            cpu_request: 1.0,
-            cpu_limit: 1.0,
-            mem_request: 0,
-            mem_limit: 0,
-        };
-        assert_eq!(cpu_only.qos_class(), QosClass::Burstable);
-        // Limit without request: Burstable.
-        let limit_only = ResourceSpec {
-            cpu_request: 0.0,
-            cpu_limit: 2.0,
-            mem_request: 0,
-            mem_limit: 1 << 30,
-        };
-        assert_eq!(limit_only.qos_class(), QosClass::Burstable);
-        // Eviction order: BestEffort evicted before Burstable before
-        // Guaranteed — the Ord impl is the kubelet's priority.
-        assert!(QosClass::BestEffort < QosClass::Burstable);
-        assert!(QosClass::Burstable < QosClass::Guaranteed);
+    /// Requests and limits drawn from a few values each, so that equal
+    /// requests and limits, unset fields and inverted pairs all occur.
+    fn resource_spec() -> impl proptest::strategy::Strategy<Value = ResourceSpec> {
+        use proptest::prelude::*;
+        const CPU: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
+        const MEM: [u64; 3] = [0, 1 << 20, 1 << 30];
+        (0usize..4, 0usize..4, 0usize..3, 0usize..3).prop_map(|(cr, cl, mr, ml)| ResourceSpec {
+            cpu_request: CPU[cr],
+            cpu_limit: CPU[cl],
+            mem_request: MEM[mr],
+            mem_limit: MEM[ml],
+        })
     }
 
-    #[test]
-    fn resource_spec_validation() {
-        let bad_cpu =
-            ServiceCfg::new("a", 1.0).with_resources(ResourceSpec::burstable(4.0, 2.0, 0, 0));
-        assert!(Topology::new(vec![bad_cpu], vec![]).is_err());
-        let bad_mem = ServiceCfg::new("a", 1.0).with_resources(ResourceSpec {
-            cpu_request: 0.0,
-            cpu_limit: 0.0,
-            mem_request: 1 << 30,
-            mem_limit: 1 << 20,
-        });
-        assert!(Topology::new(vec![bad_mem], vec![]).is_err());
-        let ok = ServiceCfg::new("a", 1.0).with_resources(ResourceSpec::guaranteed(1.0, 1 << 28));
-        assert!(Topology::new(vec![ok], vec![]).is_ok());
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The kubelet's rules: Guaranteed iff requests equal limits and
+        /// are set on both resources, BestEffort iff nothing is set; and
+        /// a request above a set limit is rejected, naming the field.
+        #[test]
+        fn qos_class_and_validation_follow_kubelet_rules(spec in resource_spec()) {
+            let guaranteed = spec.cpu_request > 0.0
+                && spec.cpu_request == spec.cpu_limit
+                && spec.mem_request > 0
+                && spec.mem_request == spec.mem_limit;
+            let best_effort = spec == ResourceSpec::default();
+            let qos = spec.qos_class();
+            proptest::prop_assert_eq!(qos == QosClass::Guaranteed, guaranteed);
+            proptest::prop_assert_eq!(qos == QosClass::BestEffort, best_effort);
+
+            let rejected = if spec.cpu_limit > 0.0 && spec.cpu_request > spec.cpu_limit {
+                Some("cpu_request")
+            } else if spec.mem_limit > 0 && spec.mem_request > spec.mem_limit {
+                Some("mem_request")
+            } else {
+                None
+            };
+            let svc = ServiceCfg::new("a", 1.0).with_resources(spec);
+            match (Topology::new(vec![svc], vec![]), rejected) {
+                (Ok(_), None) => {}
+                (Err(e), Some(field)) => proptest::prop_assert!(
+                    e.to_string().contains(field),
+                    "{e} does not name {field}"
+                ),
+                (got, want) => proptest::prop_assert!(false, "{got:?} for {want:?}"),
+            }
+        }
     }
 
     #[test]

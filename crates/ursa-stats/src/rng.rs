@@ -146,15 +146,6 @@ impl Rng {
         }
     }
 
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
-
     /// Samples an index according to the given non-negative weights.
     ///
     /// # Panics

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The collector scrapes once per control window; passing `None` instead
     // would reproduce the exact same simulation without it.
-    let mut metrics = SimMetrics::new("ursa", &sim, &app.slas);
+    let mut metrics = SimMetrics::for_topology("ursa", sim.topology(), &app.slas);
     let deploy = DeployConfig {
         duration,
         control_interval: SimDur::from_mins(1),

@@ -107,7 +107,7 @@ fn build(spec: &ChainSpec, mask: u32) -> Simulation {
         sim.install_faults(&plan, spec.seed);
     }
     if on(MEMORY) {
-        sim.install_memory_plane(&MemPlan::new(vec![NodeMemCfg::new(16 << 30); 4]));
+        sim.install_memory_plane(&MemPlan::new(vec![16 << 30; 4]));
     }
     sim
 }
