@@ -18,13 +18,16 @@
 //!   tag, then admission/token order) and the nanosecond quantization
 //!   of completion checks;
 //! * three engine cells have their work counts pinned exactly, so a
-//!   change in complexity class shows up as a count, not as a wall clock.
+//!   change in complexity class shows up as a count, not as a wall clock,
+//!   and a digest of every latency sample's bits, so a nanosecond moved
+//!   without moving a count shows up too.
 
 use proptest::prelude::*;
 use ursa::apps::{scale_app, social_network};
 use ursa::sim::chaos::{Fault, FaultKind, FaultPlan};
 use ursa::sim::prelude::*;
 use ursa::sim::ps::{ps_rate, VtPs};
+use ursa::sim::topology::Fnv;
 
 /// Relative tolerance for comparing the two models' real-valued state.
 /// They accumulate floating-point error differently (the countdown
@@ -367,6 +370,25 @@ fn big_cell() -> (Simulation, u64) {
     (sim, 20)
 }
 
+/// FNV-1a of the bits of every e2e and tier latency sample one harvest at
+/// the end of the run retains, plus the final clock and in-flight count.
+/// A 1 ns shift from a rounding change moves no count and may not move a
+/// 4-decimal TSV; it moves this.
+fn bits_digest(sim: &mut Simulation) -> u64 {
+    let snap = sim.harvest();
+    let tiers = snap.services.iter().flat_map(|s| &s.tier_latency);
+    let mut bytes = Vec::new();
+    for series in snap.e2e_latency.iter().chain(tiers) {
+        bytes.extend((series.len() as u64).to_le_bytes());
+        for x in series.samples() {
+            bytes.extend(x.to_bits().to_le_bytes());
+        }
+    }
+    bytes.extend(sim.now().as_nanos().to_le_bytes());
+    bytes.extend((sim.in_flight() as u64).to_le_bytes());
+    Fnv::digest(&bytes)
+}
+
 /// Pinned work counts: events dispatched, the event queue's high-water
 /// depth and the request arena's high-water slot count, exactly. They
 /// guard what a wall-clock band on a shared machine cannot: the engine
@@ -374,16 +396,31 @@ fn big_cell() -> (Simulation, u64) {
 /// queued, never one timer per job (ps_heavy's hundreds of concurrent
 /// jobs leave the queue 8 deep), and no change that moves the event
 /// order goes unnoticed. `VtPs` itself staying free of per-job sweeps is
-/// a CI lint ("processor sharing has no per-job traversal").
+/// a CI lint ("processor sharing has no per-job traversal"). Beside the
+/// counts, [`bits_digest`] pins every nanosecond the runs produced.
 #[test]
 fn engine_cell_work_counts_are_pinned() {
     type Cell = fn() -> (Simulation, u64);
-    let cells: [(&str, Cell, (u64, usize, usize)); 3] = [
-        ("canonical", canonical_cell, (289_109, 21, 9_040)),
-        ("ps_heavy", ps_heavy_cell, (120_158, 8, 19_869)),
-        ("big", big_cell, (802_341, 211, 390)),
+    // ((events, queue high water, arena slots), latency bits digest)
+    type Pins = ((u64, usize, usize), u64);
+    let cells: [(&str, Cell, Pins); 3] = [
+        (
+            "canonical",
+            canonical_cell,
+            ((289_109, 21, 9_040), 0x7a52_120d_1f3e_8ca4),
+        ),
+        (
+            "ps_heavy",
+            ps_heavy_cell,
+            ((120_158, 8, 19_869), 0x0b32_09fe_037a_60ca),
+        ),
+        (
+            "big",
+            big_cell,
+            ((802_341, 211, 390), 0xc2a2_77a7_52a6_fe6f),
+        ),
     ];
-    for (name, build, want) in cells {
+    for (name, build, (want, want_bits)) in cells {
         let (mut sim, secs) = build();
         sim.run_for(SimDur::from_secs(secs));
         let got = (
@@ -392,5 +429,7 @@ fn engine_cell_work_counts_are_pinned() {
             sim.arena_slots_high_water(),
         );
         assert_eq!(got, want, "{name}: (events, queue high water, arena slots)");
+        let bits = bits_digest(&mut sim);
+        assert_eq!(bits, want_bits, "{name}: latency bits digest {bits:#018x}");
     }
 }
