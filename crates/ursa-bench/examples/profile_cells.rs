@@ -1,13 +1,14 @@
-//! Standalone driver for two of the engine cells whose work counts
-//! `tests/ps_reference.rs` pins (canonical and ps_heavy), sized for
+//! Standalone driver for the three engine cells whose work counts
+//! `tests/ps_reference.rs` pins (canonical, ps_heavy and big), sized for
 //! external profilers: long enough runs to dominate startup, no harness
-//! timing logic in the way. The engine does not time itself (DESIGN.md §6,
-//! "Engine cost model, measured from outside"); this is how to ask where
-//! its time goes.
+//! timing logic in the way. `big`, 63 services with a queue ~200 deep, is
+//! the one deep-queue regime: no ledger workload reaches it. The engine
+//! does not time itself (DESIGN.md §6, "Engine cost model, measured from
+//! outside"); this is how to ask where its time goes.
 //!
 //! ```sh
 //! cargo build --release -p ursa-bench --example profile_cells
-//! cd target/release/examples      # usage: profile_cells [canonical|ps_heavy] [reps]
+//! cd target/release/examples      # usage: profile_cells [canonical|ps_heavy|big] [reps]
 //! ```
 //!
 //! With `gprofng` (binutils ≥ 2.39; `-p hi` samples every millisecond):
@@ -88,7 +89,9 @@
 //!     out = subprocess.run(["addr2line", "-a", "-i", "-f", "-C", "-e", path] + addrs,
 //!                          capture_output=True, text=True).stdout
 //!     for frames in out.split("\n0x"):
-//!         count[f"{path.rsplit('/', 1)[-1]}  {frames.splitlines()[-2]}"] += 1
+//!         lines = frames.splitlines()
+//!         if len(lines) >= 2:  # an address addr2line returned no frame for
+//!             count[f"{path.rsplit('/', 1)[-1]}  {lines[-2]}"] += 1
 //! for fn, k in count.most_common(20):
 //!     print(f"{100 * k / len(ips):5.1f}%  {fn}")
 //! ```
@@ -97,7 +100,7 @@
 //! CPU-second: run enough reps for a few thousand samples before reading
 //! anything below 5 %.
 
-use ursa_apps::social_network;
+use ursa_apps::{scale_app, social_network};
 use ursa_sim::prelude::*;
 use ursa_sim::workload::RateFn;
 
@@ -125,8 +128,16 @@ fn canonical(seed: u64) -> u64 {
     sim.events_processed()
 }
 
+fn big(seed: u64) -> u64 {
+    let app = scale_app(&social_network(false), 7);
+    let mut sim = app.build_sim(seed);
+    app.apply_load(&mut sim, RateFn::Constant(app.default_rps * 2.0));
+    sim.run_for(SimDur::from_secs(20));
+    sim.events_processed()
+}
+
 fn usage() -> ! {
-    eprintln!("usage: profile_cells [canonical|ps_heavy] [reps]");
+    eprintln!("usage: profile_cells [canonical|ps_heavy|big] [reps]");
     std::process::exit(2)
 }
 
@@ -136,6 +147,7 @@ fn main() {
     let run: fn(u64) -> u64 = match cell {
         "canonical" => |rep| canonical(0xBE7C + rep),
         "ps_heavy" => |rep| ps_heavy(0x9527 + rep),
+        "big" => |rep| big(0x816C + rep),
         _ => usage(),
     };
     let reps: u64 = match args.get(2) {

@@ -32,8 +32,8 @@
 //! The event core (v3) is built for raw single-core throughput while
 //! preserving the seed → bit-identical-output contract:
 //!
-//! * events live in one sorted vector ([`crate::evq`]) — a push that pops
-//!   next is an append, any other shifts only the entries ahead of it;
+//! * events live in one sorted vector ([`crate::evq`]) — a push walks back
+//!   from the tail, moving only the entries that pop before it;
 //! * in-flight request/hop state lives in a generational SoA arena
 //!   ([`crate::arena`]) instead of pooled per-request `Vec`s;
 //! * per-hop routing fields come from the topology's SoA hot table

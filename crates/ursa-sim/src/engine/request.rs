@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use crate::arena::{Phase, NO_DAEMON};
 use crate::evq::EventQueue;
 use crate::ps::{ps_rate, VtPs};
-use crate::time::{SimDur, SimTime};
+use crate::time::{ceil_nanos, SimDur, SimTime};
 use crate::topology::{CallMode, ClassId, EdgeKind, ServiceId, NO_NESTED_PARENT};
 
 use super::{EventKind, PrioQueue, Replica, Simulation, Token, MIN_WORK, WORK_EPS};
@@ -79,8 +79,7 @@ impl Replica {
         // `x / 1.0 == x` bitwise: the gate skips the division, common on
         // uncontended replicas, without changing the quantized result.
         let dt_s = if rate == 1.0 { min_rem } else { min_rem / rate };
-        let dt_ns = (dt_s * 1e9).ceil().max(1.0) as u64;
-        Some(now + SimDur::from_nanos(dt_ns))
+        Some(now + SimDur::from_nanos(ceil_nanos(dt_s * 1e9)))
     }
 
     /// Makes the pending `PsCheck` of this replica (slot `replica` of

@@ -1,13 +1,17 @@
 //! The engine's event queue: one vector sorted descending by `(at, seq)`.
 //!
 //! The entry to pop next is the last one, so `pop` is `Vec::pop`. A push
-//! that pops next — the common case — is `Vec::push`; any other push
-//! binary-searches its place and shifts only the entries that pop *before*
-//! it, which at the depths the engine sustains (under a hundred entries in
-//! every experiment, a few hundred in the 63-service perf cell) is one or
-//! two cache lines of `memmove`. Pushing is the one insertion path: the
-//! engine never loads a batch in ascending time, the one pattern that
-//! would shift the whole vector on every push.
+//! walks back from the tail, moving each entry that pops *before* the new
+//! one a slot toward the end, and writes the new entry into the gap; a
+//! push that pops next compares once and moves nothing. The walk visits
+//! only the entries that pop before the new one, a handful at the depths
+//! the engine sustains (under a hundred entries in every experiment, a few
+//! hundred in the 63-service perf cell), so it beats a binary search plus
+//! a `memmove` call. Its worst case is a push that pops last, which walks
+//! the whole vector: the same O(n) as the shift it replaces. Pushing is
+//! the one insertion path: the engine never loads a batch in ascending
+//! time, the one pattern that would walk the whole vector on every push.
+//! `remove`, rarer and deeper, keeps the binary search.
 //!
 //! `(at, seq)` keys are unique, so pop order is a total order independent
 //! of how the entries got here; `tests/event_core_reference.rs` checks it
@@ -25,9 +29,16 @@ pub struct QEntry<K> {
 
 impl<K> QEntry<K> {
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+    fn key(&self) -> u128 {
+        pack(self.at, self.seq)
     }
+}
+
+/// `(at, seq)` packed into one integer that orders as the pair does, so a
+/// comparison is one subtract-with-borrow instead of two branches.
+#[inline]
+fn pack(at: SimTime, seq: u64) -> u128 {
+    ((at.as_nanos() as u128) << 64) | seq as u128
 }
 
 /// Priority queue of [`QEntry`]s popping in ascending `(at, seq)` order.
@@ -38,13 +49,13 @@ pub struct EventQueue<K> {
     max_depth: usize,
 }
 
-impl<K> Default for EventQueue<K> {
+impl<K: Copy> Default for EventQueue<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K> EventQueue<K> {
+impl<K: Copy> EventQueue<K> {
     pub fn new() -> Self {
         EventQueue {
             entries: Vec::new(),
@@ -67,19 +78,25 @@ impl<K> EventQueue<K> {
         self.max_depth
     }
 
+    /// Walks back from the tail, moving each entry that pops before the new
+    /// one a slot toward the end, and writes the new entry into the gap.
     #[inline]
     pub fn push(&mut self, at: SimTime, seq: u64, kind: K) {
         let e = QEntry { at, seq, kind };
         let key = e.key();
-        if self.entries.last().is_none_or(|last| last.key() > key) {
-            self.entries.push(e);
-        } else {
-            let pos = self.entries.partition_point(|x| x.key() > key);
-            self.entries.insert(pos, e);
-            let around = pos.saturating_sub(1)..pos + 2;
-            debug_assert!(sorted(&self.entries[around]), "duplicate (at, seq) key");
+        let mut i = self.entries.len();
+        self.entries.push(e);
+        while i > 0 && self.entries[i - 1].key() < key {
+            self.entries[i] = self.entries[i - 1];
+            i -= 1;
         }
-        self.max_depth = self.max_depth.max(self.entries.len());
+        self.entries[i] = e;
+        let len = self.entries.len();
+        debug_assert!(
+            sorted(&self.entries[i.saturating_sub(1)..(i + 2).min(len)]),
+            "duplicate (at, seq) key"
+        );
+        self.max_depth = self.max_depth.max(len);
     }
 
     #[inline]
@@ -93,15 +110,19 @@ impl<K> EventQueue<K> {
     }
 
     /// Removes the entry keyed `(at, seq)`, if queued; the pop order of the
-    /// rest is unchanged. Costs what the matching `push` cost: a binary
-    /// search and a shift of the entries that pop before it.
+    /// rest is unchanged. A binary search and a shift of the entries that
+    /// pop before it: a removed check sits deeper than a pushed entry lands,
+    /// and there a tail walk measured no faster (DESIGN §6, "The queue walks
+    /// from its tail").
     #[inline]
     pub fn remove(&mut self, at: SimTime, seq: u64) -> bool {
-        let key = (at, seq);
+        let key = pack(at, seq);
         let pos = self.entries.partition_point(|x| x.key() > key);
         let found = self.entries.get(pos).is_some_and(|x| x.key() == key);
         if found {
             self.entries.remove(pos);
+            let seam = pos.saturating_sub(1)..(pos + 1).min(self.entries.len());
+            debug_assert!(sorted(&self.entries[seam]), "order broken closing the gap");
         }
         found
     }
@@ -126,7 +147,7 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
-    fn drain<K>(q: &mut EventQueue<K>) -> Vec<(u64, u64)> {
+    fn drain<K: Copy>(q: &mut EventQueue<K>) -> Vec<(u64, u64)> {
         std::iter::from_fn(|| q.pop())
             .map(|e| (e.at.as_nanos(), e.seq))
             .collect()
