@@ -10,7 +10,11 @@
 //! "prepared once per exploration, re-priced per recalculation" (PR 24) and
 //! have to survive every change that claims the same decisions: a moved
 //! tie-break, a float sum in another order or a threshold read one
-//! recalculation late moves at least one of them.
+//! recalculation late moves at least one of them. The `marginal` digest
+//! (recorded at the commit before the control tick stopped computing the
+//! p-value where the t statistic alone decides) sees what the others
+//! cannot: a scale-in t-test decided inside its critical-value bracket,
+//! and a latency anomaly's violation rate.
 //!
 //! The baselines are pinned the same way, at the commit before their
 //! decision kernels were batched: Sinan's trained predictor over its
@@ -30,6 +34,7 @@ use ursa::core::exploration::ExplorationConfig;
 use ursa::core::manager::{Ursa, UrsaConfig};
 use ursa::core::profiling::ProfilingConfig;
 use ursa::sim::prelude::*;
+use ursa::stats::rng::Rng;
 
 /// The actuation surface managers see, backed by two vectors: a recorded
 /// load does not react to replayed decisions, so no simulation is needed.
@@ -205,6 +210,61 @@ fn replay_digest(app: &App, snapshots: &[MetricsSnapshot], mut ursa: Ursa) -> u6
     digest.0
 }
 
+/// Ursa's ticks at the margins of its decisions. The recorded snapshots
+/// are replayed with every arrival count scaled by a seeded, noisy level
+/// that moves every twenty windows, so scale-in t-tests land above, below
+/// and close to the critical value (the last a few in a thousand). Four
+/// windows carry an overloaded run's latencies, so a latency anomaly is
+/// raised and its violation rate logged. `replay` alone reaches neither.
+fn marginal_digest(
+    app: &App,
+    snapshots: &[MetricsSnapshot],
+    overloaded: &[MetricsSnapshot],
+    mut ursa: Ursa,
+) -> u64 {
+    let mut digest = Digest::new();
+    let mut plane = VecPlane::of(app);
+    ursa.apply_initial_allocation(&rates_at(app.default_rps, &app.mix), &mut plane);
+    let mut rng = Rng::seed_from(0x30);
+    let mut level = 1.0;
+    for i in 0..2000 {
+        if i % 20 == 0 {
+            level = 0.5 + rng.next_f64();
+        }
+        let f = level * (1.0 + 0.4 * (rng.next_f64() - 0.5));
+        let mut snap = snapshots[i % snapshots.len()].clone();
+        for service in &mut snap.services {
+            for a in &mut service.arrivals {
+                *a = (*a as f64 * f) as u64;
+            }
+        }
+        if let Some(hot) = i.checked_sub(300).and_then(|k| overloaded.get(k)) {
+            snap.e2e_latency.clone_from(&hot.e2e_latency);
+        }
+        plane.now = snap.at;
+        ursa.on_tick(&snap, &mut plane);
+        for &r in &plane.replicas {
+            digest.word(r as u64);
+        }
+        digest.model(&ursa);
+    }
+    digest.log(&ursa);
+    digest.0
+}
+
+/// Four windows of the social network at three times its default rate and
+/// its default allocation: every class's tail far beyond its SLA.
+fn overloaded(app: &App) -> Vec<MetricsSnapshot> {
+    let mut sim = app.build_sim(0x0BAD);
+    app.apply_load(&mut sim, RateFn::Constant(3.0 * app.default_rps));
+    (0..4)
+        .map(|_| {
+            sim.run_for(SimDur::from_mins(1));
+            sim.harvest()
+        })
+        .collect()
+}
+
 /// A rate × skew recalculation sweep (the ledger's `recalc_sweep` shape)
 /// with a re-exploration of `timeline-update` in the middle, so the second
 /// half re-prices a model prepared from the updated report.
@@ -332,6 +392,10 @@ fn decisions_are_pinned() {
     let mut firm = trained_firm(&app);
     let got = [
         ("replay", replay_digest(&app, &snapshots, ursa.clone())),
+        (
+            "marginal",
+            marginal_digest(&app, &snapshots, &overloaded(&app), ursa.clone()),
+        ),
         ("sweep", sweep_digest(&app, ursa)),
         ("sinan_predictor", predictor_digest(&sinan, &dataset)),
         (
@@ -353,6 +417,7 @@ fn decisions_are_pinned() {
         got,
         [
             ("replay", 0x6205_70a9_db8b_e592),
+            ("marginal", 0xfef9_b0dc_fccd_8952),
             ("sweep", 0x5acb_9f3c_026d_5a07),
             ("sinan_predictor", 0x502c_295e_73c5_18b8),
             ("sinan_replay", 0x07d8_fc55_fccb_5103),
