@@ -135,9 +135,6 @@ impl AnomalyDetector {
             } else {
                 self.violating_windows[c] = 0;
             }
-            let rate = snapshot.e2e_latency[c]
-                .fraction_above(sla.target)
-                .unwrap_or(0.0);
             if self.violating_windows[c] >= self.latency_patience {
                 // Candidate: the most CPU-utilized service on the path.
                 let service = class_services[c]
@@ -150,10 +147,15 @@ impl AnomalyDetector {
                             .expect("finite")
                     })
                     .unwrap_or(0);
+                // The violation rate is read only for the anomaly that
+                // carries it: a binary search of every window otherwise.
+                let violation_rate = snapshot.e2e_latency[c]
+                    .fraction_above(sla.target)
+                    .unwrap_or(0.0);
                 anomalies.push(Anomaly::Latency {
                     class: c,
                     service,
-                    violation_rate: rate,
+                    violation_rate,
                 });
                 self.violating_windows[c] = 0; // reset after raising
             }

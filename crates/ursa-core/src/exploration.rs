@@ -19,6 +19,7 @@ use ursa_sim::control::Sla;
 use ursa_sim::time::SimDur;
 use ursa_sim::topology::{ServiceId, Topology};
 use ursa_stats::quantile::percentile_of_sorted;
+use ursa_stats::round::ceil_usize;
 
 /// Tail estimates from few samples systematically understate extreme
 /// percentiles. With fewer than this many samples beyond the requested
@@ -85,7 +86,7 @@ pub fn replicas_for(lpr: &[f64], loads: &[f64]) -> usize {
     let mut needed = 1usize;
     for (a, y) in loads.iter().zip(lpr) {
         if *y > 0.0 && *a > 0.0 {
-            needed = needed.max((a / y).ceil() as usize);
+            needed = needed.max(ceil_usize(a / y));
         }
     }
     needed

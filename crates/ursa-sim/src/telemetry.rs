@@ -93,7 +93,8 @@ impl LatencySeries {
     /// Fraction of *retained* samples strictly above `threshold` seconds
     /// (denominator is [`len`](Self::len), not
     /// [`total_count`](Self::total_count)), or `None` if empty. A binary
-    /// search of the sorted view: anomaly detectors call this every tick.
+    /// search of the sorted view, which the anomaly detector asks for only
+    /// when it raises a latency anomaly.
     pub fn fraction_above(&self, threshold: f64) -> Option<f64> {
         if self.is_empty() {
             return None;

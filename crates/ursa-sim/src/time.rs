@@ -6,6 +6,7 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
+use ursa_stats::round::{ceil_u64, round_u64};
 
 /// An instant in simulated time (nanoseconds since simulation start).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -17,28 +18,12 @@ pub struct SimDur(u64);
 
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
-/// `ns.round() as u64` — half away from zero, saturating as `as u64` does
-/// (NaN and negatives to 0) — without the libm call. Below 2^53 the
-/// truncation and `ns - t` are exact; at and above it `ns` is an integer.
-/// Branch-free: the fraction of a sampled gap is a coin flip, and a
-/// branch on it mispredicts half the time.
-#[inline]
-fn round_nanos(ns: f64) -> u64 {
-    let t = ns as u64;
-    t.saturating_add((ns - t as f64 >= 0.5) as u64)
-}
-
 /// `ns.ceil().max(1.0) as u64` without the libm call: the next integer at
 /// or above `ns`, at least 1 (so NaN and every `ns <= 1` give 1),
 /// saturating at `u64::MAX`.
 #[inline]
 pub(crate) fn ceil_nanos(ns: f64) -> u64 {
-    let t = ns as u64;
-    if (t as f64) < ns {
-        t.saturating_add(1)
-    } else {
-        t.max(1)
-    }
+    ceil_u64(ns).max(1)
 }
 
 impl SimTime {
@@ -57,7 +42,7 @@ impl SimTime {
     /// Panics if `secs` is negative or non-finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs >= 0.0 && secs.is_finite(), "invalid time {secs}");
-        SimTime(round_nanos(secs * NANOS_PER_SEC as f64))
+        SimTime(round_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// Raw nanoseconds since simulation start.
@@ -92,7 +77,7 @@ impl SimDur {
     /// Panics if `secs` is negative or non-finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs >= 0.0 && secs.is_finite(), "invalid duration {secs}");
-        SimDur(round_nanos(secs * NANOS_PER_SEC as f64))
+        SimDur(round_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// Creates a span from whole seconds.
@@ -181,64 +166,6 @@ impl fmt::Display for SimDur {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use proptest::test_runner::TestCaseError;
-
-    /// The integer helpers equal the libm expressions they replace, bit
-    /// for bit, at `ns` and at its two neighbouring doubles.
-    fn check_rounding(ns: f64) -> Result<(), TestCaseError> {
-        let bits = ns.to_bits();
-        for x in [bits.wrapping_sub(1), bits, bits.wrapping_add(1)].map(f64::from_bits) {
-            let (got, libm) = (round_nanos(x), x.round() as u64);
-            prop_assert_eq!(got, libm, "round_nanos({x:e}) = {got}, libm {libm}");
-            let (got, libm) = (ceil_nanos(x), x.ceil().max(1.0) as u64);
-            prop_assert_eq!(got, libm, "ceil_nanos({x:e}) = {got}, libm {libm}");
-        }
-        Ok(())
-    }
-
-    #[test]
-    fn integer_rounding_matches_libm_at_the_edges() {
-        let p = |e: i32| 2f64.powi(e);
-        let mut edges = vec![
-            0.0,
-            -0.0,
-            f64::from_bits(1),
-            f64::MIN_POSITIVE,
-            0.49999999999999994,
-            0.5,
-            1.0,
-            p(52) - 0.5,
-            p(52) + 0.5,
-            p(53),
-            p(63),
-            p(64),
-            p(65),
-            f64::MAX,
-            f64::INFINITY,
-            f64::NAN,
-            -0.5,
-            -1.5,
-            -p(64),
-            f64::NEG_INFINITY,
-        ];
-        edges.extend((0..1000).map(|k| k as f64 + 0.5));
-        edges.extend((0..1000).map(|k| 1e9 + k as f64 + 0.5));
-        for ns in edges {
-            check_rounding(ns).unwrap();
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4096))]
-
-        #[test]
-        fn integer_rounding_matches_libm(bits in any::<u64>(), ns in 0.0f64..4.0e15) {
-            check_rounding(f64::from_bits(bits))?;
-            check_rounding(ns)?;
-        }
-    }
-
     #[test]
     fn roundtrip_seconds() {
         let t = SimTime::from_secs_f64(1.5);

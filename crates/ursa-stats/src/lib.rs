@@ -14,6 +14,7 @@
 //!   controller's threshold check (§V);
 //! * [`quantile`] — the bounded sample window telemetry records into, and
 //!   the exact percentile of a sorted slice;
+//! * [`round`] — floor, ceil and round to an unsigned integer without libm;
 //! * [`tdigest`] — a mergeable quantile sketch for long-lived series.
 //!
 //! # Example
@@ -33,6 +34,7 @@
 pub mod dist;
 pub mod quantile;
 pub mod rng;
+pub mod round;
 pub mod tdigest;
 pub mod ttest;
 

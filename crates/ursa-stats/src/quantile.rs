@@ -7,6 +7,8 @@
 //! thousand samples per window, where exact quantiles are affordable and
 //! remove approximation error from the reproduction.
 
+use crate::round::{ceil_usize, floor_usize};
+
 /// Returns the `p`-th percentile (0–100) of an ascending-sorted slice using
 /// nearest-rank interpolation.
 ///
@@ -31,8 +33,8 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
         return sorted[0];
     }
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
+    let lo = floor_usize(rank);
+    let hi = ceil_usize(rank);
     if lo == hi {
         sorted[lo]
     } else {
@@ -149,6 +151,7 @@ impl QuantileWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn percentile_edges() {
@@ -162,6 +165,43 @@ mod tests {
         let xs = [0.0, 10.0];
         assert_eq!(percentile_of_sorted(&xs, 50.0), 5.0);
         assert_eq!(percentile_of_sorted(&xs, 25.0), 2.5);
+    }
+
+    /// The formula `percentile_of_sorted` computed with libm's floor and
+    /// ceil.
+    fn percentile_libm(sorted: &[f64], p: f64) -> f64 {
+        if sorted.len() == 1 {
+            return sorted[0];
+        }
+        let rank = p / 100.0 * (sorted.len() - 1) as f64;
+        let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let frac = rank - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Bit for bit the libm formula, at both ends, at every p whose
+        /// rank is an integer, and at a random p.
+        #[test]
+        fn percentile_matches_the_libm_formula(
+            xs in proptest::collection::vec(0.0f64..10.0, 1..200),
+            p in 0.0f64..100.0,
+        ) {
+            let mut xs = xs.clone();
+            xs.sort_by(f64::total_cmp);
+            let last = (xs.len() - 1).max(1) as f64;
+            let integral = (0..xs.len()).map(|k| 100.0 * k as f64 / last);
+            for p in [0.0, 100.0, p].into_iter().chain(integral.filter(|p| *p <= 100.0)) {
+                let (got, libm) = (percentile_of_sorted(&xs, p), percentile_libm(&xs, p));
+                prop_assert_eq!(got.to_bits(), libm.to_bits(), "p {p}: {got} vs {libm}");
+            }
+        }
     }
 
     #[test]
