@@ -741,6 +741,27 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// Every application's model, prepared as Figs. 11–12 prepare it at
+    /// Quick scale, leaves no class to the DP at query time: each class's
+    /// option space fits the solver's verdict tables. (The social network
+    /// is checked in tier-1 too, by `tests/pipeline.rs`.)
+    #[test]
+    fn quick_models_are_fully_tabulated() {
+        let grid = Scale::Quick.exploration().percentile_grid;
+        for (ai, app) in ursa_apps::all_apps().iter().enumerate() {
+            let ursa = prepare_ursa(app, Scale::Quick, 0x11_12 + ai as u64);
+            let rates = default_rates(app);
+            let model = ursa_core::optimizer::build_model(
+                ursa.exploration(),
+                &ursa.outcome().slas,
+                &rates,
+                &grid,
+            );
+            let solver = ursa_mip::Solver::new(&model).expect("prepared once already");
+            assert_eq!(solver.untabulated_classes(), 0, "{}", app.name);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn tsv_table_checks_width() {

@@ -10,7 +10,10 @@
 //!
 //! * branch-and-bound over the per-service LPR choices (the δ variables),
 //! * with each class's percentile assignment (the γ variables) solved
-//!   exactly by dynamic programming over the percentile-residual budget,
+//!   exactly by dynamic programming over the percentile-residual budget —
+//!   for a class with a small option space, once per assignment when a
+//!   [`Solver`] is prepared, so that re-solving at a new load looks the
+//!   class's verdicts and choices up,
 //! * seeded by a greedy descent incumbent.
 //!
 //! Solutions are proved optimal for evaluation-scale instances (tens of

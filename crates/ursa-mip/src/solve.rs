@@ -17,19 +17,27 @@
 //! (Equation 3), every latency row, residual budget and SLA target is fixed
 //! by exploration. A [`Solver`] is the fixed half prepared once — the model
 //! validated, per-class tables and optimistic rows, the verdict on each
-//! class alone, the greedy start — and [`Solver::solve_at`] prices it with
-//! one resource table: it re-derives the branch order and the cost bound,
-//! descends, searches and records, and allocates nothing while it does.
-//! [`solve`] and [`solve_greedy`] are a `Solver` used once.
+//! class alone, the greedy start, and every answer the DP can give for a
+//! class whose option space is small — and [`Solver::solve_at`] prices it
+//! with one resource table: it re-derives the branch order and the cost
+//! bound, descends, searches and records, and allocates nothing while it
+//! does. [`solve`] and [`solve_greedy`] are a `Solver` used once.
 //!
 //! The greedy descent and the branch-and-bound ask one question, "is class
-//! *k* still feasible?", answered by the feasibility-only kernel
-//! `dp::min_latency_sum`, and only for the classes of the service they just
+//! *k* still feasible?", and only for the classes of the service they just
 //! moved: a class none of whose services changed keeps the verdict it had.
-//! The recording form of the same DP runs once per class, on the returned
-//! assignment, to produce the percentile choices. The brute-force reference
-//! shares none of this: it runs the allocating [`min_latency_allocation`]
-//! on every assignment.
+//! Its answer does not depend on load, and a class's option space — each
+//! participating service at one of its LPR options or undecided — has a few
+//! dozen to a few hundred entries in Ursa's models. So preparation asks the
+//! feasibility-only kernel `dp::min_latency_sum` once per entry and keeps
+//! the verdicts, and the recording kernel `dp::min_latency_choices` once
+//! per full assignment and keeps the percentile choices; a recalculation
+//! then looks both up. The tables are complete, not a cache: built before
+//! the first call, sized by the model, and the same for every call. A
+//! class with more than 1 024 entries keeps asking the DP at query time,
+//! resuming walks from saved prefixes. The brute-force reference shares
+//! none of this: it runs the allocating [`min_latency_allocation`] on every
+//! assignment.
 
 use crate::dp::{
     budget_units, min_latency_allocation, min_latency_choices, min_latency_sum, residual_units,
@@ -90,6 +98,12 @@ const MAX_NODES: u64 = 2_000_000;
 /// that row does: shorter prefixes are walked again.
 const MIN_PREFIX: usize = 3;
 
+/// The most entries a class's verdict table may have: a class whose option
+/// space is larger keeps answering with the DP at query time. Ursa's
+/// models need at most 756 (social-vanilla at Full scale); filling a larger
+/// table costs a one-shot solve more than its searches save.
+const MAX_TABLE: usize = 1_024;
+
 /// One SLA constraint as the search sees it.
 #[derive(Debug, Clone)]
 struct ClassTable {
@@ -104,6 +118,27 @@ struct ClassTable {
     /// minimum over its LPR rows, the best an undecided service can still
     /// do. `services.len() × cols`, row-major.
     optimistic: Vec<f64>,
+    /// Every answer the DP can give for this class, if its option space
+    /// has at most [`MAX_TABLE`] entries.
+    settled: Option<Settled>,
+}
+
+/// A class's DP answers, computed once for every assignment of its
+/// services. Each participating service has a digit: in a verdict index
+/// `0` for undecided (its optimistic row) and `a + 1` for LPR option `a`,
+/// in a choice index `a`; an index is the sum of digit × weight.
+#[derive(Debug, Clone)]
+struct Settled {
+    /// Per participating service, its digit's weight in a verdict index.
+    weights: Vec<usize>,
+    /// Per verdict index, whether the class can be met there.
+    verdicts: Vec<bool>,
+    /// Per participating service, its digit's weight in a choice index.
+    full_weights: Vec<usize>,
+    /// Per choice index (a full assignment), the percentile column the
+    /// recording DP gives each participating service; `services.len()`
+    /// entries each, meaningless where the class cannot be met.
+    choices: Vec<usize>,
 }
 
 /// The half of a model that load does not reach.
@@ -178,18 +213,10 @@ impl Tables {
                     budget: budget_units(100.0 - c.percentile),
                     services,
                     optimistic,
+                    settled: None,
                 }
             })
             .collect();
-        let mut slots = vec![0];
-        for memberships in &mut classes_of {
-            let mut next = slots[slots.len() - 1];
-            for m in memberships.iter_mut().filter(|m| m.at >= MIN_PREFIX) {
-                m.slot = Some(next);
-                next += 1;
-            }
-            slots.push(next);
-        }
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         for svc in &model.services {
@@ -201,8 +228,59 @@ impl Tables {
             res_cols,
             classes,
             classes_of,
-            slots,
+            slots: Vec::new(),
         })
+    }
+
+    /// Settles every class whose option space has at most `max_table`
+    /// entries: its verdict at every assignment and its percentile choices
+    /// at every full one, each computed by the query-time DP. Then gives a
+    /// prefix slot to each membership of a class left to that DP.
+    fn settle(&mut self, max_table: usize, scratch: &mut DpScratch) {
+        let mut choice = vec![None; self.num_services()];
+        for k in 0..self.classes.len() {
+            let t = &self.classes[k];
+            let radices = t.services.iter().map(|(_, m)| m.rows() + 1);
+            let Some((weights, entries)) = mixed_radix(radices, max_table) else {
+                continue;
+            };
+            let radices = t.services.iter().map(|(_, m)| m.rows());
+            let (full_weights, full) = mixed_radix(radices, max_table).expect("a sub-space");
+            let digit = |at: usize, w: usize, radix: usize| at / w % radix;
+            let verdicts = (0..entries)
+                .map(|at| {
+                    for ((s, m), &w) in t.services.iter().zip(&weights) {
+                        choice[*s] = digit(at, w, m.rows() + 1).checked_sub(1);
+                    }
+                    self.class_ok(k, |s| choice[s], scratch, Prefix::Whole)
+                })
+                .collect();
+            let mut choices = Vec::with_capacity(full * t.services.len());
+            let mut beta = vec![0; t.services.len()];
+            for at in 0..full {
+                let rows = (t.services.iter().zip(&full_weights))
+                    .map(|((_, m), &w)| m.row(digit(at, w, m.rows())));
+                min_latency_choices(rows, &self.res_cols, t.budget, scratch, &mut beta);
+                choices.extend_from_slice(&beta);
+            }
+            self.classes[k].settled = Some(Settled {
+                weights,
+                verdicts,
+                full_weights,
+                choices,
+            });
+        }
+        self.slots = vec![0];
+        for memberships in &mut self.classes_of {
+            let mut next = self.slots[self.slots.len() - 1];
+            for m in memberships.iter_mut() {
+                if m.at >= MIN_PREFIX && self.classes[m.class].settled.is_none() {
+                    m.slot = Some(next);
+                    next += 1;
+                }
+            }
+            self.slots.push(next);
+        }
     }
 
     fn num_services(&self) -> usize {
@@ -236,7 +314,8 @@ impl Tables {
 
     /// Can constraint `k` be met with each of its services `s` at LPR option
     /// `choice(s)` — or, where that is `None` (undecided), at its optimistic
-    /// row? A `prefix` to resume stands for the rows before its position.
+    /// row? A settled class is looked up; otherwise the DP answers, and a
+    /// `prefix` to resume stands for the rows before its position.
     fn class_ok(
         &self,
         k: usize,
@@ -245,6 +324,12 @@ impl Tables {
         prefix: Prefix<'_>,
     ) -> bool {
         let t = &self.classes[k];
+        if let Some(settled) = &t.settled {
+            let at = (t.services.iter().zip(&settled.weights))
+                .map(|((s, _), &w)| choice(*s).map_or(0, |a| (a + 1) * w))
+                .sum::<usize>();
+            return settled.verdicts[at];
+        }
         let rows = t
             .services
             .iter()
@@ -338,6 +423,21 @@ impl Tables {
     }
 }
 
+/// The weight of each digit of a mixed-radix number with `radices`, first
+/// digit least significant, and how many numbers there are — or `None` if
+/// that is more than `max`.
+fn mixed_radix(radices: impl Iterator<Item = usize>, max: usize) -> Option<(Vec<usize>, usize)> {
+    let mut count = 1usize;
+    let weights = radices
+        .map(|radix| {
+            let weight = count;
+            count = count.checked_mul(radix).filter(|&n| n <= max)?;
+            Some(weight)
+        })
+        .collect::<Option<_>>()?;
+    (count <= max).then_some((weights, count))
+}
+
 /// What one resource table decides before the search starts. Every sort
 /// starts from the identity permutation: the sorts are stable, so starting
 /// from the last table's order would break ties differently than a fresh
@@ -395,14 +495,19 @@ impl Priced {
 ///
 /// Load enters the model through the resource table alone, so everything
 /// else is settled once, by [`Solver::new`]: validation, the per-class
-/// tables, whether each class can be met at all, and where the greedy
-/// descent starts. [`solve_at`](Self::solve_at) then answers for one
+/// tables, whether each class can be met at all, where the greedy descent
+/// starts, and — for each class whose option space has at most 1 024
+/// entries — its verdict at every assignment and its percentile choices at
+/// every full one. [`solve_at`](Self::solve_at) then answers for one
 /// resource table what [`solve`] answers for the model carrying it — the
 /// same [`Solution`], search tree and error, to the bit — without
 /// allocating once its buffers have grown.
 ///
-/// No verdict is remembered between calls: a cache would need a capacity,
-/// and would make a call's cost depend on the calls before it.
+/// The verdict and choice tables are not a cache: they hold every answer
+/// the DP could give, are complete before the first call and never change,
+/// so a call's cost does not depend on the calls before it.
+/// [`untabulated_classes`](Self::untabulated_classes) counts the classes
+/// left to the DP.
 #[derive(Debug, Clone)]
 pub struct Solver {
     tables: Tables,
@@ -428,10 +533,13 @@ impl Solver {
     /// The solver, and the class of the first constraint that cannot be met
     /// even on its own best terms (every service on its optimistic row):
     /// one that fails there fails under every assignment.
-    fn prepare(model: &MipModel) -> Result<(Self, Option<usize>), ModelError> {
-        let tables = Tables::new(model)?;
+    fn prepare(model: &MipModel, max_table: usize) -> Result<(Self, Option<usize>), ModelError> {
+        let mut tables = Tables::new(model)?;
         let mut scratch = DpScratch::default();
         let hopeless = tables.first_violated(|_| None, &mut scratch);
+        // A hopeless model is refused before any class is settled.
+        let max_table = if hopeless.is_some() { 0 } else { max_table };
+        tables.settle(max_table, &mut scratch);
         // Start at each service's minimum-latency option (summed row means
         // over the classes it serves) — with monotone exploration data this
         // is the most-resourced option.
@@ -488,10 +596,24 @@ impl Solver {
     /// [`ModelError::Infeasible`] when some class's SLA cannot be met by any
     /// assignment, whatever the resources cost.
     pub fn new(model: &MipModel) -> Result<Self, ModelError> {
-        match Self::prepare(model)? {
+        Self::bounded(model, MAX_TABLE)
+    }
+
+    /// [`Solver::new`] settling only the classes whose verdict tables have
+    /// at most `max_table` entries.
+    fn bounded(model: &MipModel, max_table: usize) -> Result<Self, ModelError> {
+        match Self::prepare(model, max_table)? {
             (solver, None) => Ok(solver),
             (_, Some(class)) => Err(ModelError::Infeasible { class }),
         }
+    }
+
+    /// How many of the model's constraints were left to the DP at query
+    /// time because their option space has more than 1 024 entries; the
+    /// others are answered by lookup.
+    pub fn untabulated_classes(&self) -> usize {
+        let classes = &self.tables.classes;
+        classes.iter().filter(|t| t.settled.is_none()).count()
     }
 
     /// Solves to optimality with `resource` — flat, services in model
@@ -628,6 +750,14 @@ impl Solver {
             .resize_with(tables.classes.len(), Vec::new);
         for (t, beta) in tables.classes.iter().zip(&mut solution.percentile_choice) {
             beta.resize(t.services.len(), 0);
+            if let Some(settled) = &t.settled {
+                let at = (t.services.iter().zip(&settled.full_weights))
+                    .map(|((s, _), &w)| alpha[*s] * w)
+                    .sum::<usize>();
+                let n = beta.len();
+                beta.copy_from_slice(&settled.choices[at * n..][..n]);
+                continue;
+            }
             let rows = t.services.iter().map(|(s, m)| m.row(alpha[*s]));
             let latency = min_latency_choices(rows, &tables.res_cols, t.budget, scratch, beta);
             debug_assert!(latency.is_some_and(|l| l <= t.target + 1e-12));
@@ -744,7 +874,7 @@ pub fn solve(model: &MipModel) -> Result<Solution, ModelError> {
 /// [`ModelError::Infeasible`] when the minimum-latency assignment violates
 /// some class's SLA.
 pub fn solve_greedy(model: &MipModel) -> Result<Solution, ModelError> {
-    let (mut solver, _) = Solver::prepare(model)?;
+    let (mut solver, _) = Solver::prepare(model, MAX_TABLE)?;
     let Some(objective) = solver.greedy(&resource_table(model)) else {
         let class = solver.start.expect_err("the descent had no start");
         return Err(ModelError::Infeasible { class });
@@ -817,6 +947,7 @@ pub fn solve_brute_force(model: &MipModel) -> Result<Solution, ModelError> {
 mod tests {
     use super::*;
     use crate::model::{LatencyMatrix, ServiceModel, SlaConstraint};
+    use proptest::prelude::*;
     use ursa_stats::rng::Rng;
 
     /// Grid used throughout: residuals 10, 5, 1 units.
@@ -1142,5 +1273,108 @@ mod tests {
         let sol = solve(&chain_model()).unwrap();
         assert!(sol.nodes_explored > 0);
         assert!(sol.proved_optimal);
+    }
+
+    /// A model drawn from `seed` for the table-vs-DP comparison: 1–5
+    /// services of 1–4 options, 1–3 classes each a p50 or a p99 SLA, latency
+    /// rows in no order (an option with more resources can be slower),
+    /// and targets from hopeless to loose.
+    fn unordered_model(seed: u64) -> MipModel {
+        let mut rng = Rng::seed_from(seed);
+        let percentiles = vec![50.0, 90.0, 99.0, 99.5, 99.9];
+        let n_classes = 1 + rng.index(3);
+        let services: Vec<ServiceModel> = (0..1 + rng.index(5))
+            .map(|s| {
+                let options = 1 + rng.index(4);
+                let latency = (0..n_classes)
+                    .map(|_| {
+                        rng.chance(0.7).then(|| {
+                            let data = (0..options * percentiles.len())
+                                .map(|_| 0.001 + 0.1 * rng.next_f64())
+                                .collect();
+                            LatencyMatrix::new(options, percentiles.len(), data)
+                        })
+                    })
+                    .collect();
+                ServiceModel {
+                    name: format!("s{s}"),
+                    resource: (0..options).map(|_| 1.0 + rng.index(4) as f64).collect(),
+                    latency,
+                }
+            })
+            .collect();
+        let constraints = (0..n_classes)
+            .map(|class| SlaConstraint {
+                class,
+                percentile: if rng.chance(0.5) { 50.0 } else { 99.0 },
+                target: 0.3 * rng.next_f64(),
+            })
+            .collect();
+        MipModel {
+            percentiles,
+            services,
+            constraints,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A solver that looks every class up ≡ the same solver left to the
+        /// DP, and so does one whose bound falls among the classes: the
+        /// same refusal at preparation, then through a sequence of resource
+        /// tables (one of them invalid) the same `Solution` to the bit or the
+        /// same error, a failed call leaving the solution as it was.
+        #[test]
+        fn settled_classes_answer_as_the_dp_does(
+            seed in any::<u64>(),
+            pick in 0usize..3,
+        ) {
+            let model = unordered_model(seed);
+            // The middle bound is one class's table size: that class and
+            // the smaller ones are settled, the larger ones are not.
+            let sizes: Vec<usize> = (model.constraints.iter())
+                .map(|c| {
+                    let rows = model.services.iter().filter_map(|s| s.latency[c.class].as_ref());
+                    rows.map(|m| m.rows() + 1).product()
+                })
+                .collect();
+            let bounds = [usize::MAX, sizes[pick % sizes.len()], 0];
+            let prepared = bounds.map(|bound| Solver::bounded(&model, bound));
+            for solver in &prepared {
+                prop_assert_eq!(solver.as_ref().err(), prepared[2].as_ref().err());
+            }
+            if prepared[2].is_err() {
+                return Ok(());
+            }
+            let mut solvers = prepared.map(Result::unwrap);
+            prop_assert_eq!(solvers[0].untabulated_classes(), 0);
+            prop_assert_eq!(solvers[2].untabulated_classes(), model.constraints.len());
+            let mut solutions = [(); 3].map(|_| Solution::default());
+            let entries = resource_table(&model).len();
+            let mut rng = Rng::seed_from(seed ^ 0x31);
+            for step in 0..6 {
+                let mut table: Vec<f64> =
+                    (0..entries).map(|_| (1 + rng.index(8)) as f64 * 0.5).collect();
+                if step == 4 {
+                    table[rng.index(entries)] = f64::NAN;
+                }
+                let before = solutions.clone();
+                let got: Vec<_> = (solvers.iter_mut().zip(&mut solutions))
+                    .map(|(solver, solution)| solver.solve_at(&table, solution))
+                    .collect();
+                for (k, solution) in solutions.iter().enumerate() {
+                    prop_assert_eq!(&got[k], &got[2], "step {}", step);
+                    let want = &solutions[2];
+                    prop_assert!(
+                        solution == want && solution.objective.to_bits() == want.objective.to_bits(),
+                        "step {step}, bound {}: {solution:?} vs {want:?}", bounds[k]
+                    );
+                    if got[k].is_err() {
+                        prop_assert!(*solution == before[k], "step {step}: a failed call wrote");
+                    }
+                }
+            }
+        }
     }
 }

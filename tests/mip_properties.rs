@@ -6,6 +6,14 @@
 //! solution percentile choices must respect the residual budgets; and a
 //! prepared [`Solver`] re-priced through any sequence of resource tables
 //! must answer each as a fresh [`solve`] of the model carrying it does.
+//!
+//! The generator's models (at most four services of at most four options)
+//! all have class option spaces far below the solver's verdict-table
+//! bound, so every check here goes through the tables the solver settles
+//! at preparation and none through the DP it keeps for larger classes. The
+//! two paths are held to each other by `ursa-mip`'s own differential
+//! proptest (`settled_classes_answer_as_the_dp_does`), which prepares the
+//! same model with every class tabulated, with none and with some.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;

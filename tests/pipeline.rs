@@ -2,10 +2,12 @@
 //! applications, plus cross-system sanity checks that the evaluation
 //! depends on.
 
-use ursa::apps::{app_by_name, media_service, video_pipeline};
+use ursa::apps::{app_by_name, media_service, social_network, video_pipeline};
 use ursa::core::exploration::ExplorationConfig;
 use ursa::core::manager::{Ursa, UrsaConfig};
+use ursa::core::optimizer::build_model;
 use ursa::core::profiling::ProfilingConfig;
+use ursa::mip::Solver;
 use ursa::sim::prelude::*;
 
 fn quick_cfg() -> UrsaConfig {
@@ -286,4 +288,41 @@ fn latency_anomaly_requests_reexploration() {
         violating_windows <= counted / 2,
         "still violating after re-exploration: {violating_windows}/{counted}"
     );
+}
+
+/// Ursa's model of the social network, prepared as the harness prepares it
+/// for Figs. 11–12 (`ursa_bench::Scale::Quick`'s exploration and profiling,
+/// seed `0x11_12`), leaves no class to the DP: every recalculation looks
+/// its class verdicts up. An exploration change that grows a class past
+/// the solver's table bound moves no digest, since the DP gives the same
+/// answers; it fails here. `ursa-bench`'s unit tests check all four
+/// applications through `prepare_ursa` itself.
+#[test]
+fn social_model_is_fully_tabulated() {
+    let app = social_network(false);
+    let cfg = UrsaConfig {
+        exploration: ExplorationConfig {
+            samples_per_option: 4,
+            window: SimDur::from_secs(20),
+            max_options: 6,
+            ..Default::default()
+        },
+        profiling: ProfilingConfig {
+            windows_per_level: 4,
+            window: SimDur::from_secs(10),
+            levels: 8,
+            ..Default::default()
+        },
+    };
+    let grid = cfg.exploration.percentile_grid.clone();
+    let ursa =
+        Ursa::explore_and_prepare(&app.topology, &app.slas, &rates(&app), cfg, 0x11_12).unwrap();
+    let model = build_model(
+        ursa.exploration(),
+        &ursa.outcome().slas,
+        &rates(&app),
+        &grid,
+    );
+    let solver = Solver::new(&model).expect("prepared once already");
+    assert_eq!(solver.untabulated_classes(), 0);
 }
