@@ -11,7 +11,11 @@
 //!
 //! Entry `b` differs significantly from baseline `a` when it falls outside
 //! `a × (1 ± tolerance)` (default [`DEFAULT_TOLERANCE`], overridable with
-//! `--tolerance`).
+//! `--tolerance`). An identity row (seed, scale, topology, plan and table
+//! digests) is significant whenever its two sides differ; only `jobs` is
+//! not, since every artifact is byte-identical at any worker count. The
+//! summary, the exit code, the TSV flag and the HTML highlight all count
+//! the same rows.
 //!
 //! Diffing a manifest against itself yields all-zero deltas and — because
 //! manifests and this report are rendered from BTreeMap-backed state with
@@ -21,7 +25,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use ursa_metrics::export::html_esc;
+use ursa_metrics::export::page::{self, html_esc};
 use ursa_metrics::json::{parse_json, JsonValue};
 
 /// Default significance band: a value more than 35 % away from run A's
@@ -62,9 +66,20 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// Rows that moved significantly.
+    /// Aligned entries: identity rows plus numeric rows.
+    pub fn entries(&self) -> usize {
+        self.identity.len() + self.rows.len()
+    }
+
+    /// Entries that moved significantly: numeric rows outside the band
+    /// and identity rows whose sides differ.
     pub fn significant(&self) -> usize {
         self.rows.iter().filter(|r| r.significant).count()
+            + self
+                .identity
+                .iter()
+                .filter(|row| identity_moved(row))
+                .count()
     }
 
     /// True when nothing moved at all (self-diff).
@@ -75,6 +90,12 @@ impl DiffReport {
             && self.identity.iter().all(|(_, a, b)| a == b)
             && self.divergences.is_empty()
     }
+}
+
+/// Whether an identity row marks a change. A different `jobs` does not:
+/// every artifact is byte-identical at any worker count.
+fn identity_moved((key, a, b): &(String, String, String)) -> bool {
+    a != b && key != "jobs"
 }
 
 fn fmt_opt(x: Option<f64>) -> String {
@@ -148,8 +169,6 @@ fn align(section: &str, a: &[(String, f64)], b: &[(String, f64)], tolerance: f64
                 (Some(x), Some(d)) if x != 0.0 => Some(d / x.abs()),
                 _ => None,
             };
-            // Count-like keys only flag on presence changes, not magnitude:
-            // tolerance applies to measured values.
             let significant = match (va, vb) {
                 (Some(x), Some(y)) => {
                     let band = tolerance * x.abs();
@@ -314,8 +333,9 @@ pub fn diff_manifests(a: &JsonValue, b: &JsonValue, tolerance: f64) -> DiffRepor
 pub fn render_tsv(report: &DiffReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "section\tkey\ta\tb\tdelta\trel\tsignificant");
-    for (key, a, b) in &report.identity {
-        let sig = if a == b { "no" } else { "yes" };
+    for row in &report.identity {
+        let (key, a, b) = row;
+        let sig = if identity_moved(row) { "yes" } else { "no" };
         let _ = writeln!(out, "identity\t{key}\t{a}\t{b}\t-\t-\t{sig}");
     }
     for r in &report.rows {
@@ -339,38 +359,21 @@ pub fn render_tsv(report: &DiffReport) -> String {
 
 /// Renders the self-contained HTML artifact.
 pub fn render_html(report: &DiffReport) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-         <title>ursa-bench diff</title>\n<style>\n\
-         body { font-family: sans-serif; margin: 2em; color: #1f2328; }\n\
-         table { border-collapse: collapse; margin-bottom: 2em; }\n\
-         th, td { border: 1px solid #d0d7de; padding: 4px 10px; \
-         font-variant-numeric: tabular-nums; text-align: right; }\n\
-         th, td:first-child, td:nth-child(2) { text-align: left; }\n\
-         tr.sig td { background: #fff1f0; font-weight: bold; }\n\
-         </style>\n</head>\n<body>\n<h1>ursa-bench diff</h1>\n",
-    );
+    let mut out = page::open("ursa-bench diff");
     let _ = writeln!(
         out,
         "<p>{} aligned entries, {} significant at tolerance {:.2} \
          (outside <code>a × (1 ± tolerance)</code>).</p>",
-        report.rows.len(),
+        report.entries(),
         report.significant(),
         report.tolerance
     );
-    out.push_str("<h2>Identity</h2>\n<table>\n<tr><th>key</th><th>run A</th><th>run B</th></tr>\n");
-    for (key, a, b) in &report.identity {
-        let cls = if a == b { "" } else { " class=\"sig\"" };
-        let _ = writeln!(
-            out,
-            "<tr{cls}><td>{}</td><td>{}</td><td>{}</td></tr>",
-            html_esc(key),
-            html_esc(a),
-            html_esc(b)
-        );
-    }
-    out.push_str("</table>\n");
+    out.push_str("<h2>Identity</h2>\n");
+    let identity = report.identity.iter().map(|row| {
+        let (key, a, b) = row;
+        (vec![key.clone(), a.clone(), b.clone()], identity_moved(row))
+    });
+    page::table(&mut out, &["key", "run A", "run B"], identity);
     if !report.divergences.is_empty() {
         out.push_str("<h2>Decision-log divergence</h2>\n<ul>\n");
         for d in &report.divergences {
@@ -379,42 +382,32 @@ pub fn render_html(report: &DiffReport) -> String {
         out.push_str("</ul>\n");
     }
     for section in ["series", "tables"] {
-        let rows: Vec<&DiffRow> = report
+        let rows: Vec<(Vec<String>, bool)> = report
             .rows
             .iter()
             .filter(|r| r.section == section)
+            .map(|r| {
+                let cells = [r.a, r.b, r.delta, r.rel].map(fmt_opt);
+                (
+                    std::iter::once(r.key.clone()).chain(cells).collect(),
+                    r.significant,
+                )
+            })
             .collect();
         if rows.is_empty() {
             continue;
         }
-        let _ = writeln!(
-            out,
-            "<h2>{section}</h2>\n<table>\n<tr><th>key</th><th>a</th><th>b</th>\
-             <th>delta</th><th>rel</th></tr>"
-        );
-        for r in rows {
-            let cls = if r.significant { " class=\"sig\"" } else { "" };
-            let _ = writeln!(
-                out,
-                "<tr{cls}><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                html_esc(&r.key),
-                fmt_opt(r.a),
-                fmt_opt(r.b),
-                fmt_opt(r.delta),
-                fmt_opt(r.rel)
-            );
-        }
-        out.push_str("</table>\n");
+        let _ = writeln!(out, "<h2>{section}</h2>");
+        page::table(&mut out, &["key", "a", "b", "delta", "rel"], rows);
     }
-    out.push_str("</body>\n</html>\n");
-    out
+    page::close(out)
 }
 
 /// Runs the diff end-to-end: load, align at `tolerance`,
 /// write `diff.tsv` / `diff.html` under `out_dir`, print the summary.
-/// Returns the process exit code: 0 = no significant deltas,
-/// 1 = significant deltas or a decision-log divergence (the report was
-/// still written), 2 = bad input/IO.
+/// Returns the process exit code: 0 = no significant entries,
+/// 1 = a significant entry (numeric or identity) or a decision-log
+/// divergence (the report was still written), 2 = bad input/IO.
 pub fn run(a_path: &Path, b_path: &Path, out_dir: &Path, tolerance: f64) -> i32 {
     let load = |p: &Path| -> Result<JsonValue, String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read: {e}"))?;
@@ -455,7 +448,7 @@ pub fn run(a_path: &Path, b_path: &Path, out_dir: &Path, tolerance: f64) -> i32 
     }
     println!(
         "diff: {} aligned entries, {} significant (tolerance {:.2}), {} decision divergence(s)",
-        report.rows.len(),
+        report.entries(),
         report.significant(),
         report.tolerance,
         report.divergences.len()
@@ -483,7 +476,13 @@ mod tests {
     /// A manifest holding one scrape of `series` under cell `cell`, plus
     /// one table.
     fn manifest(series: &[(&str, f64)]) -> JsonValue {
-        let mut m = RunManifest::new("unit", 1, 2, "quick");
+        parse_json(&manifest_text(1, 2, b"x\n", series)).unwrap()
+    }
+
+    /// [`manifest`]'s text at a given seed and worker count, with table
+    /// `t`'s bytes given.
+    fn manifest_text(seed: u64, jobs: usize, tsv: &[u8], series: &[(&str, f64)]) -> String {
+        let mut m = RunManifest::new("unit", seed, jobs, "quick");
         m.set_topology_digest(0xAB);
         let mut store = TimeSeriesStore::new();
         let row = series
@@ -491,8 +490,8 @@ mod tests {
             .map(|&(name, v)| (SeriesKey::new(name, Labels::empty()), v));
         store.append_row(1.0, row);
         m.note_store("cell", &store);
-        m.note_table("t", 4, b"x\n");
-        parse_json(&m.to_json()).unwrap()
+        m.note_table("t", 4, tsv);
+        m.to_json()
     }
 
     fn run(rps: f64) -> JsonValue {
@@ -554,5 +553,42 @@ mod tests {
         assert!(!html.contains("<script"));
         assert!(html.contains("cell/rps#mean"));
         assert!(!html.contains("scalars"));
+    }
+
+    /// A changed table digest or seed is significant everywhere the
+    /// report says so: the count behind the summary and the exit code, the
+    /// TSV flag and the HTML highlight. A different worker count is not.
+    #[test]
+    fn changed_identity_rows_are_significant() {
+        let series = [("rps", 1000.0)];
+        let a = manifest_text(1, 2, b"x\n", &series);
+        let dir = std::env::temp_dir().join(format!("ursa-diff-identity-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path_a = dir.join("a.json");
+        std::fs::write(&path_a, &a).unwrap();
+        for (key, b, moved) in [
+            ("table/t", manifest_text(1, 2, b"y\n", &series), true),
+            ("seed", manifest_text(7, 2, b"x\n", &series), true),
+            ("jobs", manifest_text(1, 8, b"x\n", &series), false),
+        ] {
+            let parsed = |text: &str| parse_json(text).unwrap();
+            let report = diff_manifests(&parsed(&a), &parsed(&b), DEFAULT_TOLERANCE);
+            assert!(report.rows.iter().all(|r| !r.significant), "{key}");
+            assert_eq!(report.significant(), usize::from(moved), "{key}");
+            let flag = if moved { "yes" } else { "no" };
+            let tsv = render_tsv(&report);
+            let line = tsv
+                .lines()
+                .find(|l| l.starts_with(&format!("identity\t{key}\t")));
+            assert!(line.unwrap().ends_with(&format!("\t{flag}")), "{tsv}");
+            let html = render_html(&report);
+            let sig_row = format!("<tr class=\"sig\"><td>{key}</td>");
+            assert_eq!(html.contains(&sig_row), moved, "{key}");
+            let path_b = dir.join("b.json");
+            std::fs::write(&path_b, &b).unwrap();
+            let code = super::run(&path_a, &path_b, &dir.join("out"), DEFAULT_TOLERANCE);
+            assert_eq!(code, i32::from(moved), "{key}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -195,7 +195,7 @@ pub fn run_cell(
     let seed = CHAOS_SEED ^ ((fi as u64) << 8) ^ si as u64;
     let cell = format!("chaos-{label}-{}", system.label());
     let mut mgrs = managers.clone();
-    // `--postmortem-dir` arms the flight-recorder / bundle pipeline on the
+    // `--artifacts-dir` arms the flight-recorder / bundle pipeline on the
     // Ursa cells (the cells with a decision log to correlate), which also
     // scrape metrics for the bundle's SLO triggers. Observation is
     // non-perturbing, so the TSV rows stay byte-identical either way.

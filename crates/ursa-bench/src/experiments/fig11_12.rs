@@ -67,11 +67,11 @@ pub fn cell_inputs(app: &App) -> Vec<(usize, LoadSpec, usize)> {
 
 /// Runs one grid cell on a pristine clone of the trained managers.
 ///
-/// With `metrics_dir` (`--metrics-dir`) set, constant-load cells
-/// additionally export metrics artifacts per system
-/// (`fig11_12_<app>_<system>.{prom,csv,html}`), including each controller's
-/// self-profiling series — one directly comparable dashboard per competing
-/// system.
+/// With `artifacts_dir` (`--artifacts-dir`) set, constant-load cells
+/// additionally write a dashboard per system
+/// (`fig11_12_<app>_<system>.html`), whose "Controller internals" panel
+/// plots each controller's self-profiling series — one directly
+/// comparable dashboard per competing system.
 fn run_cell(
     app: &App,
     managers: &PreparedManagers,
@@ -79,9 +79,9 @@ fn run_cell(
     system: System,
     scale: Scale,
     seed: u64,
-    metrics_dir: Option<&std::path::Path>,
+    artifacts_dir: Option<&std::path::Path>,
 ) -> Cell {
-    let mut metrics = match (metrics_dir, load) {
+    let mut metrics = match (artifacts_dir, load) {
         (Some(_), LoadSpec::Constant) => Some(SimMetrics::for_topology(
             system.label(),
             &app.topology,
@@ -90,7 +90,7 @@ fn run_cell(
         _ => None,
     };
     let report = managers.deploy_cell(app, system, load, scale, seed, metrics.as_mut());
-    if let (Some(dir), Some(m)) = (metrics_dir, metrics.as_mut()) {
+    if let (Some(dir), Some(m)) = (artifacts_dir, metrics.as_ref()) {
         let stem = format!("fig11_12_{}_{}", app.name, system.label());
         let title = format!(
             "Fig. 11/12 — {} on {} (constant load)",
@@ -98,11 +98,8 @@ fn run_cell(
             app.name
         );
         match m.write_artifacts(dir, &stem, &title) {
-            Ok(_) => crate::info!(
-                "[fig11/12] wrote metrics artifacts {stem}.{{prom,csv,html}} under {}",
-                dir.display()
-            ),
-            Err(e) => crate::warn!("[fig11/12] metrics export failed: {e}"),
+            Ok(_) => crate::info!("[fig11/12] wrote {stem}.html under {}", dir.display()),
+            Err(e) => crate::warn!("[fig11/12] dashboard export failed: {e}"),
         }
     }
     Cell {
@@ -146,7 +143,7 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<Cell> {
             System::ALL[si],
             scale,
             (0xDE_9107 + ai as u64) ^ ((li as u64) << 8) ^ si as u64,
-            ctx.metrics_dir.as_deref(),
+            ctx.artifacts_dir.as_deref(),
         )
     });
     let mut table = TsvTable::new(
@@ -190,6 +187,8 @@ mod tests {
     use super::*;
     use crate::DeploySpec;
     use ursa_apps::social_network;
+    use ursa_baselines::Autoscaler;
+    use ursa_sim::control::ResourceManager;
 
     /// A reduced version of the §VII-E comparison on the vanilla social
     /// network: Ursa must beat the ML baselines on violations under the
@@ -228,9 +227,9 @@ mod tests {
         );
     }
 
-    /// Every system's constant-load cell exports metrics artifacts whose
-    /// Prometheus dump carries that controller's self-profiling series —
-    /// the control planes stay comparable side by side.
+    /// Every system's constant-load cell writes a dashboard whose
+    /// "Controller internals" panel plots that controller's self-profiling
+    /// series — the control planes stay comparable side by side.
     #[test]
     fn constant_cells_export_self_profiles_per_system() {
         let app = social_network(true);
@@ -248,24 +247,35 @@ mod tests {
             );
             assert_eq!(cell.system, system.label());
             let stem = format!("fig11_12_{}_{}", app.name, system.label());
-            let prom = std::fs::read_to_string(dir.join(format!("{stem}.prom"))).unwrap();
-            assert!(
-                prom.contains(&format!("system=\"{}\"", system.label())),
-                "{stem}: missing system label"
-            );
-            assert!(prom.contains("ctrl_ticks_total"), "{stem}: no tick counter");
-            let profile_series = match system {
-                System::Ursa => "ctrl_recalcs_total",
-                System::Sinan => "ctrl_candidates_evaluated_total",
-                System::Firm => "ctrl_training_samples_total",
-                System::AutoA | System::AutoB => "ctrl_scale_outs_total",
-            };
-            assert!(
-                prom.contains(profile_series),
-                "{stem}: missing self-profile series {profile_series}"
-            );
             let html = std::fs::read_to_string(dir.join(format!("{stem}.html"))).unwrap();
             assert!(html.contains("<svg") && !html.contains("<script"));
+            assert!(
+                html.contains(&format!("system: {} —", system.label())),
+                "{stem}: missing system label"
+            );
+            let (_, internals) = html
+                .split_once("<h2>Controller internals</h2>")
+                .unwrap_or_else(|| panic!("{stem}: no controller panel"));
+            let internals = &internals[..internals.find("</section>").unwrap()];
+            let n = app.topology.num_services();
+            let profile = match system {
+                System::Ursa => managers.ursa.self_profile(),
+                System::Sinan => managers.sinan.self_profile(),
+                System::Firm => managers.firm.self_profile(),
+                System::AutoA => Autoscaler::auto_a(n).self_profile(),
+                System::AutoB => Autoscaler::auto_b(n).self_profile(),
+            };
+            assert!(!profile.is_empty(), "{stem}");
+            // The panel strips the names' shared `ctrl_` prefix; each
+            // series is a titled line with its own table column.
+            for (name, _) in profile {
+                let short = name.strip_prefix("ctrl_").expect("ctrl_ series");
+                assert!(
+                    internals.contains(&format!("<g class=\"series\"><title>{short}</title>"))
+                        && internals.contains(&format!("<th>{short}</th>")),
+                    "{stem}: missing self-profile series {name}"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

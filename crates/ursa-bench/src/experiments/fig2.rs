@@ -100,30 +100,27 @@ pub fn run_chain(
     )
 }
 
-/// Writes the trace artifacts for one chain under `dir`: a Chrome
-/// trace-event file (`chrome://tracing` / Perfetto), the raw spans as
-/// JSONL, and a per-tier blame summary.
-fn write_trace_artifacts(
+/// Writes one chain's artifacts under `dir` as `<stem>.*`: its dashboard,
+/// a Chrome trace-event file (`chrome://tracing` / Perfetto) and a
+/// per-tier blame summary.
+fn write_chain_artifacts(
     dir: &std::path::Path,
-    kind: &str,
+    stem: &str,
+    edge: EdgeKind,
     traces: &[ursa_sim::trace::Trace],
-    names: &[String],
+    metrics: &SimMetrics,
 ) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let stem = format!("fig2_{}", kind.to_lowercase());
+    let title = format!("Fig. 2 — {edge:?} chain backpressure");
+    metrics.write_artifacts(dir, stem, &title)?;
+    let topo = study_chain(edge);
+    let names: Vec<String> = topo.services().iter().map(|s| s.name.clone()).collect();
     let mut chrome = ursa_trace::ChromeTrace::new();
-    chrome.add_traces(traces, names);
+    chrome.add_traces(traces, &names);
     chrome.write(&mut std::fs::File::create(
         dir.join(format!("{stem}.trace.json")),
     )?)?;
-    ursa_trace::jsonl::write_traces(
-        &mut std::fs::File::create(dir.join(format!("{stem}.spans.jsonl")))?,
-        traces,
-        names,
-    )?;
     let blame = ursa_trace::service_blame(traces, names.len());
-    std::fs::write(dir.join(format!("{stem}.blame.txt")), blame.render(names))?;
-    Ok(())
+    std::fs::write(dir.join(format!("{stem}.blame.txt")), blame.render(&names))
 }
 
 /// Runs all three chains and writes/prints the heatmaps.
@@ -142,10 +139,10 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<Heatmap> {
         "5-tier chains, {LOAD_RPS} rps, {TIER_WORK}s/tier, leaf throttled {TIER_CORES}->{THROTTLED_CORES} cores during minutes {}..{}",
         anomaly.start, anomaly.end
     );
-    let (trace_dir, metrics_dir) = (&ctx.trace_dir, &ctx.metrics_dir);
+    let dir = ctx.artifacts_dir.as_deref();
     // 1% head sampling is plenty for blame over a multi-minute run and
     // keeps the Chrome trace loadable.
-    let sample_rate = if trace_dir.is_some() { 0.01 } else { 0.0 };
+    let sample_rate = if dir.is_some() { 0.01 } else { 0.0 };
     // The three chains are independent cells: simulate in parallel, then
     // write artifacts and print in chain order.
     let chains = crate::runner::run_cells(
@@ -153,9 +150,8 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<Heatmap> {
         |i, edge| {
             // The chains run unmanaged (fixed allocation), so the collector
             // is labeled "static" and carries no SLAs.
-            let mut metrics = metrics_dir
-                .as_ref()
-                .map(|_| SimMetrics::for_topology("static", &study_chain(edge), &[]));
+            let mut metrics =
+                dir.map(|_| SimMetrics::for_topology("static", &study_chain(edge), &[]));
             let (hm, traces) = run_chain(
                 edge,
                 minutes,
@@ -167,42 +163,23 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<Heatmap> {
             (edge, hm, traces, metrics)
         },
     );
-    for (edge, hm, traces, mut metrics) in chains {
-        if let Some(dir) = trace_dir {
-            let names: Vec<String> = study_chain(edge)
-                .services()
-                .iter()
-                .map(|s| s.name.clone())
-                .collect();
-            match write_trace_artifacts(dir, &hm.kind, &traces, &names) {
-                Ok(()) => crate::info!(
-                    "[fig2] wrote {} traces for {} under {}",
-                    traces.len(),
-                    hm.kind,
-                    dir.display()
-                ),
-                Err(e) => crate::warn!("[fig2] trace export failed: {e}"),
-            }
-        }
-        if let Some(m) = metrics.as_ref() {
+    for (edge, hm, traces, metrics) in chains {
+        let stem = format!("fig2_{}", hm.kind.to_lowercase());
+        if let (Some(dir), Some(m)) = (dir, metrics.as_ref()) {
             // Digest every collected series into the run manifest (main
             // thread, chain order — deterministic), keyed by chain stem.
-            ctx.manifest()
-                .note_store(&format!("fig2_{}", hm.kind.to_lowercase()), m.store());
-        }
-        if let (Some(dir), Some(m)) = (metrics_dir, metrics.as_mut()) {
-            let stem = format!("fig2_{}", hm.kind.to_lowercase());
-            let title = format!("Fig. 2 — {} chain backpressure", hm.kind);
-            match m.write_artifacts(dir, &stem, &title) {
-                Ok(_) => crate::info!(
-                    "[fig2] wrote metrics artifacts {stem}.{{prom,csv,html}} under {}",
+            ctx.manifest().note_store(&stem, m.store());
+            match write_chain_artifacts(dir, &stem, edge, &traces, m) {
+                Ok(()) => crate::info!(
+                    "[fig2] wrote {stem}.{{html,trace.json,blame.txt}} ({} traces) under {}",
+                    traces.len(),
                     dir.display()
                 ),
-                Err(e) => crate::warn!("[fig2] metrics export failed: {e}"),
+                Err(e) => crate::warn!("[fig2] artifact export failed: {e}"),
             }
         }
         let mut table = TsvTable::new(
-            &format!("fig2_{}", hm.kind.to_lowercase()),
+            &stem,
             &["minute", "tier1", "tier2", "tier3", "tier4", "tier5"],
         );
         for (m, row) in hm.grid.iter().enumerate() {

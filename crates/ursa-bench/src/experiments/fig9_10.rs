@@ -79,10 +79,8 @@ pub fn run_app(
             points: Vec::new(),
         })
         .collect();
-    let metrics_dir = &ctx.metrics_dir;
-    let mut metrics = metrics_dir
-        .as_ref()
-        .map(|_| SimMetrics::for_topology("ursa", &app.topology, &app.slas));
+    let dir = ctx.artifacts_dir.as_deref();
+    let mut metrics = dir.map(|_| SimMetrics::for_topology("ursa", &app.topology, &app.slas));
     for _ in 0..windows {
         sim.run_for(window);
         let snap = sim.harvest();
@@ -123,29 +121,21 @@ pub fn run_app(
             }
         }
     }
-    if let Some(dir) = &ctx.trace_dir {
-        let path = dir.join(format!("fig9_10_{}_decisions.jsonl", app.name));
-        let write = std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::File::create(&path))
-            .and_then(|mut f| ursa.decisions().write_jsonl(&mut f));
-        match write {
-            Ok(()) => crate::info!(
-                "[fig9/10] wrote {} control-plane decisions to {}",
-                ursa.decisions().len(),
-                path.display()
-            ),
-            Err(e) => crate::warn!("[fig9/10] decision log export failed: {e}"),
-        }
-    }
-    if let (Some(dir), Some(m)) = (metrics_dir, metrics.as_mut()) {
+    if let (Some(dir), Some(m)) = (dir, metrics.as_ref()) {
         let stem = format!("fig9_10_{}", app.name);
         let title = format!("Fig. 9/10 — Ursa on {} (diurnal load)", app.name);
-        match m.write_artifacts(dir, &stem, &title) {
-            Ok(_) => crate::info!(
-                "[fig9/10] wrote metrics artifacts {stem}.{{prom,csv,html}} under {}",
+        let path = dir.join(format!("{stem}_decisions.jsonl"));
+        let write = m.write_artifacts(dir, &stem, &title).and_then(|_| {
+            let mut f = std::fs::File::create(&path)?;
+            ursa.decisions().write_jsonl(&mut f)
+        });
+        match write {
+            Ok(()) => crate::info!(
+                "[fig9/10] wrote {stem}.html and {} control-plane decisions under {}",
+                ursa.decisions().len(),
                 dir.display()
             ),
-            Err(e) => crate::warn!("[fig9/10] metrics export failed: {e}"),
+            Err(e) => crate::warn!("[fig9/10] artifact export failed: {e}"),
         }
     }
     if class_filter.is_empty() {

@@ -298,7 +298,7 @@ pub fn run_cell(
     let cell = format!("qos-{}-{}", level.name, system.label());
     let mut mgrs = managers.clone();
     // Every cell scrapes metrics — the memory columns are read back from
-    // the store. `--postmortem-dir` additionally arms the flight-recorder
+    // the store. `--artifacts-dir` additionally arms the flight-recorder
     // bundle pipeline on the Ursa cells; observation is non-perturbing,
     // so rows stay byte-identical either way.
     let mut metrics = SimMetrics::for_topology(system.label(), &app.topology, &app.slas);

@@ -5,15 +5,17 @@
 //! cargo run --release -p ursa-bench -- --exp fig2|fig4|table5|fig9|fig11|fig13|table6|fig14
 //! cargo run --release -p ursa-bench -- --exp chaos [--seed N]
 //! cargo run --release -p ursa-bench -- --exp qos [--seed N]
-//! cargo run --release -p ursa-bench -- --exp fig2 --trace-dir traces/
-//! cargo run --release -p ursa-bench -- --exp fig9 --metrics-dir metrics/
-//! cargo run --release -p ursa-bench -- --exp chaos --postmortem-dir results/postmortem
+//! cargo run --release -p ursa-bench -- --exp fig2 --artifacts-dir results/artifacts
+//! cargo run --release -p ursa-bench -- --exp chaos --artifacts-dir results/artifacts [--snapshot-at SECS]
 //! cargo run --release -p ursa-bench -- diff RUN_A.json RUN_B.json [--out results/diff]
 //! ```
 //!
 //! Every experiment writes a `run.json` manifest under its results
 //! directory; `diff` aligns two such manifests into `diff.tsv` + a
-//! script-free `diff.html`.
+//! script-free `diff.html`. `--artifacts-dir DIR` is the one place a run
+//! writes what a person reads: dashboards (fig2, fig9, fig11), Chrome
+//! traces and blame summaries (fig2), decision logs (fig9) and post-mortem
+//! bundles (chaos, qos).
 
 #![forbid(unsafe_code)]
 
@@ -31,9 +33,7 @@ fn main() {
     }
     let mut exp = "all".to_string();
     let mut scale = Scale::Quick;
-    let mut trace_dir: Option<PathBuf> = None;
-    let mut metrics_dir: Option<PathBuf> = None;
-    let mut postmortem_dir: Option<PathBuf> = None;
+    let mut artifacts_dir: Option<PathBuf> = None;
     let mut snapshot_at: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
@@ -59,17 +59,9 @@ fn main() {
                     .unwrap_or_else(|| usage());
                 ursa_bench::set_seed(n);
             }
-            "--trace-dir" => {
+            "--artifacts-dir" => {
                 i += 1;
-                trace_dir = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
-            }
-            "--metrics-dir" => {
-                i += 1;
-                metrics_dir = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
-            }
-            "--postmortem-dir" => {
-                i += 1;
-                postmortem_dir = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
+                artifacts_dir = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
             }
             "--snapshot-at" => {
                 i += 1;
@@ -87,7 +79,7 @@ fn main() {
     }
     let snapshot_at = or_usage(parse_snapshot_at(
         snapshot_at.as_deref(),
-        postmortem_dir.is_some(),
+        artifacts_dir.is_some(),
     ));
     let t0 = std::time::Instant::now();
     info!("[runner] {} worker(s)", runner::jobs());
@@ -134,16 +126,14 @@ fn main() {
             usage();
         }
     };
-    // Every experiment gets its own context: the artifact directories from
+    // Every experiment gets its own context: the artifact directory from
     // the command line and a fresh manifest its `note_*` calls feed, which
     // lands in `results/<exp>/run.json` for `ursa-bench diff`.
     let run_manifested = |name: &str| {
         let manifest =
             RunManifest::new(name, ursa_bench::global_seed(), runner::jobs(), scale_label);
         let ctx = RunCtx {
-            trace_dir: trace_dir.clone(),
-            metrics_dir: metrics_dir.clone(),
-            postmortem_dir: postmortem_dir.clone(),
+            artifacts_dir: artifacts_dir.clone(),
             snapshot_at,
             ..RunCtx::new(results_dir(), manifest)
         };
@@ -203,12 +193,12 @@ fn parse_tolerance(flag: Option<&str>) -> Result<f64, String> {
 
 /// Validates `--snapshot-at`: a finite, non-negative number of simulated
 /// seconds (`NaN` would never fire, since `at >= NaN` is false), and only
-/// together with `--postmortem-dir`, without which no observer exists to
+/// together with `--artifacts-dir`, without which no observer exists to
 /// take the snapshot.
-fn parse_snapshot_at(raw: Option<&str>, postmortem_dir_set: bool) -> Result<Option<f64>, String> {
+fn parse_snapshot_at(raw: Option<&str>, artifacts_dir_set: bool) -> Result<Option<f64>, String> {
     let Some(raw) = raw else { return Ok(None) };
-    if !postmortem_dir_set {
-        return Err("--snapshot-at needs --postmortem-dir to write its bundle into".into());
+    if !artifacts_dir_set {
+        return Err("--snapshot-at needs --artifacts-dir to write its bundle into".into());
     }
     match raw.parse::<f64>() {
         Ok(t) if t.is_finite() && t >= 0.0 => Ok(Some(t)),
@@ -262,7 +252,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation|chaos|qos] \
          [--quick|--full] [--jobs N] [--seed N] [--quiet|--verbose] \
-         [--trace-dir DIR] [--metrics-dir DIR] [--postmortem-dir DIR] [--snapshot-at SECS]\n\
+         [--artifacts-dir DIR] [--snapshot-at SECS]\n\
          \x20      ursa-bench diff RUN_A.json RUN_B.json [--out DIR] [--tolerance T]"
     );
     std::process::exit(2)
@@ -294,7 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_at_is_range_checked_and_needs_a_postmortem_dir() {
+    fn snapshot_at_is_range_checked_and_needs_an_artifacts_dir() {
         assert_eq!(parse_snapshot_at(None, false), Ok(None));
         assert_eq!(parse_snapshot_at(None, true), Ok(None));
         assert_eq!(parse_snapshot_at(Some("300"), true), Ok(Some(300.0)));
@@ -303,8 +293,9 @@ mod tests {
             let e = parse_snapshot_at(Some(bad), true).unwrap_err();
             assert!(e.contains("--snapshot-at") && e.contains(bad), "{e}");
         }
-        // Without a post-mortem directory the flag used to be ignored.
+        // Without an artifacts directory there is nowhere to write the
+        // bundle, and the flag used to be silently ignored.
         let e = parse_snapshot_at(Some("300"), false).unwrap_err();
-        assert!(e.contains("--postmortem-dir"), "{e}");
+        assert!(e.contains("--artifacts-dir"), "{e}");
     }
 }

@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 
 use ursa_core::decision_log::{DecisionKind, DecisionLog};
 use ursa_core::manager::Ursa;
-use ursa_metrics::export::html_esc;
+use ursa_metrics::export::page::{self, html_esc};
 use ursa_metrics::json::{esc, num};
 use ursa_sim::control::{DeployObserver, ResourceManager};
 use ursa_sim::engine::Simulation;
@@ -191,10 +191,10 @@ impl PostmortemObserver {
         }
     }
 
-    /// The observer `--postmortem-dir` (with `--snapshot-at`) asks for on
+    /// The observer `--artifacts-dir` (with `--snapshot-at`) asks for on
     /// `cell`, or `None` when the run did not set it.
     pub fn armed(ctx: &crate::RunCtx, cell: &str) -> Option<Self> {
-        let dir = ctx.postmortem_dir.as_deref()?;
+        let dir = ctx.artifacts_dir.as_deref()?;
         Some(PostmortemObserver::new(dir, cell, ctx.snapshot_at))
     }
 
@@ -631,22 +631,10 @@ fn render_html(
 ) -> String {
     let at = snapshot.at.as_secs_f64();
     let topo = sim.topology();
-    let mut h = String::with_capacity(16 * 1024);
+    let mut h = page::open(&format!("Post-mortem: {cell} @ t={at}s"));
     let _ = writeln!(
         h,
-        "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\
-         <title>Post-mortem: {} @ t={at}s</title>\
-         <style>body{{font-family:sans-serif;margin:2em}}\
-         table{{border-collapse:collapse;margin:1em 0}}\
-         td,th{{border:1px solid #999;padding:2px 8px;text-align:left}}\
-         th{{background:#eee}}</style></head><body>",
-        html_esc(cell)
-    );
-    let _ = writeln!(
-        h,
-        "<h1>Post-mortem: {}</h1>\n<p>simulated time t={at}s — full data in \
-         <a href=\"{}.json\">{}.json</a></p>",
-        html_esc(cell),
+        "<p class=\"subtitle\">full data in <a href=\"{}.json\">{}.json</a></p>",
         html_esc(stem),
         html_esc(stem)
     );
@@ -667,84 +655,79 @@ fn render_html(
     if active.is_empty() {
         h.push_str("<p>none</p>\n");
     } else {
-        h.push_str("<table><tr><th>#</th><th>kind</th><th>service</th><th>window</th></tr>\n");
-        for (idx, f) in &active {
-            let _ = writeln!(
-                h,
-                "<tr><td>{idx}</td><td>{}</td><td>{}</td>\
-                 <td>[{:.0}s, {:.0}s)</td></tr>",
-                f.kind.label(),
-                f.kind
-                    .service()
-                    .map_or("-".into(), |x| html_esc(&topo.services()[x].name)),
-                f.at.as_secs_f64(),
-                f.until.as_secs_f64(),
-            );
-        }
-        h.push_str("</table>\n");
+        let rows = active.iter().map(|(idx, f)| {
+            let service = f.kind.service();
+            let cells = vec![
+                idx.to_string(),
+                f.kind.label().to_string(),
+                service.map_or("-".into(), |x| topo.services()[x].name.clone()),
+                format!(
+                    "[{:.0}s, {:.0}s)",
+                    f.at.as_secs_f64(),
+                    f.until.as_secs_f64()
+                ),
+            ];
+            (cells, false)
+        });
+        page::table(&mut h, &["#", "kind", "service", "window"], rows);
     }
 
-    h.push_str(
-        "<h2>Replica state</h2>\n<table><tr><th>service</th><th>replicas</th>\
-                <th>cores/replica</th><th>cpu util</th><th>occupancy</th>\
-                <th>arrival rps</th></tr>\n",
-    );
-    for (i, svc) in snapshot.services.iter().enumerate() {
-        let _ = writeln!(
-            h,
-            "<tr><td>{}</td><td>{}</td><td>{:.2}</td><td>{:.2}</td>\
-             <td>{:.2}</td><td>{:.1}</td></tr>",
-            html_esc(&topo.services()[i].name),
-            svc.replicas,
-            svc.cores_per_replica,
-            svc.cpu_utilization,
-            sim.worker_occupancy(ServiceId(i)),
-            svc.arrival_rps(snapshot.window),
-        );
-    }
-    h.push_str("</table>\n");
+    h.push_str("<h2>Replica state</h2>\n");
+    let rows = snapshot.services.iter().enumerate().map(|(i, svc)| {
+        let cells = vec![
+            topo.services()[i].name.clone(),
+            svc.replicas.to_string(),
+            format!("{:.2}", svc.cores_per_replica),
+            format!("{:.2}", svc.cpu_utilization),
+            format!("{:.2}", sim.worker_occupancy(ServiceId(i))),
+            format!("{:.1}", svc.arrival_rps(snapshot.window)),
+        ];
+        (cells, false)
+    });
+    let header = [
+        "service",
+        "replicas",
+        "cores/replica",
+        "cpu util",
+        "occupancy",
+        "arrival rps",
+    ];
+    page::table(&mut h, &header, rows);
 
     if let Some(r) = sim.flight_recorder() {
         let _ = writeln!(
             h,
-            "<h2>Flight recorder (last {HTML_EVENT_TAIL} of {} held, {} dropped)</h2>\n\
-             <table><tr><th>t (s)</th><th>seq</th><th>event</th></tr>",
+            "<h2>Flight recorder (last {HTML_EVENT_TAIL} of {} held, {} dropped)</h2>",
             r.len(),
             r.dropped()
         );
         let skip = r.len().saturating_sub(HTML_EVENT_TAIL);
-        for e in r.entries().skip(skip) {
-            let _ = writeln!(
-                h,
-                "<tr><td>{:.6}</td><td>{}</td><td>{}</td></tr>",
-                e.at.as_secs_f64(),
-                e.seq,
-                e.kind.label(),
-            );
-        }
-        h.push_str("</table>\n");
+        let rows = r.entries().skip(skip).map(|e| {
+            let at = format!("{:.6}", e.at.as_secs_f64());
+            (
+                vec![at, e.seq.to_string(), e.kind.label().to_string()],
+                false,
+            )
+        });
+        page::table(&mut h, &["t (s)", "seq", "event"], rows);
     }
 
     if let Some(p) = sim.profiler() {
         let report = p.report();
         let _ = writeln!(
             h,
-            "<h2>Engine phase profile ({} of {} events sampled, 1/{})</h2>\n\
-             <table><tr><th>phase</th><th>sampled events</th></tr>",
+            "<h2>Engine phase profile ({} of {} events sampled, 1/{})</h2>",
             report.events_sampled, report.events_seen, report.sample_every
         );
-        for st in report.phases.iter().filter(|st| st.count > 0) {
-            let _ = writeln!(
-                h,
-                "<tr><td>{}</td><td>{}</td></tr>",
-                st.phase.label(),
-                st.count
-            );
-        }
-        h.push_str("</table>\n");
+        let rows = report.phases.iter().filter(|st| st.count > 0).map(|st| {
+            (
+                vec![st.phase.label().to_string(), st.count.to_string()],
+                false,
+            )
+        });
+        page::table(&mut h, &["phase", "sampled events"], rows);
     }
-    h.push_str("</body></html>\n");
-    h
+    page::close(h)
 }
 
 #[cfg(test)]

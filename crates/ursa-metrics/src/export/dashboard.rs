@@ -6,7 +6,9 @@
 //! CSS custom properties, so the page follows the viewer's light/dark
 //! preference. Hover tooltips use SVG `<title>` elements; every panel
 //! also carries a collapsible data table (the colorblind/print fallback),
-//! and the CSV export holds the full-resolution data.
+//! sampled down to at most 120 scrapes. The page itself — head,
+//! stylesheet, palette and table writer — is the shared
+//! [`page`](super::page) template.
 //!
 //! Chart conventions (kept deliberately boring): 2 px solid lines, one
 //! shared y-axis per panel, hairline gridlines, categorical colors
@@ -14,19 +16,9 @@
 //! eighth fold to gray and the table), values in text ink rather than
 //! series colors, and a legend whenever a panel shows two or more series.
 
-use super::html_esc;
+use super::page::{self, html_esc, SERIES_LIGHT};
 use crate::store::TimeSeriesStore;
 use std::fmt::Write as _;
-
-/// Categorical series colors (light mode), in fixed assignment order.
-/// Validated for adjacent-pair colorblind separation on the light surface.
-const SERIES_LIGHT: [&str; 8] = [
-    "#2a78d6", "#eb6834", "#1baf7a", "#eda100", "#e87ba4", "#008300", "#4a3aa7", "#e34948",
-];
-/// The same eight hues re-stepped for the dark surface.
-const SERIES_DARK: [&str; 8] = [
-    "#3987e5", "#d95926", "#199e70", "#c98500", "#d55181", "#008300", "#9085e9", "#e66767",
-];
 
 /// One chart panel: a titled line chart over a set of metric names.
 #[derive(Debug, Clone)]
@@ -106,24 +98,18 @@ pub fn render_dashboard(
     panels: &[PanelSpec],
     annotations: &[Annotation],
 ) -> String {
-    let mut out = String::with_capacity(64 * 1024);
-    out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-    let _ = writeln!(out, "<title>{}</title>", html_esc(title));
-    out.push_str(&style());
-    out.push_str("</head>\n<body>\n<div class=\"viz-root\">\n");
-    let _ = writeln!(out, "<h1>{}</h1>", html_esc(title));
+    let mut out = page::open(title);
     if !subtitle.is_empty() {
         let _ = writeln!(out, "<p class=\"subtitle\">{}</p>", html_esc(subtitle));
     }
     if store.is_empty() {
-        out.push_str("<p class=\"subtitle\">No scrapes recorded.</p>\n</div>\n</body>\n</html>\n");
-        return out;
+        out.push_str("<p class=\"subtitle\">No scrapes recorded.</p>\n");
+    } else {
+        for panel in panels {
+            render_panel(&mut out, store, panel, annotations);
+        }
     }
-    for panel in panels {
-        render_panel(&mut out, store, panel, annotations);
-    }
-    out.push_str("</div>\n</body>\n</html>\n");
-    out
+    page::close(out)
 }
 
 fn render_panel(
@@ -387,38 +373,31 @@ fn render_panel(
     }
     out.push_str("</svg>\n");
 
-    // Table view: the accessibility fallback (sampled; CSV holds all rows).
+    // Table view: the accessibility fallback, sampled.
     render_table(out, times, &series, &panel.unit);
     out.push_str("</section>\n");
 }
 
 fn render_table(out: &mut String, times: &[f64], series: &[(String, Vec<f64>)], unit: &str) {
     let stride = times.len().div_ceil(TABLE_ROW_BUDGET).max(1);
-    out.push_str("<details><summary>Data table</summary>\n<table>\n<tr><th>t (min)</th>");
-    for (name, _) in series {
-        let _ = write!(out, "<th>{}</th>", html_esc(name));
-    }
-    out.push_str("</tr>\n");
-    for (j, &t) in times.iter().enumerate() {
-        if j % stride != 0 {
-            continue;
-        }
-        let _ = write!(out, "<tr><td>{}</td>", fmt_value(t / 60.0));
-        for (_, col) in series {
-            let v = col[j];
-            if v.is_nan() {
-                out.push_str("<td></td>");
+    out.push_str("<details><summary>Data table</summary>\n");
+    let header = std::iter::once("t (min)").chain(series.iter().map(|(name, _)| name.as_str()));
+    let rows = times.iter().enumerate().step_by(stride).map(|(j, &t)| {
+        let cells = std::iter::once(fmt_value(t / 60.0)).chain(series.iter().map(|(_, col)| {
+            // NaN (no sample in that scrape) renders as an empty cell.
+            if col[j].is_nan() {
+                String::new()
             } else {
-                let _ = write!(out, "<td>{}</td>", fmt_value(v));
+                fmt_value(col[j])
             }
-        }
-        out.push_str("</tr>\n");
-    }
-    out.push_str("</table>\n");
+        }));
+        (cells.collect(), false)
+    });
+    page::table(out, &header.collect::<Vec<_>>(), rows);
     if stride > 1 {
         let _ = writeln!(
             out,
-            "<p class=\"subtitle\">sampled every {stride} scrapes; full resolution in the CSV export</p>"
+            "<p class=\"subtitle\">sampled every {stride} scrapes</p>"
         );
     }
     if !unit.is_empty() {
@@ -556,104 +535,6 @@ fn display_name(metric: &str, prefix: &str, labels: &[(String, String)]) -> Stri
         format!("{} {}", values.join(" "), short)
     }
 }
-
-/// Renders the inline stylesheet with the series tokens substituted from
-/// [`SERIES_LIGHT`] and [`SERIES_DARK`] (single source for the palette).
-fn style() -> String {
-    let tokens = |palette: &[&str]| {
-        palette
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("--s{i}: {c};"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    STYLE
-        .replace("/*SERIES_LIGHT*/", &tokens(&SERIES_LIGHT))
-        .replace("/*SERIES_DARK*/", &tokens(&SERIES_DARK))
-}
-
-/// Inline stylesheet template: color tokens for both modes, series classes,
-/// and chart chrome. Series colors are worn only by marks; all text uses
-/// ink tokens.
-const STYLE: &str = r#"<style>
-.viz-root {
-  color-scheme: light;
-  --surface-1: #fcfcfb; --page: #f9f9f7;
-  --ink: #0b0b0b; --ink2: #52514e; --muted: #898781;
-  --grid: #e1e0d9; --axis: #c3c2b7;
-  /*SERIES_LIGHT*/
-  --sx: #898781; --alert: #d03b3b;
-  font-family: system-ui, -apple-system, "Segoe UI", sans-serif;
-  color: var(--ink); background: var(--page);
-  max-width: 960px; margin: 0 auto; padding: 24px;
-}
-@media (prefers-color-scheme: dark) {
-  .viz-root {
-    color-scheme: dark;
-    --surface-1: #1a1a19; --page: #0d0d0d;
-    --ink: #ffffff; --ink2: #c3c2b7; --muted: #898781;
-    --grid: #2c2c2a; --axis: #383835;
-    /*SERIES_DARK*/
-    --sx: #898781; --alert: #d03b3b;
-  }
-}
-body { margin: 0; background: var(--page); }
-h1 { font-size: 22px; margin: 0 0 4px; }
-h2 { font-size: 15px; margin: 0 0 6px; color: var(--ink); }
-.subtitle { color: var(--ink2); font-size: 13px; margin: 2px 0 10px; }
-.panel { background: var(--surface-1); border: 1px solid var(--grid);
-         border-radius: 8px; padding: 14px 16px; margin: 16px 0; }
-svg { width: 100%; height: auto; display: block; }
-.grid { stroke: var(--grid); stroke-width: 1; }
-.axis { stroke: var(--axis); stroke-width: 1; }
-.tick { fill: var(--muted); font-size: 11px; font-variant-numeric: tabular-nums; }
-.line { fill: none; stroke-width: 2; stroke-linejoin: round; stroke-linecap: round; }
-.series:hover .line { stroke-width: 3; }
-.end { stroke: var(--surface-1); stroke-width: 2; }
-.dot { stroke: var(--surface-1); stroke-width: 2; }
-.hit { fill: transparent; pointer-events: all; }
-.endlabel { fill: var(--ink2); font-size: 11px; }
-.leader { stroke: var(--muted); stroke-width: 1; }
-.s0 { stroke: var(--s0); } .s1 { stroke: var(--s1); } .s2 { stroke: var(--s2); }
-.s3 { stroke: var(--s3); } .s4 { stroke: var(--s4); } .s5 { stroke: var(--s5); }
-.s6 { stroke: var(--s6); } .s7 { stroke: var(--s7); } .sx { stroke: var(--sx); }
-circle.s0, circle.s1, circle.s2, circle.s3, circle.s4, circle.s5, circle.s6,
-circle.s7, circle.sx { fill: var(--s0); }
-circle.s1 { fill: var(--s1); } circle.s2 { fill: var(--s2); }
-circle.s3 { fill: var(--s3); } circle.s4 { fill: var(--s4); }
-circle.s5 { fill: var(--s5); } circle.s6 { fill: var(--s6); }
-circle.s7 { fill: var(--s7); } circle.sx { fill: var(--sx); }
-.s0t { fill: var(--s0); } .s1t { fill: var(--s1); } .s2t { fill: var(--s2); }
-.s3t { fill: var(--s3); } .s4t { fill: var(--s4); } .s5t { fill: var(--s5); }
-.s6t { fill: var(--s6); } .s7t { fill: var(--s7); }
-.legend { display: flex; flex-wrap: wrap; gap: 4px 14px; margin: 0 0 8px; }
-.key { display: inline-flex; align-items: center; gap: 5px;
-       color: var(--ink2); font-size: 12px; }
-.key.muted { color: var(--muted); font-style: italic; }
-.swatch { width: 12px; height: 12px; border-radius: 3px; display: inline-block; }
-.swatch.s0 { background: var(--s0); } .swatch.s1 { background: var(--s1); }
-.swatch.s2 { background: var(--s2); } .swatch.s3 { background: var(--s3); }
-.swatch.s4 { background: var(--s4); } .swatch.s5 { background: var(--s5); }
-.swatch.s6 { background: var(--s6); } .swatch.s7 { background: var(--s7); }
-.swatch.sx { background: var(--sx); }
-line.ann-scale { stroke: var(--s6); stroke-width: 1; stroke-dasharray: 3 3; }
-line.ann-alert { stroke: var(--alert); stroke-width: 1; stroke-dasharray: 3 3; }
-line.ann-fault { stroke: var(--s3); stroke-width: 1.5; stroke-dasharray: 6 2; }
-line.ann-other { stroke: var(--muted); stroke-width: 1; stroke-dasharray: 3 3; }
-circle.ann-scale { fill: var(--s6); }
-circle.ann-alert { fill: var(--alert); }
-circle.ann-fault { fill: var(--s3); }
-circle.ann-other { fill: var(--muted); }
-.ann:hover line { stroke-width: 2; }
-details { margin-top: 8px; }
-summary { color: var(--ink2); font-size: 12px; cursor: pointer; }
-table { border-collapse: collapse; font-size: 11px; margin-top: 6px;
-        font-variant-numeric: tabular-nums; }
-th, td { border: 1px solid var(--grid); padding: 2px 8px; text-align: right; }
-th { color: var(--ink2); font-weight: 600; }
-</style>
-"#;
 
 #[cfg(test)]
 mod tests {

@@ -10,8 +10,11 @@
 //!   scraped into once per harvest interval.
 //! * [`slo`] — windowed SLO violation fractions and multi-window burn-rate
 //!   alerts per SLA class.
-//! * [`export`] — Prometheus text format, CSV, and a zero-dependency
-//!   self-contained HTML dashboard (inline SVG).
+//! * [`export`] — the one self-contained HTML page template (head,
+//!   stylesheet, escaped table writer) and the zero-dependency dashboard
+//!   built on it (inline SVG). The paper's Prometheus stack is replaced by
+//!   this in-process pull, so no exposition format is written: run
+//!   manifests carry the series digests, and the dashboard the series.
 //! * [`digest`] — per-series scalar digests (count/min/max/mean/last) in
 //!   sorted key order, the series view run manifests embed for
 //!   `ursa-bench diff`.
@@ -32,7 +35,8 @@
 //!
 //! Scrapes are deterministic: series are keyed by a totally ordered
 //! [`registry::SeriesKey`] (metric name + sorted label pairs), so the
-//! export order is independent of label-insertion order (property-tested).
+//! store's key order and its digests are independent of label-insertion
+//! order (property-tested).
 
 #![forbid(unsafe_code)]
 
@@ -46,9 +50,7 @@ pub mod slo;
 pub mod store;
 
 pub use digest::{store_digests, SeriesSummary};
-pub use export::csv::write_csv;
 pub use export::dashboard::{render_dashboard, Annotation, PanelSpec};
-pub use export::prometheus::write_prometheus;
 pub use registry::{Labels, Registry, SeriesKey};
 pub use slo::{BurnRule, SloAlert, SloMonitor, SloSpec};
 pub use store::TimeSeriesStore;

@@ -126,16 +126,6 @@ impl Registry {
         Registry::default()
     }
 
-    /// Number of registered series.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// True when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
     /// Adds `v` to the counter at `name{labels}`, creating it at zero.
     ///
     /// # Panics
@@ -203,17 +193,6 @@ impl Registry {
     /// The instrument at `name{labels}`, if registered.
     pub fn get(&self, name: &str, labels: &Labels) -> Option<&Instrument> {
         self.series.get(&SeriesKey::new(name, labels.clone()))
-    }
-
-    /// Iterates instruments in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&SeriesKey, &Instrument)> {
-        self.series.iter()
-    }
-
-    /// Iterates instruments mutably in key order (histogram percentile
-    /// queries need `&mut` to fold pending buffers).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&SeriesKey, &mut Instrument)> {
-        self.series.iter_mut()
     }
 
     /// Scrapes every instrument into `store` as one row at time `t`
@@ -318,7 +297,7 @@ mod tests {
         }
         let mut store = TimeSeriesStore::new();
         r.scrape_into(60.0, &mut store);
-        let names: Vec<String> = store.keys().map(|k| k.name.clone()).collect();
+        let names: Vec<String> = store.iter().map(|(k, _)| k.name.clone()).collect();
         assert!(names.contains(&"lat_p50".to_string()));
         assert!(names.contains(&"lat_p99".to_string()));
         assert!(names.contains(&"lat_count".to_string()));

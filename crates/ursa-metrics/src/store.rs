@@ -77,29 +77,10 @@ impl TimeSeriesStore {
         }
     }
 
-    /// Iterates the series keys in total order.
-    pub fn keys(&self) -> impl Iterator<Item = &SeriesKey> {
-        self.cols.keys()
-    }
-
     /// The aligned value column of `key` (NaN for missing rows), or `None`
     /// if the series was never recorded.
     pub fn values(&self, key: &SeriesKey) -> Option<Vec<f64>> {
         self.cols.get(key).cloned()
-    }
-
-    /// The `(t, value)` points of `key`, skipping NaN rows.
-    pub fn points(&self, key: &SeriesKey) -> Vec<(f64, f64)> {
-        match self.cols.get(key) {
-            None => Vec::new(),
-            Some(col) => self
-                .times
-                .iter()
-                .zip(col)
-                .filter(|(_, v)| !v.is_nan())
-                .map(|(&t, &v)| (t, v))
-                .collect(),
-        }
     }
 
     /// All series whose metric name equals `name`, in key order.
@@ -165,7 +146,6 @@ mod tests {
         let b = s.values(&key("b")).unwrap();
         assert!(b[0].is_nan());
         assert_eq!(&b[1..], &[10.0, 20.0]);
-        assert_eq!(s.points(&key("a")), vec![(60.0, 1.0), (120.0, 2.0)]);
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! series were first touched and of the order label pairs were listed.
 //!
 //! This is what makes the metrics pipeline safe to diff across runs: two
-//! runs that perform the same updates produce byte-identical Prometheus
-//! and CSV exports even if control flow touched the instruments in a
-//! different order.
+//! runs that perform the same updates scrape byte-identical stores — the
+//! same keys in the same order, the same columns to the bit — and so embed
+//! identical series digests in their run manifests, even if control flow
+//! touched the instruments in a different order.
+
+use std::fmt::Write as _;
 
 use proptest::prelude::*;
-use ursa_metrics::{write_csv, write_prometheus, Labels, Registry, TimeSeriesStore};
+use ursa_metrics::{store_digests, Labels, Registry, TimeSeriesStore};
 
 /// One generated series: instrument kind, name index, label pairs (by
 /// small-pool index), and an update stream.
@@ -96,20 +99,22 @@ fn build(specs: &[SeriesSpec], reversed: bool) -> Registry {
     r
 }
 
-/// Scrapes and renders every export format to one comparable string.
+/// Scrapes twice and renders what a run manifest is built from: every
+/// key in store order with its column's bits, then [`store_digests`].
 fn render(mut r: Registry) -> String {
     let mut store = TimeSeriesStore::new();
     r.scrape_into(60.0, &mut store);
     r.scrape_into(120.0, &mut store);
-    let mut prom = Vec::new();
-    write_prometheus(&mut prom, &mut r).unwrap();
-    let mut csv = Vec::new();
-    write_csv(&mut csv, &store).unwrap();
-    format!(
-        "{}\n---\n{}",
-        String::from_utf8(prom).unwrap(),
-        String::from_utf8(csv).unwrap()
-    )
+    let mut out = format!("{:?}\n", store.times());
+    for (key, col) in store.iter() {
+        let bits: Vec<u64> = col.iter().map(|v| v.to_bits()).collect();
+        let _ = writeln!(out, "{} {bits:?}", key.render());
+    }
+    out.push_str("---\n");
+    for (key, summary) in store_digests(&store) {
+        let _ = writeln!(out, "{} {summary:?}", key.render());
+    }
+    out
 }
 
 proptest! {
@@ -125,7 +130,7 @@ proptest! {
     #[test]
     fn repeated_builds_are_byte_identical(specs in series_spec()) {
         // Determinism across identical runs (no hidden iteration-order or
-        // hash-seed dependence anywhere in registry, store, or exporters).
+        // hash-seed dependence anywhere in registry, store, or digests).
         let a = render(build(&specs, false));
         let b = render(build(&specs, false));
         prop_assert_eq!(a, b);

@@ -40,10 +40,11 @@
 //! | manager [`self_profile`](crate::control::ResourceManager::self_profile) series | `system` | controller internals |
 //!
 //! Scale decisions and newly firing SLO alerts also become dashboard
-//! [`Annotation`]s, so the HTML export overlays control actions on every
-//! panel. When the memory plane is installed, its OOM-kill/eviction/restart
-//! incidents are annotated the same way and three memory panels join the
-//! standard dashboard.
+//! [`Annotation`]s, so the HTML dashboard overlays control actions on every
+//! panel; the managers' self-profiling series get a "Controller internals"
+//! panel of their own. When the memory plane is installed, its
+//! OOM-kill/eviction/restart incidents are annotated the same way and three
+//! memory panels join the standard dashboard.
 
 use crate::control::Sla;
 use crate::engine::Simulation;
@@ -51,11 +52,10 @@ use crate::telemetry::MetricsSnapshot;
 use crate::time::SimTime;
 use crate::topology::{ServiceId, Topology};
 use std::collections::BTreeSet;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use ursa_metrics::{
-    render_dashboard, write_csv, write_prometheus, Annotation, Labels, PanelSpec, Registry,
-    SloMonitor, SloSpec, TimeSeriesStore,
+    render_dashboard, Annotation, Labels, PanelSpec, Registry, SloMonitor, SloSpec, TimeSeriesStore,
 };
 
 /// End-to-end latency percentiles exported per class.
@@ -70,7 +70,7 @@ const BURN_LONG_WINDOWS: usize = 30;
 ///
 /// Create one per run (scrape times must be strictly increasing), hand it
 /// to [`run_deployment_observed`](crate::control::run_deployment_observed),
-/// then export with [`write_artifacts`](Self::write_artifacts) or inspect
+/// then render with [`write_artifacts`](Self::write_artifacts) or inspect
 /// via [`store`](Self::store).
 #[derive(Debug, Clone)]
 pub struct SimMetrics {
@@ -94,6 +94,10 @@ pub struct SimMetrics {
     /// set, [`standard_panels`](Self::standard_panels) appends the memory
     /// panels.
     saw_mem: bool,
+    /// Names of the manager self-profiling series
+    /// [`observe_decision`](Self::observe_decision) received; they make up
+    /// the "Controller internals" panel.
+    profile_names: BTreeSet<&'static str>,
 }
 
 impl SimMetrics {
@@ -131,6 +135,7 @@ impl SimMetrics {
             active_alerts: BTreeSet::new(),
             alert_onsets: Vec::new(),
             saw_mem: false,
+            profile_names: BTreeSet::new(),
         }
     }
 
@@ -370,13 +375,14 @@ impl SimMetrics {
         let r = &mut self.registry;
         r.histogram_record("ctrl_tick_wall_ms", sys.clone(), wall_ms);
         r.counter_add("ctrl_ticks_total", sys.clone(), 1.0);
-        for (name, v) in profile {
+        for &(name, v) in profile {
+            self.profile_names.insert(name);
             // Managers report cumulative totals under `*_total`; everything
             // else is a point-in-time gauge.
             if name.ends_with("_total") {
-                r.counter_set(name, sys.clone(), *v);
+                r.counter_set(name, sys.clone(), v);
             } else {
-                r.gauge_set(name, sys.clone(), *v);
+                r.gauge_set(name, sys.clone(), v);
             }
         }
         for (service, before, after) in scale_changes {
@@ -464,34 +470,23 @@ impl SimMetrics {
             )
             .log_y(),
         );
+        if !self.profile_names.is_empty() {
+            let names: Vec<&str> = self.profile_names.iter().copied().collect();
+            panels.push(PanelSpec::new("Controller internals", "", &names));
+        }
         panels
     }
 
-    /// Writes `<stem>.prom`, `<stem>.csv`, and `<stem>.html` under `dir`
-    /// (created if missing) and returns the paths in that order. The HTML
-    /// dashboard uses [`standard_panels`](Self::standard_panels) with all
-    /// accumulated annotations overlaid.
+    /// Writes the run's dashboard, `<stem>.html`, under `dir` (created if
+    /// missing) and returns its path. The dashboard uses
+    /// [`standard_panels`](Self::standard_panels) with all accumulated
+    /// annotations overlaid.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn write_artifacts(
-        &mut self,
-        dir: &Path,
-        stem: &str,
-        title: &str,
-    ) -> io::Result<Vec<PathBuf>> {
+    pub fn write_artifacts(&self, dir: &Path, stem: &str, title: &str) -> io::Result<Vec<PathBuf>> {
         std::fs::create_dir_all(dir)?;
-        let prom = dir.join(format!("{stem}.prom"));
-        let mut f = std::fs::File::create(&prom)?;
-        write_prometheus(&mut f, &mut self.registry)?;
-        f.flush()?;
-
-        let csv = dir.join(format!("{stem}.csv"));
-        let mut f = std::fs::File::create(&csv)?;
-        write_csv(&mut f, &self.store)?;
-        f.flush()?;
-
         let html = dir.join(format!("{stem}.html"));
         let subtitle = format!(
             "system: {} — {} scrapes, {} series",
@@ -507,7 +502,7 @@ impl SimMetrics {
             &self.annotations,
         );
         std::fs::write(&html, page)?;
-        Ok(vec![prom, csv, html])
+        Ok(vec![html])
     }
 }
 
@@ -599,13 +594,18 @@ mod tests {
                 "missing series {name}"
             );
         }
-        // The self-profile counter came through under the system label.
+        // The self-profile counter came through under the system label,
+        // and the dashboard gives it the controller panel.
         let key = SeriesKey::new(
             "ctrl_demo_ticks_total",
             Labels::new(&[("system", "scale-once")]),
         );
         let col = store.values(&key).expect("profile series");
         assert_eq!(col.last().copied(), Some(6.0));
+        let panels = metrics.standard_panels();
+        let internals = panels.last().expect("panels");
+        assert_eq!(internals.title, "Controller internals");
+        assert_eq!(internals.metrics, ["ctrl_demo_ticks_total"]);
         // The scale decision produced an annotation and bumped the gauge.
         assert!(metrics
             .annotations()
@@ -663,12 +663,8 @@ mod tests {
         );
         let dir = std::env::temp_dir().join(format!("ursa-metrics-test-{}", std::process::id()));
         let paths = metrics.write_artifacts(&dir, "run", "Test run").unwrap();
-        assert_eq!(paths.len(), 3);
-        for p in &paths {
-            let data = std::fs::read_to_string(p).unwrap();
-            assert!(!data.is_empty(), "{} is empty", p.display());
-        }
-        let html = std::fs::read_to_string(&paths[2]).unwrap();
+        assert_eq!(paths, [dir.join("run.html")]);
+        let html = std::fs::read_to_string(&paths[0]).unwrap();
         assert!(html.contains("<svg"));
         assert!(!html.contains("<script"));
         std::fs::remove_dir_all(&dir).ok();

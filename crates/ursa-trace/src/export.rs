@@ -1,205 +1,134 @@
-//! Trace exporters. Two formats:
+//! Trace exporter: the Chrome trace-event format (a single JSON object
+//! with a `traceEvents` array), loadable in Perfetto (`ui.perfetto.dev`)
+//! or `chrome://tracing`. Each request becomes a process (pid = trace id),
+//! each hop a named thread, so the call tree reads as a swimlane diagram
+//! with queue/wait/blocked sub-slices nested inside each hop's slice.
 //!
-//! * [`jsonl`] — one JSON object per span, one per line; greppable and
-//!   trivially parsed by any tool.
-//! * [`chrome`] — the Chrome trace-event format (a single JSON object with
-//!   a `traceEvents` array), loadable in Perfetto (`ui.perfetto.dev`) or
-//!   `chrome://tracing`. Each request becomes a process (pid = trace id),
-//!   each hop a named thread, so the call tree reads as a swimlane diagram
-//!   with queue/wait/blocked sub-slices nested inside each hop's slice.
-//!
-//! Both are hand-rolled on the workspace's one JSON layer
+//! It is hand-rolled on the workspace's one JSON layer
 //! ([`ursa_metrics::json`]): the workspace builds offline with no serde,
 //! and the needed subset of JSON is tiny.
 
-pub mod jsonl {
-    use std::io::{self, Write};
-    use ursa_metrics::json::esc;
-    use ursa_sim::trace::Trace;
+use std::io::{self, Write};
+use ursa_metrics::json::esc;
+use ursa_sim::time::SimTime;
+use ursa_sim::trace::Trace;
 
-    fn intervals_json(intervals: &[(ursa_sim::time::SimTime, ursa_sim::time::SimTime)]) -> String {
-        let parts: Vec<String> = intervals
-            .iter()
-            .map(|(b, e)| format!("[{:.9},{:.9}]", b.as_secs_f64(), e.as_secs_f64()))
-            .collect();
-        format!("[{}]", parts.join(","))
-    }
-
-    /// Writes one JSON line per span of every trace. Times are f64 seconds
-    /// of simulated time; `service` is resolved through `service_names`.
-    pub fn write_traces<W: Write>(
-        mut w: W,
-        traces: &[Trace],
-        service_names: &[String],
-    ) -> io::Result<()> {
-        for t in traces {
-            for s in &t.spans {
-                let parent = match s.parent {
-                    Some((p, edge)) => format!("{p},\"edge\":\"{edge:?}\""),
-                    None => "null".to_string(),
-                };
-                let name = service_names
-                    .get(s.service.0)
-                    .map(String::as_str)
-                    .unwrap_or("?");
-                writeln!(
-                    w,
-                    "{{\"trace\":{},\"class\":{},\"node\":{},\"parent\":{},\
-                     \"service\":\"{}\",\"enqueue\":{:.9},\"start\":{:.9},\
-                     \"respond\":{:.9},\"nested_wait\":{:.9},\"waits\":{},\
-                     \"blocked\":{}}}",
-                    t.id,
-                    t.class.0,
-                    s.node,
-                    parent,
-                    esc(name),
-                    s.enqueue_at.as_secs_f64(),
-                    s.start_at.as_secs_f64(),
-                    s.respond_at.as_secs_f64(),
-                    s.nested_wait.as_secs_f64(),
-                    intervals_json(&s.waits),
-                    intervals_json(&s.blocked),
-                )?;
-            }
-        }
-        Ok(())
-    }
+/// Builder for a Chrome trace-event file.
+#[derive(Debug, Default)]
+pub struct ChromeTrace {
+    events: Vec<String>,
 }
 
-pub mod chrome {
-    use std::io::{self, Write};
-    use ursa_metrics::json::esc;
-    use ursa_sim::time::SimTime;
-    use ursa_sim::trace::Trace;
+fn us(t: SimTime) -> f64 {
+    t.as_secs_f64() * 1e6
+}
 
-    /// Builder for a Chrome trace-event file.
-    #[derive(Debug, Default)]
-    pub struct ChromeTrace {
-        events: Vec<String>,
+impl ChromeTrace {
+    /// An empty trace file.
+    pub fn new() -> Self {
+        ChromeTrace::default()
     }
 
-    fn us(t: SimTime) -> f64 {
-        t.as_secs_f64() * 1e6
-    }
-
-    impl ChromeTrace {
-        /// An empty trace file.
-        pub fn new() -> Self {
-            ChromeTrace::default()
-        }
-
-        /// Events added so far.
-        pub fn len(&self) -> usize {
-            self.events.len()
-        }
-
-        /// True if no events were added.
-        pub fn is_empty(&self) -> bool {
-            self.events.is_empty()
-        }
-
-        /// Adds one request as a process: one thread per hop (named after
-        /// its service), a complete slice for the hop's enqueue→respond
-        /// interval, and nested sub-slices for queue wait, downstream
-        /// waits, and blocked-submit intervals.
-        pub fn add_trace(&mut self, t: &Trace, service_names: &[String]) {
-            let pid = t.id;
+    /// Adds one request as a process: one thread per hop (named after
+    /// its service), a complete slice for the hop's enqueue→respond
+    /// interval, and nested sub-slices for queue wait, downstream
+    /// waits, and blocked-submit intervals.
+    pub fn add_trace(&mut self, t: &Trace, service_names: &[String]) {
+        let pid = t.id;
+        self.events.push(format!(
+            "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\
+             \"args\":{{\"name\":\"request {pid} (class {})\"}}}}",
+            t.class.0
+        ));
+        for s in &t.spans {
+            let tid = s.node;
+            let svc = service_names
+                .get(s.service.0)
+                .map(String::as_str)
+                .unwrap_or("?");
+            let svc = esc(svc);
             self.events.push(format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\
-                 \"args\":{{\"name\":\"request {pid} (class {})\"}}}}",
-                t.class.0
+                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\
+                 \"args\":{{\"name\":\"{svc} #{tid}\"}}}}"
             ));
-            for s in &t.spans {
-                let tid = s.node;
-                let svc = service_names
-                    .get(s.service.0)
-                    .map(String::as_str)
-                    .unwrap_or("?");
-                let svc = esc(svc);
+            let edge = match s.parent {
+                Some((_, e)) => format!("{e:?}"),
+                None => "Root".to_string(),
+            };
+            self.events.push(format!(
+                "{{\"ph\":\"X\",\"name\":\"{svc}\",\"cat\":\"{edge}\",\
+                 \"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\
+                 \"args\":{{\"node\":{tid},\"nested_wait_us\":{:.3}}}}}",
+                us(s.enqueue_at),
+                us(s.respond_at) - us(s.enqueue_at),
+                s.nested_wait.as_secs_f64() * 1e6,
+            ));
+            if s.start_at > s.enqueue_at {
                 self.events.push(format!(
-                    "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\
-                     \"args\":{{\"name\":\"{svc} #{tid}\"}}}}"
-                ));
-                let edge = match s.parent {
-                    Some((_, e)) => format!("{e:?}"),
-                    None => "Root".to_string(),
-                };
-                self.events.push(format!(
-                    "{{\"ph\":\"X\",\"name\":\"{svc}\",\"cat\":\"{edge}\",\
-                     \"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\
-                     \"args\":{{\"node\":{tid},\"nested_wait_us\":{:.3}}}}}",
+                    "{{\"ph\":\"X\",\"name\":\"queue\",\"cat\":\"wait\",\
+                     \"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3}}}",
                     us(s.enqueue_at),
-                    us(s.respond_at) - us(s.enqueue_at),
-                    s.nested_wait.as_secs_f64() * 1e6,
+                    us(s.start_at) - us(s.enqueue_at),
                 ));
-                if s.start_at > s.enqueue_at {
-                    self.events.push(format!(
-                        "{{\"ph\":\"X\",\"name\":\"queue\",\"cat\":\"wait\",\
-                         \"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3}}}",
-                        us(s.enqueue_at),
-                        us(s.start_at) - us(s.enqueue_at),
-                    ));
-                }
-                for &(b, e) in &s.waits {
-                    self.events.push(format!(
-                        "{{\"ph\":\"X\",\"name\":\"downstream-wait\",\"cat\":\"wait\",\
-                         \"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3}}}",
-                        us(b),
-                        us(e) - us(b),
-                    ));
-                }
-                for &(b, e) in &s.blocked {
-                    self.events.push(format!(
-                        "{{\"ph\":\"X\",\"name\":\"blocked-submit\",\"cat\":\"wait\",\
-                         \"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3}}}",
-                        us(b),
-                        us(e) - us(b),
-                    ));
-                }
+            }
+            for &(b, e) in &s.waits {
+                self.events.push(format!(
+                    "{{\"ph\":\"X\",\"name\":\"downstream-wait\",\"cat\":\"wait\",\
+                     \"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3}}}",
+                    us(b),
+                    us(e) - us(b),
+                ));
+            }
+            for &(b, e) in &s.blocked {
+                self.events.push(format!(
+                    "{{\"ph\":\"X\",\"name\":\"blocked-submit\",\"cat\":\"wait\",\
+                     \"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3}}}",
+                    us(b),
+                    us(e) - us(b),
+                ));
             }
         }
+    }
 
-        /// Adds every trace in `traces`.
-        pub fn add_traces(&mut self, traces: &[Trace], service_names: &[String]) {
-            for t in traces {
-                self.add_trace(t, service_names);
-            }
+    /// Adds every trace in `traces`.
+    pub fn add_traces(&mut self, traces: &[Trace], service_names: &[String]) {
+        for t in traces {
+            self.add_trace(t, service_names);
         }
+    }
 
-        /// Adds a global instant event (rendered as a vertical marker) —
-        /// used for control-plane decisions. `args_json` must be a JSON
-        /// object literal (pass `"{}"` for none).
-        pub fn add_instant(&mut self, name: &str, at: SimTime, args_json: &str) {
-            self.events.push(format!(
-                "{{\"ph\":\"i\",\"s\":\"g\",\"name\":\"{}\",\"pid\":0,\"tid\":0,\
-                 \"ts\":{:.3},\"args\":{}}}",
-                esc(name),
-                us(at),
-                args_json,
-            ));
-        }
+    /// Adds a global instant event (rendered as a vertical marker) —
+    /// used for control-plane decisions. `args_json` must be a JSON
+    /// object literal (pass `"{}"` for none).
+    pub fn add_instant(&mut self, name: &str, at: SimTime, args_json: &str) {
+        self.events.push(format!(
+            "{{\"ph\":\"i\",\"s\":\"g\",\"name\":\"{}\",\"pid\":0,\"tid\":0,\
+             \"ts\":{:.3},\"args\":{}}}",
+            esc(name),
+            us(at),
+            args_json,
+        ));
+    }
 
-        /// Writes the complete trace-event JSON object.
-        pub fn write<W: Write>(&self, mut w: W) -> io::Result<()> {
-            w.write_all(b"{\"traceEvents\":[\n")?;
-            for (i, e) in self.events.iter().enumerate() {
-                let sep = if i + 1 < self.events.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                };
-                w.write_all(e.as_bytes())?;
-                w.write_all(sep.as_bytes())?;
-            }
-            w.write_all(b"],\"displayTimeUnit\":\"ms\"}\n")
+    /// Writes the complete trace-event JSON object.
+    pub fn write<W: Write>(&self, mut w: W) -> io::Result<()> {
+        w.write_all(b"{\"traceEvents\":[\n")?;
+        for (i, e) in self.events.iter().enumerate() {
+            let sep = if i + 1 < self.events.len() {
+                ",\n"
+            } else {
+                "\n"
+            };
+            w.write_all(e.as_bytes())?;
+            w.write_all(sep.as_bytes())?;
         }
+        w.write_all(b"],\"displayTimeUnit\":\"ms\"}\n")
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::chrome::ChromeTrace;
-    use super::*;
+    use super::ChromeTrace;
     use ursa_metrics::json::parse_json;
     use ursa_sim::prelude::*;
     use ursa_sim::trace::Trace;
@@ -247,22 +176,5 @@ mod tests {
         assert!(text.contains("front\\\"end"), "service names are escaped");
         assert!(text.contains("downstream-wait"));
         assert!(text.contains("recalculate"));
-    }
-
-    #[test]
-    fn jsonl_lines_are_each_valid_json() {
-        let (traces, names) = sample_traces();
-        let mut buf = Vec::new();
-        jsonl::write_traces(&mut buf, &traces, &names).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines.len(),
-            traces.iter().map(|t| t.spans.len()).sum::<usize>(),
-            "one line per span"
-        );
-        for line in lines {
-            parse_json(line).expect("valid JSON");
-        }
     }
 }

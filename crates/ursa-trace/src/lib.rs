@@ -1,5 +1,6 @@
-//! Critical-path analysis and exporters for per-request traces produced by
-//! the `ursa-sim` tracing layer (see `ursa_sim::trace`).
+//! Critical-path analysis, per-service blame and the Chrome trace-event
+//! exporter for per-request traces produced by the `ursa-sim` tracing
+//! layer (see `ursa_sim::trace`).
 
 #![forbid(unsafe_code)]
 
@@ -9,4 +10,4 @@ pub mod export;
 
 pub use blame::{service_blame, top_percentile, BlameReport, ServiceBlame};
 pub use critical_path::{critical_path, PathCategory, PathSegment};
-pub use export::{chrome::ChromeTrace, jsonl};
+pub use export::ChromeTrace;

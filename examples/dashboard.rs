@@ -1,7 +1,7 @@
 //! The metrics pipeline end to end: deploy Ursa on the social network
 //! under diurnal load with a [`SimMetrics`] collector attached, then
-//! export the run as Prometheus text, CSV, and a single self-contained
-//! HTML dashboard (inline SVG, no JavaScript, no external assets).
+//! render the run as a single self-contained HTML dashboard (inline SVG,
+//! no JavaScript, no external assets).
 //!
 //! ```text
 //! cargo run --release --example dashboard
@@ -82,12 +82,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "social_diurnal",
         "Ursa on social-network — diurnal load",
     )?;
-    for p in &paths {
-        println!("wrote {}", p.display());
-    }
     println!(
-        "\nopen {} in a browser — one self-contained file, works offline",
-        paths[2].display()
+        "wrote {}\nopen it in a browser — one self-contained file, works offline",
+        paths[0].display()
     );
     Ok(())
 }

@@ -7,9 +7,9 @@
 //! Runs the 5-tier nested-RPC, event-driven-RPC, and MQ chains with the
 //! leaf tier throttled mid-run, sampling 1% of requests into span traces.
 //! For each chain it writes a Chrome trace-event file (open in
-//! `chrome://tracing` or <https://ui.perfetto.dev>) plus the raw spans as
-//! JSONL under `OUT_DIR` (default `traces/`), and prints the blame
-//! decomposition of the p99 tail during the throttle window.
+//! `chrome://tracing` or <https://ui.perfetto.dev>) under `OUT_DIR`
+//! (default `traces/`), and prints the blame decomposition of the p99 tail
+//! during the throttle window.
 //!
 //! The point the traces make visible: in the RPC chains the parent tier's
 //! tail latency is almost entirely *downstream wait* — its workers are
@@ -102,14 +102,7 @@ fn main() -> std::io::Result<()> {
         chrome.add_traces(&traces, &names);
         let chrome_path = out_dir.join(format!("{stem}.trace.json"));
         chrome.write(&mut std::fs::File::create(&chrome_path)?)?;
-        let jsonl_path = out_dir.join(format!("{stem}.spans.jsonl"));
-        ursa::trace::jsonl::write_traces(
-            &mut std::fs::File::create(&jsonl_path)?,
-            &traces,
-            &names,
-        )?;
-        println!("wrote {}", chrome_path.display());
-        println!("wrote {}\n", jsonl_path.display());
+        println!("wrote {}\n", chrome_path.display());
     }
     println!("open the .trace.json files in chrome://tracing or https://ui.perfetto.dev");
     Ok(())

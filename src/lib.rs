@@ -11,14 +11,14 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`stats`] | `ursa-stats` | deterministic RNG, distributions, Welch's t-test, quantiles |
-//! | [`metrics`] | `ursa-metrics` | time-series registry, SLO burn-rate monitor, Prometheus/CSV/HTML exporters |
+//! | [`metrics`] | `ursa-metrics` | time-series registry, SLO burn-rate monitor, HTML page template and dashboard |
 //! | [`sim`] | `ursa-sim` | discrete-event microservice simulator, its tracing, chaos and memory planes, control-plane traits |
 //! | [`apps`] | `ursa-apps` | the §VI benchmark applications and §III study chains |
 //! | [`mip`] | `ursa-mip` | the exact multiple-choice MIP solver (Gurobi stand-in) |
 //! | [`ml`] | `ursa-ml` | MLP / boosted trees / DQN for the baselines |
 //! | [`core`] | `ursa-core` | Ursa itself: profiling, exploration, optimizer, controller |
 //! | [`baselines`] | `ursa-baselines` | Sinan-style, Firm-style, Auto-a/b managers |
-//! | [`trace`] | `ursa-trace` | critical-path analysis, blame, Chrome/JSONL trace exporters |
+//! | [`trace`] | `ursa-trace` | critical-path analysis, blame, Chrome trace exporter |
 //!
 //! # Quickstart
 //!

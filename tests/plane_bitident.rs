@@ -8,7 +8,7 @@
 //! actuates. For random chain topologies, replica counts and loads, each
 //! of the 32 on/off subsets of those five planes must digest exactly as
 //! the plain simulator does: same event count and byte-identical
-//! telemetry. This is the contract that lets `--postmortem-dir` arm the
+//! telemetry. This is the contract that lets `--artifacts-dir` arm the
 //! recorder on experiment cells without changing a single published row.
 
 use proptest::prelude::*;
