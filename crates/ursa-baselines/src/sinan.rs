@@ -169,7 +169,8 @@ pub struct Sinan {
     replica_scale: Vec<f64>,
     rps_scale: Vec<f64>,
     slas: Vec<Sla>,
-    /// Candidate allocations evaluated per decision.
+    /// Candidate allocations drawn per decision. The cheapest predicted
+    /// safe wins, so a decision prices candidates only up to it.
     pub candidates_per_tick: usize,
     /// Predicted latency-ratio ceiling accepted as safe.
     pub safety_ratio: f64,
@@ -178,6 +179,8 @@ pub struct Sinan {
     max_replicas: usize,
     rng: Rng,
     training_wall: std::time::Duration,
+    /// Candidates drawn over all ticks, priced or not: the self-profile's
+    /// `ctrl_candidates_evaluated_total`.
     candidates_evaluated: u64,
     fallback_scaleouts: u64,
     faults_seen: u64,
@@ -185,21 +188,27 @@ pub struct Sinan {
 }
 
 /// What one decision works in, kept between ticks: the live allocation,
-/// the load, each service's CPU limit and the candidates, one allocation
-/// after another; then what the predictors work in — the candidates'
-/// feature vectors (feature-major), the latency model's outputs and hidden
-/// activations, and the violation model's outputs.
+/// the load, each service's CPU limit, the candidates, one allocation after
+/// another, and each candidate's `(cost, index)` in pricing order; then what
+/// the predictors work in — one chunk's feature vectors (feature-major), the
+/// latency model's outputs and hidden activations, and the violation
+/// model's outputs.
 #[derive(Debug, Default)]
 struct TickBuffers {
     current: Vec<usize>,
     rps: Vec<f64>,
     limits: Vec<f64>,
     candidates: Vec<usize>,
+    order: Vec<(f64, usize)>,
     features: Vec<f64>,
     ratios: Vec<f64>,
     hidden: Vec<f64>,
     violations: Vec<f64>,
 }
+
+/// Candidates priced together: the forward kernel's lane width, and the
+/// boosted trees' batch.
+const CHUNK: usize = 8;
 
 /// A copy starts with empty buffers: every tick rewrites them before it
 /// reads them, so copying a manager need not copy them.
@@ -336,17 +345,21 @@ impl Sinan {
 
     /// The cheapest of the `count` allocations in `buf.candidates` (one
     /// after another) predicted safe under `buf.rps`, by index; the first
-    /// on ties. Both models see all candidates in one batch, and each
-    /// prediction has the bits [`predict`](Self::predict) gives its
-    /// candidate alone.
-    fn cheapest_safe(&self, buf: &mut TickBuffers, count: usize) -> Option<usize> {
+    /// on ties. Also returns how many candidates it priced.
+    ///
+    /// The candidates are priced in order of `(cost, index)`, [`CHUNK`] at a
+    /// time, and the first predicted safe is the answer: no candidate after
+    /// it is priced. Each prediction has the bits
+    /// [`predict`](Self::predict) gives its candidate alone.
+    fn cheapest_safe(&self, buf: &mut TickBuffers, count: usize) -> (Option<usize>, usize) {
         if count == 0 {
-            return None;
+            return (None, 0);
         }
         let TickBuffers {
             rps,
             limits,
             candidates,
+            order,
             features,
             ratios,
             hidden,
@@ -354,41 +367,54 @@ impl Sinan {
             ..
         } = buf;
         let n = candidates.len() / count;
-        features.clear();
-        features.resize((n + rps.len()) * count, 0.0);
-        for (k, candidate) in candidates.chunks_exact(n).enumerate() {
-            let column = features[k..].iter_mut().step_by(count);
-            let values = self::features(candidate, rps, &self.replica_scale, &self.rps_scale);
-            for (slot, v) in column.zip(values) {
-                *slot = v;
-            }
-        }
-        self.latency_model
-            .predict_batch(features, count, ratios, hidden);
-        violations.clear();
-        violations.resize(count, 0.0);
-        self.violation_model.predict_batch(features, violations);
+        order.clear();
+        order.extend(
+            candidates
+                .chunks_exact(n)
+                .enumerate()
+                .map(|(k, candidate)| {
+                    let cores: f64 = candidate
+                        .iter()
+                        .zip(limits.iter())
+                        .map(|(&r, &limit)| r as f64 * limit)
+                        .sum();
+                    (cores, k)
+                }),
+        );
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-        let mut best: Option<(f64, usize)> = None;
-        for (k, candidate) in candidates.chunks_exact(n).enumerate() {
-            let ratio = ratios[k..]
-                .iter()
-                .step_by(count)
-                .cloned()
-                .fold(f64::NEG_INFINITY, f64::max);
-            let viol = violations[k].clamp(0.0, 1.0);
-            if ratio < self.safety_ratio && viol < self.safety_violation_prob {
-                let cores: f64 = candidate
+        let mut priced = 0;
+        for chunk in order.chunks(CHUNK) {
+            let width = chunk.len();
+            features.clear();
+            features.resize((n + rps.len()) * width, 0.0);
+            for (c, &(_, k)) in chunk.iter().enumerate() {
+                let column = features[c..].iter_mut().step_by(width);
+                let candidate = &candidates[k * n..(k + 1) * n];
+                let values = self::features(candidate, rps, &self.replica_scale, &self.rps_scale);
+                for (slot, v) in column.zip(values) {
+                    *slot = v;
+                }
+            }
+            self.latency_model
+                .predict_batch(features, width, ratios, hidden);
+            violations.clear();
+            violations.resize(width, 0.0);
+            self.violation_model.predict_batch(features, violations);
+            priced += width;
+            for (c, &(_, k)) in chunk.iter().enumerate() {
+                let ratio = ratios[c..]
                     .iter()
-                    .zip(limits.iter())
-                    .map(|(&r, &limit)| r as f64 * limit)
-                    .sum();
-                if best.map(|(c, _)| cores < c).unwrap_or(true) {
-                    best = Some((cores, k));
+                    .step_by(width)
+                    .cloned()
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let viol = violations[c].clamp(0.0, 1.0);
+                if ratio < self.safety_ratio && viol < self.safety_violation_prob {
+                    return (Some(k), priced);
                 }
             }
         }
-        best.map(|(_, k)| k)
+        (None, priced)
     }
 }
 
@@ -397,8 +423,8 @@ impl ResourceManager for Sinan {
         "sinan"
     }
 
-    /// The centralized decision loop: evaluate candidate allocations with
-    /// the models, pick the cheapest predicted-safe one.
+    /// The centralized decision loop: draw candidate allocations, price
+    /// them with the models cheapest first, keep the first predicted safe.
     fn on_tick(&mut self, snapshot: &MetricsSnapshot, control: &mut dyn ControlPlane) {
         self.faults_seen += snapshot.faults.len() as u64;
         let n = control.num_services();
@@ -415,8 +441,8 @@ impl ResourceManager for Sinan {
         buf.limits
             .extend((0..n).map(|s| control.cpu_limit(ServiceId(s))));
 
-        // Every candidate is drawn before any is evaluated; the draws are
-        // the same, in the same order, as when each was evaluated as drawn.
+        // Every candidate is drawn before any is priced, so the draws do not
+        // depend on how many are priced.
         let count = self.candidates_per_tick;
         buf.candidates.clear();
         for k in 0..count {
@@ -430,7 +456,7 @@ impl ResourceManager for Sinan {
             }
         }
         self.candidates_evaluated += count as u64;
-        match self.cheapest_safe(&mut buf, count) {
+        match self.cheapest_safe(&mut buf, count).0 {
             Some(k) => {
                 let best = &buf.candidates[k * n..(k + 1) * n];
                 for (s, (&r, &live)) in best.iter().zip(&buf.current).enumerate() {
@@ -487,9 +513,239 @@ pub fn collect_and_train(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ursa_apps::social_network;
+    use ursa_ml::mlp::{Activation, Output};
     use ursa_sim::topology::ClassId;
     use ursa_sim::workload::RateFn;
+
+    /// The decision rule priced in full, the reference for the search:
+    /// every candidate through both models in one batch, then the cheapest
+    /// predicted safe, the first on ties.
+    fn cheapest_safe_sweep(sinan: &Sinan, buf: &mut TickBuffers, count: usize) -> Option<usize> {
+        if count == 0 {
+            return None;
+        }
+        let TickBuffers {
+            rps,
+            limits,
+            candidates,
+            features,
+            ratios,
+            hidden,
+            violations,
+            ..
+        } = buf;
+        let n = candidates.len() / count;
+        features.clear();
+        features.resize((n + rps.len()) * count, 0.0);
+        for (k, candidate) in candidates.chunks_exact(n).enumerate() {
+            let column = features[k..].iter_mut().step_by(count);
+            let values = super::features(candidate, rps, &sinan.replica_scale, &sinan.rps_scale);
+            for (slot, v) in column.zip(values) {
+                *slot = v;
+            }
+        }
+        sinan
+            .latency_model
+            .predict_batch(features, count, ratios, hidden);
+        violations.clear();
+        violations.resize(count, 0.0);
+        sinan.violation_model.predict_batch(features, violations);
+
+        let mut best: Option<(f64, usize)> = None;
+        for (k, candidate) in candidates.chunks_exact(n).enumerate() {
+            let ratio = ratios[k..]
+                .iter()
+                .step_by(count)
+                .cloned()
+                .fold(f64::NEG_INFINITY, f64::max);
+            let viol = violations[k].clamp(0.0, 1.0);
+            if ratio < sinan.safety_ratio && viol < sinan.safety_violation_prob {
+                let cores: f64 = candidate
+                    .iter()
+                    .zip(limits.iter())
+                    .map(|(&r, &limit)| r as f64 * limit)
+                    .sum();
+                if best.map(|(c, _)| cores < c).unwrap_or(true) {
+                    best = Some((cores, k));
+                }
+            }
+        }
+        best.map(|(_, k)| k)
+    }
+
+    /// A Sinan over `services` services and `classes` classes whose models
+    /// are fitted to random data: a latency network with `hidden`-wide
+    /// layers and `outputs` outputs after one Adam step, and eight boosted
+    /// trees.
+    fn random_sinan(
+        services: usize,
+        classes: usize,
+        outputs: usize,
+        hidden: usize,
+        seed: u64,
+    ) -> Sinan {
+        let mut rng = Rng::seed_from(seed);
+        let dim = services + classes;
+        let xs: Vec<Vec<f64>> = (0..48)
+            .map(|_| (0..dim).map(|_| rng.next_f64()).collect())
+            .collect();
+        let ys: Vec<Vec<f64>> = xs
+            .iter()
+            .map(|x| (0..outputs).map(|o| x[o % dim] + rng.next_f64()).collect())
+            .collect();
+        let labels: Vec<f64> = xs
+            .iter()
+            .map(|x| f64::from(u8::from(x[0] + x[dim - 1] > 1.0)))
+            .collect();
+        let dims = [dim, hidden, hidden, outputs];
+        let mut latency_model = Mlp::new(&dims, Activation::Relu, Output::Linear, seed);
+        latency_model.train_batch(&xs, &ys, 0.05);
+        let params = GbtParams {
+            n_trees: 8,
+            ..GbtParams::default()
+        };
+        Sinan {
+            latency_model,
+            violation_model: GbtRegressor::fit(&xs, &labels, &params, seed),
+            replica_scale: vec![8.0; services],
+            rps_scale: vec![100.0; classes],
+            slas: Vec::new(),
+            candidates_per_tick: 64,
+            safety_ratio: 0.85,
+            safety_violation_prob: 0.45,
+            max_replicas: 8,
+            rng: Rng::seed_from(seed),
+            training_wall: std::time::Duration::ZERO,
+            candidates_evaluated: 0,
+            fallback_scaleouts: 0,
+            faults_seen: 0,
+            tick: TickBuffers::default(),
+        }
+    }
+
+    /// A decision's buffers holding `candidates` under `rps` and `limits`.
+    fn buffers(candidates: &[Vec<usize>], rps: &[f64], limits: &[f64]) -> TickBuffers {
+        TickBuffers {
+            rps: rps.to_vec(),
+            limits: limits.to_vec(),
+            candidates: candidates.concat(),
+            ..TickBuffers::default()
+        }
+    }
+
+    /// The candidate first in `(cost, index)` order, or last if `dearest`.
+    fn by_cost(candidates: &[Vec<usize>], limits: &[f64], dearest: bool) -> usize {
+        let cost = |c: &[usize]| -> f64 { c.iter().zip(limits).map(|(&r, &l)| r as f64 * l).sum() };
+        let keyed = (0..candidates.len()).map(|k| (cost(&candidates[k]), k));
+        let order = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let pick = if dearest {
+            keyed.max_by(order)
+        } else {
+            keyed.min_by(order)
+        };
+        pick.expect("a candidate").1
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Pricing cheapest first and stopping at the first safe candidate
+        /// picks what pricing every candidate picks — over random models,
+        /// candidates, loads and CPU limits, with thresholds drawn from the
+        /// candidates' own predictions. Cases 1–4 force equal-cost ties,
+        /// nothing safe, only the dearest candidate safe and the cheapest
+        /// candidate safe.
+        #[test]
+        fn lazy_search_picks_what_the_full_sweep_picks(
+            services in 1usize..6,
+            classes in 1usize..4,
+            outputs in 1usize..4,
+            hidden in 1usize..24,
+            count in 1usize..71,
+            case in 0u8..5,
+            seed in any::<u64>(),
+        ) {
+            let mut sinan = random_sinan(services, classes, outputs, hidden, seed);
+            let mut rng = Rng::seed_from(seed ^ 0x5AFE);
+            let ties = case == 1;
+            let most = if ties { 2 } else { 8 };
+            let mut candidates: Vec<Vec<usize>> = (0..count)
+                .map(|_| (0..services).map(|_| 1 + rng.index(most)).collect())
+                .collect();
+            let limits: Vec<f64> = (0..services)
+                .map(|_| if ties { 1.0 } else { 0.25 * (1 + rng.index(16)) as f64 })
+                .collect();
+            let rps: Vec<f64> = (0..classes).map(|_| 100.0 * rng.next_f64()).collect();
+            let predicted: Vec<(f64, f64)> =
+                candidates.iter().map(|c| sinan.predict(c, &rps)).collect();
+            // Safe below both thresholds, strictly: at a candidate's own
+            // prediction's next value up, that candidate is safe.
+            let mut safe_at = |k: usize| {
+                sinan.safety_ratio = predicted[k].0.next_up();
+                sinan.safety_violation_prob = predicted[k].1.next_up();
+            };
+            let forced = match case {
+                0 | 1 => {
+                    safe_at(rng.index(count));
+                    sinan.safety_ratio = predicted[rng.index(count)].0.next_up();
+                    None
+                }
+                2 => {
+                    sinan.safety_ratio = predicted.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
+                    Some(None)
+                }
+                3 => {
+                    let dearest = by_cost(&candidates, &limits, true);
+                    safe_at(dearest);
+                    let (ratio, viol) = (sinan.safety_ratio, sinan.safety_violation_prob);
+                    let keep: Vec<usize> = (0..count)
+                        .filter(|&k| k == dearest || predicted[k].0 >= ratio || predicted[k].1 >= viol)
+                        .collect();
+                    let at = keep.iter().position(|&k| k == dearest);
+                    candidates = keep.into_iter().map(|k| candidates[k].clone()).collect();
+                    Some(at)
+                }
+                _ => {
+                    let cheapest = by_cost(&candidates, &limits, false);
+                    safe_at(cheapest);
+                    Some(Some(cheapest))
+                }
+            };
+            let count = candidates.len();
+            let mut buf = buffers(&candidates, &rps, &limits);
+            let want = cheapest_safe_sweep(&sinan, &mut buf, count);
+            let (got, priced) = sinan.cheapest_safe(&mut buf, count);
+            prop_assert_eq!(got, want);
+            if let Some(forced) = forced {
+                prop_assert_eq!(got, forced);
+            }
+            if got.is_none() {
+                prop_assert_eq!(priced, count);
+            }
+        }
+    }
+
+    /// When the cheapest candidate is predicted safe, a decision prices one
+    /// chunk and no more; when none is, it prices them all.
+    #[test]
+    fn safe_cheapest_candidate_prices_one_chunk() {
+        let mut sinan = random_sinan(4, 2, 3, 16, 7);
+        let mut rng = Rng::seed_from(11);
+        let candidates: Vec<Vec<usize>> = (0..64)
+            .map(|_| (0..4).map(|_| 1 + rng.index(8)).collect())
+            .collect();
+        let (rps, limits) = ([40.0, 70.0], [0.5, 1.0, 2.0, 1.5]);
+        let cheapest = by_cost(&candidates, &limits, false);
+        let (ratio, viol) = sinan.predict(&candidates[cheapest], &rps);
+        sinan.safety_ratio = ratio.next_up();
+        sinan.safety_violation_prob = viol.next_up();
+        let mut buf = buffers(&candidates, &rps, &limits);
+        assert_eq!(sinan.cheapest_safe(&mut buf, 64), (Some(cheapest), CHUNK));
+        sinan.safety_ratio = f64::NEG_INFINITY;
+        assert_eq!(sinan.cheapest_safe(&mut buf, 64), (None, 64));
+    }
 
     fn quick_collect(samples: usize) -> (Sinan, Dataset) {
         let app = social_network(true);

@@ -6,9 +6,16 @@
 //! does not time itself (DESIGN.md §6, "Engine cost model, measured from
 //! outside"); this is how to ask where its time goes.
 //!
+//! `decisions` samples the control plane instead: Sinan's and Firm's
+//! deployed ticks, prepared as the ledger's `control_replay` prepares them
+//! and replayed as it replays them, ten rounds of Sinan and a hundred of
+//! Firm over an hour of one-minute snapshots per rep. On a 2-core Xeon the
+//! preparation takes about ten seconds and a rep about a tenth of one, so
+//! run a thousand reps or more.
+//!
 //! ```sh
 //! cargo build --release -p ursa-bench --example profile_cells
-//! cd target/release/examples      # usage: profile_cells [canonical|ps_heavy|big] [reps]
+//! cd target/release/examples      # usage: profile_cells [canonical|ps_heavy|big|decisions] [reps]
 //! ```
 //!
 //! With `gprofng` (binutils ≥ 2.39; `-p hi` samples every millisecond):
@@ -101,6 +108,7 @@
 //! anything below 5 %.
 
 use ursa_apps::{scale_app, social_network};
+use ursa_bench::{prepare_firm, prepare_sinan, Scale};
 use ursa_sim::prelude::*;
 use ursa_sim::workload::RateFn;
 
@@ -136,18 +144,98 @@ fn big(seed: u64) -> u64 {
     sim.events_processed()
 }
 
+/// The actuation surface the replayed managers see, backed by two vectors.
+#[derive(Clone)]
+struct Plane {
+    replicas: Vec<usize>,
+    cores: Vec<f64>,
+}
+
+impl ControlPlane for Plane {
+    fn now(&self) -> SimTime {
+        SimTime::ZERO
+    }
+    fn num_services(&self) -> usize {
+        self.replicas.len()
+    }
+    fn service_name(&self, service: ServiceId) -> String {
+        format!("s{}", service.0)
+    }
+    fn replicas(&self, service: ServiceId) -> usize {
+        self.replicas[service.0]
+    }
+    fn set_replicas(&mut self, service: ServiceId, n: usize) {
+        self.replicas[service.0] = n.max(1);
+    }
+    fn cpu_limit(&self, service: ServiceId) -> f64 {
+        self.cores[service.0]
+    }
+    fn set_cpu_limit(&mut self, service: ServiceId, cores: f64) {
+        self.cores[service.0] = cores;
+    }
+    fn total_allocated_cores(&self) -> f64 {
+        self.replicas
+            .iter()
+            .zip(&self.cores)
+            .map(|(&r, &c)| r as f64 * c)
+            .sum()
+    }
+}
+
+/// Sinan and Firm trained on the social network as `control_replay` trains
+/// them, and an hour of its skewed diurnal snapshots; each call replays
+/// fresh copies of both and returns the ticks made.
+fn decisions() -> impl FnMut(u64) -> u64 {
+    // The seeds `control_replay` prepares with and, at `--seed 0`, records with.
+    const SEED: u64 = 0x11_12;
+    let app = social_network(false);
+    let (sinan, _) = prepare_sinan(&app, Scale::Quick, SEED ^ 0xAA);
+    let firm = prepare_firm(&app, Scale::Quick, SEED ^ 0xBB);
+    let mut sim = app.build_sim(0x5A4B);
+    let diurnal = RateFn::Diurnal {
+        base: 0.6 * app.default_rps,
+        peak: 1.4 * app.default_rps,
+        period: SimDur::from_mins(20),
+    };
+    app.apply_load_with_mix(&mut sim, diurnal, &app.skewed_mix(2.0));
+    let snapshots: Vec<MetricsSnapshot> = (0..60)
+        .map(|_| {
+            sim.run_for(SimDur::from_mins(1));
+            sim.harvest()
+        })
+        .collect();
+    let services = app.topology.services();
+    let start = Plane {
+        replicas: services.iter().map(|s| s.initial_replicas).collect(),
+        cores: services.iter().map(|s| s.cores).collect(),
+    };
+    move |_| {
+        let replay = |manager: &mut dyn ResourceManager, rounds: usize| {
+            for _ in 0..rounds {
+                let mut plane = start.clone();
+                for snap in &snapshots {
+                    manager.on_tick(snap, &mut plane);
+                }
+            }
+            (rounds * snapshots.len()) as u64
+        };
+        replay(&mut sinan.clone(), 10) + replay(&mut firm.clone(), 100)
+    }
+}
+
 fn usage() -> ! {
-    eprintln!("usage: profile_cells [canonical|ps_heavy|big] [reps]");
+    eprintln!("usage: profile_cells [canonical|ps_heavy|big|decisions] [reps]");
     std::process::exit(2)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let cell = args.get(1).map(String::as_str).unwrap_or("ps_heavy");
-    let run: fn(u64) -> u64 = match cell {
-        "canonical" => |rep| canonical(0xBE7C + rep),
-        "ps_heavy" => |rep| ps_heavy(0x9527 + rep),
-        "big" => |rep| big(0x816C + rep),
+    let (mut run, unit): (Box<dyn FnMut(u64) -> u64>, &str) = match cell {
+        "canonical" => (Box::new(|rep| canonical(0xBE7C + rep)), "events"),
+        "ps_heavy" => (Box::new(|rep| ps_heavy(0x9527 + rep)), "events"),
+        "big" => (Box::new(|rep| big(0x816C + rep)), "events"),
+        "decisions" => (Box::new(decisions()), "ticks"),
         _ => usage(),
     };
     let reps: u64 = match args.get(2) {
@@ -161,7 +249,7 @@ fn main() {
     }
     let dt = t0.elapsed().as_secs_f64();
     println!(
-        "{cell}: {total} events in {dt:.3}s = {:.0} ev/s",
+        "{cell}: {total} {unit} in {dt:.3}s = {:.0} {unit}/s",
         total as f64 / dt
     );
 }

@@ -3,9 +3,10 @@
 //! Two rows, as in the paper:
 //!
 //! * **Deploy** — the wall-clock cost of one online scaling decision:
-//!   Ursa's threshold check, Sinan's model sweep over candidate
-//!   allocations, Firm's per-service network inference, and autoscaling's
-//!   bare threshold comparison. Measured by timing `on_tick` on a live
+//!   Ursa's threshold check, Sinan's search of candidate allocations
+//!   (priced through both models cheapest first, up to the first predicted
+//!   safe), Firm's per-service network inference, and autoscaling's bare
+//!   threshold comparison. Measured by timing `on_tick` on a live
 //!   snapshot (the ledger rows `core.ursa_tick_us_*`, `baselines.*_tick_*`
 //!   and `mip.solve_ms_*` of `bash benchmark/run.sh` give tighter numbers).
 //! * **Update** — the cost of refreshing the model: Ursa re-solves the MIP,
@@ -78,8 +79,9 @@ pub fn ops_table(app: &App, sinan: &Sinan, dataset: &Dataset) -> TsvTable {
     let mut table = TsvTable::new("table6", &["system", "deploy_ops", "update_ops"]);
     // Ursa: one threshold check per service; update = one MIP solve.
     table.row(vec!["ursa".into(), n.to_string(), "1".into()]);
-    // Sinan: a model sweep over candidate allocations; update = full
-    // retraining over the dataset.
+    // Sinan: the candidate allocations drawn, an upper bound on the ones
+    // priced through the models (the search stops at the first predicted
+    // safe); update = full retraining over the dataset.
     table.row(vec![
         "sinan".into(),
         sinan.candidates_per_tick.to_string(),
@@ -151,7 +153,7 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<ControlPlaneLatency> {
         update_ms: Some(update),
     });
 
-    // Sinan: deploy = model sweep; update = full retraining.
+    // Sinan: deploy = candidate search; update = full retraining.
     let deploy = time_ticks(sinan.as_mut(), &snapshot, &mut sim, iters);
     let t0 = std::time::Instant::now();
     let retrained = Sinan::train(&dataset, &app.slas, SINAN_RETRAIN_EPOCHS, 99);
@@ -214,7 +216,7 @@ mod tests {
     use super::*;
 
     /// The paper's ordering: autoscaling fastest, then Ursa, then Firm,
-    /// then Sinan (centralized model sweep); Ursa's one-shot update beats
+    /// then Sinan (centralized candidate search); Ursa's one-shot update beats
     /// Sinan's retraining.
     #[test]
     fn latency_ordering_matches_paper() {

@@ -55,7 +55,11 @@ pub enum Output {
 struct Layer {
     inp: usize,
     out: usize,
+    /// Weights, output-major: row `o` holds output `o`'s weights.
     w: Vec<f64>,
+    /// The same weights input-major (`w[o * inp + i]` at `wt[i * out + o]`),
+    /// for the one-row pass; rewritten wherever `w` changes.
+    wt: Vec<f64>,
     b: Vec<f64>,
     // Adam moments.
     mw: Vec<f64>,
@@ -70,15 +74,27 @@ impl Layer {
         let w = (0..inp * out)
             .map(|_| (rng.next_f64() * 2.0 - 1.0) * scale)
             .collect();
-        Layer {
+        let mut layer = Layer {
             inp,
             out,
             w,
+            wt: vec![0.0; inp * out],
             b: vec![0.0; out],
             mw: vec![0.0; inp * out],
             vw: vec![0.0; inp * out],
             mb: vec![0.0; out],
             vb: vec![0.0; out],
+        };
+        layer.transpose();
+        layer
+    }
+
+    /// Rewrites `wt` from `w`.
+    fn transpose(&mut self) {
+        for (o, row) in self.w.chunks_exact(self.inp).enumerate() {
+            for (slot, &wi) in self.wt[o..].iter_mut().step_by(self.out).zip(row) {
+                *slot = wi;
+            }
         }
     }
 
@@ -91,16 +107,34 @@ impl Layer {
     /// in input order, as a dot product would, so a column's value does not
     /// depend on the batch it rides in. `LANES` columns are accumulated
     /// together to overlap their adds; what is left over goes one by one.
+    /// A batch of one overlaps its outputs' adds instead, `BLOCK` outputs
+    /// at a time from the input-major weights; the outputs left over are
+    /// dot products of their rows.
     fn forward(&self, x: &[f64], batch: usize, out: &mut Vec<f64>) {
         debug_assert_eq!(x.len(), self.inp * batch);
         out.clear();
-        let row = |o: usize| &self.w[o * self.inp..(o + 1) * self.inp];
+        out.resize(self.out * batch, 0.0);
         if batch == 1 {
-            // A batch of one is its own column, read as a plain slice.
-            out.extend((0..self.out).map(|o| dot(self.b[o], row(o), x.iter().copied())));
+            let blocked = self.out - self.out % BLOCK;
+            for (first, dst) in (0..blocked).step_by(BLOCK).zip(out.chunks_exact_mut(BLOCK)) {
+                let mut acc: [f64; BLOCK] =
+                    self.b[first..first + BLOCK].try_into().expect("a block");
+                for (&xv, column) in x.iter().zip(self.wt.chunks_exact(self.out)) {
+                    for (a, &wi) in acc.iter_mut().zip(&column[first..first + BLOCK]) {
+                        *a += wi * xv;
+                    }
+                }
+                dst.copy_from_slice(&acc);
+            }
+            for o in blocked..self.out {
+                out[o] = dot(
+                    self.b[o],
+                    &self.w[o * self.inp..(o + 1) * self.inp],
+                    x.iter().copied(),
+                );
+            }
             return;
         }
-        out.resize(self.out * batch, 0.0);
         let rows = || self.w.chunks_exact(self.inp).zip(&self.b);
         let blocked = batch - batch % LANES;
         for c in (0..blocked).step_by(LANES) {
@@ -128,6 +162,9 @@ impl Layer {
 
 /// Columns the forward kernel accumulates together.
 const LANES: usize = 8;
+
+/// Outputs a one-row pass accumulates together.
+const BLOCK: usize = 16;
 
 /// What a training step works in, kept between steps: the batch as columns,
 /// every layer's output, the back-propagated gradients and one sample's
@@ -433,6 +470,7 @@ impl Mlp {
                 let vhat = layer.vb[i] / bc2;
                 layer.b[i] -= lr * mhat / (vhat.sqrt() + ADAM_EPS);
             }
+            layer.transpose();
         }
         self.train = t;
         loss / (batch as f64)
@@ -452,6 +490,7 @@ impl Mlp {
         for (a, b) in self.layers.iter_mut().zip(&other.layers) {
             assert_eq!(a.w.len(), b.w.len(), "architecture mismatch");
             a.w.copy_from_slice(&b.w);
+            a.wt.copy_from_slice(&b.wt);
             a.b.copy_from_slice(&b.b);
         }
     }
@@ -628,12 +667,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Every output of a batched pass has the bits the scalar forward
-        /// gives its row alone — for any widths, batch sizes around and
-        /// across the lane width, both hidden activations and both heads,
-        /// on buffers left dirty by a larger batch.
+        /// gives its row alone, and so does every output of a one-row pass —
+        /// for any widths around and across the one-row block, batch sizes
+        /// around and across the lane width, both hidden activations and
+        /// both heads, on buffers left dirty by a larger batch.
         #[test]
         fn batched_forward_matches_rows(
-            widths in proptest::collection::vec(1usize..20, 2..5),
+            widths in proptest::collection::vec(1usize..71, 2..5),
             batch in 1usize..71,
             act in 0u8..2,
             sigmoid in any::<bool>(),
@@ -682,6 +722,41 @@ mod tests {
                     prop_assert_eq!(bits(x), bits(y));
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-row pass reads the input-major weights: after every Adam
+        /// step, and in a network whose parameters were copied in, it still
+        /// has the bits of the scalar forward over the output-major ones.
+        #[test]
+        fn one_row_forward_follows_parameter_changes(
+            widths in proptest::collection::vec(1usize..40, 2..5),
+            batch in 1usize..12,
+            act in 0u8..2,
+            sigmoid in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let (mut net, rows) = random_case(&widths, batch, act, sigmoid, seed);
+            let outputs = widths[widths.len() - 1];
+            let targets: Vec<Vec<f64>> = (0..batch).map(|c| vec![c as f64 / 8.0; outputs]).collect();
+            let check = |net: &Mlp| -> Result<(), proptest::test_runner::TestCaseError> {
+                for row in &rows {
+                    let want = bits(&forward_row(net, row).pop().expect("a layer"));
+                    prop_assert_eq!(bits(&net.predict(row)), want);
+                }
+                Ok(())
+            };
+            for _ in 0..3 {
+                net.train_batch(&rows, &targets, 0.05);
+                check(&net)?;
+            }
+            let (act, output) = (net.act, net.output);
+            let mut copy = Mlp::new(&widths, act, output, seed ^ 0xC0);
+            copy.copy_params_from(&net);
+            check(&copy)?;
         }
     }
 
