@@ -2,14 +2,16 @@
 //! alone and in any combination.
 //!
 //! The observability planes (phase profiler, flight recorder, span tracer)
-//! observe the engine and must never perturb it. The chaos plane with an
-//! empty plan, or one whose windows all lie past the horizon, and the
-//! memory plane with nodes but no demand profiles, schedule nothing that
-//! actuates. For random chain topologies, replica counts and loads, each
-//! of the 32 on/off subsets of those five planes must digest exactly as
-//! the plain simulator does: same event count and byte-identical
-//! telemetry. This is the contract that lets `--artifacts-dir` arm the
-//! recorder on experiment cells without changing a single published row.
+//! observe the engine and must never perturb it, and neither may the
+//! metrics plane, a [`SimMetrics`] scraping every harvested snapshot as the
+//! deployment driver does. The chaos plane with an empty plan, or one whose
+//! windows all lie past the horizon, and the memory plane with nodes but no
+//! demand profiles, schedule nothing that actuates. For random chain
+//! topologies, replica counts and loads, each of the 64 on/off subsets of
+//! those six planes must digest exactly as the plain simulator does: same
+//! event count and byte-identical telemetry. This is the contract that lets
+//! `--artifacts-dir` arm the recorder and the dashboards' metrics on
+//! experiment cells without changing a single published row.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -20,6 +22,7 @@ const RECORDER: u32 = 1 << 1;
 const TRACER: u32 = 1 << 2;
 const CHAOS: u32 = 1 << 3;
 const MEMORY: u32 = 1 << 4;
+const METRICS: u32 = 1 << 5;
 
 #[derive(Debug, Clone)]
 struct ChainSpec {
@@ -114,10 +117,16 @@ fn build(spec: &ChainSpec, mask: u32) -> Simulation {
 
 /// Runs three windows and returns a byte-exact digest of everything the
 /// engine simulates: the debug rendering of every snapshot and the event
-/// count. A snapshot's `mem` field is checked instead of rendered: the
-/// plain run attaches none, and an inert memory plane attaches one that
-/// witnessed nothing.
-fn digest(mut sim: Simulation) -> Result<String, TestCaseError> {
+/// count. With the [`METRICS`] bit in `mask`, a collector with the chain's
+/// SLA observes and scrapes every snapshot once it is rendered (its first
+/// percentile query fills the snapshot's sort cache, which the rendering
+/// would show; what must not move is every later window). A snapshot's `mem`
+/// field is checked instead of rendered: the plain run attaches none, and
+/// an inert memory plane attaches one that witnessed nothing.
+fn digest(mut sim: Simulation, mask: u32) -> Result<String, TestCaseError> {
+    let sla = Sla::new(ClassId(0), 99.0, 0.05);
+    let mut metrics =
+        (mask & METRICS != 0).then(|| SimMetrics::for_topology("plane", sim.topology(), &[sla]));
     let mut out = String::new();
     for _ in 0..3 {
         sim.run_for(SimDur::from_secs(40));
@@ -130,6 +139,13 @@ fn digest(mut sim: Simulation) -> Result<String, TestCaseError> {
             prop_assert!(mem.throttle_secs.iter().all(|&t| t == 0.0));
         }
         out.push_str(&format!("{snap:?}\n"));
+        if let Some(metrics) = &mut metrics {
+            metrics.observe_snapshot(&sim, &snap);
+            metrics.scrape(snap.at);
+        }
+    }
+    if let Some(metrics) = &metrics {
+        prop_assert_eq!(metrics.store().len(), 3, "the collector missed a harvest");
     }
     out.push_str(&format!("events={}", sim.events_processed()));
     Ok(out)
@@ -140,10 +156,10 @@ proptest! {
 
     #[test]
     fn every_plane_subset_is_bit_identical(spec in chain_spec()) {
-        let base = digest(build(&spec, 0))?;
-        for mask in 1..32 {
-            let planes = digest(build(&spec, mask))?;
-            prop_assert_eq!(&planes, &base, "planes {:05b} perturbed the run", mask);
+        let base = digest(build(&spec, 0), 0)?;
+        for mask in 1..64 {
+            let planes = digest(build(&spec, mask), mask)?;
+            prop_assert_eq!(&planes, &base, "planes {:06b} perturbed the run", mask);
         }
     }
 
