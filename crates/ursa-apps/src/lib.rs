@@ -206,17 +206,6 @@ pub fn all_apps() -> Vec<App> {
     ]
 }
 
-/// Finds an application by name.
-pub fn app_by_name(name: &str) -> Option<App> {
-    match name {
-        "social" => Some(social_network(false)),
-        "social-vanilla" => Some(social_network(true)),
-        "media" => Some(media_service()),
-        "video" => Some(video_pipeline(0.5)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,15 +221,6 @@ mod tests {
             }
             assert!(app.default_rps > 0.0);
         }
-    }
-
-    #[test]
-    fn app_lookup() {
-        assert!(app_by_name("social").is_some());
-        assert!(app_by_name("social-vanilla").is_some());
-        assert!(app_by_name("media").is_some());
-        assert!(app_by_name("video").is_some());
-        assert!(app_by_name("nope").is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use ursa_sim::topology::ServiceId;
 
 /// How scale-out amounts are computed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScalePolicy {
+enum ScalePolicy {
     /// Add/remove one replica per breach (AWS step scaling default).
     Step,
     /// Jump to `ceil(current × utilization / target)` (Kubernetes HPA).
@@ -30,13 +30,13 @@ pub enum ScalePolicy {
 pub struct Autoscaler {
     name: String,
     /// Scale out above this utilization.
-    pub up_threshold: f64,
+    up_threshold: f64,
     /// Scale in below this utilization.
-    pub down_threshold: f64,
+    down_threshold: f64,
     /// Scale-out policy.
-    pub policy: ScalePolicy,
+    policy: ScalePolicy,
     /// Consecutive below-threshold windows required before scaling in.
-    pub down_patience: usize,
+    down_patience: usize,
     below: Vec<usize>,
     scale_outs: u64,
     scale_ins: u64,

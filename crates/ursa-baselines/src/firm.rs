@@ -22,37 +22,18 @@ const ACTIONS: usize = 3; // 0 = scale in, 1 = hold, 2 = scale out
 const STATE_DIM: usize = 4;
 type State = [f64; STATE_DIM];
 
-/// Firm configuration.
-#[derive(Debug, Clone)]
-pub struct FirmConfig {
-    /// Reward weight on resource savings.
-    pub w_resource: f64,
-    /// Reward weight (penalty) on SLA violation.
-    pub w_sla: f64,
-    /// Maximum replicas per service.
-    pub max_replicas: usize,
-    /// DQN hyper-parameters.
-    pub dqn: DqnParams,
-}
-
-impl Default for FirmConfig {
-    fn default() -> Self {
-        FirmConfig {
-            // The paper notes Firm's reward can prefer savings over SLA;
-            // these defaults reproduce that trade-off.
-            w_resource: 0.5,
-            w_sla: 1.0,
-            max_replicas: 24,
-            dqn: DqnParams::default(),
-        }
-    }
-}
+/// Reward weight on resource savings. The paper notes Firm's reward can
+/// prefer savings over SLA; with `W_SLA` this reproduces that trade-off.
+const W_RESOURCE: f64 = 0.5;
+/// Reward weight (penalty) on SLA violation.
+const W_SLA: f64 = 1.0;
+/// Maximum replicas per service.
+const MAX_REPLICAS: usize = 24;
 
 /// The Firm-style manager: one DQN agent per service.
 #[derive(Debug, Clone)]
 pub struct Firm {
     agents: Vec<DqnAgent>,
-    cfg: FirmConfig,
     /// The SLA covering each class, if any (the first, should several name
     /// one class).
     sla_of_class: Vec<Option<Sla>>,
@@ -74,11 +55,13 @@ impl Firm {
         num_services: usize,
         slas: &[Sla],
         service_classes: Vec<Vec<usize>>,
-        cfg: FirmConfig,
         seed: u64,
     ) -> Self {
         let agents = (0..num_services)
-            .map(|s| DqnAgent::new(STATE_DIM, ACTIONS, 32, cfg.dqn, seed ^ ((s as u64) << 8)))
+            .map(|s| {
+                let seed = seed ^ ((s as u64) << 8);
+                DqnAgent::new(STATE_DIM, ACTIONS, 32, DqnParams::default(), seed)
+            })
             .collect();
         let num_classes = service_classes
             .iter()
@@ -93,7 +76,6 @@ impl Firm {
         }
         Firm {
             agents,
-            cfg,
             sla_of_class,
             service_classes,
             rps_scale: vec![1e-9; num_services],
@@ -123,7 +105,7 @@ impl Firm {
         control: &dyn ControlPlane,
     ) -> State {
         let util = snapshot.services[s].cpu_utilization;
-        let replicas = control.replicas(ServiceId(s)) as f64 / self.cfg.max_replicas as f64;
+        let replicas = control.replicas(ServiceId(s)) as f64 / MAX_REPLICAS as f64;
         let mut worst_ratio = 0.0f64;
         for &c in &self.service_classes[s] {
             if let Some(sla) = self.sla_of_class[c] {
@@ -145,7 +127,7 @@ impl Firm {
     /// Reward after acting: resource savings minus SLA penalty (§VII-B).
     fn reward_of(&self, s: usize, snapshot: &MetricsSnapshot, control: &dyn ControlPlane) -> f64 {
         let replicas = control.replicas(ServiceId(s)) as f64;
-        let saving = 1.0 - replicas / self.cfg.max_replicas as f64;
+        let saving = 1.0 - replicas / MAX_REPLICAS as f64;
         let mut violated = 0.0;
         for &c in &self.service_classes[s] {
             if let Some(sla) = self.sla_of_class[c] {
@@ -156,7 +138,7 @@ impl Firm {
                 }
             }
         }
-        self.cfg.w_resource * saving - self.cfg.w_sla * violated
+        W_RESOURCE * saving - W_SLA * violated
     }
 }
 
@@ -194,7 +176,7 @@ impl ResourceManager for Firm {
             let current = control.replicas(ServiceId(s));
             let next = match action {
                 0 => current.saturating_sub(1).max(1),
-                2 => (current + 1).min(self.cfg.max_replicas),
+                2 => (current + 1).min(MAX_REPLICAS),
                 _ => current,
             };
             if next != current {
@@ -284,7 +266,6 @@ mod tests {
             app.topology.num_services(),
             &app.slas,
             service_classes(&app),
-            FirmConfig::default(),
             3,
         );
         let mut sim = app.build_sim(4);
@@ -308,7 +289,6 @@ mod tests {
             app.topology.num_services(),
             &app.slas,
             service_classes(&app),
-            FirmConfig::default(),
             5,
         );
         let mut sim = app.build_sim(6);

@@ -18,6 +18,6 @@ pub mod autoscaler;
 pub mod firm;
 pub mod sinan;
 
-pub use autoscaler::{Autoscaler, ScalePolicy};
-pub use firm::{train_firm, Firm, FirmConfig};
+pub use autoscaler::Autoscaler;
+pub use firm::{train_firm, Firm};
 pub use sinan::{collect, collect_and_train, CollectConfig, Dataset, Sinan};

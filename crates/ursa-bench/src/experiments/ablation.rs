@@ -16,7 +16,7 @@
 use crate::{default_rates, prepare_ursa, LoadSpec, RunCtx, Scale, TsvTable};
 use ursa_apps::social_network;
 use ursa_core::exploration::explore_all;
-use ursa_core::manager::{Ursa, UrsaConfig};
+use ursa_core::manager::Ursa;
 use ursa_core::optimizer::{build_model, optimize};
 use ursa_mip::{LatencyMatrix, MipModel, ServiceModel};
 use ursa_sim::control::{run_deployment, DeployConfig};
@@ -36,26 +36,8 @@ pub struct SplitAblation {
 /// the smallest grid point whose residual, taken by every service on the
 /// class's path, still fits the class budget (the "equal split").
 fn equal_split_model(model: &MipModel) -> Option<MipModel> {
-    let mut restricted = model.clone();
-    for c in &model.constraints {
-        let n = model.services_of_class(c.class).len().max(1);
-        let share = (100.0 - c.percentile) / n as f64;
-        let needed = 100.0 - share;
-        // Smallest grid percentile >= needed.
-        let col = model.percentiles.iter().position(|&p| p >= needed - 1e-9)?;
-        for svc in &mut restricted.services {
-            if let Some(m) = &svc.latency[c.class] {
-                // Keep only the forced column for this class.
-                let data: Vec<f64> = (0..m.rows()).map(|r| m.at(r, col)).collect();
-                svc.latency[c.class] = Some(LatencyMatrix::new(m.rows(), 1, data));
-            }
-        }
-    }
-    // The restricted model has one-column matrices; the grid must shrink
-    // accordingly. Distinct classes may force distinct columns, so restrict
-    // per-class via a 1-wide grid only when all forced columns agree;
-    // otherwise rebuild with per-class single-column handled by using the
-    // largest forced percentile for the shared grid.
+    // Distinct classes may force distinct columns; the shared one-column
+    // grid takes the largest forced percentile.
     let forced: Vec<f64> = model
         .constraints
         .iter()
@@ -143,7 +125,6 @@ pub fn ceiling_ablation(scale: Scale, seed: u64) -> CeilingAblation {
                 duration: scale.deploy_duration(),
                 control_interval: SimDur::from_mins(1),
                 warmup: SimDur::from_mins(2),
-                collect_samples: false,
             },
         );
         (report.overall_violation_rate(), report.avg_cpu_allocation())
@@ -155,20 +136,17 @@ pub fn ceiling_ablation(scale: Scale, seed: u64) -> CeilingAblation {
 
     // Without ceilings: re-run exploration with the ceiling lifted to 0.95
     // and rebuild thresholds from it.
-    let cfg = UrsaConfig {
-        exploration: scale.exploration(),
-        profiling: scale.profiling(),
-    };
+    let exploration = scale.exploration();
     let lifted = vec![Some(0.95); app.topology.num_services()];
     let report = explore_all(
         &app.topology,
         &app.slas,
         &rates,
         &lifted,
-        &cfg.exploration,
+        &exploration,
         seed ^ 2,
     );
-    let grid = cfg.exploration.percentile_grid.clone();
+    let grid = exploration.percentile_grid;
     let (viol_without, cores_without) = match optimize(&report, &app.slas, &rates, &grid) {
         Ok(outcome) => {
             // Splice the lifted exploration into a manager via recalc-like
@@ -191,13 +169,14 @@ pub fn ceiling_ablation(scale: Scale, seed: u64) -> CeilingAblation {
 }
 
 /// Control-interval sensitivity under burst load. Each interval is an
-/// independent cell (fresh manager, fresh simulation) and runs on the
-/// configured workers.
+/// independent cell (a copy of one prepared manager, fresh simulation) and
+/// runs on the configured workers.
 pub fn interval_sensitivity(scale: Scale, seed: u64) -> Vec<(f64, f64)> {
     let app = social_network(true);
     let rates = default_rates(&app);
+    let prepared = prepare_ursa(&app, scale, seed);
     crate::runner::run_cells(vec![30u64, 60, 120, 300], |_, interval_s| {
-        let mut ursa = prepare_ursa(&app, scale, seed);
+        let mut ursa = prepared.clone();
         let mut sim = app.build_sim(seed ^ interval_s);
         LoadSpec::Burst.apply(&app, &mut sim, scale.deploy_duration());
         ursa.apply_initial_allocation(&rates, &mut sim);
@@ -209,7 +188,6 @@ pub fn interval_sensitivity(scale: Scale, seed: u64) -> Vec<(f64, f64)> {
                 duration: scale.deploy_duration(),
                 control_interval: SimDur::from_secs(interval_s),
                 warmup: SimDur::from_mins(2),
-                collect_samples: false,
             },
         );
         (interval_s as f64, report.overall_violation_rate())

@@ -314,7 +314,6 @@ mod tests {
             duration: Scale::Quick.deploy_duration(),
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::from_mins(2),
-            collect_samples: false,
         };
         run_deployment(&mut sim, &app.slas, &mut ursa, &cfg);
         let reexplores = ursa
@@ -415,7 +414,6 @@ mod tests {
                 mk(360.0, true, 14.0), // lingering post-fault impact
                 mk(420.0, false, 12.0),
             ],
-            class_samples: vec![],
             decision_wall_ms: 0.0,
         };
         let span = (SimTime::from_secs_f64(130.0), SimTime::from_secs_f64(250.0));

@@ -49,7 +49,6 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<ServiceSeries> {
             duration,
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::ZERO,
-            collect_samples: false,
         };
         run_deployment(&mut sim, &app.slas, &mut ursa, &cfg)
     })

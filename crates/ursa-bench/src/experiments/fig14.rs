@@ -52,7 +52,6 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> AdaptationResult {
         duration,
         control_interval: SimDur::from_mins(1),
         warmup: SimDur::from_mins(2),
-        collect_samples: false,
     };
     let windows_p99 = |report: &ursa_sim::control::DeploymentReport| -> Vec<f64> {
         let mut v: Vec<f64> = report

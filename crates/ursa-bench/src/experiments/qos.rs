@@ -406,7 +406,6 @@ mod tests {
             duration: Scale::Quick.deploy_duration(),
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::from_mins(2),
-            collect_samples: false,
         };
         run_deployment_observed(
             &mut sim,

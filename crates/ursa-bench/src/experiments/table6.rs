@@ -74,7 +74,7 @@ fn time_ticks(
 /// operations one scaling decision and one model update cost per system.
 /// These depend only on the topology and the training configuration, so
 /// the committed `table6.tsv` built from them reproduces byte-identically.
-pub fn ops_table(app: &App, sinan: &Sinan, dataset: &Dataset) -> TsvTable {
+pub fn ops_table(app: &App, dataset: &Dataset) -> TsvTable {
     let n = app.topology.num_services();
     let mut table = TsvTable::new("table6", &["system", "deploy_ops", "update_ops"]);
     // Ursa: one threshold check per service; update = one MIP solve.
@@ -84,7 +84,7 @@ pub fn ops_table(app: &App, sinan: &Sinan, dataset: &Dataset) -> TsvTable {
     // safe); update = full retraining over the dataset.
     table.row(vec![
         "sinan".into(),
-        sinan.candidates_per_tick.to_string(),
+        Sinan::CANDIDATES_PER_TICK.to_string(),
         (dataset.samples.len() * SINAN_RETRAIN_EPOCHS).to_string(),
     ]);
     // Firm: one per-service inference; update = one training step per
@@ -191,7 +191,7 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<ControlPlaneLatency> {
     });
 
     // Committed artifact: deterministic work counts only.
-    let ops = ops_table(&app, &sinan, &dataset);
+    let ops = ops_table(&app, &dataset);
     let _ = ops.write_tsv(ctx, "table6");
 
     // Measured wall-clock: printed, and written to the gitignored
@@ -262,8 +262,8 @@ mod tests {
     #[test]
     fn committed_table6_artifact_is_reproducible() {
         let app = social_network(false);
-        let (sinan, dataset) = prepare_sinan(&app, Scale::Quick, 0x0007_AB61);
-        let regenerated = ops_table(&app, &sinan, &dataset).to_tsv();
+        let (_, dataset) = prepare_sinan(&app, Scale::Quick, 0x0007_AB61);
+        let regenerated = ops_table(&app, &dataset).to_tsv();
         let path = crate::results_dir().join("table6").join("table6.tsv");
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));

@@ -32,9 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use ursa_apps::App;
-use ursa_baselines::{
-    collect_and_train, train_firm, Autoscaler, CollectConfig, Firm, FirmConfig, Sinan,
-};
+use ursa_baselines::{collect_and_train, train_firm, Autoscaler, CollectConfig, Firm, Sinan};
 use ursa_core::exploration::ExplorationConfig;
 use ursa_core::manager::{Ursa, UrsaConfig};
 use ursa_core::profiling::ProfilingConfig;
@@ -109,7 +107,6 @@ impl Scale {
                 windows_per_level: 4,
                 window: SimDur::from_secs(10),
                 levels: 8,
-                ..Default::default()
             },
             Scale::Full => ProfilingConfig::default(),
         }
@@ -260,7 +257,6 @@ pub fn prepare_firm(app: &App, scale: Scale, seed: u64) -> Firm {
         app.topology.num_services(),
         &app.slas,
         service_classes,
-        FirmConfig::default(),
         seed,
     );
     let mut sim = app.build_sim(seed ^ 0xF1B3);
@@ -399,7 +395,6 @@ impl PreparedManagers {
             duration,
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::from_mins(2),
-            collect_samples: false,
         };
         let mut auto;
         let manager: &mut dyn ResourceManager = match system {

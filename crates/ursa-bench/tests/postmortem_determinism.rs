@@ -54,7 +54,6 @@ fn snapshot_cell(app: &App, dir: &Path, seed: u64) -> Vec<(String, Vec<u8>)> {
         duration: SimDur::from_mins(6),
         control_interval: SimDur::from_mins(1),
         warmup: SimDur::from_mins(2),
-        collect_samples: false,
     };
     run_deployment_observed(
         &mut sim,
@@ -151,7 +150,6 @@ fn slowdown_cell_dumps_anomaly_bundle() {
             duration: Scale::Quick.deploy_duration(),
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::from_mins(2),
-            collect_samples: false,
         };
         run_deployment_observed(
             &mut sim,

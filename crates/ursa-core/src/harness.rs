@@ -182,20 +182,6 @@ impl IsolatedHarness {
         &mut self.sim
     }
 
-    /// Enables span tracing on the harness simulation, so profiling and
-    /// exploration runs can be inspected with the same critical-path
-    /// tooling as full deployments (e.g. to see a backpressure knee as a
-    /// proxy downstream-wait blow-up rather than a single scalar).
-    pub fn enable_tracing(&mut self, capacity: usize, sample_rate: f64) {
-        self.sim.enable_tracing(capacity, sample_rate);
-    }
-
-    /// Drains traces collected since the last call (empty when tracing was
-    /// never enabled).
-    pub fn take_traces(&mut self) -> Vec<ursa_sim::trace::Trace> {
-        self.sim.take_traces()
-    }
-
     /// Number of harness classes.
     pub fn num_classes(&self) -> usize {
         self.n_classes
@@ -215,9 +201,9 @@ mod tests {
         let ps = app.service("post-store").unwrap();
         let profile = ServiceProfile::extract(&app.topology, ps, &rates);
         let mut h = IsolatedHarness::build(&profile, 2, 1.0, 1.0, 9);
-        h.enable_tracing(10_000, 1.0);
+        h.sim_mut().enable_tracing(10_000, 1.0);
         h.sim_mut().run_for(SimDur::from_secs(5));
-        let traces = h.take_traces();
+        let traces = h.sim_mut().take_traces();
         assert!(!traces.is_empty());
         assert!(traces.iter().all(|t| t.root().service == PROXY));
         assert!(traces

@@ -11,6 +11,7 @@ use crate::controller::{ServiceLoads, ThresholdScaler};
 use crate::decision_log::{DecisionKind, DecisionLog, DecisionRecord, ServiceDelta};
 use crate::exploration::{
     explore_all, explore_service, replicas_for, ExplorationConfig, ExplorationReport,
+    MQ_UTILIZATION_CAP,
 };
 use crate::harness::ServiceProfile;
 use crate::optimizer::{
@@ -489,7 +490,7 @@ impl Ursa {
         let bp = self.profiles[service]
             .as_ref()
             .map(|p| p.threshold)
-            .unwrap_or(self.cfg.exploration.mq_utilization_cap);
+            .unwrap_or(MQ_UTILIZATION_CAP);
         let exp = explore_service(
             &profile,
             service,
@@ -854,7 +855,6 @@ mod tests {
                 windows_per_level: 4,
                 window: SimDur::from_secs(8),
                 levels: 6,
-                ..Default::default()
             },
         }
     }

@@ -33,6 +33,6 @@ pub mod mlp;
 pub mod rl;
 
 pub use gbt::{GbtParams, GbtRegressor};
-pub use metrics::{accuracy, auc, mae, mse, MinMaxNormalizer};
+pub use metrics::{accuracy, auc};
 pub use mlp::{Activation, Mlp, Output};
 pub use rl::{DqnAgent, DqnParams, ReplayBuffer, Transition};

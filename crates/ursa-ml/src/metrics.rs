@@ -1,36 +1,8 @@
-//! Evaluation metrics and feature normalization for the learned baselines.
+//! Evaluation metrics for the learned baselines.
 //!
 //! The paper attributes part of Sinan's SLA violations to its violation
 //! predictor's 80–85 % accuracy; these helpers let the reproduction measure
 //! the same quantity on held-out data.
-
-/// Mean squared error between predictions and targets.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mse(pred: &[f64], target: &[f64]) -> f64 {
-    assert!(!pred.is_empty() && pred.len() == target.len());
-    pred.iter()
-        .zip(target)
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f64>()
-        / pred.len() as f64
-}
-
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mae(pred: &[f64], target: &[f64]) -> f64 {
-    assert!(!pred.is_empty() && pred.len() == target.len());
-    pred.iter()
-        .zip(target)
-        .map(|(p, t)| (p - t).abs())
-        .sum::<f64>()
-        / pred.len() as f64
-}
 
 /// Binary classification accuracy of scores thresholded at `threshold`
 /// against 0/1 labels.
@@ -82,43 +54,6 @@ pub fn auc(scores: &[f64], labels: &[f64]) -> Option<f64> {
     Some(wins / (pos.len() * neg.len()) as f64)
 }
 
-/// Per-feature min–max normalizer fitted on a dataset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MinMaxNormalizer {
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-}
-
-impl MinMaxNormalizer {
-    /// Fits per-feature ranges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or ragged.
-    pub fn fit(rows: &[Vec<f64>]) -> Self {
-        assert!(!rows.is_empty(), "empty dataset");
-        let width = rows[0].len();
-        assert!(rows.iter().all(|r| r.len() == width), "ragged rows");
-        let mut lo = vec![f64::INFINITY; width];
-        let mut hi = vec![f64::NEG_INFINITY; width];
-        for r in rows {
-            for (i, &x) in r.iter().enumerate() {
-                lo[i] = lo[i].min(x);
-                hi[i] = hi[i].max(x);
-            }
-        }
-        MinMaxNormalizer { lo, hi }
-    }
-
-    /// Maps a row into `[0, 1]` per feature (constant features map to 0).
-    pub fn transform(&self, row: &[f64]) -> Vec<f64> {
-        row.iter()
-            .zip(self.lo.iter().zip(&self.hi))
-            .map(|(&x, (&l, &h))| if h > l { (x - l) / (h - l) } else { 0.0 })
-            .collect()
-    }
-}
-
 /// Deterministic train/test split by index stride: every `k`-th row goes to
 /// the test set.
 pub fn split_indices(n: usize, k: usize) -> (Vec<usize>, Vec<usize>) {
@@ -140,14 +75,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mse_and_mae() {
-        let p = [1.0, 2.0, 3.0];
-        let t = [1.0, 4.0, 3.0];
-        assert!((mse(&p, &t) - 4.0 / 3.0).abs() < 1e-12);
-        assert!((mae(&p, &t) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn accuracy_thresholding() {
         let scores = [0.1, 0.9, 0.6, 0.4];
         let labels = [0.0, 1.0, 0.0, 1.0];
@@ -162,14 +89,6 @@ mod tests {
         assert_eq!(auc(&[0.9, 0.8, 0.2, 0.1], &labels), Some(0.0));
         assert_eq!(auc(&[0.5, 0.5, 0.5, 0.5], &labels), Some(0.5));
         assert_eq!(auc(&[0.5], &[1.0]), None);
-    }
-
-    #[test]
-    fn normalizer_roundtrip() {
-        let rows = vec![vec![0.0, 10.0], vec![4.0, 10.0]];
-        let norm = MinMaxNormalizer::fit(&rows);
-        assert_eq!(norm.transform(&[2.0, 10.0]), vec![0.5, 0.0]);
-        assert_eq!(norm.transform(&[4.0, 10.0]), vec![1.0, 0.0]);
     }
 
     #[test]

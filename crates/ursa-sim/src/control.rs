@@ -146,8 +146,6 @@ pub struct DeployConfig {
     pub control_interval: SimDur,
     /// Initial span excluded from the report (manager still runs).
     pub warmup: SimDur,
-    /// If true, retain every end-to-end latency sample per class (for CDFs).
-    pub collect_samples: bool,
 }
 
 impl Default for DeployConfig {
@@ -156,7 +154,6 @@ impl Default for DeployConfig {
             duration: SimDur::from_mins(30),
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::from_mins(2),
-            collect_samples: false,
         }
     }
 }
@@ -189,8 +186,6 @@ pub struct DeploymentReport {
     pub slas: Vec<Sla>,
     /// One record per post-warmup control window.
     pub records: Vec<WindowRecord>,
-    /// All end-to-end samples per class (only if `collect_samples`).
-    pub class_samples: Vec<Vec<f64>>,
     /// Mean wall-clock cost of one manager decision, in milliseconds.
     pub decision_wall_ms: f64,
 }
@@ -304,7 +299,6 @@ pub fn run_deployment_observed(
         sla_of_class[sla.class.0] = Some(*sla);
     }
     let mut records = Vec::new();
-    let mut class_samples: Vec<Vec<f64>> = vec![Vec::new(); num_classes];
     let mut decision_nanos = 0u128;
     let mut decisions = 0u64;
 
@@ -328,9 +322,6 @@ pub fn run_deployment_observed(
                         class_latency[c] = Some(lat);
                         class_violation[c] = Some(lat > sla.target);
                     }
-                }
-                if cfg.collect_samples {
-                    class_samples[c].extend_from_slice(snapshot.e2e_latency[c].samples());
                 }
             }
             records.push(WindowRecord {
@@ -386,7 +377,6 @@ pub fn run_deployment_observed(
     DeploymentReport {
         slas: slas.to_vec(),
         records,
-        class_samples,
         decision_wall_ms: if decisions > 0 {
             decision_nanos as f64 / decisions as f64 / 1e6
         } else {
@@ -437,14 +427,12 @@ mod tests {
             duration: SimDur::from_mins(10),
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::from_mins(2),
-            collect_samples: true,
         };
         let report = run_deployment(&mut s, &slas, &mut StaticManager, &cfg);
         assert_eq!(report.records.len(), 8); // 10 windows - 2 warmup
                                              // Comfortably provisioned: rho = 0.2, SLA should hold.
         assert_eq!(report.overall_violation_rate(), 0.0);
         assert!((report.avg_cpu_allocation() - 2.0).abs() < 1e-12);
-        assert!(!report.class_samples[0].is_empty());
         assert!(report.decision_wall_ms >= 0.0);
     }
 
@@ -457,7 +445,6 @@ mod tests {
             duration: SimDur::from_mins(6),
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::from_mins(1),
-            collect_samples: false,
         };
         let report = run_deployment(&mut s, &slas, &mut StaticManager, &cfg);
         assert!(

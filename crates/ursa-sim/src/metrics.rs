@@ -559,7 +559,6 @@ mod tests {
             duration: SimDur::from_mins(6),
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::from_mins(1),
-            collect_samples: false,
         }
     }
 

@@ -161,14 +161,6 @@ impl ServiceMetrics {
     pub fn arrival_rps(&self, window: SimDur) -> f64 {
         self.total_arrivals() as f64 / window.as_secs_f64().max(1e-9)
     }
-
-    /// Per-class load-per-replica vector in requests/second — the paper's
-    /// LPR metric (§IV).
-    pub fn load_per_replica(&self, window: SimDur) -> Vec<f64> {
-        let secs = window.as_secs_f64().max(1e-9);
-        let r = self.replicas.max(1) as f64;
-        self.arrivals.iter().map(|&a| a as f64 / secs / r).collect()
-    }
 }
 
 /// Immutable metrics view for one harvest window.
@@ -821,8 +813,6 @@ mod tests {
             &[0, 0],
         );
         assert!((snap.services[0].arrival_rps(snap.window) - 2.0).abs() < 1e-9);
-        let lpr = snap.services[0].load_per_replica(snap.window);
-        assert!((lpr[0] - 1.0).abs() < 1e-9);
         assert!((snap.total_allocated_cores() - 4.0).abs() < 1e-9);
     }
 }

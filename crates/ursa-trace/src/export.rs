@@ -97,19 +97,6 @@ impl ChromeTrace {
         }
     }
 
-    /// Adds a global instant event (rendered as a vertical marker) —
-    /// used for control-plane decisions. `args_json` must be a JSON
-    /// object literal (pass `"{}"` for none).
-    pub fn add_instant(&mut self, name: &str, at: SimTime, args_json: &str) {
-        self.events.push(format!(
-            "{{\"ph\":\"i\",\"s\":\"g\",\"name\":\"{}\",\"pid\":0,\"tid\":0,\
-             \"ts\":{:.3},\"args\":{}}}",
-            esc(name),
-            us(at),
-            args_json,
-        ));
-    }
-
     /// Writes the complete trace-event JSON object.
     pub fn write<W: Write>(&self, mut w: W) -> io::Result<()> {
         w.write_all(b"{\"traceEvents\":[\n")?;
@@ -163,11 +150,6 @@ mod tests {
         assert!(!traces.is_empty());
         let mut ct = ChromeTrace::new();
         ct.add_traces(&traces, &names);
-        ct.add_instant(
-            "recalculate",
-            SimTime::from_secs_f64(1.0),
-            "{\"cost\":12.5}",
-        );
         let mut buf = Vec::new();
         ct.write(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -175,6 +157,5 @@ mod tests {
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("front\\\"end"), "service names are escaped");
         assert!(text.contains("downstream-wait"));
-        assert!(text.contains("recalculate"));
     }
 }

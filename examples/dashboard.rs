@@ -31,7 +31,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             windows_per_level: 4,
             window: SimDur::from_secs(10),
             levels: 8,
-            ..Default::default()
         },
     };
     let mut manager = Ursa::explore_and_prepare(&app.topology, &app.slas, &rates, cfg, 42)?;
@@ -55,7 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         duration,
         control_interval: SimDur::from_mins(1),
         warmup: SimDur::from_mins(2),
-        collect_samples: false,
     };
     println!(
         "deploying for {:.0} simulated minutes with metrics attached...",

@@ -40,7 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             windows_per_level: 4,
             window: SimDur::from_secs(10),
             levels: 8,
-            ..Default::default()
         },
     };
     println!("\nrunning offline phase (profiling + exploration + MIP)...");
@@ -75,7 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         duration: SimDur::from_mins(20),
         control_interval: SimDur::from_mins(1),
         warmup: SimDur::from_mins(2),
-        collect_samples: false,
     };
     println!(
         "\ndeploying for 20 simulated minutes at {} rps...",

@@ -16,6 +16,29 @@ use ursa::core::manager::{Ursa, UrsaConfig};
 use ursa::core::profiling::ProfilingConfig;
 use ursa::sim::prelude::*;
 
+/// Every end-to-end latency sample per class from the windows after
+/// warm-up, the ones the deployment report counts.
+struct Samples {
+    after: SimTime,
+    per_class: Vec<Vec<f64>>,
+}
+
+impl DeployObserver for Samples {
+    fn after_tick(
+        &mut self,
+        _: &Simulation,
+        _: &dyn ResourceManager,
+        _: Option<&SimMetrics>,
+        snapshot: &MetricsSnapshot,
+    ) {
+        if snapshot.at > self.after {
+            for (kept, series) in self.per_class.iter_mut().zip(&snapshot.e2e_latency) {
+                kept.extend_from_slice(series.samples());
+            }
+        }
+    }
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = video_pipeline(0.5);
     let sum: f64 = app.mix.iter().sum();
@@ -33,7 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             windows_per_level: 4,
             window: SimDur::from_secs(15),
             levels: 6,
-            ..Default::default()
         },
     };
     let mut ursa = Ursa::explore_and_prepare(&app.topology, &app.slas, &rates, cfg, 3)?;
@@ -46,23 +68,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = app.build_sim(4);
     app.apply_load_with_mix(&mut sim, RateFn::Constant(app.default_rps), &mix);
     ursa.apply_initial_allocation(&rates, &mut sim);
-    let report = run_deployment(
+    let warmup = SimDur::from_mins(3);
+    let mut samples = Samples {
+        after: sim.now() + warmup,
+        per_class: vec![Vec::new(); app.topology.num_classes()],
+    };
+    let report = run_deployment_observed(
         &mut sim,
         &app.slas,
         &mut ursa,
         &DeployConfig {
             duration: SimDur::from_mins(30),
             control_interval: SimDur::from_mins(1),
-            warmup: SimDur::from_mins(3),
-            collect_samples: true,
+            warmup,
         },
+        None,
+        Some(&mut samples),
     );
 
     for sla in &app.slas {
         let name = &app.topology.classes()[sla.class.0].name;
-        let mut samples = report.class_samples[sla.class.0].clone();
+        let samples = &mut samples.per_class[sla.class.0];
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let measured = ursa::stats::quantile::percentile_of_sorted(&samples, sla.percentile);
+        let measured = ursa::stats::quantile::percentile_of_sorted(samples, sla.percentile);
         println!(
             "{:<14} p{:<4} measured {:>7.2}s  target {:>5.1}s  window violations {:>5.1}%",
             name,

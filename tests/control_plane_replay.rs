@@ -40,9 +40,7 @@
 //! purpose is pasting the printed values.
 
 use ursa::apps::{social_network, video_pipeline, App};
-use ursa::baselines::{
-    collect_and_train, train_firm, CollectConfig, Dataset, Firm, FirmConfig, Sinan,
-};
+use ursa::baselines::{collect_and_train, train_firm, CollectConfig, Dataset, Firm, Sinan};
 use ursa::core::exploration::ExplorationConfig;
 use ursa::core::manager::{Ursa, UrsaConfig};
 use ursa::core::optimizer::build_model;
@@ -170,7 +168,6 @@ fn prepared(app: &App) -> Ursa {
             windows_per_level: 4,
             window: SimDur::from_secs(8),
             levels: 6,
-            ..Default::default()
         },
     };
     let rates = rates_at(app.default_rps, &app.mix);
@@ -458,7 +455,6 @@ fn trained_firm(app: &App) -> Firm {
         app.topology.num_services(),
         &app.slas,
         service_classes,
-        FirmConfig::default(),
         0x25,
     );
     let mut sim = app.build_sim(0xF1B3);

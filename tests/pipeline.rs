@@ -2,7 +2,7 @@
 //! applications, plus cross-system sanity checks that the evaluation
 //! depends on.
 
-use ursa::apps::{app_by_name, media_service, social_network, video_pipeline};
+use ursa::apps::{media_service, social_network, video_pipeline};
 use ursa::core::exploration::ExplorationConfig;
 use ursa::core::manager::{Ursa, UrsaConfig};
 use ursa::core::optimizer::build_model;
@@ -22,7 +22,6 @@ fn quick_cfg() -> UrsaConfig {
             windows_per_level: 4,
             window: SimDur::from_secs(8),
             levels: 6,
-            ..Default::default()
         },
     }
 }
@@ -44,7 +43,6 @@ fn deploy_once(app: &ursa::apps::App, manager: &mut Ursa, seed: u64) -> Deployme
             duration: SimDur::from_mins(10),
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::from_mins(2),
-            collect_samples: false,
         },
     )
 }
@@ -96,7 +94,7 @@ fn video_pipeline_end_to_end() {
 /// sample counts.
 #[test]
 fn exploration_deterministic() {
-    let app = app_by_name("social-vanilla").expect("app exists");
+    let app = social_network(true);
     let a =
         Ursa::explore_and_prepare(&app.topology, &app.slas, &rates(&app), quick_cfg(), 99).unwrap();
     let b =
@@ -131,7 +129,7 @@ fn exploration_deterministic() {
 /// Doubling the SLA tightness can only cost more cores.
 #[test]
 fn tighter_slas_cost_more() {
-    let app = app_by_name("social-vanilla").expect("app exists");
+    let app = social_network(true);
     let loose = Ursa::explore_and_prepare(&app.topology, &app.slas, &rates(&app), quick_cfg(), 21)
         .unwrap()
         .outcome()
@@ -155,7 +153,7 @@ fn tighter_slas_cost_more() {
 /// recalculates thresholds online.
 #[test]
 fn skewed_load_triggers_recalculation() {
-    let app = app_by_name("social-vanilla").expect("app exists");
+    let app = social_network(true);
     let mut ursa =
         Ursa::explore_and_prepare(&app.topology, &app.slas, &rates(&app), quick_cfg(), 31).unwrap();
     let mut sim = app.build_sim(32);
@@ -171,7 +169,6 @@ fn skewed_load_triggers_recalculation() {
             duration: SimDur::from_mins(10),
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::from_mins(1),
-            collect_samples: false,
         },
     );
     assert!(
@@ -184,7 +181,7 @@ fn skewed_load_triggers_recalculation() {
 /// latency consistent with telemetry.
 #[test]
 fn spans_consistent_with_telemetry() {
-    let app = app_by_name("social-vanilla").expect("app exists");
+    let app = social_network(true);
     let mut sim = app.build_sim(43);
     sim.enable_tracing(200_000, 1.0);
     app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
@@ -220,7 +217,7 @@ fn spans_consistent_with_telemetry() {
 /// answering with `re_explore` restores compliance.
 #[test]
 fn latency_anomaly_requests_reexploration() {
-    let app = app_by_name("social-vanilla").expect("app exists");
+    let app = social_network(true);
     let mut ursa =
         Ursa::explore_and_prepare(&app.topology, &app.slas, &rates(&app), quick_cfg(), 51).unwrap();
     let mut sim = app.build_sim(52);
@@ -311,7 +308,6 @@ fn social_model_is_fully_tabulated() {
             windows_per_level: 4,
             window: SimDur::from_secs(10),
             levels: 8,
-            ..Default::default()
         },
     };
     let grid = cfg.exploration.percentile_grid.clone();
