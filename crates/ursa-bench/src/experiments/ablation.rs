@@ -202,7 +202,8 @@ enum AblationOut {
     Intervals(Vec<(f64, f64)>),
 }
 
-/// Runs all ablations and prints/writes the results.
+/// Runs all ablations, prints their results and writes one table per
+/// ablation under `ablation/`.
 pub fn run(scale: Scale, ctx: &RunCtx) {
     println!("== Ablations ==");
     let mut outs = crate::runner::run_cells(vec![0u8, 1, 2], |_, which| match which {
@@ -227,6 +228,19 @@ pub fn run(scale: Scale, ctx: &RunCtx) {
             .map(|c| format!("{c:.0}"))
             .unwrap_or_else(|| "infeasible".into()),
     );
+    let mut table = TsvTable::new("ablation_split", &["split", "cores"]);
+    table.row(vec![
+        "optimized".into(),
+        format!("{:.3}", split.optimized_cores),
+    ]);
+    table.row(vec![
+        "equal".into(),
+        split
+            .equal_cores
+            .map(|c| format!("{c:.3}"))
+            .unwrap_or_else(|| "infeasible".into()),
+    ]);
+    let _ = table.write_tsv(ctx, "ablation");
     println!(
         "backpressure ceiling: violations {:.2}% ({:.0} cores) with, {:.2}% ({:.0} cores) without",
         100.0 * ceiling.with_ceiling,
@@ -234,6 +248,21 @@ pub fn run(scale: Scale, ctx: &RunCtx) {
         100.0 * ceiling.without_ceiling,
         ceiling.cores_without,
     );
+    let mut table = TsvTable::new(
+        "ablation_ceiling",
+        &["ceiling", "violation_rate", "avg_cores"],
+    );
+    for (label, violations, cores) in [
+        ("profiled", ceiling.with_ceiling, ceiling.cores_with),
+        ("lifted", ceiling.without_ceiling, ceiling.cores_without),
+    ] {
+        table.row(vec![
+            label.into(),
+            format!("{violations:.4}"),
+            format!("{cores:.3}"),
+        ]);
+    }
+    let _ = table.write_tsv(ctx, "ablation");
     let mut table = TsvTable::new("ablation_interval", &["interval_s", "violation_rate"]);
     for (i, v) in &sens {
         table.row(vec![format!("{i:.0}"), format!("{v:.4}")]);

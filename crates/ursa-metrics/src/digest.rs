@@ -14,8 +14,7 @@
 //! the backing map — the diff contract is "stable series order across
 //! platforms and insertion orders", and this is where it is enforced.
 
-use crate::registry::SeriesKey;
-use crate::store::TimeSeriesStore;
+use crate::store::{SeriesKey, TimeSeriesStore};
 
 /// Scalar digest of one series column (NaN entries ignored).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +33,7 @@ pub struct SeriesSummary {
 
 impl SeriesSummary {
     /// Digests one column, skipping NaN/infinite padding.
-    pub fn of(values: &[f64]) -> Self {
+    fn of(values: &[f64]) -> Self {
         let mut count = 0usize;
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
@@ -81,7 +80,7 @@ pub fn store_digests(store: &TimeSeriesStore) -> Vec<(SeriesKey, SeriesSummary)>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Labels;
+    use crate::store::Labels;
 
     #[test]
     fn summary_skips_nan_padding() {

@@ -539,7 +539,7 @@ fn display_name(metric: &str, prefix: &str, labels: &[(String, String)]) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{Labels, SeriesKey};
+    use crate::store::{Labels, SeriesKey};
 
     #[allow(clippy::type_complexity)]
     fn store_with(series: &[(&str, &[(&str, &str)], &[f64])], times: &[f64]) -> TimeSeriesStore {

@@ -4,10 +4,9 @@
 //! usage, and request counts from a Prometheus stack every interval (§V,
 //! component 1); this crate is the simulator-side analog. It provides:
 //!
-//! * [`registry`] — a low-overhead registry of labeled counters, gauges, and
-//!   t-digest histograms ([`ursa_stats::tdigest`]).
-//! * [`store`] — an in-memory columnar time-series store the registry is
-//!   scraped into once per harvest interval.
+//! * [`store`] — an in-memory columnar time-series store, keyed by
+//!   [`SeriesKey`] (metric name + sorted [`Labels`]), that a collector
+//!   appends one row of current values to per harvest interval.
 //! * [`slo`] — windowed SLO violation fractions and multi-window burn-rate
 //!   alerts per SLA class.
 //! * [`export`] — the one self-contained HTML page template (head,
@@ -33,10 +32,9 @@
 //! perturb simulation results (no RNG draws, no simulated-time effects),
 //! and a run with metrics disabled skips the pipeline entirely.
 //!
-//! Scrapes are deterministic: series are keyed by a totally ordered
-//! [`registry::SeriesKey`] (metric name + sorted label pairs), so the
-//! store's key order and its digests are independent of label-insertion
-//! order (property-tested).
+//! Rows are deterministic: series keys are totally ordered, so the store's
+//! key order and its digests are independent of the order a row lists its
+//! cells in and of label-insertion order (property-tested).
 
 #![forbid(unsafe_code)]
 
@@ -45,12 +43,10 @@ pub mod export;
 pub mod json;
 pub mod logging;
 pub mod pool;
-pub mod registry;
 pub mod slo;
 pub mod store;
 
 pub use digest::{store_digests, SeriesSummary};
 pub use export::dashboard::{render_dashboard, Annotation, PanelSpec};
-pub use registry::{Labels, Registry, SeriesKey};
-pub use slo::{BurnRule, SloAlert, SloMonitor, SloSpec};
-pub use store::TimeSeriesStore;
+pub use slo::{SloAlert, SloMonitor, SloSpec};
+pub use store::{Labels, SeriesKey, TimeSeriesStore};

@@ -14,16 +14,16 @@
 //! the long window filters transients, the short window makes the alert
 //! reset quickly once the incident ends.
 
-/// One monitored SLO: a latency target at a percentile for a named class.
+/// One monitored SLO: the percentile of a named class's latency SLA. The
+/// latency target stays with the caller, which counts the requests above
+/// it ([`SloMonitor::observe`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloSpec {
     /// Class name (label value in exported series).
-    pub class: String,
+    class: String,
     /// Constrained percentile (e.g. 99.0). The error budget is
     /// `1 - percentile/100`.
-    pub percentile: f64,
-    /// Latency target in seconds.
-    pub target: f64,
+    percentile: f64,
 }
 
 impl SloSpec {
@@ -31,45 +31,42 @@ impl SloSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the percentile is outside `(0, 100)` or the target is not
-    /// positive.
-    pub fn new(class: &str, percentile: f64, target: f64) -> Self {
+    /// Panics if the percentile is outside `(0, 100)`.
+    pub fn new(class: &str, percentile: f64) -> Self {
         assert!(
             percentile > 0.0 && percentile < 100.0,
             "percentile must be in (0, 100)"
         );
-        assert!(target > 0.0, "target must be positive");
         SloSpec {
             class: class.to_string(),
             percentile,
-            target,
         }
     }
 
     /// The error budget: the fraction of requests allowed above the target.
-    pub fn budget(&self) -> f64 {
+    fn budget(&self) -> f64 {
         1.0 - self.percentile / 100.0
     }
 }
 
 /// A multi-window burn-rate alert rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurnRule {
+struct BurnRule {
     /// Severity label ("page", "ticket", ...).
-    pub severity: &'static str,
+    severity: &'static str,
     /// Burn-rate threshold both windows must exceed.
-    pub threshold: f64,
+    threshold: f64,
     /// Short window, in harvest intervals.
-    pub short_windows: usize,
+    short_windows: usize,
     /// Long window, in harvest intervals.
-    pub long_windows: usize,
+    long_windows: usize,
 }
 
 /// Default rules, assuming one-minute harvest intervals: a fast-burn page
 /// (14.4x over 5 m confirmed by 1 h) and a slow-burn ticket (6x over 30 m
 /// confirmed by 6 h). Long windows clamp to available history, so short
 /// runs still alert.
-pub const DEFAULT_RULES: [BurnRule; 2] = [
+const DEFAULT_RULES: [BurnRule; 2] = [
     BurnRule {
         severity: "page",
         threshold: 14.4,
@@ -95,8 +92,6 @@ pub struct SloAlert {
     pub severity: &'static str,
     /// Burn rate over the rule's short window.
     pub short_burn: f64,
-    /// Burn rate over the rule's long window.
-    pub long_burn: f64,
 }
 
 /// Per-interval (completions, violations) counts for one class.
@@ -119,11 +114,6 @@ impl SloMonitor {
     pub fn new(specs: Vec<SloSpec>) -> Self {
         let history = vec![Vec::new(); specs.len()];
         SloMonitor { specs, history }
-    }
-
-    /// The monitored specs.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
     }
 
     /// Records one harvest interval for spec `idx`: `total` completions, of
@@ -177,7 +167,6 @@ impl SloMonitor {
                         class: spec.class.clone(),
                         severity: rule.severity,
                         short_burn: short,
-                        long_burn: long,
                     });
                 }
             }
@@ -191,13 +180,13 @@ mod tests {
     use super::*;
 
     fn monitor() -> SloMonitor {
-        SloMonitor::new(vec![SloSpec::new("get", 99.0, 0.1)])
+        SloMonitor::new(vec![SloSpec::new("get", 99.0)])
     }
 
     #[test]
     fn budget_from_percentile() {
-        assert!((SloSpec::new("a", 99.0, 1.0).budget() - 0.01).abs() < 1e-12);
-        assert!((SloSpec::new("a", 50.0, 1.0).budget() - 0.5).abs() < 1e-12);
+        assert!((SloSpec::new("a", 99.0).budget() - 0.01).abs() < 1e-12);
+        assert!((SloSpec::new("a", 50.0).budget() - 0.5).abs() < 1e-12);
     }
 
     #[test]

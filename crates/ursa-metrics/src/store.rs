@@ -3,12 +3,85 @@
 //! One shared, strictly increasing time axis; one `f64` column per series.
 //! Columns are padded with NaN for rows scraped before the series first
 //! appeared (or after it stopped reporting), so every column aligns with
-//! the time axis. Iteration order is the total order on
-//! [`SeriesKey`](crate::registry::SeriesKey), independent of insertion
-//! order.
+//! the time axis. Series are keyed by a totally ordered [`SeriesKey`]
+//! (metric name + sorted label pairs), so iteration order is independent
+//! of insertion order and of the order label pairs were listed in.
 
-use crate::registry::SeriesKey;
 use std::collections::BTreeMap;
+
+/// A sorted, deduplicated set of label pairs.
+///
+/// Construction sorts by key, so two label sets with the same pairs compare
+/// equal regardless of argument order.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct Labels(Vec<(String, String)>);
+
+impl Labels {
+    /// Creates a label set from `(key, value)` pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two pairs share a key.
+    pub fn new(pairs: &[(&str, &str)]) -> Self {
+        let mut v: Vec<(String, String)> = pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        v.sort();
+        for w in v.windows(2) {
+            assert!(w[0].0 != w[1].0, "duplicate label key {:?}", w[0].0);
+        }
+        Labels(v)
+    }
+
+    /// The empty label set.
+    pub fn empty() -> Self {
+        Labels(Vec::new())
+    }
+
+    /// The sorted `(key, value)` pairs.
+    pub fn pairs(&self) -> &[(String, String)] {
+        &self.0
+    }
+
+    /// Prometheus-style rendering: `{k1="v1",k2="v2"}`, or the empty string
+    /// when no labels are set.
+    fn render(&self) -> String {
+        if self.0.is_empty() {
+            return String::new();
+        }
+        let inner: Vec<String> = self
+            .0
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
+            .collect();
+        format!("{{{}}}", inner.join(","))
+    }
+}
+
+/// Identity of one time series: metric name plus its label set.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SeriesKey {
+    /// Metric name (Prometheus naming conventions encouraged).
+    pub name: String,
+    /// Label set.
+    pub labels: Labels,
+}
+
+impl SeriesKey {
+    /// Creates a key from a name and label pairs.
+    pub fn new(name: &str, labels: Labels) -> Self {
+        SeriesKey {
+            name: name.to_string(),
+            labels,
+        }
+    }
+
+    /// `name{labels}` rendering.
+    pub fn render(&self) -> String {
+        format!("{}{}", self.name, self.labels.render())
+    }
+}
 
 /// Columnar store: a shared time axis plus one value column per series.
 #[derive(Debug, Clone, Default)]
@@ -125,7 +198,21 @@ impl TimeSeriesStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Labels;
+
+    #[test]
+    fn labels_sorted_and_rendered() {
+        let a = Labels::new(&[("service", "api"), ("class", "get")]);
+        let b = Labels::new(&[("class", "get"), ("service", "api")]);
+        assert_eq!(a, b);
+        assert_eq!(a.render(), "{class=\"get\",service=\"api\"}");
+        assert_eq!(Labels::empty().render(), "");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate label key")]
+    fn labels_reject_duplicates() {
+        Labels::new(&[("k", "1"), ("k", "2")]);
+    }
 
     fn key(name: &str) -> SeriesKey {
         SeriesKey::new(name, Labels::empty())

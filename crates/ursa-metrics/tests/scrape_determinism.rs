@@ -1,117 +1,99 @@
-//! Property: registry scrape output is a pure function of the *set* of
-//! series and their update streams — independent of the order in which
-//! series were first touched and of the order label pairs were listed.
+//! Property: a store built from rows is a pure function of each row's
+//! *set* of cells — independent of the order a row lists its cells in and
+//! of the order label pairs were listed in.
 //!
 //! This is what makes the metrics pipeline safe to diff across runs: two
-//! runs that perform the same updates scrape byte-identical stores — the
-//! same keys in the same order, the same columns to the bit — and so embed
+//! runs that append the same rows build byte-identical stores — the same
+//! keys in the same order, the same columns to the bit — and so embed
 //! identical series digests in their run manifests, even if control flow
-//! touched the instruments in a different order.
+//! produced the cells in a different order.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use proptest::prelude::*;
-use ursa_metrics::{store_digests, Labels, Registry, TimeSeriesStore};
+use ursa_metrics::{store_digests, Labels, SeriesKey, TimeSeriesStore};
 
-/// One generated series: instrument kind, name index, label pairs (by
-/// small-pool index), and an update stream.
+/// One generated cell: name index, label pairs (by small-pool index), and
+/// its value.
 #[derive(Debug, Clone)]
-struct SeriesSpec {
-    kind: u8,
+struct CellSpec {
     name: u8,
     labels: Vec<(u8, u8)>,
-    values: Vec<f64>,
+    value: f64,
 }
 
-fn series_spec() -> impl Strategy<Value = Vec<SeriesSpec>> {
-    proptest::collection::vec(
-        (
-            0u8..3,
-            0u8..4,
-            proptest::collection::vec((0u8..3, 0u8..3), 0..3),
-            proptest::collection::vec(0.0f64..100.0, 1..5),
-        )
-            .prop_map(|(kind, name, labels, values)| SeriesSpec {
-                kind,
-                name,
-                labels,
-                values,
-            }),
-        1..6,
+/// Up to five rows of up to six cells each; rows may name different
+/// series, so columns get NaN padding.
+fn rows_spec() -> impl Strategy<Value = Vec<Vec<CellSpec>>> {
+    let cell = (
+        0u8..4,
+        proptest::collection::vec((0u8..3, 0u8..3), 0..3),
+        0.0f64..100.0,
     )
+        .prop_map(|(name, labels, value)| CellSpec {
+            name,
+            labels,
+            value,
+        });
+    proptest::collection::vec(proptest::collection::vec(cell, 0..6), 1..5)
 }
 
-/// Normalized, deduplicated label pairs of a spec (keys are unique).
-fn label_pairs(spec: &SeriesSpec) -> Vec<(String, String)> {
-    let mut map = std::collections::BTreeMap::new();
-    for (k, v) in &spec.labels {
-        map.entry(format!("k{k}")).or_insert(format!("v{v}"));
-    }
-    map.into_iter().collect()
+/// Label pairs of a cell in generated order, one per key (the first one
+/// listed).
+fn label_pairs(cell: &CellSpec) -> Vec<(String, String)> {
+    let mut seen = BTreeSet::new();
+    cell.labels
+        .iter()
+        .filter(|(k, _)| seen.insert(*k))
+        .map(|(k, v)| (format!("k{k}"), format!("v{v}")))
+        .collect()
 }
 
-/// Series identity: kind is baked into the name so the same key never
-/// collides across instrument kinds (which would be a caller bug).
-fn series_name(spec: &SeriesSpec) -> String {
-    match spec.kind {
-        0 => format!("counter{}_total", spec.name),
-        1 => format!("gauge{}", spec.name),
-        _ => format!("hist{}", spec.name),
-    }
-}
-
-/// Applies all specs to a fresh registry. `reversed` flips both the order
-/// series are first touched and the order label pairs are presented;
-/// per-series update streams keep their order (gauges are last-write-wins
-/// by contract).
-fn build(specs: &[SeriesSpec], reversed: bool) -> Registry {
-    // Dedup by identity so both orders apply the same update stream per
-    // series exactly once.
-    let mut seen = std::collections::BTreeSet::new();
-    let mut unique: Vec<&SeriesSpec> = Vec::new();
-    for s in specs {
-        if seen.insert((series_name(s), label_pairs(s))) {
-            unique.push(s);
-        }
-    }
-    if reversed {
-        unique.reverse();
-    }
-    let mut r = Registry::new();
-    for spec in unique {
-        let mut pairs = label_pairs(spec);
-        if reversed {
-            pairs.reverse();
-        }
-        let refs: Vec<(&str, &str)> = pairs
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        let name = series_name(spec);
-        for &v in &spec.values {
-            match spec.kind {
-                0 => r.counter_add(&name, Labels::new(&refs), v),
-                1 => r.gauge_set(&name, Labels::new(&refs), v),
-                _ => r.histogram_record(&name, Labels::new(&refs), v),
-            }
-        }
-    }
-    r
-}
-
-/// Scrapes twice and renders what a run manifest is built from: every
-/// key in store order with its column's bits, then [`store_digests`].
-fn render(mut r: Registry) -> String {
+/// Appends every row to a fresh store at 60 s intervals. A series named
+/// twice in one row keeps its first cell, so both orders append the same
+/// cells. `reversed` flips the order of each row's cells and of every
+/// cell's label pairs.
+fn build(rows: &[Vec<CellSpec>], reversed: bool) -> TimeSeriesStore {
     let mut store = TimeSeriesStore::new();
-    r.scrape_into(60.0, &mut store);
-    r.scrape_into(120.0, &mut store);
+    for (i, row) in rows.iter().enumerate() {
+        let mut seen = BTreeSet::new();
+        let mut cells: Vec<(SeriesKey, f64)> = Vec::new();
+        for cell in row {
+            let mut pairs = label_pairs(cell);
+            let mut sorted = pairs.clone();
+            sorted.sort();
+            if !seen.insert((cell.name, sorted)) {
+                continue;
+            }
+            if reversed {
+                pairs.reverse();
+            }
+            let refs: Vec<(&str, &str)> = pairs
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            let key = SeriesKey::new(&format!("series{}", cell.name), Labels::new(&refs));
+            cells.push((key, cell.value));
+        }
+        if reversed {
+            cells.reverse();
+        }
+        store.append_row(60.0 * (i + 1) as f64, cells);
+    }
+    store
+}
+
+/// Renders what a run manifest is built from: every key in store order
+/// with its column's bits, then [`store_digests`].
+fn render(store: &TimeSeriesStore) -> String {
     let mut out = format!("{:?}\n", store.times());
     for (key, col) in store.iter() {
         let bits: Vec<u64> = col.iter().map(|v| v.to_bits()).collect();
         let _ = writeln!(out, "{} {bits:?}", key.render());
     }
     out.push_str("---\n");
-    for (key, summary) in store_digests(&store) {
+    for (key, summary) in store_digests(store) {
         let _ = writeln!(out, "{} {summary:?}", key.render());
     }
     out
@@ -121,18 +103,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn scrape_is_independent_of_insertion_order(specs in series_spec()) {
-        let forward = render(build(&specs, false));
-        let backward = render(build(&specs, true));
+    fn store_is_independent_of_cell_order(rows in rows_spec()) {
+        let forward = render(&build(&rows, false));
+        let backward = render(&build(&rows, true));
         prop_assert_eq!(forward, backward);
     }
 
     #[test]
-    fn repeated_builds_are_byte_identical(specs in series_spec()) {
+    fn repeated_builds_are_byte_identical(rows in rows_spec()) {
         // Determinism across identical runs (no hidden iteration-order or
-        // hash-seed dependence anywhere in registry, store, or digests).
-        let a = render(build(&specs, false));
-        let b = render(build(&specs, false));
+        // hash-seed dependence anywhere in store or digests).
+        let a = render(&build(&rows, false));
+        let b = render(&build(&rows, false));
         prop_assert_eq!(a, b);
     }
 }

@@ -14,8 +14,7 @@
 //!   controller's threshold check (§V);
 //! * [`quantile`] — the bounded sample window telemetry records into, and
 //!   the exact percentile of a sorted slice;
-//! * [`round`] — floor, ceil and round to an unsigned integer without libm;
-//! * [`tdigest`] — a mergeable quantile sketch for long-lived series.
+//! * [`round`] — floor, ceil and round to an unsigned integer without libm.
 //!
 //! # Example
 //!
@@ -35,11 +34,9 @@ pub mod dist;
 pub mod quantile;
 pub mod rng;
 pub mod round;
-pub mod tdigest;
 pub mod ttest;
 
 pub use dist::Distribution;
 pub use quantile::{percentile_of_sorted, QuantileWindow};
 pub use rng::Rng;
-pub use tdigest::TDigest;
 pub use ttest::{welch_t_test, TTestResult};
