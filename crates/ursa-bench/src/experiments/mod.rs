@@ -8,6 +8,5 @@ pub mod fig14;
 pub mod fig2;
 pub mod fig4;
 pub mod fig9_10;
-pub mod qos;
 pub mod table5;
 pub mod table6;

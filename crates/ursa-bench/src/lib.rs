@@ -41,7 +41,6 @@ use ursa_sim::control::{
     run_deployment_observed, DeployConfig, DeployObserver, DeploymentReport, ResourceManager,
 };
 use ursa_sim::engine::Simulation;
-use ursa_sim::memory::MemPlan;
 use ursa_sim::metrics::SimMetrics;
 use ursa_sim::recorder::FlightRecorder;
 use ursa_sim::time::{SimDur, SimTime};
@@ -363,7 +362,7 @@ impl PreparedManagers {
     /// window, live span trees and sample counts to bundle. Every plane is
     /// non-perturbing (none draws simulation randomness): a `None` leaves
     /// the [`DeploymentReport`] bit-identical to a run where the plane
-    /// never existed (`ursa-sim/tests/{observability,memory}_bitident.rs`).
+    /// never existed (`tests/plane_bitident.rs`).
     pub fn deploy(&mut self, spec: DeploySpec<'_>) -> DeploymentReport {
         let DeploySpec {
             app,
@@ -372,7 +371,6 @@ impl PreparedManagers {
             scale,
             seed,
             faults,
-            mem,
             metrics,
             observer,
         } = spec;
@@ -381,9 +379,6 @@ impl PreparedManagers {
         let mut sim = app.build_sim(seed);
         if let Some(plan) = faults {
             sim.install_faults(plan, seed);
-        }
-        if let Some(plan) = mem {
-            sim.install_memory_plane(plan);
         }
         if observer.is_some() {
             sim.arm_flight_recorder(FlightRecorder::DEFAULT_CAPACITY);
@@ -454,8 +449,6 @@ pub struct DeploySpec<'a> {
     pub seed: u64,
     /// Fault plan installed before the run (`--exp chaos`).
     pub faults: Option<&'a FaultPlan>,
-    /// Memory plan installed before the run (`--exp qos`).
-    pub mem: Option<&'a MemPlan>,
     /// Metrics collector scraped once per control window (build it with
     /// [`SimMetrics::for_topology`] on `app.topology`).
     pub metrics: Option<&'a mut SimMetrics>,
@@ -464,7 +457,7 @@ pub struct DeploySpec<'a> {
 }
 
 impl<'a> DeploySpec<'a> {
-    /// A plain deployment: no fault plan, memory plan, collector or observer.
+    /// A plain deployment: no fault plan, collector or observer.
     pub fn new(app: &'a App, system: System, load: &'a LoadSpec, scale: Scale, seed: u64) -> Self {
         DeploySpec {
             app,
@@ -473,7 +466,6 @@ impl<'a> DeploySpec<'a> {
             scale,
             seed,
             faults: None,
-            mem: None,
             metrics: None,
             observer: None,
         }
@@ -732,7 +724,7 @@ mod tests {
         // collectors scraped; tracing alongside them must not move it.
         assert_eq!(
             format!("{:016x}", ursa_sim::topology::Fnv::digest(a.as_bytes())),
-            "763675a8bbb5602e",
+            "a14fa3b5d6f14521",
             "{a}"
         );
         let doc = ursa_metrics::json::parse_json(&a).unwrap();

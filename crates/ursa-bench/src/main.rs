@@ -4,7 +4,6 @@
 //! cargo run --release -p ursa-bench -- --exp all [--full] [--jobs N] [--seed N]
 //! cargo run --release -p ursa-bench -- --exp fig2|fig4|table5|fig9|fig11|fig13|table6|fig14
 //! cargo run --release -p ursa-bench -- --exp chaos [--seed N]
-//! cargo run --release -p ursa-bench -- --exp qos [--seed N]
 //! cargo run --release -p ursa-bench -- --exp fig2 --artifacts-dir results/artifacts
 //! cargo run --release -p ursa-bench -- --exp chaos --artifacts-dir results/artifacts [--snapshot-at SECS]
 //! cargo run --release -p ursa-bench -- diff RUN_A.json RUN_B.json [--out results/diff]
@@ -15,7 +14,7 @@
 //! script-free `diff.html`. `--artifacts-dir DIR` is the one place a run
 //! writes what a person reads: dashboards (fig2, fig9, fig11), Chrome
 //! traces and blame summaries (fig2), decision logs (fig9) and post-mortem
-//! bundles (chaos, qos).
+//! bundles (chaos).
 
 #![forbid(unsafe_code)]
 
@@ -117,9 +116,6 @@ fn main() {
         }
         "chaos" => {
             experiments::chaos::run(scale, ctx);
-        }
-        "qos" => {
-            experiments::qos::run(scale, ctx);
         }
         other => {
             warn!("unknown experiment: {other}");
@@ -250,7 +246,7 @@ fn diff_main(args: &[String]) -> i32 {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation|chaos|qos] \
+        "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation|chaos] \
          [--quick|--full] [--jobs N] [--seed N] [--quiet|--verbose] \
          [--artifacts-dir DIR] [--snapshot-at SECS]\n\
          \x20      ursa-bench diff RUN_A.json RUN_B.json [--out DIR] [--tolerance T]"

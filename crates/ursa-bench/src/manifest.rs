@@ -1,7 +1,7 @@
 //! Self-describing run manifests (`run.json`).
 //!
 //! Every experiment run writes a manifest describing *what ran* (kind,
-//! seed, jobs, scale, topology digest, chaos- and memory-plan digests) and
+//! seed, jobs, scale, topology digest, fault-plan digests) and
 //! *what came out* (per-series metric digests, TSV-table digests,
 //! decision-log tails). Two manifests from different commits or machines
 //! can then be aligned by `ursa-bench diff` without re-running anything.
@@ -60,7 +60,6 @@ pub struct RunManifest {
     scale: String,
     topology_digest: Option<u64>,
     chaos_digests: BTreeMap<String, u64>,
-    mem_digests: BTreeMap<String, u64>,
     series: BTreeMap<String, SeriesSummary>,
     tables: BTreeMap<String, TableDigest>,
     decisions: BTreeMap<String, DecisionDigest>,
@@ -76,7 +75,6 @@ impl RunManifest {
             scale: scale.to_string(),
             topology_digest: None,
             chaos_digests: BTreeMap::new(),
-            mem_digests: BTreeMap::new(),
             series: BTreeMap::new(),
             tables: BTreeMap::new(),
             decisions: BTreeMap::new(),
@@ -91,11 +89,6 @@ impl RunManifest {
     /// Records the digest of one compiled fault plan.
     pub fn note_chaos_digest(&mut self, name: &str, digest: u64) {
         self.chaos_digests.insert(name.to_string(), digest);
-    }
-
-    /// Records the digest of one memory-plane plan (`MemPlan::digest`).
-    pub fn note_mem_digest(&mut self, name: &str, digest: u64) {
-        self.mem_digests.insert(name.to_string(), digest);
     }
 
     /// Digests every series of a store under `prefix` (sorted by
@@ -162,12 +155,6 @@ impl RunManifest {
         let _ = writeln!(out, "  \"chaos_plan_digests\": {{");
         for (i, (name, d)) in self.chaos_digests.iter().enumerate() {
             let comma = trail(i, self.chaos_digests.len());
-            let _ = writeln!(out, "    \"{}\": \"{d:016x}\"{comma}", esc(name));
-        }
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"mem_plan_digests\": {{");
-        for (i, (name, d)) in self.mem_digests.iter().enumerate() {
-            let comma = trail(i, self.mem_digests.len());
             let _ = writeln!(out, "    \"{}\": \"{d:016x}\"{comma}", esc(name));
         }
         let _ = writeln!(out, "  }},");
@@ -249,7 +236,6 @@ mod tests {
         let mut m = RunManifest::new("chaos", 7, 4, "quick");
         m.set_topology_digest(0xDEAD_BEEF);
         m.note_chaos_digest("slowdown", 0x1234);
-        m.note_mem_digest("qos", 0x5678);
         m.note_table("chaos_resilience", 30, b"a\tb\n1\t2\n");
         let mut store = TimeSeriesStore::new();
         store.append_row(
@@ -275,10 +261,10 @@ mod tests {
             Some("00000000deadbeef")
         );
         assert_eq!(
-            v.get("mem_plan_digests")
-                .and_then(|o| o.get("qos"))
+            v.get("chaos_plan_digests")
+                .and_then(|o| o.get("slowdown"))
                 .and_then(JsonValue::as_str),
-            Some("0000000000005678")
+            Some("0000000000001234")
         );
         let series = v.get("series").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(series.len(), 2);

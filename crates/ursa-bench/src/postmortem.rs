@@ -328,16 +328,8 @@ fn flight_event_json(at: f64, seq: u64, kind: &FlightEventKind) -> String {
         FlightEventKind::Harvest { in_flight } => {
             let _ = write!(s, ",\"in_flight\":{in_flight}");
         }
-        FlightEventKind::MemCheck => {}
-        FlightEventKind::PsCheck { service, replica }
-        | FlightEventKind::OomKill { service, replica } => {
+        FlightEventKind::PsCheck { service, replica } => {
             let _ = write!(s, ",\"service\":{service},\"replica\":{replica}");
-        }
-        FlightEventKind::Evict { service, tier } => {
-            let _ = write!(s, ",\"service\":{service},\"tier\":{tier}");
-        }
-        FlightEventKind::MemRestart { service } => {
-            let _ = write!(s, ",\"service\":{service}");
         }
     }
     s.push('}');
@@ -792,15 +784,12 @@ mod tests {
                 to: 4,
             },
             FlightEventKind::Harvest { in_flight: 7 },
-            FlightEventKind::OomKill {
+            FlightEventKind::NodeArrive { slot: 5, node: 1 },
+            FlightEventKind::ChaosStart { fault: 0 },
+            FlightEventKind::CpuLimit {
                 service: 3,
-                replica: 1,
+                millicores: 1500,
             },
-            FlightEventKind::Evict {
-                service: 2,
-                tier: 0,
-            },
-            FlightEventKind::MemRestart { service: 3 },
         ];
         for k in kinds {
             let j = flight_event_json(1.0, 9, &k);

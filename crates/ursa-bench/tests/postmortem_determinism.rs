@@ -99,12 +99,12 @@ fn snapshot_bundles_are_jobs_invariant() {
         .map(|(name, bytes)| (name.clone(), format!("{:016x}", Fnv::digest(bytes))))
         .collect();
     let pinned = [
-        ("snap-t60.json", "f9f0dabecb751a81"),
-        ("snap-t240.json", "2f7dfe9d877ad1b7"),
-        ("snap-t60.json", "a170d6435128e93a"),
-        ("snap-t240.json", "ecc2b18c7f760ef2"),
-        ("snap-t60.json", "edec49f288ad41b1"),
-        ("snap-t240.json", "b6d61610fb396cd7"),
+        ("snap-t60.json", "6bfa8e6b38c2c11c"),
+        ("snap-t240.json", "08cc2f768d417bea"),
+        ("snap-t60.json", "63ec979c978c8ba9"),
+        ("snap-t240.json", "77ba6b13e1086519"),
+        ("snap-t60.json", "bab076ec1f0960d6"),
+        ("snap-t240.json", "6839f10abcecbf0c"),
     ];
     assert_eq!(
         json_digests,

@@ -47,14 +47,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod alloc2d;
 pub mod dp;
 pub mod model;
 pub mod solve;
 
-pub use alloc2d::{
-    pack_first_fit, solve_2d, Model2d, NodeCapacity, ResourceCost, ServiceModel2d, Solution2d,
-    Weights,
-};
 pub use model::{LatencyMatrix, MipModel, ModelError, ServiceModel, SlaConstraint};
 pub use solve::{solve, solve_brute_force, solve_greedy, Solution, Solver};

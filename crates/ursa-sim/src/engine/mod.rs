@@ -45,7 +45,7 @@
 //! The engine is split by concern. This module holds the event kinds,
 //! [`Simulation`], the run loop and dispatch, the scaling API and harvest;
 //! `request` the replica and processor-sharing request path; `planes` the
-//! chaos and memory planes and the tracing, profiler and recorder arming.
+//! chaos plane and the tracing, profiler and recorder arming.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -55,7 +55,6 @@ use ursa_stats::rng::{BlockRng, Rng};
 use crate::arena::ReqArena;
 use crate::chaos::ChaosState;
 use crate::evq::EventQueue;
-use crate::memory::MemState;
 use crate::profiler::{PhaseProfiler, SimPhase};
 use crate::ps::VtPs;
 use crate::recorder::{FlightEventKind, FlightRecorder};
@@ -102,10 +101,6 @@ enum EventKind {
     ChaosStart { fault: u32 },
     /// An installed fault window ends.
     ChaosEnd { fault: u32 },
-    /// Periodic memory-plane usage scan (see [`crate::memory`]).
-    MemCheck,
-    /// An OOM-killed or evicted replica of `service` restarts.
-    MemRestart { service: u32 },
 }
 
 /// The profiler phase of a dispatched event. No wildcard arm, so a new
@@ -116,7 +111,6 @@ fn phase_of(kind: EventKind) -> SimPhase {
         EventKind::NodeArrive { .. } => SimPhase::NodeArrive,
         EventKind::PsCheck { .. } => SimPhase::PsCheck,
         EventKind::ChaosStart { .. } | EventKind::ChaosEnd { .. } => SimPhase::Chaos,
-        EventKind::MemCheck | EventKind::MemRestart { .. } => SimPhase::Mem,
     }
 }
 
@@ -314,11 +308,6 @@ pub struct Simulation {
     /// [`arm_flight_recorder`](Self::arm_flight_recorder). Purely
     /// observational; same bit-identical contract.
     recorder: Option<Box<FlightRecorder>>,
-    /// Memory plane, installed via
-    /// [`install_memory_plane`](Self::install_memory_plane). `None` (the
-    /// default) costs one predictable branch per PS rate lookup and
-    /// leaves output bit-identical to a memory-free engine.
-    mem: Option<Box<MemState>>,
 }
 
 impl Simulation {
@@ -395,7 +384,6 @@ impl Simulation {
             chaos: None,
             prof: None,
             recorder: None,
-            mem: None,
         }
     }
 
@@ -581,8 +569,6 @@ impl Simulation {
             }
             EventKind::ChaosStart { fault } => self.chaos_start(fault as usize),
             EventKind::ChaosEnd { fault } => self.chaos_end(fault as usize),
-            EventKind::MemCheck => self.mem_check(),
-            EventKind::MemRestart { service } => self.mem_restart(service as usize),
         }
     }
 
@@ -794,9 +780,6 @@ impl Simulation {
                 .harvest(self.now, &self.names, &replicas, &cores, &mq_depths);
         if let Some(c) = self.chaos.as_deref_mut() {
             snapshot.faults = std::mem::take(&mut c.events);
-        }
-        if let Some(m) = self.mem.as_deref_mut() {
-            snapshot.mem = Some(m.take_snapshot());
         }
         let (at, seq, in_flight) = (self.now, self.seq, self.in_flight as u32);
         self.record_flight(at, seq, FlightEventKind::Harvest { in_flight });

@@ -1,15 +1,11 @@
 //! The optional planes: arming tracing, the phase profiler and the
-//! flight recorder, and the chaos and memory planes' events. Each is
-//! `None` until installed and leaves output bit-identical when off.
+//! flight recorder, and the chaos plane's events. Each is `None` until
+//! installed and leaves output bit-identical when off.
 
 use crate::chaos::{
     node_of, ChaosState, Fault, FaultEvent, FaultKind, FaultPhase, FaultPlan, DEFAULT_NODES,
 };
 use crate::evq::QEntry;
-use crate::memory::{
-    select_victim, MemEvent, MemEventKind, MemPlan, MemState, VictimCandidate, CHECK_INTERVAL,
-    INTERFERENCE_FACTOR, INTERFERENCE_THRESHOLD, PRESSURE_THRESHOLD, RESTART_DELAY,
-};
 use crate::profiler::PhaseProfiler;
 use crate::recorder::{FlightEntry, FlightEventKind, FlightRecorder};
 use crate::time::{SimDur, SimTime};
@@ -142,38 +138,6 @@ impl Simulation {
         self.chaos = Some(Box::new(state));
     }
 
-    /// Installs the memory plane (see [`crate::memory`]): a periodic usage
-    /// scan becomes an ordinary discrete event that OOM-kills replicas
-    /// over their memory limit, evicts replicas under node memory
-    /// pressure in kubelet QoS order, and applies noisy-neighbor CPU
-    /// interference on overcommitted nodes through the same rate-swap
-    /// hook chaos slowdowns use. Demand is a deterministic function of
-    /// engine state — the plane draws no random numbers — so identical
-    /// workloads produce identical kill/eviction schedules. A plan with
-    /// no profiles schedules no events, leaving output bit-identical to a
-    /// run without the plane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a plane is already installed or the plan is invalid (no
-    /// nodes, an empty node, an out-of-range service).
-    pub fn install_memory_plane(&mut self, plan: &MemPlan) {
-        assert!(self.mem.is_none(), "memory plane already installed");
-        let mut state = MemState::new(plan, &self.topology);
-        state.last_check = self.now;
-        let active = !plan.profiles.is_empty();
-        let first = self.now + CHECK_INTERVAL;
-        self.mem = Some(Box::new(state));
-        if active {
-            self.schedule(first, EventKind::MemCheck);
-        }
-    }
-
-    /// True when a memory plane is installed.
-    pub fn memory_plane_installed(&self) -> bool {
-        self.mem.is_some()
-    }
-
     /// Maps a popped event to its flight-recorder entry and records it.
     /// Recording happens *before* dispatch so the ring reads causally:
     /// first the event, then the transitions it provoked.
@@ -189,10 +153,6 @@ impl Simulation {
             }
             EventKind::ChaosStart { fault } => FlightEventKind::ChaosStart { fault },
             EventKind::ChaosEnd { fault } => FlightEventKind::ChaosEnd { fault },
-            EventKind::MemCheck => FlightEventKind::MemCheck,
-            EventKind::MemRestart { service } => FlightEventKind::MemRestart {
-                service: service as u16,
-            },
         };
         self.record_flight(entry.at, entry.seq, kind);
     }
@@ -345,7 +305,7 @@ impl Simulation {
 
     /// Active slowdown multiplier of a service (1.0 when chaos is off).
     #[inline]
-    fn chaos_slow(&self, s: usize) -> f64 {
+    pub(super) fn chaos_slow(&self, s: usize) -> f64 {
         match &self.chaos {
             Some(c) => c.slow[s],
             None => 1.0,
@@ -367,264 +327,5 @@ impl Simulation {
             Some(c) => c.rpc_penalty(callee),
             None => SimDur::ZERO,
         }
-    }
-
-    // ---- Memory plane -----------------------------------------------------
-
-    /// Combined service-time multiplier: the chaos plane's slowdown times
-    /// the memory plane's noisy-neighbor interference. Exactly 1.0 when
-    /// both planes are off, and an exact `x * 1.0` when a plane is
-    /// installed but inactive — the PS hot path sees bit-identical rates.
-    #[inline]
-    pub(super) fn slow_of(&self, s: usize) -> f64 {
-        let mut slow = self.chaos_slow(s);
-        if let Some(m) = &self.mem {
-            slow *= m.interf[s];
-        }
-        slow
-    }
-
-    fn mem_ref(&self) -> &MemState {
-        self.mem.as_deref().expect("memory plane installed")
-    }
-
-    fn mem_mut(&mut self) -> &mut MemState {
-        self.mem.as_deref_mut().expect("memory plane installed")
-    }
-
-    /// Deterministic memory usage of live replica slot `r` of service `s`
-    /// under the installed plane: profile demand driven by the replica's
-    /// in-flight load (PS-active plus queued) and its age. Zero without a
-    /// profile.
-    fn mem_usage_of(&self, s: usize, r: usize) -> u64 {
-        let m = self.mem_ref();
-        let Some(profile) = m.profiles[s] else {
-            return 0;
-        };
-        let rep = self.services[s].replicas[r].as_ref().expect("live replica");
-        let in_flight = rep.ps.len() + rep.queue.len();
-        let age = match m.births[s].get(r).copied().flatten() {
-            Some(b) => (self.now - b).as_secs_f64(),
-            None => 0.0,
-        };
-        profile.usage(in_flight, age)
-    }
-
-    /// One periodic memory-plane scan — the kubelet housekeeping tick.
-    /// Recomputes per-replica usage, OOM-kills limit violators, relieves
-    /// node pressure by QoS-ordered eviction, updates noisy-neighbor
-    /// interference, and re-arms the next scan.
-    pub(super) fn mem_check(&mut self) {
-        let Some(m) = self.mem.as_deref() else {
-            return;
-        };
-        let now = self.now;
-        let nodes = m.nodes.len();
-        let ns = self.services.len();
-
-        // Integrate interference time since the previous scan at the
-        // multipliers that actually held over the span.
-        {
-            let last = self.mem_ref().last_check;
-            let span = (now - last).as_secs_f64();
-            let m = self.mem_mut();
-            for s in 0..ns {
-                if m.interf[s] > 1.0 {
-                    m.throttle_secs[s] += span;
-                }
-            }
-            m.last_check = now;
-        }
-
-        // Refresh per-slot birth times: live slots keep (or get) their
-        // first-seen time; drained/absent slots forget theirs, so a
-        // future replica reusing the slot starts with a fresh heap.
-        for s in 0..ns {
-            let slots = self.services[s].replicas.len();
-            let alive: Vec<bool> = (0..slots)
-                .map(|r| matches!(&self.services[s].replicas[r], Some(rep) if !rep.draining))
-                .collect();
-            let m = self.mem_mut();
-            m.births[s].resize(slots, None);
-            for (r, live) in alive.iter().enumerate() {
-                if *live {
-                    m.births[s][r].get_or_insert(now);
-                } else {
-                    m.births[s][r] = None;
-                }
-            }
-        }
-
-        // OOM-kill: memory is incompressible, so a replica over its
-        // service's limit is killed outright (the violating slot itself —
-        // graceful drain keeps in-PS work, matching fail-stop with
-        // connection draining) and restarts after the restart delay. The
-        // last live replica of a service restarts in place instead
-        // (capacity never drops to zero): the heap resets but the slot
-        // keeps serving.
-        for s in 0..ns {
-            let limit = self.mem_ref().limits[s];
-            if limit == 0 || self.mem_ref().profiles[s].is_none() {
-                continue;
-            }
-            let live: Vec<usize> = self.services[s].live.iter().map(|&r| r as usize).collect();
-            for r in live {
-                let usage = self.mem_usage_of(s, r);
-                if usage <= limit {
-                    continue;
-                }
-                let qos = self.mem_ref().qos[s];
-                let node = self.mem_ref().node_of(s, r);
-                let (at, seq) = (self.now, self.seq);
-                self.record_flight(
-                    at,
-                    seq,
-                    FlightEventKind::OomKill {
-                        service: s as u16,
-                        replica: r as u16,
-                    },
-                );
-                {
-                    let m = self.mem_mut();
-                    m.oom_kills += 1;
-                    m.record(MemEvent {
-                        at: now,
-                        kind: MemEventKind::OomKill,
-                        service: s,
-                        node,
-                        qos,
-                        usage_bytes: usage,
-                    });
-                }
-                if self.services[s].live_count() > 1 {
-                    self.mem_mut().births[s][r] = None;
-                    self.drain_replica(s, r);
-                    self.schedule(
-                        now + RESTART_DELAY,
-                        EventKind::MemRestart { service: s as u32 },
-                    );
-                } else {
-                    self.mem_mut().births[s][r] = Some(now);
-                }
-            }
-        }
-
-        // Node pressure: while a node's usage exceeds the pressure
-        // threshold, evict in the kubelet's order — lowest QoS tier
-        // first, then highest usage-over-request. Each eviction strictly
-        // shrinks the live set, so the loop terminates.
-        for node in 0..nodes {
-            let cap = self.mem_ref().nodes[node] as f64;
-            loop {
-                let mut usage_total = 0u64;
-                let mut cands: Vec<VictimCandidate> = Vec::new();
-                for s in 0..ns {
-                    if self.mem_ref().profiles[s].is_none() {
-                        continue;
-                    }
-                    let live: Vec<usize> =
-                        self.services[s].live.iter().map(|&r| r as usize).collect();
-                    let evictable = live.len() > 1;
-                    for r in live {
-                        if self.mem_ref().node_of(s, r) != node {
-                            continue;
-                        }
-                        let usage = self.mem_usage_of(s, r);
-                        usage_total += usage;
-                        cands.push(VictimCandidate {
-                            service: s,
-                            replica: r,
-                            qos: self.mem_ref().qos[s],
-                            usage_bytes: usage,
-                            request_bytes: self.mem_ref().requests[s],
-                            evictable,
-                        });
-                    }
-                }
-                self.mem_mut().node_util[node] = usage_total as f64 / cap;
-                if usage_total as f64 <= PRESSURE_THRESHOLD * cap {
-                    break;
-                }
-                let Some(v) = select_victim(&cands) else {
-                    break;
-                };
-                let victim = cands[v];
-                let tier = MemState::tier_index(victim.qos);
-                let (at, seq) = (self.now, self.seq);
-                self.record_flight(
-                    at,
-                    seq,
-                    FlightEventKind::Evict {
-                        service: victim.service as u16,
-                        tier: tier as u8,
-                    },
-                );
-                {
-                    let m = self.mem_mut();
-                    m.evictions[tier] += 1;
-                    m.births[victim.service][victim.replica] = None;
-                    m.record(MemEvent {
-                        at: now,
-                        kind: MemEventKind::Evict,
-                        service: victim.service,
-                        node,
-                        qos: victim.qos,
-                        usage_bytes: victim.usage_bytes,
-                    });
-                }
-                self.drain_replica(victim.service, victim.replica);
-                self.schedule(
-                    now + RESTART_DELAY,
-                    EventKind::MemRestart {
-                        service: victim.service as u32,
-                    },
-                );
-            }
-        }
-
-        // Noisy-neighbor interference: services with a replica on a node
-        // above the interference threshold run slower (reclaim/paging
-        // stealing cycles), through the same sync → rate change → resync
-        // hook chaos slowdowns use. Applies to every co-located service,
-        // profiled or not.
-        let node_hot: Vec<bool> = (0..nodes)
-            .map(|n| self.mem_ref().node_util[n] > INTERFERENCE_THRESHOLD)
-            .collect();
-        for s in 0..ns {
-            let hot = self.services[s]
-                .live
-                .iter()
-                .any(|&r| node_hot[self.mem_ref().node_of(s, r as usize)]);
-            let want = if hot { INTERFERENCE_FACTOR } else { 1.0 };
-            if self.mem_ref().interf[s] != want {
-                self.ps_sync_all(s);
-                self.mem_mut().interf[s] = want;
-                self.ps_resync_all(s);
-            }
-        }
-
-        self.schedule(now + CHECK_INTERVAL, EventKind::MemCheck);
-    }
-
-    /// Restores one replica of `service` after its OOM/eviction restart
-    /// delay — on top of whatever the manager did meanwhile, exactly like
-    /// chaos recovery (the manager scales back in if over-provisioned).
-    pub(super) fn mem_restart(&mut self, s: usize) {
-        if self.mem.is_none() {
-            return;
-        }
-        let live = self.services[s].live_count();
-        self.set_replicas(ServiceId(s), live + 1);
-        let now = self.now;
-        let node = self.mem_ref().node_of(s, live);
-        let qos = self.mem_ref().qos[s];
-        self.mem_mut().record(MemEvent {
-            at: now,
-            kind: MemEventKind::Restart,
-            service: s,
-            node,
-            qos,
-            usage_bytes: 0,
-        });
     }
 }

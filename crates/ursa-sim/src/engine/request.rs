@@ -285,7 +285,7 @@ impl Simulation {
     /// are active.
     pub(super) fn ps_advance(&mut self, s: usize, r: usize) {
         let now = self.now;
-        let slow = self.slow_of(s);
+        let slow = self.chaos_slow(s);
         if let Some(rep) = self.services[s].replicas[r].as_mut() {
             rep.advance_to(now, slow);
         }
@@ -302,7 +302,7 @@ impl Simulation {
     /// advanced to `now` ([`Self::ps_advance`]).
     pub(super) fn ps_resync(&mut self, s: usize, r: usize) {
         let now = self.now;
-        let slow = self.slow_of(s);
+        let slow = self.chaos_slow(s);
         let Some(rep) = self.services[s].replicas[r].as_mut() else {
             return;
         };
@@ -315,7 +315,7 @@ impl Simulation {
     /// borrow.
     fn ps_add(&mut self, s: usize, r: usize, token: Token, work: f64) {
         let now = self.now;
-        let slow = self.slow_of(s);
+        let slow = self.chaos_slow(s);
         let rep = self.services[s].replicas[r].as_mut().expect("live replica");
         rep.advance_to(now, slow);
         rep.ps.admit(work, token);
@@ -345,7 +345,7 @@ impl Simulation {
     /// one, so the slot is occupied and nothing else is queued for it.
     pub(super) fn ps_check(&mut self, s: usize, r: usize) {
         let now = self.now;
-        let slow = self.slow_of(s);
+        let slow = self.chaos_slow(s);
         // Collect completions into the reusable scratch buffer (taken out of
         // `self` for the duration — nothing below re-enters `ps_check`).
         let mut finished = std::mem::take(&mut self.ps_scratch);

@@ -4,8 +4,7 @@
 
 use super::*;
 use crate::chaos::{Fault, FaultKind, FaultPhase, FaultPlan};
-use crate::memory::{MemEvent, MemEventKind, MemPlan, MemProfile};
-use crate::topology::{CallNode, ClassCfg, EdgeKind, Priority, ResourceSpec, ServiceCfg, WorkDist};
+use crate::topology::{CallNode, ClassCfg, EdgeKind, Priority, ServiceCfg, WorkDist};
 
 fn single_service(cores: f64, mean_work: f64) -> Simulation {
     let topo = Topology::new(
@@ -460,7 +459,7 @@ fn one_service() -> Topology {
     .unwrap()
 }
 
-/// Every `EventKind` variant, sampled, lands in exactly one of the five
+/// Every `EventKind` variant, sampled, lands in exactly one of the four
 /// phases, and the phases' counts add up to the events dispatched.
 #[test]
 fn profiler_classifies_every_event_kind_exactly_once() {
@@ -472,11 +471,9 @@ fn profiler_classifies_every_event_kind_exactly_once() {
     let seq = sim.schedule(at(1), EventKind::SourceNext { class: 0 });
     sim.sources[0].pending = Some((at(1), seq));
     sim.inject(ClassId(0));
-    // No plane is installed: these four dispatch as no-ops.
+    // No plane is installed: these two dispatch as no-ops.
     sim.schedule(at(4), EventKind::ChaosStart { fault: 0 });
     sim.schedule(at(5), EventKind::ChaosEnd { fault: 0 });
-    sim.schedule(at(6), EventKind::MemCheck);
-    sim.schedule(at(7), EventKind::MemRestart { service: 0 });
     sim.run_for(SimDur::from_secs(1));
 
     let report = sim.profiler().expect("enabled").report();
@@ -486,13 +483,12 @@ fn profiler_classifies_every_event_kind_exactly_once() {
         (SimPhase::NodeArrive, 1),
         (SimPhase::PsCheck, 1),
         (SimPhase::Chaos, 2),
-        (SimPhase::Mem, 2),
     ];
     let got: Vec<(SimPhase, u64)> = report.phases.iter().map(|s| (s.phase, s.count)).collect();
     assert_eq!(got, want);
-    assert_eq!(report.events_sampled, 7);
-    assert_eq!(report.events_seen, 7);
-    assert_eq!(sim.events_processed(), 7);
+    assert_eq!(report.events_sampled, 5);
+    assert_eq!(report.events_seen, 5);
+    assert_eq!(sim.events_processed(), 5);
     assert_eq!(sim.events_stale(), 0);
 }
 
@@ -820,20 +816,17 @@ fn assert_only_pending_events_queued(sim: &Simulation) {
 }
 
 /// Every path that supersedes a pending event — admissions, scaling,
-/// a crash, a slowdown, a CPU-limit change, an OOM-kill and its
-/// restart, re-armed sources — in one run, the queue
+/// a crash and its restart, a slowdown, a CPU-limit change, re-armed
+/// sources — in one run, the queue
 /// checked after every window. The drain path's own check (a slot is
 /// never emptied with a check queued) is a `debug_assert!` that is
 /// live here.
 #[test]
 fn queue_holds_only_pending_checks_and_sources_under_churn() {
-    let leaky = ResourceSpec::burstable(1.0, 2.0, 64 << 20, 128 << 20);
     let topo = Topology::new(
         vec![
             ServiceCfg::new("front", 2.0).with_replicas(3),
-            ServiceCfg::new("back", 2.0)
-                .with_replicas(3)
-                .with_resources(leaky),
+            ServiceCfg::new("back", 2.0).with_replicas(3),
         ],
         vec![
             ClassCfg {
@@ -871,13 +864,10 @@ fn queue_holds_only_pending_checks_and_sources_under_churn() {
         },
     });
     sim.install_faults(&plan, 2);
-    // A 16 MiB/s leak from 32 MiB crosses the 128 MiB limit every ~6 s.
-    let leak = MemProfile::new(32 << 20, 1 << 20).with_growth((16 << 20) as f64);
-    sim.install_memory_plane(&MemPlan::new(vec![4 << 30; 2]).with_profile(1, leak));
     sim.set_rate(ClassId(0), RateFn::Constant(400.0));
     sim.set_rate(ClassId(1), RateFn::Constant(300.0));
 
-    let (mut oom_kills, mut restarts, mut faults) = (0, 0, 0);
+    let mut faults = 0;
     for window in 0..30u64 {
         match window {
             3 => sim.set_replicas(ServiceId(0), 5),
@@ -898,14 +888,8 @@ fn queue_holds_only_pending_checks_and_sources_under_churn() {
         assert_only_pending_events_queued(&sim);
         sim.run_for(SimDur::from_secs(1));
         assert_only_pending_events_queued(&sim);
-        let snap = sim.harvest();
-        faults += snap.faults.len();
-        let mem = snap.mem.expect("plane installed");
-        oom_kills += mem.oom_kills;
-        let restarted = |e: &&MemEvent| e.kind == MemEventKind::Restart;
-        restarts += mem.events.iter().filter(restarted).count();
+        faults += sim.harvest().faults.len();
     }
-    assert!(oom_kills >= 2 && restarts >= 1, "{oom_kills} / {restarts}");
     assert_eq!(faults, 4, "both windows opened and closed");
     assert!(sim.events_processed() > 50_000);
     assert_eq!(sim.events_stale(), 0);

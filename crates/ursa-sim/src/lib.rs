@@ -7,9 +7,9 @@
 //! worker pools; strict-priority request scheduling; Poisson (optionally
 //! time-varying) open-loop load; and Prometheus-style telemetry. Resource
 //! managers actuate it through the [`control::ControlPlane`] trait exactly
-//! as they would actuate Kubernetes. Machines are not modelled: where a
-//! plane needs a replica's node (node failures, memory pressure), one
-//! synthetic round-robin rule places it ([`chaos::node_of`]).
+//! as they would actuate Kubernetes. Machines are not modelled: where the
+//! chaos plane needs a replica's node (node failures), one synthetic
+//! round-robin rule places it ([`chaos::node_of`]).
 //!
 //! The queueing mechanics are faithful enough that the paper's central
 //! observation — RPC backpressure exists, MQ backpressure does not, and
@@ -46,7 +46,6 @@ pub mod chaos;
 pub mod control;
 pub mod engine;
 pub mod evq;
-pub mod memory;
 pub mod metrics;
 pub mod profiler;
 pub mod ps;
@@ -65,15 +64,14 @@ pub mod prelude {
         DeploymentReport, ResourceManager, Sla, StaticManager, WindowRecord,
     };
     pub use crate::engine::{SimConfig, Simulation};
-    pub use crate::memory::{MemEvent, MemEventKind, MemPlan, MemProfile, MemSnapshot};
     pub use crate::metrics::SimMetrics;
     pub use crate::profiler::{PhaseProfiler, PhaseStat, ProfilerReport, SimPhase};
     pub use crate::recorder::{FlightEntry, FlightEventKind, FlightRecorder};
     pub use crate::telemetry::{LatencySeries, MetricsSnapshot, ServiceMetrics};
     pub use crate::time::{SimDur, SimTime};
     pub use crate::topology::{
-        CallMode, CallNode, ClassCfg, ClassId, EdgeKind, Priority, QosClass, ResourceSpec,
-        ServiceCfg, ServiceId, Topology, WorkDist, WorkSampler,
+        CallMode, CallNode, ClassCfg, ClassId, EdgeKind, Priority, ServiceCfg, ServiceId, Topology,
+        WorkDist, WorkSampler,
     };
     pub use crate::trace::{Trace, TraceSpan, Tracer};
     pub use crate::workload::RateFn;

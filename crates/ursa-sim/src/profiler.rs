@@ -25,18 +25,15 @@ pub enum SimPhase {
     PsCheck,
     /// Chaos fault injection / recovery actuation.
     Chaos,
-    /// Memory-plane scans and replica restarts.
-    Mem,
 }
 
 impl SimPhase {
     /// All phases, in reporting order.
-    pub const ALL: [SimPhase; 5] = [
+    pub const ALL: [SimPhase; 4] = [
         SimPhase::SourceNext,
         SimPhase::NodeArrive,
         SimPhase::PsCheck,
         SimPhase::Chaos,
-        SimPhase::Mem,
     ];
 
     /// Stable snake_case identifier (used in post-mortem bundles).
@@ -46,7 +43,6 @@ impl SimPhase {
             SimPhase::NodeArrive => "node_arrive",
             SimPhase::PsCheck => "ps_check",
             SimPhase::Chaos => "chaos",
-            SimPhase::Mem => "mem",
         }
     }
 }
@@ -160,7 +156,7 @@ mod tests {
         let r = p.report();
         assert_eq!(r.phases.len(), SimPhase::ALL.len());
         assert!(r.phases.iter().all(|s| s.count == 0 && s.est_nanos == 0.0));
-        for phase in [SimPhase::PsCheck, SimPhase::PsCheck, SimPhase::Mem] {
+        for phase in [SimPhase::PsCheck, SimPhase::PsCheck, SimPhase::Chaos] {
             p.observe(|| phase);
         }
         let r = p.report();

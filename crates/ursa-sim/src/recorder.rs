@@ -52,28 +52,6 @@ pub enum FlightEventKind {
         /// Fault index within the installed plan.
         fault: u32,
     },
-    /// A memory-plane usage scan fired.
-    MemCheck,
-    /// A replica was OOM-killed (crossed its memory limit).
-    OomKill {
-        /// Service index.
-        service: u16,
-        /// Replica slot index.
-        replica: u16,
-    },
-    /// A replica was evicted under node memory pressure.
-    Evict {
-        /// Service index.
-        service: u16,
-        /// QoS tier of the evicted replica (0 = BestEffort, 1 =
-        /// Burstable, 2 = Guaranteed).
-        tier: u8,
-    },
-    /// A killed/evicted replica restarted.
-    MemRestart {
-        /// Service index.
-        service: u16,
-    },
     /// Control-plane transition: replica count changed.
     Scale {
         /// Service index.
@@ -106,10 +84,6 @@ impl FlightEventKind {
             FlightEventKind::PsCheck { .. } => "ps_check",
             FlightEventKind::ChaosStart { .. } => "chaos_start",
             FlightEventKind::ChaosEnd { .. } => "chaos_end",
-            FlightEventKind::MemCheck => "mem_check",
-            FlightEventKind::OomKill { .. } => "oom_kill",
-            FlightEventKind::Evict { .. } => "evict",
-            FlightEventKind::MemRestart { .. } => "mem_restart",
             FlightEventKind::Scale { .. } => "scale",
             FlightEventKind::CpuLimit { .. } => "cpu_limit",
             FlightEventKind::Harvest { .. } => "harvest",
@@ -233,16 +207,6 @@ mod tests {
             },
             FlightEventKind::ChaosStart { fault: 0 },
             FlightEventKind::ChaosEnd { fault: 0 },
-            FlightEventKind::MemCheck,
-            FlightEventKind::OomKill {
-                service: 0,
-                replica: 0,
-            },
-            FlightEventKind::Evict {
-                service: 0,
-                tier: 0,
-            },
-            FlightEventKind::MemRestart { service: 0 },
             FlightEventKind::Scale {
                 service: 0,
                 from: 1,

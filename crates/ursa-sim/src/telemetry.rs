@@ -182,9 +182,6 @@ pub struct MetricsSnapshot {
     /// Fault injections/recoveries that fired during the window (empty
     /// unless the chaos plane is installed — see [`crate::chaos`]).
     pub faults: Vec<crate::chaos::FaultEvent>,
-    /// Memory-plane window snapshot (`None` unless the memory plane is
-    /// installed — see [`crate::memory`]).
-    pub mem: Option<crate::memory::MemSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -383,7 +380,6 @@ impl Telemetry {
             completions: self.completions.clone(),
             injections: self.injections.clone(),
             faults: Vec::new(),
-            mem: None,
         };
         // Reset for the next window (the latency windows were drained above).
         self.arrivals.fill(0);

@@ -243,128 +243,6 @@ impl CallNode {
     }
 }
 
-/// Kubernetes-style per-replica resource requests and limits.
-///
-/// CPU is measured in cores and is *compressible*: exceeding the request on
-/// an overcommitted node causes throttling/interference, never death. Memory
-/// is measured in bytes and is *incompressible*: exceeding the limit is an
-/// OOM-kill, and node-level pressure evicts replicas in QoS order. A spec
-/// with every field zero is the Kubernetes "no resources declared" pod.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ResourceSpec {
-    /// Guaranteed CPU cores (the scheduler reserves this much).
-    pub cpu_request: f64,
-    /// Maximum CPU cores (0 = unlimited).
-    pub cpu_limit: f64,
-    /// Guaranteed memory in bytes (the scheduler reserves this much).
-    pub mem_request: u64,
-    /// Maximum memory in bytes before OOM-kill (0 = unlimited).
-    pub mem_limit: u64,
-}
-
-impl ResourceSpec {
-    /// A Guaranteed-class spec: requests equal limits on both dimensions.
-    pub const fn guaranteed(cpu: f64, mem_bytes: u64) -> Self {
-        ResourceSpec {
-            cpu_request: cpu,
-            cpu_limit: cpu,
-            mem_request: mem_bytes,
-            mem_limit: mem_bytes,
-        }
-    }
-
-    /// A Burstable-class spec: requests below limits.
-    pub const fn burstable(
-        cpu_request: f64,
-        cpu_limit: f64,
-        mem_request: u64,
-        mem_limit: u64,
-    ) -> Self {
-        ResourceSpec {
-            cpu_request,
-            cpu_limit,
-            mem_request,
-            mem_limit,
-        }
-    }
-
-    /// Derives the QoS class with the kubelet's rules: Guaranteed iff
-    /// requests equal limits and are set on *both* dimensions, BestEffort
-    /// iff no request or limit is set anywhere, Burstable otherwise.
-    pub fn qos_class(&self) -> QosClass {
-        let none_set = self.cpu_request == 0.0
-            && self.cpu_limit == 0.0
-            && self.mem_request == 0
-            && self.mem_limit == 0;
-        if none_set {
-            return QosClass::BestEffort;
-        }
-        let cpu_guaranteed = self.cpu_request > 0.0 && self.cpu_request == self.cpu_limit;
-        let mem_guaranteed = self.mem_request > 0 && self.mem_request == self.mem_limit;
-        if cpu_guaranteed && mem_guaranteed {
-            QosClass::Guaranteed
-        } else {
-            QosClass::Burstable
-        }
-    }
-
-    /// Validates parameters, returning a description of the first problem.
-    fn validate(&self) -> Result<(), String> {
-        if !(self.cpu_request >= 0.0 && self.cpu_request.is_finite()) {
-            return Err(format!("invalid cpu_request {}", self.cpu_request));
-        }
-        if !(self.cpu_limit >= 0.0 && self.cpu_limit.is_finite()) {
-            return Err(format!("invalid cpu_limit {}", self.cpu_limit));
-        }
-        if self.cpu_limit > 0.0 && self.cpu_request > self.cpu_limit {
-            return Err(format!(
-                "cpu_request {} exceeds cpu_limit {}",
-                self.cpu_request, self.cpu_limit
-            ));
-        }
-        if self.mem_limit > 0 && self.mem_request > self.mem_limit {
-            return Err(format!(
-                "mem_request {} exceeds mem_limit {}",
-                self.mem_request, self.mem_limit
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Kubernetes QoS class, derived from a [`ResourceSpec`].
-///
-/// Ordered by eviction priority: `BestEffort < Burstable < Guaranteed`, so
-/// the *minimum* is evicted first — exactly the kubelet's pressure-eviction
-/// ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum QosClass {
-    /// No requests or limits declared: first to be evicted.
-    BestEffort,
-    /// Requests below limits (or only partially declared).
-    Burstable,
-    /// Requests equal limits on both CPU and memory: evicted last.
-    Guaranteed,
-}
-
-impl QosClass {
-    /// Stable lowercase label for metrics and result tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QosClass::BestEffort => "besteffort",
-            QosClass::Burstable => "burstable",
-            QosClass::Guaranteed => "guaranteed",
-        }
-    }
-
-    /// All classes in eviction order (first evicted first).
-    pub const ALL: [QosClass; 3] = [
-        QosClass::BestEffort,
-        QosClass::Burstable,
-        QosClass::Guaranteed,
-    ];
-}
-
 /// Per-replica configuration of a service.
 #[derive(Debug, Clone)]
 pub struct ServiceCfg {
@@ -384,10 +262,6 @@ pub struct ServiceCfg {
     pub daemon_queue_cap: usize,
     /// Replica count at simulation start.
     pub initial_replicas: usize,
-    /// Optional Kubernetes-style resource spec. `None` means the service
-    /// predates the resource plane: no QoS class, never OOM-killed, and the
-    /// topology digest is byte-identical to pre-resource-plane builds.
-    pub resources: Option<ResourceSpec>,
 }
 
 impl ServiceCfg {
@@ -402,7 +276,6 @@ impl ServiceCfg {
             daemon_workers: 32,
             daemon_queue_cap: 64,
             initial_replicas: 1,
-            resources: None,
         }
     }
 
@@ -423,18 +296,6 @@ impl ServiceCfg {
     pub fn with_replicas(mut self, replicas: usize) -> Self {
         self.initial_replicas = replicas;
         self
-    }
-
-    /// Attaches a Kubernetes-style resource spec (requests/limits → QoS).
-    pub fn with_resources(mut self, spec: ResourceSpec) -> Self {
-        self.resources = Some(spec);
-        self
-    }
-
-    /// The QoS class derived from this service's resource spec, or `None`
-    /// when no spec is attached.
-    pub fn qos_class(&self) -> Option<QosClass> {
-        self.resources.as_ref().map(ResourceSpec::qos_class)
     }
 }
 
@@ -616,11 +477,6 @@ impl Topology {
                     s.name
                 )));
             }
-            if let Some(spec) = &s.resources {
-                if let Err(e) = spec.validate() {
-                    return Err(TopologyError(format!("service {}: {e}", s.name)));
-                }
-            }
             if !names.insert(s.name.clone()) {
                 return Err(TopologyError(format!("duplicate service name {}", s.name)));
             }
@@ -797,16 +653,6 @@ impl Topology {
             h.write_usize(s.daemon_workers);
             h.write_usize(s.daemon_queue_cap);
             h.write_usize(s.initial_replicas);
-            // Resource specs are hashed only when present: a spec-free
-            // topology digests byte-identically to pre-resource-plane
-            // builds, so existing run manifests don't churn.
-            if let Some(spec) = &s.resources {
-                h.write_usize(6);
-                h.write_f64(spec.cpu_request);
-                h.write_f64(spec.cpu_limit);
-                h.write_usize(spec.mem_request as usize);
-                h.write_usize(spec.mem_limit as usize);
-            }
         }
         h.write_usize(self.classes.len());
         for c in &self.classes {
@@ -859,8 +705,8 @@ impl Topology {
     }
 }
 
-/// FNV-1a 64-bit, the workspace's one digest hash: topology, fault-plan
-/// and memory-plan digests, and the run manifest's artifact digests (no
+/// FNV-1a 64-bit, the workspace's one digest hash: topology and
+/// fault-plan digests, and the run manifest's artifact digests (no
 /// dependencies, stable across platforms — unlike `DefaultHasher`, whose
 /// output is unspecified).
 #[derive(Debug, Clone, Copy)]
@@ -1156,87 +1002,6 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a.digest(), d.digest(), "edge kind changes the digest");
-    }
-
-    /// Requests and limits drawn from a few values each, so that equal
-    /// requests and limits, unset fields and inverted pairs all occur.
-    fn resource_spec() -> impl proptest::strategy::Strategy<Value = ResourceSpec> {
-        use proptest::prelude::*;
-        const CPU: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
-        const MEM: [u64; 3] = [0, 1 << 20, 1 << 30];
-        (0usize..4, 0usize..4, 0usize..3, 0usize..3).prop_map(|(cr, cl, mr, ml)| ResourceSpec {
-            cpu_request: CPU[cr],
-            cpu_limit: CPU[cl],
-            mem_request: MEM[mr],
-            mem_limit: MEM[ml],
-        })
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
-
-        /// The kubelet's rules: Guaranteed iff requests equal limits and
-        /// are set on both resources, BestEffort iff nothing is set; and
-        /// a request above a set limit is rejected, naming the field.
-        #[test]
-        fn qos_class_and_validation_follow_kubelet_rules(spec in resource_spec()) {
-            let guaranteed = spec.cpu_request > 0.0
-                && spec.cpu_request == spec.cpu_limit
-                && spec.mem_request > 0
-                && spec.mem_request == spec.mem_limit;
-            let best_effort = spec == ResourceSpec::default();
-            let qos = spec.qos_class();
-            proptest::prop_assert_eq!(qos == QosClass::Guaranteed, guaranteed);
-            proptest::prop_assert_eq!(qos == QosClass::BestEffort, best_effort);
-
-            let rejected = if spec.cpu_limit > 0.0 && spec.cpu_request > spec.cpu_limit {
-                Some("cpu_request")
-            } else if spec.mem_limit > 0 && spec.mem_request > spec.mem_limit {
-                Some("mem_request")
-            } else {
-                None
-            };
-            let svc = ServiceCfg::new("a", 1.0).with_resources(spec);
-            match (Topology::new(vec![svc], vec![]), rejected) {
-                (Ok(_), None) => {}
-                (Err(e), Some(field)) => proptest::prop_assert!(
-                    e.to_string().contains(field),
-                    "{e} does not name {field}"
-                ),
-                (got, want) => proptest::prop_assert!(false, "{got:?} for {want:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn digest_ignores_absent_resources_but_not_present_ones() {
-        let a = two_tier();
-        // Attaching a spec changes the digest; leaving it off does not
-        // (two_tier never sets resources, so its digest is the
-        // pre-resource-plane value by construction — compare against a
-        // rebuilt spec-free topology for stability).
-        let with_spec = {
-            let services = vec![
-                ServiceCfg::new("frontend", 2.0)
-                    .with_resources(ResourceSpec::guaranteed(2.0, 1 << 30)),
-                ServiceCfg::new("backend", 2.0),
-            ];
-            let root = CallNode::leaf(ServiceId(0), WorkDist::Constant(0.001)).with_child(
-                EdgeKind::NestedRpc,
-                CallNode::leaf(ServiceId(1), WorkDist::Exponential { mean: 0.002 }),
-            );
-            Topology::new(
-                services,
-                vec![ClassCfg {
-                    name: "get".into(),
-                    priority: Priority::HIGH,
-                    root,
-                }],
-            )
-            .unwrap()
-        };
-        assert_ne!(a.digest(), with_spec.digest(), "spec changes the digest");
-        assert_eq!(a.digest(), two_tier().digest());
     }
 
     #[test]

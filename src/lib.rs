@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`stats`] | `ursa-stats` | deterministic RNG, distributions, Welch's t-test, quantiles |
 //! | [`metrics`] | `ursa-metrics` | time-series registry, SLO burn-rate monitor, HTML page template and dashboard |
-//! | [`sim`] | `ursa-sim` | discrete-event microservice simulator, its tracing, chaos and memory planes, control-plane traits |
+//! | [`sim`] | `ursa-sim` | discrete-event microservice simulator, its tracing and chaos planes, control-plane traits |
 //! | [`apps`] | `ursa-apps` | the §VI benchmark applications and §III study chains |
 //! | [`mip`] | `ursa-mip` | the exact multiple-choice MIP solver (Gurobi stand-in) |
 //! | [`ml`] | `ursa-ml` | MLP / boosted trees / DQN for the baselines |
