@@ -94,15 +94,21 @@ impl JsonValue {
     }
 }
 
+/// The deepest nesting of arrays and objects the parser accepts. The
+/// parser recurses once per level, so a bound keeps a hostile document
+/// from overflowing the stack; run manifests nest about 4 deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message with a byte offset on malformed input.
+/// Returns a human-readable message with a byte offset on malformed input,
+/// including arrays and objects nested deeper than 128 levels.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -116,8 +122,12 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, inside `depth` open arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -136,7 +146,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -158,7 +168,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -279,5 +289,26 @@ mod tests {
         assert!(parse_json("{\"a\": }").is_err());
         assert!(parse_json("[1, 2").is_err());
         assert!(parse_json("{} trailing").is_err());
+    }
+
+    /// Nesting stops at the limit with an error, however deep the input:
+    /// 200 000 open brackets return an error instead of overflowing the
+    /// stack, and exactly `MAX_DEPTH` levels still parse.
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = "[".repeat(200_000);
+        assert_eq!(
+            parse_json(&deep),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"
+            ))
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        let err = parse_json(&objects).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        let limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&limit).is_ok());
+        let over = format!("[{limit}]");
+        assert!(parse_json(&over).is_err());
     }
 }
