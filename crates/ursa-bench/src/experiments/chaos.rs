@@ -15,13 +15,15 @@
 //! for any `--jobs` value at a fixed `--seed` (enforced by
 //! `tests/chaos_determinism.rs`).
 
-use crate::postmortem::PostmortemObserver;
 use crate::runner::run_cells;
-use crate::{f3, pct, DeploySpec, LoadSpec, PreparedManagers, RunCtx, Scale, System, TsvTable};
+use crate::{
+    f3, pct, write_dashboard_and_decisions, DeploySpec, LoadSpec, PreparedManagers, RunCtx, Scale,
+    System, TsvTable,
+};
 use ursa_apps::{social_network, App};
 use ursa_core::decision_log::DecisionKind;
 use ursa_sim::chaos::{Fault, FaultKind, FaultPlan};
-use ursa_sim::control::{mean_cores, violated_share, DeployObserver, DeploymentReport};
+use ursa_sim::control::{mean_cores, violated_share, DeploymentReport};
 use ursa_sim::metrics::SimMetrics;
 use ursa_sim::time::{SimDur, SimTime};
 
@@ -195,18 +197,18 @@ pub fn run_cell(
     let seed = CHAOS_SEED ^ ((fi as u64) << 8) ^ si as u64;
     let cell = format!("chaos-{label}-{}", system.label());
     let mut mgrs = managers.clone();
-    // `--artifacts-dir` arms the flight-recorder / bundle pipeline on the
-    // Ursa cells (the cells with a decision log to correlate), which also
-    // scrape metrics for the bundle's SLO triggers. Observation is
+    // `--artifacts-dir` meters the Ursa cells (the cells with a decision
+    // log) and writes each one's dashboard and decision log. Metering is
     // non-perturbing, so the TSV rows stay byte-identical either way.
-    let mut obs = PostmortemObserver::armed(ctx, &cell).filter(|_| system == System::Ursa);
-    let mut metrics = obs
-        .is_some()
-        .then(|| SimMetrics::for_topology(system.label(), &app.topology, &app.slas));
+    let dir = ctx
+        .artifacts_dir
+        .as_deref()
+        .filter(|_| system == System::Ursa);
+    let mut metrics =
+        dir.map(|_| SimMetrics::for_topology(system.label(), &app.topology, &app.slas));
     let report = mgrs.deploy(DeploySpec {
         faults: Some(plan),
         metrics: metrics.as_mut(),
-        observer: obs.as_mut().map(|o| o as &mut dyn DeployObserver),
         ..DeploySpec::new(app, system, &LoadSpec::Constant, scale, seed)
     });
     let span = (
@@ -220,6 +222,10 @@ pub fn run_cell(
         // `--jobs N` cannot leak into the manifest). `diff` uses this to
         // localise where two runs' control decisions first diverged.
         ctx.manifest().note_decisions(&cell, mgrs.ursa.decisions());
+        if let (Some(dir), Some(m)) = (dir, metrics.as_ref()) {
+            let title = format!("Chaos — Ursa on {} under {label}", app.name);
+            write_dashboard_and_decisions(dir, "chaos", &cell, &title, m, mgrs.ursa.decisions());
+        }
         mgrs.ursa
             .decisions()
             .records()

@@ -10,12 +10,15 @@
 //! by the tracked overestimation ratio. The paper's result: the average
 //! estimated/measured ratio stays within 0.96–1.05.
 
-use crate::{default_rates, prepare_ursa, RunCtx, Scale, TsvTable};
+use crate::{default_rates, prepare_ursa, write_dashboard_and_decisions, RunCtx, Scale, TsvTable};
 use ursa_apps::{social_network, video_pipeline, App};
-use ursa_sim::control::ResourceManager;
+use ursa_core::manager::Ursa;
+use ursa_sim::control::{
+    run_deployment_observed, DeployConfig, DeployObserver, ResourceManager, Sla,
+};
 use ursa_sim::metrics::SimMetrics;
+use ursa_sim::telemetry::MetricsSnapshot;
 use ursa_sim::time::SimDur;
-use ursa_sim::topology::ServiceId;
 use ursa_sim::workload::RateFn;
 
 /// Series of (measured, estimated) per window for one class.
@@ -40,6 +43,30 @@ impl AccuracySeries {
             return f64::NAN;
         }
         ratios.iter().sum::<f64>() / ratios.len() as f64
+    }
+}
+
+/// Pairs each window's measured latency at every SLA percentile with the
+/// estimate Ursa reports for it.
+struct Accuracy<'a> {
+    slas: &'a [Sla],
+    series: Vec<AccuracySeries>,
+}
+
+impl DeployObserver for Accuracy<'_> {
+    fn after_tick(&mut self, manager: &dyn ResourceManager, snap: &MetricsSnapshot) {
+        // The driver ticks first, so the tracker has seen the newest
+        // window: read the estimate the controller would report for it.
+        let Some(ursa) = manager.as_any().and_then(|a| a.downcast_ref::<Ursa>()) else {
+            return;
+        };
+        let t = snap.at.as_secs_f64() / 60.0;
+        for (k, sla) in self.slas.iter().enumerate() {
+            if let Some(measured) = snap.e2e_latency[sla.class.0].percentile(sla.percentile) {
+                let estimated = ursa.estimated_latency(k);
+                self.series[k].points.push((t, measured, estimated));
+            }
+        }
     }
 }
 
@@ -69,9 +96,7 @@ pub fn run_app(
     );
     ursa.apply_initial_allocation(&rates, &mut sim);
 
-    let window = SimDur::from_mins(5);
-    let windows = (duration.as_nanos() / window.as_nanos()) as usize;
-    let mut series: Vec<AccuracySeries> = app
+    let series = app
         .slas
         .iter()
         .map(|sla| AccuracySeries {
@@ -79,65 +104,31 @@ pub fn run_app(
             points: Vec::new(),
         })
         .collect();
+    let mut accuracy = Accuracy {
+        slas: &app.slas,
+        series,
+    };
     let dir = ctx.artifacts_dir.as_deref();
     let mut metrics = dir.map(|_| SimMetrics::for_topology("ursa", &app.topology, &app.slas));
-    for _ in 0..windows {
-        sim.run_for(window);
-        let snap = sim.harvest();
-        let t = snap.at.as_secs_f64() / 60.0;
-        if let Some(m) = metrics.as_mut() {
-            m.observe_snapshot(&sim, &snap);
-        }
-        let before: Option<Vec<usize>> = metrics.as_ref().map(|_| {
-            (0..app.topology.num_services())
-                .map(|s| sim.replicas(ServiceId(s)))
-                .collect()
-        });
-        let wall = std::time::Instant::now();
-        // Tick first so the tracker sees the newest window, then read the
-        // estimate the controller would report for it.
-        ursa.on_tick(&snap, &mut sim);
-        if let Some(m) = metrics.as_mut() {
-            let before = before.expect("captured before the tick");
-            let changes: Vec<(String, usize, usize)> = (0..app.topology.num_services())
-                .filter_map(|s| {
-                    let after = sim.replicas(ServiceId(s));
-                    (after != before[s])
-                        .then(|| (app.topology.services()[s].name.clone(), before[s], after))
-                })
-                .collect();
-            m.observe_decision(
-                snap.at,
-                wall.elapsed().as_secs_f64() * 1e3,
-                &ursa.self_profile(),
-                &changes,
-            );
-            m.scrape(snap.at);
-        }
-        for (k, sla) in app.slas.iter().enumerate() {
-            if let Some(measured) = snap.e2e_latency[sla.class.0].percentile(sla.percentile) {
-                let estimated = ursa.estimated_latency(k);
-                series[k].points.push((t, measured, estimated));
-            }
-        }
-    }
+    let cfg = DeployConfig {
+        duration,
+        control_interval: SimDur::from_mins(5),
+        warmup: SimDur::ZERO,
+    };
+    run_deployment_observed(
+        &mut sim,
+        &app.slas,
+        &mut ursa,
+        &cfg,
+        metrics.as_mut(),
+        Some(&mut accuracy),
+    );
     if let (Some(dir), Some(m)) = (dir, metrics.as_ref()) {
         let stem = format!("fig9_10_{}", app.name);
         let title = format!("Fig. 9/10 — Ursa on {} (diurnal load)", app.name);
-        let path = dir.join(format!("{stem}_decisions.jsonl"));
-        let write = m.write_artifacts(dir, &stem, &title).and_then(|_| {
-            let mut f = std::fs::File::create(&path)?;
-            ursa.decisions().write_jsonl(&mut f)
-        });
-        match write {
-            Ok(()) => crate::info!(
-                "[fig9/10] wrote {stem}.html and {} control-plane decisions under {}",
-                ursa.decisions().len(),
-                dir.display()
-            ),
-            Err(e) => crate::warn!("[fig9/10] artifact export failed: {e}"),
-        }
+        write_dashboard_and_decisions(dir, "fig9/10", &stem, &title, m, ursa.decisions());
     }
+    let series = accuracy.series;
     if class_filter.is_empty() {
         series
     } else {

@@ -17,7 +17,6 @@
 pub mod diff;
 pub mod experiments;
 pub mod manifest;
-pub mod postmortem;
 pub mod runner;
 
 // The progress macros and the log level live in `ursa-metrics` (shared
@@ -27,22 +26,20 @@ pub use ursa_metrics::logging::{enabled, set_level, Level};
 pub use ursa_metrics::{log_debug as debug, log_info as info, log_warn as warn};
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use ursa_apps::App;
 use ursa_baselines::{collect_and_train, train_firm, Autoscaler, CollectConfig, Firm, Sinan};
+use ursa_core::decision_log::DecisionLog;
 use ursa_core::exploration::ExplorationConfig;
 use ursa_core::manager::{Ursa, UrsaConfig};
 use ursa_core::profiling::ProfilingConfig;
 use ursa_sim::chaos::FaultPlan;
-use ursa_sim::control::{
-    run_deployment_observed, DeployConfig, DeployObserver, DeploymentReport, ResourceManager,
-};
+use ursa_sim::control::{run_deployment_observed, DeployConfig, DeploymentReport, ResourceManager};
 use ursa_sim::engine::Simulation;
 use ursa_sim::metrics::SimMetrics;
-use ursa_sim::recorder::FlightRecorder;
 use ursa_sim::time::{SimDur, SimTime};
 use ursa_sim::topology::ServiceId;
 use ursa_sim::workload::RateFn;
@@ -357,12 +354,9 @@ impl PreparedManagers {
     /// The fault plan is installed on the fresh simulation before the
     /// deployment starts, seeded from the cell seed (mixed with the global
     /// `--seed`), so resilience runs are exactly as deterministic as
-    /// fault-free ones. An observer also arms the simulator's flight
-    /// recorder, span tracer and phase profiler, so it has an event
-    /// window, live span trees and sample counts to bundle. Every plane is
-    /// non-perturbing (none draws simulation randomness): a `None` leaves
-    /// the [`DeploymentReport`] bit-identical to a run where the plane
-    /// never existed (`tests/plane_bitident.rs`).
+    /// fault-free ones. A metrics collector is non-perturbing (it draws
+    /// no simulation randomness): `None` leaves the [`DeploymentReport`]
+    /// bit-identical (`tests/plane_bitident.rs`).
     pub fn deploy(&mut self, spec: DeploySpec<'_>) -> DeploymentReport {
         let DeploySpec {
             app,
@@ -372,18 +366,12 @@ impl PreparedManagers {
             seed,
             faults,
             metrics,
-            observer,
         } = spec;
         let seed = mix_seed(seed);
         let duration = scale.deploy_duration();
         let mut sim = app.build_sim(seed);
         if let Some(plan) = faults {
             sim.install_faults(plan, seed);
-        }
-        if observer.is_some() {
-            sim.arm_flight_recorder(FlightRecorder::DEFAULT_CAPACITY);
-            sim.enable_tracing(POSTMORTEM_TRACE_CAPACITY, POSTMORTEM_TRACE_SAMPLE_RATE);
-            sim.enable_profiler(ursa_sim::profiler::PhaseProfiler::DEFAULT_SAMPLE_EVERY);
         }
         load.apply(app, &mut sim, duration);
         let cfg = DeployConfig {
@@ -409,7 +397,7 @@ impl PreparedManagers {
                 &mut auto
             }
         };
-        run_deployment_observed(&mut sim, &app.slas, manager, &cfg, metrics, observer)
+        run_deployment_observed(&mut sim, &app.slas, manager, &cfg, metrics, None)
     }
 
     /// Deploys on a pristine clone of the trained managers, leaving `self`
@@ -452,12 +440,10 @@ pub struct DeploySpec<'a> {
     /// Metrics collector scraped once per control window (build it with
     /// [`SimMetrics::for_topology`] on `app.topology`).
     pub metrics: Option<&'a mut SimMetrics>,
-    /// Post-mortem attachment point, called after every control window.
-    pub observer: Option<&'a mut dyn DeployObserver>,
 }
 
 impl<'a> DeploySpec<'a> {
-    /// A plain deployment: no fault plan, collector or observer.
+    /// A plain deployment: no fault plan or collector.
     pub fn new(app: &'a App, system: System, load: &'a LoadSpec, scale: Scale, seed: u64) -> Self {
         DeploySpec {
             app,
@@ -467,7 +453,6 @@ impl<'a> DeploySpec<'a> {
             seed,
             faults: None,
             metrics: None,
-            observer: None,
         }
     }
 }
@@ -479,12 +464,6 @@ fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
         .join()
         .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
-
-/// Span-tracer ring capacity armed for post-mortem deployments.
-const POSTMORTEM_TRACE_CAPACITY: usize = 512;
-/// Head-sampling rate of the post-mortem span tracer — low enough that the
-/// ring survives a full control window without megabytes of spans.
-const POSTMORTEM_TRACE_SAMPLE_RATE: f64 = 0.02;
 
 /// A simple TSV table writer that also renders to the terminal.
 #[derive(Debug, Clone)]
@@ -574,6 +553,34 @@ impl TsvTable {
     }
 }
 
+/// Writes the pair that explains one managed Ursa deployment into `dir`
+/// (`--artifacts-dir`): the dashboard `{stem}.html`, which plots every
+/// scraped series with its fault, alert and scale annotations, and the
+/// decision log `{stem}_decisions.jsonl`. fig9/10 and the chaos grid write
+/// it. A failed write is reported under `tag`, never fatal: an artifact
+/// must not break the run it describes.
+pub fn write_dashboard_and_decisions(
+    dir: &Path,
+    tag: &str,
+    stem: &str,
+    title: &str,
+    metrics: &SimMetrics,
+    decisions: &DecisionLog,
+) {
+    let write = metrics.write_artifacts(dir, stem, title).and_then(|_| {
+        let mut f = std::fs::File::create(dir.join(format!("{stem}_decisions.jsonl")))?;
+        decisions.write_jsonl(&mut f)
+    });
+    match write {
+        Ok(()) => info!(
+            "[{tag}] wrote {stem}.html and {} control-plane decisions under {}",
+            decisions.len(),
+            dir.display()
+        ),
+        Err(e) => warn!("[{tag}] artifact export failed: {e}"),
+    }
+}
+
 /// The default results directory (`results/` under the workspace root).
 pub fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -591,14 +598,10 @@ pub struct RunCtx {
     /// [`results_dir`]).
     pub results: PathBuf,
     /// `--artifacts-dir`: where the run writes what a person reads —
-    /// dashboards, Chrome traces with blame summaries, decision logs and
-    /// post-mortem bundles. Setting it arms the collectors, the tracer and
-    /// the flight-recorder pipeline (see [`postmortem`]); none of them
-    /// perturbs a TSV.
+    /// dashboards, Chrome traces with blame summaries and decision logs.
+    /// Setting it arms the collectors and the tracer; neither perturbs a
+    /// TSV.
     pub artifacts_dir: Option<PathBuf>,
-    /// `--snapshot-at`: an explicit bundle trigger at the first control
-    /// tick at or after this simulated time, in seconds.
-    pub snapshot_at: Option<f64>,
     /// The run's manifest, fed by the experiments (cells record from
     /// worker threads, hence the lock).
     pub manifest: Mutex<manifest::RunManifest>,
@@ -610,7 +613,6 @@ impl RunCtx {
         RunCtx {
             results,
             artifacts_dir: None,
-            snapshot_at: None,
             manifest: Mutex::new(manifest),
         }
     }

@@ -5,16 +5,16 @@
 //! cargo run --release -p ursa-bench -- --exp fig2|fig4|table5|fig9|fig11|fig13|table6|fig14
 //! cargo run --release -p ursa-bench -- --exp chaos [--seed N]
 //! cargo run --release -p ursa-bench -- --exp fig2 --artifacts-dir results/artifacts
-//! cargo run --release -p ursa-bench -- --exp chaos --artifacts-dir results/artifacts [--snapshot-at SECS]
+//! cargo run --release -p ursa-bench -- --exp chaos --artifacts-dir results/artifacts
 //! cargo run --release -p ursa-bench -- diff RUN_A.json RUN_B.json [--out results/diff]
 //! ```
 //!
 //! Every experiment writes a `run.json` manifest under its results
 //! directory; `diff` aligns two such manifests into `diff.tsv` + a
 //! script-free `diff.html`. `--artifacts-dir DIR` is the one place a run
-//! writes what a person reads: dashboards (fig2, fig9, fig11), Chrome
-//! traces and blame summaries (fig2), decision logs (fig9) and post-mortem
-//! bundles (chaos).
+//! writes what a person reads: dashboards (fig2, fig9, fig11, chaos),
+//! Chrome traces and blame summaries (fig2) and decision logs (fig9,
+//! chaos).
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +33,6 @@ fn main() {
     let mut exp = "all".to_string();
     let mut scale = Scale::Quick;
     let mut artifacts_dir: Option<PathBuf> = None;
-    let mut snapshot_at: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -62,10 +61,6 @@ fn main() {
                 i += 1;
                 artifacts_dir = Some(args.get(i).map(PathBuf::from).unwrap_or_else(|| usage()));
             }
-            "--snapshot-at" => {
-                i += 1;
-                snapshot_at = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
             "--help" | "-h" => {
                 usage();
             }
@@ -76,10 +71,6 @@ fn main() {
         }
         i += 1;
     }
-    let snapshot_at = or_usage(parse_snapshot_at(
-        snapshot_at.as_deref(),
-        artifacts_dir.is_some(),
-    ));
     let t0 = std::time::Instant::now();
     info!("[runner] {} worker(s)", runner::jobs());
     let scale_label = match scale {
@@ -130,7 +121,6 @@ fn main() {
             RunManifest::new(name, ursa_bench::global_seed(), runner::jobs(), scale_label);
         let ctx = RunCtx {
             artifacts_dir: artifacts_dir.clone(),
-            snapshot_at,
             ..RunCtx::new(results_dir(), manifest)
         };
         run_one(name, &ctx);
@@ -187,23 +177,6 @@ fn parse_tolerance(flag: Option<&str>) -> Result<f64, String> {
     }
 }
 
-/// Validates `--snapshot-at`: a finite, non-negative number of simulated
-/// seconds (`NaN` would never fire, since `at >= NaN` is false), and only
-/// together with `--artifacts-dir`, without which no observer exists to
-/// take the snapshot.
-fn parse_snapshot_at(raw: Option<&str>, artifacts_dir_set: bool) -> Result<Option<f64>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    if !artifacts_dir_set {
-        return Err("--snapshot-at needs --artifacts-dir to write its bundle into".into());
-    }
-    match raw.parse::<f64>() {
-        Ok(t) if t.is_finite() && t >= 0.0 => Ok(Some(t)),
-        _ => Err(format!(
-            "--snapshot-at must be a finite number of seconds >= 0, got `{raw}`"
-        )),
-    }
-}
-
 /// Unwraps a validated operand; a bad one is a usage error that says why.
 fn or_usage<T>(parsed: Result<T, String>) -> T {
     parsed.unwrap_or_else(|e| {
@@ -248,7 +221,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation|chaos] \
          [--quick|--full] [--jobs N] [--seed N] [--quiet|--verbose] \
-         [--artifacts-dir DIR] [--snapshot-at SECS]\n\
+         [--artifacts-dir DIR]\n\
          \x20      ursa-bench diff RUN_A.json RUN_B.json [--out DIR] [--tolerance T]"
     );
     std::process::exit(2)
@@ -277,21 +250,5 @@ mod tests {
             let e = parse_jobs(bad).unwrap_err();
             assert!(e.contains("--jobs") && e.contains(bad), "{e}");
         }
-    }
-
-    #[test]
-    fn snapshot_at_is_range_checked_and_needs_an_artifacts_dir() {
-        assert_eq!(parse_snapshot_at(None, false), Ok(None));
-        assert_eq!(parse_snapshot_at(None, true), Ok(None));
-        assert_eq!(parse_snapshot_at(Some("300"), true), Ok(Some(300.0)));
-        assert_eq!(parse_snapshot_at(Some("0"), true), Ok(Some(0.0)));
-        for bad in ["NaN", "-5", "inf", "-inf", "soon", ""] {
-            let e = parse_snapshot_at(Some(bad), true).unwrap_err();
-            assert!(e.contains("--snapshot-at") && e.contains(bad), "{e}");
-        }
-        // Without an artifacts directory there is nowhere to write the
-        // bundle, and the flag used to be silently ignored.
-        let e = parse_snapshot_at(Some("300"), false).unwrap_err();
-        assert!(e.contains("--artifacts-dir"), "{e}");
     }
 }

@@ -830,8 +830,8 @@ impl ResourceManager for Ursa {
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
-        // Opt in to observer downcasts: the post-mortem pipeline reads the
-        // decision log and re-exploration state through this.
+        // Opt in to downcasts: fig9/10's deployment observer reads the
+        // latency estimate, the ledger's control workload the decision log.
         Some(self)
     }
 }

@@ -1,5 +1,5 @@
 //! The one page template behind every HTML artifact: the metrics
-//! dashboard, the post-mortem report and `ursa-bench diff`'s `diff.html`.
+//! dashboard and `ursa-bench diff`'s `diff.html`.
 //!
 //! A page is a single self-contained document with zero external
 //! dependencies — no JavaScript, no fonts, no CDN — styled by one inline

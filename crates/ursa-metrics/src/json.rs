@@ -1,5 +1,5 @@
 //! The workspace's one hand-rolled JSON layer: string escaping and number
-//! rendering for the emitters (run manifests, post-mortem bundles) and a
+//! rendering for the emitters (run manifests, Chrome traces) and a
 //! minimal parser for the reader (`ursa-bench diff`). No dependencies, so
 //! the build stays offline.
 

@@ -18,8 +18,8 @@
 //!   sorted key order, the series view run manifests embed for
 //!   `ursa-bench diff`.
 //! * [`json`] — the one hand-rolled JSON layer (escaping, number rendering,
-//!   a minimal parser) behind run manifests, post-mortem bundles and the
-//!   perf report.
+//!   a minimal parser) behind run manifests, Chrome traces and
+//!   `ursa-bench diff`.
 //! * [`logging`] — the leveled progress-logging layer shared by the
 //!   workspace (`--quiet`/`--verbose` in `ursa-bench`).
 //! * [`pool`] — the ordered scoped worker pool shared by the workspace

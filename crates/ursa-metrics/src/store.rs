@@ -171,28 +171,6 @@ impl TimeSeriesStore {
     pub fn iter(&self) -> impl Iterator<Item = (&SeriesKey, &[f64])> {
         self.cols.iter().map(|(k, v)| (k, v.as_slice()))
     }
-
-    /// Extracts the rows with `t0 <= t <= t1` as a standalone store — the
-    /// windowed view a post-mortem bundle embeds. Series with no
-    /// non-NaN value inside the window are dropped; key order (and thus
-    /// output determinism) is preserved.
-    pub fn window(&self, t0: f64, t1: f64) -> TimeSeriesStore {
-        let lo = self.times.partition_point(|&t| t < t0);
-        let hi = self.times.partition_point(|&t| t <= t1);
-        let times: Vec<f64> = self.times[lo..hi].to_vec();
-        let cols: BTreeMap<SeriesKey, Vec<f64>> = self
-            .cols
-            .iter()
-            .filter_map(|(k, col)| {
-                let slice: Vec<f64> = col[lo..hi.min(col.len())].to_vec();
-                slice
-                    .iter()
-                    .any(|v| !v.is_nan())
-                    .then(|| (k.clone(), slice))
-            })
-            .collect();
-        TimeSeriesStore { times, cols }
-    }
 }
 
 #[cfg(test)]
@@ -241,26 +219,6 @@ mod tests {
         let mut s = TimeSeriesStore::new();
         s.append_row(60.0, [(key("a"), 1.0)]);
         s.append_row(60.0, [(key("a"), 2.0)]);
-    }
-
-    #[test]
-    fn window_slices_rows_and_drops_empty_series() {
-        let mut s = TimeSeriesStore::new();
-        s.append_row(60.0, [(key("a"), 1.0)]);
-        s.append_row(120.0, [(key("a"), 2.0), (key("b"), 10.0)]);
-        s.append_row(180.0, [(key("b"), 20.0)]);
-        s.append_row(240.0, [(key("b"), 30.0)]);
-        let w = s.window(120.0, 180.0);
-        assert_eq!(w.times(), &[120.0, 180.0]);
-        assert_eq!(w.values(&key("b")).unwrap(), vec![10.0, 20.0]);
-        // "a" is NaN at 180 but present at 120: retained.
-        assert_eq!(w.values(&key("a")).unwrap()[0], 2.0);
-        // A window past every "a" point drops the series entirely.
-        let tail = s.window(180.0, 240.0);
-        assert!(tail.values(&key("a")).is_none());
-        assert_eq!(tail.num_series(), 1);
-        // Empty window.
-        assert!(s.window(500.0, 600.0).is_empty());
     }
 
     #[test]

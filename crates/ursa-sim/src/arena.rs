@@ -12,8 +12,8 @@
 //! * **Slot records** — one packed 32-byte record per request slot
 //!   (everything `alloc`/`release` touches sits in one cache line),
 //!   recycled LIFO through `free` (the exact free-list discipline of the
-//!   old layout, so slot IDs — which feed the tracer and flight recorder
-//!   — are bit-identical).
+//!   old layout, so slot IDs — which feed the tracer — are
+//!   bit-identical).
 //! * **Node arrays** — one entry per hop, public so the engine's hot path
 //!   indexes them directly. Each slot owns a contiguous region
 //!   `[node_base, node_base + num_nodes)`; regions are carved once and
@@ -67,7 +67,7 @@ struct SlotMeta {
 pub struct ReqArena {
     slots: Vec<SlotMeta>,
     /// LIFO free list — must stay LIFO: slot assignment order is part of
-    /// the engine's bit-identical-output contract (trace/recorder IDs).
+    /// the engine's bit-identical-output contract (trace IDs).
     free: Vec<u32>,
 
     // ---- per-node (hop) arrays, indexed via `node_index` --------------

@@ -98,32 +98,28 @@ pub trait ResourceManager {
     fn self_profile(&self) -> Vec<(&'static str, f64)> {
         Vec::new()
     }
-    /// Downcast hook for observers that need manager-specific state (the
-    /// post-mortem pipeline reads Ursa's decision log through this). The
-    /// default opts out; managers with inspectable state return
+    /// Downcast hook for callers that hold a `&dyn ResourceManager` and
+    /// need manager-specific state (fig9/10's observer reads Ursa's latency
+    /// estimate through this, the ledger's control workload its decision
+    /// log). The default opts out; managers with inspectable state return
     /// `Some(self)`.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }
 }
 
-/// Observer hooks on the deployment driver — the attachment point for the
-/// post-mortem pipeline (and any other tooling that wants to watch a run
-/// without being a resource manager).
+/// Observer hook on the deployment driver: how a caller reads each window
+/// of a run without writing its own deployment loop (fig9/10 pairs
+/// measured latency with Ursa's estimate, `examples/video_pipeline.rs`
+/// keeps every latency sample).
 ///
 /// The observer is called strictly *after* the window has simulated, the
 /// manager has ticked, and (when metered) the metrics collector has
-/// scraped — it sees the simulation only through `&` accessors, so it can
-/// never perturb the run.
+/// scraped. It sees the manager and the window's snapshot through `&`
+/// only, so it can never perturb the run.
 pub trait DeployObserver {
     /// Called once per control window, after the manager's tick.
-    fn after_tick(
-        &mut self,
-        sim: &Simulation,
-        manager: &dyn ResourceManager,
-        metrics: Option<&crate::metrics::SimMetrics>,
-        snapshot: &MetricsSnapshot,
-    );
+    fn after_tick(&mut self, manager: &dyn ResourceManager, snapshot: &MetricsSnapshot);
 }
 
 /// A manager that never changes anything (static allocation baseline).
@@ -281,9 +277,9 @@ pub fn run_deployment(
 /// has run, so the simulated outcome is bit-identical with `None` (see
 /// `metered_and_unmetered_runs_are_identical` in `crate::metrics`).
 ///
-/// The observer is invoked after every control window — the hook the
-/// post-mortem pipeline hangs off. It too reads the run through `&`
-/// accessors only, so the simulated outcome is bit-identical with `None`.
+/// The observer is invoked after every control window. It too reads the
+/// run through `&` only, so the simulated outcome is bit-identical with
+/// `None`.
 pub fn run_deployment_observed(
     sim: &mut Simulation,
     slas: &[Sla],
@@ -371,7 +367,7 @@ pub fn run_deployment_observed(
             m.scrape(snapshot.at);
         }
         if let Some(obs) = observer.as_deref_mut() {
-            obs.after_tick(sim, &*manager, metrics.as_deref(), &snapshot);
+            obs.after_tick(&*manager, &snapshot);
         }
     }
     DeploymentReport {

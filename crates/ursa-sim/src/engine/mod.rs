@@ -45,7 +45,7 @@
 //! The engine is split by concern. This module holds the event kinds,
 //! [`Simulation`], the run loop and dispatch, the scaling API and harvest;
 //! `request` the replica and processor-sharing request path; `planes` the
-//! chaos plane and the tracing, profiler and recorder arming.
+//! chaos plane and the tracing and profiler arming.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -57,7 +57,6 @@ use crate::chaos::ChaosState;
 use crate::evq::EventQueue;
 use crate::profiler::{PhaseProfiler, SimPhase};
 use crate::ps::VtPs;
-use crate::recorder::{FlightEventKind, FlightRecorder};
 use crate::telemetry::{MetricsSnapshot, Telemetry};
 use crate::time::{SimDur, SimTime};
 use crate::topology::{ClassId, FlatClass, HotTable, ServiceId, Topology};
@@ -304,10 +303,6 @@ pub struct Simulation {
     /// bit-identical-when-disabled contract as the tracer and chaos
     /// planes.
     prof: Option<Box<PhaseProfiler>>,
-    /// Flight recorder, armed via
-    /// [`arm_flight_recorder`](Self::arm_flight_recorder). Purely
-    /// observational; same bit-identical contract.
-    recorder: Option<Box<FlightRecorder>>,
 }
 
 impl Simulation {
@@ -383,7 +378,6 @@ impl Simulation {
             tracer: None,
             chaos: None,
             prof: None,
-            recorder: None,
         }
     }
 
@@ -510,9 +504,6 @@ impl Simulation {
             }
             let entry = self.events.pop().expect("peeked");
             self.now = entry.at;
-            if self.recorder.is_some() {
-                self.record_event(&entry);
-            }
             self.dispatch(entry.kind);
             self.events_live += 1;
             // Profiler gate: one predictably-false branch when disabled.
@@ -588,18 +579,6 @@ impl Simulation {
         assert!(n > 0, "replica count must be at least 1");
         let s = service.0;
         let mut live = self.services[s].live_count();
-        if live != n {
-            let (at, seq) = (self.now, self.seq);
-            self.record_flight(
-                at,
-                seq,
-                FlightEventKind::Scale {
-                    service: s as u16,
-                    from: live as u16,
-                    to: n as u16,
-                },
-            );
-        }
         // Scale out: first un-drain, then create.
         while live < n {
             let undrained = {
@@ -682,17 +661,6 @@ impl Simulation {
     pub fn set_cpu_limit(&mut self, service: ServiceId, cores: f64) {
         let cores = cores.max(MIN_CORES);
         let s = service.0;
-        if (self.services[s].cores - cores).abs() > f64::EPSILON {
-            let (at, seq) = (self.now, self.seq);
-            self.record_flight(
-                at,
-                seq,
-                FlightEventKind::CpuLimit {
-                    service: s as u16,
-                    millicores: (cores * 1000.0).round() as u32,
-                },
-            );
-        }
         self.services[s].cores = cores;
         for r in 0..self.services[s].replicas.len() {
             if self.services[s].replicas[r].is_some() {
@@ -781,8 +749,6 @@ impl Simulation {
         if let Some(c) = self.chaos.as_deref_mut() {
             snapshot.faults = std::mem::take(&mut c.events);
         }
-        let (at, seq, in_flight) = (self.now, self.seq, self.in_flight as u32);
-        self.record_flight(at, seq, FlightEventKind::Harvest { in_flight });
         snapshot
     }
 }

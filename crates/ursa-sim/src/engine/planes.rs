@@ -1,14 +1,12 @@
-//! The optional planes: arming tracing, the phase profiler and the
-//! flight recorder, and the chaos plane's events. Each is `None` until
-//! installed and leaves output bit-identical when off.
+//! The optional planes: arming tracing and the phase profiler, and the
+//! chaos plane's events. Each is `None` until installed and leaves output
+//! bit-identical when off.
 
 use crate::chaos::{
-    node_of, ChaosState, Fault, FaultEvent, FaultKind, FaultPhase, FaultPlan, DEFAULT_NODES,
+    node_of, ChaosState, FaultEvent, FaultKind, FaultPhase, FaultPlan, DEFAULT_NODES,
 };
-use crate::evq::QEntry;
 use crate::profiler::PhaseProfiler;
-use crate::recorder::{FlightEntry, FlightEventKind, FlightRecorder};
-use crate::time::{SimDur, SimTime};
+use crate::time::SimDur;
 use crate::topology::ServiceId;
 use crate::trace::{Trace, Tracer};
 
@@ -68,40 +66,6 @@ impl Simulation {
         self.prof.as_deref()
     }
 
-    /// Arms the flight recorder (see [`crate::recorder`]): the most
-    /// recent `capacity` engine events and control-plane transitions are
-    /// kept in a bounded ring for post-mortem dumps. Purely
-    /// observational; simulated output stays bit-identical to an unarmed
-    /// run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn arm_flight_recorder(&mut self, capacity: usize) {
-        self.recorder = Some(Box::new(FlightRecorder::new(capacity)));
-    }
-
-    /// The flight recorder, if armed.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_deref()
-    }
-
-    /// Fault windows active right now: `(plan index, fault)` pairs whose
-    /// window contains the current simulated time. Empty when the chaos
-    /// plane is off.
-    pub fn active_faults(&self) -> Vec<(u32, Fault)> {
-        match self.chaos.as_deref() {
-            None => Vec::new(),
-            Some(c) => c
-                .faults
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.at <= self.now && self.now < f.until)
-                .map(|(i, f)| (i as u32, *f))
-                .collect(),
-        }
-    }
-
     /// Installs a fault plan (see [`crate::chaos`]): each window's start
     /// and end become ordinary discrete events in the loop. `seed` drives
     /// the chaos RNG (RPC drop sampling) and is independent of the
@@ -136,33 +100,6 @@ impl Simulation {
             self.schedule(f.until, EventKind::ChaosEnd { fault });
         }
         self.chaos = Some(Box::new(state));
-    }
-
-    /// Maps a popped event to its flight-recorder entry and records it.
-    /// Recording happens *before* dispatch so the ring reads causally:
-    /// first the event, then the transitions it provoked.
-    pub(super) fn record_event(&mut self, entry: &QEntry<EventKind>) {
-        let kind = match entry.kind {
-            EventKind::SourceNext { class, .. } => FlightEventKind::SourceNext { class },
-            EventKind::NodeArrive { token } => FlightEventKind::NodeArrive {
-                slot: token.slot,
-                node: token.node,
-            },
-            EventKind::PsCheck { service, replica } => {
-                FlightEventKind::PsCheck { service, replica }
-            }
-            EventKind::ChaosStart { fault } => FlightEventKind::ChaosStart { fault },
-            EventKind::ChaosEnd { fault } => FlightEventKind::ChaosEnd { fault },
-        };
-        self.record_flight(entry.at, entry.seq, kind);
-    }
-
-    /// Appends one flight-recorder entry (no-op branch when disarmed).
-    #[inline]
-    pub(super) fn record_flight(&mut self, at: SimTime, seq: u64, kind: FlightEventKind) {
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.push(FlightEntry { at, seq, kind });
-        }
     }
 
     // ---- Fault plane ------------------------------------------------------

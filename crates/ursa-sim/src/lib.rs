@@ -49,7 +49,6 @@ pub mod evq;
 pub mod metrics;
 pub mod profiler;
 pub mod ps;
-pub mod recorder;
 pub mod telemetry;
 pub mod time;
 pub mod topology;
@@ -66,7 +65,6 @@ pub mod prelude {
     pub use crate::engine::{SimConfig, Simulation};
     pub use crate::metrics::SimMetrics;
     pub use crate::profiler::{PhaseProfiler, PhaseStat, ProfilerReport, SimPhase};
-    pub use crate::recorder::{FlightEntry, FlightEventKind, FlightRecorder};
     pub use crate::telemetry::{LatencySeries, MetricsSnapshot, ServiceMetrics};
     pub use crate::time::{SimDur, SimTime};
     pub use crate::topology::{

@@ -90,10 +90,6 @@ pub struct SimMetrics {
     /// `(spec index, severity)` pairs firing at the previous harvest; used
     /// to annotate only alert *onsets*, not every interval of an incident.
     active_alerts: BTreeSet<(usize, &'static str)>,
-    /// Alerts that *started* firing at the most recent harvest, as
-    /// `(class name, severity, short-window burn rate)` — the SLO-page
-    /// trigger the post-mortem pipeline polls after each control tick.
-    alert_onsets: Vec<(String, &'static str, f64)>,
     /// Names of the manager self-profiling series
     /// [`observe_decision`](Self::observe_decision) received; they make up
     /// the "Controller internals" panel.
@@ -134,7 +130,6 @@ impl SimMetrics {
             slo_slas,
             annotations: Vec::new(),
             active_alerts: BTreeSet::new(),
-            alert_onsets: Vec::new(),
             profile_names: BTreeSet::new(),
         }
     }
@@ -158,15 +153,6 @@ impl SimMetrics {
     /// The SLO monitor, when SLAs were given.
     pub fn slo(&self) -> Option<&SloMonitor> {
         self.slo.as_ref()
-    }
-
-    /// Alerts that began firing at the most recent harvest window, as
-    /// `(class name, severity, short-window burn rate)`. Empty when no new
-    /// alert started (alerts still burning from earlier windows are not
-    /// repeated). This is the hook the post-mortem pipeline uses as its
-    /// SLO-page trigger.
-    pub fn alert_onsets(&self) -> &[(String, &'static str, f64)] {
-        &self.alert_onsets
     }
 
     /// Updates the per-service, per-class, and SLO series from one harvest
@@ -275,7 +261,6 @@ impl SimMetrics {
     /// Feeds one harvest window into the SLO monitor and refreshes the
     /// burn-rate gauges and alert annotations.
     fn observe_slo(&mut self, snap: &MetricsSnapshot) {
-        self.alert_onsets.clear();
         let Some(slo) = self.slo.as_mut() else {
             return;
         };
@@ -325,8 +310,6 @@ impl SimMetrics {
                         a.severity, a.class, a.short_burn
                     ),
                 ));
-                self.alert_onsets
-                    .push((a.class.clone(), a.severity, a.short_burn));
             }
         }
         self.active_alerts = now_active;
@@ -655,8 +638,7 @@ mod tests {
     }
 
     /// One metered deployment, then two windows with no control tick,
-    /// digested as run manifests and post-mortem bundles
-    /// read the store: the time axis, every series key (the wall-clock
+    /// digested as run manifests read the store: the time axis, every series key (the wall-clock
     /// ones included), and every deterministic column to the bit. Counters
     /// accumulate, gauges persist into rows that did not set them (the
     /// manager's `ctrl_demo_target` into the two rows with no tick), and
@@ -687,7 +669,7 @@ mod tests {
         }
         for (key, col) in store.iter() {
             h.write_str(&key.render());
-            // Wall-clock series measure the host (post-mortem's filter).
+            // Wall-clock series measure the host, not the run.
             if key.name.contains("wall_ms") || key.name.contains("solve_ms") {
                 continue;
             }

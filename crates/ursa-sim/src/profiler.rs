@@ -6,7 +6,8 @@
 //! touches simulation state or any RNG, so enabling it leaves simulated
 //! output bit-identical to a run without it (enforced by
 //! `tests/plane_bitident.rs`), and its counts are a pure function
-//! of the seed — which is why post-mortem bundles can carry them.
+//! of the seed. Its one reader is the ledger's probe unit
+//! (`benchmark/`), which reads the phases by [`SimPhase::label`].
 //!
 //! It reads no clock. Host-clock timing of sampled events was held to a
 //! bar fixed in advance (phases summing to 0.9–1.1× the measured cost of an
@@ -36,7 +37,7 @@ impl SimPhase {
         SimPhase::Chaos,
     ];
 
-    /// Stable snake_case identifier (used in post-mortem bundles).
+    /// Stable snake_case identifier (the ledger's row names).
     pub fn label(&self) -> &'static str {
         match self {
             SimPhase::SourceNext => "source_next",

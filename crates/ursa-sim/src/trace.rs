@@ -305,21 +305,6 @@ impl Tracer {
     pub fn take(&mut self) -> Vec<Trace> {
         self.ring.drain(..).collect()
     }
-
-    /// Finished traces currently in the ring, oldest first, without
-    /// draining them (post-mortem reads must not perturb later drains).
-    pub fn finished(&self) -> impl Iterator<Item = &Trace> {
-        self.ring.iter()
-    }
-
-    /// In-flight sampled requests — the live span trees a post-mortem
-    /// captures mid-request. Sorted by trace id so the order is
-    /// deterministic (the pending map itself is hash-ordered).
-    pub fn live(&self) -> Vec<&Trace> {
-        let mut live: Vec<&Trace> = self.pending.values().collect();
-        live.sort_by_key(|t| t.id);
-        live
-    }
 }
 
 #[cfg(test)]

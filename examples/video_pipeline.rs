@@ -24,13 +24,7 @@ struct Samples {
 }
 
 impl DeployObserver for Samples {
-    fn after_tick(
-        &mut self,
-        _: &Simulation,
-        _: &dyn ResourceManager,
-        _: Option<&SimMetrics>,
-        snapshot: &MetricsSnapshot,
-    ) {
+    fn after_tick(&mut self, _: &dyn ResourceManager, snapshot: &MetricsSnapshot) {
         if snapshot.at > self.after {
             for (kept, series) in self.per_class.iter_mut().zip(&snapshot.e2e_latency) {
                 kept.extend_from_slice(series.samples());

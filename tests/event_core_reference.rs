@@ -14,7 +14,7 @@
 //!   profile, where the queue re-checks its order after every insert.
 //!
 //! * [`ReqArena`] replaced per-class pooled `Vec<Vec<NodeRt>>` request
-//!   state. Slot IDs feed traces and the flight recorder, so the arena
+//!   state. Slot IDs feed traces, so the arena
 //!   must recycle slots in the *same LIFO order* the old free list did,
 //!   and generations must invalidate exactly the released slot — checked
 //!   against a naive boxed-per-request reference model over random
