@@ -4,7 +4,7 @@
 //! crates.io (see README "Offline & reproducible builds"). This shim
 //! implements exactly the surface the repository's property tests use:
 //!
-//! * [`Strategy`] with `prop_map` / `prop_flat_map`
+//! * [`Strategy`](strategy::Strategy) with `prop_map` / `prop_flat_map`
 //! * strategies for numeric ranges, tuples, [`collection::vec`],
 //!   [`arbitrary::any`], and [`strategy::Just`]
 //! * the [`proptest!`] macro (with optional `#![proptest_config(..)]`),
@@ -229,7 +229,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// A size specification for [`vec`]: a fixed length or a range.
+    /// A size specification for [`vec()`]: a fixed length or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -47,7 +47,7 @@ pub struct DecisionDigest {
     pub total: usize,
     /// FNV-1a digest of the full JSONL rendering.
     pub digest: u64,
-    /// Last [`DECISION_TAIL`] JSONL lines, for divergence localisation.
+    /// The last `DECISION_TAIL` JSONL lines, for divergence localisation.
     pub tail: Vec<String>,
 }
 

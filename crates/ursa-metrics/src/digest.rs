@@ -8,7 +8,7 @@
 //! comparable values.
 //!
 //! [`store_digests`] exports every series of a
-//! [`TimeSeriesStore`](crate::store::TimeSeriesStore) with its digest,
+//! [`TimeSeriesStore`] with its digest,
 //! **sorted by name + labels**. The store is already BTreeMap-backed, but
 //! the export sorts explicitly so manifest/report ordering never depends on
 //! the backing map — the diff contract is "stable series order across

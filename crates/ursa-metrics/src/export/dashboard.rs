@@ -8,7 +8,7 @@
 //! also carries a collapsible data table (the colorblind/print fallback),
 //! sampled down to at most 120 scrapes. The page itself — head,
 //! stylesheet, palette and table writer — is the shared
-//! [`page`](super::page) template.
+//! [`page`] template.
 //!
 //! Chart conventions (kept deliberately boring): 2 px solid lines, one
 //! shared y-axis per panel, hairline gridlines, categorical colors

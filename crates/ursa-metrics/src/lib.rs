@@ -28,7 +28,7 @@
 //!
 //! Everything here is *pull*-based: the simulator and control plane are
 //! never instrumented inline — callers scrape already-produced
-//! [`MetricsSnapshot`]s (see `ursa_sim::metrics`) — so collection cannot
+//! `MetricsSnapshot`s (see `ursa_sim::metrics`) — so collection cannot
 //! perturb simulation results (no RNG draws, no simulated-time effects),
 //! and a run with metrics disabled skips the pipeline entirely.
 //!

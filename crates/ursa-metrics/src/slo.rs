@@ -110,7 +110,7 @@ pub struct SloMonitor {
 }
 
 impl SloMonitor {
-    /// Creates a monitor for the given specs, alerting on [`DEFAULT_RULES`].
+    /// Creates a monitor for the given specs, alerting on `DEFAULT_RULES`.
     pub fn new(specs: Vec<SloSpec>) -> Self {
         let history = vec![Vec::new(); specs.len()];
         SloMonitor { specs, history }
@@ -149,7 +149,7 @@ impl SloMonitor {
             .map(|f| f / self.specs[idx].budget())
     }
 
-    /// Evaluates every rule of [`DEFAULT_RULES`] against every spec at the
+    /// Evaluates every rule of `DEFAULT_RULES` against every spec at the
     /// current history, returning the alerts that fire now.
     pub fn check(&self) -> Vec<SloAlert> {
         let mut alerts = Vec::new();
