@@ -405,6 +405,21 @@ pub fn render_html(report: &DiffReport) -> String {
     page::close(out)
 }
 
+/// Parses a run manifest: any JSON document whose `schema` names an
+/// `ursa-run-manifest/` version.
+///
+/// # Errors
+///
+/// Returns the parser's message for malformed JSON (with its byte offset),
+/// or says which schema was found instead.
+pub fn parse_manifest(text: &str) -> Result<JsonValue, String> {
+    let v = parse_json(text)?;
+    match v.get("schema").and_then(JsonValue::as_str) {
+        Some(s) if s.starts_with("ursa-run-manifest/") => Ok(v),
+        other => Err(format!("not a run manifest (schema {other:?})")),
+    }
+}
+
 /// Runs the diff end-to-end: load, align at `tolerance`,
 /// write `diff.tsv` / `diff.html` under `out_dir`, print the summary.
 /// Returns the process exit code: 0 = no significant entries,
@@ -413,11 +428,7 @@ pub fn render_html(report: &DiffReport) -> String {
 pub fn run(a_path: &Path, b_path: &Path, out_dir: &Path, tolerance: f64) -> i32 {
     let load = |p: &Path| -> Result<JsonValue, String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read: {e}"))?;
-        let v = parse_json(&text)?;
-        match v.get("schema").and_then(JsonValue::as_str) {
-            Some(s) if s.starts_with("ursa-run-manifest/") => Ok(v),
-            other => Err(format!("not a run manifest (schema {other:?})")),
-        }
+        parse_manifest(&text)
     };
     let a = match load(a_path) {
         Ok(v) => v,

@@ -246,9 +246,18 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             _ => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
+                // Consume one UTF-8 scalar (multi-byte sequences pass
+                // through). Decode at most its four bytes, so parsing stays
+                // linear in the document's length.
+                let window = &b[*pos..b.len().min(*pos + 4)];
+                let valid = match std::str::from_utf8(window) {
+                    Ok(s) => s,
+                    Err(e) => std::str::from_utf8(&window[..e.valid_up_to()]).unwrap_or(""),
+                };
+                let ch = valid
+                    .chars()
+                    .next()
+                    .ok_or_else(|| format!("invalid UTF-8 at byte {pos}"))?;
                 out.push(ch);
                 *pos += ch.len_utf8();
             }
@@ -265,7 +274,7 @@ mod tests {
     fn escaping_and_numbers_roundtrip_through_the_parser() {
         assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(esc("\u{1}"), "\\u0001");
-        let text = "x\ty\"z\r\u{1}é";
+        let text = "x\ty\"z\r\u{1}é—🦀é";
         let doc = format!("\"{}\"", esc(text));
         assert_eq!(parse_json(&doc).unwrap().as_str(), Some(text));
         assert_eq!(num(f64::NAN), "null");
