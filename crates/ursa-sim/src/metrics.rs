@@ -638,8 +638,9 @@ mod tests {
     }
 
     /// One metered deployment, then two windows with no control tick,
-    /// digested as run manifests read the store: the time axis, every series key (the wall-clock
-    /// ones included), and every deterministic column to the bit. Counters
+    /// digested as run manifests read the store: the time axis, every
+    /// series key (the wall-clock ones included), and every deterministic
+    /// column to the bit. Counters
     /// accumulate, gauges persist into rows that did not set them (the
     /// manager's `ctrl_demo_target` into the two rows with no tick), and
     /// the tick-wall fan-out keeps its four series, or the digest moves.

@@ -143,7 +143,6 @@ pub struct Tracer {
     pending: HashMap<u32, Trace>,
     next_id: u64,
     rng: Rng,
-    sampled: u64,
     evicted: u64,
 }
 
@@ -167,7 +166,6 @@ impl Tracer {
             pending: HashMap::new(),
             next_id: 0,
             rng: Rng::seed_from(seed),
-            sampled: 0,
             evicted: 0,
         }
     }
@@ -175,11 +173,6 @@ impl Tracer {
     /// The configured head-based sampling probability.
     pub fn sample_rate(&self) -> f64 {
         self.sample_rate
-    }
-
-    /// Requests sampled so far (including in-flight and evicted ones).
-    pub fn sampled(&self) -> u64 {
-        self.sampled
     }
 
     /// Finished traces evicted from the ring because it was full.
@@ -209,7 +202,6 @@ impl Tracer {
     pub(crate) fn start(&mut self, slot: u32, class: ClassId, arrival: SimTime, nodes: usize) {
         let id = self.next_id;
         self.next_id += 1;
-        self.sampled += 1;
         let spans = (0..nodes)
             .map(|i| TraceSpan::placeholder(i as u16))
             .collect();
@@ -373,7 +365,7 @@ mod tests {
         tr.on_respond(9, 0, t(1.0), SimDur::ZERO);
         tr.finish(9, t(1.0));
         assert!(tr.is_empty());
-        assert_eq!(tr.sampled(), 0);
+        assert_eq!(tr.next_id, 0, "no request was sampled");
     }
 
     #[test]
