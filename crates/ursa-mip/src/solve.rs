@@ -34,8 +34,8 @@
 //! per full assignment and keeps the percentile choices; a recalculation
 //! then looks both up. The tables are complete, not a cache: built before
 //! the first call, sized by the model, and the same for every call. A
-//! class with more than 1 024 entries keeps asking the DP at query time,
-//! resuming walks from saved prefixes.
+//! class with more than 1 024 entries keeps asking the DP at query time;
+//! no model Ursa builds has one.
 //!
 //! Preparation also asks, once per LPR option, whether the option can ever
 //! be part of a feasible assignment: whether every class of its service is
@@ -51,7 +51,7 @@
 
 use crate::dp::{
     budget_units, min_latency_allocation, min_latency_choices, min_latency_sum, residual_units,
-    DpScratch, Prefix,
+    DpScratch,
 };
 use crate::model::{LatencyMatrix, MipModel, ModelError};
 use std::cmp::Reverse;
@@ -101,12 +101,6 @@ impl Solution {
 
 /// Node cap for branch-and-bound before giving up on proving optimality.
 const MAX_NODES: u64 = 2_000_000;
-
-/// The fewest DP rows a saved prefix stands for. A walk starts from one
-/// reachable cell, so its first row costs one pass over the columns, and
-/// saving and restoring the state after the second costs about what walking
-/// that row does: shorter prefixes are walked again.
-const MIN_PREFIX: usize = 3;
 
 /// The most entries a class's verdict table may have: a class whose option
 /// space is larger keeps answering with the DP at query time. Ursa's
@@ -163,24 +157,9 @@ struct Tables {
     res_cols: Vec<usize>,
     /// One table per constraint, in model order.
     classes: Vec<ClassTable>,
-    /// For each service, the constraints it participates in.
-    classes_of: Vec<Vec<Membership>>,
-    /// Service `s`'s memberships that save a prefix own the solver's
-    /// prefix slots `slots[s]..slots[s + 1]`.
-    slots: Vec<usize>,
-}
-
-/// A service's place in one of its constraints.
-#[derive(Debug, Clone, Copy)]
-struct Membership {
-    /// The constraint, an index into [`Tables::classes`].
-    class: usize,
-    /// How many of the constraint's services come before this one in model
-    /// order: the DP rows every option of this service is walked after.
-    at: usize,
-    /// Where the DP state after those rows is saved, an index into the
-    /// solver's prefixes — if there are at least [`MIN_PREFIX`] of them.
-    slot: Option<usize>,
+    /// For each service, the constraints it participates in: indices
+    /// into [`Tables::classes`].
+    classes_of: Vec<Vec<usize>>,
 }
 
 impl Tables {
@@ -205,12 +184,8 @@ impl Tables {
                     .filter_map(|(s, svc)| svc.latency[c.class].clone().map(|m| (s, m)))
                     .collect();
                 let mut optimistic = Vec::with_capacity(services.len() * res_cols.len());
-                for (at, (s, m)) in services.iter().enumerate() {
-                    classes_of[*s].push(Membership {
-                        class: k,
-                        at,
-                        slot: None,
-                    });
+                for (s, m) in &services {
+                    classes_of[*s].push(k);
                     optimistic.extend((0..res_cols.len()).map(|beta| {
                         (0..m.rows())
                             .map(|a| m.at(a, beta))
@@ -238,14 +213,12 @@ impl Tables {
             res_cols,
             classes,
             classes_of,
-            slots: Vec::new(),
         })
     }
 
     /// Settles every class whose option space has at most `max_table`
     /// entries: its verdict at every assignment and its percentile choices
-    /// at every full one, each computed by the query-time DP. Then gives a
-    /// prefix slot to each membership of a class left to that DP.
+    /// at every full one, each computed by the query-time DP.
     fn settle(&mut self, max_table: usize, scratch: &mut DpScratch) {
         let mut choice = vec![None; self.num_services()];
         for k in 0..self.classes.len() {
@@ -262,7 +235,7 @@ impl Tables {
                     for ((s, m), &w) in t.services.iter().zip(&weights) {
                         choice[*s] = digit(at, w, m.rows() + 1).checked_sub(1);
                     }
-                    self.class_ok(k, |s| choice[s], scratch, Prefix::Whole)
+                    self.class_ok(k, |s| choice[s], scratch)
                 })
                 .collect();
             let mut choices = Vec::with_capacity(full * t.services.len());
@@ -279,17 +252,6 @@ impl Tables {
                 full_weights,
                 choices,
             });
-        }
-        self.slots = vec![0];
-        for memberships in &mut self.classes_of {
-            let mut next = self.slots[self.slots.len() - 1];
-            for m in memberships.iter_mut() {
-                if m.at >= MIN_PREFIX && self.classes[m.class].settled.is_none() {
-                    m.slot = Some(next);
-                    next += 1;
-                }
-            }
-            self.slots.push(next);
         }
     }
 
@@ -324,14 +286,12 @@ impl Tables {
 
     /// Can constraint `k` be met with each of its services `s` at LPR option
     /// `choice(s)` — or, where that is `None` (undecided), at its optimistic
-    /// row? A settled class is looked up; otherwise the DP answers, and a
-    /// `prefix` to resume stands for the rows before its position.
+    /// row? A settled class is looked up; otherwise the DP answers.
     fn class_ok(
         &self,
         k: usize,
         choice: impl Fn(usize) -> Option<usize>,
         scratch: &mut DpScratch,
-        prefix: Prefix<'_>,
     ) -> bool {
         let t = &self.classes[k];
         if let Some(settled) = &t.settled {
@@ -344,47 +304,27 @@ impl Tables {
             .services
             .iter()
             .zip(t.optimistic.chunks_exact(self.res_cols.len()))
-            .skip(prefix.skipped())
             .map(|((s, m), optimistic)| match choice(*s) {
                 Some(a) => m.row(a),
                 None => optimistic,
             });
-        match min_latency_sum(rows, &self.res_cols, t.budget, scratch, prefix) {
+        match min_latency_sum(rows, &self.res_cols, t.budget, scratch) {
             Some(latency) => latency <= t.target + 1e-12,
             None => false,
         }
     }
 
     /// Do the constraints of service `s` still hold under `choice`, where
-    /// `s` is the only service moved since [`forget`](Self::forget) was last
-    /// called for it? Each constraint's rows before `s` have not moved
-    /// either, so its walk resumes from the state a previous call saved
-    /// there, or — with `save`, when another option of `s` may be asked
-    /// about next — saves that state on its way.
+    /// `s` is the only service moved since they last held?
     fn moved_ok(
         &self,
         s: usize,
         choice: impl Fn(usize) -> Option<usize>,
         scratch: &mut DpScratch,
-        prefixes: &mut [Vec<f64>],
-        save: bool,
     ) -> bool {
-        self.classes_of[s].iter().all(|m| {
-            let prefix = match m.slot.map(|slot| &mut prefixes[slot]) {
-                Some(saved) if !saved.is_empty() => Prefix::Resume { at: m.at, saved },
-                Some(saved) if save => Prefix::Save { at: m.at, saved },
-                _ => Prefix::Whole,
-            };
-            self.class_ok(m.class, &choice, scratch, prefix)
-        })
-    }
-
-    /// Drops the states saved for service `s`: the services before it are
-    /// about to move.
-    fn forget(&self, s: usize, prefixes: &mut [Vec<f64>]) {
-        for saved in &mut prefixes[self.slots[s]..self.slots[s + 1]] {
-            saved.clear();
-        }
+        self.classes_of[s]
+            .iter()
+            .all(|&k| self.class_ok(k, &choice, scratch))
     }
 
     /// The first constraint, in model order, that `choice` violates.
@@ -394,7 +334,7 @@ impl Tables {
         scratch: &mut DpScratch,
     ) -> Option<usize> {
         (0..self.classes.len())
-            .find(|&k| !self.class_ok(k, &choice, scratch, Prefix::Whole))
+            .find(|&k| !self.class_ok(k, &choice, scratch))
             .map(|k| self.classes[k].class)
     }
 
@@ -407,12 +347,10 @@ impl Tables {
     /// checked, at any resource table.
     fn viability(&self, scratch: &mut DpScratch) -> Vec<bool> {
         let mut viable = Vec::with_capacity(self.offsets[self.num_services()]);
-        for (s, memberships) in self.classes_of.iter().enumerate() {
+        for (s, classes) in self.classes_of.iter().enumerate() {
             for o in 0..self.offsets[s + 1] - self.offsets[s] {
-                let met = |m: &Membership| {
-                    self.class_ok(m.class, |u| (u == s).then_some(o), scratch, Prefix::Whole)
-                };
-                viable.push(memberships.iter().all(met));
+                let met = |&k: &usize| self.class_ok(k, |u| (u == s).then_some(o), scratch);
+                viable.push(classes.iter().all(met));
             }
         }
         viable
@@ -557,9 +495,6 @@ pub struct Solver {
     viable: Vec<bool>,
     priced: Priced,
     scratch: DpScratch,
-    /// The DP state each membership's service is walked after, saved by
-    /// the first of its options checked at a node (empty: none saved).
-    prefixes: Vec<Vec<f64>>,
     /// The descent's assignment, then the incumbent.
     alpha: Vec<usize>,
     /// One descent step's moves, largest saving on top: the buffer of
@@ -609,19 +544,12 @@ impl Solver {
             Some(class) => Err(class),
         };
         let n = tables.num_services();
-        // Every slot is grown to its constraint's whole budget up front, so
-        // saving never allocates.
-        let prefixes = (tables.classes_of.iter().flatten())
-            .filter(|m| m.slot.is_some())
-            .map(|m| Vec::with_capacity(tables.classes[m.class].budget + 1))
-            .collect();
         let solver = Solver {
             tables,
             start,
             viable,
             priced: Priced::default(),
             scratch,
-            prefixes,
             alpha: Vec::with_capacity(n),
             moves: Vec::new(),
             partial: vec![None; n],
@@ -682,7 +610,6 @@ impl Solver {
             priced: &self.priced,
             resource,
             scratch: &mut self.scratch,
-            prefixes: &mut self.prefixes,
             partial: &mut self.partial,
             best_cost: incumbent.unwrap_or(f64::INFINITY),
             best_alpha: &mut self.alpha,
@@ -731,7 +658,6 @@ impl Solver {
             start,
             viable,
             scratch,
-            prefixes,
             alpha,
             moves,
             ..
@@ -749,7 +675,6 @@ impl Solver {
         loop {
             moves.clear();
             for (s, &current) in alpha.iter().enumerate() {
-                tables.forget(s, prefixes);
                 let options = tables.options(resource, s);
                 let viable = tables.options(viable, s);
                 for (o, &cost) in options.iter().enumerate() {
@@ -765,9 +690,7 @@ impl Solver {
             while let Some((_, Reverse(s), Reverse(o))) = heap.pop() {
                 let current = alpha[s];
                 alpha[s] = o;
-                // The first check of `s` this step saves its prefix for the
-                // next.
-                moved = tables.moved_ok(s, |u| Some(alpha[u]), scratch, prefixes, true);
+                moved = tables.moved_ok(s, |u| Some(alpha[u]), scratch);
                 if moved {
                     break;
                 }
@@ -818,7 +741,6 @@ struct Search<'s> {
     priced: &'s Priced,
     resource: &'s [f64],
     scratch: &'s mut DpScratch,
-    prefixes: &'s mut [Vec<f64>],
     /// The partial assignment; `None` is undecided.
     partial: &'s mut [Option<usize>],
     best_cost: f64,
@@ -863,8 +785,7 @@ impl Search<'_> {
         let bound = |o: usize| partial_cost + resource[o] + priced.rest[depth + 1];
         let viable = tables.options(self.viable, s);
         let options = tables.options(&priced.cheapest_first, s);
-        tables.forget(s, self.prefixes);
-        for (i, &o) in options.iter().enumerate() {
+        for &o in options {
             if self.exhausted {
                 return;
             }
@@ -872,14 +793,9 @@ impl Search<'_> {
             if !viable[o] || bound(o) >= self.best_cost - 1e-12 {
                 continue;
             }
-            // The classes' rows before `s` are the same for every sibling:
-            // saved by the first that walks them, if the bound lets another
-            // viable one follow.
-            let save = (options[i + 1..].iter().find(|&&next| viable[next]))
-                .is_some_and(|&next| bound(next) < self.best_cost - 1e-12);
             self.partial[s] = Some(o);
             let (partial, scratch) = (&*self.partial, &mut *self.scratch);
-            if tables.moved_ok(s, |u| partial[u], scratch, self.prefixes, save) {
+            if tables.moved_ok(s, |u| partial[u], scratch) {
                 self.expand(depth + 1, cost);
             }
             self.partial[s] = None;
