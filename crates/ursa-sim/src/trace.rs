@@ -170,11 +170,6 @@ impl Tracer {
         }
     }
 
-    /// The configured head-based sampling probability.
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
-    }
-
     /// Finished traces evicted from the ring because it was full.
     pub fn evicted(&self) -> u64 {
         self.evicted
