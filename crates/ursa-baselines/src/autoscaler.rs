@@ -40,7 +40,6 @@ pub struct Autoscaler {
     below: Vec<usize>,
     scale_outs: u64,
     scale_ins: u64,
-    faults_seen: u64,
 }
 
 impl Autoscaler {
@@ -56,7 +55,6 @@ impl Autoscaler {
             below: vec![0; num_services],
             scale_outs: 0,
             scale_ins: 0,
-            faults_seen: 0,
         }
     }
 
@@ -73,7 +71,6 @@ impl Autoscaler {
             below: vec![0; num_services],
             scale_outs: 0,
             scale_ins: 0,
-            faults_seen: 0,
         }
     }
 }
@@ -84,7 +81,6 @@ impl ResourceManager for Autoscaler {
     }
 
     fn on_tick(&mut self, snapshot: &MetricsSnapshot, control: &mut dyn ControlPlane) {
-        self.faults_seen += snapshot.faults.len() as u64;
         for s in 0..control.num_services() {
             let util = snapshot.services[s].cpu_utilization;
             let current = control.replicas(ServiceId(s));
@@ -121,7 +117,6 @@ impl ResourceManager for Autoscaler {
         vec![
             ("ctrl_scale_outs_total", self.scale_outs as f64),
             ("ctrl_scale_ins_total", self.scale_ins as f64),
-            ("ctrl_fault_events_seen_total", self.faults_seen as f64),
         ]
     }
 }

@@ -46,7 +46,6 @@ pub struct Firm {
     samples_consumed: usize,
     training_time: SimDur,
     scale_actions: u64,
-    faults_seen: u64,
 }
 
 impl Firm {
@@ -84,7 +83,6 @@ impl Firm {
             samples_consumed: 0,
             training_time: SimDur::ZERO,
             scale_actions: 0,
-            faults_seen: 0,
         }
     }
 
@@ -151,7 +149,6 @@ impl ResourceManager for Firm {
     /// (not `training`), a tick allocates nothing once every agent has
     /// acted.
     fn on_tick(&mut self, snapshot: &MetricsSnapshot, control: &mut dyn ControlPlane) {
-        self.faults_seen += snapshot.faults.len() as u64;
         let n = self.agents.len();
         for s in 0..n {
             let state = self.state_of(s, snapshot, control);
@@ -197,7 +194,6 @@ impl ResourceManager for Firm {
             ("ctrl_training_samples_total", self.samples_consumed as f64),
             ("ctrl_scale_actions_total", self.scale_actions as f64),
             ("ctrl_training_active", self.training as u8 as f64),
-            ("ctrl_fault_events_seen_total", self.faults_seen as f64),
         ]
     }
 }

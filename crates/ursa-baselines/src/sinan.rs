@@ -180,7 +180,6 @@ pub struct Sinan {
     /// `ctrl_candidates_evaluated_total`.
     candidates_evaluated: u64,
     fallback_scaleouts: u64,
-    faults_seen: u64,
     tick: TickBuffers,
 }
 
@@ -273,7 +272,6 @@ impl Sinan {
             training_wall: t0.elapsed(),
             candidates_evaluated: 0,
             fallback_scaleouts: 0,
-            faults_seen: 0,
             tick: TickBuffers::default(),
         }
     }
@@ -426,7 +424,6 @@ impl ResourceManager for Sinan {
     /// The centralized decision loop: draw candidate allocations, price
     /// them with the models cheapest first, keep the first predicted safe.
     fn on_tick(&mut self, snapshot: &MetricsSnapshot, control: &mut dyn ControlPlane) {
-        self.faults_seen += snapshot.faults.len() as u64;
         let n = control.num_services();
         let mut buf = std::mem::take(&mut self.tick);
         buf.current.clear();
@@ -490,7 +487,6 @@ impl ResourceManager for Sinan {
                 "ctrl_model_train_ms",
                 self.training_wall.as_secs_f64() * 1e3,
             ),
-            ("ctrl_fault_events_seen_total", self.faults_seen as f64),
         ]
     }
 }
@@ -619,7 +615,6 @@ mod tests {
             training_wall: std::time::Duration::ZERO,
             candidates_evaluated: 0,
             fallback_scaleouts: 0,
-            faults_seen: 0,
             tick: TickBuffers::default(),
         }
     }

@@ -189,8 +189,8 @@ fn align(section: &str, a: &[(String, f64)], b: &[(String, f64)], tolerance: f64
         .collect()
 }
 
-/// Compares digest-valued maps (`chaos_plan_digests`, table digests) as
-/// identity rows with a changed/unchanged verdict.
+/// Compares the topology digest and the table digests as identity rows
+/// with a changed/unchanged verdict.
 fn digest_rows(a: &JsonValue, b: &JsonValue) -> Vec<(String, String, String)> {
     let mut out = Vec::new();
     let topo = |v: &JsonValue| {
@@ -200,28 +200,6 @@ fn digest_rows(a: &JsonValue, b: &JsonValue) -> Vec<(String, String, String)> {
             .to_string()
     };
     out.push(("topology_digest".into(), topo(a), topo(b)));
-    let mut names: Vec<String> = Vec::new();
-    for v in [a, b] {
-        for (name, _) in v
-            .get("chaos_plan_digests")
-            .and_then(JsonValue::as_obj)
-            .unwrap_or(&[])
-        {
-            names.push(name.clone());
-        }
-    }
-    names.sort();
-    names.dedup();
-    let get = |v: &JsonValue, name: &str| -> String {
-        v.get("chaos_plan_digests")
-            .and_then(|o| o.get(name))
-            .and_then(JsonValue::as_str)
-            .unwrap_or("-")
-            .to_string()
-    };
-    for name in names {
-        out.push((format!("chaos/{name}"), get(a, &name), get(b, &name)));
-    }
     let mut table_names: Vec<String> = Vec::new();
     for v in [a, b] {
         for (name, _) in v.get("tables").and_then(JsonValue::as_obj).unwrap_or(&[]) {

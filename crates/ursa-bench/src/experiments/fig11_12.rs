@@ -185,7 +185,6 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<Cell> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeploySpec;
     use ursa_apps::social_network;
     use ursa_baselines::Autoscaler;
     use ursa_sim::control::ResourceManager;
@@ -197,10 +196,9 @@ mod tests {
     #[test]
     fn headline_comparison_vanilla_social() {
         let app = social_network(true);
-        let mut managers = PreparedManagers::prepare(&app, Scale::Quick, 0xCAFE);
-        let load = LoadSpec::Constant;
-        let mut deploy = |system, seed| {
-            managers.deploy(DeploySpec::new(&app, system, &load, Scale::Quick, seed))
+        let managers = PreparedManagers::prepare(&app, Scale::Quick, 0xCAFE);
+        let deploy = |system, seed| {
+            managers.deploy_cell(&app, system, &LoadSpec::Constant, Scale::Quick, seed, None)
         };
         let ursa = deploy(System::Ursa, 1);
         let sinan = deploy(System::Sinan, 2);
@@ -266,10 +264,22 @@ mod tests {
                 System::AutoB => Autoscaler::auto_b(n).self_profile(),
             };
             assert!(!profile.is_empty(), "{stem}");
-            // The panel strips the names' shared `ctrl_` prefix; each
-            // series is a titled line with its own table column.
-            for (name, _) in profile {
-                let short = name.strip_prefix("ctrl_").expect("ctrl_ series");
+            // The panel strips the names' longest shared prefix that ends
+            // at a `_` (`ctrl_`, or `ctrl_scale_` for the autoscaler's two
+            // counters); each series is a titled line with its own table
+            // column.
+            let names: Vec<&str> = profile.iter().map(|&(name, _)| name).collect();
+            let mut prefix = if names.len() > 1 { names[0] } else { "" };
+            while !names.iter().all(|name| name.starts_with(prefix)) {
+                let cut = prefix[..prefix.len() - 1].rfind('_').map_or(0, |i| i + 1);
+                prefix = &prefix[..cut];
+            }
+            for name in names {
+                assert!(
+                    name.starts_with("ctrl_"),
+                    "{stem}: {name} is not a ctrl_ series"
+                );
+                let short = name.strip_prefix(prefix).expect("a shared prefix");
                 assert!(
                     internals.contains(&format!("<g class=\"series\"><title>{short}</title>"))
                         && internals.contains(&format!("<th>{short}</th>")),

@@ -1,7 +1,6 @@
 //! One module per paper artifact. See `DESIGN.md` §4 for the index.
 
 pub mod ablation;
-pub mod chaos;
 pub mod fig11_12;
 pub mod fig13;
 pub mod fig14;

@@ -36,7 +36,6 @@ use ursa_core::decision_log::DecisionLog;
 use ursa_core::exploration::ExplorationConfig;
 use ursa_core::manager::{Ursa, UrsaConfig};
 use ursa_core::profiling::ProfilingConfig;
-use ursa_sim::chaos::FaultPlan;
 use ursa_sim::control::{run_deployment_observed, DeployConfig, DeploymentReport, ResourceManager};
 use ursa_sim::engine::Simulation;
 use ursa_sim::metrics::SimMetrics;
@@ -48,7 +47,7 @@ use ursa_sim::workload::RateFn;
 static GLOBAL_SEED: AtomicU64 = AtomicU64::new(0);
 
 /// Sets the global experiment seed (the `--seed` flag). It is XOR-mixed
-/// into every workload and chaos RNG seed via [`mix_seed`], so the default
+/// into every workload RNG seed via [`mix_seed`], so the default
 /// of 0 reproduces the committed artifacts exactly and any other value
 /// yields an independent, equally deterministic replicate of the suite.
 pub fn set_seed(seed: u64) {
@@ -348,46 +347,45 @@ impl PreparedManagers {
         }
     }
 
-    /// Runs the deployment `spec` describes on these managers, which keep
-    /// whatever the run taught them (Ursa's decision log, Firm's agents).
-    ///
-    /// The fault plan is installed on the fresh simulation before the
-    /// deployment starts, seeded from the cell seed (mixed with the global
-    /// `--seed`), so resilience runs are exactly as deterministic as
-    /// fault-free ones. A metrics collector is non-perturbing (it draws
-    /// no simulation randomness): `None` leaves the [`DeploymentReport`]
-    /// bit-identical (`tests/plane_bitident.rs`).
-    pub fn deploy(&mut self, spec: DeploySpec<'_>) -> DeploymentReport {
-        let DeploySpec {
-            app,
-            system,
-            load,
-            scale,
-            seed,
-            faults,
-            metrics,
-        } = spec;
+    /// Deploys on a pristine clone of the trained managers, leaving `self`
+    /// untouched. Every cell sees identical manager state regardless of
+    /// which thread runs it or in what order — the deployment then depends
+    /// only on `(app, system, load, scale, seed)`, which is what makes
+    /// `--jobs N` byte-identical to `--jobs 1`. `seed` is the cell seed,
+    /// mixed with the global `--seed`. A metrics collector (build it with
+    /// [`SimMetrics::for_topology`] on `app.topology`) is scraped once per
+    /// control window and is non-perturbing (it draws no simulation
+    /// randomness): `None` leaves the [`DeploymentReport`] bit-identical
+    /// (`tests/plane_bitident.rs`). `benchmark/` binds this signature.
+    pub fn deploy_cell(
+        &self,
+        app: &App,
+        system: System,
+        load: &LoadSpec,
+        scale: Scale,
+        seed: u64,
+        metrics: Option<&mut SimMetrics>,
+    ) -> DeploymentReport {
         let seed = mix_seed(seed);
         let duration = scale.deploy_duration();
         let mut sim = app.build_sim(seed);
-        if let Some(plan) = faults {
-            sim.install_faults(plan, seed);
-        }
         load.apply(app, &mut sim, duration);
         let cfg = DeployConfig {
             duration,
             control_interval: SimDur::from_mins(1),
             warmup: SimDur::from_mins(2),
         };
+        let mut managers = self.clone();
         let mut auto;
         let manager: &mut dyn ResourceManager = match system {
             System::Ursa => {
-                self.ursa
+                managers
+                    .ursa
                     .apply_initial_allocation(&default_rates(app), &mut sim);
-                &mut self.ursa
+                &mut managers.ursa
             }
-            System::Sinan => &mut self.sinan,
-            System::Firm => &mut self.firm,
+            System::Sinan => &mut managers.sinan,
+            System::Firm => &mut managers.firm,
             System::AutoA => {
                 auto = Autoscaler::auto_a(self.num_services);
                 &mut auto
@@ -398,62 +396,6 @@ impl PreparedManagers {
             }
         };
         run_deployment_observed(&mut sim, &app.slas, manager, &cfg, metrics, None)
-    }
-
-    /// Deploys on a pristine clone of the trained managers, leaving `self`
-    /// untouched. Every cell sees identical manager state regardless of
-    /// which thread runs it or in what order — the deployment then depends
-    /// only on `(app, system, load, scale, seed)`, which is what makes
-    /// `--jobs N` byte-identical to `--jobs 1`. `benchmark/` binds this
-    /// signature.
-    pub fn deploy_cell(
-        &self,
-        app: &App,
-        system: System,
-        load: &LoadSpec,
-        scale: Scale,
-        seed: u64,
-        metrics: Option<&mut SimMetrics>,
-    ) -> DeploymentReport {
-        self.clone().deploy(DeploySpec {
-            metrics,
-            ..DeploySpec::new(app, system, load, scale, seed)
-        })
-    }
-}
-
-/// Everything one deployment depends on: what runs (`app`, `system`,
-/// `load`, `scale`, `seed`) and the optional planes around it.
-pub struct DeploySpec<'a> {
-    /// The application under test.
-    pub app: &'a App,
-    /// The resource manager driving it.
-    pub system: System,
-    /// The load scenario.
-    pub load: &'a LoadSpec,
-    /// Experiment scale (sets the deployment length).
-    pub scale: Scale,
-    /// Cell seed, mixed with the global `--seed`.
-    pub seed: u64,
-    /// Fault plan installed before the run (`--exp chaos`).
-    pub faults: Option<&'a FaultPlan>,
-    /// Metrics collector scraped once per control window (build it with
-    /// [`SimMetrics::for_topology`] on `app.topology`).
-    pub metrics: Option<&'a mut SimMetrics>,
-}
-
-impl<'a> DeploySpec<'a> {
-    /// A plain deployment: no fault plan or collector.
-    pub fn new(app: &'a App, system: System, load: &'a LoadSpec, scale: Scale, seed: u64) -> Self {
-        DeploySpec {
-            app,
-            system,
-            load,
-            scale,
-            seed,
-            faults: None,
-            metrics: None,
-        }
     }
 }
 
@@ -555,9 +497,8 @@ impl TsvTable {
 
 /// Writes the pair that explains one managed Ursa deployment into `dir`
 /// (`--artifacts-dir`): the dashboard `{stem}.html`, which plots every
-/// scraped series with its fault, alert and scale annotations, and the
-/// decision log `{stem}_decisions.jsonl`. fig9/10 and the chaos grid write
-/// it. A failed write is reported under `tag`, never fatal: an artifact
+/// scraped series with its alert and scale annotations, and the
+/// decision log `{stem}_decisions.jsonl`. fig9/10 writes it. A failed write is reported under `tag`, never fatal: an artifact
 /// must not break the run it describes.
 pub fn write_dashboard_and_decisions(
     dir: &Path,
@@ -726,7 +667,7 @@ mod tests {
         // collectors scraped; tracing alongside them must not move it.
         assert_eq!(
             format!("{:016x}", ursa_sim::topology::Fnv::digest(a.as_bytes())),
-            "a14fa3b5d6f14521",
+            "0097159fb5fc045d",
             "{a}"
         );
         let doc = ursa_metrics::json::parse_json(&a).unwrap();
@@ -833,17 +774,6 @@ mod tests {
             let (a, b) = (deploy(&concurrent), deploy(&sequential));
             assert!(!a.records.is_empty());
             assert_eq!(report_bits(&a), report_bits(&b), "{}", system.label());
-            // `deploy_cell` is `deploy` on a clone and nothing else.
-            if system == System::Ursa {
-                let c = concurrent.clone().deploy(DeploySpec::new(
-                    &app,
-                    system,
-                    &LoadSpec::Diurnal,
-                    scale,
-                    0xCE11,
-                ));
-                assert_eq!(report_bits(&a), report_bits(&c), "deploy vs deploy_cell");
-            }
         }
     }
 

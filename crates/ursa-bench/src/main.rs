@@ -3,18 +3,15 @@
 //! ```text
 //! cargo run --release -p ursa-bench -- --exp all [--full] [--jobs N] [--seed N]
 //! cargo run --release -p ursa-bench -- --exp fig2|fig4|table5|fig9|fig11|fig13|table6|fig14
-//! cargo run --release -p ursa-bench -- --exp chaos [--seed N]
 //! cargo run --release -p ursa-bench -- --exp fig2 --artifacts-dir results/artifacts
-//! cargo run --release -p ursa-bench -- --exp chaos --artifacts-dir results/artifacts
 //! cargo run --release -p ursa-bench -- diff RUN_A.json RUN_B.json [--out results/diff]
 //! ```
 //!
 //! Every experiment writes a `run.json` manifest under its results
 //! directory; `diff` aligns two such manifests into `diff.tsv` + a
 //! script-free `diff.html`. `--artifacts-dir DIR` is the one place a run
-//! writes what a person reads: dashboards (fig2, fig9, fig11, chaos),
-//! Chrome traces and blame summaries (fig2) and decision logs (fig9,
-//! chaos).
+//! writes what a person reads: dashboards (fig2, fig9, fig11), Chrome
+//! traces and blame summaries (fig2) and decision logs (fig9).
 
 #![forbid(unsafe_code)]
 
@@ -104,9 +101,6 @@ fn main() {
         }
         "ablation" => {
             experiments::ablation::run(scale, ctx);
-        }
-        "chaos" => {
-            experiments::chaos::run(scale, ctx);
         }
         other => {
             warn!("unknown experiment: {other}");
@@ -219,7 +213,7 @@ fn diff_main(args: &[String]) -> i32 {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation|chaos] \
+        "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation] \
          [--quick|--full] [--jobs N] [--seed N] [--quiet|--verbose] \
          [--artifacts-dir DIR]\n\
          \x20      ursa-bench diff RUN_A.json RUN_B.json [--out DIR] [--tolerance T]"

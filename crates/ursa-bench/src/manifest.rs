@@ -1,7 +1,7 @@
 //! Self-describing run manifests (`run.json`).
 //!
 //! Every experiment run writes a manifest describing *what ran* (kind,
-//! seed, jobs, scale, topology digest, fault-plan digests) and
+//! seed, jobs, scale, topology digest) and
 //! *what came out* (per-series metric digests, TSV-table digests,
 //! decision-log tails). Two manifests from different commits or machines
 //! can then be aligned by `ursa-bench diff` without re-running anything.
@@ -59,7 +59,6 @@ pub struct RunManifest {
     jobs: usize,
     scale: String,
     topology_digest: Option<u64>,
-    chaos_digests: BTreeMap<String, u64>,
     series: BTreeMap<String, SeriesSummary>,
     tables: BTreeMap<String, TableDigest>,
     decisions: BTreeMap<String, DecisionDigest>,
@@ -74,7 +73,6 @@ impl RunManifest {
             jobs,
             scale: scale.to_string(),
             topology_digest: None,
-            chaos_digests: BTreeMap::new(),
             series: BTreeMap::new(),
             tables: BTreeMap::new(),
             decisions: BTreeMap::new(),
@@ -84,11 +82,6 @@ impl RunManifest {
     /// Records the structural digest of the topology under test.
     pub fn set_topology_digest(&mut self, digest: u64) {
         self.topology_digest = Some(digest);
-    }
-
-    /// Records the digest of one compiled fault plan.
-    pub fn note_chaos_digest(&mut self, name: &str, digest: u64) {
-        self.chaos_digests.insert(name.to_string(), digest);
     }
 
     /// Digests every series of a store under `prefix` (sorted by
@@ -152,12 +145,6 @@ impl RunManifest {
                 let _ = writeln!(out, "  \"topology_digest\": null,");
             }
         }
-        let _ = writeln!(out, "  \"chaos_plan_digests\": {{");
-        for (i, (name, d)) in self.chaos_digests.iter().enumerate() {
-            let comma = trail(i, self.chaos_digests.len());
-            let _ = writeln!(out, "    \"{}\": \"{d:016x}\"{comma}", esc(name));
-        }
-        let _ = writeln!(out, "  }},");
         let _ = writeln!(out, "  \"series\": [");
         for (i, (key, s)) in self.series.iter().enumerate() {
             let comma = trail(i, self.series.len());
@@ -233,10 +220,9 @@ mod tests {
     use ursa_metrics::{Labels, SeriesKey};
 
     fn sample_manifest() -> RunManifest {
-        let mut m = RunManifest::new("chaos", 7, 4, "quick");
+        let mut m = RunManifest::new("fig11", 7, 4, "quick");
         m.set_topology_digest(0xDEAD_BEEF);
-        m.note_chaos_digest("slowdown", 0x1234);
-        m.note_table("chaos_resilience", 30, b"a\tb\n1\t2\n");
+        m.note_table("fig11_12", 30, b"a\tb\n1\t2\n");
         let mut store = TimeSeriesStore::new();
         store.append_row(
             1.0,
@@ -260,12 +246,6 @@ mod tests {
             v.get("topology_digest").and_then(JsonValue::as_str),
             Some("00000000deadbeef")
         );
-        assert_eq!(
-            v.get("chaos_plan_digests")
-                .and_then(|o| o.get("slowdown"))
-                .and_then(JsonValue::as_str),
-            Some("0000000000001234")
-        );
         let series = v.get("series").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(series.len(), 2);
         // Sorted by key: aa_rps before zz_latency.
@@ -282,7 +262,7 @@ mod tests {
             series[0].get("count").and_then(JsonValue::as_f64),
             Some(1.0)
         );
-        let table = v.get("tables").and_then(|t| t.get("chaos_resilience"));
+        let table = v.get("tables").and_then(|t| t.get("fig11_12"));
         assert_eq!(table.and_then(|t| t.get("rows")?.as_f64()), Some(30.0));
         assert!(v.get("scalars").is_none());
     }
@@ -292,7 +272,7 @@ mod tests {
         assert_eq!(sample_manifest().to_json(), sample_manifest().to_json());
     }
 
-    /// Topology, plan and artifact digests share one FNV-1a. A change to
+    /// Topology and artifact digests share one FNV-1a. A change to
     /// it would re-key every manifest already written, so the reference
     /// vector, two topology digests and one TSV digest are pinned.
     #[test]

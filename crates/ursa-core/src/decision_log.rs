@@ -25,16 +25,6 @@ pub enum DecisionKind {
         /// The re-explored service.
         service: usize,
     },
-    /// A fault-plane event (injection or recovery) observed through
-    /// telemetry — logged so chaos recovery timelines are attributable to
-    /// what was actually injected.
-    FaultWitnessed {
-        /// The directly-targeted service, when the fault has one (node
-        /// failures hit many services at once and carry `None`).
-        service: Option<usize>,
-        /// `false` on injection, `true` on recovery.
-        recovered: bool,
-    },
     /// The latency anomaly detector fired and queued a re-exploration of
     /// the implicated service (§V component 5, Fig. 14).
     AnomalyReExplore {
@@ -55,7 +45,6 @@ impl DecisionKind {
             DecisionKind::ThresholdScale => "threshold-scale",
             DecisionKind::Recalculate => "recalculate",
             DecisionKind::ReExplore { .. } => "re-explore",
-            DecisionKind::FaultWitnessed { .. } => "fault-witnessed",
             DecisionKind::AnomalyReExplore { .. } => "anomaly-reexplore",
         }
     }
@@ -181,12 +170,6 @@ impl DecisionLog {
                 DecisionKind::ReExplore { service } => {
                     write!(w, ",\"service\":{service}")?;
                 }
-                DecisionKind::FaultWitnessed { service, recovered } => {
-                    if let Some(s) = service {
-                        write!(w, ",\"service\":{s}")?;
-                    }
-                    write!(w, ",\"recovered\":{recovered}")?;
-                }
                 DecisionKind::AnomalyReExplore {
                     service,
                     violation_bps,
@@ -278,22 +261,8 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_serializes_chaos_kinds() {
+    fn jsonl_serializes_anomaly_reexplore() {
         let mut log = DecisionLog::new(8);
-        log.push(rec(
-            10.0,
-            DecisionKind::FaultWitnessed {
-                service: Some(3),
-                recovered: false,
-            },
-        ));
-        log.push(rec(
-            11.0,
-            DecisionKind::FaultWitnessed {
-                service: None,
-                recovered: true,
-            },
-        ));
         log.push(rec(
             12.0,
             DecisionKind::AnomalyReExplore {
@@ -305,16 +274,10 @@ mod tests {
         log.write_jsonl(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"kind\":\"fault-witnessed\""));
-        assert!(lines[0].contains("\"service\":3"));
-        assert!(lines[0].contains("\"recovered\":false"));
-        let head = lines[1].split("\"deltas\"").next().unwrap();
-        assert!(!head.contains("\"service\""), "node failure has no service");
-        assert!(lines[1].contains("\"recovered\":true"));
-        assert!(lines[2].contains("\"kind\":\"anomaly-reexplore\""));
-        assert!(lines[2].contains("\"service\":4"));
-        assert!(lines[2].contains("\"violation_bps\":2150"));
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].contains("\"kind\":\"anomaly-reexplore\""));
+        assert!(lines[0].contains("\"service\":4"));
+        assert!(lines[0].contains("\"violation_bps\":2150"));
     }
 
     #[test]

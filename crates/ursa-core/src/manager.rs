@@ -89,8 +89,6 @@ pub struct Ursa {
     recalc_cooldown: usize,
     recalcs: u64,
     last_recalc_wall_ms: f64,
-    /// Fault-plane events witnessed through telemetry (chaos experiments).
-    faults_seen: u64,
     /// Audit trail of every allocation decision (bounded ring).
     decisions: DecisionLog,
     /// Rates of the most recent allocation decision: the "before" basis
@@ -237,7 +235,6 @@ impl Ursa {
             recalc_cooldown: 0,
             recalcs: 0,
             last_recalc_wall_ms: 0.0,
-            faults_seen: 0,
             decisions: DecisionLog::default(),
             last_rates: class_rates.to_vec(),
             clock: SimTime::ZERO,
@@ -704,22 +701,6 @@ impl ResourceManager for Ursa {
     fn on_tick(&mut self, snapshot: &MetricsSnapshot, control: &mut dyn ControlPlane) {
         self.clock = snapshot.at;
 
-        // 0. Witness fault-plane events so chaos recovery timelines are
-        // attributable in the decision log.
-        for fault in &snapshot.faults {
-            self.faults_seen += 1;
-            self.decisions.push(DecisionRecord {
-                at: fault.at,
-                kind: DecisionKind::FaultWitnessed {
-                    service: fault.service,
-                    recovered: fault.phase == ursa_sim::chaos::FaultPhase::Recovered,
-                },
-                deltas: Vec::new(),
-                estimated_latency: Vec::new(),
-                objective: None,
-            });
-        }
-
         // 1. Threshold scaling (the fast path).
         self.loads.read(snapshot);
         let actions = self
@@ -791,8 +772,8 @@ impl ResourceManager for Ursa {
                     ..
                 } => {
                     // Log the implicated service and observed violation
-                    // rate before queueing, so chaos recovery timelines
-                    // are attributable even if the operator never answers.
+                    // rate before queueing, so the anomaly is attributable
+                    // even if the operator never answers.
                     if self.pending_reexploration != Some(service) {
                         self.decisions.push(DecisionRecord {
                             at: snapshot.at,
@@ -825,7 +806,6 @@ impl ResourceManager for Ursa {
                 "ctrl_reexploration_pending",
                 self.pending_reexploration.is_some() as u8 as f64,
             ),
-            ("ctrl_fault_events_seen_total", self.faults_seen as f64),
         ]
     }
 

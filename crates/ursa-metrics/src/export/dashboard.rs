@@ -263,7 +263,6 @@ fn render_panel(
         let class = match a.kind.as_str() {
             "scale" => "ann-scale",
             "alert" => "ann-alert",
-            "fault" => "ann-fault",
             _ => "ann-other",
         };
         let _ = writeln!(

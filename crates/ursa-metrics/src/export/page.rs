@@ -147,11 +147,9 @@ svg { width: 100%; height: auto; display: block; }
 .swatch { width: 12px; height: 12px; border-radius: 3px; display: inline-block; }
 line.ann-scale { stroke: var(--s6); stroke-width: 1; stroke-dasharray: 3 3; }
 line.ann-alert { stroke: var(--alert); stroke-width: 1; stroke-dasharray: 3 3; }
-line.ann-fault { stroke: var(--s3); stroke-width: 1.5; stroke-dasharray: 6 2; }
 line.ann-other { stroke: var(--muted); stroke-width: 1; stroke-dasharray: 3 3; }
 circle.ann-scale { fill: var(--s6); }
 circle.ann-alert { fill: var(--alert); }
-circle.ann-fault { fill: var(--s3); }
 circle.ann-other { fill: var(--muted); }
 .ann:hover line { stroke-width: 2; }
 details { margin-top: 8px; }

@@ -45,7 +45,7 @@
 //! The engine is split by concern. This module holds the event kinds,
 //! [`Simulation`], the run loop and dispatch, the scaling API and harvest;
 //! `request` the replica and processor-sharing request path; `planes` the
-//! chaos plane and the tracing and profiler arming.
+//! tracing and profiler arming.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -53,7 +53,6 @@ use std::sync::Arc;
 use ursa_stats::rng::{BlockRng, Rng};
 
 use crate::arena::ReqArena;
-use crate::chaos::ChaosState;
 use crate::evq::EventQueue;
 use crate::profiler::{PhaseProfiler, SimPhase};
 use crate::ps::VtPs;
@@ -96,10 +95,6 @@ enum EventKind {
     /// Possible processor-sharing completion on a replica: the one its
     /// `check_at`/`check_seq` name.
     PsCheck { service: u16, replica: u16 },
-    /// An installed fault window begins (index into the fault plan).
-    ChaosStart { fault: u32 },
-    /// An installed fault window ends.
-    ChaosEnd { fault: u32 },
 }
 
 /// The profiler phase of a dispatched event. No wildcard arm, so a new
@@ -109,7 +104,6 @@ fn phase_of(kind: EventKind) -> SimPhase {
         EventKind::SourceNext { .. } => SimPhase::SourceNext,
         EventKind::NodeArrive { .. } => SimPhase::NodeArrive,
         EventKind::PsCheck { .. } => SimPhase::PsCheck,
-        EventKind::ChaosStart { .. } | EventKind::ChaosEnd { .. } => SimPhase::Chaos,
     }
 }
 
@@ -294,14 +288,9 @@ pub struct Simulation {
     prio_levels: usize,
     in_flight: usize,
     tracer: Option<Tracer>,
-    /// Fault plane, installed via [`install_faults`](Self::install_faults).
-    /// `None` (the default) costs one predictable branch per hook and
-    /// leaves output bit-identical to a chaos-free engine.
-    chaos: Option<Box<ChaosState>>,
     /// Phase profiler, installed via
     /// [`enable_profiler`](Self::enable_profiler). Honors the same
-    /// bit-identical-when-disabled contract as the tracer and chaos
-    /// planes.
+    /// bit-identical-when-disabled contract as the tracer.
     prof: Option<Box<PhaseProfiler>>,
 }
 
@@ -376,7 +365,6 @@ impl Simulation {
             prio_levels,
             in_flight: 0,
             tracer: None,
-            chaos: None,
             prof: None,
         }
     }
@@ -558,8 +546,6 @@ impl Simulation {
             EventKind::PsCheck { service, replica } => {
                 self.ps_check(service as usize, replica as usize)
             }
-            EventKind::ChaosStart { fault } => self.chaos_start(fault as usize),
-            EventKind::ChaosEnd { fault } => self.chaos_end(fault as usize),
         }
     }
 
@@ -743,12 +729,7 @@ impl Simulation {
             .collect();
         let cores: Vec<f64> = self.services.iter().map(|s| s.cores).collect();
         let mq_depths: Vec<usize> = self.services.iter().map(|s| s.mq.len()).collect();
-        let mut snapshot =
-            self.telemetry
-                .harvest(self.now, &self.names, &replicas, &cores, &mq_depths);
-        if let Some(c) = self.chaos.as_deref_mut() {
-            snapshot.faults = std::mem::take(&mut c.events);
-        }
-        snapshot
+        self.telemetry
+            .harvest(self.now, &self.names, &replicas, &cores, &mq_depths)
     }
 }

@@ -52,10 +52,9 @@ impl Replica {
     }
 
     /// Integrates the virtual clock and the CPU accumulators up to `now`
-    /// at the PS rate implied by the current membership and the service
-    /// slowdown multiplier. O(1).
+    /// at the PS rate implied by the current membership. O(1).
     #[inline]
-    fn advance_to(&mut self, now: SimTime, slow: f64) {
+    fn advance_to(&mut self, now: SimTime) {
         let elapsed = (now - self.last_advance).as_secs_f64();
         self.last_advance = now;
         if elapsed <= 0.0 {
@@ -63,7 +62,7 @@ impl Replica {
         }
         let n = self.ps.len();
         if n > 0 {
-            self.ps.advance(elapsed * ps_rate(self.cores, n, slow));
+            self.ps.advance(elapsed * ps_rate(self.cores, n));
             self.busy_acc += (n as f64).min(self.cores) * elapsed;
         }
         self.cap_acc += self.cores * elapsed;
@@ -73,9 +72,9 @@ impl Replica {
     /// nanosecond quantization, or `None` when idle. Assumes the clock
     /// is already advanced to `now`.
     #[inline]
-    fn next_check_at(&self, now: SimTime, slow: f64) -> Option<SimTime> {
+    fn next_check_at(&self, now: SimTime) -> Option<SimTime> {
         let min_rem = self.ps.next_rem()?;
-        let rate = ps_rate(self.cores, self.ps.len(), slow);
+        let rate = ps_rate(self.cores, self.ps.len());
         // `x / 1.0 == x` bitwise: the gate skips the division, common on
         // uncontended replicas, without changing the quantized result.
         let dt_s = if rate == 1.0 { min_rem } else { min_rem / rate };
@@ -190,10 +189,6 @@ impl Simulation {
     /// in-order offering concentrates messages on low-index replicas and
     /// inflates their processor-sharing contention.
     pub(super) fn dispatch_shared(&mut self, s: usize) {
-        if self.chaos_mq_stalled(s) {
-            // Broker stalled: messages pile up, consumers get nothing.
-            return;
-        }
         let mut popped = false;
         while self.services[s].mq.len() > 0 {
             let svc = &self.services[s];
@@ -223,7 +218,6 @@ impl Simulation {
 
     /// Starts queued work on a replica while it has free workers.
     pub(super) fn try_start(&mut self, s: usize, r: usize) {
-        let mq_stalled = self.chaos_mq_stalled(s);
         loop {
             let (token, from_mq) = {
                 let Some(rep) = self.services[s].replicas[r].as_mut() else {
@@ -236,7 +230,7 @@ impl Simulation {
                 let (token, from_mq) = match from_own {
                     Some(t) => (Some(t), false),
                     None => {
-                        if rep.draining || mq_stalled {
+                        if rep.draining {
                             (None, false)
                         } else {
                             (self.services[s].mq.pop(), true)
@@ -259,8 +253,6 @@ impl Simulation {
 
     fn start_pre(&mut self, token: Token, s: usize, r: usize) {
         let class = self.arena.class(token.slot);
-        // Chaos slowdown is NOT applied here: it rescales the replica's PS
-        // rate (affecting in-flight work too), not the sampled demand.
         let scale = self.work_scale[s];
         let work = {
             let tmpl = &self.templates[class].nodes[token.node as usize];
@@ -285,9 +277,8 @@ impl Simulation {
     /// are active.
     pub(super) fn ps_advance(&mut self, s: usize, r: usize) {
         let now = self.now;
-        let slow = self.chaos_slow(s);
         if let Some(rep) = self.services[s].replicas[r].as_mut() {
-            rep.advance_to(now, slow);
+            rep.advance_to(now);
         }
     }
 
@@ -302,11 +293,10 @@ impl Simulation {
     /// advanced to `now` ([`Self::ps_advance`]).
     pub(super) fn ps_resync(&mut self, s: usize, r: usize) {
         let now = self.now;
-        let slow = self.chaos_slow(s);
         let Some(rep) = self.services[s].replicas[r].as_mut() else {
             return;
         };
-        let at = rep.next_check_at(now, slow);
+        let at = rep.next_check_at(now);
         rep.rearm(at, (s, r), &mut self.events, &mut self.seq);
     }
 
@@ -315,37 +305,17 @@ impl Simulation {
     /// borrow.
     fn ps_add(&mut self, s: usize, r: usize, token: Token, work: f64) {
         let now = self.now;
-        let slow = self.chaos_slow(s);
         let rep = self.services[s].replicas[r].as_mut().expect("live replica");
-        rep.advance_to(now, slow);
+        rep.advance_to(now);
         rep.ps.admit(work, token);
-        let at = rep.next_check_at(now, slow);
+        let at = rep.next_check_at(now);
         rep.rearm(at, (s, r), &mut self.events, &mut self.seq);
-    }
-
-    /// Advances every replica of `s` to `now` at the *current* rate.
-    /// Call immediately before a service-wide rate change (chaos
-    /// slowdown on/off), so the elapsed span is integrated at the rate
-    /// that actually held over it.
-    pub(super) fn ps_sync_all(&mut self, s: usize) {
-        for r in 0..self.services[s].replicas.len() {
-            self.ps_advance(s, r);
-        }
-    }
-
-    /// Recomputes next completions for every replica of `s`. Call
-    /// immediately after a service-wide rate change.
-    pub(super) fn ps_resync_all(&mut self, s: usize) {
-        for r in 0..self.services[s].replicas.len() {
-            self.ps_resync(s, r);
-        }
     }
 
     /// Handles a popped `PsCheck`: by construction the replica's pending
     /// one, so the slot is occupied and nothing else is queued for it.
     pub(super) fn ps_check(&mut self, s: usize, r: usize) {
         let now = self.now;
-        let slow = self.chaos_slow(s);
         // Collect completions into the reusable scratch buffer (taken out of
         // `self` for the duration — nothing below re-enters `ps_check`).
         let mut finished = std::mem::take(&mut self.ps_scratch);
@@ -357,9 +327,9 @@ impl Simulation {
             "a popped PsCheck is its replica's pending one"
         );
         rep.has_check = false;
-        rep.advance_to(now, slow);
+        rep.advance_to(now);
         rep.ps.pop_due(WORK_EPS, &mut finished);
-        let at = rep.next_check_at(now, slow);
+        let at = rep.next_check_at(now);
         rep.rearm(at, (s, r), &mut self.events, &mut self.seq);
         for &token in &finished {
             let phase = self.arena.phase[self.nidx(token)];
@@ -470,13 +440,9 @@ impl Simulation {
         }
     }
 
-    /// Sends a child hop toward its service (network delay applies; an
-    /// active RPC fault on the callee adds its timeout/retry penalty).
+    /// Sends a child hop toward its service (network delay applies).
     fn launch_child(&mut self, child_token: Token) {
-        let mut at = self.now + self.cfg.net_delay;
-        if self.chaos.is_some() {
-            at += self.chaos_rpc_penalty(child_token);
-        }
+        let at = self.now + self.cfg.net_delay;
         self.schedule(at, EventKind::NodeArrive { token: child_token });
     }
 

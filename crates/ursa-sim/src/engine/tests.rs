@@ -1,9 +1,8 @@
 //! Unit tests of the engine: queueing and scaling behaviour, tracing, the
-//! profiler, the chaos plane, and the invariant that the event queue holds
-//! only pending checks and sources.
+//! profiler, and the invariant that the event queue holds only pending
+//! checks and sources.
 
 use super::*;
-use crate::chaos::{Fault, FaultKind, FaultPhase, FaultPlan};
 use crate::topology::{CallNode, ClassCfg, EdgeKind, Priority, ServiceCfg, WorkDist};
 
 fn single_service(cores: f64, mean_work: f64) -> Simulation {
@@ -459,7 +458,7 @@ fn one_service() -> Topology {
     .unwrap()
 }
 
-/// Every `EventKind` variant, sampled, lands in exactly one of the four
+/// Every `EventKind` variant, sampled, lands in exactly one of the three
 /// phases, and the phases' counts add up to the events dispatched.
 #[test]
 fn profiler_classifies_every_event_kind_exactly_once() {
@@ -471,9 +470,6 @@ fn profiler_classifies_every_event_kind_exactly_once() {
     let seq = sim.schedule(at(1), EventKind::SourceNext { class: 0 });
     sim.sources[0].pending = Some((at(1), seq));
     sim.inject(ClassId(0));
-    // No plane is installed: these two dispatch as no-ops.
-    sim.schedule(at(4), EventKind::ChaosStart { fault: 0 });
-    sim.schedule(at(5), EventKind::ChaosEnd { fault: 0 });
     sim.run_for(SimDur::from_secs(1));
 
     let report = sim.profiler().expect("enabled").report();
@@ -482,13 +478,12 @@ fn profiler_classifies_every_event_kind_exactly_once() {
         (SimPhase::SourceNext, 1),
         (SimPhase::NodeArrive, 1),
         (SimPhase::PsCheck, 1),
-        (SimPhase::Chaos, 2),
     ];
     let got: Vec<(SimPhase, u64)> = report.phases.iter().map(|s| (s.phase, s.count)).collect();
     assert_eq!(got, want);
-    assert_eq!(report.events_sampled, 5);
-    assert_eq!(report.events_seen, 5);
-    assert_eq!(sim.events_processed(), 5);
+    assert_eq!(report.events_sampled, 3);
+    assert_eq!(report.events_seen, 3);
+    assert_eq!(sim.events_processed(), 3);
     assert_eq!(sim.events_stale(), 0);
 }
 
@@ -509,275 +504,6 @@ fn two_tier(edge: EdgeKind, replicas: usize) -> Simulation {
     )
     .unwrap();
     Simulation::new(topo, SimConfig::default(), 21)
-}
-
-fn window(from_s: f64, to_s: f64, kind: FaultKind) -> Fault {
-    Fault {
-        at: SimTime::from_secs_f64(from_s),
-        until: SimTime::from_secs_f64(to_s),
-        kind,
-    }
-}
-
-/// Everything downstream artifacts are built from, for bit-identity.
-fn digest(sim: &mut Simulation) -> String {
-    let snap = sim.harvest();
-    format!(
-        "events {} inj {:?} comp {:?} p99 {:?} util {:?}",
-        sim.events_processed(),
-        snap.injections,
-        snap.completions,
-        snap.e2e_latency[0].percentile(99.0),
-        snap.services
-            .iter()
-            .map(|s| s.cpu_utilization)
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// The zero-cost guarantee: no plan, an empty plan, and a plan whose
-/// windows all lie past the horizon produce bit-identical output.
-#[test]
-fn chaos_disabled_is_bit_identical() {
-    let run = |plan: Option<FaultPlan>| {
-        let mut sim = two_tier(EdgeKind::Mq, 2);
-        if let Some(p) = plan {
-            sim.install_faults(&p, 99);
-        }
-        sim.set_rate(ClassId(0), RateFn::Constant(200.0));
-        sim.run_for(SimDur::from_secs(20));
-        digest(&mut sim)
-    };
-    let baseline = run(None);
-    assert_eq!(baseline, run(Some(FaultPlan::new())), "empty plan");
-    let mut late = FaultPlan::new();
-    late.push(window(
-        1000.0,
-        1001.0,
-        FaultKind::Slowdown {
-            service: 1,
-            factor: 8.0,
-        },
-    ));
-    assert_eq!(baseline, run(Some(late)), "plan past the horizon");
-}
-
-#[test]
-fn slowdown_inflates_latency_then_recovers() {
-    let mut sim = two_tier(EdgeKind::NestedRpc, 2);
-    let mut plan = FaultPlan::new();
-    plan.push(window(
-        20.0,
-        40.0,
-        FaultKind::Slowdown {
-            service: 1,
-            factor: 6.0,
-        },
-    ));
-    sim.install_faults(&plan, 1);
-    sim.set_rate(ClassId(0), RateFn::Constant(150.0));
-    sim.run_for(SimDur::from_secs(20));
-    let before = sim.harvest().e2e_latency[0].percentile(50.0).unwrap();
-    sim.run_for(SimDur::from_secs(20));
-    let during = sim.harvest().e2e_latency[0].percentile(50.0).unwrap();
-    sim.run_for(SimDur::from_secs(20));
-    let after = sim.harvest().e2e_latency[0].percentile(50.0).unwrap();
-    assert!(during > before * 2.0, "before {before}, during {during}");
-    assert!(after < during * 0.5, "during {during}, after {after}");
-}
-
-#[test]
-fn replica_crash_restores_replicas() {
-    let mut sim = two_tier(EdgeKind::NestedRpc, 4);
-    let mut plan = FaultPlan::new();
-    plan.push(window(
-        5.0,
-        10.0,
-        FaultKind::ReplicaCrash {
-            service: 1,
-            count: 2,
-        },
-    ));
-    sim.install_faults(&plan, 2);
-    sim.set_rate(ClassId(0), RateFn::Constant(100.0));
-    sim.run_for(SimDur::from_secs(7));
-    assert_eq!(sim.replicas(ServiceId(1)), 2, "2 of 4 crashed");
-    sim.run_for(SimDur::from_secs(7));
-    assert_eq!(sim.replicas(ServiceId(1)), 4, "restarted at window end");
-    let snap = sim.harvest();
-    assert!(
-        snap.completions[0] as f64 > snap.injections[0] as f64 * 0.95,
-        "drain preserves requests: {}/{}",
-        snap.completions[0],
-        snap.injections[0]
-    );
-}
-
-#[test]
-fn crash_always_keeps_one_replica() {
-    let mut sim = two_tier(EdgeKind::NestedRpc, 2);
-    let mut plan = FaultPlan::new();
-    plan.push(window(
-        5.0,
-        10.0,
-        FaultKind::ReplicaCrash {
-            service: 0,
-            count: 99,
-        },
-    ));
-    sim.install_faults(&plan, 3);
-    sim.set_rate(ClassId(0), RateFn::Constant(50.0));
-    sim.run_for(SimDur::from_secs(7));
-    assert_eq!(sim.replicas(ServiceId(0)), 1, "all but one crash");
-    sim.run_for(SimDur::from_secs(7));
-    assert_eq!(sim.replicas(ServiceId(0)), 2);
-}
-
-#[test]
-fn node_failure_kills_colocated_replicas() {
-    // Slot r of service s is on node (s + r) % 8: with 9 replicas,
-    // service 0 has slots {0, 8} on node 0 and service 1 has slot 7.
-    let mut sim = two_tier(EdgeKind::NestedRpc, 9);
-    let mut plan = FaultPlan::new();
-    plan.push(window(5.0, 10.0, FaultKind::NodeFailure { node: 0 }));
-    sim.install_faults(&plan, 4);
-    sim.set_rate(ClassId(0), RateFn::Constant(100.0));
-    sim.run_for(SimDur::from_secs(7));
-    assert_eq!(sim.replicas(ServiceId(0)), 7, "slots 0 and 8 lost");
-    assert_eq!(sim.replicas(ServiceId(1)), 8, "slot 7 lost");
-    sim.run_for(SimDur::from_secs(7));
-    assert_eq!(sim.replicas(ServiceId(0)), 9);
-    assert_eq!(sim.replicas(ServiceId(1)), 9);
-}
-
-#[test]
-fn mq_stall_builds_backlog_then_drains() {
-    let mut sim = two_tier(EdgeKind::Mq, 2);
-    let mut plan = FaultPlan::new();
-    plan.push(window(10.0, 20.0, FaultKind::MqStall { service: 1 }));
-    sim.install_faults(&plan, 5);
-    sim.set_rate(ClassId(0), RateFn::Constant(200.0));
-    sim.run_for(SimDur::from_secs(20));
-    let stalled = sim.harvest();
-    // ~10 s of 200 rps piled up behind the stalled broker.
-    assert!(
-        stalled.services[1].mq_depth_max > 1500,
-        "backlog {}",
-        stalled.services[1].mq_depth_max
-    );
-    sim.run_for(SimDur::from_secs(20));
-    let drained = sim.harvest();
-    assert!(
-        drained.services[1].mq_depth < 10,
-        "backlog drains on recovery"
-    );
-    let inj: u64 = stalled.injections[0] + drained.injections[0];
-    let comp: u64 = stalled.completions[0] + drained.completions[0];
-    assert!(
-        comp as f64 > inj as f64 * 0.97,
-        "no message lost: {comp}/{inj}"
-    );
-}
-
-#[test]
-fn rpc_fault_delays_but_conserves() {
-    let run = |faulty: bool| {
-        let mut sim = two_tier(EdgeKind::NestedRpc, 2);
-        if faulty {
-            let mut plan = FaultPlan::new();
-            plan.push(window(
-                5.0,
-                25.0,
-                FaultKind::RpcFault {
-                    service: 1,
-                    extra_delay: SimDur::from_millis(20),
-                    drop_prob: 0.5,
-                    timeout: SimDur::from_millis(50),
-                    max_retries: 3,
-                },
-            ));
-            sim.install_faults(&plan, 6);
-        }
-        sim.set_rate(ClassId(0), RateFn::Constant(100.0));
-        sim.run_for(SimDur::from_secs(25));
-        sim.run_for(SimDur::from_secs(10)); // drain past the window
-        let snap = sim.harvest();
-        assert_eq!(sim.in_flight(), 0, "final attempt always delivers");
-        (
-            snap.completions[0],
-            snap.injections[0],
-            snap.e2e_latency[0].percentile(50.0).unwrap(),
-        )
-    };
-    let (_, _, p50_clean) = run(false);
-    let (comp, inj, _) = run(true);
-    assert!(comp as f64 > inj as f64 * 0.97, "{comp}/{inj}");
-    // During-window latency: re-run and look at the fault window only.
-    let mut sim = two_tier(EdgeKind::NestedRpc, 2);
-    let mut plan = FaultPlan::new();
-    plan.push(window(
-        0.0,
-        20.0,
-        FaultKind::RpcFault {
-            service: 1,
-            extra_delay: SimDur::from_millis(20),
-            drop_prob: 0.5,
-            timeout: SimDur::from_millis(50),
-            max_retries: 3,
-        },
-    ));
-    sim.install_faults(&plan, 6);
-    sim.set_rate(ClassId(0), RateFn::Constant(100.0));
-    sim.run_for(SimDur::from_secs(20));
-    let p50_faulty = sim.harvest().e2e_latency[0].percentile(50.0).unwrap();
-    assert!(
-        p50_faulty > p50_clean + 0.015,
-        "timeouts visible: {p50_clean} -> {p50_faulty}"
-    );
-}
-
-#[test]
-fn fault_events_surface_in_harvest() {
-    let mut sim = two_tier(EdgeKind::NestedRpc, 2);
-    let mut plan = FaultPlan::new();
-    plan.push(window(
-        2.0,
-        4.0,
-        FaultKind::Slowdown {
-            service: 1,
-            factor: 3.0,
-        },
-    ));
-    sim.install_faults(&plan, 7);
-    sim.set_rate(ClassId(0), RateFn::Constant(50.0));
-    sim.run_for(SimDur::from_secs(10));
-    let snap = sim.harvest();
-    assert_eq!(snap.faults.len(), 2);
-    assert_eq!(snap.faults[0].phase, FaultPhase::Injected);
-    assert_eq!(snap.faults[0].kind, "slowdown");
-    assert_eq!(snap.faults[0].service, Some(1));
-    assert_eq!(snap.faults[1].phase, FaultPhase::Recovered);
-    assert_eq!(snap.faults[0].label(), "slowdown injected (svc 1, x3)");
-    // Drained: the next harvest reports nothing.
-    sim.run_for(SimDur::from_secs(1));
-    assert!(sim.harvest().faults.is_empty());
-}
-
-#[test]
-#[should_panic(expected = "already installed")]
-fn double_install_rejected() {
-    let mut sim = two_tier(EdgeKind::NestedRpc, 2);
-    sim.install_faults(&FaultPlan::new(), 1);
-    sim.install_faults(&FaultPlan::new(), 2);
-}
-
-#[test]
-#[should_panic(expected = "targets service")]
-fn out_of_range_service_rejected() {
-    let mut sim = two_tier(EdgeKind::NestedRpc, 2);
-    let mut plan = FaultPlan::new();
-    plan.push(window(1.0, 2.0, FaultKind::MqStall { service: 9 }));
-    sim.install_faults(&plan, 1);
 }
 
 /// Panics unless the queued `PsCheck`s and `SourceNext`s are exactly
@@ -815,9 +541,9 @@ fn assert_only_pending_events_queued(sim: &Simulation) {
     assert_eq!(sources, pending_sources, "at {}", sim.now);
 }
 
-/// Every path that supersedes a pending event — admissions, scaling,
-/// a crash and its restart, a slowdown, a CPU-limit change, re-armed
-/// sources — in one run, the queue
+/// Every path that supersedes a pending event — admissions, scaling in
+/// and out, CPU-limit cuts and restores, re-armed sources — in one run,
+/// the queue
 /// checked after every window. The drain path's own check (a slot is
 /// never emptied with a check queued) is a `debug_assert!` that is
 /// live here.
@@ -847,30 +573,15 @@ fn queue_holds_only_pending_checks_and_sources_under_churn() {
     )
     .unwrap();
     let mut sim = Simulation::new(topo, SimConfig::default(), 23);
-    let secs = SimTime::from_secs_f64;
-    let mut plan = FaultPlan::new();
-    let (service, count) = (0, 1);
-    plan.push(Fault {
-        at: secs(4.5),
-        until: secs(9.5),
-        kind: FaultKind::ReplicaCrash { service, count },
-    });
-    plan.push(Fault {
-        at: secs(10.5),
-        until: secs(14.5),
-        kind: FaultKind::Slowdown {
-            service,
-            factor: 3.0,
-        },
-    });
-    sim.install_faults(&plan, 2);
     sim.set_rate(ClassId(0), RateFn::Constant(400.0));
     sim.set_rate(ClassId(1), RateFn::Constant(300.0));
 
-    let mut faults = 0;
     for window in 0..30u64 {
         match window {
             3 => sim.set_replicas(ServiceId(0), 5),
+            5 => sim.set_replicas(ServiceId(0), 4),
+            9 => sim.set_replicas(ServiceId(0), 5),
+            10 => sim.set_cpu_limit(ServiceId(0), 2.0 / 3.0),
             8 => sim.set_rate(
                 ClassId(0),
                 RateFn::Diurnal {
@@ -880,6 +591,7 @@ fn queue_holds_only_pending_checks_and_sources_under_churn() {
                 },
             ),
             12 => sim.set_replicas(ServiceId(0), 2),
+            14 => sim.set_cpu_limit(ServiceId(0), 2.0),
             16 => sim.set_cpu_limit(ServiceId(1), 1.0),
             20 => sim.set_rate(ClassId(1), RateFn::Constant(0.0)),
             24 => sim.set_rate(ClassId(1), RateFn::Constant(500.0)),
@@ -888,9 +600,7 @@ fn queue_holds_only_pending_checks_and_sources_under_churn() {
         assert_only_pending_events_queued(&sim);
         sim.run_for(SimDur::from_secs(1));
         assert_only_pending_events_queued(&sim);
-        faults += sim.harvest().faults.len();
     }
-    assert_eq!(faults, 4, "both windows opened and closed");
     assert!(sim.events_processed() > 50_000);
     assert_eq!(sim.events_stale(), 0);
 }

@@ -7,9 +7,7 @@
 //! worker pools; strict-priority request scheduling; Poisson (optionally
 //! time-varying) open-loop load; and Prometheus-style telemetry. Resource
 //! managers actuate it through the [`control::ControlPlane`] trait exactly
-//! as they would actuate Kubernetes. Machines are not modelled: where the
-//! chaos plane needs a replica's node (node failures), one synthetic
-//! round-robin rule places it ([`chaos::node_of`]).
+//! as they would actuate Kubernetes. Machines are not modelled.
 //!
 //! The queueing mechanics are faithful enough that the paper's central
 //! observation — RPC backpressure exists, MQ backpressure does not, and
@@ -42,7 +40,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
-pub mod chaos;
 pub mod control;
 pub mod engine;
 pub mod evq;
@@ -57,7 +54,6 @@ pub mod workload;
 
 /// Convenient glob-import of the commonly used simulator types.
 pub mod prelude {
-    pub use crate::chaos::{Fault, FaultEvent, FaultKind, FaultPhase, FaultPlan};
     pub use crate::control::{
         run_deployment, run_deployment_observed, ControlPlane, DeployConfig, DeployObserver,
         DeploymentReport, ResourceManager, Sla, StaticManager, WindowRecord,

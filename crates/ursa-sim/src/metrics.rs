@@ -223,15 +223,6 @@ impl SimMetrics {
             Labels::empty(),
             sim.event_heap_max_depth() as f64,
         );
-        // Fault-plane events become dashboard annotations so injected
-        // faults are visible against the latency/occupancy series.
-        for fault in &snap.faults {
-            self.annotations.push(Annotation::new(
-                fault.at.as_secs_f64(),
-                "fault",
-                &fault.label(),
-            ));
-        }
         self.observe_slo(snap);
     }
 
@@ -357,8 +348,8 @@ impl SimMetrics {
 
     /// Adds a free-form dashboard annotation (e.g. an injected anomaly or
     /// experiment phase boundary). `kind` selects the marker style:
-    /// `"scale"`, `"alert"`, and `"fault"` have dedicated colors, anything
-    /// else is neutral.
+    /// `"scale"` and `"alert"` have dedicated colors, anything else is
+    /// neutral.
     pub fn annotate(&mut self, at: SimTime, kind: &str, label: &str) {
         self.annotations
             .push(Annotation::new(at.as_secs_f64(), kind, label));

@@ -24,17 +24,14 @@ pub enum SimPhase {
     NodeArrive,
     /// Processor-sharing completions on a replica.
     PsCheck,
-    /// Chaos fault injection / recovery actuation.
-    Chaos,
 }
 
 impl SimPhase {
     /// All phases, in reporting order.
-    pub const ALL: [SimPhase; 4] = [
+    pub const ALL: [SimPhase; 3] = [
         SimPhase::SourceNext,
         SimPhase::NodeArrive,
         SimPhase::PsCheck,
-        SimPhase::Chaos,
     ];
 
     /// Stable snake_case identifier (the ledger's row names).
@@ -43,7 +40,6 @@ impl SimPhase {
             SimPhase::SourceNext => "source_next",
             SimPhase::NodeArrive => "node_arrive",
             SimPhase::PsCheck => "ps_check",
-            SimPhase::Chaos => "chaos",
         }
     }
 }
@@ -157,7 +153,7 @@ mod tests {
         let r = p.report();
         assert_eq!(r.phases.len(), SimPhase::ALL.len());
         assert!(r.phases.iter().all(|s| s.count == 0 && s.est_nanos == 0.0));
-        for phase in [SimPhase::PsCheck, SimPhase::PsCheck, SimPhase::Chaos] {
+        for phase in [SimPhase::PsCheck, SimPhase::PsCheck, SimPhase::SourceNext] {
             p.observe(|| phase);
         }
         let r = p.report();

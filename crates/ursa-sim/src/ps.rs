@@ -19,8 +19,8 @@
 //! * the next completion is the minimum tag — **O(1)** to peek via a
 //!   min-heap ordered by `(tag, admission seq)`,
 //! * a completion is an **O(log n)** heap pop,
-//! * rate changes (replica core limit, chaos slowdown multiplier) rescale
-//!   how fast `V` advances per real second and never touch the tags.
+//! * a rate change (the replica's core limit) rescales how fast `V`
+//!   advances per real second and never touches the tags.
 //!
 //! Ties — two jobs with bit-identical finish tags — pop in admission
 //! order (`seq`), which is the engine's token order. This replaces the
@@ -38,24 +38,19 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// The common per-job progress rate of an egalitarian PS server with
-/// `cores` CPUs, `n` active jobs, and a service **slowdown** multiplier
-/// (`slow >= 1` slows the server; chaos interference windows rescale this
-/// rather than rewriting finish tags).
+/// `cores` CPUs and `n` active jobs.
 ///
 /// Returns CPU-seconds per real second; `0` jobs yields the idle rate
 /// (unused — callers never advance an empty queue's clock).
 #[inline]
-pub fn ps_rate(cores: f64, n: usize, slow: f64) -> f64 {
+pub fn ps_rate(cores: f64, n: usize) -> f64 {
     debug_assert!(n > 0);
-    // Division-free in the common cases (an uncontended replica, no
-    // active slowdown); `x / 1.0 == x` bitwise, so the gates only save
-    // time, never change the value.
+    // Division-free on an uncontended replica.
     let n = n as f64;
-    let base = if n <= cores { 1.0 } else { cores / n };
-    if slow == 1.0 {
-        base
+    if n <= cores {
+        1.0
     } else {
-        base / slow
+        cores / n
     }
 }
 
@@ -234,10 +229,9 @@ mod tests {
     }
 
     #[test]
-    fn rate_helper_caps_at_one_and_scales_slowdown() {
-        assert_eq!(ps_rate(4.0, 2, 1.0), 1.0);
-        assert_eq!(ps_rate(4.0, 8, 1.0), 0.5);
-        assert_eq!(ps_rate(4.0, 8, 2.0), 0.25);
-        assert_eq!(ps_rate(0.5, 1, 1.0), 0.5);
+    fn rate_helper_caps_at_one() {
+        assert_eq!(ps_rate(4.0, 2), 1.0);
+        assert_eq!(ps_rate(4.0, 8), 0.5);
+        assert_eq!(ps_rate(0.5, 1), 0.5);
     }
 }

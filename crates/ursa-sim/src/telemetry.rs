@@ -179,9 +179,6 @@ pub struct MetricsSnapshot {
     pub completions: Vec<u64>,
     /// Per-class injected-request counts during the window.
     pub injections: Vec<u64>,
-    /// Fault injections/recoveries that fired during the window (empty
-    /// unless the chaos plane is installed — see [`crate::chaos`]).
-    pub faults: Vec<crate::chaos::FaultEvent>,
 }
 
 impl MetricsSnapshot {
@@ -379,7 +376,6 @@ impl Telemetry {
             e2e_latency,
             completions: self.completions.clone(),
             injections: self.injections.clone(),
-            faults: Vec::new(),
         };
         // Reset for the next window (the latency windows were drained above).
         self.arrivals.fill(0);

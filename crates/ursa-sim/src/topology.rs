@@ -705,8 +705,8 @@ impl Topology {
     }
 }
 
-/// FNV-1a 64-bit, the workspace's one digest hash: topology and
-/// fault-plan digests, and the run manifest's artifact digests (no
+/// FNV-1a 64-bit, the workspace's one digest hash: topology digests
+/// and the run manifest's artifact digests (no
 /// dependencies, stable across platforms — unlike `DefaultHasher`, whose
 /// output is unspecified).
 #[derive(Debug, Clone, Copy)]

@@ -505,8 +505,8 @@ fn decisions_are_pinned() {
             ("priced_decisions", 0x7401_0f91_ebd6_617f),
             ("sweep", 0x5acb_9f3c_026d_5a07),
             ("sinan_predictor", 0x502c_295e_73c5_18b8),
-            ("sinan_replay", 0x07d8_fc55_fccb_5103),
-            ("firm_replay", 0xaafd_2ff6_eebc_3dfd),
+            ("sinan_replay", 0x5aa0_60bf_8fd7_8e02),
+            ("firm_replay", 0x5ee7_6157_a08f_ef90),
         ],
         "the control plane's decisions moved (computed digests printed above)"
     );

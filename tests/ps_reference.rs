@@ -7,12 +7,12 @@
 //!
 //! * a queue-level differential proptest drives both models with the
 //!   same randomized admit/advance schedule — including rate changes
-//!   from varying job counts and a chaos-style slowdown window — and
+//!   from varying job counts and a window with fewer cores — and
 //!   requires identical completion order plus next-completion distances
 //!   within 1e-9 relative tolerance;
 //! * an engine-level proptest runs random chain topologies through a
-//!   mid-run `Slowdown` fault window and checks conservation and
-//!   determinism (the fault rescales the PS rate of in-flight work, so
+//!   mid-run CPU-limit cut and restore and checks conservation and
+//!   determinism (the cut rescales the PS rate of in-flight work, so
 //!   this exercises the sync → rescale → resync path);
 //! * pinned regression tests freeze the completion tie-break (finish
 //!   tag, then admission/token order) and the nanosecond quantization
@@ -24,7 +24,6 @@
 
 use proptest::prelude::*;
 use ursa::apps::{scale_app, social_network};
-use ursa::sim::chaos::{Fault, FaultKind, FaultPlan};
 use ursa::sim::prelude::*;
 use ursa::sim::ps::{ps_rate, VtPs};
 use ursa::sim::topology::Fnv;
@@ -120,31 +119,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Drive `VtPs` and the countdown reference with an identical
-    /// schedule — job-count-dependent rates plus a slowdown window —
-    /// and require identical completions and matching distances.
+    /// schedule — job-count-dependent rates plus a window with fewer
+    /// cores — and require identical completions and matching distances.
     #[test]
     fn vtps_matches_countdown_reference(
         steps in steps(),
         cores in 1.0f64..8.0,
-        slow_factor in 1.5f64..8.0,
-        slow_from in 0usize..60,
-        slow_len in 1usize..40,
+        cut_factor in 1.5f64..8.0,
+        cut_from in 0usize..60,
+        cut_len in 1usize..40,
     ) {
         let mut vt: VtPs<u32> = VtPs::new();
         let mut naive = NaivePs::default();
         let mut next_item = 0u32;
 
         for (i, step) in steps.iter().enumerate() {
-            // Chaos-style slowdown: within the window the common rate
-            // divides by `slow_factor`, exactly as the engine rescales
-            // a slowed replica (tags/remaining work never rewritten).
-            let slow = if (slow_from..slow_from + slow_len).contains(&i) {
-                slow_factor
+            // A CPU-limit cut: within the window the replica has
+            // `cut_factor` times fewer cores, as the engine rescales a
+            // replica whose limit changes (tags/remaining work never
+            // rewritten).
+            let limit = if (cut_from..cut_from + cut_len).contains(&i) {
+                cores / cut_factor
             } else {
-                1.0
+                cores
             };
             if !vt.is_empty() {
-                let dv = step.dt * ps_rate(cores, vt.len(), slow);
+                let dv = step.dt * ps_rate(limit, vt.len());
                 // Both models must agree on when the next completion
                 // lands before we advance past it.
                 let (a, b) = (vt.next_rem().unwrap(), naive.next_rem().unwrap());
@@ -218,9 +218,10 @@ fn chain_topo(tiers: usize, work_ms: f64, cores: f64) -> Topology {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A mid-run slowdown window on a random chain: the engine must
-    /// conserve requests through the sync → rescale → resync sequence
-    /// (slowdowns stretch in-flight work, they never lose it), and two
+    /// A mid-run slowdown window on a random chain, made by cutting one
+    /// tier's CPU limit and restoring it: the engine must conserve
+    /// requests through the sync → rescale → resync sequence (a cut
+    /// stretches in-flight work, it never loses it), and two
     /// identically-seeded runs must agree sample-for-sample.
     #[test]
     fn chain_with_slowdown_window_conserves_and_is_deterministic(
@@ -233,15 +234,13 @@ proptest! {
     ) {
         let run = || {
             let mut sim = Simulation::new(chain_topo(tiers, work_ms, 2.0), SimConfig::default(), seed);
-            let mut plan = FaultPlan::new();
-            plan.push(Fault {
-                at: SimTime::ZERO + SimDur::from_secs(5),
-                until: SimTime::ZERO + SimDur::from_secs(12),
-                kind: FaultKind::Slowdown { service: target % tiers, factor },
-            });
-            sim.install_faults(&plan, seed ^ 0xC0FFEE);
+            let slowed = ServiceId(target % tiers);
             sim.set_rate(ClassId(0), RateFn::Constant(rps));
-            sim.run_for(SimDur::from_secs(20));
+            sim.run_for(SimDur::from_secs(5));
+            sim.set_cpu_limit(slowed, 2.0 / factor);
+            sim.run_for(SimDur::from_secs(7));
+            sim.set_cpu_limit(slowed, 2.0);
+            sim.run_for(SimDur::from_secs(8));
             sim.set_rate(ClassId(0), RateFn::Constant(0.0));
             sim.run_for(SimDur::from_secs(600));
             let snap = sim.harvest();
