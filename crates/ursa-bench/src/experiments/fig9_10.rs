@@ -10,8 +10,11 @@
 //! by the tracked overestimation ratio. The paper's result: the average
 //! estimated/measured ratio stays within 0.96–1.05.
 
-use crate::{default_rates, prepare_ursa, write_dashboard_and_decisions, RunCtx, Scale, TsvTable};
+use std::path::Path;
+
+use crate::{default_rates, info, prepare_ursa, warn, RunCtx, Scale, TsvTable};
 use ursa_apps::{social_network, video_pipeline, App};
+use ursa_core::decision_log::DecisionLog;
 use ursa_core::manager::Ursa;
 use ursa_sim::control::{
     run_deployment_observed, DeployConfig, DeployObserver, ResourceManager, Sla,
@@ -124,9 +127,7 @@ pub fn run_app(
         Some(&mut accuracy),
     );
     if let (Some(dir), Some(m)) = (dir, metrics.as_ref()) {
-        let stem = format!("fig9_10_{}", app.name);
-        let title = format!("Fig. 9/10 — Ursa on {} (diurnal load)", app.name);
-        write_dashboard_and_decisions(dir, "fig9/10", &stem, &title, m, ursa.decisions());
+        write_dashboard_and_decisions(dir, app, m, ursa.decisions());
     }
     let series = accuracy.series;
     if class_filter.is_empty() {
@@ -136,6 +137,33 @@ pub fn run_app(
             .into_iter()
             .filter(|s| class_filter.contains(&s.class.as_str()))
             .collect()
+    }
+}
+
+/// Writes the pair that explains the managed run into `dir`
+/// (`--artifacts-dir`): the dashboard `fig9_10_{app}.html`, which plots
+/// every scraped series with its alert and scale annotations, and the
+/// decision log `fig9_10_{app}_decisions.jsonl`. A failed write is
+/// reported, never fatal: an artifact must not break the run it describes.
+fn write_dashboard_and_decisions(
+    dir: &Path,
+    app: &App,
+    metrics: &SimMetrics,
+    decisions: &DecisionLog,
+) {
+    let stem = format!("fig9_10_{}", app.name);
+    let title = format!("Fig. 9/10 — Ursa on {} (diurnal load)", app.name);
+    let write = metrics.write_artifacts(dir, &stem, &title).and_then(|_| {
+        let mut f = std::fs::File::create(dir.join(format!("{stem}_decisions.jsonl")))?;
+        decisions.write_jsonl(&mut f)
+    });
+    match write {
+        Ok(()) => info!(
+            "[fig9/10] wrote {stem}.html and {} control-plane decisions under {}",
+            decisions.len(),
+            dir.display()
+        ),
+        Err(e) => warn!("[fig9/10] artifact export failed: {e}"),
     }
 }
 

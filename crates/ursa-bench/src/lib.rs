@@ -26,13 +26,12 @@ pub use ursa_metrics::logging::{enabled, set_level, Level};
 pub use ursa_metrics::{log_debug as debug, log_info as info, log_warn as warn};
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use ursa_apps::App;
 use ursa_baselines::{collect_and_train, train_firm, Autoscaler, CollectConfig, Firm, Sinan};
-use ursa_core::decision_log::DecisionLog;
 use ursa_core::exploration::ExplorationConfig;
 use ursa_core::manager::{Ursa, UrsaConfig};
 use ursa_core::profiling::ProfilingConfig;
@@ -492,33 +491,6 @@ impl TsvTable {
         ctx.manifest()
             .note_table(&self.name, self.rows.len(), tsv.as_bytes());
         Ok(path)
-    }
-}
-
-/// Writes the pair that explains one managed Ursa deployment into `dir`
-/// (`--artifacts-dir`): the dashboard `{stem}.html`, which plots every
-/// scraped series with its alert and scale annotations, and the
-/// decision log `{stem}_decisions.jsonl`. fig9/10 writes it. A failed write is reported under `tag`, never fatal: an artifact
-/// must not break the run it describes.
-pub fn write_dashboard_and_decisions(
-    dir: &Path,
-    tag: &str,
-    stem: &str,
-    title: &str,
-    metrics: &SimMetrics,
-    decisions: &DecisionLog,
-) {
-    let write = metrics.write_artifacts(dir, stem, title).and_then(|_| {
-        let mut f = std::fs::File::create(dir.join(format!("{stem}_decisions.jsonl")))?;
-        decisions.write_jsonl(&mut f)
-    });
-    match write {
-        Ok(()) => info!(
-            "[{tag}] wrote {stem}.html and {} control-plane decisions under {}",
-            decisions.len(),
-            dir.display()
-        ),
-        Err(e) => warn!("[{tag}] artifact export failed: {e}"),
     }
 }
 
