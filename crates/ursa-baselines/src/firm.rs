@@ -107,7 +107,7 @@ impl Firm {
         let mut worst_ratio = 0.0f64;
         for &c in &self.service_classes[s] {
             if let Some(sla) = self.sla_of_class[c] {
-                if let Some(l) = snapshot.e2e_latency[c].percentile(sla.percentile) {
+                if let Some(l) = sla.window_latency(snapshot) {
                     worst_ratio = worst_ratio.max((l / sla.target).min(3.0));
                 }
             }
@@ -126,17 +126,11 @@ impl Firm {
     fn reward_of(&self, s: usize, snapshot: &MetricsSnapshot, control: &dyn ControlPlane) -> f64 {
         let replicas = control.replicas(ServiceId(s)) as f64;
         let saving = 1.0 - replicas / MAX_REPLICAS as f64;
-        let mut violated = 0.0;
-        for &c in &self.service_classes[s] {
-            if let Some(sla) = self.sla_of_class[c] {
-                if let Some(l) = snapshot.e2e_latency[c].percentile(sla.percentile) {
-                    if l > sla.target {
-                        violated = 1.0;
-                    }
-                }
-            }
-        }
-        W_RESOURCE * saving - W_SLA * violated
+        let violated = self.service_classes[s]
+            .iter()
+            .filter_map(|&c| self.sla_of_class[c])
+            .any(|sla| sla.violated_in(snapshot) == Some(true));
+        W_RESOURCE * saving - W_SLA * f64::from(violated)
     }
 }
 

@@ -142,8 +142,8 @@ pub fn run_app(
 
 /// Writes the pair that explains the managed run into `dir`
 /// (`--artifacts-dir`): the dashboard `fig9_10_{app}.html`, which plots
-/// every scraped series with its alert and scale annotations, and the
-/// decision log `fig9_10_{app}_decisions.jsonl`. A failed write is
+/// the standard panels (the SLA verdict among them) with the scale
+/// annotations, and the decision log `fig9_10_{app}_decisions.jsonl`. A failed write is
 /// reported, never fatal: an artifact must not break the run it describes.
 fn write_dashboard_and_decisions(
     dir: &Path,

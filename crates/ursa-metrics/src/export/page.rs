@@ -106,7 +106,7 @@ const STYLE: &str = r#"<style>
   --ink: #0b0b0b; --ink2: #52514e; --muted: #898781;
   --grid: #e1e0d9; --axis: #c3c2b7; --sig: #fbe3e1;
   /*SERIES_LIGHT*/
-  --sx: #898781; --alert: #d03b3b;
+  --sx: #898781;
   font-family: system-ui, -apple-system, "Segoe UI", sans-serif;
   color: var(--ink); background: var(--page);
   max-width: 960px; margin: 0 auto; padding: 24px;
@@ -118,7 +118,7 @@ const STYLE: &str = r#"<style>
     --ink: #ffffff; --ink2: #c3c2b7; --muted: #898781;
     --grid: #2c2c2a; --axis: #383835; --sig: #4a1f1d;
     /*SERIES_DARK*/
-    --sx: #898781; --alert: #d03b3b;
+    --sx: #898781;
   }
 }
 body { margin: 0; background: var(--page); }
@@ -146,10 +146,8 @@ svg { width: 100%; height: auto; display: block; }
 .key.muted { color: var(--muted); font-style: italic; }
 .swatch { width: 12px; height: 12px; border-radius: 3px; display: inline-block; }
 line.ann-scale { stroke: var(--s6); stroke-width: 1; stroke-dasharray: 3 3; }
-line.ann-alert { stroke: var(--alert); stroke-width: 1; stroke-dasharray: 3 3; }
 line.ann-other { stroke: var(--muted); stroke-width: 1; stroke-dasharray: 3 3; }
 circle.ann-scale { fill: var(--s6); }
-circle.ann-alert { fill: var(--alert); }
 circle.ann-other { fill: var(--muted); }
 .ann:hover line { stroke-width: 2; }
 details { margin-top: 8px; }

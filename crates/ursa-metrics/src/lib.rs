@@ -7,8 +7,6 @@
 //! * [`store`] — an in-memory columnar time-series store, keyed by
 //!   [`SeriesKey`] (metric name + sorted [`Labels`]), that a collector
 //!   appends one row of current values to per harvest interval.
-//! * [`slo`] — windowed SLO violation fractions and multi-window burn-rate
-//!   alerts per SLA class.
 //! * [`export`] — the one self-contained HTML page template (head,
 //!   stylesheet, escaped table writer) and the zero-dependency dashboard
 //!   built on it (inline SVG). The paper's Prometheus stack is replaced by
@@ -43,10 +41,8 @@ pub mod export;
 pub mod json;
 pub mod logging;
 pub mod pool;
-pub mod slo;
 pub mod store;
 
 pub use digest::{store_digests, SeriesSummary};
 pub use export::dashboard::{render_dashboard, Annotation, PanelSpec};
-pub use slo::{SloAlert, SloMonitor, SloSpec};
 pub use store::{Labels, SeriesKey, TimeSeriesStore};

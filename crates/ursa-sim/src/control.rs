@@ -35,6 +35,19 @@ impl Sla {
             target,
         }
     }
+
+    /// The window's end-to-end latency of this SLA's class at its
+    /// percentile, or `None` when the class completed nothing in it.
+    pub fn window_latency(&self, snapshot: &MetricsSnapshot) -> Option<f64> {
+        snapshot.e2e_latency[self.class.0].percentile(self.percentile)
+    }
+
+    /// The window verdict every violation number counts: the window's
+    /// latency at the SLA percentile exceeds the target (`None` when the
+    /// class completed nothing in the window).
+    pub fn violated_in(&self, snapshot: &MetricsSnapshot) -> Option<bool> {
+        self.window_latency(snapshot).map(|lat| lat > self.target)
+    }
 }
 
 /// Actuation interface offered to resource managers.
@@ -270,7 +283,7 @@ pub fn run_deployment(
 /// [`DeployObserver`].
 ///
 /// When `metrics` is given, every harvest window is scraped into it
-/// (utilization, latency percentiles, SLO burn rates), each manager tick is
+/// (utilization, latency percentiles, SLA verdicts), each manager tick is
 /// wall-clock timed and its [`self_profile`](ResourceManager::self_profile)
 /// exported, and replica changes become `scale` annotations. The collector
 /// observes the simulation only through pure accessors *after* each window
@@ -314,10 +327,8 @@ pub fn run_deployment_observed(
             for c in 0..num_classes {
                 class_rps[c] = snapshot.class_rps(ClassId(c));
                 if let Some(sla) = sla_of_class[c] {
-                    if let Some(lat) = snapshot.e2e_latency[c].percentile(sla.percentile) {
-                        class_latency[c] = Some(lat);
-                        class_violation[c] = Some(lat > sla.target);
-                    }
+                    class_latency[c] = sla.window_latency(&snapshot);
+                    class_violation[c] = sla.violated_in(&snapshot);
                 }
             }
             records.push(WindowRecord {

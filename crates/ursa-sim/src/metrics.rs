@@ -33,16 +33,17 @@
 //! | `total_allocated_cores` | — | all replicas, live and draining |
 //! | `sim_events_live_total` | — | scheduler: events dispatched |
 //! | `sim_event_heap_depth`, `sim_event_heap_max_depth` | — | scheduler: event-queue occupancy |
-//! | `slo_violation_fraction`, `slo_burn_rate_short/long` | `class` | SLO monitor (when SLAs given) |
-//! | `slo_alerts_active` | — | burn-rate alerts currently firing |
+//! | `class_sla_violated` | `class` | the window's SLA verdict, [`Sla::violated_in`]: 1 or 0 (gap when idle) |
 //! | `ctrl_tick_wall_ms_{p50,p90,p99,max}` | `system` | control-tick wall time (exact, over every tick so far) |
 //! | `ctrl_ticks_total`, `ctrl_scale_events_total` | `system` (+`service`) | decision activity |
 //! | manager [`self_profile`](crate::control::ResourceManager::self_profile) series | `system` | controller internals |
 //!
-//! Scale decisions and newly firing SLO alerts also become dashboard
-//! [`Annotation`]s, so the HTML dashboard overlays control actions on every
-//! panel; the managers' self-profiling series get a "Controller internals"
-//! panel of their own.
+//! `class_sla_violated` is the verdict the deployment report counts, so
+//! its mean over the post-warmup rows is
+//! [`class_violation_rate`](crate::control::DeploymentReport::class_violation_rate).
+//! Scale decisions also become dashboard [`Annotation`]s, so the HTML
+//! dashboard overlays control actions on every panel; the managers'
+//! self-profiling series get a "Controller internals" panel of their own.
 
 use crate::control::Sla;
 use crate::engine::Simulation;
@@ -52,19 +53,11 @@ use crate::topology::{ServiceId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
-use ursa_metrics::{
-    render_dashboard, Annotation, Labels, PanelSpec, SeriesKey, SloMonitor, SloSpec,
-    TimeSeriesStore,
-};
+use ursa_metrics::{render_dashboard, Annotation, Labels, PanelSpec, SeriesKey, TimeSeriesStore};
 use ursa_stats::percentile_of_sorted;
 
 /// End-to-end latency percentiles exported per class.
 const LATENCY_PERCENTILES: [f64; 3] = [50.0, 95.0, 99.0];
-
-/// Harvest intervals in the short / long SLO burn-rate gauges (the page
-/// rule's short window and the ticket rule's short window, respectively).
-const BURN_SHORT_WINDOWS: usize = 5;
-const BURN_LONG_WINDOWS: usize = 30;
 
 /// Metrics collector for one deployment run.
 ///
@@ -83,13 +76,9 @@ pub struct SimMetrics {
     /// out to the `ctrl_tick_wall_ms_*` series.
     tick_walls_ms: Vec<f64>,
     store: TimeSeriesStore,
-    slo: Option<SloMonitor>,
-    /// SLAs aligned 1:1 with the monitor's specs.
-    slo_slas: Vec<Sla>,
+    /// The SLAs whose window verdicts become `class_sla_violated`.
+    slas: Vec<Sla>,
     annotations: Vec<Annotation>,
-    /// `(spec index, severity)` pairs firing at the previous harvest; used
-    /// to annotate only alert *onsets*, not every interval of an incident.
-    active_alerts: BTreeSet<(usize, &'static str)>,
     /// Names of the manager self-profiling series
     /// [`observe_decision`](Self::observe_decision) received; they make up
     /// the "Controller internals" panel.
@@ -98,27 +87,11 @@ pub struct SimMetrics {
 
 impl SimMetrics {
     /// Creates a collector for simulations of `topo` labeled with the
-    /// managing `system` ("ursa", "sinan", ...). `slas` (possibly empty)
-    /// seed the SLO monitor; SLAs at percentile 0 or 100 have no error
-    /// budget and are skipped.
+    /// managing `system` ("ursa", "sinan", ...). Each of `slas` (possibly
+    /// empty) exports its class's window verdict.
     pub fn for_topology(system: &str, topo: &Topology, slas: &[Sla]) -> Self {
         let service_names: Vec<String> = topo.services().iter().map(|s| s.name.clone()).collect();
         let class_names: Vec<String> = topo.classes().iter().map(|c| c.name.clone()).collect();
-        let slo_slas: Vec<Sla> = slas
-            .iter()
-            .filter(|s| s.percentile > 0.0 && s.percentile < 100.0)
-            .copied()
-            .collect();
-        let slo = if slo_slas.is_empty() {
-            None
-        } else {
-            Some(SloMonitor::new(
-                slo_slas
-                    .iter()
-                    .map(|s| SloSpec::new(&class_names[s.class.0], s.percentile))
-                    .collect(),
-            ))
-        };
         SimMetrics {
             system: system.to_string(),
             service_names,
@@ -126,10 +99,8 @@ impl SimMetrics {
             values: BTreeMap::new(),
             tick_walls_ms: Vec::new(),
             store: TimeSeriesStore::new(),
-            slo,
-            slo_slas,
+            slas: slas.to_vec(),
             annotations: Vec::new(),
-            active_alerts: BTreeSet::new(),
             profile_names: BTreeSet::new(),
         }
     }
@@ -144,19 +115,14 @@ impl SimMetrics {
         &self.store
     }
 
-    /// Dashboard annotations accumulated so far (scale events, alert
-    /// onsets).
+    /// Dashboard annotations accumulated so far (scale events and any
+    /// added through [`annotate`](Self::annotate)).
     pub fn annotations(&self) -> &[Annotation] {
         &self.annotations
     }
 
-    /// The SLO monitor, when SLAs were given.
-    pub fn slo(&self) -> Option<&SloMonitor> {
-        self.slo.as_ref()
-    }
-
-    /// Updates the per-service, per-class, and SLO series from one harvest
-    /// window. Reads `sim` only through pure accessors.
+    /// Updates the per-service, per-class, and SLA-verdict series from one
+    /// harvest window. Reads `sim` only through pure accessors.
     pub fn observe_snapshot(&mut self, sim: &Simulation, snap: &MetricsSnapshot) {
         let window = snap.window;
         for (i, svc) in snap.services.iter().enumerate() {
@@ -223,7 +189,12 @@ impl SimMetrics {
             Labels::empty(),
             sim.event_heap_max_depth() as f64,
         );
-        self.observe_slo(snap);
+        for sla in &self.slas {
+            let labels = Labels::new(&[("class", &self.class_names[sla.class.0])]);
+            let verdict = sla.violated_in(snap).map_or(f64::NAN, f64::from);
+            self.values
+                .insert(SeriesKey::new("class_sla_violated", labels), verdict);
+        }
     }
 
     /// Sets the gauge `name{labels}`.
@@ -247,65 +218,6 @@ impl SimMetrics {
             .entry(SeriesKey::new(name, labels))
             .or_insert(0.0);
         *total = total.max(v);
-    }
-
-    /// Feeds one harvest window into the SLO monitor and refreshes the
-    /// burn-rate gauges and alert annotations.
-    fn observe_slo(&mut self, snap: &MetricsSnapshot) {
-        let Some(slo) = self.slo.as_mut() else {
-            return;
-        };
-        let mut gauges = Vec::with_capacity(self.slo_slas.len());
-        for (idx, sla) in self.slo_slas.iter().enumerate() {
-            let c = sla.class.0;
-            let total = snap.completions[c];
-            // fraction_above is measured over the retained window samples;
-            // scale it to the window's completion count (see the retained
-            // vs. total discussion on `LatencySeries`).
-            let bad = match snap.e2e_latency[c].fraction_above(sla.target) {
-                Some(frac) => ((frac * total as f64).round() as u64).min(total),
-                None => 0,
-            };
-            slo.observe(idx, total, bad);
-            gauges.push((
-                c,
-                slo.violation_fraction(idx, BURN_SHORT_WINDOWS),
-                slo.burn_rate(idx, BURN_SHORT_WINDOWS),
-                slo.burn_rate(idx, BURN_LONG_WINDOWS),
-            ));
-        }
-        let alerts = slo.check();
-        for (c, frac, short, long) in gauges {
-            let labels = Labels::new(&[("class", &self.class_names[c])]);
-            self.set(
-                "slo_violation_fraction",
-                labels.clone(),
-                frac.unwrap_or(f64::NAN),
-            );
-            self.set(
-                "slo_burn_rate_short",
-                labels.clone(),
-                short.unwrap_or(f64::NAN),
-            );
-            self.set("slo_burn_rate_long", labels, long.unwrap_or(f64::NAN));
-        }
-        let now_active: BTreeSet<(usize, &'static str)> =
-            alerts.iter().map(|a| (a.spec, a.severity)).collect();
-        for a in &alerts {
-            if !self.active_alerts.contains(&(a.spec, a.severity)) {
-                self.annotations.push(Annotation::new(
-                    snap.at.as_secs_f64(),
-                    "alert",
-                    &format!(
-                        "{} alert: {} burning {:.1}x budget",
-                        a.severity, a.class, a.short_burn
-                    ),
-                ));
-            }
-        }
-        self.active_alerts = now_active;
-        let active = self.active_alerts.len() as f64;
-        self.set("slo_alerts_active", Labels::empty(), active);
     }
 
     /// Records one control-plane decision: tick wall time, the manager's
@@ -348,8 +260,7 @@ impl SimMetrics {
 
     /// Adds a free-form dashboard annotation (e.g. an injected anomaly or
     /// experiment phase boundary). `kind` selects the marker style:
-    /// `"scale"` and `"alert"` have dedicated colors, anything else is
-    /// neutral.
+    /// `"scale"` has a dedicated color, anything else is neutral.
     pub fn annotate(&mut self, at: SimTime, kind: &str, label: &str) {
         self.annotations
             .push(Annotation::new(at.as_secs_f64(), kind, label));
@@ -405,11 +316,11 @@ impl SimMetrics {
             ),
             PanelSpec::new("Total allocated cores", "cores", &["total_allocated_cores"]),
         ];
-        if self.slo.is_some() {
+        if !self.slas.is_empty() {
             panels.push(PanelSpec::new(
-                "SLO burn rate (5-interval window)",
-                "x budget",
-                &["slo_burn_rate_short"],
+                "SLA verdict (class_sla_violated: 1 = violated)",
+                "",
+                &["class_sla_violated"],
             ));
         }
         panels.push(
@@ -539,7 +450,7 @@ mod tests {
             "service_replicas",
             "service_worker_occupancy",
             "class_latency_p99",
-            "slo_burn_rate_short",
+            "class_sla_violated",
             "sim_events_live_total",
             "sim_event_heap_depth",
             "sim_event_heap_max_depth",
@@ -625,6 +536,7 @@ mod tests {
         let html = std::fs::read_to_string(&paths[0]).unwrap();
         assert!(html.contains("<svg"));
         assert!(!html.contains("<script"));
+        assert!(html.contains("class_sla_violated"), "the verdict panel");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -671,7 +583,7 @@ mod tests {
         }
         assert_eq!(
             format!("{:016x}", h.finish()),
-            "2ccf489973dfa4ee",
+            "50b1b30b66208df7",
             "{} series",
             store.num_series()
         );
@@ -733,11 +645,76 @@ mod tests {
         assert_eq!(col("ctrl_ticks_total"), Some(vec![1.0, 2.0]));
     }
 
+    /// The gauge is the window verdict of any SLA, a p50 one included: 1
+    /// when the window's p50 exceeds the target, 0 when it does not, and a
+    /// gap for a window with no completions.
     #[test]
-    fn slo_skips_budgetless_percentiles() {
-        let s = sim(1);
-        let slas = [Sla::new(ClassId(0), 100.0, 0.1)];
-        let metrics = SimMetrics::for_topology("x", s.topology(), &slas);
-        assert!(metrics.slo().is_none());
+    fn p50_sla_gauge_reads_the_window_verdict() {
+        let mut s = sim(1);
+        s.run_for(SimDur::from_mins(1));
+        let busy = s.harvest();
+        let p50 = busy.e2e_latency[0].percentile(50.0).expect("completions");
+        s.set_rate(ClassId(0), RateFn::Constant(0.0));
+        s.run_for(SimDur::from_mins(1));
+        s.harvest();
+        s.run_for(SimDur::from_mins(1));
+        let idle = s.harvest();
+        assert_eq!(idle.completions[0], 0);
+        let key = SeriesKey::new("class_sla_violated", Labels::new(&[("class", "get")]));
+        for (target, want) in [(p50 * 0.5, 1.0), (p50, 0.0), (p50 * 2.0, 0.0)] {
+            let slas = [Sla::new(ClassId(0), 50.0, target)];
+            let mut metrics = SimMetrics::for_topology("x", s.topology(), &slas);
+            for snap in [&busy, &idle] {
+                metrics.observe_snapshot(&s, snap);
+                metrics.scrape(snap.at);
+            }
+            let col = metrics.store().values(&key).expect("verdict series");
+            assert_eq!(col[0], want, "target {target}");
+            assert!(col[1].is_nan(), "an idle window has no verdict");
+        }
+    }
+
+    /// The dashboard and the tables read one definition: over the
+    /// post-warmup rows of a run that violates in some windows and not in
+    /// others, the verdict gauge's mean is the report's violation rate to
+    /// the bit.
+    #[test]
+    fn verdict_gauge_mean_is_the_violation_rate() {
+        let mut s = sim(3);
+        s.set_rate(ClassId(0), RateFn::Constant(900.0));
+        let slas = [Sla::new(ClassId(0), 99.0, 0.080)];
+        let cfg = DeployConfig {
+            duration: SimDur::from_mins(12),
+            ..cfg()
+        };
+        let mut metrics = SimMetrics::for_topology("static", s.topology(), &slas);
+        let report = run_deployment_observed(
+            &mut s,
+            &slas,
+            &mut StaticManager,
+            &cfg,
+            Some(&mut metrics),
+            None,
+        );
+        let store = metrics.store();
+        let key = SeriesKey::new("class_sla_violated", Labels::new(&[("class", "get")]));
+        let col = store.values(&key).expect("verdict series");
+        let warm = cfg.warmup.as_secs_f64();
+        let verdicts: Vec<f64> = store
+            .times()
+            .iter()
+            .zip(&col)
+            .filter(|&(&t, v)| t > warm && !v.is_nan())
+            .map(|(_, &v)| v)
+            .collect();
+        let p99s: Vec<_> = report.records.iter().map(|r| r.class_latency[0]).collect();
+        assert_eq!(verdicts.len(), report.records.len(), "{p99s:?}");
+        let violated = verdicts.iter().sum::<f64>();
+        assert!(
+            violated > 0.0 && violated < verdicts.len() as f64,
+            "the fixture must violate in some windows, not all: {p99s:?}"
+        );
+        let mean = violated / verdicts.len() as f64;
+        assert_eq!(mean, report.class_violation_rate(ClassId(0)));
     }
 }

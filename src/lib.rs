@@ -11,7 +11,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`stats`] | `ursa-stats` | deterministic RNG, distributions, Welch's t-test, quantiles |
-//! | [`metrics`] | `ursa-metrics` | time-series registry, SLO burn-rate monitor, HTML page template and dashboard |
+//! | [`metrics`] | `ursa-metrics` | columnar time-series store, series digests, HTML page template and dashboard |
 //! | [`sim`] | `ursa-sim` | discrete-event microservice simulator, its tracing plane, control-plane traits |
 //! | [`apps`] | `ursa-apps` | the §VI benchmark applications and §III study chains |
 //! | [`mip`] | `ursa-mip` | the exact multiple-choice MIP solver (Gurobi stand-in) |
