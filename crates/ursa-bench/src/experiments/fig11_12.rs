@@ -265,14 +265,18 @@ mod tests {
             };
             assert!(!profile.is_empty(), "{stem}");
             // The panel strips the names' longest shared prefix that ends
-            // at a `_` (`ctrl_`, or `ctrl_scale_` for the autoscaler's two
-            // counters); each series is a titled line with its own table
-            // column.
+            // at a `_` only when what it leaves of every name is one word,
+            // so the autoscaler's `ctrl_scale_outs_total` and
+            // `ctrl_scale_ins_total` keep their full names; each series is
+            // a titled line with its own table column.
             let names: Vec<&str> = profile.iter().map(|&(name, _)| name).collect();
             let mut prefix = if names.len() > 1 { names[0] } else { "" };
             while !names.iter().all(|name| name.starts_with(prefix)) {
                 let cut = prefix[..prefix.len() - 1].rfind('_').map_or(0, |i| i + 1);
                 prefix = &prefix[..cut];
+            }
+            if names.iter().any(|name| name[prefix.len()..].contains('_')) {
+                prefix = "";
             }
             for name in names {
                 assert!(
