@@ -31,8 +31,7 @@ pub const SERVICES: [&str; 4] = [
 /// Runs the diurnal deployment and extracts the series.
 ///
 /// This experiment is a single deployment cell (one app, one load, one
-/// system), so it goes through [`crate::runner`] as one cell — the
-/// sequential fast path regardless of `--jobs`.
+/// system), so it runs on the calling thread regardless of `--jobs`.
 pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<ServiceSeries> {
     println!("== Figure 13: per-service RPS vs CPU allocation under diurnal load ==");
     let app = social_network(false);
@@ -40,23 +39,23 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<ServiceSeries> {
         Scale::Quick => SimDur::from_mins(30),
         Scale::Full => SimDur::from_mins(90),
     };
-    let report = crate::runner::run_cells(vec![()], |_, ()| {
-        let mut ursa = prepare_ursa(&app, scale, 0x000F_1613);
-        let mut sim = app.build_sim(0xD1);
-        LoadSpec::Diurnal.apply(&app, &mut sim, duration);
-        ursa.apply_initial_allocation(&default_rates(&app), &mut sim);
-        let cfg = DeployConfig {
-            duration,
-            control_interval: SimDur::from_mins(1),
-            warmup: SimDur::ZERO,
-        };
-        run_deployment(&mut sim, &app.slas, &mut ursa, &cfg)
-    })
-    .pop()
-    .expect("single cell");
+    let mut ursa = prepare_ursa(&app, scale, 0x000F_1613);
+    let mut sim = app.build_sim(0xD1);
+    LoadSpec::Diurnal.apply(&app, &mut sim, duration);
+    ursa.apply_initial_allocation(&default_rates(&app), &mut sim);
+    let cfg = DeployConfig {
+        duration,
+        control_interval: SimDur::from_mins(1),
+        warmup: SimDur::ZERO,
+    };
+    let report = run_deployment(&mut sim, &app.slas, &mut ursa, &cfg);
 
     let mut out = Vec::new();
     for name in SERVICES {
+        #[allow(
+            clippy::expect_used,
+            reason = "SERVICES names services of the social network"
+        )]
         let sid = app.service(name).expect("service exists");
         let cores_per_replica = app.topology.services()[sid.0].cores;
         let points: Vec<(f64, f64, f64)> = report

@@ -38,11 +38,17 @@ pub struct AdaptationResult {
 pub fn run(scale: Scale, ctx: &RunCtx) -> AdaptationResult {
     println!("== Figure 14 / §VII-G: adapting to a service-logic change ==");
     let app = social_network(false);
-    let detect_class = app.class("object-detect").expect("class exists");
-    let detect_svc = app.service("object-detect").expect("service exists");
-    let sla = app.sla_of(detect_class).expect("sla exists");
+    #[allow(
+        clippy::expect_used,
+        reason = "object-detect is a class and a service of the social network, and has an SLA"
+    )]
+    let (detect_class, detect_svc, sla) = {
+        let class = app.class("object-detect").expect("class exists");
+        let svc = app.service("object-detect").expect("service exists");
+        (class, svc, app.sla_of(class).expect("sla exists"))
+    };
     let rates = default_rates(&app);
-    let ursa = prepare_ursa(&app, scale, 0x000F_1614);
+    let mut ursa = prepare_ursa(&app, scale, 0x000F_1614);
 
     let duration = match scale {
         Scale::Quick => SimDur::from_mins(14),
@@ -59,38 +65,37 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> AdaptationResult {
             .iter()
             .filter_map(|r| r.class_latency[detect_class.0])
             .collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        v.sort_by(f64::total_cmp);
         v
     };
 
     // The three phases depend on each other (the re-exploration consumes
     // phase 1's manager, phase 3 deploys the refreshed one), so the whole
-    // experiment is a single cell of the runner — sequential under any
-    // `--jobs`.
-    let (before, stats, after) = crate::runner::run_cells(vec![ursa], |_, mut ursa| {
-        // Phase 1: deploy with the original DETR-scale model.
-        let mut sim = app.build_sim(0xBEF0E);
-        app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
-        ursa.apply_initial_allocation(&rates, &mut sim);
-        let before = run_deployment(&mut sim, &app.slas, &mut ursa, &deploy_cfg);
+    // experiment runs on the calling thread under any `--jobs`.
 
-        // Phase 2: the operators deploy MobileNet — the service gets ~4x
-        // lighter. Ursa partially re-explores only that service and
-        // re-solves.
-        let stats = ursa
-            .re_explore(detect_svc.0, MOBILENET_SCALE, &rates)
-            .expect("re-exploration feasible");
+    // Phase 1: deploy with the original DETR-scale model.
+    let mut sim = app.build_sim(0xBEF0E);
+    app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
+    ursa.apply_initial_allocation(&rates, &mut sim);
+    let before = run_deployment(&mut sim, &app.slas, &mut ursa, &deploy_cfg);
 
-        // Phase 3: deploy the updated application with the refreshed model.
-        let mut sim = app.build_sim(0xAF7E5);
-        sim.set_work_scale(detect_svc, MOBILENET_SCALE);
-        app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
-        ursa.apply_initial_allocation(&rates, &mut sim);
-        let after = run_deployment(&mut sim, &app.slas, &mut ursa, &deploy_cfg);
-        (before, stats, after)
-    })
-    .pop()
-    .expect("single cell");
+    // Phase 2: the operators deploy MobileNet — the service gets ~4x
+    // lighter. Ursa partially re-explores only that service and
+    // re-solves.
+    #[allow(
+        clippy::expect_used,
+        reason = "a 4x lighter service only lowers the latencies of a model prepare_ursa already solved"
+    )]
+    let stats = ursa
+        .re_explore(detect_svc.0, MOBILENET_SCALE, &rates)
+        .expect("re-exploration feasible");
+
+    // Phase 3: deploy the updated application with the refreshed model.
+    let mut sim = app.build_sim(0xAF7E5);
+    sim.set_work_scale(detect_svc, MOBILENET_SCALE);
+    app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
+    ursa.apply_initial_allocation(&rates, &mut sim);
+    let after = run_deployment(&mut sim, &app.slas, &mut ursa, &deploy_cfg);
     let violation_before = before.class_violation_rate(detect_class);
     let p99_before = windows_p99(&before);
     let violation_after = after.class_violation_rate(detect_class);

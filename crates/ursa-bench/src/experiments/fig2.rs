@@ -123,8 +123,10 @@ fn write_chain_artifacts(
     std::fs::write(dir.join(format!("{stem}.blame.txt")), blame.render(&names))
 }
 
-/// Runs all three chains and writes/prints the heatmaps.
-pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<Heatmap> {
+/// Runs all three chains, writes/prints the heatmaps, and returns each
+/// chain's heatmap with its collector (filled only under
+/// `--artifacts-dir`).
+pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<(Heatmap, Option<SimMetrics>)> {
     let minutes = match scale {
         Scale::Quick => 8,
         Scale::Full => 10,
@@ -166,9 +168,6 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<Heatmap> {
     for (edge, hm, traces, metrics) in chains {
         let stem = format!("fig2_{}", hm.kind.to_lowercase());
         if let (Some(dir), Some(m)) = (dir, metrics.as_ref()) {
-            // Digest every collected series into the run manifest (main
-            // thread, chain order — deterministic), keyed by chain stem.
-            ctx.manifest().note_store(&stem, m.store());
             match write_chain_artifacts(dir, &stem, edge, &traces, m) {
                 Ok(()) => crate::info!(
                     "[fig2] wrote {stem}.{{html,trace.json,blame.txt}} ({} traces) under {}",
@@ -192,7 +191,7 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<Heatmap> {
         println!("\n-- {} (p99 per-tier response time, seconds) --", hm.kind);
         print!("{}", table.render());
         let _ = table.write_tsv(ctx, "fig2");
-        out.push(hm);
+        out.push((hm, metrics));
     }
     out
 }

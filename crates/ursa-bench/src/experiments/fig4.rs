@@ -15,6 +15,10 @@ use ursa_core::profiling::{profile_service, BackpressureProfile};
 /// Profiles one named service of the social network.
 pub fn profile_named(service: &str, scale: Scale, seed: u64) -> BackpressureProfile {
     let app = social_network(false);
+    #[allow(
+        clippy::expect_used,
+        reason = "callers name services of the social network"
+    )]
     let sid = app.service(service).expect("service exists");
     let rates = default_rates(&app);
     let profile = ServiceProfile::extract(&app.topology, sid, &rates);

@@ -183,12 +183,10 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<AccuracySeries> {
         (social_network(false), fig9_filter.to_vec(), 0xF169),
         (video_pipeline(0.5), Vec::new(), 0x000F_1610),
     ];
-    let mut results = crate::runner::run_cells(cells, |_, (app, filter, seed)| {
+    let results = crate::runner::run_cells(cells, |_, (app, filter, seed)| {
         run_app(&app, &filter, scale, seed, ctx)
     });
-    let fig10 = results.pop().expect("video series");
-    let fig9 = results.pop().expect("social series");
-    for (fig, series) in [("fig9", fig9), ("fig10", fig10)] {
+    for (fig, series) in ["fig9", "fig10"].into_iter().zip(results) {
         for s in series {
             let mut table = TsvTable::new(
                 &format!("{fig}_{}", s.class),

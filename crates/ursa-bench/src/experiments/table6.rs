@@ -145,6 +145,10 @@ pub fn run(scale: Scale, ctx: &RunCtx) -> Vec<ControlPlaneLatency> {
     // Ursa.
     let deploy = time_ticks(ursa.as_mut(), &snapshot, &mut sim, iters);
     let t0 = std::time::Instant::now();
+    #[allow(
+        clippy::expect_used,
+        reason = "prepare_ursa solved this model at these rates"
+    )]
     ursa.recalculate(&rates).expect("recalc");
     let update = t0.elapsed().as_nanos() as f64 / 1e6;
     rows.push(ControlPlaneLatency {

@@ -13,6 +13,10 @@
 //! [`Scale::Full`] (paper-protocol durations).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod diff;
 pub mod experiments;
@@ -211,6 +215,10 @@ pub fn prepare_ursa(app: &App, scale: Scale, seed: u64) -> Ursa {
         exploration: scale.exploration(),
         profiling: scale.profiling(),
     };
+    #[allow(
+        clippy::panic,
+        reason = "the ledger binds this signature; ROADMAP item 1 turns the failure into a Result"
+    )]
     Ursa::explore_and_prepare(&app.topology, &app.slas, &rates, cfg, seed).unwrap_or_else(|e| {
         panic!(
             "ursa offline phase failed on {} ({} services, {} classes) at {scale:?} scale, \
@@ -530,15 +538,13 @@ impl RunCtx {
         }
     }
 
-    /// The run's manifest, locked for one `note_*` call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cell panicked while recording into the manifest.
+    /// The run's manifest, locked for one `note_table` call. A cell that
+    /// panicked while holding the lock left every recorded table whole
+    /// (an insert either happened or did not), so the lock is taken back.
     pub fn manifest(&self) -> MutexGuard<'_, manifest::RunManifest> {
         self.manifest
             .lock()
-            .expect("a cell panicked while holding the manifest")
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -554,16 +560,6 @@ impl RunCtx {
         let _ = std::fs::remove_dir_all(&ctx.results);
         out
     }
-}
-
-/// Formats a float with 3 decimals for table cells.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Formats a percentage for table cells.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
 }
 
 #[cfg(test)]
@@ -588,7 +584,8 @@ mod tests {
     /// Two experiments in one process share nothing: fig2 runs on two
     /// threads at once, each under its own context, and each root ends up
     /// with exactly its own artifacts — the committed TSVs, one dashboard,
-    /// trace and blame summary per chain — and the same manifest.
+    /// trace and blame summary per chain — and the same manifest, and the
+    /// two runs' collectors hold the same bits.
     #[test]
     fn run_ctx_isolates_runs() {
         let root =
@@ -601,10 +598,11 @@ mod tests {
                 manifest::RunManifest::new("fig2", 0, 1, "quick"),
             )
         });
-        std::thread::scope(|scope| {
-            for ctx in &ctxs {
-                scope.spawn(move || experiments::fig2::run(Scale::Quick, ctx));
-            }
+        let chains = std::thread::scope(|scope| {
+            let runs = ctxs
+                .each_ref()
+                .map(|ctx| scope.spawn(move || experiments::fig2::run(Scale::Quick, ctx)));
+            runs.map(|run| run.join().unwrap())
         });
         let listing = |dir: &std::path::Path| -> Vec<String> {
             let mut names: Vec<String> = std::fs::read_dir(dir)
@@ -635,13 +633,31 @@ mod tests {
         }
         let [a, b] = ctxs.map(|ctx| ctx.manifest().to_json());
         assert_eq!(a, b);
-        // The manifest's `series` section digests every series the
-        // collectors scraped; tracing alongside them must not move it.
-        assert_eq!(
-            format!("{:016x}", ursa_sim::topology::Fnv::digest(a.as_bytes())),
-            "0097159fb5fc045d",
-            "{a}"
-        );
+        let digest = |bytes: &[u8]| format!("{:016x}", ursa_sim::topology::Fnv::digest(bytes));
+        assert_eq!(digest(a.as_bytes()), "a8799e179fd89a12", "{a}");
+        // The collectors scraped the traced chains; tracing alongside them
+        // must not move a bit of their stores.
+        let [sa, sb] = chains.map(|side| {
+            let mut bytes = Vec::new();
+            for (_, metrics) in side {
+                let metrics = metrics.expect("armed by the artifacts directory");
+                let store = metrics.store();
+                for &t in store.times() {
+                    bytes.extend(t.to_bits().to_le_bytes());
+                }
+                for (key, col) in store.iter() {
+                    let name = key.render();
+                    bytes.extend(name.as_bytes());
+                    bytes.extend((name.len() as u64).to_le_bytes());
+                    for &v in col {
+                        bytes.extend(v.to_bits().to_le_bytes());
+                    }
+                }
+            }
+            digest(&bytes)
+        });
+        assert_eq!(sa, sb);
+        assert_eq!(sa, "b23488769d1753b5");
         let doc = ursa_metrics::json::parse_json(&a).unwrap();
         let tables = doc.get("tables").and_then(|t| t.as_obj()).unwrap();
         assert_eq!(tables.len(), 3, "{a}");

@@ -8,12 +8,18 @@
 //! ```
 //!
 //! Every experiment writes a `run.json` manifest under its results
-//! directory; `diff` aligns two such manifests into `diff.tsv` + a
-//! script-free `diff.html`. `--artifacts-dir DIR` is the one place a run
-//! writes what a person reads: dashboards (fig2, fig9, fig11), Chrome
-//! traces and blame summaries (fig2) and decision logs (fig9).
+//! directory (its seed, jobs and scale, and the row count and digest of
+//! every table it wrote); `diff` compares two such manifests row by row
+//! into `diff.tsv` + a script-free `diff.html` and exits 1 if a row
+//! changed. `--artifacts-dir DIR` is the one place a run writes what a
+//! person reads: dashboards (fig2, fig9, fig11), Chrome traces and blame
+//! summaries (fig2) and decision logs (fig9).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::path::PathBuf;
 
@@ -108,8 +114,8 @@ fn main() {
         }
     };
     // Every experiment gets its own context: the artifact directory from
-    // the command line and a fresh manifest its `note_*` calls feed, which
-    // lands in `results/<exp>/run.json` for `ursa-bench diff`.
+    // the command line and a fresh manifest its `note_table` calls feed,
+    // which lands in `results/<exp>/run.json` for `ursa-bench diff`.
     let run_manifested = |name: &str| {
         let manifest =
             RunManifest::new(name, ursa_bench::global_seed(), runner::jobs(), scale_label);
@@ -155,22 +161,6 @@ fn parse_jobs(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// Resolves the diff tolerance: the `--tolerance` operand, else
-/// [`diff::DEFAULT_TOLERANCE`]. It must be a number in `[0, 1)`: from 1 up,
-/// the band `a·(1 ± t)` reaches zero and a value that drops to nothing
-/// is not flagged.
-fn parse_tolerance(flag: Option<&str>) -> Result<f64, String> {
-    let Some(raw) = flag else {
-        return Ok(diff::DEFAULT_TOLERANCE);
-    };
-    match raw.parse::<f64>() {
-        Ok(t) if (0.0..1.0).contains(&t) => Ok(t),
-        _ => Err(format!(
-            "--tolerance must be a number in [0, 1), got `{raw}`"
-        )),
-    }
-}
-
 /// Unwraps a validated operand; a bad one is a usage error that says why.
 fn or_usage<T>(parsed: Result<T, String>) -> T {
     parsed.unwrap_or_else(|e| {
@@ -179,21 +169,16 @@ fn or_usage<T>(parsed: Result<T, String>) -> T {
     })
 }
 
-/// `ursa-bench diff RUN_A RUN_B [--out DIR] [--tolerance T]`
+/// `ursa-bench diff RUN_A RUN_B [--out DIR]`
 fn diff_main(args: &[String]) -> i32 {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut out_dir = results_dir().join("diff");
-    let mut tolerance: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--out" => {
                 i += 1;
                 out_dir = args.get(i).map(PathBuf::from).unwrap_or_else(|| usage());
-            }
-            "--tolerance" => {
-                i += 1;
-                tolerance = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
             flag if flag.starts_with("--") => {
                 warn!("unknown diff argument: {flag}");
@@ -207,8 +192,7 @@ fn diff_main(args: &[String]) -> i32 {
         warn!("diff needs exactly two manifest paths, got {}", paths.len());
         usage();
     }
-    let tolerance = or_usage(parse_tolerance(tolerance.as_deref()));
-    diff::run(&paths[0], &paths[1], &out_dir, tolerance)
+    diff::run(&paths[0], &paths[1], &out_dir)
 }
 
 fn usage() -> ! {
@@ -216,7 +200,7 @@ fn usage() -> ! {
         "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation] \
          [--quick|--full] [--jobs N] [--seed N] [--quiet|--verbose] \
          [--artifacts-dir DIR]\n\
-         \x20      ursa-bench diff RUN_A.json RUN_B.json [--out DIR] [--tolerance T]"
+         \x20      ursa-bench diff RUN_A.json RUN_B.json [--out DIR]"
     );
     std::process::exit(2)
 }
@@ -224,17 +208,6 @@ fn usage() -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tolerance_is_range_checked_from_the_flag() {
-        assert_eq!(parse_tolerance(None), Ok(diff::DEFAULT_TOLERANCE));
-        assert_eq!(parse_tolerance(Some("0.2")), Ok(0.2));
-        assert_eq!(parse_tolerance(Some("0")), Ok(0.0));
-        for bad in ["1.5", "1", "-0.1", "NaN", "inf", "ten", ""] {
-            let e = parse_tolerance(Some(bad)).unwrap_err();
-            assert!(e.contains("--tolerance") && e.contains(bad), "{e}");
-        }
-    }
 
     #[test]
     fn jobs_zero_is_a_usage_error_not_one_worker() {

@@ -1,23 +1,20 @@
 //! Properties of the differential-observability layer: a run manifest is a
 //! deterministic artifact (byte-identical under `--jobs 1` and `--jobs 8`
 //! for the same cells), `diff(run, run)` of any manifest against itself
-//! reports zero deltas with deterministic TSV/HTML renders, and a damaged
-//! manifest makes `diff` return an error or a report, never panic.
+//! marks no row and renders deterministic TSV/HTML, a damaged manifest
+//! makes `diff` return an error or a report, never panic, and the binary
+//! refuses a flag it does not know.
 
 use std::fmt::Write as _;
 
 use proptest::prelude::*;
 use ursa_apps::chains::study_chain_with;
-use ursa_bench::diff::{
-    diff_manifests, parse_manifest, render_html, render_tsv, DEFAULT_TOLERANCE,
-};
+use ursa_bench::diff::{diff_manifests, parse_manifest, render_html, render_tsv};
 use ursa_bench::manifest::RunManifest;
-use ursa_core::decision_log::{DecisionKind, DecisionLog, DecisionRecord, ServiceDelta};
 use ursa_metrics::json::{esc, parse_json, JsonValue};
 use ursa_metrics::pool::map_ordered;
 use ursa_sim::engine::{SimConfig, Simulation};
-use ursa_sim::metrics::SimMetrics;
-use ursa_sim::time::{SimDur, SimTime};
+use ursa_sim::time::SimDur;
 use ursa_sim::topology::{ClassId, EdgeKind};
 use ursa_sim::workload::RateFn;
 
@@ -53,8 +50,8 @@ fn cell_specs() -> impl Strategy<Value = Vec<CellSpec>> {
     )
 }
 
-/// Runs one cell and records everything a real experiment would into its
-/// own [`RunManifest`], returning the JSON.
+/// Runs one cell and records its table into its own [`RunManifest`], as
+/// a real experiment would, returning the JSON.
 fn manifest_json(index: usize, spec: &CellSpec) -> String {
     let edge = match spec.edge {
         0 => EdgeKind::NestedRpc,
@@ -62,19 +59,13 @@ fn manifest_json(index: usize, spec: &CellSpec) -> String {
         _ => EdgeKind::Mq,
     };
     let topo = study_chain_with(edge, spec.tiers, spec.work_us as f64 * 1e-6, 2.0);
-    let digest = topo.digest();
-    let mut metrics = SimMetrics::for_topology("static", &topo, &[]);
     let mut sim = Simulation::new(topo, SimConfig::default(), spec.seed);
     sim.set_rate(ClassId(0), RateFn::Constant(spec.rps));
     sim.run_for(SimDur::from_secs(spec.secs));
     let snap = sim.harvest();
-    metrics.observe_snapshot(&sim, &snap);
-    metrics.scrape(snap.at);
 
     // Constant jobs/scale: the manifest must not observe the worker count.
     let mut m = RunManifest::new("proptest", spec.seed, 1, "quick");
-    m.set_topology_digest(digest);
-    m.note_store(&format!("cell{index}"), metrics.store());
     let mut tsv = String::from("tier\tp99\n");
     for t in 0..spec.tiers {
         let _ = writeln!(
@@ -86,28 +77,13 @@ fn manifest_json(index: usize, spec: &CellSpec) -> String {
         );
     }
     m.note_table(&format!("cell{index}_p99"), spec.tiers, tsv.as_bytes());
-    let mut log = DecisionLog::new(16);
-    log.push(DecisionRecord {
-        at: SimTime::ZERO,
-        kind: DecisionKind::InitialAllocation,
-        deltas: vec![ServiceDelta {
-            service: 0,
-            replicas_before: 1,
-            replicas_after: spec.tiers,
-            cores_before: 1.0,
-            cores_after: 2.0,
-        }],
-        estimated_latency: vec![spec.rps / 1000.0],
-        objective: Some(spec.tiers as f64),
-    });
-    m.note_decisions(&format!("cell{index}"), &log);
     m.to_json()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Manifests are jobs-invariant and self-diff to zero deltas with
+    /// Manifests are jobs-invariant and self-diff to no changed row with
     /// deterministic report renders.
     #[test]
     fn manifests_are_jobs_invariant_and_self_diff_zero(specs in cell_specs()) {
@@ -121,15 +97,15 @@ proptest! {
         prop_assert_eq!(&seq, &par, "manifest bytes must not depend on --jobs");
         for json in &seq {
             let v = parse_json(json).expect("manifest round-trips through the parser");
-            let report = diff_manifests(&v, &v, DEFAULT_TOLERANCE);
-            prop_assert!(report.is_zero(), "self-diff must report zero deltas");
+            let report = diff_manifests(&v, &v);
+            prop_assert!(report.is_zero(), "self-diff must mark no row");
             prop_assert_eq!(report.significant(), 0);
-            for section in ["series", "tables"] {
+            for section in ["identity", "table"] {
                 prop_assert!(report.rows.iter().any(|r| r.section == section), "no {} rows", section);
             }
             // The renders are pure functions of the report: two independent
-            // alignments of the same manifest produce identical bytes.
-            let again = diff_manifests(&v, &v, DEFAULT_TOLERANCE);
+            // comparisons of the same manifest produce identical bytes.
+            let again = diff_manifests(&v, &v);
             prop_assert_eq!(render_tsv(&report), render_tsv(&again));
             prop_assert_eq!(render_html(&report), render_html(&again));
         }
@@ -137,10 +113,10 @@ proptest! {
 }
 
 /// `ursa-bench diff` on two manifest texts, short of the files it writes:
-/// parse both, align them, render both reports.
+/// parse both, compare them, render both reports.
 fn diff_texts(a: &str, b: &str) -> Result<(String, String), String> {
     let (a, b) = (parse_manifest(a)?, parse_manifest(b)?);
-    let report = diff_manifests(&a, &b, DEFAULT_TOLERANCE);
+    let report = diff_manifests(&a, &b);
     Ok((render_tsv(&report), render_html(&report)))
 }
 
@@ -236,7 +212,7 @@ proptest! {
         for token in ["NaN", "Inf", "-Infinity", "1e400", "-1e400", "1e-400"] {
             damaged.push(format!("{}{token}{}", &good[..lo], &good[hi..]));
         }
-        // Every number at once, so `1e400` reaches every series and table.
+        // Every number at once, so `1e400` reaches every identity field and table.
         let mut huge = String::new();
         let mut at = 0;
         for &(lo, hi) in &spans {
@@ -258,4 +234,20 @@ proptest! {
         }
         prop_assert!(diff_texts(&good, &good).is_ok());
     }
+}
+
+/// `diff` takes no tolerance: `--tolerance` is an unknown argument, a
+/// usage error with exit code 2, before any manifest is read.
+#[test]
+fn tolerance_is_an_unknown_argument() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ursa-bench"))
+        .args(["diff", "a.json", "b.json", "--tolerance", "0.1"])
+        .output()
+        .expect("the binary starts");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown diff argument: --tolerance"),
+        "{stderr}"
+    );
 }

@@ -10,11 +10,8 @@
 //! * [`export`] — the one self-contained HTML page template (head,
 //!   stylesheet, escaped table writer) and the zero-dependency dashboard
 //!   built on it (inline SVG). The paper's Prometheus stack is replaced by
-//!   this in-process pull, so no exposition format is written: run
-//!   manifests carry the series digests, and the dashboard the series.
-//! * [`digest`] — per-series scalar digests (count/min/max/mean/last) in
-//!   sorted key order, the series view run manifests embed for
-//!   `ursa-bench diff`.
+//!   this in-process pull, so no exposition format is written: the
+//!   dashboard carries the series.
 //! * [`json`] — the one hand-rolled JSON layer (escaping, number rendering,
 //!   a minimal parser) behind run manifests, Chrome traces and
 //!   `ursa-bench diff`.
@@ -31,18 +28,16 @@
 //! and a run with metrics disabled skips the pipeline entirely.
 //!
 //! Rows are deterministic: series keys are totally ordered, so the store's
-//! key order and its digests are independent of the order a row lists its
-//! cells in and of label-insertion order (property-tested).
+//! key order is independent of the order a row lists its cells in and of
+//! label-insertion order (property-tested).
 
 #![forbid(unsafe_code)]
 
-pub mod digest;
 pub mod export;
 pub mod json;
 pub mod logging;
 pub mod pool;
 pub mod store;
 
-pub use digest::{store_digests, SeriesSummary};
 pub use export::dashboard::{render_dashboard, Annotation, PanelSpec};
 pub use store::{Labels, SeriesKey, TimeSeriesStore};

@@ -2,17 +2,16 @@
 //! *set* of cells — independent of the order a row lists its cells in and
 //! of the order label pairs were listed in.
 //!
-//! This is what makes the metrics pipeline safe to diff across runs: two
-//! runs that append the same rows build byte-identical stores — the same
-//! keys in the same order, the same columns to the bit — and so embed
-//! identical series digests in their run manifests, even if control flow
-//! produced the cells in a different order.
+//! So two runs that append the same rows build byte-identical stores —
+//! the same keys in the same order, the same columns to the bit — and so
+//! identical dashboards, even if control flow produced the cells in a
+//! different order.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use proptest::prelude::*;
-use ursa_metrics::{store_digests, Labels, SeriesKey, TimeSeriesStore};
+use ursa_metrics::{Labels, SeriesKey, TimeSeriesStore};
 
 /// One generated cell: name index, label pairs (by small-pool index), and
 /// its value.
@@ -84,17 +83,13 @@ fn build(rows: &[Vec<CellSpec>], reversed: bool) -> TimeSeriesStore {
     store
 }
 
-/// Renders what a run manifest is built from: every key in store order
-/// with its column's bits, then [`store_digests`].
+/// Renders the store: its time axis, then every key in store order with
+/// its column's bits.
 fn render(store: &TimeSeriesStore) -> String {
     let mut out = format!("{:?}\n", store.times());
     for (key, col) in store.iter() {
         let bits: Vec<u64> = col.iter().map(|v| v.to_bits()).collect();
         let _ = writeln!(out, "{} {bits:?}", key.render());
-    }
-    out.push_str("---\n");
-    for (key, summary) in store_digests(store) {
-        let _ = writeln!(out, "{} {summary:?}", key.render());
     }
     out
 }
@@ -112,7 +107,7 @@ proptest! {
     #[test]
     fn repeated_builds_are_byte_identical(rows in rows_spec()) {
         // Determinism across identical runs (no hidden iteration-order or
-        // hash-seed dependence anywhere in store or digests).
+        // hash-seed dependence anywhere in the store).
         let a = render(&build(&rows, false));
         let b = render(&build(&rows, false));
         prop_assert_eq!(a, b);

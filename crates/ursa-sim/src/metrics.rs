@@ -541,9 +541,9 @@ mod tests {
     }
 
     /// One metered deployment, then two windows with no control tick,
-    /// digested as run manifests read the store: the time axis, every
-    /// series key (the wall-clock ones included), and every deterministic
-    /// column to the bit. Counters
+    /// digested over the store's bits: the time axis, every series key
+    /// (the wall-clock ones included), and every deterministic column.
+    /// Counters
     /// accumulate, gauges persist into rows that did not set them (the
     /// manager's `ctrl_demo_target` into the two rows with no tick), and
     /// the tick-wall fan-out keeps its four series, or the digest moves.
@@ -567,22 +567,25 @@ mod tests {
             metrics.scrape(snap.at);
         }
         let store = metrics.store();
-        let mut h = Fnv::new();
+        let mut bytes = Vec::new();
         for &t in store.times() {
-            h.write_f64(t);
+            bytes.extend(t.to_bits().to_le_bytes());
         }
         for (key, col) in store.iter() {
-            h.write_str(&key.render());
+            // Length-delimited, so ("ab", "c") never reads as ("a", "bc").
+            let name = key.render();
+            bytes.extend(name.as_bytes());
+            bytes.extend((name.len() as u64).to_le_bytes());
             // Wall-clock series measure the host, not the run.
             if key.name.contains("wall_ms") || key.name.contains("solve_ms") {
                 continue;
             }
             for &v in col {
-                h.write_f64(v);
+                bytes.extend(v.to_bits().to_le_bytes());
             }
         }
         assert_eq!(
-            format!("{:016x}", h.finish()),
+            format!("{:016x}", Fnv::digest(&bytes)),
             "50b1b30b66208df7",
             "{} series",
             store.num_series()

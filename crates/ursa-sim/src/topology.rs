@@ -636,117 +636,20 @@ impl Topology {
             .filter(|&c| self.services_of_class(c).contains(&service))
             .collect()
     }
-
-    /// Structural digest of the topology (FNV-1a over services and call
-    /// trees). Two topologies digest equal iff they have the same service
-    /// configurations and the same class trees (names, priorities, edges,
-    /// call modes, and work-distribution parameters); run manifests embed
-    /// the digest so `ursa-bench diff` can tell "same workload, different
-    /// code" apart from "different workload".
-    pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write_usize(self.services.len());
-        for s in &self.services {
-            h.write_str(&s.name);
-            h.write_f64(s.cores);
-            h.write_usize(s.workers);
-            h.write_usize(s.daemon_workers);
-            h.write_usize(s.daemon_queue_cap);
-            h.write_usize(s.initial_replicas);
-        }
-        h.write_usize(self.classes.len());
-        for c in &self.classes {
-            h.write_str(&c.name);
-            h.write_usize(c.priority.0 as usize);
-            c.root.visit(&mut |node| {
-                h.write_usize(node.service.0);
-                h.write_usize(match node.mode {
-                    CallMode::Sequential => 0,
-                    CallMode::Parallel => 1,
-                });
-                for work in [&node.pre_work, &node.post_work] {
-                    match work {
-                        WorkDist::Constant(v) => {
-                            h.write_usize(1);
-                            h.write_f64(*v);
-                        }
-                        WorkDist::Uniform { low, high } => {
-                            h.write_usize(2);
-                            h.write_f64(*low);
-                            h.write_f64(*high);
-                        }
-                        WorkDist::Exponential { mean } => {
-                            h.write_usize(3);
-                            h.write_f64(*mean);
-                        }
-                        WorkDist::LogNormal { mean, cv } => {
-                            h.write_usize(4);
-                            h.write_f64(*mean);
-                            h.write_f64(*cv);
-                        }
-                        WorkDist::Pareto { x_min, alpha } => {
-                            h.write_usize(5);
-                            h.write_f64(*x_min);
-                            h.write_f64(*alpha);
-                        }
-                    }
-                }
-                h.write_usize(node.children.len());
-                for (edge, _) in &node.children {
-                    h.write_usize(match edge {
-                        EdgeKind::NestedRpc => 0,
-                        EdgeKind::EventDrivenRpc => 1,
-                        EdgeKind::Mq => 2,
-                    });
-                }
-            });
-        }
-        h.finish()
-    }
 }
 
-/// FNV-1a 64-bit, the workspace's one digest hash: topology digests
-/// and the run manifest's artifact digests (no
-/// dependencies, stable across platforms — unlike `DefaultHasher`, whose
-/// output is unspecified).
+/// FNV-1a 64-bit, the workspace's one digest hash: the run manifest's
+/// table digests and the tests' bit pins (no dependencies, stable across
+/// platforms — unlike `DefaultHasher`, whose output is unspecified).
 #[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
+pub struct Fnv;
 
 impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
     /// FNV-1a 64 of `bytes`.
     pub fn digest(bytes: &[u8]) -> u64 {
-        let mut h = Fnv::new();
-        h.write_bytes(bytes);
-        h.finish()
-    }
-
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn write_str(&mut self, s: &str) {
-        self.write_bytes(s.as_bytes());
-        // Length-delimit so ("ab","c") never collides with ("a","bc").
-        self.write_usize(s.len());
-    }
-
-    pub(crate) fn write_usize(&mut self, v: usize) {
-        self.write_bytes(&(v as u64).to_le_bytes());
-    }
-
-    pub(crate) fn write_f64(&mut self, v: f64) {
-        self.write_bytes(&v.to_bits().to_le_bytes());
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
     }
 }
 
@@ -960,48 +863,6 @@ mod tests {
                 d.mean()
             );
         }
-    }
-
-    #[test]
-    fn digest_is_stable_and_structure_sensitive() {
-        let a = two_tier();
-        let b = two_tier();
-        assert_eq!(a.digest(), b.digest(), "same structure, same digest");
-        assert_eq!(a.clone().digest(), a.digest(), "clone preserves digest");
-        // Changing any structural knob must change the digest.
-        let services = vec![
-            ServiceCfg::new("frontend", 2.0),
-            ServiceCfg::new("backend", 4.0), // cores differ
-        ];
-        let root = CallNode::leaf(ServiceId(0), WorkDist::Constant(0.001)).with_child(
-            EdgeKind::NestedRpc,
-            CallNode::leaf(ServiceId(1), WorkDist::Exponential { mean: 0.002 }),
-        );
-        let classes = vec![ClassCfg {
-            name: "get".into(),
-            priority: Priority::HIGH,
-            root: root.clone(),
-        }];
-        let c = Topology::new(services, classes).unwrap();
-        assert_ne!(a.digest(), c.digest(), "cores change the digest");
-        let services = vec![
-            ServiceCfg::new("frontend", 2.0),
-            ServiceCfg::new("backend", 2.0),
-        ];
-        let mq_root = CallNode::leaf(ServiceId(0), WorkDist::Constant(0.001)).with_child(
-            EdgeKind::Mq,
-            CallNode::leaf(ServiceId(1), WorkDist::Exponential { mean: 0.002 }),
-        );
-        let d = Topology::new(
-            services,
-            vec![ClassCfg {
-                name: "get".into(),
-                priority: Priority::HIGH,
-                root: mq_root,
-            }],
-        )
-        .unwrap();
-        assert_ne!(a.digest(), d.digest(), "edge kind changes the digest");
     }
 
     #[test]
