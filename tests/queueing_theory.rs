@@ -14,6 +14,10 @@
 //!   its mean response time.
 //! * **M/M/W.** `W` workers on more than `W` cores: at most `W` jobs
 //!   compute, the rest wait for a worker in order, which is M/M/W.
+//! * **MQ decoupling.** A producer answers once it has published to its
+//!   `EdgeKind::Mq` child, so its response time is M/M/1-PS's whatever
+//!   the consumer's load, even past saturation, where the consumer's
+//!   backlog grows without bound.
 //!
 //! Each case runs a 2-minute warm-up, then one-minute harvest windows;
 //! a window's value is the mean per-tier latency of its requests
@@ -61,7 +65,7 @@ fn single_service(cores: f64, workers: usize, work: WorkDist, seed: u64) -> Simu
 /// The batch means of `BATCHES * windows_per_batch` one-minute windows'
 /// tier latency after the warm-up: each batch's mean over its requests,
 /// its windows' means weighted by their completions.
-fn batch_means(mut sim: Simulation, windows_per_batch: usize) -> Vec<f64> {
+fn batch_means(sim: &mut Simulation, windows_per_batch: usize) -> Vec<f64> {
     sim.run_for(WARMUP);
     let mut seen = sim.harvest().services[0].tier_latency[0].total_count();
     let mut means = Vec::with_capacity(BATCHES);
@@ -126,8 +130,8 @@ fn assert_inside(case: &str, expected: f64, batches: &[f64]) {
 fn check_ps(dist: &str, work: impl Fn(f64) -> WorkDist, windows_per_batch: [usize; 3]) {
     for (i, rho) in [0.3, 0.6, 0.9].into_iter().enumerate() {
         let mean = rho / RATE;
-        let sim = single_service(1.0, 100_000, work(mean), 0x9E_0000 + i as u64);
-        let batches = batch_means(sim, windows_per_batch[i]);
+        let mut sim = single_service(1.0, 100_000, work(mean), 0x9E_0000 + i as u64);
+        let batches = batch_means(&mut sim, windows_per_batch[i]);
         assert_inside(
             &format!("M/G/1-PS {dist} ρ {rho}"),
             mean / (1.0 - rho),
@@ -187,13 +191,13 @@ fn erlang_c_response(c: usize, rate: f64, mean: f64) -> f64 {
 fn cores_cap_one_per_job_erlang_c() {
     for (i, rho) in [0.6, 0.9].into_iter().enumerate() {
         let mean = 4.0 * rho / RATE;
-        let sim = single_service(
+        let mut sim = single_service(
             4.0,
             100_000,
             WorkDist::Exponential { mean },
             0xC4_0000 + i as u64,
         );
-        let batches = batch_means(sim, [1, 4][i]);
+        let batches = batch_means(&mut sim, [1, 4][i]);
         assert_inside(
             &format!("M/M/4 ρ {rho}"),
             erlang_c_response(4, RATE, mean),
@@ -206,12 +210,63 @@ fn cores_cap_one_per_job_erlang_c() {
 fn workers_bound_concurrency_mmw() {
     for (i, rho) in [0.6, 0.9].into_iter().enumerate() {
         let mean = 2.0 * rho / RATE;
-        let sim = single_service(8.0, 2, WorkDist::Exponential { mean }, 0xA2_0000 + i as u64);
-        let batches = batch_means(sim, [1, 4][i]);
+        let mut sim = single_service(8.0, 2, WorkDist::Exponential { mean }, 0xA2_0000 + i as u64);
+        let batches = batch_means(&mut sim, [1, 4][i]);
         assert_inside(
             &format!("M/M/2 (2 workers, 8 cores) ρ {rho}"),
             erlang_c_response(2, RATE, mean),
             &batches,
         );
+    }
+}
+
+/// A 1-core producer at ρ 0.6 whose one `EdgeKind::Mq` child runs on a
+/// 1-core consumer at ρ 0.3, then at ρ 1.25: the producer's tier latency
+/// is M/M/1-PS's `E[S] / (1 − ρ)` in both, while the overloaded consumer
+/// falls behind.
+#[test]
+fn mq_decouples_producer_from_consumer_load() {
+    let rho = 0.6;
+    let mean = rho / RATE;
+    for (i, consumer_rho) in [0.3, 1.25].into_iter().enumerate() {
+        let consumer = CallNode::leaf(
+            ServiceId(1),
+            WorkDist::Exponential {
+                mean: consumer_rho / RATE,
+            },
+        );
+        let topo = Topology::new(
+            vec![
+                ServiceCfg::new("producer", 1.0).with_workers(100_000),
+                ServiceCfg::new("consumer", 1.0),
+            ],
+            vec![ClassCfg {
+                name: "req".into(),
+                priority: Priority::HIGH,
+                root: CallNode::leaf(ServiceId(0), WorkDist::Exponential { mean })
+                    .with_child(EdgeKind::Mq, consumer),
+            }],
+        )
+        .unwrap();
+        let mut sim = Simulation::new(topo, SimConfig::default(), 0x3A_0000 + i as u64);
+        sim.set_rate(ClassId(0), RateFn::Constant(RATE));
+        let batches = batch_means(&mut sim, 1);
+        assert_inside(
+            &format!("MQ producer ρ {rho}, consumer ρ {consumer_rho}"),
+            mean / (1.0 - rho),
+            &batches,
+        );
+        // The consumer keeps up at ρ 0.3 and completes about 1 / 1.25 of
+        // the messages at ρ 1.25: its backlog, not the producer, absorbs
+        // the overload.
+        let snap = sim.harvest();
+        let done = |s: usize| snap.services[s].tier_latency[0].total_count() as f64;
+        let share = done(1) / done(0);
+        eprintln!("consumer ρ {consumer_rho}: completed {share:.3} of the producer's requests");
+        if consumer_rho < 1.0 {
+            assert!(share > 0.99, "consumer ρ {consumer_rho} kept {share:.3}");
+        } else {
+            assert!(share < 0.85, "consumer ρ {consumer_rho} kept {share:.3}");
+        }
     }
 }
