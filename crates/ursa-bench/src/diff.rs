@@ -388,15 +388,32 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A manifest cut short is bad input: `run` returns 2.
+    /// A manifest cut short is bad input: `run` returns 2, and the
+    /// message it prints names the file and the byte offset.
     #[test]
     fn truncated_input_returns_2() {
         let dir = scratch("truncated");
         let text = manifest_text(1, 2, b"x\n", 4);
         let (good, cut) = (dir.join("a.json"), dir.join("b.json"));
         std::fs::write(&good, &text).unwrap();
-        std::fs::write(&cut, &text[..text.len() / 2]).unwrap();
-        assert_eq!(super::run(&good, &cut, &dir.join("out")), 2);
+        // Inside the kind's string, and right after the seed's colon.
+        let in_string = text.find("\"unit\"").unwrap() + 2;
+        let after_colon = text.find("\"seed\":").unwrap() + 7;
+        for (len, want) in [
+            (
+                in_string,
+                format!("unterminated string starting at byte {}", in_string - 2),
+            ),
+            (
+                after_colon,
+                format!("unexpected end of input at byte {after_colon}"),
+            ),
+        ] {
+            std::fs::write(&cut, &text[..len]).unwrap();
+            assert_eq!(super::run(&good, &cut, &dir.join("out")), 2);
+            let err = try_run(&good, &cut, &dir.join("out")).unwrap_err();
+            assert_eq!(err, format!("{}: {want}", cut.display()));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

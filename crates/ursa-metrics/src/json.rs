@@ -129,7 +129,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, Str
         return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
     }
     match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
+        None => Err(format!("unexpected end of input at byte {pos}")),
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -212,6 +212,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     if b.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
+    let start = *pos;
     *pos += 1;
     let mut out = String::new();
     while let Some(&c) = b.get(*pos) {
@@ -263,7 +264,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
-    Err("unterminated string".into())
+    Err(format!("unterminated string starting at byte {start}"))
 }
 
 #[cfg(test)]
@@ -298,6 +299,28 @@ mod tests {
         assert!(parse_json("{\"a\": }").is_err());
         assert!(parse_json("[1, 2").is_err());
         assert!(parse_json("{} trailing").is_err());
+    }
+
+    /// Input that ends early says where: the end of input's offset, or
+    /// where the string it cut short opened.
+    #[test]
+    fn truncated_input_errors_carry_a_byte_offset() {
+        assert_eq!(
+            parse_json("[1, "),
+            Err("unexpected end of input at byte 4".into())
+        );
+        assert_eq!(
+            parse_json(""),
+            Err("unexpected end of input at byte 0".into())
+        );
+        assert_eq!(
+            parse_json(r#"{"a": "b"#),
+            Err("unterminated string starting at byte 6".into())
+        );
+        assert_eq!(
+            parse_json(r#"{"ab"#),
+            Err("unterminated string starting at byte 1".into())
+        );
     }
 
     /// Nesting stops at the limit with an error, however deep the input:
