@@ -477,13 +477,13 @@ impl Topology {
                     s.name
                 )));
             }
-            if !names.insert(s.name.clone()) {
+            if !names.insert(s.name.as_str()) {
                 return Err(TopologyError(format!("duplicate service name {}", s.name)));
             }
         }
         let mut cnames = std::collections::HashSet::new();
         for c in &classes {
-            if !cnames.insert(c.name.clone()) {
+            if !cnames.insert(c.name.as_str()) {
                 return Err(TopologyError(format!("duplicate class name {}", c.name)));
             }
             let mut err = None;
